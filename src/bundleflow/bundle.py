@@ -278,17 +278,24 @@ class SplitMetric:
     shift: Array            # (dim, n, r, r) V_e - I
 
 
-def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
+def split_metric(
+    conn: FlatConnection, metric: Array, root: la.ScaledRoot | None = None
+) -> SplitMetric:
     """Split the connection at ``metric``, edge by edge, without forming P.
 
     With ``N = U - I`` the edge difference ``U^dag H(y) U - H(x)`` is
     assembled as ``(H(y) - H(x)) + N^dag H(y) + H(y) N + N^dag H(y) N`` and
     handed to ``linalg.comparison_functions``; psi, V and V - I follow from
-    that difference without losing the digits of P - I.
+    that difference without losing the digits of P - I. The scaled square
+    root of H is computed once over all sites (``root``, when the caller
+    already holds ``linalg.scaled_sqrt(metric)``) and gathered at the tails
+    of each axis; computing it also checks that H is positive definite.
     """
     dom = conn.domain
-    la.check_metric(metric)
     h_field = np.asarray(metric, dtype=complex)
+    la.check_hermitian(h_field)
+    if root is None:
+        root = la.scaled_sqrt(h_field)
     eye = np.eye(conn.rank, dtype=complex)
     psi = np.zeros_like(conn.transport)
     vt = conn.transport.copy()
@@ -302,7 +309,7 @@ def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
         hy = h_field[heads]
         g = hy @ n
         delta = (hy - h_field[tails]) + g + la.dagger(g) + la.dagger(n) @ g
-        logp, pmh, pph = la.comparison_functions(h_field[tails], delta)
+        logp, pmh, pph = la.comparison_functions(tuple(f[tails] for f in root), delta)
         psi[a, tails] = -logp / (2.0 * dom.spacings[a])
         u_pmh = u @ pmh
         vt[a, tails] = u + u_pmh

@@ -6,6 +6,15 @@ gradient of the edge energy, an accepted step decreases the energy to first
 order by ``2 ||Q||^2 dt``; the adaptive controller rejects steps that raise
 the energy beyond roundoff slack and halves the step size instead.
 
+Each trial takes one eigendecomposition of its metric. ``_diagnostics``
+computes the scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` of the trial
+metric (``linalg.scaled_sqrt``), splits the connection with it and keeps it
+with the diagnostics, and the next trial's ``metric_exp_update`` takes it from
+the accepted state instead of factoring H again. K^{-1/2} of the fixed
+reference is computed once per solve, and sigma is read off the relative
+eigenvalues lambda that the log h monitors already need:
+sum(lambda + 1/lambda) - 2r.
+
 Verdicts, each with a one-line ``verdict_reason``:
 
 - ``converged``: the residual (full tension for harmonic runs, its trace-free
@@ -127,8 +136,17 @@ def default_dt(domain: LatticeDomain) -> float:
     return 0.2 * min(domain.spacings) ** 2
 
 
-def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array):
-    sm = split_metric(conn, h_field)
+def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array, ref_isqrt: Array):
+    """Tension, energy and monitors of one metric, from one eigendecomposition of it.
+
+    The scaled square root of H (``linalg.scaled_sqrt``) serves the split and
+    is returned as ``root``, so that the step taken from this metric reuses
+    it. ``ref_isqrt`` is K^{-1/2} of the fixed reference. With the relative
+    eigenvalues lambda of K^{-1}H, Donaldson's
+    sigma = tr(K^{-1}H) + tr(H^{-1}K) - 2r is sum(lambda + 1/lambda) - 2r.
+    """
+    root = la.scaled_sqrt(h_field)
+    sm = split_metric(conn, h_field, root)
     t_field = la.selfadjoint_part(codifferential(conn, h_field, sm.psi, sm), h_field)
     dom = conn.domain
     site_norm = np.sqrt(np.maximum(np.einsum("nij,nji->n", t_field, t_field).real, 0.0))
@@ -138,15 +156,11 @@ def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array):
     res_sup = float(site_norm[active].max())
     res_l2 = float(np.sqrt(np.sum(dom.volume[active] * site_norm[active] ** 2)))
     tf_sup = float(tf_norm[active].max())
-    eigs = la.rel_eigvals(reference, h_field)
+    eigs = la.rel_eigvals(reference, h_field, ref_isqrt)
     logs = np.log(eigs)
     logdet = logs.sum(axis=1)
     logh_sup = float(np.sqrt((logs ** 2).sum(axis=1)).max())
-    sigma = (
-        np.einsum("nii->n", np.linalg.solve(reference, h_field)).real
-        + np.einsum("nii->n", np.linalg.solve(h_field, reference)).real
-        - 2.0 * conn.rank
-    )
+    sigma = (eigs + 1.0 / eigs).sum(axis=1) - 2.0 * conn.rank
     en = 0.0
     flux = np.zeros(dom.n_sites)
     for a in range(dom.dim):
@@ -160,6 +174,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array):
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
     return {
         "tension": t_field,
+        "root": root,
         "energy": en,
         "residual_sup": res_sup,
         "residual_l2": res_l2,
@@ -187,13 +202,14 @@ def flow_step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     ref = state.metric if reference is None else reference
-    diag = _diagnostics(conn, state.metric, ref)
-    new_metric = la.metric_exp_update(state.metric, diag["tension"], 2.0 * dt)
+    ref_isqrt = la.sqrt_pair(ref)[1]
+    diag = _diagnostics(conn, state.metric, ref, ref_isqrt)
+    new_metric = la.metric_exp_update(state.metric, diag["tension"], 2.0 * dt, diag["root"])
     if boundary_values is not None:
         mask = conn.domain.boundary
         new_metric[mask] = boundary_values[mask]
     out = replace(state, time=state.time + dt, metric=new_metric, dt=dt, step=state.step + 1)
-    diag_new = _diagnostics(conn, new_metric, ref)
+    diag_new = _diagnostics(conn, new_metric, ref, ref_isqrt)
     out.history = state.history + [
         (
             out.step,
@@ -222,6 +238,7 @@ def _drive(
     t0 = _time.perf_counter()
     opts.validate(conn.domain)
     la.check_metric(reference)
+    ref_isqrt = la.sqrt_pair(reference)[1]
     dom = conn.domain
     bc = reference if opts.boundary == "dirichlet" else None
 
@@ -233,7 +250,7 @@ def _drive(
         if state.dt <= 0:
             state.dt = opts.dt if opts.dt is not None else default_dt(dom)
 
-    diag = _diagnostics(conn, state.metric, reference)
+    diag = _diagnostics(conn, state.metric, reference, ref_isqrt)
     if not state.history:
         state.history.append(_row(state, state.dt, diag))
         if callback is not None:
@@ -251,10 +268,11 @@ def _drive(
         if settled:
             verdict, reason = settled
             break
-        trial = la.metric_exp_update(state.metric, diag["tension"], 2.0 * state.dt)
+        trial = la.metric_exp_update(state.metric, diag["tension"], 2.0 * state.dt,
+                                     diag["root"])
         if bc is not None:
             trial[dom.boundary] = bc[dom.boundary]
-        diag_trial = _diagnostics(conn, trial, reference)
+        diag_trial = _diagnostics(conn, trial, reference, ref_isqrt)
         slack = ENERGY_RTOL * diag["energy"]
         if opts.dt_policy == "adaptive" and diag_trial["energy"] > diag["energy"] + slack:
             state.dt *= 0.5
@@ -300,10 +318,13 @@ def _drive(
     h_final = state.metric
     c_field = None
     if poisson and verdict == "converged" and opts.det_normalize:
-        h_final = _det_normalize(conn.rank, reference, h_final)
+        h_final = _det_normalize(conn.rank, reference, h_final, ref_isqrt)
         if bc is not None:
             h_final[dom.boundary] = bc[dom.boundary]
-        diag = _diagnostics(conn, h_final, reference)
+        # Free the tension and root of the unnormalized metric before the
+        # recompute, which is the memory peak of a solve that converges at once.
+        del diag
+        diag = _diagnostics(conn, h_final, reference, ref_isqrt)
         state.metric = h_final
     if poisson:
         t_field = diag["tension"]
@@ -368,13 +389,13 @@ def _row(state: FlowState, dt: float, diag: dict) -> tuple:
     )
 
 
-def _det_normalize(rank: int, reference: Array, h_field: Array) -> Array:
+def _det_normalize(rank: int, reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
     """Conformal correction H -> H e^f with f = log det(H^{-1}K)/rank.
 
     Leaves the harmonic part untouched, pins det(K^{-1}H) = 1 at every site,
     and on Dirichlet runs preserves the boundary values (f vanishes there).
     """
-    eigs = la.rel_eigvals(reference, h_field)
+    eigs = la.rel_eigvals(reference, h_field, ref_isqrt)
     f = -np.log(eigs).sum(axis=1) / rank
     return h_field * np.exp(f)[:, None, None]
 

@@ -13,6 +13,7 @@ from scipy.linalg import expm as _expm, logm as _logm
 from scipy.optimize import linear_sum_assignment
 
 Array = np.ndarray
+ScaledRoot = tuple[Array, Array, Array]   # (d, Ht^{1/2}, Ht^{-1/2}), see scaled_sqrt
 
 
 def dagger(a: Array) -> Array:
@@ -81,12 +82,19 @@ def tracefree(a: Array) -> Array:
     return a - (trace(a) / r)[..., None, None] * np.eye(r, dtype=complex)
 
 
-def check_metric(h: Array, tol: float = 1e-12) -> None:
-    """Validate Hermiticity and positive-definiteness of a metric field."""
+def check_hermitian(h: Array, tol: float = 1e-12) -> None:
+    """Validate that a metric field is finite and Hermitian within ``tol`` (relative)."""
+    if not np.all(np.isfinite(h)):
+        raise ValueError("metric field is not finite")
     dev = frobenius(h - dagger(h))
     scale = frobenius(h)
     if np.any(dev > tol * np.maximum(scale, 1e-300)):
         raise ValueError("metric field is not Hermitian within tolerance")
+
+
+def check_metric(h: Array, tol: float = 1e-12) -> None:
+    """Validate Hermiticity and positive-definiteness of a metric field."""
+    check_hermitian(h, tol)
     w = np.linalg.eigvalsh(hermitize(h))
     if np.any(w <= 0.0):
         raise ValueError("metric field is not positive definite")
@@ -106,7 +114,31 @@ def sqrt_pair(h: Array) -> tuple[Array, Array]:
     return _eigh_build(w, v, s), _eigh_build(w, v, 1.0 / s)
 
 
-def comparison_functions(hx: Array, delta: Array) -> tuple[Array, Array, Array]:
+def scaled_sqrt(h: Array) -> ScaledRoot:
+    """(d, Ht^{1/2}, Ht^{-1/2}) with H = D Ht D, the scaled-frame square root of H.
+
+    ``d = sqrt(diag H)`` as in ``diagonal_scaling``. This is the one
+    eigendecomposition a flow trial takes of its metric: ``split_metric``
+    gathers it at the edge tails for ``comparison_functions``, and the flow
+    hands the accepted metric's root on to ``metric_exp_update`` for the next
+    step. It is a pure function of H, so sharing it changes no bit of the
+    results.
+    Raises the ``check_metric`` positivity error unless H is finite with a
+    positive diagonal and Ht is positive definite, so no NaN enters the frame.
+    """
+    if not np.all(np.isfinite(h)):
+        raise ValueError("metric field is not finite")
+    if np.any(np.einsum("...ii->...i", h).real <= 0.0):
+        raise ValueError("metric field is not positive definite")
+    d, ht = diagonal_scaling(h)
+    try:
+        a, ai = sqrt_pair(ht)
+    except ValueError:
+        raise ValueError("metric field is not positive definite") from None
+    return d, a, ai
+
+
+def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, Array]:
     """log P, P^{-1/2} - I and P^{1/2} - I for P = I + Hx^{-1} Delta.
 
     ``Delta`` is the Hermitian difference ``M - Hx`` between a pulled-back
@@ -116,10 +148,9 @@ def comparison_functions(hx: Array, delta: Array) -> tuple[Array, Array, Array]:
     in the diagonally scaled frame of Hx (see ``diagonal_scaling``) and the
     functions are applied through log1p / expm1, which keeps full relative
     precision for edge logarithms far below machine epsilon even when Hx is
-    graded over many orders of magnitude.
+    graded over many orders of magnitude. ``root`` is ``scaled_sqrt(Hx)``.
     """
-    d, ht = diagonal_scaling(hx)
-    a, ai = sqrt_pair(ht)
+    d, a, ai = root
     scaled = delta / (d[..., :, None] * d[..., None, :])
     mu, v = np.linalg.eigh(hermitize(ai @ scaled @ ai))
     if np.any(mu <= -1.0):
@@ -136,13 +167,17 @@ def comparison_functions(hx: Array, delta: Array) -> tuple[Array, Array, Array]:
 
 def metric_log_invsqrt(hx: Array, m: Array) -> tuple[Array, Array]:
     """log(P) and P^{-1/2} for P = Hx^{-1} M, Hx and M Hermitian positive."""
-    logp, pmh, _ = comparison_functions(hx, m - hx)
+    logp, pmh, _ = comparison_functions(scaled_sqrt(hx), m - hx)
     return logp, pmh + np.eye(hx.shape[-1])
 
 
-def rel_eigvals(k: Array, h: Array) -> Array:
-    """Eigenvalues of h^{-1}... the relative endomorphism K^{-1}H (real, positive)."""
-    _, ki = sqrt_pair(k)
+def rel_eigvals(k: Array, h: Array, k_isqrt: Array | None = None) -> Array:
+    """Eigenvalues of the relative endomorphism K^{-1}H (real, positive).
+
+    ``k_isqrt`` is K^{-1/2} when the caller already holds it: a flow keeps
+    its reference fixed and factors it once per solve.
+    """
+    ki = sqrt_pair(k)[1] if k_isqrt is None else k_isqrt
     s = hermitize(ki @ h @ ki)
     return np.linalg.eigvalsh(s)
 
@@ -155,15 +190,15 @@ def exp_hsa(q: Array, metric: Array, scale: float | Array = 1.0) -> Array:
     return ai @ _eigh_build(e, v, np.exp(scale * e)) @ a
 
 
-def metric_exp_update(h: Array, q: Array, scale: float) -> Array:
+def metric_exp_update(h: Array, q: Array, scale: float, root: ScaledRoot | None = None) -> Array:
     """H exp(scale * Q) for H-self-adjoint Q; Hermitian positive by construction.
 
     In the scaled frame (H = D Ht D, Qt = D Q D^{-1}) the product equals
     D A exp(scale S) A D with A = Ht^{1/2} and S = A Qt A^{-1} Hermitian,
     manifestly positive for any step size and accurate for graded H.
+    ``root`` is ``scaled_sqrt(h)`` when the caller already holds it.
     """
-    d, ht = diagonal_scaling(h)
-    a, ai = sqrt_pair(ht)
+    d, a, ai = scaled_sqrt(h) if root is None else root
     s = hermitize(a @ (q * (d[..., :, None] / d[..., None, :])) @ ai)
     e, v = np.linalg.eigh(s)
     inner = hermitize(a @ _eigh_build(e, v, np.exp(scale * e)) @ a)
@@ -184,7 +219,14 @@ def log_hsa(s: Array, metric: Array) -> tuple[Array, Array, Array]:
 
 
 def principal_log(m: Array, tol: float = 1e-12) -> Array:
-    """Principal matrix logarithm; rejects spectra touching the closed negative axis."""
+    """Principal matrix logarithm; rejects spectra touching the closed negative axis.
+
+    ``scipy.linalg.logm`` estimates norms with random probe vectors drawn from
+    numpy's global generator, which moves the last bits of its result from
+    call to call. The generator is seeded for the call and restored after it,
+    so the logarithm is a pure function of ``m`` and the caller's random
+    stream is left as it was.
+    """
     lam = np.linalg.eigvals(m)
     if np.any(np.abs(lam) < tol):
         raise ValueError("matrix is singular; no logarithm")
@@ -193,7 +235,12 @@ def principal_log(m: Array, tol: float = 1e-12) -> Array:
         raise ValueError(
             "eigenvalue on the nonpositive real axis; supply an explicit logarithm branch"
         )
-    out = _logm(np.asarray(m, dtype=complex))
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        out = _logm(np.asarray(m, dtype=complex))
+    finally:
+        np.random.set_state(saved)
     return np.asarray(out, dtype=complex)
 
 

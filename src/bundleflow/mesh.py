@@ -180,8 +180,6 @@ def laplacian(domain: LatticeDomain, field: Array) -> Array:
             n_a = domain.sites_per_axis[a]
             mid = [slice(None)] * domain.dim
             mid[a] = slice(1, n_a - 1)
-            lo = [slice(None)] * domain.dim
-            hi = [slice(None)] * domain.dim
 
             def ax(i):
                 s = [slice(None)] * domain.dim
@@ -204,7 +202,6 @@ def laplacian(domain: LatticeDomain, field: Array) -> Array:
             else:
                 term[ax(0)] = (shaped[ax(0)] - 2 * shaped[ax(1)] + shaped[ax(2)]) / h2
                 term[ax(n_a - 1)] = term[ax(0)]
-            del lo, hi
         out += term.reshape(out.shape)
     return out
 

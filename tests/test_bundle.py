@@ -55,6 +55,27 @@ def test_from_monodromy_rejects_singular_and_negative_axis():
     assert bf.flatness_residual(conn) < 1e-10
 
 
+def test_from_monodromy_transports_are_reproducible():
+    # scipy's logm estimates norms with random probes from numpy's global
+    # generator; the transports must not depend on that generator's state,
+    # and building them must leave the caller's random stream as it was. For
+    # this generator a bare logm differs in its last bits on most calls.
+    rng = np.random.default_rng(62)
+    s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    gen = s @ np.diag([4.0, 1.0, 0.25]) @ np.linalg.inv(s)
+    dom = bf.build_domain("circle", 12, 1.0)
+    first = bf.from_monodromy(dom, [gen]).transport
+    np.random.seed(2024)
+    for _ in range(12):
+        np.random.random(5)
+        assert np.array_equal(bf.from_monodromy(dom, [gen]).transport, first)
+    np.random.seed(5)
+    expected = np.random.random(3)
+    np.random.seed(5)
+    bf.from_monodromy(dom, [gen])
+    assert np.array_equal(np.random.random(3), expected)
+
+
 def test_from_monodromy_needs_rank_on_bounded_domains():
     dom = bf.build_domain("rectangle", (5, 5), (1.0, 1.0))
     with pytest.raises(ValueError, match="rank"):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from util import (
     diag_metric,
     identity_metric,
     random_metric,
+    torus_diag,
 )
 
 
@@ -253,3 +256,97 @@ def test_solver_option_validation():
         bf.SolveOptions(boundary="dirichlet").validate(dom)
     with pytest.raises(ValueError):
         bf.SolveOptions(dt_policy="magic").validate(dom)
+
+
+# ------------------------------------------------- one factorization per trial
+
+
+def test_one_metric_factorization_per_trial(monkeypatch):
+    # A trial factors its metric once (linalg.scaled_sqrt), and the step from
+    # an accepted metric reuses that root: per trial one sqrt_pair, whose eigh
+    # is joined by one eigh per axis for the edge comparisons and one for the
+    # exponential update, and one eigvalsh for the relative spectrum. The
+    # per-trial counts are read off two solves that differ only in length.
+    counts: Counter = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(la, "sqrt_pair")
+    counted(la, "metric_exp_update")
+    counted(np.linalg, "eigh")
+    counted(np.linalg, "eigvalsh")
+    dom, conn = torus_diag(n=6, length=1.0)
+    k = random_metric(dom, 2, seed=7, amplitude=0.3)
+
+    def run(steps: int) -> Counter:
+        counts.clear()
+        opts = bf.SolveOptions(tolerance=1e-14, max_steps=steps, dt_policy="fixed")
+        rep = bf.solve_poisson(conn, k, opts)
+        assert rep.verdict == "max_steps" and rep.steps == steps
+        return Counter(counts)
+
+    short, long = run(3), run(8)
+    per_trial = {name: (long[name] - short[name]) / 5 for name in long}
+    assert per_trial == {"sqrt_pair": 1, "metric_exp_update": 1,
+                         "eigh": dom.dim + 2, "eigvalsh": 1}
+
+
+def test_sigma_from_relative_eigenvalues_matches_trace_formula():
+    dom = bf.build_domain("circle", 10, 1.0)
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
+    k = random_metric(dom, 2, seed=11, amplitude=0.4)
+    h = random_metric(dom, 2, seed=12, amplitude=0.6)
+
+    def trace_formula(metric):
+        return (np.einsum("nii->n", np.linalg.solve(k, metric)).real
+                + np.einsum("nii->n", np.linalg.solve(metric, k)).real - 4.0)
+
+    eigs = la.rel_eigvals(k, h, la.sqrt_pair(k)[1])
+    via_eigs = (eigs + 1.0 / eigs).sum(axis=1) - 4.0
+    expected = trace_formula(h)
+    assert expected.min() > 1e-2
+    assert np.abs(via_eigs - expected).max() <= 1e-12 * np.abs(expected).max()
+    # the flow's reported sigma is the same quantity
+    out = bf.flow_step(conn, FlowState(time=0.0, metric=h, dt=1e-3), 1e-3, reference=k)
+    assert out.history[-1][9] == pytest.approx(trace_formula(out.metric).max(), rel=1e-12)
+
+
+def _malformed_metric(kind: str, n: int) -> np.ndarray:
+    h = identity_metric(n, 2)
+    if kind == "non_hermitian":
+        h[2, 0, 1] = 0.5
+    elif kind == "non_positive":
+        h[2] = [[1.0, 2.0], [2.0, 1.0]]
+    elif kind == "negative_diagonal":
+        h[2] = np.diag([-1.0, 1.0])
+    else:
+        h[2, 0, 1] = h[2, 1, 0] = np.nan
+    return h
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("non_hermitian", "not Hermitian"),
+    ("non_positive", "not positive definite"),
+    ("negative_diagonal", "not positive definite"),
+    ("not_finite", "not finite"),
+])
+def test_malformed_metric_is_a_clean_error(kind, message):
+    dom = bf.build_domain("circle", 6, 1.0)
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
+    h = _malformed_metric(kind, dom.n_sites)
+    # a square root of a negative diagonal would raise FloatingPointError here
+    with np.errstate(invalid="raise"):
+        with pytest.raises(ValueError, match=message):
+            bf.split_metric(conn, h)
+        with pytest.raises(ValueError, match=message):
+            bf.solve_harmonic(conn, h)
+        if kind != "non_hermitian":
+            with pytest.raises(ValueError, match=message):
+                la.scaled_sqrt(h)

@@ -90,6 +90,25 @@ def test_higgs_from_harmonic_rejects_rough_metric():
         bf.higgs_from_harmonic(conn, h)
 
 
+def test_higgs_from_harmonic_accepts_poisson_metric():
+    # (S S^dag)^{-1} is harmonic for the monodromies S diag(mu, 1/mu) S^{-1}.
+    # A conformal factor e^f shifts only the trace part of the tension, so the
+    # product is a Poisson metric whose full tension is large and whose
+    # trace-free tension and Higgs field are those of the harmonic metric.
+    dom = bf.build_domain("torus", (8, 8), (1.0, 1.0))
+    s = np.array([[1.0, 0.4 + 0.3j], [-0.2j, 1.5]])
+    s_inv = np.linalg.inv(s)
+    gens = [s @ np.diag([m, 1.0 / m]) @ s_inv for m in (2.0, 3.0)]
+    conn = bf.from_monodromy(dom, gens)
+    harmonic = np.broadcast_to(np.linalg.inv(s @ la.dagger(s)), (dom.n_sites, 2, 2)).copy()
+    f = 0.1 * np.sin(2.0 * np.pi * dom.coords()[:, 0])
+    poisson = harmonic * np.exp(f)[:, None, None]
+    assert la.frobenius(bf.tension(conn, poisson)).max() > 1.0
+    hd = bf.higgs_from_harmonic(conn, poisson)
+    hd_harmonic = bf.higgs_from_harmonic(conn, harmonic)
+    assert np.abs(hd.theta - hd_harmonic.theta).max() < 1e-12
+
+
 # ----------------------------------------------------------------- residuals
 
 
