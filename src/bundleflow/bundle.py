@@ -307,13 +307,13 @@ def split_metric(
         u_inv = conn.transport_inv[a, tails]
         n = u - eye
         hy = h_field[heads]
-        g = hy @ n
-        delta = (hy - h_field[tails]) + g + la.dagger(g) + la.dagger(n) @ g
+        g = la.mm(hy, n)
+        delta = (hy - h_field[tails]) + g + la.dagger(g) + la.mm(la.dagger(n), g)
         logp, pmh, pph = la.comparison_functions(tuple(f[tails] for f in root), delta)
         psi[a, tails] = -logp / (2.0 * dom.spacings[a])
-        u_pmh = u @ pmh
+        u_pmh = la.mm(u, pmh)
         vt[a, tails] = u + u_pmh
-        vt_inv[a, tails] = u_inv + pph @ u_inv
+        vt_inv[a, tails] = u_inv + la.mm(pph, u_inv)
         shift[a, tails] = n + u_pmh
     return SplitMetric(psi=psi, transport=vt, transport_inv=vt_inv, shift=shift)
 
@@ -356,7 +356,9 @@ def codifferential(
     correction ``w [V - I, omega] V^{-1}``, and the corrections are
     accumulated apart from the fluxes: for a site-constant one-form the
     fluxes cancel exactly and the corrections keep their own relative
-    precision (and vanish exactly when V - I commutes with omega).
+    precision (and vanish exactly when V - I commutes with omega). Along one
+    axis the heads are distinct, and so are the tails, so each scatter adds
+    every site's term once.
     """
     dom = conn.domain
     if sm is None:
@@ -370,9 +372,9 @@ def codifferential(
         ]
         om = omega[a, tails]
         x = sm.shift[a, tails]
-        np.add.at(turned, heads, w * ((x @ om - om @ x) @ sm.transport_inv[a, tails]))
-        np.add.at(flux, heads, w * om)
-        np.add.at(flux, tails, -w * om)
+        turned[heads] += w * la.mm(la.commutator(x, om), sm.transport_inv[a, tails])
+        flux[heads] += w * om
+        flux[tails] -= w * om
     return (flux + turned) / dom.volume[:, None, None]
 
 

@@ -196,14 +196,17 @@ def run_scenario(
                 hd = hodge.higgs_from_harmonic(
                     conn, run.metric, tension_tol=10 * cfg.solver.tolerance
                 )
-                res = hodge.hitchin_residuals(hd, run.metric)
+                transports = hodge.composite_transports(hd, run.metric)
+                res = hodge.hitchin_residuals(hd, run.metric, transports)
                 report_lines += [
                     f"holomorphy residual: {_fmt(res['holomorphy'])}",
                     f"composite curvature sup: {_fmt(res['hs_curvature_sup'])}",
                     f"contracted curvature sup: {_fmt(res['lambda_F_sup'])}",
                 ]
                 back = hodge.flat_from_higgs(hd, run.metric,
-                                             tol=max(res["hs_curvature_sup"], 1e-12))
+                                             tol=max(res["hs_curvature_sup"], 1e-12),
+                                             transports=transports,
+                                             curvature_sup=res["hs_curvature_sup"])
                 report_lines.append("loop, eigenvalue drift (matched multisets)")
                 from .bundle import loop_holonomy
                 from .linalg import spectrum_distance

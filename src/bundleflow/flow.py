@@ -147,7 +147,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array, ref_isq
     """
     root = la.scaled_sqrt(h_field)
     sm = split_metric(conn, h_field, root)
-    t_field = la.selfadjoint_part(codifferential(conn, h_field, sm.psi, sm), h_field)
+    t_field = la.selfadjoint_part(codifferential(conn, h_field, sm.psi, sm), h_field, root)
     dom = conn.domain
     site_norm = np.sqrt(np.maximum(np.einsum("nij,nji->n", t_field, t_field).real, 0.0))
     tf = la.tracefree(t_field)
@@ -169,8 +169,8 @@ def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array, ref_isq
         tails, heads = conn.edge_sites(a)
         size = (dom.edge_weight[a] * dom.metric_weight[a] / dom.spacings[a]
                 * np.sqrt(np.maximum(dens, 0.0)))[tails]
-        np.add.at(flux, heads, size)
-        np.add.at(flux, tails, size)
+        flux[heads] += size
+        flux[tails] += size
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
     return {
         "tension": t_field,

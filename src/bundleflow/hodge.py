@@ -168,7 +168,7 @@ def composite_transports(higgs: HiggsData, metric: Array) -> Array:
     for a in range(2):
         tails = np.flatnonzero(dom.neighbors[a, 0] >= 0)
         step = la.exp_hsa(psi[a, tails], np.asarray(metric)[tails], -dom.spacings[a])
-        out[a, tails] = higgs.transport[a, tails] @ step
+        out[a, tails] = la.mm(higgs.transport[a, tails], step)
     return out
 
 
@@ -186,10 +186,15 @@ def lambda_contraction(higgs: HiggsData, metric: Array, transports: Array | None
     return out
 
 
-def hitchin_residuals(higgs: HiggsData, metric: Array) -> dict:
-    """Holomorphy, composite-curvature, and contracted-curvature sup norms."""
+def hitchin_residuals(higgs: HiggsData, metric: Array, transports: Array | None = None) -> dict:
+    """Holomorphy, composite-curvature, and contracted-curvature sup norms.
+
+    ``transports`` are ``composite_transports(higgs, metric)`` when the caller
+    already holds them.
+    """
     la.check_metric(metric)
-    transports = composite_transports(higgs, metric)
+    if transports is None:
+        transports = composite_transports(higgs, metric)
     base, hol = plaquette_holonomies(higgs.domain, transports)
     eye = np.eye(higgs.rank, dtype=complex)
     hs_curv = float(np.max(la.specnorm(hol - eye), initial=0.0))
@@ -290,21 +295,27 @@ def hermitian_einstein_solve(
     opts.validate(dom)
     k_field = np.asarray(reference, dtype=complex)
     la.check_metric(k_field)
+    k_isqrt = la.sqrt_pair(k_field)[1]
     h_field = k_field.copy()
     dt = opts.dt if opts.dt is not None else default_dt(dom)
     r = higgs.rank
     floor = FLOOR_ULPS * np.finfo(float).eps * np.sqrt(r) / (dom.spacings[0] * dom.spacings[1])
 
     def measure(hf: Array):
-        phi = lambda_contraction(higgs, hf)
-        phi_perp = la.tracefree(phi)
-        sup = float(np.max(np.sqrt(la.endo_norm2(phi_perp, hf))))
-        en = float(np.sum(dom.volume * la.endo_norm2(phi_perp, hf)))
-        eigs = la.rel_eigvals(k_field, hf)
-        logs = np.log(eigs)
-        return phi_perp, sup, en, float(np.sqrt((logs ** 2).sum(axis=1)).max())
+        """Trace-free curvature with its sup and energy, sup|log h| and sup sigma.
 
-    phi_perp, res, en, logh = measure(h_field)
+        With the eigenvalues lambda of K^{-1}H, Donaldson's sigma is
+        sum(lambda + 1/lambda) - 2r, as in the flow's diagnostics.
+        """
+        phi_perp = la.tracefree(lambda_contraction(higgs, hf))
+        dens = la.endo_norm2(phi_perp, hf)
+        eigs = la.rel_eigvals(k_field, hf, k_isqrt)
+        logs = np.log(eigs)
+        sigma = (eigs + 1.0 / eigs).sum(axis=1) - 2.0 * r
+        return (phi_perp, float(np.max(np.sqrt(dens))), float(np.sum(dom.volume * dens)),
+                float(np.sqrt((logs ** 2).sum(axis=1)).max()), float(sigma.max()))
+
+    phi_perp, res, en, logh, sigma = measure(h_field)
     steps = 0
     streak = 0
     grown = 0
@@ -319,7 +330,7 @@ def hermitian_einstein_solve(
             verdict, reason = settled
             break
         trial = la.metric_exp_update(h_field, -phi_perp, 2.0 * dt)
-        phi_t, res_t, en_t, logh_t = measure(trial)
+        phi_t, res_t, en_t, logh_t, sigma_t = measure(trial)
         if opts.dt_policy == "adaptive" and en_t > en + ENERGY_RTOL * en:
             dt *= 0.5
             grown = 0
@@ -329,7 +340,7 @@ def hermitian_einstein_solve(
                 break
             continue
         logh_prev = logh
-        h_field, phi_perp, res, en, logh = trial, phi_t, res_t, en_t, logh_t
+        h_field, phi_perp, res, en, logh, sigma = trial, phi_t, res_t, en_t, logh_t, sigma_t
         steps += 1
         t += dt
         history.append((steps, t, dt, en, res, res, res, 0.0, 0.0, 0.0))
@@ -353,15 +364,10 @@ def hermitian_einstein_solve(
         elif not reason:
             reason = f"step limit {opts.max_steps} reached with residual {res:.3e}"
     if verdict == "converged" and opts.det_normalize:
-        eigs = la.rel_eigvals(k_field, h_field)
+        eigs = la.rel_eigvals(k_field, h_field, k_isqrt)
         f = -np.log(eigs).sum(axis=1) / r
         h_field = h_field * np.exp(f)[:, None, None]
-        phi_perp, res, en, logh = measure(h_field)
-    sigma = (
-        np.einsum("nii->n", np.linalg.solve(k_field, h_field)).real
-        + np.einsum("nii->n", np.linalg.solve(h_field, k_field)).real
-        - 2.0 * r
-    )
+        phi_perp, res, en, logh, sigma = measure(h_field)
     return RunReport(
         verdict=verdict,
         steps=steps,
@@ -370,7 +376,7 @@ def hermitian_einstein_solve(
         residual_sup=res,
         tracefree_residual_sup=res,
         energy=en,
-        sigma_sup=float(sigma.max()),
+        sigma_sup=sigma,
         logh_sup=logh,
         history=np.array(history, dtype=float),
         notes=notes,
@@ -380,19 +386,23 @@ def hermitian_einstein_solve(
 
 
 def flat_from_higgs(higgs: HiggsData, metric: Array, residual_factor: float = 10.0,
-                    tol: float = 1e-5) -> FlatConnection:
+                    tol: float = 1e-5, transports: Array | None = None,
+                    curvature_sup: float | None = None) -> FlatConnection:
     """The composite connection as a flat connection object.
 
     Requires the composite curvature to be small (within ``residual_factor *
     tol``); the designated loops are re-measured on the composite transports
     so the returned object's flatness residual equals the curvature sup.
+    A caller that has already run ``hitchin_residuals`` passes its composite
+    ``transports`` and ``curvature_sup`` (its ``hs_curvature_sup``), which
+    are then not computed again.
     """
-    res = hitchin_residuals(higgs, metric)
-    if res["hs_curvature_sup"] > residual_factor * tol:
-        raise ValueError(
-            f"composite curvature {res['hs_curvature_sup']:.3e} too large to flatten"
-        )
-    transports = composite_transports(higgs, metric)
+    if curvature_sup is None:
+        curvature_sup = hitchin_residuals(higgs, metric, transports)["hs_curvature_sup"]
+    if curvature_sup > residual_factor * tol:
+        raise ValueError(f"composite curvature {curvature_sup:.3e} too large to flatten")
+    if transports is None:
+        transports = composite_transports(higgs, metric)
     conn = connection_from_transports(higgs.domain, transports, ())
     loops = []
     for a in range(2):

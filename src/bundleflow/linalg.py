@@ -5,6 +5,13 @@ matrices (shape ``(n, r, r)`` or ``(d, n, r, r)``) is processed in one call.
 Metric-adapted operations take a Hermitian positive-definite ``H`` and work
 with H-self-adjoint operators (``A* = H^{-1} A^dag H``), which stay
 diagonalizable with real spectra even when not Hermitian as raw matrices.
+
+Products, Hermitian eigendecompositions and eigenvalues go through one entry
+point each: ``mm``, ``eigh`` and ``eigvalsh``. Each runs a closed form when
+its operands are 2 x 2 matrices and the stack holds at least ``SMALL_BATCH``
+of them, and the numpy/LAPACK routine otherwise: numpy's per-call overhead
+is lower, its per-matrix cost higher (``scripts/kernel_crossover.py``
+measures both). Callers never branch on the rank.
 """
 from __future__ import annotations
 
@@ -14,6 +21,10 @@ from scipy.optimize import linear_sum_assignment
 
 Array = np.ndarray
 ScaledRoot = tuple[Array, Array, Array]   # (d, Ht^{1/2}, Ht^{-1/2}), see scaled_sqrt
+
+# Smallest stack of 2 x 2 matrices that takes the closed-form kernels; below
+# it numpy's lower per-call overhead wins (crossover between 32 and 64).
+SMALL_BATCH = 64
 
 
 def dagger(a: Array) -> Array:
@@ -44,7 +55,99 @@ def trace(a: Array) -> Array:
 
 
 def commutator(a: Array, b: Array) -> Array:
-    return a @ b - b @ a
+    return mm(a, b) - mm(b, a)
+
+
+def _closed_form(a: Array, b: Array) -> bool:
+    """True when both operands are 2 x 2 stacks and one holds SMALL_BATCH matrices.
+
+    Called once per kernel call, so it reads only shapes and sizes: small
+    stacks pay for this test on top of numpy's own per-call overhead.
+    """
+    gate = 4 * SMALL_BATCH
+    return (a.size >= gate or b.size >= gate) and a.shape[-2:] == (2, 2) == b.shape[-2:]
+
+
+def mm(a: Array, b: Array) -> Array:
+    """Batched matrix product ``a @ b``."""
+    return _mm2(a, b) if _closed_form(a, b) else a @ b
+
+
+def eigvalsh(a: Array) -> Array:
+    """Ascending eigenvalues of a Hermitian stack, as ``np.linalg.eigvalsh``."""
+    return _eigvalsh2(a) if _closed_form(a, a) else np.linalg.eigvalsh(a)
+
+
+def eigh(a: Array) -> tuple[Array, Array]:
+    """Ascending eigenvalues and orthonormal eigenvectors, as ``np.linalg.eigh``."""
+    return _eigh2(a) if _closed_form(a, a) else np.linalg.eigh(a)
+
+
+def _mm2(a: Array, b: Array) -> Array:
+    """Product of 2 x 2 stacks, entry by entry."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def _eig2(a: Array) -> tuple[Array, Array, tuple[Array, Array, Array, Array]]:
+    """Ascending eigenvalues (lo, hi) of Hermitian 2 x 2 stacks, and rotation data.
+
+    The matrix is [[p, c], [conj c, q]], read from the diagonal and the lower
+    triangle as LAPACK does. The eigenvalue of larger modulus, m + sign(m) r
+    with m = (p + q)/2 and r = hypot((p - q)/2, |c|), has no cancellation; the
+    other is det / that one with det = p q - |c|^2 (LAPACK's dlaev2 rule).
+    The plain m - r cancels to zero for graded metrics like diag(e^t, e^-t)
+    + O(1) coupling, whose small eigenvalue this keeps to full relative
+    precision. The rotation data are (p - q)/2, r, c and |c|.
+    """
+    p = a[..., 0, 0].real
+    q = a[..., 1, 1].real
+    c = np.conj(a[..., 1, 0])
+    m = 0.5 * (p + q)
+    half = 0.5 * (p - q)
+    ac = np.abs(c)
+    r = np.hypot(half, ac)
+    neg = m < 0.0
+    big = np.where(neg, m - r, m + r)
+    nonzero = big != 0.0
+    small = np.where(nonzero, (p * q - ac * ac) / np.where(nonzero, big, 1.0), 0.0)
+    return np.where(neg, big, small), np.where(neg, small, big), (half, r, c, ac)
+
+
+def _eigvalsh2(a: Array) -> Array:
+    lo, hi, _ = _eig2(a)
+    return np.stack([lo, hi], axis=-1)
+
+
+def _eigh2(a: Array) -> tuple[Array, Array]:
+    """Eigen-decomposition of Hermitian 2 x 2 stacks by one complex Jacobi rotation.
+
+    See Golub & Van Loan, Matrix Computations, 8.5. The eigenvector (x, y) of
+    the larger eigenvalue m + r is (half + r, conj c) for half >= 0 and
+    (c, r - half) otherwise, so neither component cancels; the other
+    eigenvector is its orthogonal complement (-conj y, conj x). Exactly
+    diagonal or degenerate matrices get unit vectors, without a 0/0.
+    """
+    lo, hi, (half, r, c, ac) = _eig2(a)
+    s = r + np.abs(half)
+    up = half >= 0.0
+    norm = np.hypot(s, ac)
+    found = norm > 0.0
+    inv = 1.0 / np.where(found, norm, 1.0)
+    x = np.where(found, np.where(up, s, c) * inv, 1.0)
+    y = np.where(up, np.conj(c), s) * inv
+    v = np.empty(lo.shape + (2, 2), dtype=complex)
+    v[..., 0, 0] = -np.conj(y)
+    v[..., 1, 0] = np.conj(x)
+    v[..., 0, 1] = x
+    v[..., 1, 1] = y
+    return np.stack([lo, hi], axis=-1), v
 
 
 def diagonal_scaling(h: Array) -> tuple[Array, Array]:
@@ -60,12 +163,21 @@ def diagonal_scaling(h: Array) -> tuple[Array, Array]:
     return d, h / (d[..., :, None] * d[..., None, :])
 
 
-def selfadjoint_part(a: Array, metric: Array) -> Array:
-    """H-self-adjoint part 0.5 (A + H^{-1} A^dag H), solved in the scaled frame."""
+def selfadjoint_part(a: Array, metric: Array, root: ScaledRoot | None = None) -> Array:
+    """H-self-adjoint part 0.5 (A + H^{-1} A^dag H), solved in the scaled frame.
+
+    ``root`` is ``scaled_sqrt(metric)`` when the caller already holds it; then
+    Ht^{-1} Y is formed as Ht^{-1/2} (Ht^{-1/2} Y) instead of by a solve.
+    """
     d, ht = diagonal_scaling(metric)
     ratio = d[..., :, None] / d[..., None, :]
     at = a * ratio
-    return 0.5 * (at + np.linalg.solve(ht, dagger(at) @ ht)) / ratio
+    y = mm(dagger(at), ht)
+    if root is None:
+        ht_inv_y = np.linalg.solve(ht, y)
+    else:
+        ht_inv_y = mm(root[2], mm(root[2], y))
+    return 0.5 * (at + ht_inv_y) / ratio
 
 
 def endo_inner(a: Array, b: Array, metric: Array) -> Array:
@@ -95,19 +207,19 @@ def check_hermitian(h: Array, tol: float = 1e-12) -> None:
 def check_metric(h: Array, tol: float = 1e-12) -> None:
     """Validate Hermiticity and positive-definiteness of a metric field."""
     check_hermitian(h, tol)
-    w = np.linalg.eigvalsh(hermitize(h))
+    w = eigvalsh(hermitize(h))
     if np.any(w <= 0.0):
         raise ValueError("metric field is not positive definite")
 
 
 def _eigh_build(w: Array, v: Array, f: Array) -> Array:
     """Assemble V diag(f) V^dag from eigh output."""
-    return (v * f[..., None, :]) @ dagger(v)
+    return mm(v * f[..., None, :], dagger(v))
 
 
 def sqrt_pair(h: Array) -> tuple[Array, Array]:
     """(H^{1/2}, H^{-1/2}) for a Hermitian positive field."""
-    w, v = np.linalg.eigh(h)
+    w, v = eigh(h)
     if np.any(w <= 0.0):
         raise ValueError("field is not positive definite")
     s = np.sqrt(w)
@@ -152,15 +264,15 @@ def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, 
     """
     d, a, ai = root
     scaled = delta / (d[..., :, None] * d[..., None, :])
-    mu, v = np.linalg.eigh(hermitize(ai @ scaled @ ai))
+    mu, v = eigh(hermitize(mm(mm(ai, scaled), ai)))
     if np.any(mu <= -1.0):
         raise ValueError("pulled-back metric is not positive definite")
-    left = (ai @ v) / d[..., :, None]
-    right = (dagger(v) @ a) * d[..., None, :]
+    left = mm(ai, v) / d[..., :, None]
+    right = mm(dagger(v), a) * d[..., None, :]
     lg = np.log1p(mu)
 
     def build(f: Array) -> Array:
-        return (left * f[..., None, :]) @ right
+        return mm(left * f[..., None, :], right)
 
     return build(lg), build(np.expm1(-0.5 * lg)), build(np.expm1(0.5 * lg))
 
@@ -178,16 +290,14 @@ def rel_eigvals(k: Array, h: Array, k_isqrt: Array | None = None) -> Array:
     its reference fixed and factors it once per solve.
     """
     ki = sqrt_pair(k)[1] if k_isqrt is None else k_isqrt
-    s = hermitize(ki @ h @ ki)
-    return np.linalg.eigvalsh(s)
+    return eigvalsh(hermitize(mm(mm(ki, h), ki)))
 
 
 def exp_hsa(q: Array, metric: Array, scale: float | Array = 1.0) -> Array:
     """exp(scale * Q) for an H-self-adjoint Q, via the Hermitian similarity."""
     a, ai = sqrt_pair(metric)
-    s = hermitize(a @ q @ ai)
-    e, v = np.linalg.eigh(s)
-    return ai @ _eigh_build(e, v, np.exp(scale * e)) @ a
+    e, v = eigh(hermitize(mm(mm(a, q), ai)))
+    return mm(mm(ai, _eigh_build(e, v, np.exp(scale * e))), a)
 
 
 def metric_exp_update(h: Array, q: Array, scale: float, root: ScaledRoot | None = None) -> Array:
@@ -199,9 +309,9 @@ def metric_exp_update(h: Array, q: Array, scale: float, root: ScaledRoot | None 
     ``root`` is ``scaled_sqrt(h)`` when the caller already holds it.
     """
     d, a, ai = scaled_sqrt(h) if root is None else root
-    s = hermitize(a @ (q * (d[..., :, None] / d[..., None, :])) @ ai)
-    e, v = np.linalg.eigh(s)
-    inner = hermitize(a @ _eigh_build(e, v, np.exp(scale * e)) @ a)
+    s = hermitize(mm(mm(a, q * (d[..., :, None] / d[..., None, :])), ai))
+    e, v = eigh(s)
+    inner = hermitize(mm(mm(a, _eigh_build(e, v, np.exp(scale * e))), a))
     return inner * (d[..., :, None] * d[..., None, :])
 
 
@@ -211,10 +321,9 @@ def log_hsa(s: Array, metric: Array) -> tuple[Array, Array, Array]:
     The frame columns are orthonormal for the metric; s = frame diag frame_inv.
     """
     a, ai = sqrt_pair(metric)
-    herm = hermitize(a @ s @ ai)
-    e, v = np.linalg.eigh(herm)
-    frame = ai @ v
-    frame_inv = dagger(v) @ a
+    e, v = eigh(hermitize(mm(mm(a, s), ai)))
+    frame = mm(ai, v)
+    frame_inv = mm(dagger(v), a)
     return e, frame, frame_inv
 
 

@@ -266,36 +266,39 @@ def test_one_metric_factorization_per_trial(monkeypatch):
     # an accepted metric reuses that root: per trial one sqrt_pair, whose eigh
     # is joined by one eigh per axis for the edge comparisons and one for the
     # exponential update, and one eigvalsh for the relative spectrum. The
-    # per-trial counts are read off two solves that differ only in length.
+    # counts are taken at the linalg entry points, on a torus whose edge
+    # batches are below SMALL_BATCH (numpy/LAPACK) and on one above it (the
+    # closed forms), and read off two solves that differ only in length.
     counts: Counter = Counter()
 
-    def counted(owner, name):
-        fn = getattr(owner, name)
+    def counted(name):
+        fn = getattr(la, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(la, name, wrapper)
 
-    counted(la, "sqrt_pair")
-    counted(la, "metric_exp_update")
-    counted(np.linalg, "eigh")
-    counted(np.linalg, "eigvalsh")
-    dom, conn = torus_diag(n=6, length=1.0)
-    k = random_metric(dom, 2, seed=7, amplitude=0.3)
+    for name in ("sqrt_pair", "metric_exp_update", "eigh", "eigvalsh"):
+        counted(name)
+    above = int(np.ceil(np.sqrt(la.SMALL_BATCH))) + 1
+    for n in (6, above):
+        dom, conn = torus_diag(n=n, length=1.0)
+        assert (dom.n_sites < la.SMALL_BATCH) == (n == 6)
+        k = random_metric(dom, 2, seed=7, amplitude=0.3)
 
-    def run(steps: int) -> Counter:
-        counts.clear()
-        opts = bf.SolveOptions(tolerance=1e-14, max_steps=steps, dt_policy="fixed")
-        rep = bf.solve_poisson(conn, k, opts)
-        assert rep.verdict == "max_steps" and rep.steps == steps
-        return Counter(counts)
+        def run(steps: int) -> Counter:
+            counts.clear()
+            opts = bf.SolveOptions(tolerance=1e-14, max_steps=steps, dt_policy="fixed")
+            rep = bf.solve_poisson(conn, k, opts)
+            assert rep.verdict == "max_steps" and rep.steps == steps
+            return Counter(counts)
 
-    short, long = run(3), run(8)
-    per_trial = {name: (long[name] - short[name]) / 5 for name in long}
-    assert per_trial == {"sqrt_pair": 1, "metric_exp_update": 1,
-                         "eigh": dom.dim + 2, "eigvalsh": 1}
+        short, long = run(3), run(8)
+        per_trial = {name: (long[name] - short[name]) / 5 for name in long}
+        assert per_trial == {"sqrt_pair": 1, "metric_exp_update": 1,
+                             "eigh": dom.dim + 2, "eigvalsh": 1}, n
 
 
 def test_sigma_from_relative_eigenvalues_matches_trace_formula():

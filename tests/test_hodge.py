@@ -3,7 +3,7 @@ import pytest
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.hodge import higgs_from_parts, lambda_contraction
+from bundleflow.hodge import composite_transports, higgs_from_parts, lambda_contraction
 
 from util import TWO_PI, identity_metric, random_metric
 
@@ -214,6 +214,43 @@ def test_hermitian_einstein_destabilized_diverges():
 
 
 # ----------------------------------------------------------------- roundtrip
+
+
+def test_hermitian_einstein_sigma_matches_trace_formula():
+    # sigma is read off the relative eigenvalues of the returned metric; it
+    # must equal tr(K^{-1}H) + tr(H^{-1}K) - 2r computed by two solves.
+    dom = bf.build_domain("torus", (12, 12), (TWO_PI, TWO_PI))
+    n = dom.n_sites
+    w = np.broadcast_to(np.eye(2, dtype=complex), (2, n, 2, 2)).copy()
+    w[1, :, 0, 0] = np.exp(1j * 0.05 * (np.arange(n) // 12))
+    hd = higgs_from_parts(dom, w, np.zeros((n, 2, 2), dtype=complex))
+    k = 2.0 * identity_metric(n, 2)
+    rep = bf.hermitian_einstein_solve(hd, k, bf.SolveOptions(tolerance=1e-10, max_steps=20))
+    assert rep.verdict == "max_steps"
+    expected = float((np.einsum("nii->n", np.linalg.solve(k, rep.metric)).real
+                      + np.einsum("nii->n", np.linalg.solve(rep.metric, k)).real - 4.0).max())
+    assert expected > 1.0
+    assert abs(rep.sigma_sup - expected) <= 1e-12 * expected
+
+
+def test_flat_from_higgs_reuses_passed_transports_and_curvature():
+    dom, conn = unimodular_torus(n=12)
+    run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
+    hd = bf.higgs_from_harmonic(conn, run.metric)
+    transports = composite_transports(hd, run.metric)
+    res = bf.hitchin_residuals(hd, run.metric, transports)
+    assert res == bf.hitchin_residuals(hd, run.metric)
+    plain = bf.flat_from_higgs(hd, run.metric)
+    passed = bf.flat_from_higgs(hd, run.metric, transports=transports,
+                                curvature_sup=res["hs_curvature_sup"])
+    assert np.array_equal(passed.transport, plain.transport)
+    assert np.array_equal(passed.transport_inv, plain.transport_inv)
+    assert len(passed.loops) == len(plain.loops) == 2
+    for a, b in zip(passed.loops, plain.loops):
+        assert (a.axis, a.base) == (b.axis, b.base)
+        assert np.array_equal(a.generator, b.generator)
+    with pytest.raises(ValueError, match="curvature"):
+        bf.flat_from_higgs(hd, run.metric, tol=1e-6, transports=transports, curvature_sup=1.0)
 
 
 def test_flat_from_higgs_unitary_returns_original():
