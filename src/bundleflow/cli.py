@@ -156,11 +156,13 @@ def run_scenario(
             reports, monitors = exhaustion_solve(
                 conn, reference, cfg.exhaustion.levels, cfg.solver
             )
-            report_lines.append("level, sites, verdict, sup|log h|, ||Dh||_L2")
+            report_lines.append(
+                "level, sites, verdict, sup|log h|, ||Dh||_L2, cauchy sup (previous level)"
+            )
             for rep, mon in zip(reports, monitors):
                 report_lines.append(
                     f"  {mon.level:g}, {mon.n_sites}, {rep.verdict}, "
-                    f"{_fmt(mon.sup_log_h)}, {_fmt(mon.dh_l2)}"
+                    f"{_fmt(mon.sup_log_h)}, {_fmt(mon.dh_l2)}, {_fmt(mon.cauchy_sup)}"
                 )
                 for row in rep.history:
                     csv.add(row)

@@ -83,8 +83,19 @@ def _need(block: dict, key: str, where: str):
     return block[key]
 
 
+def _number(kind, value, where: str):
+    """``kind(value)`` for int or float, with a malformed value as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from exc
+
+
 def _parse_matrix(entry, rank: int, where: str) -> np.ndarray:
-    arr = np.asarray(entry, dtype=float)
+    try:
+        arr = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: entries must be numbers: {exc}") from exc
     if arr.shape != (rank, rank, 2):
         raise ConfigError(
             f"{where}: expected a {rank}x{rank} matrix of [re, im] pairs, got shape {arr.shape}"
@@ -110,15 +121,17 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     dom_block = _need(raw, "domain", "")
     kind = _need(dom_block, "kind", "domain")
-    sites = tuple(int(s) for s in np.atleast_1d(_need(dom_block, "sites", "domain")))
-    lengths = tuple(float(x) for x in np.atleast_1d(_need(dom_block, "lengths", "domain")))
+    sites = tuple(_number(int, s, "domain.sites")
+                  for s in np.atleast_1d(_need(dom_block, "sites", "domain")).tolist())
+    lengths = tuple(_number(float, x, "domain.lengths")
+                    for x in np.atleast_1d(_need(dom_block, "lengths", "domain")).tolist())
     domain = DomainConfig(
         kind=kind, sites=sites, lengths=lengths,
         complex_structure=dom_block.get("complex"),
     )
 
     bun_block = _need(raw, "bundle", "")
-    rank = int(_need(bun_block, "rank", "bundle"))
+    rank = _number(int, _need(bun_block, "rank", "bundle"), "bundle.rank")
     mono_raw = bun_block.get("monodromy", [])
     dim_loops = {"circle": 1, "annulus": 1, "torus": 2, "interval": 0, "rectangle": 0}.get(kind, 0)
     if len(mono_raw) != dim_loops:
@@ -138,19 +151,25 @@ def config_from_dict(raw: dict) -> RunConfig:
         kind=met_kind,
         amplitudes=met_block.get("amplitudes"),
         modes=met_block.get("modes"),
-        amplitude=float(met_block.get("amplitude", 0.3)),
+        amplitude=_number(float, met_block.get("amplitude", 0.3), "reference_metric.amplitude"),
         path=met_block.get("path"),
     )
     if met_kind == "checkpoint" and not metric_cfg.path:
         raise ConfigError("reference_metric.path: required for checkpoint metrics")
 
     sol_block = raw.get("solver", {})
+    defaults = SolveOptions()
+
+    def sol_num(kind, key):
+        return _number(kind, sol_block.get(key, getattr(defaults, key)), f"solver.{key}")
+
     solver = SolveOptions(
-        tolerance=float(sol_block.get("tolerance", 1e-8)),
-        max_steps=int(sol_block.get("max_steps", 200_000)),
-        dt=(float(sol_block["dt"]) if "dt" in sol_block else None),
+        tolerance=sol_num(float, "tolerance"),
+        max_steps=sol_num(int, "max_steps"),
+        dt=(sol_num(float, "dt") if "dt" in sol_block else None),
         dt_policy=sol_block.get("dt_policy", "adaptive"),
-        divergence_threshold=float(sol_block.get("divergence_threshold", 50.0)),
+        dt_growth_every=sol_num(int, "dt_growth_every"),
+        divergence_threshold=sol_num(float, "divergence_threshold"),
         boundary=sol_block.get("boundary", "none"),
         det_normalize=bool(sol_block.get("det_normalize", True)),
     )
@@ -160,13 +179,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     out_block = raw.get("output", {})
     output = OutputConfig(
         directory=str(out_block.get("directory", "out")),
-        csv_cadence=int(out_block.get("csv_cadence", 1)),
-        checkpoint_cadence=int(out_block.get("checkpoint_cadence", 0)),
+        csv_cadence=_number(int, out_block.get("csv_cadence", 1), "output.csv_cadence"),
+        checkpoint_cadence=_number(int, out_block.get("checkpoint_cadence", 0),
+                                   "output.checkpoint_cadence"),
     )
 
     exh_block = raw.get("exhaustion", {})
     exhaustion = ExhaustionConfig(
-        levels=[float(x) for x in exh_block.get("levels", [])]
+        levels=[_number(float, x, "exhaustion.levels") for x in exh_block.get("levels", [])]
     )
     if scenario == "exhaustion" and not exhaustion.levels:
         raise ConfigError("exhaustion.levels: required for the exhaustion scenario")

@@ -29,6 +29,11 @@ def test_donaldson_distance_examples():
     field, sup = bf.donaldson_distance(h, g)
     assert field[2] == pytest.approx(1.0)
     assert sup == pytest.approx(1.0)
+    # nearby metrics: (e^eps - 1)^2 e^-eps + (e^-eps - 1)^2 e^eps = 4 (cosh eps - 1),
+    # far below the roundoff of the trace form tr + tr - 2 rank
+    eps = 1e-9
+    g[2] = np.diag([np.exp(eps), np.exp(-eps)])
+    assert bf.donaldson_distance(h, g)[1] == pytest.approx(2.0 * eps ** 2, rel=1e-6)
     with pytest.raises(ValueError):
         bf.donaldson_distance(h, identity_metric(5, 2))
 

@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 from bundleflow.checkpoint import load_checkpoint
-from bundleflow.cli import run_scenario
+from bundleflow.cli import main, run_scenario
 from bundleflow.config import ConfigError, load_config
 
 GEN2 = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
@@ -46,6 +46,35 @@ def test_jordan_scenario_diverges(tmp_path):
     out = tmp_path / "o"
     assert run_scenario(cfg, out_dir=out) == 2
     assert "diverged" in (out / "report.txt").read_text()
+
+
+def test_jordan_floor_exits_3(tmp_path):
+    # dt grown on every accepted step takes the runaway to its roundoff floor
+    # in a few hundred steps instead of thousands.
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        domain={"kind": "circle", "sites": [8], "lengths": [1.0]},
+        bundle={"rank": 2, "monodromy": [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        solver={"tolerance": 1e-30, "dt_growth_every": 1},
+    )
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 3
+    assert "verdict: precision_floor" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("block, fields", [
+    ("domain", {"sites": ["abc"]}),
+    ("domain", {"lengths": [None]}),
+    ("bundle", {"rank": "two"}),
+    ("solver", {"tolerance": "small"}),
+    ("solver", {"dt_growth_every": [1]}),
+    ("solver", {"dt_growth_every": 0}),
+])
+def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
+    cfg = write_config(tmp_path / "run.yaml", **{block: fields})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_missing_monodromy_is_input_error(tmp_path):
@@ -135,7 +164,11 @@ def test_exhaustion_scenario(tmp_path):
     )
     out = tmp_path / "o"
     assert run_scenario(cfg, out_dir=out) == 0
-    assert "sup|log h|" in (out / "report.txt").read_text()
+    report = (out / "report.txt").read_text()
+    assert "sup|log h|" in report and "cauchy sup" in report
+    rows = [ln.split(", ") for ln in report.splitlines() if ln.startswith("  ")]
+    assert [row[0].strip() for row in rows] == ["4", "6", "8"]
+    assert rows[0][-1] == "nan" and all(float(row[-1]) >= 0.0 for row in rows[1:])
 
 
 def test_higgs_roundtrip_scenario(tmp_path):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,85 @@ def test_exhaustion_largest_level_equals_single_dirichlet():
     reports, _ = bf.exhaustion_solve(conn, k, [8])
     direct = bf.solve_poisson(conn, k, bf.SolveOptions(boundary="dirichlet"))
     assert np.abs(reports[0].metric - direct.metric).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind, sites, lengths, levels", [
+    ("annulus", (12, 9), (TWO_PI, 1.0), [4, 6, 8]),
+    # rectangle bands are bounding boxes around the centre: 5x5, 7x7, 9x9
+    ("rectangle", (9, 9), (1.0, 1.0), [2, 3, 4]),
+])
+def test_exhaustion_warm_start_matches_cold_levels(kind, sites, lengths, levels):
+    # Each level warm-started from the one below it against an independent
+    # solve from K on the same sublevel domain: the Dirichlet solution is
+    # unique, so verdicts agree and the metrics agree within the tolerance.
+    dom = bf.build_domain(kind, sites, lengths)
+    gens = [np.diag([2.0, 0.5]).astype(complex)] if kind == "annulus" else []
+    conn = bf.from_monodromy(dom, gens, rank=2)
+    k = random_metric(dom, 2, seed=21, amplitude=0.3)
+    opts = bf.SolveOptions(tolerance=1e-8)
+    reports, monitors = bf.exhaustion_solve(conn, k, levels, opts)
+    for level, rep, mon in zip(levels, reports, monitors):
+        sub, idx = bf.sublevel_domain(dom, level)
+        cold = bf.solve_poisson(bf.from_monodromy(sub, gens, rank=2), k[idx],
+                                bf.SolveOptions(tolerance=1e-8, boundary="dirichlet"))
+        assert rep.verdict == cold.verdict == "converged"
+        assert mon.n_sites == sub.n_sites
+        assert np.abs(rep.metric - cold.metric).max() <= opts.tolerance, level
+    assert np.isnan(monitors[0].cauchy_sup)
+    assert all(m.cauchy_sup > 0 for m in monitors[1:])
+
+
+def test_exhaustion_unconverged_level_is_not_carried_on():
+    # A level that ends max_steps holds no Dirichlet solution, so the next
+    # level starts from K and ends exactly as a solve on its own does.
+    dom = bf.build_domain("annulus", (12, 9), (TWO_PI, 1.0))
+    gens = [np.diag([2.0, 0.5]).astype(complex)]
+    conn = bf.from_monodromy(dom, gens)
+    k = random_metric(dom, 2, seed=21, amplitude=0.3)
+    opts = bf.SolveOptions(tolerance=1e-8, max_steps=20)
+    reports, _ = bf.exhaustion_solve(conn, k, [4, 6], opts)
+    assert reports[0].verdict == "max_steps"
+    sub, idx = bf.sublevel_domain(dom, 6)
+    cold = bf.solve_poisson(bf.from_monodromy(sub, gens), k[idx],
+                            replace(opts, boundary="dirichlet"))
+    assert reports[1].verdict == cold.verdict
+    assert reports[1].steps == cold.steps
+    assert np.array_equal(reports[1].metric, cold.metric)
+
+
+def test_exhaustion_cauchy_monitor_compact_and_decaying_defect():
+    dom = bf.build_domain("annulus", (8, 11), (TWO_PI, 1.0))
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
+    r = dom.coords()[:, 1]
+    levels, tol, amp = [5, 7, 9, 10], 1e-8, 0.3
+
+    # Compact defect (r < 0.4): every band here ends beyond it, the boundary
+    # data is the identity, so all levels find H = I and agree, and a level
+    # started from the one below it has next to nothing left to do (a start
+    # from K takes 209, 321 and 381 steps).
+    phi = np.where(r < 0.4, amp * np.sin(np.pi * r / 0.4) ** 2, 0.0)
+    k = diag_metric(np.stack([np.exp(phi), np.exp(-phi)], axis=1))
+    reports, monitors = bf.exhaustion_solve(conn, k, levels, bf.SolveOptions(tolerance=tol))
+    assert all(rep.verdict == "converged" for rep in reports)
+    assert np.isnan(monitors[0].cauchy_sup)
+    # the distance is quadratic in the metric difference
+    assert max(m.cauchy_sup for m in monitors[1:]) <= tol ** 2
+    assert max(rep.steps for rep in reports[1:]) <= 2
+
+    # Decaying defect phi = A e^{-r/r0}. The solution on the band of radius R is
+    # diag(e^u, e^-u) with u linear from u(0) = A to u(R) = phi(R), since the
+    # radial lattice Laplacian of a linear function vanishes. Between radii
+    # R1 < R2 the distance tr(H1^-1 H2) + tr(H2^-1 H1) - 4 = 4(cosh(u2 - u1) - 1)
+    # is largest at r = R1.
+    phi = amp * np.exp(-r / 0.2)
+    k = diag_metric(np.stack([np.exp(phi), np.exp(-phi)], axis=1))
+    reports, monitors = bf.exhaustion_solve(conn, k, levels, bf.SolveOptions(tolerance=tol))
+    assert all(rep.verdict == "converged" for rep in reports)
+    radii = [lv * dom.spacings[1] for lv in levels]
+    for r1, r2, mon in zip(radii[:-1], radii[1:], monitors[1:]):
+        u2_at_r1 = amp + (amp * np.exp(-r2 / 0.2) - amp) * r1 / r2
+        want = 4.0 * (np.cosh(u2_at_r1 - amp * np.exp(-r1 / 0.2)) - 1.0)
+        assert mon.cauchy_sup == pytest.approx(want, rel=1e-6)
 
 
 def test_exhaustion_empty_interior_errors():
