@@ -28,7 +28,6 @@ from .flow import (
     RunReport,
     SolveOptions,
     exhaustion_solve,
-    flow_step,
     solve_harmonic,
     solve_poisson,
 )

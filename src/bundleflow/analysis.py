@@ -19,6 +19,7 @@ from .bundle import (
     SubBundleSpec,
     _invariance_residual,
     centered_components,
+    centered_derivative,
     covariant_d,
     psi_centered,
     split_metric,
@@ -114,8 +115,6 @@ def stability_report(
     if not subs:
         raise ValueError("stability needs at least one candidate sub-bundle")
     total_deg = degree(conn, reference)
-    r = conn.rank
-    total_slope = total_deg / r
     rows = []
     for s in subs:
         d = degree(conn, reference, sub=s)
@@ -127,32 +126,44 @@ def stability_report(
                 slope=d / s.rank,
             )
         )
-    tol = 1e-8 * (1.0 + abs(total_deg))
+    return slope_verdict(total_deg, conn.rank, rows, (
+        "scope: verdict relative to the supplied sub-bundle list; the built-in "
+        "enumeration is exhaustive for rank <= 3 holonomy up to representatives "
+        "inside degenerate joint eigenspaces."
+    ))
+
+
+def slope_verdict(
+    total_degree: float, rank: int, rows: list[SubBundleRow], scope_note: str
+) -> StabilityReport:
+    """Slope verdict of the sub-bundle rows against the total slope.
+
+    A row whose slope exceeds the total slope by more than the absolute margin
+    ``1e-8 (1 + |total degree|)`` makes the bundle unstable; a worst row within
+    the margin makes it strictly semistable. The witness is the row with the
+    largest slope gap.
+    """
+    total_slope = total_degree / rank
+    tol = 1e-8 * (1.0 + abs(total_degree))
     verdict = "stable"
     witness = None
     worst = -np.inf
     for i, row in enumerate(rows):
         gap = row.slope - total_slope
         if gap > worst:
-            worst = gap
-            witness = i
+            worst, witness = gap, i
         if gap > tol:
             verdict = "unstable"
     if verdict != "unstable" and worst >= -tol:
         verdict = "strictly_semistable"
-    scope = (
-        "scope: verdict relative to the supplied sub-bundle list; the built-in "
-        "enumeration is exhaustive for rank <= 3 holonomy up to representatives "
-        "inside degenerate joint eigenspaces."
-    )
     return StabilityReport(
-        total_degree=total_deg,
-        total_rank=r,
+        total_degree=total_degree,
+        total_rank=rank,
         total_slope=total_slope,
         rows=tuple(rows),
         verdict=verdict,
         witness=witness,
-        scope_note=scope,
+        scope_note=scope_note,
     )
 
 
@@ -451,29 +462,12 @@ def bochner_residual(
         rhs -= 4.0 * la.endo_norm2(comm, h_mid)
     sm = split_metric(conn, h_mid)
     for b in range(dom.dim):
-        grad_b = _centered_derivative(conn, sm.transport, psic[b])
+        grad_b = centered_derivative(dom, sm.transport, psic[b])
         for a in range(dom.dim):
             rhs -= 2.0 * la.endo_norm2(grad_b[a], h_mid)
     defect = time_term - lap - rhs
     interior = _deep_interior(dom)
     return float(np.abs(defect[interior]).max())
-
-
-def _centered_derivative(conn: FlatConnection, transports: Array, site_field: Array) -> Array:
-    """Centered metric-covariant derivative of a site field, per axis."""
-    dom = conn.domain
-    out = np.zeros((dom.dim,) + site_field.shape, dtype=complex)
-    for a in range(dom.dim):
-        plus = dom.neighbors[a, 0]
-        minus = dom.neighbors[a, 1]
-        ok = (plus >= 0) & (minus >= 0)
-        sites = np.flatnonzero(ok)
-        v_fwd = transports[a, sites]
-        v_bwd = transports[a, minus[sites]]
-        fwd = np.linalg.inv(v_fwd) @ site_field[plus[sites]] @ v_fwd
-        bwd = v_bwd @ site_field[minus[sites]] @ np.linalg.inv(v_bwd)
-        out[a, sites] = (fwd - bwd) / (2.0 * dom.spacings[a])
-    return out
 
 
 def _deep_interior(dom) -> Array:

@@ -212,6 +212,33 @@ def covariant_d(conn: FlatConnection, field_values: Array) -> Array:
     return out
 
 
+def centered_derivative(domain: LatticeDomain, transports: Array, values: Array) -> Array:
+    """Centered covariant derivative of a site field along ``transports``, per axis.
+
+    At a site x with neighbours on both sides along axis a the value is
+    ``(V_x^{-1} f(x + e_a) - V_{x - e_a} f(x - e_a)) / (2 h_a)`` for section
+    fields (n, r); endomorphism fields (n, r, r) transform by the adjoint
+    action, ``V_x^{-1} f V_x`` and ``V f V^{-1}``. Sites next to a boundary
+    hold zeros.
+    """
+    f = np.asarray(values, dtype=complex)
+    endo = f.ndim == 3
+    out = np.zeros((domain.dim,) + f.shape, dtype=complex)
+    for a in range(domain.dim):
+        plus, minus = domain.neighbors[a]
+        sites = np.flatnonzero((plus >= 0) & (minus >= 0))
+        v_f = transports[a, sites]
+        v_b = transports[a, minus[sites]]
+        if endo:
+            fwd = np.linalg.inv(v_f) @ f[plus[sites]] @ v_f
+            bwd = v_b @ f[minus[sites]] @ np.linalg.inv(v_b)
+        else:
+            fwd = np.einsum("eij,ej->ei", np.linalg.inv(v_f), f[plus[sites]])
+            bwd = np.einsum("eij,ej->ei", v_b, f[minus[sites]])
+        out[a, sites] = (fwd - bwd) / (2.0 * domain.spacings[a])
+    return out
+
+
 def reverse_edge_values(conn: FlatConnection, omega: Array, transports: Array | None = None) -> Array:
     """Values of a one-form on the reverse edges, by transport antisymmetry.
 
@@ -427,69 +454,6 @@ def tension(
         bracket += la.commutator(omega_c[a], psi_c[a]) * dom.metric_weight[a][:, None, None]
     t = t_k - 0.5 * correction - 0.5 * bracket
     return la.selfadjoint_part(t, metric)
-
-
-def delta_operator(
-    conn: FlatConnection,
-    metric: Array,
-    values: Array,
-    sm: SplitMetric | None = None,
-) -> Array:
-    """Difference operator (metric covariant derivative minus psi action).
-
-    Edge values are second-order midpoint samples: the psi action is applied
-    to the mean of the tail value and the pulled-back head value. Section
-    fields (n, r) see the plain action, endomorphism fields (n, r, r) the
-    commutator.
-    """
-    dom = conn.domain
-    if sm is None:
-        sm = split_metric(conn, metric)
-    f = np.asarray(values, dtype=complex)
-    endo = f.ndim == 3
-    out = np.zeros((dom.dim,) + f.shape, dtype=complex)
-    for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
-        v = sm.transport[a, tails]
-        vinv = np.linalg.inv(v)
-        if endo:
-            pulled = vinv @ f[heads] @ v
-            mid = 0.5 * (pulled + f[tails])
-            out[a, tails] = (pulled - f[tails]) / dom.spacings[a] - la.commutator(
-                sm.psi[a, tails], mid
-            )
-        else:
-            pulled = np.einsum("eij,ej->ei", vinv, f[heads])
-            mid = 0.5 * (pulled + f[tails])
-            out[a, tails] = (pulled - f[tails]) / dom.spacings[a] - np.einsum(
-                "eij,ej->ei", sm.psi[a, tails], mid
-            )
-    return out
-
-
-def section_derivative(
-    conn: FlatConnection,
-    metric: Array,
-    values: Array,
-    use_metric_connection: bool = True,
-) -> Array:
-    """Covariant difference of a section field along the metric transports."""
-    if not use_metric_connection:
-        return covariant_d(conn, values)
-    sm = split_metric(conn, metric)
-    dom = conn.domain
-    f = np.asarray(values, dtype=complex)
-    endo = f.ndim == 3
-    out = np.zeros((dom.dim,) + f.shape, dtype=complex)
-    for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
-        v = sm.transport[a, tails]
-        vinv = np.linalg.inv(v)
-        if endo:
-            out[a, tails] = (vinv @ f[heads] @ v - f[tails]) / dom.spacings[a]
-        else:
-            out[a, tails] = (np.einsum("eij,ej->ei", vinv, f[heads]) - f[tails]) / dom.spacings[a]
-    return out
 
 
 # ---------------------------------------------------------------------------

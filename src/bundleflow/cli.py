@@ -1,35 +1,32 @@
 """Scenario runner: one config in, CSV diagnostics, a report, and checkpoints out.
 
 Exit status: 0 for converged/completed runs, 2 for a diverged verdict, 3 for
-a precision_floor verdict, 1 for input errors. Given a fixed thread count,
-identical configs reproduce identical CSV bytes; a run resumed from a
+a precision_floor verdict, 1 for input errors. Given a fixed BLAS thread count
+(set through the environment, e.g. ``OMP_NUM_THREADS``, before the process
+starts), identical configs reproduce identical CSV bytes; a run resumed from a
 checkpoint reproduces the unsplit run's final metric.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
-
-
-def _set_threads(n: int) -> None:
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, str(n))
-
 
 _VERDICT_STATUS = {"diverged": 2, "precision_floor": 3}
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _trace(report) -> str:
+    """Trials, rejections, accepted energy rises and the dt range of one flow run."""
+    dts = report.history[1:, 2]
+    dt_range = f"dt min {dts.min():.6e} max {dts.max():.6e}" if dts.size else "no steps"
+    return (f"trial steps {report.trial_steps}, rejected {report.rejected_steps}, "
+            f"energy rises {report.energy_rises}, {dt_range}")
 
 
 class _CsvWriter:
@@ -56,7 +53,6 @@ def run_scenario(
     out_dir=None,
     resume_path=None,
     seed: int | None = None,
-    threads: int | None = None,
 ) -> int:
     from . import analysis, hodge
     from .bundle import invariant_subbundles
@@ -137,6 +133,7 @@ def run_scenario(
                 f"final energy: {_fmt(report.energy)}",
                 f"final sigma to reference: {_fmt(report.sigma_sup)}",
                 f"final sup |log h|: {_fmt(report.logh_sup)}",
+                f"trace: {_trace(report)}",
             ]
             if report.poisson_function is not None:
                 report_lines.append(
@@ -166,6 +163,8 @@ def run_scenario(
                 )
                 for row in rep.history:
                     csv.add(row)
+            for rep, mon in zip(reports, monitors):
+                report_lines.append(f"level {mon.level:g} trace: {_trace(rep)}")
             status = max(_VERDICT_STATUS.get(r.verdict, 0) for r in reports)
             final = reports[-1]
             save_checkpoint(
@@ -191,6 +190,7 @@ def run_scenario(
             run = solve_poisson(conn, reference, cfg.solver, callback=on_step)
             report_lines.append(f"poisson verdict: {run.verdict}")
             report_lines.append(f"verdict reason: {run.verdict_reason}")
+            report_lines.append(f"poisson trace: {_trace(run)}")
             if run.verdict != "converged":
                 status = _VERDICT_STATUS.get(run.verdict, 0)
                 report_lines.append("round trip aborted: no Poisson metric")
@@ -247,18 +247,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="YAML run configuration")
     parser.add_argument("--resume", default=None, help="checkpoint to continue from")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1, help="BLAS/OpenMP thread count")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for random reference metrics")
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
-    return run_scenario(
-        args.config,
-        out_dir=args.out,
-        resume_path=args.resume,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    return run_scenario(args.config, out_dir=args.out, resume_path=args.resume, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -83,6 +83,16 @@ def _need(block: dict, key: str, where: str):
     return block[key]
 
 
+def _block(raw: dict, key: str, default: dict | None = None) -> dict:
+    """The mapping under ``key``, or ``default`` when an optional block is absent."""
+    if key not in raw and default is not None:
+        return default
+    block = _need(raw, key, "")
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key}: expected a mapping, got {block!r}")
+    return block
+
+
 def _number(kind, value, where: str):
     """``kind(value)`` for int or float, with a malformed value as a ConfigError."""
     try:
@@ -119,7 +129,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}")
 
-    dom_block = _need(raw, "domain", "")
+    dom_block = _block(raw, "domain")
     kind = _need(dom_block, "kind", "domain")
     sites = tuple(_number(int, s, "domain.sites")
                   for s in np.atleast_1d(_need(dom_block, "sites", "domain")).tolist())
@@ -130,7 +140,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         complex_structure=dom_block.get("complex"),
     )
 
-    bun_block = _need(raw, "bundle", "")
+    bun_block = _block(raw, "bundle")
     rank = _number(int, _need(bun_block, "rank", "bundle"), "bundle.rank")
     mono_raw = bun_block.get("monodromy", [])
     dim_loops = {"circle": 1, "annulus": 1, "torus": 2, "interval": 0, "rectangle": 0}.get(kind, 0)
@@ -143,7 +153,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     ]
     bundle_cfg = BundleConfig(rank=rank, monodromy=monodromy)
 
-    met_block = raw.get("reference_metric", {"kind": "identity"})
+    met_block = _block(raw, "reference_metric", {"kind": "identity"})
     met_kind = met_block.get("kind", "identity")
     if met_kind not in ("identity", "diagonal", "random_smooth", "checkpoint"):
         raise ConfigError(f"reference_metric.kind: unknown kind {met_kind!r}")
@@ -157,7 +167,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if met_kind == "checkpoint" and not metric_cfg.path:
         raise ConfigError("reference_metric.path: required for checkpoint metrics")
 
-    sol_block = raw.get("solver", {})
+    sol_block = _block(raw, "solver", {})
     defaults = SolveOptions()
 
     def sol_num(kind, key):
@@ -176,7 +186,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if scenario == "dirichlet":
         solver.boundary = "dirichlet"
 
-    out_block = raw.get("output", {})
+    out_block = _block(raw, "output", {})
     output = OutputConfig(
         directory=str(out_block.get("directory", "out")),
         csv_cadence=_number(int, out_block.get("csv_cadence", 1), "output.csv_cadence"),
@@ -184,7 +194,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                                    "output.checkpoint_cadence"),
     )
 
-    exh_block = raw.get("exhaustion", {})
+    exh_block = _block(raw, "exhaustion", {})
     exhaustion = ExhaustionConfig(
         levels=[_number(float, x, "exhaustion.levels") for x in exh_block.get("levels", [])]
     )
@@ -264,21 +274,7 @@ def smooth_random_metric(
     x = domain.coords()
     n = domain.n_sites
     a_field = np.zeros((n, rank, rank), dtype=complex)
-    herm_basis = []
-    for i in range(rank):
-        e = np.zeros((rank, rank), dtype=complex)
-        e[i, i] = 1.0
-        herm_basis.append(e)
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            e = np.zeros((rank, rank), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            herm_basis.append(e)
-            f = np.zeros((rank, rank), dtype=complex)
-            f[i, j] = 1.0j
-            f[j, i] = -1.0j
-            herm_basis.append(f)
-    for b in herm_basis:
+    for b in la.hermitian_basis(rank):
         for kx in range(modes + 1):
             wave = np.ones(n)
             for a in range(domain.dim):

@@ -1,10 +1,13 @@
-"""Metric heat flow drivers: free and Dirichlet harmonic/Poisson solves.
+"""Metric heat flow: one adaptive driver, and the free and Dirichlet harmonic/Poisson solves.
 
 The update is multiplicative, ``H <- H exp(2 dt Q)`` with Q the tension field,
 so Hermitian positivity survives any step size. Because Q is the exact
 gradient of the edge energy, an accepted step decreases the energy to first
 order by ``2 ||Q||^2 dt``; the adaptive controller rejects steps that raise
-the energy beyond roundoff slack and halves the step size instead.
+the energy beyond roundoff slack and halves the step size instead. The same
+driver, ``_drive``, runs the Hermitian-Einstein flow of ``hodge`` with the
+contracted curvature as its direction; each run reports its trials,
+rejections and accepted energy rises.
 
 Each trial takes one eigendecomposition of its metric. ``_diagnostics``
 computes the scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` of the trial
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +52,6 @@ from .bundle import (
     connection_from_transports,
     covariant_d,
     split_metric,
-    tension,
 )
 from .mesh import LatticeDomain, sublevel_domain
 
@@ -89,7 +92,7 @@ class SolveOptions:
     divergence_threshold: float = 50.0
     divergence_patience: int = 100
     boundary: str = "none"                  # "none" | "dirichlet"
-    det_normalize: bool = True              # Poisson runs: enforce det(K^{-1}H) = 1
+    det_normalize: bool = True              # trace-free runs: enforce det(K^{-1}H) = 1
 
     def validate(self, domain: LatticeDomain) -> None:
         if self.tolerance <= 0:
@@ -134,20 +137,22 @@ class RunReport:
     notes: list[str] = field(default_factory=list)
     wall_seconds: float = 0.0
     verdict_reason: str = ""
+    trial_steps: int = 0            # steps tried in this call, accepted or rejected
+    rejected_steps: int = 0
+    energy_rises: int = 0           # accepted steps whose energy rose within the slack
 
 
 def default_dt(domain: LatticeDomain) -> float:
     return 0.2 * min(domain.spacings) ** 2
 
 
-def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array, ref_isqrt: Array):
-    """Tension, energy and monitors of one metric, from one eigendecomposition of it.
+def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
+    """Tension, energy and residuals of one metric, from one eigendecomposition of it.
 
-    The scaled square root of H (``linalg.scaled_sqrt``) serves the split and
-    is returned as ``root``, so that the step taken from this metric reuses
-    it. ``ref_isqrt`` is K^{-1/2} of the fixed reference. With the relative
-    eigenvalues lambda of K^{-1}H, Donaldson's
-    sigma = tr(K^{-1}H) + tr(H^{-1}K) - 2r is sum(lambda + 1/lambda) - 2r.
+    The heat flow's direction strategy for ``_drive``: the tension is the
+    step ``direction``. The scaled square root of H (``linalg.scaled_sqrt``)
+    serves the split and is returned as ``root``, so that the step taken from
+    this metric reuses it.
     """
     root = la.scaled_sqrt(h_field)
     sm = split_metric(conn, h_field, root)
@@ -160,11 +165,6 @@ def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array, ref_isq
     res_sup = float(site_norm[active].max())
     res_l2 = float(np.sqrt(np.sum(dom.volume[active] * site_norm[active] ** 2)))
     tf_sup = float(tf_norm[active].max())
-    eigs = la.rel_eigvals(reference, h_field, ref_isqrt)
-    logs = np.log(eigs)
-    logdet = logs.sum(axis=1)
-    logh_sup = float(np.sqrt((logs ** 2).sum(axis=1)).max())
-    sigma = (eigs + 1.0 / eigs).sum(axis=1) - 2.0 * conn.rank
     en = 0.0
     flux = np.zeros(dom.n_sites)
     for a in range(dom.dim):
@@ -177,108 +177,94 @@ def _diagnostics(conn: FlatConnection, h_field: Array, reference: Array, ref_isq
         flux[tails] += size
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
     return {
-        "tension": t_field,
+        "direction": t_field,
         "root": root,
         "energy": en,
         "residual_sup": res_sup,
         "residual_l2": res_l2,
         "tracefree_sup": tf_sup,
-        "logdet_min": float(logdet.min()),
-        "logdet_max": float(logdet.max()),
-        "logh_sup": logh_sup,
-        "sigma_sup": float(sigma.max()),
         "residual_floor": floor,
     }
 
 
-def flow_step(
-    conn: FlatConnection,
-    state: FlowState,
-    dt: float,
-    boundary_values: Array | None = None,
-    reference: Array | None = None,
-) -> FlowState:
-    """One explicit multiplicative step; appends the accepted diagnostics row.
-
-    Standalone utility around the same update the drivers use. ``reference``
-    defaults to the current metric for the log/sigma diagnostics.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    ref = state.metric if reference is None else reference
-    ref_isqrt = la.sqrt_pair(ref)[1]
-    diag = _diagnostics(conn, state.metric, ref, ref_isqrt)
-    new_metric = la.metric_exp_update(state.metric, diag["tension"], 2.0 * dt, diag["root"])
-    if boundary_values is not None:
-        mask = conn.domain.boundary
-        new_metric[mask] = boundary_values[mask]
-    out = replace(state, time=state.time + dt, metric=new_metric, dt=dt, step=state.step + 1)
-    diag_new = _diagnostics(conn, new_metric, ref, ref_isqrt)
-    out.history = state.history + [
-        (
-            out.step,
-            out.time,
-            dt,
-            diag_new["energy"],
-            diag_new["residual_sup"],
-            diag_new["residual_l2"],
-            diag_new["tracefree_sup"],
-            diag_new["logdet_min"],
-            diag_new["logdet_max"],
-            diag_new["sigma_sup"],
-        )
-    ]
-    return out
-
-
 def _drive(
-    conn: FlatConnection,
+    domain: LatticeDomain,
     reference: Array,
     opts: SolveOptions,
-    poisson: bool,
+    measure: Callable[[Array], dict],
+    tracefree: bool,
     init: FlowState | None = None,
     callback: Callable[[FlowState, dict], None] | None = None,
-) -> RunReport:
+) -> tuple[RunReport, dict]:
+    """The adaptive multiplicative flow that every solver runs, and its final diagnostics.
+
+    ``measure(metric)`` is the direction strategy. Like ``_diagnostics`` it
+    returns the step ``direction``, the scaled square root under ``root``
+    when it has factored the metric (else None), the ``energy`` that step
+    control compares, the residuals ``residual_sup``, ``residual_l2`` and
+    ``tracefree_sup`` and the ``residual_floor`` below which a residual
+    certifies nothing. The driver adds the monitors against the reference
+    (sup ||log h||, the logdet range, sigma) and owns step control, the
+    verdicts, the Dirichlet reset, det normalization and the history.
+    ``tracefree`` flows are judged by the trace-free residual, and a
+    converged metric is normalized to det(K^{-1}H) = 1.
+    """
     t0 = _time.perf_counter()
-    opts.validate(conn.domain)
+    opts.validate(domain)
     la.check_metric(reference)
     ref_isqrt = la.sqrt_pair(reference)[1]
-    dom = conn.domain
     bc = reference if opts.boundary == "dirichlet" else None
+
+    def diagnose(metric: Array) -> dict:
+        """``measure(metric)`` and the monitors against K, from the relative eigenvalues.
+
+        With the eigenvalues lambda of K^{-1}H, Donaldson's
+        sigma = tr(K^{-1}H) + tr(H^{-1}K) - 2r is sum(lambda + 1/lambda) - 2r.
+        """
+        diag = measure(metric)
+        eigs = la.rel_eigvals(reference, metric, ref_isqrt)
+        logs = np.log(eigs)
+        logdet = logs.sum(axis=1)
+        sigma = (eigs + 1.0 / eigs).sum(axis=1) - 2.0 * eigs.shape[-1]
+        diag.update(logdet_min=float(logdet.min()), logdet_max=float(logdet.max()),
+                    logh_sup=float(np.sqrt((logs ** 2).sum(axis=1)).max()),
+                    sigma_sup=float(sigma.max()))
+        return diag
 
     if init is None:
         state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(),
-                          dt=opts.dt if opts.dt is not None else default_dt(dom))
+                          dt=opts.dt if opts.dt is not None else default_dt(domain))
     else:
         state = init
         if state.dt <= 0:
-            state.dt = opts.dt if opts.dt is not None else default_dt(dom)
+            state.dt = opts.dt if opts.dt is not None else default_dt(domain)
 
-    diag = _diagnostics(conn, state.metric, reference, ref_isqrt)
+    diag = diagnose(state.metric)
     if not state.history:
         state.history.append(_row(state, state.dt, diag))
         if callback is not None:
             callback(state, diag)
 
-    def residual(d: dict) -> float:
-        return d["tracefree_sup"] if poisson else d["residual_sup"]
-
+    key = "tracefree_sup" if tracefree else "residual_sup"
     verdict, reason = "max_steps", ""
     notes: list[str] = []
+    trials = rejected = rises = 0
     logh_prev = diag["logh_sup"]
     while state.step < opts.max_steps:
-        settled = settle(residual(diag), opts.tolerance, diag["residual_floor"],
+        settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
                          diag["logh_sup"], logh_prev)
         if settled:
             verdict, reason = settled
             break
-        trial = la.metric_exp_update(state.metric, diag["tension"], 2.0 * state.dt,
+        trial = la.metric_exp_update(state.metric, diag["direction"], 2.0 * state.dt,
                                      diag["root"])
+        trials += 1
         if bc is not None:
-            trial[dom.boundary] = bc[dom.boundary]
-        diag_trial = _diagnostics(conn, trial, reference, ref_isqrt)
+            trial[domain.boundary] = bc[domain.boundary]
+        diag_trial = diagnose(trial)
         slack = ENERGY_RTOL * diag["energy"]
         if opts.dt_policy == "adaptive" and diag_trial["energy"] > diag["energy"] + slack:
+            rejected += 1
             state.dt *= 0.5
             state.accepted_since_growth = 0
             if state.dt < 1e-300:
@@ -286,6 +272,7 @@ def _drive(
                 reason = "step size collapsed below 1e-300"
                 break
             continue
+        rises += diag_trial["energy"] > diag["energy"]
         dt_used = state.dt
         state.metric = trial
         state.time += dt_used
@@ -293,10 +280,7 @@ def _drive(
         logh_prev = diag["logh_sup"]
         diag = diag_trial
         state.history.append(_row(state, dt_used, diag))
-        if (
-            diag["logh_sup"] > opts.divergence_threshold
-            and residual(diag) > opts.tolerance
-        ):
+        if diag["logh_sup"] > opts.divergence_threshold and diag[key] > opts.tolerance:
             state.divergence_streak += 1
         else:
             state.divergence_streak = 0
@@ -309,47 +293,50 @@ def _drive(
             callback(state, diag)
         if state.divergence_streak >= opts.divergence_patience:
             verdict = "diverged"
-            reason = divergence_reason(diag["logh_sup"], opts)
+            reason = (f"sup|log h| {diag['logh_sup']:.3f} beyond threshold "
+                      f"{opts.divergence_threshold:g} with the residual above tolerance for "
+                      f"{opts.divergence_patience} accepted steps")
             break
     if verdict == "max_steps":
-        settled = settle(residual(diag), opts.tolerance, diag["residual_floor"],
+        settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
                          diag["logh_sup"], logh_prev)
         if settled:
             verdict, reason = settled
-        elif not reason:
-            reason = f"step limit {opts.max_steps} reached with residual {residual(diag):.3e}"
+        else:
+            if not reason:
+                reason = f"step limit {opts.max_steps} reached with residual {diag[key]:.3e}"
+            if rises:
+                reason += f"; {rises} of {trials - rejected} accepted steps raised the energy"
 
-    h_final = state.metric
-    c_field = None
-    if poisson and verdict == "converged" and opts.det_normalize:
-        h_final = _det_normalize(conn.rank, reference, h_final, ref_isqrt)
+    if tracefree and verdict == "converged" and opts.det_normalize:
+        h_final = _det_normalize(reference, state.metric, ref_isqrt)
         if bc is not None:
-            h_final[dom.boundary] = bc[dom.boundary]
-        # Free the tension and root of the unnormalized metric before the
+            h_final[domain.boundary] = bc[domain.boundary]
+        # Free the direction and root of the unnormalized metric before the
         # recompute, which is the memory peak of a solve that converges at once.
         del diag
-        diag = _diagnostics(conn, h_final, reference, ref_isqrt)
+        diag = diagnose(h_final)
         state.metric = h_final
-    if poisson:
-        t_field = diag["tension"]
-        c_field = (np.einsum("nii->n", t_field) / conn.rank).real
 
-    return RunReport(
+    report = RunReport(
         verdict=verdict,
         steps=state.step,
         time=state.time,
-        metric=h_final,
+        metric=state.metric,
         residual_sup=diag["residual_sup"],
         tracefree_residual_sup=diag["tracefree_sup"],
         energy=diag["energy"],
         sigma_sup=diag["sigma_sup"],
         logh_sup=diag["logh_sup"],
         history=np.array(state.history, dtype=float),
-        poisson_function=c_field,
         notes=notes,
         wall_seconds=_time.perf_counter() - t0,
         verdict_reason=reason,
+        trial_steps=trials,
+        rejected_steps=rejected,
+        energy_rises=rises,
     )
+    return report, diag
 
 
 def settle(
@@ -371,13 +358,6 @@ def settle(
     return "converged", f"residual {residual:.3e} < tolerance {tolerance:.1e}"
 
 
-def divergence_reason(logh: float, opts: SolveOptions) -> str:
-    return (
-        f"sup|log h| {logh:.3f} beyond threshold {opts.divergence_threshold:g} with the "
-        f"residual above tolerance for {opts.divergence_patience} accepted steps"
-    )
-
-
 def _row(state: FlowState, dt: float, diag: dict) -> tuple:
     return (
         state.step,
@@ -393,14 +373,14 @@ def _row(state: FlowState, dt: float, diag: dict) -> tuple:
     )
 
 
-def _det_normalize(rank: int, reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
+def _det_normalize(reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
     """Conformal correction H -> H e^f with f = log det(H^{-1}K)/rank.
 
     Leaves the harmonic part untouched, pins det(K^{-1}H) = 1 at every site,
     and on Dirichlet runs preserves the boundary values (f vanishes there).
     """
     eigs = la.rel_eigvals(reference, h_field, ref_isqrt)
-    f = -np.log(eigs).sum(axis=1) / rank
+    f = -np.log(eigs).sum(axis=1) / h_field.shape[-1]
     return h_field * np.exp(f)[:, None, None]
 
 
@@ -412,8 +392,8 @@ def solve_harmonic(
     callback=None,
 ) -> RunReport:
     """Flow from H(0) = K until the tension drops below tolerance."""
-    return _drive(conn, reference, opts or SolveOptions(), poisson=False, init=init,
-                  callback=callback)
+    return _drive(conn.domain, reference, opts or SolveOptions(), partial(_diagnostics, conn),
+                  tracefree=False, init=init, callback=callback)[0]
 
 
 def solve_poisson(
@@ -428,8 +408,11 @@ def solve_poisson(
     The residual trace part becomes the scalar Poisson function, reported per
     site in ``poisson_function``.
     """
-    return _drive(conn, reference, opts or SolveOptions(), poisson=True, init=init,
-                  callback=callback)
+    report, diag = _drive(conn.domain, reference, opts or SolveOptions(),
+                          partial(_diagnostics, conn), tracefree=True, init=init,
+                          callback=callback)
+    report.poisson_function = (np.einsum("nii->n", diag["direction"]) / conn.rank).real
+    return report
 
 
 @dataclass
@@ -515,19 +498,3 @@ def exhaustion_solve(
             )
         )
     return reports, monitors
-
-
-def determinant_flow_check(
-    conn: FlatConnection, reference: Array, dt: float, steps: int = 5
-) -> float:
-    """Max defect of d/dt log det h = 2 tr(tension) over a few flow steps."""
-    h_field = np.asarray(reference, dtype=complex).copy()
-    worst = 0.0
-    for _ in range(steps):
-        t_field = tension(conn, h_field)
-        before = np.log(la.rel_eigvals(reference, h_field)).sum(axis=1)
-        h_field = la.metric_exp_update(h_field, t_field, 2.0 * dt)
-        after = np.log(la.rel_eigvals(reference, h_field)).sum(axis=1)
-        rate = (after - before) / dt
-        worst = max(worst, float(np.abs(rate - 2.0 * np.einsum("nii->n", t_field).real).max()))
-    return worst

@@ -16,10 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg as la
+from .analysis import StabilityReport, SubBundleRow, slope_verdict
 from .bundle import (
     FlatConnection,
     LoopSpec,
     SubBundleSpec,
+    centered_derivative,
     codifferential,
     connection_from_transports,
     covariant_d,
@@ -28,15 +30,7 @@ from .bundle import (
     psi_centered,
     split_metric,
 )
-from .flow import (
-    ENERGY_RTOL,
-    FLOOR_ULPS,
-    RunReport,
-    SolveOptions,
-    default_dt,
-    divergence_reason,
-    settle,
-)
+from .flow import FLOOR_ULPS, RunReport, SolveOptions, _drive
 from .linalg import dagger
 from .mesh import LatticeDomain, integrate
 
@@ -74,18 +68,8 @@ def complex_split(domain: LatticeDomain, components: Array) -> tuple[Array, Arra
 def _dbar_site_field(domain: LatticeDomain, transports: Array, field: Array,
                      theta: Array | None = None) -> Array:
     """dbar operator on an endomorphism site field: 0.5 (grad_x + i grad_y) + [theta, .]."""
-    out = np.zeros_like(field)
-    for a in range(2):
-        plus = domain.neighbors[a, 0]
-        minus = domain.neighbors[a, 1]
-        ok = (plus >= 0) & (minus >= 0)
-        sites = np.flatnonzero(ok)
-        v_f = transports[a, sites]
-        v_b = transports[a, minus[sites]]
-        fwd = np.linalg.inv(v_f) @ field[plus[sites]] @ v_f
-        bwd = v_b @ field[minus[sites]] @ np.linalg.inv(v_b)
-        comp = (fwd - bwd) / (2.0 * domain.spacings[a])
-        out[sites] += 0.5 * (1j * comp if a == 1 else comp)
+    grad = centered_derivative(domain, transports, field)
+    out = 0.5 * (grad[0] + 1j * grad[1])
     if theta is not None:
         out += la.commutator(theta, field)
     return out
@@ -214,7 +198,7 @@ def higgs_degree_stability(
     reference: Array,
     subs: list[SubBundleSpec],
     invariance_tol: float = 1e-6,
-):
+) -> StabilityReport:
     """Degrees and slope verdicts for Higgs-invariant sub-bundles.
 
     The total degree integrates i tr(Lambda F); a sub-bundle subtracts the
@@ -223,8 +207,6 @@ def higgs_degree_stability(
     transports to be near-isometries of the reference metric, which holds for
     data extracted at the metric that will be audited.
     """
-    from .analysis import StabilityReport, SubBundleRow
-
     dom = higgs.domain
     k_field = np.asarray(reference, dtype=complex)
     la.check_metric(k_field)
@@ -250,28 +232,8 @@ def higgs_degree_stability(
         d = integrate(dom, dens)
         rows.append(SubBundleRow(rank=s.rank, invariance_residual=max(
             s.invariance_residual, theta_res), degree=d, slope=d / s.rank))
-    total_slope = total_deg / higgs.rank
-    tol = 1e-8 * (1.0 + abs(total_deg))
-    verdict = "stable"
-    witness = None
-    worst = -np.inf
-    for i, row in enumerate(rows):
-        gap = row.slope - total_slope
-        if gap > worst:
-            worst, witness = gap, i
-        if gap > tol:
-            verdict = "unstable"
-    if verdict != "unstable" and worst >= -tol:
-        verdict = "strictly_semistable"
-    return StabilityReport(
-        total_degree=total_deg,
-        total_rank=higgs.rank,
-        total_slope=total_slope,
-        rows=tuple(rows),
-        verdict=verdict,
-        witness=witness,
-        scope_note="scope: verdict relative to the supplied sub-bundle list.",
-    )
+    return slope_verdict(total_deg, higgs.rank, rows,
+                         "scope: verdict relative to the supplied sub-bundle list.")
 
 
 def hermitian_einstein_solve(
@@ -281,108 +243,35 @@ def hermitian_einstein_solve(
 ) -> RunReport:
     """Drive the contracted composite curvature to its trace average.
 
-    Multiplicative updates ``H <- H exp(-2 dt (Phi - tr Phi / r))`` mirror the
-    metric heat flow; acceptance is controlled by the trace-free curvature
-    energy, verdicts follow the flow module's semantics, and the final metric
-    is conformally normalized to det(K^{-1}H) = 1. The residual's roundoff
-    floor is that of forming ``hol - I`` for unit-scale plaquette holonomies.
+    Multiplicative updates ``H <- H exp(-2 dt (Phi - tr Phi / r))`` run on the
+    flow module's driver with the trace-free curvature as the direction:
+    acceptance is controlled by the trace-free curvature energy, verdicts
+    follow the flow module's semantics, and the final metric is conformally
+    normalized to det(K^{-1}H) = 1. The residual's roundoff floor is that of
+    forming ``hol - I`` for unit-scale plaquette holonomies.
     """
-    import time as _time
-
-    t0 = _time.perf_counter()
-    opts = opts or SolveOptions()
     dom = higgs.domain
-    opts.validate(dom)
-    k_field = np.asarray(reference, dtype=complex)
-    la.check_metric(k_field)
-    k_isqrt = la.sqrt_pair(k_field)[1]
-    h_field = k_field.copy()
-    dt = opts.dt if opts.dt is not None else default_dt(dom)
-    r = higgs.rank
-    floor = FLOOR_ULPS * np.finfo(float).eps * np.sqrt(r) / (dom.spacings[0] * dom.spacings[1])
+    floor = (FLOOR_ULPS * np.finfo(float).eps * np.sqrt(higgs.rank)
+             / (dom.spacings[0] * dom.spacings[1]))
 
-    def measure(hf: Array):
-        """Trace-free curvature with its sup and energy, sup|log h| and sup sigma.
-
-        With the eigenvalues lambda of K^{-1}H, Donaldson's sigma is
-        sum(lambda + 1/lambda) - 2r, as in the flow's diagnostics.
-        """
+    def measure(hf: Array) -> dict:
+        """Trace-free curvature as the direction, with its energy and sup."""
         phi_perp = la.tracefree(lambda_contraction(higgs, hf))
         dens = la.endo_norm2(phi_perp, hf)
-        eigs = la.rel_eigvals(k_field, hf, k_isqrt)
-        logs = np.log(eigs)
-        sigma = (eigs + 1.0 / eigs).sum(axis=1) - 2.0 * r
-        return (phi_perp, float(np.max(np.sqrt(dens))), float(np.sum(dom.volume * dens)),
-                float(np.sqrt((logs ** 2).sum(axis=1)).max()), float(sigma.max()))
+        res = float(np.max(np.sqrt(dens)))
+        en = float(np.sum(dom.volume * dens))
+        return {
+            "direction": -phi_perp,
+            "root": None,
+            "energy": en,
+            "residual_sup": res,
+            "residual_l2": float(np.sqrt(en)),
+            "tracefree_sup": res,
+            "residual_floor": floor,
+        }
 
-    phi_perp, res, en, logh, sigma = measure(h_field)
-    steps = 0
-    streak = 0
-    grown = 0
-    verdict, reason = "max_steps", ""
-    notes: list[str] = []
-    history = [(0, 0.0, dt, en, res, res, res, 0.0, 0.0, 0.0)]
-    t = 0.0
-    logh_prev = logh
-    while steps < opts.max_steps:
-        settled = settle(res, opts.tolerance, floor, logh, logh_prev)
-        if settled:
-            verdict, reason = settled
-            break
-        trial = la.metric_exp_update(h_field, -phi_perp, 2.0 * dt)
-        phi_t, res_t, en_t, logh_t, sigma_t = measure(trial)
-        if opts.dt_policy == "adaptive" and en_t > en + ENERGY_RTOL * en:
-            dt *= 0.5
-            grown = 0
-            if dt < 1e-300:
-                notes.append("step size collapsed; aborting")
-                reason = "step size collapsed below 1e-300"
-                break
-            continue
-        logh_prev = logh
-        h_field, phi_perp, res, en, logh, sigma = trial, phi_t, res_t, en_t, logh_t, sigma_t
-        steps += 1
-        t += dt
-        history.append((steps, t, dt, en, res, res, res, 0.0, 0.0, 0.0))
-        if logh > opts.divergence_threshold and res > opts.tolerance:
-            streak += 1
-        else:
-            streak = 0
-        if streak >= opts.divergence_patience:
-            verdict = "diverged"
-            reason = divergence_reason(logh, opts)
-            break
-        if opts.dt_policy == "adaptive":
-            grown += 1
-            if grown >= opts.dt_growth_every:
-                dt *= opts.dt_growth
-                grown = 0
-    if verdict == "max_steps":
-        settled = settle(res, opts.tolerance, floor, logh, logh_prev)
-        if settled:
-            verdict, reason = settled
-        elif not reason:
-            reason = f"step limit {opts.max_steps} reached with residual {res:.3e}"
-    if verdict == "converged" and opts.det_normalize:
-        eigs = la.rel_eigvals(k_field, h_field, k_isqrt)
-        f = -np.log(eigs).sum(axis=1) / r
-        h_field = h_field * np.exp(f)[:, None, None]
-        phi_perp, res, en, logh, sigma = measure(h_field)
-    return RunReport(
-        verdict=verdict,
-        steps=steps,
-        time=t,
-        metric=h_field,
-        residual_sup=res,
-        tracefree_residual_sup=res,
-        energy=en,
-        sigma_sup=sigma,
-        logh_sup=logh,
-        history=np.array(history, dtype=float),
-        notes=notes,
-        wall_seconds=_time.perf_counter() - t0,
-        verdict_reason=reason,
-    )
+    return _drive(dom, np.asarray(reference, dtype=complex), opts or SolveOptions(), measure,
+                  tracefree=True)[0]
 
 
 def flat_from_higgs(higgs: HiggsData, metric: Array, residual_factor: float = 10.0,
@@ -438,30 +327,12 @@ def parallel_section_residual(
     def act(coeff: Array, g: Array) -> Array:
         return la.commutator(coeff, g) if endo else np.einsum("nij,nj->ni", coeff, g)
 
-    def centered(transports: Array, g: Array) -> Array:
-        out = np.zeros((dom.dim,) + g.shape, dtype=complex)
-        for a in range(dom.dim):
-            plus = dom.neighbors[a, 0]
-            minus = dom.neighbors[a, 1]
-            ok = (plus >= 0) & (minus >= 0)
-            sites = np.flatnonzero(ok)
-            v_f = transports[a, sites]
-            v_b = transports[a, minus[sites]]
-            if endo:
-                fwd = np.linalg.inv(v_f) @ g[plus[sites]] @ v_f
-                bwd = v_b @ g[minus[sites]] @ np.linalg.inv(v_b)
-            else:
-                fwd = np.einsum("eij,ej->ei", np.linalg.inv(v_f), g[plus[sites]])
-                bwd = np.einsum("eij,ej->ei", v_b, g[minus[sites]])
-            out[a, sites] = (fwd - bwd) / (2.0 * dom.spacings[a])
-        return out
-
     scale = float(np.max(np.abs(f))) + 1e-300
     if mode == "flat_to_higgs":
         src = covariant_d(conn, f)
         if float(np.max(np.abs(src))) > source_tol * scale / min(dom.spacings):
             raise ValueError("section is not parallel for the source connection")
-        grad = centered(sm.transport, f)
+        grad = centered_derivative(dom, sm.transport, f)
         psic = psi_centered(conn, h_field, sm)
         p10, _ = complex_split(dom, psic)
         target = 0.5 * (grad[0] + 1j * grad[1]) + act(p10, f)
@@ -469,15 +340,14 @@ def parallel_section_residual(
     if mode == "higgs_to_flat":
         if higgs is None:
             raise ValueError("higgs_to_flat mode needs the Higgs data")
-        grad = centered(higgs.transport, f)
+        grad = centered_derivative(dom, higgs.transport, f)
         src = 0.5 * (grad[0] + 1j * grad[1]) + act(higgs.theta, f)
         if float(np.max(np.abs(src))) > source_tol * scale / min(dom.spacings):
             raise ValueError("section is not parallel for the Higgs operator")
         psi = _psi_from_theta(higgs.theta, h_field)
-        grad_full = centered(higgs.transport, f)
         worst = 0.0
         for a in range(dom.dim):
-            comp = grad_full[a] + act(psi[a], f)
+            comp = grad[a] + act(psi[a], f)
             worst = max(worst, float(np.max(np.abs(comp))))
         return worst
     raise ValueError(f"unknown mode {mode!r}")

@@ -194,6 +194,29 @@ def tracefree(a: Array) -> Array:
     return a - (trace(a) / r)[..., None, None] * np.eye(r, dtype=complex)
 
 
+def hermitian_basis(r: int) -> list[Array]:
+    """A real basis of the r x r Hermitian matrices.
+
+    The r diagonal units first, then for each pair i < j the symmetric unit
+    E_ij + E_ji followed by the antisymmetric i (E_ij - E_ji).
+    """
+    basis: list[Array] = []
+    for i in range(r):
+        e = np.zeros((r, r), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(r):
+        for j in range(i + 1, r):
+            e = np.zeros((r, r), dtype=complex)
+            e[i, j] = e[j, i] = 1.0
+            basis.append(e)
+            f = np.zeros((r, r), dtype=complex)
+            f[i, j] = 1.0j
+            f[j, i] = -1.0j
+            basis.append(f)
+    return basis
+
+
 def check_hermitian(h: Array, tol: float = 1e-12) -> None:
     """Validate that a metric field is finite and Hermitian within ``tol`` (relative)."""
     if not np.all(np.isfinite(h)):
@@ -365,15 +388,3 @@ def spectrum_distance(a: Array, b: Array) -> float:
     cost = np.abs(la[:, None] - lb[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
-
-
-def kahan_sum(values: Array) -> float:
-    """Compensated summation in index order."""
-    total = 0.0
-    comp = 0.0
-    for x in np.asarray(values, dtype=float).ravel():
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total

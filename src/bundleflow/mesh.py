@@ -9,11 +9,10 @@ boundary. Annulus and rectangle domains carry an exhaustion level per site
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import kahan_sum
 
 Array = np.ndarray
 
@@ -207,7 +206,7 @@ def laplacian(domain: LatticeDomain, field: Array) -> Array:
 
 
 def integrate(domain: LatticeDomain, field: Array, mask: Array | None = None) -> float:
-    """Volume-weighted compensated sum, optionally over a sublevel mask."""
+    """Volume-weighted sum, rounded once (``math.fsum``), optionally over a sublevel mask."""
     f = np.asarray(field, dtype=float)
     if f.shape != (domain.n_sites,):
         raise ValueError("field size does not match domain")
@@ -217,7 +216,7 @@ def integrate(domain: LatticeDomain, field: Array, mask: Array | None = None) ->
         if mask.shape != (domain.n_sites,) or mask.dtype != bool:
             raise ValueError("mask does not match domain")
         w = np.where(mask, w, 0.0)
-    return kahan_sum(w * f)
+    return math.fsum((w * f).tolist())
 
 
 def sublevel_mask(domain: LatticeDomain, level: float) -> Array:

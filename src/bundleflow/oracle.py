@@ -113,24 +113,6 @@ def circle_rank1_degree(modulus: float, length: float) -> float:
     return 0.0
 
 
-def _hermitian_basis(r: int) -> list[Array]:
-    basis: list[Array] = []
-    for i in range(r):
-        e = np.zeros((r, r), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            f = np.zeros((r, r), dtype=complex)
-            f[i, j] = 1.0j
-            f[j, i] = -1.0j
-            basis.append(f)
-    return basis
-
-
 def brute_force_tension(conn: FlatConnection, metric: Array, step: float = 1e-5) -> Array:
     """Central finite-difference gradient of the edge energy, site by site.
 
@@ -145,7 +127,7 @@ def brute_force_tension(conn: FlatConnection, metric: Array, step: float = 1e-5)
     r = conn.rank
     if dom.n_sites * r * r > 5000:
         raise ValueError("instance too large for brute-force differentiation")
-    basis = _hermitian_basis(r)
+    basis = la.hermitian_basis(r)
     nb = len(basis)
     out = np.zeros((dom.n_sites, r, r), dtype=complex)
     for x in range(dom.n_sites):

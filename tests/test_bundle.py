@@ -5,17 +5,19 @@ from hypothesis import strategies as st
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.bundle import reverse_edge_values, section_derivative
+from bundleflow.bundle import reverse_edge_values
 
 from util import (
     TWO_PI,
     circle_diag,
+    delta_operator,
     identity_metric,
     random_connection,
     random_gauge,
     random_metric,
     rough_random_metric,
     seam_gauge_circle,
+    section_derivative,
     torus_diag,
 )
 
@@ -311,8 +313,6 @@ def test_gauge_covariance_of_tension_and_diagnostics():
 
 def test_delta_operator_conjugation_identity():
     """delta_H = h^{-1} o delta_K o h on sections, to second order."""
-    from bundleflow.bundle import delta_operator
-
     gaps = []
     for n in (24, 48):
         dom = bf.build_domain("circle", n, TWO_PI)

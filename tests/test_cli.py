@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleflow.checkpoint import load_checkpoint
 from bundleflow.cli import main, run_scenario
-from bundleflow.config import ConfigError, load_config
+from bundleflow.config import ConfigError, RunConfig, config_from_dict, load_config
 
 GEN2 = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 
@@ -33,6 +35,7 @@ def test_harmonic_scenario_converges(tmp_path):
     assert run_scenario(cfg, out_dir=out) == 0
     report = (out / "report.txt").read_text()
     assert "converged" in report
+    assert "trace: trial steps" in report
     assert (out / "run.csv").exists()
     assert (out / "final.ckpt").exists()
 
@@ -69,12 +72,41 @@ def test_jordan_floor_exits_3(tmp_path):
     ("solver", {"tolerance": "small"}),
     ("solver", {"dt_growth_every": [1]}),
     ("solver", {"dt_growth_every": 0}),
+    ("domain", 5),
+    ("solver", 5),
+    ("solver", [1]),
+    ("output", 3),
+    ("reference_metric", 7),
+    ("exhaustion", 2),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     cfg = write_config(tmp_path / "run.yaml", **{block: fields})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+VALID_BLOCKS = {
+    "scenario": "solve_harmonic",
+    "domain": {"kind": "circle", "sites": [8], "lengths": [1.0]},
+    "bundle": {"rank": 2, "monodromy": [GEN2]},
+    "reference_metric": {"kind": "identity"},
+    "solver": {"tolerance": 1e-8},
+    "output": {"directory": "out"},
+    "exhaustion": {"levels": [2.0]},
+}
+JUNK = st.one_of(st.integers(), st.lists(st.integers(), max_size=3), st.text(max_size=4),
+                 st.just(float("nan")), st.none())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(VALID_BLOCKS)), JUNK))
+def test_config_blocks_of_any_type_give_a_config_or_a_config_error(junk):
+    try:
+        cfg = config_from_dict(dict(VALID_BLOCKS, **junk))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_missing_monodromy_is_input_error(tmp_path):

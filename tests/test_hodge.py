@@ -231,6 +231,23 @@ def test_hermitian_einstein_sigma_matches_trace_formula():
                       + np.einsum("nii->n", np.linalg.solve(rep.metric, k)).real - 4.0).max())
     assert expected > 1.0
     assert abs(rep.sigma_sup - expected) <= 1e-12 * expected
+    # the history carries the same sigma, not a placeholder
+    assert rep.history[-1][9] == rep.sigma_sup
+
+
+def test_hermitian_einstein_stall_reports_its_energy_rises():
+    # Against a reference that is not the metric its Higgs data came from, dt
+    # collapses and every accepted step raises the energy within the slack:
+    # the run trace counts those rises and the verdict reason names them.
+    dom, conn = unimodular_torus(n=8)
+    run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
+    hd = bf.higgs_from_harmonic(conn, run.metric)
+    k = random_metric(dom, 2, seed=7, amplitude=0.2)
+    rep = bf.hermitian_einstein_solve(hd, k, bf.SolveOptions(max_steps=200))
+    assert rep.verdict == "max_steps" and rep.steps == 200
+    assert rep.energy_rises == rep.steps
+    assert rep.trial_steps == rep.steps + rep.rejected_steps
+    assert rep.verdict_reason.endswith("; 200 of 200 accepted steps raised the energy")
 
 
 def test_flat_from_higgs_reuses_passed_transports_and_curvature():
