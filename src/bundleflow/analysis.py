@@ -22,6 +22,7 @@ from .bundle import (
     centered_derivative,
     covariant_d,
     psi_centered,
+    reference_difference,
     split_metric,
     tension,
 )
@@ -33,17 +34,14 @@ Array = np.ndarray
 def donaldson_distance(h_field: Array, k_field: Array) -> tuple[Array, float]:
     """Pointwise tr(K^-1 H) + tr(H^-1 K) - 2 rank, and its sup over sites.
 
-    Summed as sum((lambda - 1)^2 / lambda) over the relative eigenvalues
-    lambda of K^-1 H. That is the same quantity without the cancellation
-    against 2 rank, so metrics that agree to 1e-10 read a distance near 1e-20
-    instead of the roundoff of 2 rank.
+    Read off the relative eigenvalues of K^-1 H by ``linalg.donaldson_sigma``,
+    which resolves distances far below the roundoff of 2 rank.
     """
     h = np.asarray(h_field, dtype=complex)
     k = np.asarray(k_field, dtype=complex)
     if h.shape != k.shape:
         raise ValueError("metric fields must share rank and site count")
-    lam = la.rel_eigvals(k, h)
-    field = ((lam - 1.0) ** 2 / lam).sum(axis=1)
+    field = la.donaldson_sigma(la.rel_eigvals(k, h))
     return field, float(field.max())
 
 
@@ -291,15 +289,7 @@ def identity_residuals(
 
     # |h^{-1/2} delta_K h|^2 with centered components
     sm_k = split_metric(conn, k)
-    dk_h = np.zeros_like(covariant_d(conn, h_rel))
-    for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
-        v = sm_k.transport[a, tails]
-        pulled = np.linalg.inv(v) @ h_rel[heads] @ v
-        dkh = (pulled - h_rel[tails]) / dom.spacings[a]
-        h_mid = 0.5 * (pulled + h_rel[tails])
-        dk_h[a, tails] = dkh - la.commutator(sm_k.psi[a, tails], h_mid)
-    dk_c = centered_components(conn, dk_h, transports=sm_k.transport)
+    dk_c = centered_components(sm_k.connection, reference_difference(sm_k, h_rel)[0])
     lam, frame, frame_inv = la.log_hsa(h_rel, k)
     if np.any(lam <= 0):
         raise ValueError("relative endomorphism is not positive")
@@ -462,7 +452,7 @@ def bochner_residual(
         rhs -= 4.0 * la.endo_norm2(comm, h_mid)
     sm = split_metric(conn, h_mid)
     for b in range(dom.dim):
-        grad_b = centered_derivative(dom, sm.transport, psic[b])
+        grad_b = centered_derivative(sm.connection, psic[b])
         for a in range(dom.dim):
             rhs -= 2.0 * la.endo_norm2(grad_b[a], h_mid)
     defect = time_term - lap - rhs

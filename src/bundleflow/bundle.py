@@ -28,7 +28,7 @@ genuine discrete gradient flow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
@@ -139,19 +139,17 @@ def loop_holonomy(conn: FlatConnection, axis: int, base: int) -> Array:
     return hol
 
 
-def plaquette_holonomies(domain: LatticeDomain, transports: Array) -> tuple[Array, Array]:
+def plaquette_holonomies(conn: FlatConnection) -> tuple[Array, Array]:
     """(sites, holonomies) for every plaquette with base at its lower-left site."""
-    if domain.dim != 2:
-        return np.zeros(0, dtype=int), np.zeros((0, transports.shape[-1], transports.shape[-1]))
-    nx = domain.neighbors[0, 0]
-    ny = domain.neighbors[1, 0]
+    dom = conn.domain
+    if dom.dim != 2:
+        return np.zeros(0, dtype=int), np.zeros((0, conn.rank, conn.rank))
+    nx = dom.neighbors[0, 0]
+    ny = dom.neighbors[1, 0]
     base = np.flatnonzero((nx >= 0) & (ny >= 0))
     base = base[(ny[nx[base]] >= 0) & (nx[ny[base]] >= 0)]
-    ux = transports[0, base]
-    uy_right = transports[1, nx[base]]
-    ux_top = transports[0, ny[base]]
-    uy = transports[1, base]
-    hol = np.linalg.inv(uy) @ np.linalg.inv(ux_top) @ uy_right @ ux
+    t, t_inv = conn.transport, conn.transport_inv
+    hol = t_inv[1, base] @ t_inv[0, ny[base]] @ t[1, nx[base]] @ t[0, base]
     return base, hol
 
 
@@ -164,7 +162,7 @@ def flatness_residual(conn: FlatConnection) -> float:
     to gauge.
     """
     worst = 0.0
-    _, hol = plaquette_holonomies(conn.domain, conn.transport)
+    _, hol = plaquette_holonomies(conn)
     if hol.size:
         eye = np.eye(conn.rank, dtype=complex)
         worst = float(np.max(la.specnorm(hol - eye)))
@@ -181,7 +179,7 @@ def gauge_transform(conn: FlatConnection, gauge: Array) -> FlatConnection:
     for a in range(conn.domain.dim):
         tails, heads = conn.edge_sites(a)
         new[a, tails] = np.linalg.solve(g[heads], conn.transport[a, tails] @ g[tails])
-    return replace(conn, transport=new, transport_inv=np.linalg.inv(new))
+    return connection_from_transports(conn.domain, new, conn.loops)
 
 
 def gauge_transform_metric(metric: Array, gauge: Array) -> Array:
@@ -212,70 +210,67 @@ def covariant_d(conn: FlatConnection, field_values: Array) -> Array:
     return out
 
 
-def centered_derivative(domain: LatticeDomain, transports: Array, values: Array) -> Array:
-    """Centered covariant derivative of a site field along ``transports``, per axis.
+def centered_derivative(conn: FlatConnection, values: Array) -> Array:
+    """Centered covariant derivative of a site field along ``conn``, per axis.
 
     At a site x with neighbours on both sides along axis a the value is
-    ``(V_x^{-1} f(x + e_a) - V_{x - e_a} f(x - e_a)) / (2 h_a)`` for section
+    ``(U_x^{-1} f(x + e_a) - U_{x - e_a} f(x - e_a)) / (2 h_a)`` for section
     fields (n, r); endomorphism fields (n, r, r) transform by the adjoint
-    action, ``V_x^{-1} f V_x`` and ``V f V^{-1}``. Sites next to a boundary
+    action, ``U_x^{-1} f U_x`` and ``U f U^{-1}``. Sites next to a boundary
     hold zeros.
     """
+    dom = conn.domain
     f = np.asarray(values, dtype=complex)
     endo = f.ndim == 3
-    out = np.zeros((domain.dim,) + f.shape, dtype=complex)
-    for a in range(domain.dim):
-        plus, minus = domain.neighbors[a]
+    out = np.zeros((dom.dim,) + f.shape, dtype=complex)
+    for a in range(dom.dim):
+        plus, minus = dom.neighbors[a]
         sites = np.flatnonzero((plus >= 0) & (minus >= 0))
-        v_f = transports[a, sites]
-        v_b = transports[a, minus[sites]]
+        left = minus[sites]
+        t, t_inv = conn.transport[a], conn.transport_inv[a]
         if endo:
-            fwd = np.linalg.inv(v_f) @ f[plus[sites]] @ v_f
-            bwd = v_b @ f[minus[sites]] @ np.linalg.inv(v_b)
+            fwd = t_inv[sites] @ f[plus[sites]] @ t[sites]
+            bwd = t[left] @ f[left] @ t_inv[left]
         else:
-            fwd = np.einsum("eij,ej->ei", np.linalg.inv(v_f), f[plus[sites]])
-            bwd = np.einsum("eij,ej->ei", v_b, f[minus[sites]])
-        out[a, sites] = (fwd - bwd) / (2.0 * domain.spacings[a])
+            fwd = np.einsum("eij,ej->ei", t_inv[sites], f[plus[sites]])
+            bwd = np.einsum("eij,ej->ei", t[left], f[left])
+        out[a, sites] = (fwd - bwd) / (2.0 * dom.spacings[a])
     return out
 
 
-def reverse_edge_values(conn: FlatConnection, omega: Array, transports: Array | None = None) -> Array:
+def reverse_edge_values(conn: FlatConnection, omega: Array) -> Array:
     """Values of a one-form on the reverse edges, by transport antisymmetry.
 
     Entry ``[a, x]`` is the value on the directed edge ``x -> x - e_a``
     (attached at x), i.e. ``-U . omega[a, x-e_a] . U^{-1}`` transported from
     the left neighbour; zero where that edge does not exist. One-forms whose
     natural parallelism is the metric connection (covariant derivatives of
-    site fields taken along the metric transports) should pass those
-    transports instead of the default flat ones.
+    site fields taken along the metric transports) pass the split's
+    ``connection`` instead of the flat one.
     """
     dom = conn.domain
-    if transports is None:
-        transports = conn.transport
     endo = omega.ndim == 4
     out = np.zeros_like(omega)
     for a in range(dom.dim):
         lefts = dom.neighbors[a, 1]
         sites = np.flatnonzero(lefts >= 0)
         src = lefts[sites]
-        u = transports[a, src]
+        u = conn.transport[a, src]
         if endo:
-            out[a, sites] = -(u @ omega[a, src] @ np.linalg.inv(u))
+            out[a, sites] = -(u @ omega[a, src] @ conn.transport_inv[a, src])
         else:
             out[a, sites] = -np.einsum("eij,ej->ei", u, omega[a, src])
     return out
 
 
-def centered_components(
-    conn: FlatConnection, omega: Array, transports: Array | None = None
-) -> Array:
+def centered_components(conn: FlatConnection, omega: Array) -> Array:
     """Site-centered axis components of a one-form, second-order accurate.
 
     Averages the forward-edge value with the pulled-back left-edge value;
     falls back to the single available side next to a boundary.
     """
     dom = conn.domain
-    rev = reverse_edge_values(conn, omega, transports)
+    rev = reverse_edge_values(conn, omega)
     out = np.zeros_like(omega)
     for a in range(dom.dim):
         has_fwd = dom.neighbors[a, 0] >= 0
@@ -291,7 +286,7 @@ def centered_components(
 
 @dataclass(frozen=True)
 class SplitMetric:
-    """Metric splitting of a flat connection: one-form psi and metric transport.
+    """Metric splitting of a flat connection: one-form psi and metric connection.
 
     ``shift`` holds ``V_e - I`` computed as a small quantity rather than by
     subtracting the identity from V, so that transporting a one-form,
@@ -299,10 +294,9 @@ class SplitMetric:
     precision when V is the identity to roundoff.
     """
 
-    psi: Array              # (dim, n, r, r) forward-edge values, exactly H-self-adjoint
-    transport: Array        # (dim, n, r, r) exact H-isometries V_e = U_e exp(+h psi)
-    transport_inv: Array    # (dim, n, r, r) V_e^{-1} = P_e^{1/2} U_e^{-1}
-    shift: Array            # (dim, n, r, r) V_e - I
+    psi: Array                  # (dim, n, r, r) forward-edge values, exactly H-self-adjoint
+    connection: FlatConnection  # D_H: V_e = U_e exp(+h psi), V_e^{-1} = P_e^{1/2} U_e^{-1}
+    shift: Array                # (dim, n, r, r) V_e - I
 
 
 def split_metric(
@@ -342,7 +336,8 @@ def split_metric(
         vt[a, tails] = u + u_pmh
         vt_inv[a, tails] = u_inv + la.mm(pph, u_inv)
         shift[a, tails] = n + u_pmh
-    return SplitMetric(psi=psi, transport=vt, transport_inv=vt_inv, shift=shift)
+    return SplitMetric(psi=psi, connection=FlatConnection(dom, conn.rank, vt, vt_inv),
+                       shift=shift)
 
 
 def psi_centered(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -> Array:
@@ -399,7 +394,7 @@ def codifferential(
         ]
         om = omega[a, tails]
         x = sm.shift[a, tails]
-        turned[heads] += w * la.mm(la.commutator(x, om), sm.transport_inv[a, tails])
+        turned[heads] += w * la.mm(la.commutator(x, om), sm.connection.transport_inv[a, tails])
         flux[heads] += w * om
         flux[tails] -= w * om
     return (flux + turned) / dom.volume[:, None, None]
@@ -431,29 +426,36 @@ def tension(
     dom = conn.domain
     sm_k = split_metric(conn, k_field)
     t_k = la.selfadjoint_part(codifferential(conn, k_field, sm_k.psi, sm_k), k_field)
-    h_rel = np.linalg.solve(k_field, np.asarray(metric, dtype=complex))
-
-    # delta_K h on edges: metric covariant difference minus the psi_K commutator.
-    # Non-derivative factors are evaluated at the edge midpoint (mean of the
-    # tail value and the pulled-back head value), keeping every edge value a
-    # second-order midpoint sample.
-    omega = np.zeros_like(sm_k.psi)
-    for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
-        v = sm_k.transport[a, tails]
-        pulled = np.linalg.inv(v) @ h_rel[heads] @ v
-        dkh = (pulled - h_rel[tails]) / dom.spacings[a]
-        h_mid = 0.5 * (pulled + h_rel[tails])
-        delta = dkh - la.commutator(sm_k.psi[a, tails], h_mid)
-        omega[a, tails] = np.linalg.solve(h_mid, delta)
+    delta, h_mid = reference_difference(sm_k, np.linalg.solve(k_field, np.asarray(metric)))
+    omega = np.linalg.solve(h_mid, delta)
     correction = codifferential(conn, k_field, omega, sm_k)
-    omega_c = centered_components(conn, omega, transports=sm_k.transport)
+    omega_c = centered_components(sm_k.connection, omega)
     psi_c = centered_components(conn, sm_k.psi)
     bracket = np.zeros_like(t_k)
     for a in range(dom.dim):
         bracket += la.commutator(omega_c[a], psi_c[a]) * dom.metric_weight[a][:, None, None]
     t = t_k - 0.5 * correction - 0.5 * bracket
     return la.selfadjoint_part(t, metric)
+
+
+def reference_difference(sm_k: SplitMetric, h_rel: Array) -> tuple[Array, Array]:
+    """(delta_K h, h_mid) on the forward edges, for h = K^{-1}H and the split ``sm_k`` at K.
+
+    delta_K h is the covariant difference of h along the metric transports
+    minus [psi_K, h_mid], with h_mid the mean of the tail value and the
+    pulled-back head value: second-order edge-midpoint samples. Entries
+    without a forward edge hold 0 and I.
+    """
+    conn = sm_k.connection
+    delta = np.zeros_like(sm_k.psi)
+    h_mid = la.eye_like(sm_k.psi)
+    for a in range(conn.domain.dim):
+        tails, heads = conn.edge_sites(a)
+        pulled = conn.transport_inv[a, tails] @ h_rel[heads] @ conn.transport[a, tails]
+        h_mid[a, tails] = 0.5 * (pulled + h_rel[tails])
+        delta[a, tails] = ((pulled - h_rel[tails]) / conn.domain.spacings[a]
+                           - la.commutator(sm_k.psi[a, tails], h_mid[a, tails]))
+    return delta, h_mid
 
 
 # ---------------------------------------------------------------------------

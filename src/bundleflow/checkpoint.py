@@ -29,52 +29,59 @@ class Checkpoint:
     grown: int = 0
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _matrix_line(m: Array) -> str:
-    parts = []
-    for v in np.asarray(m, dtype=complex).ravel():
-        parts.append(_fmt(v.real))
-        parts.append(_fmt(v.imag))
-    return " ".join(parts)
+def _write_block(fh, field: Array) -> None:
+    """One line per site: its row-major entries as ``re im`` pairs."""
+    values = np.ascontiguousarray(field, dtype=complex).view(float)
+    for row in values.reshape(len(values), -1):
+        fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def _parse_block(lines: list[str], start: int, sites: int, rank: int) -> tuple[Array, int]:
-    out = np.zeros((sites, rank, rank), dtype=complex)
-    for i in range(sites):
-        vals = [float(tok) for tok in lines[start + i].split()]
-        if len(vals) != 2 * rank * rank:
-            raise ValueError(f"checkpoint line {start + i + 1}: expected {2 * rank * rank} values")
-        arr = np.array(vals).reshape(rank * rank, 2)
-        out[i] = (arr[:, 0] + 1j * arr[:, 1]).reshape(rank, rank)
-    return out, start + sites
+    """The per-site block starting at ``lines[start]``, and the index after it."""
+    width = 2 * rank * rank
+    block = lines[start:start + sites]
+    try:
+        values = np.loadtxt(block, dtype=float, ndmin=2, comments=None) if block else None
+    except ValueError:
+        values = None
+    if values is None or values.shape != (sites, width):
+        raise ValueError(_block_error(block, start, sites, width))
+    return values.view(complex).reshape(sites, rank, rank), start + sites
+
+
+def _block_error(block: list[str], start: int, sites: int, width: int) -> str:
+    """The first fault of a block that does not parse, with its line number."""
+    for i, line in enumerate(block):
+        tokens = line.split()
+        if len(tokens) != width:
+            return f"checkpoint line {start + i + 1}: expected {width} values, got {len(tokens)}"
+        try:
+            list(map(float, tokens))
+        except ValueError as exc:
+            return f"checkpoint line {start + i + 1}: {exc}"
+    return (f"checkpoint line {start + len(block) + 1}: the file ends after "
+            f"{len(block)} of {sites} site lines")
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    lines = [
-        f"rank {ckpt.rank}, sites {ckpt.sites}, time {_fmt(ckpt.time)}, "
-        f"step {ckpt.step}, dt {_fmt(ckpt.dt)}, streak {ckpt.streak}, grown {ckpt.grown}"
-    ]
-    for i in range(ckpt.sites):
-        lines.append(_matrix_line(ckpt.metric[i]))
-    if ckpt.theta is not None:
-        lines.append("theta")
-        for i in range(ckpt.sites):
-            lines.append(_matrix_line(ckpt.theta[i]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"rank {ckpt.rank}, sites {ckpt.sites}, time {float(ckpt.time)!r}, "
+                 f"step {ckpt.step}, dt {float(ckpt.dt)!r}, streak {ckpt.streak}, "
+                 f"grown {ckpt.grown}\n")
+        _write_block(fh, ckpt.metric)
+        if ckpt.theta is not None:
+            fh.write("theta\n")
+            _write_block(fh, ckpt.theta)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed file raises ValueError naming its first bad line."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = {}
-    for chunk in lines[0].split(","):
-        key, val = chunk.strip().split(" ", 1)
-        header[key] = val.strip()
+        lines = fh.read().rstrip().splitlines()
+    if not lines:
+        raise ValueError("checkpoint is empty")
     try:
+        header = dict(chunk.strip().split(" ", 1) for chunk in lines[0].split(","))
         rank = int(header["rank"])
         sites = int(header["sites"])
         time = float(header["time"])
@@ -83,11 +90,15 @@ def load_checkpoint(path) -> Checkpoint:
         streak = int(header.get("streak", 0))
         grown = int(header.get("grown", 0))
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed checkpoint header: {lines[0]!r}") from exc
+        raise ValueError(f"checkpoint line 1: malformed header {lines[0]!r}") from exc
+    if rank < 1 or sites < 1:
+        raise ValueError(f"checkpoint line 1: rank and sites must be positive in {lines[0]!r}")
     metric, pos = _parse_block(lines, 1, sites, rank)
     theta = None
     if pos < len(lines) and lines[pos].strip() == "theta":
         theta, pos = _parse_block(lines, pos + 1, sites, rank)
+    if pos < len(lines):
+        raise ValueError(f"checkpoint line {pos + 1}: unexpected line after the site blocks")
     return Checkpoint(
         rank=rank, sites=sites, time=time, step=step, dt=dt, streak=streak,
         metric=metric, theta=theta, grown=grown,

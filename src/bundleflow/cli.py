@@ -198,8 +198,8 @@ def run_scenario(
                 hd = hodge.higgs_from_harmonic(
                     conn, run.metric, tension_tol=10 * cfg.solver.tolerance
                 )
-                transports = hodge.composite_transports(hd, run.metric)
-                res = hodge.hitchin_residuals(hd, run.metric, transports)
+                composite = hodge.composite_transports(hd, run.metric)
+                res = hodge.hitchin_residuals(hd, run.metric, composite)
                 report_lines += [
                     f"holomorphy residual: {_fmt(res['holomorphy'])}",
                     f"composite curvature sup: {_fmt(res['hs_curvature_sup'])}",
@@ -207,8 +207,7 @@ def run_scenario(
                 ]
                 back = hodge.flat_from_higgs(hd, run.metric,
                                              tol=max(res["hs_curvature_sup"], 1e-12),
-                                             transports=transports,
-                                             curvature_sup=res["hs_curvature_sup"])
+                                             composite=composite)
                 report_lines.append("loop, eigenvalue drift (matched multisets)")
                 from .bundle import loop_holonomy
                 from .linalg import spectrum_distance

@@ -97,8 +97,20 @@ def _number(kind, value, where: str):
     """``kind(value)`` for int or float, with a malformed value as a ConfigError."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from exc
+
+
+def _numbers(kind, value, where: str) -> list:
+    """A number or a flat list of numbers, each through ``_number``."""
+    return [_number(kind, v, where) for v in (value if isinstance(value, list) else [value])]
+
+
+def _typed(value, kind: type, where: str, optional: bool = False):
+    """``value`` when it is a ``kind`` (or None, if ``optional``), else a ConfigError."""
+    if isinstance(value, kind) or (optional and value is None):
+        return value
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
 def _parse_matrix(entry, rank: int, where: str) -> np.ndarray:
@@ -130,19 +142,18 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}")
 
     dom_block = _block(raw, "domain")
-    kind = _need(dom_block, "kind", "domain")
-    sites = tuple(_number(int, s, "domain.sites")
-                  for s in np.atleast_1d(_need(dom_block, "sites", "domain")).tolist())
-    lengths = tuple(_number(float, x, "domain.lengths")
-                    for x in np.atleast_1d(_need(dom_block, "lengths", "domain")).tolist())
+    kind = _typed(_need(dom_block, "kind", "domain"), str, "domain.kind")
     domain = DomainConfig(
-        kind=kind, sites=sites, lengths=lengths,
-        complex_structure=dom_block.get("complex"),
+        kind=kind,
+        sites=tuple(_numbers(int, _need(dom_block, "sites", "domain"), "domain.sites")),
+        lengths=tuple(_numbers(float, _need(dom_block, "lengths", "domain"), "domain.lengths")),
+        complex_structure=_typed(dom_block.get("complex"), bool, "domain.complex",
+                                  optional=True),
     )
 
     bun_block = _block(raw, "bundle")
     rank = _number(int, _need(bun_block, "rank", "bundle"), "bundle.rank")
-    mono_raw = bun_block.get("monodromy", [])
+    mono_raw = _typed(bun_block.get("monodromy", []), list, "bundle.monodromy")
     dim_loops = {"circle": 1, "annulus": 1, "torus": 2, "interval": 0, "rectangle": 0}.get(kind, 0)
     if len(mono_raw) != dim_loops:
         raise ConfigError(
@@ -157,12 +168,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     met_kind = met_block.get("kind", "identity")
     if met_kind not in ("identity", "diagonal", "random_smooth", "checkpoint"):
         raise ConfigError(f"reference_metric.kind: unknown kind {met_kind!r}")
+    amps, modes = met_block.get("amplitudes"), met_block.get("modes")
     metric_cfg = MetricConfig(
         kind=met_kind,
-        amplitudes=met_block.get("amplitudes"),
-        modes=met_block.get("modes"),
+        amplitudes=None if amps is None else _numbers(float, amps, "reference_metric.amplitudes"),
+        modes=None if modes is None else _numbers(int, modes, "reference_metric.modes"),
         amplitude=_number(float, met_block.get("amplitude", 0.3), "reference_metric.amplitude"),
-        path=met_block.get("path"),
+        path=_typed(met_block.get("path"), str, "reference_metric.path", optional=True),
     )
     if met_kind == "checkpoint" and not metric_cfg.path:
         raise ConfigError("reference_metric.path: required for checkpoint metrics")
@@ -195,9 +207,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
     exh_block = _block(raw, "exhaustion", {})
-    exhaustion = ExhaustionConfig(
-        levels=[_number(float, x, "exhaustion.levels") for x in exh_block.get("levels", [])]
-    )
+    levels = _typed(exh_block.get("levels", []), list, "exhaustion.levels")
+    exhaustion = ExhaustionConfig(levels=_numbers(float, levels, "exhaustion.levels"))
     if scenario == "exhaustion" and not exhaustion.levels:
         raise ConfigError("exhaustion.levels: required for the exhaustion scenario")
 
@@ -253,7 +264,10 @@ def make_reference_metric(
     if mc.kind == "random_smooth":
         return smooth_random_metric(domain, r, seed if seed is not None else 0, mc.amplitude)
     if mc.kind == "checkpoint":
-        ck = load_checkpoint(mc.path)
+        try:
+            ck = load_checkpoint(mc.path)
+        except ValueError as exc:
+            raise ConfigError(f"reference_metric.path: {exc}") from exc
         if ck.rank != r or ck.sites != n:
             raise ConfigError("reference_metric: checkpoint rank/sites do not match the domain")
         return ck.metric

@@ -15,8 +15,8 @@ metric (``linalg.scaled_sqrt``), splits the connection with it and keeps it
 with the diagnostics, and the next trial's ``metric_exp_update`` takes it from
 the accepted state instead of factoring H again. K^{-1/2} of the fixed
 reference is computed once per solve, and sigma is read off the relative
-eigenvalues lambda that the log h monitors already need:
-sum(lambda + 1/lambda) - 2r.
+eigenvalues lambda that the log h monitors already need, as
+sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``).
 
 Verdicts, each with a one-line ``verdict_reason``:
 
@@ -216,19 +216,14 @@ def _drive(
     bc = reference if opts.boundary == "dirichlet" else None
 
     def diagnose(metric: Array) -> dict:
-        """``measure(metric)`` and the monitors against K, from the relative eigenvalues.
-
-        With the eigenvalues lambda of K^{-1}H, Donaldson's
-        sigma = tr(K^{-1}H) + tr(H^{-1}K) - 2r is sum(lambda + 1/lambda) - 2r.
-        """
+        """``measure(metric)`` and the monitors against K, from the relative eigenvalues."""
         diag = measure(metric)
         eigs = la.rel_eigvals(reference, metric, ref_isqrt)
         logs = np.log(eigs)
         logdet = logs.sum(axis=1)
-        sigma = (eigs + 1.0 / eigs).sum(axis=1) - 2.0 * eigs.shape[-1]
         diag.update(logdet_min=float(logdet.min()), logdet_max=float(logdet.max()),
                     logh_sup=float(np.sqrt((logs ** 2).sum(axis=1)).max()),
-                    sigma_sup=float(sigma.max()))
+                    sigma_sup=float(la.donaldson_sigma(eigs).max()))
         return diag
 
     if init is None:

@@ -2,16 +2,17 @@
 
 On a two-dimensional domain with complex structure the axes play the roles of
 the real and imaginary parts of a holomorphic coordinate. A Higgs datum here
-is a set of metric-connection edge transports (carrying the dbar operator)
-together with a per-site Higgs field theta, the matrix coefficient of dz.
-Composite connections add a self-adjoint one-form Psi with components
-``Psi_x = theta + theta*``, ``Psi_y = i (theta - theta*)`` to the metric
-transports; their plaquette holonomies measure the composite curvature, and
-its area-normalized contraction drives the Hermitian-Einstein flow.
+is a metric connection (edge transports with their inverses, carrying the dbar
+operator) together with a per-site Higgs field theta, the matrix coefficient
+of dz. The composite connection adds a self-adjoint one-form Psi with
+components ``Psi_x = theta + theta*``, ``Psi_y = i (theta - theta*)`` to the
+metric transports; its plaquette holonomies measure the composite curvature,
+and its area-normalized contraction drives the Hermitian-Einstein flow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .bundle import (
     codifferential,
     connection_from_transports,
     covariant_d,
+    flatness_residual,
     loop_holonomy,
     plaquette_holonomies,
     psi_centered,
@@ -39,16 +41,19 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class HiggsData:
-    domain: LatticeDomain
-    rank: int
-    transport: Array            # (2, n, r, r) metric-connection edge transports
+    connection: FlatConnection  # metric transports, their inverses, and the loops
     theta: Array                # (n, r, r) dz-coefficient; theta ^ theta = 0 on curves
-    holomorphicity_residual: float
-    loops: tuple[LoopSpec, ...] = ()
 
     def __post_init__(self):
-        if self.domain.dim != 2 or not self.domain.complex_structure:
+        dom = self.connection.domain
+        if dom.dim != 2 or not dom.complex_structure:
             raise ValueError("Higgs data needs a complex-curve domain")
+
+    @cached_property
+    def holomorphicity_residual(self) -> float:
+        """Sup of dbar theta, taken once. It vanishes in the continuum for exact
+        solutions and here decays with the spacing and the solver tolerance."""
+        return float(np.max(la.frobenius(_dbar_site_field(self.connection, self.theta))))
 
 
 def complex_split(domain: LatticeDomain, components: Array) -> tuple[Array, Array]:
@@ -65,10 +70,9 @@ def complex_split(domain: LatticeDomain, components: Array) -> tuple[Array, Arra
     return p10, p01
 
 
-def _dbar_site_field(domain: LatticeDomain, transports: Array, field: Array,
-                     theta: Array | None = None) -> Array:
+def _dbar_site_field(conn: FlatConnection, field: Array, theta: Array | None = None) -> Array:
     """dbar operator on an endomorphism site field: 0.5 (grad_x + i grad_y) + [theta, .]."""
-    grad = centered_derivative(domain, transports, field)
+    grad = centered_derivative(conn, field)
     out = 0.5 * (grad[0] + 1j * grad[1])
     if theta is not None:
         out += la.commutator(theta, field)
@@ -86,10 +90,7 @@ def higgs_from_harmonic(
     components; the metric transports carry the dbar operator. The metric is
     accepted when the trace-free part of its tension is below ``10 *
     tension_tol``: a Poisson metric's tension is a scalar multiple of the
-    identity at each site, which theta does not see. The recorded
-    holomorphicity residual is the sup of dbar theta, which vanishes in the
-    continuum for exact solutions and here decays with the spacing and the
-    solver tolerance.
+    identity at each site, which theta does not see.
     """
     dom = conn.domain
     if dom.dim != 2 or not dom.complex_structure:
@@ -105,15 +106,7 @@ def higgs_from_harmonic(
     psic = psi_centered(conn, metric, sm)
     perp = np.stack([la.tracefree(psic[a]) for a in range(2)])
     theta, _ = complex_split(dom, perp)
-    residual = float(np.max(la.frobenius(_dbar_site_field(dom, sm.transport, theta))))
-    return HiggsData(
-        domain=dom,
-        rank=conn.rank,
-        transport=sm.transport,
-        theta=theta,
-        holomorphicity_residual=residual,
-        loops=conn.loops,
-    )
+    return HiggsData(replace(sm.connection, loops=conn.loops), theta)
 
 
 def higgs_from_parts(
@@ -122,18 +115,9 @@ def higgs_from_parts(
     theta: Array,
     loops: tuple[LoopSpec, ...] = (),
 ) -> HiggsData:
-    """Assemble Higgs data directly from transports and a Higgs field."""
-    transports = np.asarray(transports, dtype=complex)
-    theta = np.asarray(theta, dtype=complex)
-    residual = float(np.max(la.frobenius(_dbar_site_field(domain, transports, theta))))
-    return HiggsData(
-        domain=domain,
-        rank=theta.shape[-1],
-        transport=transports,
-        theta=theta,
-        holomorphicity_residual=residual,
-        loops=loops,
-    )
+    """Assemble Higgs data directly from metric transports and a Higgs field."""
+    return HiggsData(connection_from_transports(domain, transports, loops),
+                     np.asarray(theta, dtype=complex))
 
 
 def _psi_from_theta(theta: Array, metric: Array) -> Array:
@@ -144,52 +128,57 @@ def _psi_from_theta(theta: Array, metric: Array) -> Array:
     return np.stack([psi_x, psi_y])
 
 
-def composite_transports(higgs: HiggsData, metric: Array) -> Array:
-    """Edge transports of the composite (metric + Higgs) connection."""
-    dom = higgs.domain
+def composite_transports(higgs: HiggsData, metric: Array) -> FlatConnection:
+    """The composite (metric + Higgs) connection, without loops."""
+    conn = higgs.connection
+    dom = conn.domain
     psi = _psi_from_theta(higgs.theta, metric)
-    out = higgs.transport.copy()
+    out = conn.transport.copy()
     for a in range(2):
         tails = np.flatnonzero(dom.neighbors[a, 0] >= 0)
         step = la.exp_hsa(psi[a, tails], np.asarray(metric)[tails], -dom.spacings[a])
-        out[a, tails] = la.mm(higgs.transport[a, tails], step)
-    return out
+        out[a, tails] = la.mm(conn.transport[a, tails], step)
+    return connection_from_transports(dom, out)
 
 
-def lambda_contraction(higgs: HiggsData, metric: Array, transports: Array | None = None) -> Array:
-    """Area-normalized, metric-symmetrized plaquette coefficient i (hol - 1)/area."""
-    dom = higgs.domain
-    if transports is None:
-        transports = composite_transports(higgs, metric)
-    base, hol = plaquette_holonomies(dom, transports)
+def lambda_contraction(higgs: HiggsData, metric: Array,
+                       composite: FlatConnection | None = None) -> Array:
+    """Area-normalized, metric-symmetrized plaquette coefficient i (hol - 1)/area
+    of ``composite``, which is ``composite_transports(higgs, metric)`` when not given."""
+    if composite is None:
+        composite = composite_transports(higgs, metric)
+    return _contraction(composite, metric, *plaquette_holonomies(composite))
+
+
+def _contraction(composite: FlatConnection, metric: Array, base: Array, hol: Array) -> Array:
+    """``lambda_contraction`` from the plaquette holonomies ``(base, hol)`` of ``composite``."""
+    dom = composite.domain
     area = dom.spacings[0] * dom.spacings[1]
-    out = np.zeros((dom.n_sites, higgs.rank, higgs.rank), dtype=complex)
-    eye = np.eye(higgs.rank, dtype=complex)
-    out[base] = 1j * (hol - eye) / area
+    out = np.zeros((dom.n_sites, composite.rank, composite.rank), dtype=complex)
+    out[base] = 1j * (hol - np.eye(composite.rank, dtype=complex)) / area
     out[base] = la.selfadjoint_part(out[base], np.asarray(metric)[base])
     return out
 
 
-def hitchin_residuals(higgs: HiggsData, metric: Array, transports: Array | None = None) -> dict:
+def hitchin_residuals(higgs: HiggsData, metric: Array,
+                      composite: FlatConnection | None = None) -> dict:
     """Holomorphy, composite-curvature, and contracted-curvature sup norms.
 
-    ``transports`` are ``composite_transports(higgs, metric)`` when the caller
-    already holds them.
+    The holomorphy is the ``holomorphicity_residual`` the Higgs data carries.
+    ``composite`` is ``composite_transports(higgs, metric)`` when the caller
+    already holds it.
     """
     la.check_metric(metric)
-    if transports is None:
-        transports = composite_transports(higgs, metric)
-    base, hol = plaquette_holonomies(higgs.domain, transports)
-    eye = np.eye(higgs.rank, dtype=complex)
-    hs_curv = float(np.max(la.specnorm(hol - eye), initial=0.0))
-    lam = lambda_contraction(higgs, metric, transports)
-    lam_sup = float(np.max(la.frobenius(lam), initial=0.0))
-    holo = float(np.max(la.frobenius(
-        _dbar_site_field(higgs.domain, higgs.transport, higgs.theta))))
+    if composite is None:
+        composite = composite_transports(higgs, metric)
+    base, hol = plaquette_holonomies(composite)
+    hs_curv = float(np.max(la.specnorm(hol - np.eye(composite.rank, dtype=complex)),
+                           initial=0.0))
+    lam = _contraction(composite, metric, base, hol)
     return {
-        "holomorphy": holo,
+        "holomorphy": higgs.holomorphicity_residual,
         "hs_curvature_sup": hs_curv,
-        "lambda_F_sup": lam_sup,
+        "lambda_F_sup": float(np.max(la.frobenius(lam), initial=0.0)),
     }
 
 
@@ -207,13 +196,13 @@ def higgs_degree_stability(
     transports to be near-isometries of the reference metric, which holds for
     data extracted at the metric that will be audited.
     """
-    dom = higgs.domain
+    conn = higgs.connection
+    dom = conn.domain
     k_field = np.asarray(reference, dtype=complex)
     la.check_metric(k_field)
     for a in range(2):
-        tails = np.flatnonzero(dom.neighbors[a, 0] >= 0)
-        heads = dom.neighbors[a, 0][tails]
-        w = higgs.transport[a, tails]
+        tails, heads = conn.edge_sites(a)
+        w = conn.transport[a, tails]
         defect = la.frobenius(dagger(w) @ k_field[heads] @ w - k_field[tails])
         if float(defect.max()) > 1e-6 * (1.0 + float(la.frobenius(k_field).max())):
             raise ValueError("reference metric is incompatible with the stored transports")
@@ -223,16 +212,16 @@ def higgs_degree_stability(
     rows = []
     for s in subs:
         theta_res = float(np.max(la.frobenius(
-            (np.eye(higgs.rank) - s.projection) @ higgs.theta @ s.projection)))
+            (np.eye(conn.rank) - s.projection) @ higgs.theta @ s.projection)))
         if theta_res > invariance_tol or s.invariance_residual > invariance_tol:
             raise ValueError("sub-bundle is not Higgs-invariant within tolerance")
-        dbar_pi = _dbar_site_field(dom, higgs.transport, s.projection, theta=higgs.theta)
+        dbar_pi = _dbar_site_field(conn, s.projection, theta=higgs.theta)
         dens = np.einsum("nij,nji->n", s.projection, lam).real
         dens -= 2.0 * la.endo_norm2(dbar_pi, k_field)
         d = integrate(dom, dens)
         rows.append(SubBundleRow(rank=s.rank, invariance_residual=max(
             s.invariance_residual, theta_res), degree=d, slope=d / s.rank))
-    return slope_verdict(total_deg, higgs.rank, rows,
+    return slope_verdict(total_deg, conn.rank, rows,
                          "scope: verdict relative to the supplied sub-bundle list.")
 
 
@@ -250,8 +239,8 @@ def hermitian_einstein_solve(
     normalized to det(K^{-1}H) = 1. The residual's roundoff floor is that of
     forming ``hol - I`` for unit-scale plaquette holonomies.
     """
-    dom = higgs.domain
-    floor = (FLOOR_ULPS * np.finfo(float).eps * np.sqrt(higgs.rank)
+    dom = higgs.connection.domain
+    floor = (FLOOR_ULPS * np.finfo(float).eps * np.sqrt(higgs.connection.rank)
              / (dom.spacings[0] * dom.spacings[1]))
 
     def measure(hf: Array) -> dict:
@@ -275,30 +264,23 @@ def hermitian_einstein_solve(
 
 
 def flat_from_higgs(higgs: HiggsData, metric: Array, residual_factor: float = 10.0,
-                    tol: float = 1e-5, transports: Array | None = None,
-                    curvature_sup: float | None = None) -> FlatConnection:
-    """The composite connection as a flat connection object.
+                    tol: float = 1e-5, composite: FlatConnection | None = None) -> FlatConnection:
+    """The composite connection with its loops re-measured, as a flat connection.
 
-    Requires the composite curvature to be small (within ``residual_factor *
-    tol``); the designated loops are re-measured on the composite transports
-    so the returned object's flatness residual equals the curvature sup.
-    A caller that has already run ``hitchin_residuals`` passes its composite
-    ``transports`` and ``curvature_sup`` (its ``hs_curvature_sup``), which
-    are then not computed again.
+    Refuses a composite curvature (the sup of ``|hol - I|``, which is the
+    flatness residual of the loop-free composite) above ``residual_factor *
+    tol``. ``composite`` is ``composite_transports(higgs, metric)`` when the
+    caller already holds it.
     """
-    if curvature_sup is None:
-        curvature_sup = hitchin_residuals(higgs, metric, transports)["hs_curvature_sup"]
+    if composite is None:
+        composite = composite_transports(higgs, metric)
+    curvature_sup = flatness_residual(composite)
     if curvature_sup > residual_factor * tol:
         raise ValueError(f"composite curvature {curvature_sup:.3e} too large to flatten")
-    if transports is None:
-        transports = composite_transports(higgs, metric)
-    conn = connection_from_transports(higgs.domain, transports, ())
-    loops = []
-    for a in range(2):
-        if higgs.domain.periodic[a]:
-            hol = loop_holonomy(conn, a, 0)
-            loops.append(LoopSpec(axis=a, base=0, generator=hol))
-    return replace(conn, loops=tuple(loops))
+    dom = composite.domain
+    loops = tuple(LoopSpec(axis=a, base=0, generator=loop_holonomy(composite, a, 0))
+                  for a in range(2) if dom.periodic[a])
+    return replace(composite, loops=loops)
 
 
 def parallel_section_residual(
@@ -322,7 +304,6 @@ def parallel_section_residual(
     f = np.asarray(section, dtype=complex)
     endo = f.ndim == 3
     h_field = np.asarray(metric, dtype=complex)
-    sm = split_metric(conn, h_field)
 
     def act(coeff: Array, g: Array) -> Array:
         return la.commutator(coeff, g) if endo else np.einsum("nij,nj->ni", coeff, g)
@@ -332,7 +313,8 @@ def parallel_section_residual(
         src = covariant_d(conn, f)
         if float(np.max(np.abs(src))) > source_tol * scale / min(dom.spacings):
             raise ValueError("section is not parallel for the source connection")
-        grad = centered_derivative(dom, sm.transport, f)
+        sm = split_metric(conn, h_field)
+        grad = centered_derivative(sm.connection, f)
         psic = psi_centered(conn, h_field, sm)
         p10, _ = complex_split(dom, psic)
         target = 0.5 * (grad[0] + 1j * grad[1]) + act(p10, f)
@@ -340,7 +322,7 @@ def parallel_section_residual(
     if mode == "higgs_to_flat":
         if higgs is None:
             raise ValueError("higgs_to_flat mode needs the Higgs data")
-        grad = centered_derivative(dom, higgs.transport, f)
+        grad = centered_derivative(higgs.connection, f)
         src = 0.5 * (grad[0] + 1j * grad[1]) + act(higgs.theta, f)
         if float(np.max(np.abs(src))) > source_tol * scale / min(dom.spacings):
             raise ValueError("section is not parallel for the Higgs operator")

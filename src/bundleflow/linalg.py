@@ -316,6 +316,12 @@ def rel_eigvals(k: Array, h: Array, k_isqrt: Array | None = None) -> Array:
     return eigvalsh(hermitize(mm(mm(ki, h), ki)))
 
 
+def donaldson_sigma(lam: Array) -> Array:
+    """tr(K^{-1}H) + tr(H^{-1}K) - 2r per site from the relative eigenvalues ``lam``,
+    summed as sum((lambda - 1)^2 / lambda): no cancellation against 2r near H = K."""
+    return ((lam - 1.0) ** 2 / lam).sum(axis=-1)
+
+
 def exp_hsa(q: Array, metric: Array, scale: float | Array = 1.0) -> Array:
     """exp(scale * Q) for an H-self-adjoint Q, via the Hermitian similarity."""
     a, ai = sqrt_pair(metric)

@@ -178,7 +178,8 @@ def test_metric_transport_is_exact_isometry_and_recomposes():
     h = rough_random_metric(dom.n_sites, 2, seed=2)
     sm = bf.split_metric(conn, h)
     tails, heads = conn.edge_sites(0)
-    v = sm.transport[0, tails]
+    v = sm.connection.transport[0, tails]
+    assert np.abs(sm.connection.transport_inv[0, tails] @ v - np.eye(2)).max() < 1e-12
     pulled = la.dagger(v) @ h[heads] @ v
     assert np.abs(pulled - h[tails]).max() < 1e-11
     # U = V exp(-h psi) exactly
@@ -325,13 +326,9 @@ def test_delta_operator_conjugation_identity():
 
         sm_h = bf.split_metric(conn, h)
         sm_k = bf.split_metric(conn, k)
-        lhs = bf.centered_components(
-            conn, delta_operator(conn, h, sec, sm_h), transports=sm_h.transport
-        )
+        lhs = bf.centered_components(sm_h.connection, delta_operator(conn, h, sec, sm_h))
         hs = np.einsum("nij,nj->ni", h_rel, sec)
-        rhs_raw = bf.centered_components(
-            conn, delta_operator(conn, k, hs, sm_k), transports=sm_k.transport
-        )
+        rhs_raw = bf.centered_components(sm_k.connection, delta_operator(conn, k, hs, sm_k))
         # conjugate back through h at the site
         h_inv = np.linalg.inv(h_rel)
         rhs = np.einsum("nij,anj->ani", h_inv, rhs_raw)
@@ -356,7 +353,7 @@ def test_psi_time_derivative_formula():
         dpsi = (bf.psi_centered(conn, h_plus) - bf.psi_centered(conn, h_minus)) / (2 * dt)
         sm = bf.split_metric(conn, h)
         dv = section_derivative(conn, h, direction)
-        dv_c = bf.centered_components(conn, dv, transports=sm.transport)
+        dv_c = bf.centered_components(sm.connection, dv)
         psic = bf.psi_centered(conn, h, sm)
         expected = np.zeros_like(dpsi)
         for a in range(dom.dim):

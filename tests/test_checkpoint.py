@@ -49,5 +49,37 @@ def test_truncated_body_rejected(tmp_path):
     save_checkpoint(path, ck)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:4]) + "\n")
-    with pytest.raises((ValueError, IndexError)):
+    with pytest.raises(ValueError, match="line 5: the file ends after 3 of 7 site lines"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "checkpoint is empty"),
+    ("\n\n", "checkpoint is empty"),
+    ("garbage\n", "line 1: malformed header"),
+    ("rank 1, sites 0, time 0.0\n", "line 1: rank and sites must be positive"),
+    ("rank 1, sites 2, time 0.0\n1.0 0.0\n1.0\n", "line 3: expected 2 values, got 1"),
+    ("rank 1, sites 2, time 0.0\n1.0 0.0\n1.0 x\n", "line 3: could not convert"),
+    ("rank 1, sites 1, time 0.0\n1.0 0.0\ntheta\n", "line 4: the file ends after 0 of 1"),
+    ("rank 1, sites 1, time 0.0\n1.0 0.0\n2.0 0.0\n", "line 3: unexpected line"),
+])
+def test_malformed_checkpoint_names_its_line(tmp_path, text, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+def test_lines_are_shortest_round_trip_pairs(tmp_path):
+    # The v1 layout: one line per site, each entry as "re im" in repr form.
+    metric = _random_field(4, n=5, r=3)
+    metric[0, 0, 0] = complex(-0.0, np.inf)
+    save_checkpoint(tmp_path / "s.ckpt", Checkpoint(rank=3, sites=5, time=0.0, step=0, dt=0.0,
+                                                    streak=0, metric=metric))
+    lines = (tmp_path / "s.ckpt").read_text().splitlines()
+    assert len(lines) == 6
+    for site, line in zip(metric, lines[1:]):
+        assert line == " ".join(f"{v.real!r} {v.imag!r}" for v in site.ravel().tolist())
+    back = load_checkpoint(tmp_path / "s.ckpt").metric
+    # bit-exact, signed zeros and infinities included
+    assert back.view(np.uint64).tobytes() == metric.view(np.uint64).tobytes()

@@ -1,12 +1,24 @@
+import copy
+import sys
+
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow.checkpoint import load_checkpoint
+from bundleflow import bundle, hodge
+from bundleflow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from bundleflow.cli import main, run_scenario
-from bundleflow.config import ConfigError, RunConfig, config_from_dict, load_config
+from bundleflow.config import (
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    load_config,
+    make_connection,
+    make_domain,
+    make_reference_metric,
+)
 
 GEN2 = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 
@@ -78,6 +90,11 @@ def test_jordan_floor_exits_3(tmp_path):
     ("output", 3),
     ("reference_metric", 7),
     ("exhaustion", 2),
+    ("domain", {"kind": ["circle"]}),
+    ("bundle", {"monodromy": 5}),
+    ("exhaustion", {"levels": 3}),
+    ("reference_metric", {"kind": "diagonal", "amplitudes": 0.2}),
+    ("reference_metric", {"kind": "checkpoint", "path": 0}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     cfg = write_config(tmp_path / "run.yaml", **{block: fields})
@@ -107,6 +124,73 @@ def test_config_blocks_of_any_type_give_a_config_or_a_config_error(junk):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+FIELDS = {
+    "domain": ("kind", "sites", "lengths", "complex"),
+    "bundle": ("rank", "monodromy"),
+    "reference_metric": ("kind", "amplitudes", "modes", "amplitude", "path"),
+    "solver": ("tolerance", "max_steps", "dt", "dt_policy", "dt_growth_every",
+               "divergence_threshold", "boundary", "det_normalize"),
+    "output": ("directory", "csv_cadence", "checkpoint_cadence"),
+    "exhaustion": ("levels",),
+}
+# Small integers only: a junk site count must not allocate a huge lattice.
+SMALL_JUNK = st.one_of(st.integers(-2, 9), st.lists(st.integers(-2, 9), max_size=3),
+                       st.text(max_size=4), st.floats(-3.0, 3.0), st.just(float("nan")),
+                       st.none(), st.just({"a": 1}), st.just([[1.0, 0.0]]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([(b, k) for b in FIELDS for k in FIELDS[b]]),
+                          SMALL_JUNK), min_size=1, max_size=3))
+def test_config_values_of_any_type_give_a_set_up_or_a_config_error(junk):
+    raw = copy.deepcopy(dict(VALID_BLOCKS, reference_metric={
+        "kind": "diagonal", "amplitudes": [0.2, -0.2], "modes": [1, 1]}))
+    for (block, key), value in junk:
+        raw[block][key] = value
+    try:
+        cfg = config_from_dict(raw)
+        domain = make_domain(cfg)
+        make_connection(cfg, domain)
+        make_reference_metric(cfg, domain)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+def _site_checkpoint(path, sites, keep_lines=None):
+    rng = np.random.default_rng(0)
+    save_checkpoint(path, Checkpoint(rank=2, sites=sites, time=0.0, step=3, dt=0.01, streak=0,
+                                     metric=np.broadcast_to(np.eye(2), (sites, 2, 2))
+                                     + 0.01 * rng.normal(size=(sites, 2, 2))))
+    if keep_lines is not None:
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:keep_lines]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("keep_lines, message", [
+    (10, "checkpoint line 11: the file ends after 9 of 24 site lines"),
+    (0, "checkpoint is empty"),
+])
+def test_malformed_resume_checkpoint_is_one_error_line(tmp_path, capsys, keep_lines, message):
+    cfg = write_config(tmp_path / "run.yaml")
+    ckpt = _site_checkpoint(tmp_path / "cut.ckpt", 24, keep_lines)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--resume", str(ckpt)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("text", ["garbage\n1 2 3\n", "", "rank 2, sites 24, time 0.0\n"])
+def test_malformed_reference_checkpoint_is_one_error_line(tmp_path, capsys, text):
+    (tmp_path / "ref.ckpt").write_text(text)
+    cfg = write_config(tmp_path / "run.yaml", reference_metric={
+        "kind": "checkpoint", "path": str(tmp_path / "ref.ckpt")})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: reference_metric.path: "), err
 
 
 def test_missing_monodromy_is_input_error(tmp_path):
@@ -218,3 +302,40 @@ def test_higgs_roundtrip_scenario(tmp_path):
     assert "eigenvalue drift" in report
     ck = load_checkpoint(out / "final.ckpt")
     assert ck.theta is not None
+
+
+def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch):
+    # The metric connection takes V^{-1} from the split and the composite
+    # connection carries its own inverse, so the round trip inverts two stacks:
+    # the flat transports and the composite ones, both in
+    # connection_from_transports. dbar theta is taken once, when the Higgs data
+    # is built; the plaquette holonomies once for the residuals and once for
+    # flat_from_higgs's curvature check.
+    inverted, counts = [], {"dbar": 0, "plaquettes": 0}
+    real_inv = np.linalg.inv
+
+    def inv(a):
+        inverted.append(sys._getframe(1).f_code.co_name)
+        return real_inv(a)
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(hodge, "_dbar_site_field", counting("dbar", hodge._dbar_site_field))
+    plaquettes = counting("plaquettes", bundle.plaquette_holonomies)
+    monkeypatch.setattr(hodge, "plaquette_holonomies", plaquettes)
+    monkeypatch.setattr(bundle, "plaquette_holonomies", plaquettes)
+    gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        scenario="higgs_roundtrip",
+        domain={"kind": "torus", "sites": [8, 8], "lengths": [1.0, 1.0]},
+        bundle={"rank": 2, "monodromy": [GEN2, gen_b]},
+    )
+    assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
+    assert inverted == ["connection_from_transports"] * 2
+    assert counts == {"dbar": 1, "plaquettes": 2}

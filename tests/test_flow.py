@@ -397,7 +397,7 @@ def test_sigma_from_relative_eigenvalues_matches_trace_formula():
                 + np.einsum("nii->n", np.linalg.solve(metric, k)).real - 4.0)
 
     eigs = la.rel_eigvals(k, h, la.sqrt_pair(k)[1])
-    via_eigs = (eigs + 1.0 / eigs).sum(axis=1) - 4.0
+    via_eigs = la.donaldson_sigma(eigs)
     expected = trace_formula(h)
     assert expected.min() > 1e-2
     assert np.abs(via_eigs - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -406,6 +406,20 @@ def test_sigma_from_relative_eigenvalues_matches_trace_formula():
     rep = bf.solve_harmonic(conn, k, opts, init=FlowState(time=0.0, metric=h, dt=1e-3))
     assert rep.steps == 1
     assert rep.history[-1][9] == pytest.approx(trace_formula(rep.metric).max(), rel=1e-12)
+
+
+def test_sigma_monitor_resolves_a_metric_near_the_reference():
+    # 1e-9 from K the trace form sum(lambda + 1/lambda) - 2r reads roundoff;
+    # the monitor must read the Donaldson distance, about 1e-18.
+    dom = bf.build_domain("circle", 10, 1.0)
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
+    k = random_metric(dom, 2, seed=11, amplitude=0.4)
+    h = k * np.exp(1e-9 * np.cos(TWO_PI * dom.coords()[:, 0]))[:, None, None]
+    rep = bf.solve_harmonic(conn, k, bf.SolveOptions(max_steps=0),
+                            init=FlowState(time=0.0, metric=h, dt=1e-3))
+    distance = bf.donaldson_distance(h, k)[1]
+    assert 1e-19 < distance < 1e-17
+    assert rep.sigma_sup == rep.history[-1][9] == distance
 
 
 def _malformed_metric(kind: str, n: int) -> np.ndarray:

@@ -130,7 +130,7 @@ def test_hitchin_residuals_detect_nonholomorphic_perturbation():
     eps = 1e-3
     wave = np.exp(1j * x[:, 0])  # dz-coefficient varying anti-holomorphically
     theta2 = hd.theta + eps * wave[:, None, None] * np.diag([1.0, -1.0])
-    hd2 = higgs_from_parts(dom, hd.transport, theta2, loops=hd.loops)
+    hd2 = higgs_from_parts(dom, hd.connection.transport, theta2, loops=hd.connection.loops)
     base = bf.hitchin_residuals(hd, h)["holomorphy"]
     got = bf.hitchin_residuals(hd2, h)["holomorphy"] - base
     assert got == pytest.approx(eps * 0.5 * np.sqrt(2.0), rel=0.2)
@@ -250,24 +250,32 @@ def test_hermitian_einstein_stall_reports_its_energy_rises():
     assert rep.verdict_reason.endswith("; 200 of 200 accepted steps raised the energy")
 
 
-def test_flat_from_higgs_reuses_passed_transports_and_curvature():
+def test_flat_from_higgs_reuses_the_passed_composite():
     dom, conn = unimodular_torus(n=12)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
     hd = bf.higgs_from_harmonic(conn, run.metric)
-    transports = composite_transports(hd, run.metric)
-    res = bf.hitchin_residuals(hd, run.metric, transports)
+    composite = composite_transports(hd, run.metric)
+    assert composite.loops == ()
+    assert np.abs(composite.transport_inv @ composite.transport - np.eye(2)).max() < 1e-12
+    res = bf.hitchin_residuals(hd, run.metric, composite)
     assert res == bf.hitchin_residuals(hd, run.metric)
+    assert res["holomorphy"] == hd.holomorphicity_residual
+    assert res["hs_curvature_sup"] == bf.flatness_residual(composite)
     plain = bf.flat_from_higgs(hd, run.metric)
-    passed = bf.flat_from_higgs(hd, run.metric, transports=transports,
-                                curvature_sup=res["hs_curvature_sup"])
+    passed = bf.flat_from_higgs(hd, run.metric, composite=composite)
+    assert passed.transport is composite.transport
     assert np.array_equal(passed.transport, plain.transport)
     assert np.array_equal(passed.transport_inv, plain.transport_inv)
     assert len(passed.loops) == len(plain.loops) == 2
     for a, b in zip(passed.loops, plain.loops):
         assert (a.axis, a.base) == (b.axis, b.base)
         assert np.array_equal(a.generator, b.generator)
+    # the curvature check reads the passed composite: one bent edge is refused
+    bent = composite.transport.copy()
+    bent[0, 5] = bent[0, 5] @ np.diag([1.001, 1.0])
     with pytest.raises(ValueError, match="curvature"):
-        bf.flat_from_higgs(hd, run.metric, tol=1e-6, transports=transports, curvature_sup=1.0)
+        bf.flat_from_higgs(hd, run.metric, tol=1e-6,
+                           composite=bf.connection_from_transports(dom, bent))
 
 
 def test_flat_from_higgs_unitary_returns_original():

@@ -98,7 +98,7 @@ def delta_operator(conn, metric, values, sm=None) -> np.ndarray:
     out = np.zeros((dom.dim,) + f.shape, dtype=complex)
     for a in range(dom.dim):
         tails, heads = conn.edge_sites(a)
-        v = sm.transport[a, tails]
+        v = sm.connection.transport[a, tails]
         vinv = np.linalg.inv(v)
         if endo:
             pulled = vinv @ f[heads] @ v
@@ -126,7 +126,7 @@ def section_derivative(conn, metric, values, use_metric_connection: bool = True)
     out = np.zeros((dom.dim,) + f.shape, dtype=complex)
     for a in range(dom.dim):
         tails, heads = conn.edge_sites(a)
-        v = sm.transport[a, tails]
+        v = sm.connection.transport[a, tails]
         vinv = np.linalg.inv(v)
         if endo:
             out[a, tails] = (vinv @ f[heads] @ v - f[tails]) / dom.spacings[a]
