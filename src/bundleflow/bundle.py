@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import null_space
 
 from . import linalg as la
@@ -436,6 +437,60 @@ def tension(
         bracket += la.commutator(omega_c[a], psi_c[a]) * dom.metric_weight[a][:, None, None]
     t = t_k - 0.5 * correction - 0.5 * bracket
     return la.selfadjoint_part(t, metric)
+
+
+def covariant_laplacian(
+    metric_conn: FlatConnection, frame: tuple[Array, Array], sites: Array
+) -> sparse.csc_array:
+    """Stiffness matrix of the covariant Laplacian on Hermitian endomorphism fields.
+
+    ``metric_conn`` holds the metric transports V of a split at H and
+    ``frame`` is ``linalg.orthonormal_frame`` of H's scaled root, (g, g^{-1})
+    with H = g^dag g. An H-self-adjoint field S is carried as the Hermitian
+    field g S g^{-1}, whose coordinates in ``linalg.unit_hermitian_basis`` are the
+    unknowns, site-major, at the sites listed in ``sites``; every other site
+    holds zero (a Dirichlet condition). The matrix is the real symmetric form
+    ``sum_e c_e |W^dag s(y) W - s(x)|^2`` with ``c_e = w_e / h_a^2`` and the
+    unitary ``W = g(y) V g(x)^{-1}``, so ``M + dt L`` is positive definite
+    for the site volumes M and any dt > 0. ``M^{-1} L`` is the codifferential
+    of the V-covariant difference, the principal part of the tension's
+    linearization: ``tension(H exp(X)) = tension(H) - M^{-1} L X / 2`` up to
+    terms in psi.
+    """
+    dom = metric_conn.domain
+    g, g_inv = frame
+    r = metric_conn.rank
+    basis = la.unit_hermitian_basis(r)
+    slot = np.full(dom.n_sites, -1)
+    slot[sites] = np.arange(len(sites))
+    diag = np.zeros(len(sites))
+    rows, cols, vals = [], [], []
+    block = np.arange(r * r)
+    for a in range(dom.dim):
+        tails, heads = metric_conn.edge_sites(a)
+        c = dom.edge_weight[a, tails] * dom.metric_weight[a, tails] / dom.spacings[a] ** 2
+        st, sh = slot[tails], slot[heads]
+        np.add.at(diag, st[st >= 0], c[st >= 0])
+        np.add.at(diag, sh[sh >= 0], c[sh >= 0])
+        both = (st >= 0) & (sh >= 0)
+        w = la.mm(la.mm(g[heads[both]], metric_conn.transport[a, tails[both]]),
+                  g_inv[tails[both]])
+        # B[e, k, l] = Re tr(E_k W^dag E_l W): the coordinates of W^dag s(y) W.
+        moved = la.mm(la.mm(la.dagger(w)[:, None], basis[None]), w[:, None])
+        b = np.einsum("kab,elba->ekl", basis, moved).real * -c[both][:, None, None]
+        ix = st[both][:, None, None] * r * r + block[None, :, None]
+        iy = sh[both][:, None, None] * r * r + block[None, None, :]
+        ix, iy = np.broadcast_arrays(ix, iy)
+        rows += [ix.ravel(), iy.ravel()]
+        cols += [iy.ravel(), ix.ravel()]
+        vals += [b.ravel(), b.ravel()]
+    n = len(sites) * r * r
+    unknowns = np.arange(n)
+    rows.append(unknowns)
+    cols.append(unknowns)
+    vals.append(np.repeat(diag, r * r))
+    return sparse.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n, n))
 
 
 def reference_difference(sm_k: SplitMetric, h_rel: Array) -> tuple[Array, Array]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,12 @@ def _fmt(x: float) -> str:
 
 
 def _trace(report) -> str:
-    """Trials, rejections, accepted energy rises and the dt range of one flow run."""
+    """Trials, rejections, accepted energy rises, the dt range and the phase times of a run."""
     dts = report.history[1:, 2]
     dt_range = f"dt min {dts.min():.6e} max {dts.max():.6e}" if dts.size else "no steps"
+    phases = ", ".join(f"{name} {sec:.3f}" for name, sec in report.phase_seconds.items())
     return (f"trial steps {report.trial_steps}, rejected {report.rejected_steps}, "
-            f"energy rises {report.energy_rises}, {dt_range}")
+            f"energy rises {report.energy_rises}, {dt_range}; seconds: {phases}")
 
 
 class _CsvWriter:
@@ -105,11 +107,20 @@ def run_scenario(
         notes.append(f"resumed from step {ck.step} (dt policy: {cfg.solver.dt_policy})")
 
     ckpt_every = cfg.output.checkpoint_cadence
+    io_seconds = 0.0
+
+    def io(write, *args) -> None:
+        """``write(*args)``, its wall time added to ``io_seconds``."""
+        nonlocal io_seconds
+        start = time.perf_counter()
+        write(*args)
+        io_seconds += time.perf_counter() - start
 
     def on_step(state, diag) -> None:
-        csv.add(state.history[-1])
+        io(csv.add, state.history[-1])
         if ckpt_every and state.step and state.step % ckpt_every == 0:
-            save_checkpoint(
+            io(
+                save_checkpoint,
                 out / f"step{state.step:08d}.ckpt",
                 Checkpoint(
                     rank=cfg.bundle.rank, sites=domain.n_sites, time=state.time,
@@ -119,6 +130,7 @@ def run_scenario(
             )
 
     status = 0
+    traced = []     # (label, RunReport) of each flow run, for the trace lines
     try:
         if cfg.scenario in ("solve_harmonic", "solve_poisson", "dirichlet"):
             solver = solve_poisson if cfg.scenario != "solve_harmonic" else solve_harmonic
@@ -133,14 +145,15 @@ def run_scenario(
                 f"final energy: {_fmt(report.energy)}",
                 f"final sigma to reference: {_fmt(report.sigma_sup)}",
                 f"final sup |log h|: {_fmt(report.logh_sup)}",
-                f"trace: {_trace(report)}",
             ]
+            traced.append(("trace", report))
             if report.poisson_function is not None:
                 report_lines.append(
                     f"poisson function sup: {_fmt(float(np.abs(report.poisson_function).max()))}"
                 )
             notes.extend(report.notes)
-            save_checkpoint(
+            io(
+                save_checkpoint,
                 out / "final.ckpt",
                 Checkpoint(
                     rank=cfg.bundle.rank, sites=domain.n_sites, time=report.time,
@@ -162,12 +175,12 @@ def run_scenario(
                     f"{_fmt(mon.sup_log_h)}, {_fmt(mon.dh_l2)}, {_fmt(mon.cauchy_sup)}"
                 )
                 for row in rep.history:
-                    csv.add(row)
-            for rep, mon in zip(reports, monitors):
-                report_lines.append(f"level {mon.level:g} trace: {_trace(rep)}")
+                    io(csv.add, row)
+            traced += [(f"level {mon.level:g} trace", rep) for rep, mon in zip(reports, monitors)]
             status = max(_VERDICT_STATUS.get(r.verdict, 0) for r in reports)
             final = reports[-1]
-            save_checkpoint(
+            io(
+                save_checkpoint,
                 out / "final.ckpt",
                 Checkpoint(
                     rank=cfg.bundle.rank, sites=monitors[-1].n_sites, time=final.time,
@@ -179,7 +192,8 @@ def run_scenario(
             subs = invariant_subbundles(conn, reference)
             rep = analysis.stability_report(conn, reference, subs)
             report_lines.append(rep.to_text())
-            save_checkpoint(
+            io(
+                save_checkpoint,
                 out / "final.ckpt",
                 Checkpoint(
                     rank=cfg.bundle.rank, sites=domain.n_sites, time=0.0, step=0,
@@ -190,7 +204,7 @@ def run_scenario(
             run = solve_poisson(conn, reference, cfg.solver, callback=on_step)
             report_lines.append(f"poisson verdict: {run.verdict}")
             report_lines.append(f"verdict reason: {run.verdict_reason}")
-            report_lines.append(f"poisson trace: {_trace(run)}")
+            traced.append(("poisson trace", run))
             if run.verdict != "converged":
                 status = _VERDICT_STATUS.get(run.verdict, 0)
                 report_lines.append("round trip aborted: no Poisson metric")
@@ -205,8 +219,8 @@ def run_scenario(
                     f"composite curvature sup: {_fmt(res['hs_curvature_sup'])}",
                     f"contracted curvature sup: {_fmt(res['lambda_F_sup'])}",
                 ]
-                back = hodge.flat_from_higgs(hd, run.metric,
-                                             tol=max(res["hs_curvature_sup"], 1e-12),
+                # Refused above 10x the solver tolerance, as the Higgs extraction.
+                back = hodge.flat_from_higgs(hd, run.metric, tol=cfg.solver.tolerance,
                                              composite=composite)
                 report_lines.append("loop, eigenvalue drift (matched multisets)")
                 from .bundle import loop_holonomy
@@ -217,7 +231,8 @@ def run_scenario(
                         loop_holonomy(back, lp_back.axis, lp_back.base), lp.generator
                     )
                     report_lines.append(f"  axis {lp.axis}: {_fmt(drift)}")
-                save_checkpoint(
+                io(
+                    save_checkpoint,
                     out / "final.ckpt",
                     Checkpoint(
                         rank=cfg.bundle.rank, sites=domain.n_sites, time=run.time,
@@ -231,10 +246,14 @@ def run_scenario(
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    io(csv.flush)
+    if traced:
+        # The CSV and checkpoint I/O is charged to the last flow run reported.
+        traced[-1][1].phase_seconds["io"] = io_seconds
+    report_lines += [f"{label}: {_trace(rep)}" for label, rep in traced]
     for note in notes:
         report_lines.append(f"note: {note}")
     (out / "report.txt").write_text("\n".join(report_lines) + "\n", encoding="utf-8")
-    csv.flush()
     return status
 
 

@@ -189,18 +189,19 @@ def config_from_dict(raw: dict) -> RunConfig:
         tolerance=sol_num(float, "tolerance"),
         max_steps=sol_num(int, "max_steps"),
         dt=(sol_num(float, "dt") if "dt" in sol_block else None),
-        dt_policy=sol_block.get("dt_policy", "adaptive"),
+        dt_policy=_typed(sol_block.get("dt_policy", defaults.dt_policy), str, "solver.dt_policy"),
         dt_growth_every=sol_num(int, "dt_growth_every"),
         divergence_threshold=sol_num(float, "divergence_threshold"),
-        boundary=sol_block.get("boundary", "none"),
-        det_normalize=bool(sol_block.get("det_normalize", True)),
+        boundary=_typed(sol_block.get("boundary", defaults.boundary), str, "solver.boundary"),
+        det_normalize=_typed(sol_block.get("det_normalize", defaults.det_normalize), bool,
+                             "solver.det_normalize"),
     )
     if scenario == "dirichlet":
         solver.boundary = "dirichlet"
 
     out_block = _block(raw, "output", {})
     output = OutputConfig(
-        directory=str(out_block.get("directory", "out")),
+        directory=_typed(out_block.get("directory", "out"), str, "output.directory"),
         csv_cadence=_number(int, out_block.get("csv_cadence", 1), "output.csv_cadence"),
         checkpoint_cadence=_number(int, out_block.get("checkpoint_cadence", 0),
                                    "output.checkpoint_cadence"),
@@ -235,7 +236,7 @@ def make_domain(cfg: RunConfig) -> LatticeDomain:
 
 def make_connection(cfg: RunConfig, domain: LatticeDomain) -> FlatConnection:
     try:
-        return from_monodromy(domain, cfg.bundle.monodromy)
+        return from_monodromy(domain, cfg.bundle.monodromy, rank=cfg.bundle.rank)
     except ValueError as exc:
         raise ConfigError(f"bundle.monodromy: {exc}") from exc
 

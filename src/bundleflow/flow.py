@@ -7,7 +7,21 @@ order by ``2 ||Q||^2 dt``; the adaptive controller rejects steps that raise
 the energy beyond roundoff slack and halves the step size instead. The same
 driver, ``_drive``, runs the Hermitian-Einstein flow of ``hodge`` with the
 contracted curvature as its direction; each run reports its trials,
-rejections and accepted energy rises.
+rejections, accepted energy rises and the wall time of its phases.
+
+Dirichlet solves take a linearly implicit (backward) Euler step of the same
+flow instead: each trial solves ``(M + dt L_V) S = M Q`` on the interior
+sites, with ``L_V`` the covariant Laplacian along the metric transports
+(``bundle.covariant_laplacian``), and steps ``H <- H exp(2 dt S)``. With the
+boundary held fixed ``L_V`` is positive definite, so S descends the energy at
+any dt, and from ``default_dt(domain, implicit=True)`` the step count no
+longer grows with the number of sites (the explicit step needs dt of order
+h^2). Closed domains keep the explicit step: there ``L_V`` has a kernel, and
+a flow with no harmonic metric to reach (a unipotent monodromy) runs away
+along it. The explicit step moves such a state along a site-constant
+direction that excites no other mode and reaches the ``diverged`` verdict
+with its residual resolved; on the same circle the implicit step's residual
+sticks near 1e-13 while dt grows past 1e13, and it never gets there.
 
 Each trial takes one eigendecomposition of its metric. ``_diagnostics``
 computes the scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` of the trial
@@ -43,6 +57,8 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import linalg as splinalg
 
 from . import linalg as la
 from .analysis import donaldson_distance
@@ -51,6 +67,7 @@ from .bundle import (
     codifferential,
     connection_from_transports,
     covariant_d,
+    covariant_laplacian,
     split_metric,
 )
 from .mesh import LatticeDomain, sublevel_domain
@@ -85,7 +102,7 @@ HISTORY_COLUMNS = (
 class SolveOptions:
     tolerance: float = 1e-8
     max_steps: int = 200_000
-    dt: float | None = None                 # None: 0.2 * min(spacing)^2
+    dt: float | None = None                 # None: default_dt for the run's direction
     dt_policy: str = "adaptive"             # "adaptive" | "fixed"
     dt_growth: float = 1.2
     dt_growth_every: int = 20
@@ -140,19 +157,30 @@ class RunReport:
     trial_steps: int = 0            # steps tried in this call, accepted or rejected
     rejected_steps: int = 0
     energy_rises: int = 0           # accepted steps whose energy rose within the slack
+    phase_seconds: dict[str, float] = field(default_factory=dict)  # wall time per phase
 
 
-def default_dt(domain: LatticeDomain) -> float:
+def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
+    """The starting step size: 0.2 min(spacing)^2 for the heat flow, min(length)^2 implicit.
+
+    The implicit step is stable at any dt; at dt = L^2 for the domain's
+    smallest extent L, one step damps the slowest Dirichlet mode (decay rate
+    about pi^2 / L^2) by a factor of about 1 + pi^2.
+    """
+    if implicit:
+        return min(domain.lengths) ** 2
     return 0.2 * min(domain.spacings) ** 2
 
 
-def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
+def _diagnostics(conn: FlatConnection, h_field: Array, implicit: bool = False) -> dict:
     """Tension, energy and residuals of one metric, from one eigendecomposition of it.
 
-    The heat flow's direction strategy for ``_drive``: the tension is the
-    step ``direction``. The scaled square root of H (``linalg.scaled_sqrt``)
-    serves the split and is returned as ``root``, so that the step taken from
-    this metric reuses it.
+    The direction strategy for ``_drive``: the tension is the heat flow's step
+    ``direction``. ``implicit`` adds ``solve``, the linearly implicit step
+    direction for a given dt (``_implicit_direction``), built from this
+    metric's split only when a trial calls it. The scaled square root of H
+    (``linalg.scaled_sqrt``) serves the split and is returned as ``root``, so
+    that the step taken from this metric reuses it.
     """
     root = la.scaled_sqrt(h_field)
     sm = split_metric(conn, h_field, root)
@@ -176,7 +204,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
         flux[heads] += size
         flux[tails] += size
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
-    return {
+    diag = {
         "direction": t_field,
         "root": root,
         "energy": en,
@@ -185,6 +213,39 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
         "tracefree_sup": tf_sup,
         "residual_floor": floor,
     }
+    if implicit:
+        diag["solve"] = partial(_implicit_direction, sm.connection, root, t_field)
+    return diag
+
+
+def _implicit_direction(metric_conn: FlatConnection, root: la.ScaledRoot, q: Array,
+                        dt: float) -> Array:
+    """The linearly implicit Euler direction: ``(M + dt L_V) S = M Q`` on the interior sites.
+
+    ``L_V`` is ``bundle.covariant_laplacian`` along the metric transports of
+    the split at H, M the site volumes and Q the tension. The unknowns are
+    the interior sites; S vanishes on the boundary, where a Dirichlet run
+    holds H fixed. The step ``H exp(2 dt S)`` is backward Euler for the heat
+    flow, with the tension at the new metric linearized to its principal
+    part, ``Q - dt M^{-1} L_V S``; so S tends to Q as dt -> 0. ``M + dt L_V``
+    is symmetric positive definite, so ``<Q, S>_M > 0``: S descends the
+    energy at any dt.
+    """
+    dom = metric_conn.domain
+    r2 = metric_conn.rank ** 2
+    g, g_inv = la.orthonormal_frame(root)
+    basis = la.unit_hermitian_basis(metric_conn.rank)
+    sites = np.flatnonzero(dom.interior_mask())
+    q_frame = la.mm(la.mm(g[sites], q[sites]), g_inv[sites])
+    mass = np.repeat(dom.volume[sites], r2)
+    rhs = mass * np.einsum("kij,nji->nk", basis, q_frame).real.ravel()
+    system = dt * covariant_laplacian(metric_conn, (g, g_inv), sites) + sparse.diags_array(mass)
+    x = splinalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True}).solve(rhs)
+    s = np.zeros_like(q)
+    s_frame = np.einsum("nk,kij->nij", x.reshape(-1, r2), basis)
+    s[sites] = la.mm(la.mm(g_inv[sites], s_frame), g[sites])
+    return s
 
 
 def _drive(
@@ -195,6 +256,7 @@ def _drive(
     tracefree: bool,
     init: FlowState | None = None,
     callback: Callable[[FlowState, dict], None] | None = None,
+    dt0: float | None = None,
 ) -> tuple[RunReport, dict]:
     """The adaptive multiplicative flow that every solver runs, and its final diagnostics.
 
@@ -203,20 +265,27 @@ def _drive(
     when it has factored the metric (else None), the ``energy`` that step
     control compares, the residuals ``residual_sup``, ``residual_l2`` and
     ``tracefree_sup`` and the ``residual_floor`` below which a residual
-    certifies nothing. The driver adds the monitors against the reference
-    (sup ||log h||, the logdet range, sigma) and owns step control, the
-    verdicts, the Dirichlet reset, det normalization and the history.
-    ``tracefree`` flows are judged by the trace-free residual, and a
-    converged metric is normalized to det(K^{-1}H) = 1.
+    certifies nothing. When it also returns ``solve``, a trial steps along
+    ``solve(dt)`` instead of ``direction``. The driver adds the monitors
+    against the reference (sup ||log h||, the logdet range, sigma) and owns
+    step control, the verdicts, the Dirichlet reset, det normalization and
+    the history. ``tracefree`` flows are judged by the trace-free residual,
+    and a converged metric is normalized to det(K^{-1}H) = 1. ``dt0`` is the
+    strategy's starting step size when ``opts.dt`` is None (default: the heat
+    flow's ``default_dt``). The report's ``phase_seconds`` holds the wall
+    time of the ``diagnostics`` (``measure`` and the monitors), the implicit
+    ``solve`` and the ``update``.
     """
     t0 = _time.perf_counter()
     opts.validate(domain)
     la.check_metric(reference)
     ref_isqrt = la.sqrt_pair(reference)[1]
     bc = reference if opts.boundary == "dirichlet" else None
+    phases = dict.fromkeys(("diagnostics", "solve", "update"), 0.0)
 
     def diagnose(metric: Array) -> dict:
         """``measure(metric)`` and the monitors against K, from the relative eigenvalues."""
+        start = _time.perf_counter()
         diag = measure(metric)
         eigs = la.rel_eigvals(reference, metric, ref_isqrt)
         logs = np.log(eigs)
@@ -224,15 +293,19 @@ def _drive(
         diag.update(logdet_min=float(logdet.min()), logdet_max=float(logdet.max()),
                     logh_sup=float(np.sqrt((logs ** 2).sum(axis=1)).max()),
                     sigma_sup=float(la.donaldson_sigma(eigs).max()))
+        phases["diagnostics"] += _time.perf_counter() - start
         return diag
 
+    if opts.dt is not None:
+        dt0 = opts.dt
+    elif dt0 is None:
+        dt0 = default_dt(domain)
     if init is None:
-        state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(),
-                          dt=opts.dt if opts.dt is not None else default_dt(domain))
+        state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=dt0)
     else:
         state = init
         if state.dt <= 0:
-            state.dt = opts.dt if opts.dt is not None else default_dt(domain)
+            state.dt = dt0
 
     diag = diagnose(state.metric)
     if not state.history:
@@ -251,11 +324,17 @@ def _drive(
         if settled:
             verdict, reason = settled
             break
-        trial = la.metric_exp_update(state.metric, diag["direction"], 2.0 * state.dt,
-                                     diag["root"])
+        direction = diag["direction"]
+        if "solve" in diag:
+            start = _time.perf_counter()
+            direction = diag["solve"](state.dt)
+            phases["solve"] += _time.perf_counter() - start
+        start = _time.perf_counter()
+        trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt, diag["root"])
         trials += 1
         if bc is not None:
             trial[domain.boundary] = bc[domain.boundary]
+        phases["update"] += _time.perf_counter() - start
         diag_trial = diagnose(trial)
         slack = ENERGY_RTOL * diag["energy"]
         if opts.dt_policy == "adaptive" and diag_trial["energy"] > diag["energy"] + slack:
@@ -330,6 +409,7 @@ def _drive(
         trial_steps=trials,
         rejected_steps=rejected,
         energy_rises=rises,
+        phase_seconds=phases,
     )
     return report, diag
 
@@ -379,6 +459,12 @@ def _det_normalize(reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
     return h_field * np.exp(f)[:, None, None]
 
 
+def _strategy(conn: FlatConnection, opts: SolveOptions) -> tuple[Callable, float]:
+    """``_drive``'s direction strategy and starting dt for ``opts.boundary``."""
+    implicit = opts.boundary == "dirichlet"
+    return partial(_diagnostics, conn, implicit=implicit), default_dt(conn.domain, implicit)
+
+
 def solve_harmonic(
     conn: FlatConnection,
     reference: Array,
@@ -386,9 +472,15 @@ def solve_harmonic(
     init: FlowState | None = None,
     callback=None,
 ) -> RunReport:
-    """Flow from H(0) = K until the tension drops below tolerance."""
-    return _drive(conn.domain, reference, opts or SolveOptions(), partial(_diagnostics, conn),
-                  tracefree=False, init=init, callback=callback)[0]
+    """Flow from H(0) = K until the tension drops below tolerance.
+
+    Dirichlet runs take the linearly implicit step (``_implicit_direction``),
+    closed domains the heat flow's explicit one.
+    """
+    opts = opts or SolveOptions()
+    measure, dt0 = _strategy(conn, opts)
+    return _drive(conn.domain, reference, opts, measure, tracefree=False, init=init,
+                  callback=callback, dt0=dt0)[0]
 
 
 def solve_poisson(
@@ -403,9 +495,10 @@ def solve_poisson(
     The residual trace part becomes the scalar Poisson function, reported per
     site in ``poisson_function``.
     """
-    report, diag = _drive(conn.domain, reference, opts or SolveOptions(),
-                          partial(_diagnostics, conn), tracefree=True, init=init,
-                          callback=callback)
+    opts = opts or SolveOptions()
+    measure, dt0 = _strategy(conn, opts)
+    report, diag = _drive(conn.domain, reference, opts, measure, tracefree=True, init=init,
+                          callback=callback, dt0=dt0)
     report.poisson_function = (np.einsum("nii->n", diag["direction"]) / conn.rank).real
     return report
 

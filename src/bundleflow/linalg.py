@@ -217,6 +217,12 @@ def hermitian_basis(r: int) -> list[Array]:
     return basis
 
 
+def unit_hermitian_basis(r: int) -> Array:
+    """``hermitian_basis(r)`` as an (r^2, r, r) stack of unit norm under Re tr(A B)."""
+    basis = np.array(hermitian_basis(r))
+    return basis / np.sqrt(np.einsum("kij,kji->k", basis, basis).real)[:, None, None]
+
+
 def check_hermitian(h: Array, tol: float = 1e-12) -> None:
     """Validate that a metric field is finite and Hermitian within ``tol`` (relative)."""
     if not np.all(np.isfinite(h)):
@@ -271,6 +277,16 @@ def scaled_sqrt(h: Array) -> ScaledRoot:
     except ValueError:
         raise ValueError("metric field is not positive definite") from None
     return d, a, ai
+
+
+def orthonormal_frame(root: ScaledRoot) -> tuple[Array, Array]:
+    """(g, g^{-1}) with g = Ht^{1/2} D, so H = g^dag g, from ``scaled_sqrt(H)``.
+
+    An H-self-adjoint A corresponds to the Hermitian g A g^{-1}, and an
+    H-isometry V between two fibers to the unitary g(y) V g(x)^{-1}.
+    """
+    d, a, ai = root
+    return a * d[..., None, :], ai / d[..., :, None]
 
 
 def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, Array]:

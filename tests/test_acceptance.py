@@ -162,11 +162,13 @@ def test_criterion_4_energy_and_contraction():
         0.5 * bump[:, None, None] * np.array([[1.0, 0.4j], [-0.4j, -1.0]]), k
     )
     h0 = la.metric_exp_update(k, pert, 1.0)
-    opts = bf.SolveOptions(boundary="dirichlet", dt_policy="fixed")
+    # Both runs take the same steps: the Dirichlet default dt, given explicitly.
+    dt = default_dt(dom2, implicit=True)
+    opts = bf.SolveOptions(boundary="dirichlet", dt_policy="fixed", dt=dt)
     ma, mb = [], []
     rep_a = bf.solve_harmonic(conn2, k, opts, callback=lambda s, d: ma.append(s.metric.copy()))
     rep_b = bf.solve_harmonic(
-        conn2, k, opts, init=FlowState(time=0.0, metric=h0, dt=default_dt(dom2)),
+        conn2, k, opts, init=FlowState(time=0.0, metric=h0, dt=dt),
         callback=lambda s, d: mb.append(s.metric.copy()),
     )
     steps = min(len(ma), len(mb))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.bundle import reverse_edge_values
+from bundleflow.bundle import covariant_laplacian, reverse_edge_values
 
 from util import (
     TWO_PI,
@@ -246,6 +246,35 @@ def test_codifferential_scalar_derivative():
         out = bf.codifferential(conn, h, omega)
         errs.append(np.abs(out + np.cos(x)[:, None, None] * np.eye(2)).max())
     assert np.log2(errs[0] / errs[1]) > 1.7
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank):
+    # In the H-orthonormal frame the matrix acts as M codifferential(D_V S)
+    # on fields S that vanish off the listed sites, and its quadratic form is
+    # the edge sum of |D_V S|_H^2.
+    dom = bf.build_domain("annulus", (7, 5), (TWO_PI, 1.0))
+    conn = random_connection(dom, rank, seed=3)
+    h = random_metric(dom, rank, seed=4, amplitude=0.4)
+    root = la.scaled_sqrt(h)
+    sm = bf.split_metric(conn, h, root)
+    g, g_inv = la.orthonormal_frame(root)
+    basis = la.unit_hermitian_basis(rank)
+    sites = np.flatnonzero(dom.interior_mask())
+    lap = covariant_laplacian(sm.connection, (g, g_inv), sites).toarray()
+    assert np.array_equal(lap, lap.T)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(len(sites), rank * rank))
+    s = np.zeros_like(h)
+    s[sites] = g_inv[sites] @ np.einsum("nk,kij->nij", x, basis) @ g[sites]
+    d_s = bf.covariant_d(sm.connection, s)
+    form = sum(np.sum(dom.edge_weight[a] * dom.metric_weight[a] * la.endo_norm2(d_s[a], h))
+               for a in range(dom.dim))
+    assert x.ravel() @ lap @ x.ravel() == pytest.approx(form, rel=1e-12)
+    cod = bf.codifferential(conn, h, d_s, sm)[sites]
+    want = dom.volume[sites][:, None] * np.einsum(
+        "kij,nji->nk", basis, g[sites] @ cod @ g_inv[sites]).real
+    assert np.abs(lap @ x.ravel() - want.ravel()).max() <= 1e-11 * np.abs(want).max()
 
 
 # ----------------------------------------------------------------- tension

@@ -95,6 +95,10 @@ def test_jordan_floor_exits_3(tmp_path):
     ("exhaustion", {"levels": 3}),
     ("reference_metric", {"kind": "diagonal", "amplitudes": 0.2}),
     ("reference_metric", {"kind": "checkpoint", "path": 0}),
+    ("solver", {"det_normalize": "no"}),
+    ("solver", {"dt_policy": 3}),
+    ("solver", {"boundary": ["dirichlet"]}),
+    ("output", {"directory": 5}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     cfg = write_config(tmp_path / "run.yaml", **{block: fields})
@@ -135,6 +139,11 @@ FIELDS = {
     "output": ("directory", "csv_cadence", "checkpoint_cadence"),
     "exhaustion": ("levels",),
 }
+# Fields taken as they are, without conversion: a value of another type is refused.
+TYPED_FIELDS = {("domain", "kind"): str, ("domain", "complex"): (bool, type(None)),
+                ("reference_metric", "path"): (str, type(None)),
+                ("solver", "dt_policy"): str, ("solver", "boundary"): str,
+                ("solver", "det_normalize"): bool, ("output", "directory"): str}
 # Small integers only: a junk site count must not allocate a huge lattice.
 SMALL_JUNK = st.one_of(st.integers(-2, 9), st.lists(st.integers(-2, 9), max_size=3),
                        st.text(max_size=4), st.floats(-3.0, 3.0), st.just(float("nan")),
@@ -157,6 +166,9 @@ def test_config_values_of_any_type_give_a_set_up_or_a_config_error(junk):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    for (block, key), kind in TYPED_FIELDS.items():
+        if key in raw[block]:
+            assert isinstance(raw[block][key], kind), (block, key, raw[block][key])
 
 
 def _site_checkpoint(path, sites, keep_lines=None):
@@ -339,3 +351,51 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
     assert inverted == ["connection_from_transports"] * 2
     assert counts == {"dbar": 1, "plaquettes": 2}
+
+
+def test_higgs_roundtrip_refuses_a_curved_composite(tmp_path, capsys, monkeypatch):
+    # One bent edge curves the composite connection by about 1e-3, far above
+    # the solver tolerance; the round trip refuses to flatten it.
+    real = hodge.composite_transports
+
+    def bent(hd, metric):
+        composite = real(hd, metric)
+        transport = composite.transport.copy()
+        transport[0, 5] = transport[0, 5] @ np.diag([1.001, 1.0])
+        return bundle.connection_from_transports(composite.domain, transport)
+
+    monkeypatch.setattr(hodge, "composite_transports", bent)
+    gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        scenario="higgs_roundtrip",
+        domain={"kind": "torus", "sites": [8, 8], "lengths": [1.0, 1.0]},
+        bundle={"rank": 2, "monodromy": [GEN2, gen_b]},
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: composite curvature"), err
+
+
+def test_dirichlet_runs_repeat_and_resume_bit_exactly(tmp_path):
+    # The implicit Dirichlet step: a repeated run writes the same CSV bytes,
+    # and a run resumed from its step-3 checkpoint ends on the same bytes.
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        scenario="dirichlet",
+        domain={"kind": "rectangle", "sites": [9, 9], "lengths": [1.0, 1.0]},
+        bundle={"rank": 2, "monodromy": []},
+        reference_metric={"kind": "random_smooth", "amplitude": 0.3},
+        output={"directory": "out", "checkpoint_cadence": 3},
+    )
+    full, rerun, part = tmp_path / "full", tmp_path / "rerun", tmp_path / "part"
+    assert run_scenario(cfg, out_dir=full, seed=5) == 0
+    assert run_scenario(cfg, out_dir=rerun, seed=5) == 0
+    assert (full / "run.csv").read_bytes() == (rerun / "run.csv").read_bytes()
+    assert load_checkpoint(full / "final.ckpt").step > 3
+    assert run_scenario(cfg, out_dir=part, seed=5, resume_path=full / "step00000003.ckpt") == 0
+    assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
+    report = (full / "report.txt").read_text()
+    assert "verdict: converged" in report
+    trace = next(ln for ln in report.splitlines() if ln.startswith("trace: "))
+    assert "; seconds: diagnostics " in trace and ", solve " in trace and ", io " in trace

@@ -1,12 +1,14 @@
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.flow import ENERGY_RTOL, FlowState, _diagnostics, default_dt
+from bundleflow.config import smooth_random_metric
+from bundleflow.flow import ENERGY_RTOL, FlowState, _diagnostics, _drive, default_dt
 
 from util import (
     TWO_PI,
@@ -171,10 +173,11 @@ def test_two_flow_contraction_dirichlet():
         0.4 * bump[:, None, None] * np.array([[1.0, 0.3j], [-0.3j, -1.0]]), k
     )
     h0 = la.metric_exp_update(k, perturb, 1.0)
-    opts = bf.SolveOptions(boundary="dirichlet", dt_policy="fixed")
+    dt = default_dt(dom, implicit=True)
+    opts = bf.SolveOptions(boundary="dirichlet", dt_policy="fixed", dt=dt)
     metrics_a, metrics_b = [], []
     rep_a = bf.solve_harmonic(conn, k, opts, callback=lambda s, d: metrics_a.append(s.metric.copy()))
-    init = FlowState(time=0.0, metric=h0, dt=default_dt(dom))
+    init = FlowState(time=0.0, metric=h0, dt=dt)
     rep_b = bf.solve_harmonic(
         conn, k, opts, init=init, callback=lambda s, d: metrics_b.append(s.metric.copy())
     )
@@ -224,6 +227,57 @@ def test_trace_identity_for_determinants():
         logdet = np.log(np.abs(np.linalg.det(np.linalg.solve(k, h))))
         gap = np.abs(tr_diff - 0.5 * bf.laplacian(dom, logdet)).max()
         assert gap < 1e-10
+
+
+# ------------------------------------------------- implicit Dirichlet step
+
+
+@pytest.mark.parametrize("kind, sites, lengths", [
+    ("annulus", (12, 6), (TWO_PI, 0.5)),
+    ("rectangle", (9, 9), (1.0, 1.0)),
+])
+def test_implicit_dirichlet_matches_heat_flow(kind, sites, lengths):
+    dom = bf.build_domain(kind, sites, lengths)
+    gens = [np.diag([2.0, 0.5]).astype(complex)] if kind == "annulus" else []
+    conn = bf.from_monodromy(dom, gens, rank=2)
+    k = random_metric(dom, 2, seed=8, amplitude=0.3)
+    opts = bf.SolveOptions(tolerance=1e-9, boundary="dirichlet")
+    implicit = bf.solve_poisson(conn, k, opts)
+    # the same problem through the explicit heat direction
+    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=True)[0]
+    assert implicit.verdict == heat.verdict == "converged"
+    assert implicit.steps < heat.steps / 10
+    assert implicit.phase_seconds["solve"] > 0.0 and heat.phase_seconds["solve"] == 0.0
+    assert np.abs(implicit.metric - heat.metric).max() <= 1e-8
+
+
+def test_implicit_direction_tends_to_the_tension():
+    # (M + dt L) S = M Q gives S = Q - dt M^{-1} L Q + O(dt^2) on the interior,
+    # and S = 0 on the boundary.
+    dom = bf.build_domain("rectangle", (8, 8), (1.0, 1.0))
+    conn = bf.from_monodromy(dom, [], rank=2)
+    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3), implicit=True)
+    q = diag["direction"]
+    inner = dom.interior_mask()
+    errors = []
+    for dt in (1e-4, 1e-5):
+        s = diag["solve"](dt)
+        assert np.abs(s[dom.boundary]).max() == 0.0
+        errors.append(np.abs(s - q)[inner].max())
+    assert errors[1] < 1e-2 * np.abs(q[inner]).max()
+    assert errors[1] / errors[0] == pytest.approx(0.1, rel=0.05)
+
+
+def test_implicit_step_count_is_flat_in_n():
+    steps = []
+    for n in (9, 17, 33):
+        dom = bf.build_domain("rectangle", (n, n), (1.0, 1.0))
+        conn = bf.from_monodromy(dom, [], rank=2)
+        k = smooth_random_metric(dom, 2, 1, 0.3)
+        rep = bf.solve_poisson(conn, k, bf.SolveOptions(tolerance=1e-8, boundary="dirichlet"))
+        assert rep.verdict == "converged"
+        steps.append(rep.steps)
+    assert max(steps) <= 1.5 * min(steps), steps
 
 
 def test_exhaustion_unitary_is_trivial():
@@ -280,7 +334,8 @@ def test_exhaustion_unconverged_level_is_not_carried_on():
     gens = [np.diag([2.0, 0.5]).astype(complex)]
     conn = bf.from_monodromy(dom, gens)
     k = random_metric(dom, 2, seed=21, amplitude=0.3)
-    opts = bf.SolveOptions(tolerance=1e-8, max_steps=20)
+    # The implicit Dirichlet step converges level 4 in 8 steps.
+    opts = bf.SolveOptions(tolerance=1e-8, max_steps=5)
     reports, _ = bf.exhaustion_solve(conn, k, [4, 6], opts)
     assert reports[0].verdict == "max_steps"
     sub, idx = bf.sublevel_domain(dom, 6)
