@@ -23,12 +23,13 @@ def _fmt(x: float) -> str:
 
 
 def _trace(report) -> str:
-    """Trials, rejections, accepted energy rises, the dt range and the phase times of a run."""
+    """Trials and their step, rejections, accepted energy rises, the dt range and phase times."""
     dts = report.history[1:, 2]
     dt_range = f"dt min {dts.min():.6e} max {dts.max():.6e}" if dts.size else "no steps"
     phases = ", ".join(f"{name} {sec:.3f}" for name, sec in report.phase_seconds.items())
-    return (f"trial steps {report.trial_steps}, rejected {report.rejected_steps}, "
-            f"energy rises {report.energy_rises}, {dt_range}; seconds: {phases}")
+    return (f"trial steps {report.trial_steps} ({report.step_kind} step), "
+            f"rejected {report.rejected_steps}, energy rises {report.energy_rises}, "
+            f"{dt_range}; seconds: {phases}")
 
 
 class _CsvWriter:

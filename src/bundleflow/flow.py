@@ -9,19 +9,24 @@ driver, ``_drive``, runs the Hermitian-Einstein flow of ``hodge`` with the
 contracted curvature as its direction; each run reports its trials,
 rejections, accepted energy rises and the wall time of its phases.
 
-Dirichlet solves take a linearly implicit (backward) Euler step of the same
-flow instead: each trial solves ``(M + dt L_V) S = M Q`` on the interior
-sites, with ``L_V`` the covariant Laplacian along the metric transports
-(``bundle.covariant_laplacian``), and steps ``H <- H exp(2 dt S)``. With the
-boundary held fixed ``L_V`` is positive definite, so S descends the energy at
-any dt, and from ``default_dt(domain, implicit=True)`` the step count no
-longer grows with the number of sites (the explicit step needs dt of order
-h^2). Closed domains keep the explicit step: there ``L_V`` has a kernel, and
-a flow with no harmonic metric to reach (a unipotent monodromy) runs away
-along it. The explicit step moves such a state along a site-constant
+``solve_harmonic`` and ``solve_poisson`` take a linearly implicit (backward)
+Euler step of the same flow instead: each trial solves
+``(M + dt L_V) S = M Q`` on the interior sites (every site of a closed
+domain), with ``L_V`` the covariant Laplacian along the metric transports
+(``bundle.covariant_laplacian``), and steps ``H <- H exp(2 dt S)``.
+``M + dt L_V`` is positive definite, so S descends the energy at any dt, and
+from ``default_dt(domain, implicit=True)`` the step count no longer grows
+with the number of sites (the explicit step needs dt of order h^2). Two
+cases keep the explicit step, chosen once per run (``_strategy``): a domain
+with a boundary run without the Dirichlet condition, whose boundary sites
+move, and a closed domain asked for a residual at or below the implicit
+step's roundoff floor (``_implicit_floor``). There ``L_V`` has a kernel,
+and a flow with no harmonic metric to reach (a unipotent monodromy) runs
+away along it. The explicit step moves such a state along a site-constant
 direction that excites no other mode and reaches the ``diverged`` verdict
-with its residual resolved; on the same circle the implicit step's residual
-sticks near 1e-13 while dt grows past 1e13, and it never gets there.
+with its residual resolved; the implicit step's residual sticks near the
+floor, and after even one implicit step the explicit one stalls too, so the
+choice cannot be deferred to the point where a run turns out to run away.
 
 Each trial takes one eigendecomposition of its metric. ``_diagnostics``
 computes the scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` of the trial
@@ -53,21 +58,22 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from . import linalg as la
 from .analysis import donaldson_distance
 from .bundle import (
     FlatConnection,
+    LaplacianPattern,
     codifferential,
     connection_from_transports,
     covariant_d,
     covariant_laplacian,
+    laplacian_pattern,
     split_metric,
 )
 from .mesh import LatticeDomain, sublevel_domain
@@ -158,6 +164,7 @@ class RunReport:
     rejected_steps: int = 0
     energy_rises: int = 0           # accepted steps whose energy rose within the slack
     phase_seconds: dict[str, float] = field(default_factory=dict)  # wall time per phase
+    step_kind: str = "explicit"     # "implicit" | "explicit": the step the run took
 
 
 def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
@@ -172,15 +179,18 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
     return 0.2 * min(domain.spacings) ** 2
 
 
-def _diagnostics(conn: FlatConnection, h_field: Array, implicit: bool = False) -> dict:
+def _diagnostics(conn: FlatConnection, h_field: Array,
+                 get_pattern: Callable[[], LaplacianPattern] | None = None) -> dict:
     """Tension, energy and residuals of one metric, from one eigendecomposition of it.
 
     The direction strategy for ``_drive``: the tension is the heat flow's step
-    ``direction``. ``implicit`` adds ``solve``, the linearly implicit step
-    direction for a given dt (``_implicit_direction``), built from this
-    metric's split only when a trial calls it. The scaled square root of H
-    (``linalg.scaled_sqrt``) serves the split and is returned as ``root``, so
-    that the step taken from this metric reuses it.
+    ``direction``. ``get_pattern``, which returns the
+    ``bundle.laplacian_pattern`` of the unknown sites, adds ``solve``: the
+    linearly implicit step direction for a given dt
+    (``_implicit_direction``), built from this metric's split only when a
+    trial calls it. Without it the run takes the explicit step. The scaled
+    square root of H (``linalg.scaled_sqrt``) serves the split and is
+    returned as ``root``, so that the step taken from this metric reuses it.
     """
     root = la.scaled_sqrt(h_field)
     sm = split_metric(conn, h_field, root)
@@ -213,34 +223,37 @@ def _diagnostics(conn: FlatConnection, h_field: Array, implicit: bool = False) -
         "tracefree_sup": tf_sup,
         "residual_floor": floor,
     }
-    if implicit:
-        diag["solve"] = partial(_implicit_direction, sm.connection, root, t_field)
+    if get_pattern is not None:
+        diag["solve"] = partial(_implicit_direction, get_pattern, sm.connection, root, t_field)
     return diag
 
 
-def _implicit_direction(metric_conn: FlatConnection, root: la.ScaledRoot, q: Array,
+def _implicit_direction(get_pattern: Callable[[], LaplacianPattern],
+                        metric_conn: FlatConnection, root: la.ScaledRoot, q: Array,
                         dt: float) -> Array:
-    """The linearly implicit Euler direction: ``(M + dt L_V) S = M Q`` on the interior sites.
+    """The linearly implicit Euler direction: ``(M + dt L_V) S = M Q`` on the pattern's sites.
 
     ``L_V`` is ``bundle.covariant_laplacian`` along the metric transports of
-    the split at H, M the site volumes and Q the tension. The unknowns are
-    the interior sites; S vanishes on the boundary, where a Dirichlet run
-    holds H fixed. The step ``H exp(2 dt S)`` is backward Euler for the heat
-    flow, with the tension at the new metric linearized to its principal
-    part, ``Q - dt M^{-1} L_V S``; so S tends to Q as dt -> 0. ``M + dt L_V``
-    is symmetric positive definite, so ``<Q, S>_M > 0``: S descends the
-    energy at any dt.
+    the split at H, M the site volumes and Q the tension; ``get_pattern()``
+    returns their ``bundle.laplacian_pattern``. The unknowns are the interior
+    sites (every site of a closed domain); S vanishes on the boundary, where
+    a Dirichlet run holds H fixed. The step ``H exp(2 dt S)`` is backward
+    Euler for the heat flow, with the tension at the new metric linearized to
+    its principal part, ``Q - dt M^{-1} L_V S``; so S tends to Q as dt -> 0.
+    ``M + dt L_V`` is symmetric positive definite, so ``<Q, S>_M > 0``: S
+    descends the energy at any dt.
     """
-    dom = metric_conn.domain
+    pattern = get_pattern()
     r2 = metric_conn.rank ** 2
     g, g_inv = la.orthonormal_frame(root)
-    basis = la.unit_hermitian_basis(metric_conn.rank)
-    sites = np.flatnonzero(dom.interior_mask())
+    sites, basis = pattern.sites, pattern.basis
     q_frame = la.mm(la.mm(g[sites], q[sites]), g_inv[sites])
-    mass = np.repeat(dom.volume[sites], r2)
-    rhs = mass * np.einsum("kij,nji->nk", basis, q_frame).real.ravel()
-    system = dt * covariant_laplacian(metric_conn, (g, g_inv), sites) + sparse.diags_array(mass)
-    x = splinalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    rhs = pattern.mass * np.einsum("kij,nji->nk", basis, q_frame).real.ravel()
+    system = covariant_laplacian(metric_conn, (g, g_inv), pattern)
+    system.data *= dt
+    system.data[pattern.diagonal_slots] += pattern.mass
+    system.eliminate_zeros()    # splu's column ordering follows the stored structure
+    x = splinalg.splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True}).solve(rhs)
     s = np.zeros_like(q)
     s_frame = np.einsum("nk,kij->nij", x.reshape(-1, r2), basis)
@@ -410,6 +423,7 @@ def _drive(
         rejected_steps=rejected,
         energy_rises=rises,
         phase_seconds=phases,
+        step_kind="implicit" if "solve" in diag else "explicit",
     )
     return report, diag
 
@@ -459,10 +473,47 @@ def _det_normalize(reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
     return h_field * np.exp(f)[:, None, None]
 
 
-def _strategy(conn: FlatConnection, opts: SolveOptions) -> tuple[Callable, float]:
-    """``_drive``'s direction strategy and starting dt for ``opts.boundary``."""
-    implicit = opts.boundary == "dirichlet"
-    return partial(_diagnostics, conn, implicit=implicit), default_dt(conn.domain, implicit)
+def _implicit_floor(domain: LatticeDomain) -> float:
+    """The roundoff floor of the implicit step's residual: FLOOR_ULPS eps 2 sum_a 1/h_a^2.
+
+    Every ``splu`` solve leaves roundoff in S that differs from site to site,
+    and the next tension sees it through the Laplacian, whose largest entry
+    is ``2 sum_a 1/h_a^2``. On a closed domain whose flow runs away along the
+    kernel of ``L_V`` (a unipotent monodromy) the implicit step's residual
+    sticks near this level, where the explicit step, moving every site alike,
+    keeps its digits and reaches ``diverged``. The margin is measured, not
+    derived: on the circle such a runaway's residual sticks at 1.5e-13 to
+    3e-13 against a floor of 9.1e-13 (16 sites), and converging rank-3 runs
+    on 12 sites asked for 1.5 times the floor end ``converged`` in 60 to 73
+    steps (four seeds), while at 1.01 times it one of them took 8,210.
+    """
+    return FLOOR_ULPS * np.finfo(float).eps * 2.0 * sum(1.0 / h ** 2 for h in domain.spacings)
+
+
+def _strategy(conn: FlatConnection, opts: SolveOptions) -> tuple[Callable, float, list[str]]:
+    """``_drive``'s direction strategy and starting dt for one solve, and its notes.
+
+    Dirichlet runs take the linearly implicit step, and so do closed-domain
+    runs whose tolerance lies above ``_implicit_floor``. A closed-domain run
+    asked for a residual at or below that floor keeps the heat flow's
+    explicit step for the whole run, and says so in a note: the implicit step
+    cannot follow a runaway to ``diverged``, and the explicit one cannot
+    either once an implicit step has spread site-dependent roundoff over the
+    metric, so the choice is made once, up front. A domain with a boundary
+    run without the Dirichlet condition keeps the explicit step too: its
+    boundary sites move, and the implicit step's unknowns are the interior
+    sites only.
+    """
+    dom = conn.domain
+    closed = not dom.boundary.any()
+    floor = _implicit_floor(dom)
+    if opts.boundary == "dirichlet" or (closed and opts.tolerance > floor):
+        get_pattern = cache(partial(laplacian_pattern, conn,
+                                    np.flatnonzero(dom.interior_mask())))
+        return partial(_diagnostics, conn, get_pattern=get_pattern), default_dt(dom, True), []
+    notes = [f"explicit heat-flow step: tolerance {opts.tolerance:.3e} is at or below the "
+             f"implicit step's roundoff floor {floor:.3e}"] if closed else []
+    return partial(_diagnostics, conn), default_dt(dom), notes
 
 
 def solve_harmonic(
@@ -474,13 +525,19 @@ def solve_harmonic(
 ) -> RunReport:
     """Flow from H(0) = K until the tension drops below tolerance.
 
-    Dirichlet runs take the linearly implicit step (``_implicit_direction``),
-    closed domains the heat flow's explicit one.
+    Dirichlet runs take the linearly implicit step (``_implicit_direction``).
+    So does a run on a closed domain, unless its tolerance is at or below the
+    implicit step's roundoff floor (``_strategy``); then it takes the heat
+    flow's explicit step, and a note in the report gives the tolerance and
+    the floor. A domain with a boundary run without the Dirichlet condition
+    takes the explicit step.
     """
     opts = opts or SolveOptions()
-    measure, dt0 = _strategy(conn, opts)
-    return _drive(conn.domain, reference, opts, measure, tracefree=False, init=init,
-                  callback=callback, dt0=dt0)[0]
+    measure, dt0, notes = _strategy(conn, opts)
+    report = _drive(conn.domain, reference, opts, measure, tracefree=False, init=init,
+                    callback=callback, dt0=dt0)[0]
+    report.notes[:0] = notes
+    return report
 
 
 def solve_poisson(
@@ -492,13 +549,15 @@ def solve_poisson(
 ) -> RunReport:
     """Flow until the trace-free tension vanishes, then normalize det(K^{-1}H) = 1.
 
-    The residual trace part becomes the scalar Poisson function, reported per
-    site in ``poisson_function``.
+    The step is chosen as in ``solve_harmonic``. The residual trace part
+    becomes the scalar Poisson function, reported per site in
+    ``poisson_function``.
     """
     opts = opts or SolveOptions()
-    measure, dt0 = _strategy(conn, opts)
+    measure, dt0, notes = _strategy(conn, opts)
     report, diag = _drive(conn.domain, reference, opts, measure, tracefree=True, init=init,
                           callback=callback, dt0=dt0)
+    report.notes[:0] = notes
     report.poisson_function = (np.einsum("nii->n", diag["direction"]) / conn.rank).real
     return report
 

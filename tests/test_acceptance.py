@@ -361,7 +361,7 @@ def test_criterion_11_determinism(tmp_path):
                    "monodromy": [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]},
         "reference_metric": {"kind": "random_smooth", "amplitude": 0.3},
         "solver": {"tolerance": 1e-6},
-        "output": {"directory": "out", "checkpoint_cadence": 100},
+        "output": {"directory": "out", "checkpoint_cadence": 5},
     }
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -369,14 +369,15 @@ def test_criterion_11_determinism(tmp_path):
     assert run_scenario(path, out_dir=full, seed=4) == 0
     assert run_scenario(path, out_dir=rerun, seed=4) == 0
     csv_identical = (full / "run.csv").read_bytes() == (rerun / "run.csv").read_bytes()
-    assert run_scenario(path, out_dir=part, seed=4,
-                        resume_path=full / "step00000100.ckpt") == 0
+    mid = full / "step00000005.ckpt"
+    assert mid.exists()
+    assert run_scenario(path, out_dir=part, seed=4, resume_path=mid) == 0
     a = load_checkpoint(full / "final.ckpt")
     b = load_checkpoint(part / "final.ckpt")
     resume_dev = float(np.abs(a.metric - b.metric).max())
     ok = csv_identical and resume_dev <= 1e-12
     assert report(
         11, ok, f"identical configs give byte-identical CSVs ({csv_identical}); "
-        f"split-at-100 resume reproduces the unsplit final metric to "
+        f"split-at-5 resume reproduces the unsplit final metric to "
         f"{resume_dev:.1e} <= 1e-12"
     )

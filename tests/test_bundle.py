@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.bundle import covariant_laplacian, reverse_edge_values
+from bundleflow.bundle import covariant_laplacian, laplacian_pattern, reverse_edge_values
 
 from util import (
     TWO_PI,
     circle_diag,
+    covariant_laplacian_coo,
     delta_operator,
+    diag_metric,
     identity_metric,
     random_connection,
     random_gauge,
@@ -261,7 +263,8 @@ def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank
     g, g_inv = la.orthonormal_frame(root)
     basis = la.unit_hermitian_basis(rank)
     sites = np.flatnonzero(dom.interior_mask())
-    lap = covariant_laplacian(sm.connection, (g, g_inv), sites).toarray()
+    pattern = laplacian_pattern(conn, sites)
+    lap = covariant_laplacian(sm.connection, (g, g_inv), pattern).toarray()
     assert np.array_equal(lap, lap.T)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(len(sites), rank * rank))
@@ -275,6 +278,38 @@ def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank
     want = dom.volume[sites][:, None] * np.einsum(
         "kij,nji->nk", basis, g[sites] @ cod @ g_inv[sites]).real
     assert np.abs(lap @ x.ravel() - want.ravel()).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind, sites, lengths, rank", [
+    ("circle", 7, 1.0, 2),
+    ("torus", (5, 4), (1.0, 1.0), 2),
+    ("annulus", (7, 5), (TWO_PI, 1.0), 3),
+])
+def test_covariant_laplacian_pattern_matches_the_coo_assembly(kind, sites, lengths, rank):
+    # One pattern serves every trial of a solve. Filled in on a diagonal
+    # metric (exact zeros in the edge blocks, which the implicit step prunes)
+    # and then on a random one, it gives the bits of a fresh COO assembly.
+    dom = bf.build_domain(kind, sites, lengths)
+    conn = random_connection(dom, rank, seed=3)
+    diagonal = bf.from_monodromy(dom, [np.diag(np.arange(1.0, rank + 1)).astype(complex)]
+                                 * sum(dom.periodic), rank=rank)
+    sites = np.flatnonzero(dom.interior_mask())
+    pattern = laplacian_pattern(conn, sites)
+    phi = np.sin(TWO_PI * dom.coords()[:, 0] / dom.lengths[0])
+    cases = [(diagonal, diag_metric(np.exp(np.outer(phi, np.arange(rank) - 1.0)))),
+             (conn, random_metric(dom, rank, seed=4, amplitude=0.4))]
+    pruned = []
+    for c, h in cases:
+        root = la.scaled_sqrt(h)
+        sm = bf.split_metric(c, h, root)
+        frame = la.orthonormal_frame(root)
+        got = covariant_laplacian(sm.connection, frame, pattern)
+        want = covariant_laplacian_coo(sm.connection, frame, sites)
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert got.nnz == len(pattern.indices)
+        got.eliminate_zeros()
+        pruned.append(got.nnz)
+    assert pruned[0] < pruned[1] == len(pattern.indices)
 
 
 # ----------------------------------------------------------------- tension

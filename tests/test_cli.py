@@ -238,24 +238,24 @@ def test_resume_reproduces_unsplit_run(tmp_path):
         domain={"kind": "circle", "sites": [24], "lengths": [1.0]},
         reference_metric={"kind": "random_smooth", "amplitude": 0.3},
         solver={"tolerance": 1e-6},
-        output={"directory": "out", "checkpoint_cadence": 100},
+        output={"directory": "out", "checkpoint_cadence": 5},
     )
     full, part = tmp_path / "full", tmp_path / "part"
     assert run_scenario(cfg, out_dir=full, seed=4) == 0
-    mid = full / "step00000100.ckpt"
+    mid = full / "step00000005.ckpt"
     assert mid.exists()
     assert run_scenario(cfg, out_dir=part, seed=4, resume_path=mid) == 0
     a = load_checkpoint(full / "final.ckpt")
     b = load_checkpoint(part / "final.ckpt")
     assert a.step == b.step
     assert np.abs(a.metric - b.metric).max() <= 1e-12
-    assert "resumed from step 100" in (part / "report.txt").read_text()
+    assert "resumed from step 5" in (part / "report.txt").read_text()
 
 
-def test_resume_wrong_rank_rejected(tmp_path):
+def test_resume_wrong_rank_rejected(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "run.yaml",
-        output={"directory": "out", "checkpoint_cadence": 50},
+        output={"directory": "out", "checkpoint_cadence": 5},
         reference_metric={"kind": "random_smooth", "amplitude": 0.3},
         solver={"tolerance": 1e-6},
     )
@@ -265,8 +265,12 @@ def test_resume_wrong_rank_rejected(tmp_path):
         tmp_path / "r1.yaml",
         bundle={"rank": 1, "monodromy": [[[[2.0, 0.0]]]]},
     )
-    assert run_scenario(rank1, out_dir=tmp_path / "x",
-                        resume_path=full / "step00000050.ckpt") == 1
+    mid = full / "step00000005.ckpt"
+    assert mid.exists()
+    capsys.readouterr()
+    assert run_scenario(rank1, out_dir=tmp_path / "x", resume_path=mid) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "rank" in err[0], err
 
 
 def test_stability_scenario_writes_table(tmp_path):
@@ -399,3 +403,35 @@ def test_dirichlet_runs_repeat_and_resume_bit_exactly(tmp_path):
     assert "verdict: converged" in report
     trace = next(ln for ln in report.splitlines() if ln.startswith("trace: "))
     assert "; seconds: diagnostics " in trace and ", solve " in trace and ", io " in trace
+
+
+def test_closed_runs_name_their_step_and_resume_bit_exactly(tmp_path):
+    # Above the implicit step's roundoff floor a closed circle takes that step:
+    # a run resumed from its step-5 checkpoint ends on the same bytes. At or
+    # below the floor it keeps the heat flow and a note says why.
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        reference_metric={"kind": "random_smooth", "amplitude": 0.3},
+        solver={"tolerance": 1e-7},
+        output={"directory": "out", "checkpoint_cadence": 5},
+    )
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert run_scenario(cfg, out_dir=full, seed=6) == 0
+    mid = full / "step00000005.ckpt"
+    assert mid.exists() and load_checkpoint(full / "final.ckpt").step > 5
+    assert run_scenario(cfg, out_dir=part, seed=6, resume_path=mid) == 0
+    assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
+    report = (full / "report.txt").read_text()
+    assert "trace: trial steps " in report and " (implicit step), rejected " in report
+    assert "note: " not in report
+
+    fixed = write_config(
+        tmp_path / "fixed.yaml",
+        bundle={"rank": 2, "monodromy": [[[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        solver={"tolerance": 1e-14},
+    )
+    assert run_scenario(fixed, out_dir=tmp_path / "heat") == 0
+    report = (tmp_path / "heat" / "report.txt").read_text()
+    assert " (explicit step), rejected " in report
+    assert ("note: explicit heat-flow step: tolerance 1.000e-14 is at or below the implicit "
+            "step's roundoff floor ") in report

@@ -7,8 +7,17 @@ import pytest
 
 import bundleflow as bf
 from bundleflow import linalg as la
+from bundleflow.bundle import laplacian_pattern
 from bundleflow.config import smooth_random_metric
-from bundleflow.flow import ENERGY_RTOL, FlowState, _diagnostics, _drive, default_dt
+from bundleflow.flow import (
+    ENERGY_RTOL,
+    FlowState,
+    _diagnostics,
+    _drive,
+    _implicit_floor,
+    _strategy,
+    default_dt,
+)
 
 from util import (
     TWO_PI,
@@ -52,11 +61,15 @@ def test_step_preserves_positivity_for_large_dt():
     dom = bf.build_domain("circle", 16, 1.0)
     conn = bf.from_monodromy(dom, [np.diag([3.0, 1 / 3.0]).astype(complex)])
     h = random_metric(dom, 2, seed=1, amplitude=0.5)
-    # one fixed step of ~250x the CFL-like default
+    # one fixed step of ~250x the CFL-like default, explicit and implicit
     opts = bf.SolveOptions(dt=0.2, dt_policy="fixed", max_steps=1)
-    rep = bf.solve_harmonic(conn, h, opts)
-    assert rep.steps == 1 and rep.history[-1][2] == 0.2
-    assert np.linalg.eigvalsh(la.hermitize(rep.metric)).min() > 0.0
+    sites = np.arange(dom.n_sites)
+    for kind, get_pattern in (("explicit", None),
+                              ("implicit", lambda: laplacian_pattern(conn, sites))):
+        rep = _drive(dom, h, opts, partial(_diagnostics, conn, get_pattern=get_pattern),
+                     tracefree=False)[0]
+        assert rep.steps == 1 and rep.history[-1][2] == 0.2 and rep.step_kind == kind
+        assert np.linalg.eigvalsh(la.hermitize(rep.metric)).min() > 0.0
     # an additive Euler update of the same size would lose positivity
     additive = h + 2.0 * 0.2 * (h @ bf.tension(conn, h))
     assert np.linalg.eigvalsh(la.hermitize(additive)).min() < 0.0
@@ -256,7 +269,9 @@ def test_implicit_direction_tends_to_the_tension():
     # and S = 0 on the boundary.
     dom = bf.build_domain("rectangle", (8, 8), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [], rank=2)
-    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3), implicit=True)
+    sites = np.flatnonzero(dom.interior_mask())
+    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3),
+                        get_pattern=lambda: laplacian_pattern(conn, sites))
     q = diag["direction"]
     inner = dom.interior_mask()
     errors = []
@@ -278,6 +293,93 @@ def test_implicit_step_count_is_flat_in_n():
         assert rep.verdict == "converged"
         steps.append(rep.steps)
     assert max(steps) <= 1.5 * min(steps), steps
+
+
+# ------------------------------------------------- implicit step on closed domains
+
+
+def test_closed_circle_step_count_is_flat_in_n():
+    # The harmonic metric of diag(2, 1/2) on the circle of length L has
+    # energy (ln 2)^2 / L per eigenvalue.
+    steps = []
+    for n in (16, 32, 64, 128, 256):
+        dom, conn = circle_diag(n=n, length=1.0)
+        k = random_metric(dom, 2, seed=44, amplitude=0.25)
+        rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1e-7))
+        assert rep.verdict == "converged" and rep.step_kind == "implicit"
+        assert rep.energy == pytest.approx(2.0 * np.log(2.0) ** 2, rel=1e-12)
+        steps.append(rep.steps)
+    assert max(steps) <= 1.5 * min(steps), steps
+
+
+def test_torus_poisson_implicit_matches_heat_flow():
+    # The monodromy is reducible, so the Poisson metrics form a family:
+    # compare the two runs by residual and energy, not by metric.
+    dom, conn = torus_diag(n=6, length=1.0)
+    k = random_metric(dom, 2, seed=6, amplitude=0.3)
+    opts = bf.SolveOptions(tolerance=1e-9)
+    implicit = bf.solve_poisson(conn, k, opts)
+    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=True)[0]
+    assert implicit.verdict == heat.verdict == "converged"
+    assert (implicit.step_kind, heat.step_kind) == ("implicit", "explicit")
+    assert max(implicit.tracefree_residual_sup, heat.tracefree_residual_sup) < opts.tolerance
+    assert implicit.energy == pytest.approx(heat.energy, rel=1e-10)
+    assert implicit.steps < heat.steps / 10
+    for run in (implicit, heat):
+        en = run.history[:, 3]
+        assert np.all(np.diff(en) <= 1e-12 * (1.0 + en[:-1]))
+
+
+def test_closed_run_just_above_the_floor_converges_implicitly():
+    # A non-normal rank-3 monodromy on 12 sites, like the benchmark's
+    # circle-harmonic: asked for 1.5x the floor, the implicit step's residual
+    # gets there (the floor holds the solves' roundoff with room to spare).
+    dom = bf.build_domain("circle", 12, 1.0)
+    g = np.eye(3) + 0.5 * np.random.default_rng(0).normal(size=(3, 3))
+    conn = bf.from_monodromy(dom, [(g @ np.diag([4.0, 1.0, 0.25]) @ np.linalg.inv(g))
+                                   .astype(complex)])
+    k = random_metric(dom, 3, seed=0, amplitude=0.25)
+    rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1.5 * _implicit_floor(dom)))
+    assert rep.verdict == "converged" and rep.step_kind == "implicit"
+    assert rep.steps < 200 and not rep.notes
+
+
+def test_free_boundary_runs_keep_the_explicit_step():
+    # Without the Dirichlet condition the boundary sites move, which the
+    # implicit step (interior unknowns only) cannot do: the run is the heat
+    # flow's, bit for bit, and carries no floor note.
+    dom = bf.build_domain("rectangle", (6, 6), (1.0, 1.0))
+    conn = bf.from_monodromy(dom, [], rank=2)
+    k = smooth_random_metric(dom, 2, 3, 0.3)
+    opts = bf.SolveOptions(tolerance=1e-6)
+    rep = bf.solve_harmonic(conn, k, opts)
+    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=False)[0]
+    assert rep.verdict == "converged" and rep.step_kind == "explicit" and not rep.notes
+    assert rep.steps == heat.steps and np.array_equal(rep.metric, heat.metric)
+    assert np.abs(rep.metric - k)[dom.boundary].max() > 0.1
+
+
+def test_strategy_switches_at_the_implicit_floor():
+    dom, conn = circle_diag(n=16, length=1.0)
+    k = identity_metric(dom.n_sites, 2)
+    floor = _implicit_floor(dom)
+    for tol, implicit in ((floor * (1 - 1e-9), False), (floor, False),
+                          (floor * (1 + 1e-9), True)):
+        measure, dt0, notes = _strategy(conn, bf.SolveOptions(tolerance=tol))
+        assert ("solve" in measure(k)) == implicit
+        assert dt0 == default_dt(dom, implicit=implicit)
+        assert notes == ([] if implicit else [
+            f"explicit heat-flow step: tolerance {tol:.3e} is at or below the implicit "
+            f"step's roundoff floor {floor:.3e}"])
+    # Dirichlet runs take the implicit step below the floor too; free-boundary
+    # runs keep the explicit step above it, without a note.
+    rect = bf.build_domain("rectangle", (6, 6), (1.0, 1.0))
+    rect_conn = bf.from_monodromy(rect, [], rank=2)
+    for tol, boundary, implicit in ((0.5, "dirichlet", True), (2.0, "none", False)):
+        measure, dt0, notes = _strategy(rect_conn, bf.SolveOptions(
+            tolerance=tol * _implicit_floor(rect), boundary=boundary))
+        assert ("solve" in measure(identity_metric(rect.n_sites, 2))) == implicit and not notes
+        assert dt0 == default_dt(rect, implicit=implicit)
 
 
 def test_exhaustion_unitary_is_trivial():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 import bundleflow as bf
@@ -147,3 +148,44 @@ def determinant_flow_check(conn, reference, dt: float, steps: int = 5) -> float:
         rate = (after - before) / dt
         worst = max(worst, float(np.abs(rate - 2.0 * np.einsum("nii->n", t_field).real).max()))
     return worst
+
+
+def covariant_laplacian_coo(metric_conn, frame, sites):
+    """``bundle.covariant_laplacian`` assembled anew as one COO matrix.
+
+    The reference for the pattern-filled matrix: the same edge blocks in the
+    same arithmetic, with every index array rebuilt on each call.
+    """
+    dom = metric_conn.domain
+    g, g_inv = frame
+    r = metric_conn.rank
+    basis = la.unit_hermitian_basis(r)
+    slot = np.full(dom.n_sites, -1)
+    slot[sites] = np.arange(len(sites))
+    diag = np.zeros(len(sites))
+    rows, cols, vals = [], [], []
+    block = np.arange(r * r)
+    for a in range(dom.dim):
+        tails, heads = metric_conn.edge_sites(a)
+        c = dom.edge_weight[a, tails] * dom.metric_weight[a, tails] / dom.spacings[a] ** 2
+        st, sh = slot[tails], slot[heads]
+        np.add.at(diag, st[st >= 0], c[st >= 0])
+        np.add.at(diag, sh[sh >= 0], c[sh >= 0])
+        both = (st >= 0) & (sh >= 0)
+        w = la.mm(la.mm(g[heads[both]], metric_conn.transport[a, tails[both]]),
+                  g_inv[tails[both]])
+        moved = la.mm(la.mm(la.dagger(w)[:, None], basis[None]), w[:, None])
+        b = np.einsum("kab,elba->ekl", basis, moved).real * -c[both][:, None, None]
+        ix = st[both][:, None, None] * r * r + block[None, :, None]
+        iy = sh[both][:, None, None] * r * r + block[None, None, :]
+        ix, iy = np.broadcast_arrays(ix, iy)
+        rows += [ix.ravel(), iy.ravel()]
+        cols += [iy.ravel(), ix.ravel()]
+        vals += [b.ravel(), b.ravel()]
+    n = len(sites) * r * r
+    unknowns = np.arange(n)
+    rows.append(unknowns)
+    cols.append(unknowns)
+    vals.append(np.repeat(diag, r * r))
+    return sparse.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n, n))
