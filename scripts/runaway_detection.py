@@ -9,6 +9,13 @@ on 100 sites) and the run ends ``diverged`` once the threshold is held. A
 tolerance that the residual passes before that ends the run early, as
 ``converged`` above the residual's roundoff floor and as ``precision_floor``
 at or below it; the defaults keep the tolerance out of the way.
+
+The tolerance lies below the implicit step's roundoff floor, so the run keeps
+the explicit heat flow, and once sup ||log h|| passes a tenth of the
+threshold dt doubles after each accepted step that lowered the residual
+(``flow.RUNAWAY_GROWTH``): the script prints how many steps did. The verdict
+reason names the invariant sub-bundle along which the metric degenerates and
+says that it has no invariant complement.
 """
 import argparse
 
@@ -33,6 +40,9 @@ def main() -> None:
     rep = bf.solve_harmonic(conn, k, opts)
     print(f"verdict: {rep.verdict} after {rep.steps} steps ({rep.verdict_reason})")
     print(f"sup||log h||: {rep.logh_sup:.3f}   final residual: {rep.residual_sup:.3e}")
+    doubled = next((note for note in rep.notes if note.startswith("dt doubled on ")),
+                   "dt doubled on 0 accepted steps")
+    print(f"{doubled}; {rep.rejected_steps} steps rejected")
     hist = rep.history
     stride = max(1, len(hist) // 12)
     print(f"{'step':>8} {'dt':>12} {'residual':>12} {'sigma':>14}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh as generalized_eigh
 
 from . import linalg as la
 from .bundle import (
@@ -21,6 +22,7 @@ from .bundle import (
     centered_components,
     centered_derivative,
     covariant_d,
+    invariant_subbundles,
     psi_centered,
     reference_difference,
     split_metric,
@@ -371,6 +373,63 @@ def polystable_split(
             )
         )
     return specs
+
+
+def runaway_certificate(conn: FlatConnection, reference: Array, metric: Array) -> str:
+    """The invariant sub-bundle along which a runaway metric degenerates, as one clause.
+
+    The eigendirection of K^{-1}H at site 0, where ``invariant_subbundles``
+    places its base bases, whose eigenvalue is the smallest is the direction
+    in which the metric shrinks. It is matched to the invariant sub-bundle at
+    the smallest K-angle from it (the lowest rank among equal angles), and the
+    clause says whether that sub-bundle has an invariant complement among the
+    enumerated ones. When it has none, the monodromy is not semisimple, and by
+    Corlette's theorem no harmonic metric exists. Rank <= 3, as the
+    enumeration.
+    """
+    subs = invariant_subbundles(conn, reference)
+    k0 = np.asarray(reference[0], dtype=complex)
+    lam, vecs = generalized_eigh(np.asarray(metric[0], dtype=complex), k0)
+    if not subs:
+        return "; the enumeration finds no proper invariant sub-bundle to name"
+    v = vecs[:, 0]
+
+    def k_norm(w: Array) -> float:
+        return float(np.sqrt(max(np.vdot(w, k0 @ w).real, 0.0)))
+
+    def angle(spec: SubBundleSpec) -> float:
+        inside = spec.projection[0] @ v
+        return float(np.arctan2(k_norm(v - inside), k_norm(inside)))
+
+    angles = [angle(spec) for spec in subs]
+    best = min(range(len(subs)), key=lambda i: (round(angles[i], 6), subs[i].rank))
+    spec = subs[best]
+    complement = any(
+        other.rank == conn.rank - spec.rank
+        and np.linalg.svd(np.hstack([spec.base_basis, other.base_basis]),
+                          compute_uv=False).min() > 1e-8
+        for other in subs)
+    basis = ", ".join(_fmt_vector(col) for col in spec.base_basis.T)
+    clause = (f"; the metric degenerates along the invariant rank-{spec.rank} sub-bundle "
+              f"spanned at site 0 by {basis} (invariance residual "
+              f"{spec.invariance_residual:.1e}), at angle {angles[best]:.1e} rad from the "
+              f"shrinking eigendirection of K^-1 H there (eigenvalue {lam[0]:.3e}); ")
+    if complement:
+        return clause + "it has an invariant complement"
+    return clause + ("it has no invariant complement, so the monodromy is not semisimple "
+                     "and admits no harmonic metric")
+
+
+def _fmt_vector(v: Array) -> str:
+    """A unit basis vector as ``(a, b, ...)``, its largest entry made real and positive."""
+    v = v * np.exp(-1j * np.angle(v[np.argmax(np.abs(v))]))
+    parts = []
+    for z in v:
+        if abs(z.imag) <= 1e-12:
+            parts.append(f"{z.real + 0.0:.3g}")
+        else:
+            parts.append(f"{z.real + 0.0:.3g}{z.imag:+.3g}j")
+    return "(" + ", ".join(parts) + ")"
 
 
 def alpha1_period(conn: FlatConnection, metric: Array, loop: list[int]) -> float:

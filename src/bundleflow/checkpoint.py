@@ -1,8 +1,9 @@
 """Textual checkpoints for metric (and Higgs) fields, round-trip exact.
 
 Layout: a header line of comma-separated ``key value`` pairs
-(``rank``, ``sites``, ``time``, ``step``, ``dt``, ``streak``), then one line
-per site with the row-major complex entries of H written as ``re im`` pairs.
+(``rank``, ``sites``, ``time``, ``step``, ``dt``, ``streak``, ``grown``,
+``latch``), then one line per site with the row-major complex entries of H
+written as ``re im`` pairs.
 An optional ``theta`` marker line introduces a second per-site block with the
 same layout. Floats are written with shortest round-trip precision, so a
 save/load cycle is bit-exact.
@@ -27,6 +28,7 @@ class Checkpoint:
     metric: Array
     theta: Array | None = None
     grown: int = 0
+    latch: bool = True
 
 
 def _write_block(fh, field: Array) -> None:
@@ -67,7 +69,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"rank {ckpt.rank}, sites {ckpt.sites}, time {float(ckpt.time)!r}, "
                  f"step {ckpt.step}, dt {float(ckpt.dt)!r}, streak {ckpt.streak}, "
-                 f"grown {ckpt.grown}\n")
+                 f"grown {ckpt.grown}, latch {int(ckpt.latch)}\n")
         _write_block(fh, ckpt.metric)
         if ckpt.theta is not None:
             fh.write("theta\n")
@@ -89,6 +91,7 @@ def load_checkpoint(path) -> Checkpoint:
         dt = float(header.get("dt", 0.0))
         streak = int(header.get("streak", 0))
         grown = int(header.get("grown", 0))
+        latch = bool(int(header.get("latch", 1)))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"checkpoint line 1: malformed header {lines[0]!r}") from exc
     if rank < 1 or sites < 1:
@@ -101,5 +104,5 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"checkpoint line {pos + 1}: unexpected line after the site blocks")
     return Checkpoint(
         rank=rank, sites=sites, time=time, step=step, dt=dt, streak=streak,
-        metric=metric, theta=theta, grown=grown,
+        metric=metric, theta=theta, grown=grown, latch=latch,
     )

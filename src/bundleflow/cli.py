@@ -9,6 +9,7 @@ checkpoint reproduces the unsplit run's final metric.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 import time
 from pathlib import Path
@@ -22,14 +23,36 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _trace(report) -> str:
-    """Trials and their step, rejections, accepted energy rises, the dt range and phase times."""
+def _blas_threads() -> str:
+    """The thread count of numpy's bundled OpenBLAS, read through ctypes, else ``unknown``.
+
+    The library is found among the process's mapped files; a BLAS without the
+    ``scipy_openblas_get_num_threads64_`` symbol, or a system without
+    ``/proc/self/maps``, reads ``unknown``.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        try:
+            get_threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return str(get_threads())
+    return "unknown"
+
+
+def _trace(report, blas_threads: str) -> str:
+    """Trials and their step, rejections, energy rises, dt range, BLAS threads, phase times."""
     dts = report.history[1:, 2]
     dt_range = f"dt min {dts.min():.6e} max {dts.max():.6e}" if dts.size else "no steps"
     phases = ", ".join(f"{name} {sec:.3f}" for name, sec in report.phase_seconds.items())
     return (f"trial steps {report.trial_steps} ({report.step_kind} step), "
             f"rejected {report.rejected_steps}, energy rises {report.energy_rises}, "
-            f"{dt_range}; seconds: {phases}")
+            f"{dt_range}; BLAS threads {blas_threads}; seconds: {phases}")
 
 
 class _CsvWriter:
@@ -103,7 +126,7 @@ def run_scenario(
             return 1
         init_state = FlowState(
             time=ck.time, metric=ck.metric, dt=ck.dt, step=ck.step,
-            accepted_since_growth=ck.grown, divergence_streak=ck.streak,
+            accepted_since_growth=ck.grown, divergence_streak=ck.streak, latch_open=ck.latch,
         )
         notes.append(f"resumed from step {ck.step} (dt policy: {cfg.solver.dt_policy})")
 
@@ -127,6 +150,7 @@ def run_scenario(
                     rank=cfg.bundle.rank, sites=domain.n_sites, time=state.time,
                     step=state.step, dt=state.dt, streak=state.divergence_streak,
                     metric=state.metric, grown=state.accepted_since_growth,
+                    latch=state.latch_open,
                 ),
             )
 
@@ -251,7 +275,8 @@ def run_scenario(
     if traced:
         # The CSV and checkpoint I/O is charged to the last flow run reported.
         traced[-1][1].phase_seconds["io"] = io_seconds
-    report_lines += [f"{label}: {_trace(rep)}" for label, rep in traced]
+    blas_threads = _blas_threads()
+    report_lines += [f"{label}: {_trace(rep, blas_threads)}" for label, rep in traced]
     for note in notes:
         report_lines.append(f"note: {note}")
     (out / "report.txt").write_text("\n".join(report_lines) + "\n", encoding="utf-8")

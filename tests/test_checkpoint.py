@@ -13,14 +13,14 @@ def test_round_trip_is_bit_exact(tmp_path):
     metric = _random_field(0)
     ck = Checkpoint(
         rank=2, sites=7, time=0.1 + 1e-17, step=123, dt=1.0 / 3.0, streak=4,
-        metric=metric, grown=11,
+        metric=metric, grown=11, latch=False,
     )
     path = tmp_path / "state.ckpt"
     save_checkpoint(path, ck)
     back = load_checkpoint(path)
     assert np.array_equal(back.metric, metric)
     assert back.time == ck.time and back.dt == ck.dt
-    assert (back.step, back.streak, back.grown) == (123, 4, 11)
+    assert (back.step, back.streak, back.grown, back.latch) == (123, 4, 11, False)
     assert back.theta is None
 
 

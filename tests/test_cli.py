@@ -1,4 +1,5 @@
 import copy
+import re
 import sys
 
 import numpy as np
@@ -61,6 +62,51 @@ def test_jordan_scenario_diverges(tmp_path):
     out = tmp_path / "o"
     assert run_scenario(cfg, out_dir=out) == 2
     assert "diverged" in (out / "report.txt").read_text()
+
+
+def test_jordan_runaway_resumes_bit_exactly(tmp_path):
+    # Below the implicit floor the Jordan circle keeps the heat flow, and dt
+    # doubles from about step 157 to 193. A run resumed from its step-175
+    # checkpoint, inside that stretch, ends on the unsplit run's bytes.
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        domain={"kind": "circle", "sites": [16], "lengths": [1.0]},
+        bundle={"rank": 2, "monodromy": [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        solver={"tolerance": 1e-30, "divergence_threshold": 18.0, "dt_growth_every": 5},
+        output={"directory": "out", "checkpoint_cadence": 25},
+    )
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert run_scenario(cfg, out_dir=full) == 2
+    mid = full / "step00000175.ckpt"
+    assert mid.exists() and load_checkpoint(mid).latch
+    assert run_scenario(cfg, out_dir=part, resume_path=mid) == 2
+    assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
+    for out in (full, part):
+        report = (out / "report.txt").read_text()
+        assert "verdict: diverged" in report and "note: dt doubled on " in report
+    trace = next(ln for ln in report.splitlines() if ln.startswith("trace: "))
+    assert re.search(r" \(explicit step\), .*; BLAS threads (\d+|unknown); seconds: ", trace)
+
+
+def test_closed_latch_survives_a_resume(tmp_path):
+    # A converging heat-flow run whose threshold (0.4) puts the runaway gate
+    # below its sup|log h|: dt doubles until the first rejection closes the
+    # latch. Resumed from step 300 with the latch closed, the run ends on the
+    # unsplit run's bytes; a latch reopened on resume would double dt again.
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        domain={"kind": "circle", "sites": [5], "lengths": [1.0]},
+        reference_metric={"kind": "random_smooth", "amplitude": 0.25},
+        solver={"tolerance": 8e-14, "divergence_threshold": 0.4},
+        output={"directory": "out", "checkpoint_cadence": 300},
+    )
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert run_scenario(cfg, out_dir=full, seed=3) == 0
+    mid = full / "step00000300.ckpt"
+    assert mid.exists() and not load_checkpoint(mid).latch
+    assert "note: dt doubled on " in (full / "report.txt").read_text()
+    assert run_scenario(cfg, out_dir=part, seed=3, resume_path=mid) == 0
+    assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
 
 
 def test_jordan_floor_exits_3(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 import bundleflow as bf
 from bundleflow import linalg as la
+from bundleflow.analysis import runaway_certificate
 from bundleflow.bundle import laplacian_pattern
 from bundleflow.config import smooth_random_metric
 from bundleflow.flow import (
@@ -115,11 +116,71 @@ def test_solve_harmonic_jordan_diverges():
     opts = bf.SolveOptions(tolerance=1e-30, divergence_threshold=30.0, max_steps=20000)
     rep = bf.solve_harmonic(conn, identity_metric(dom.n_sites, 2), opts)
     assert rep.verdict == "diverged"
-    assert rep.logh_sup > 30.0
+    assert 30.0 < rep.logh_sup < 30.0 + 6.0
     assert (rep.history[:, 4] > 1e-30).all()
+    # dt doubles along the runaway: 5,198 steps on the default schedule alone
+    assert rep.steps < 2000
+    assert any(note.startswith("dt doubled on ") for note in rep.notes)
     # the distance to the start grows once the runaway is under way
     sigma = rep.history[:, 9]
     assert sigma[-1] > sigma[len(sigma) // 2]
+
+
+def test_runaway_verdict_names_the_invariant_subbundle():
+    # The circle-runaway inputs: the metric degenerates along the invariant
+    # line e1, which has no invariant complement.
+    dom = bf.build_domain("circle", 16, 1.0)
+    conn = bf.from_monodromy(dom, [np.array([[1.0, 1.0], [0.0, 1.0]])])
+    opts = bf.SolveOptions(tolerance=1e-45, dt_growth_every=5)
+    rep = bf.solve_harmonic(conn, identity_metric(dom.n_sites, 2), opts)
+    assert rep.verdict == "diverged" and rep.steps <= 600 and 50.0 < rep.logh_sup < 56.0
+    assert rep.rejected_steps == 0 and (rep.history[:, 4] > 1e-45).all()
+    reason = rep.verdict_reason
+    assert ("the metric degenerates along the invariant rank-1 sub-bundle spanned at site 0 "
+            "by (1, 0) (invariance residual 0.0e+00), at angle 0.0e+00 rad") in reason
+    assert reason.endswith("it has no invariant complement, so the monodromy is not "
+                           "semisimple and admits no harmonic metric")
+
+
+def test_runaway_certificate_finds_an_invariant_complement():
+    # A metric shrinking along e2 of the split monodromy diag(2, 1/2): e2 is
+    # invariant, and so is its complement e1.
+    dom, conn = circle_diag(n=8, length=1.0)
+    k = identity_metric(dom.n_sites, 2)
+    h = diag_metric(np.tile([1e3, 1e-3], (dom.n_sites, 1)))
+    clause = runaway_certificate(conn, k, h)
+    assert "rank-1 sub-bundle spanned at site 0 by (0, 1)" in clause
+    assert "(eigenvalue 1.000e-03)" in clause
+    assert clause.endswith("it has an invariant complement")
+
+
+def test_runaway_rule_leaves_runs_below_its_gate_unchanged():
+    # A closed run asked for its implicit floor keeps the heat flow, in the
+    # runaway mode. Its sup|log h| (0.31) stays below a tenth of the
+    # threshold, so dt keeps the default schedule: the run is the plain
+    # driver's, bit for bit.
+    dom, conn = circle_diag(n=5, length=1.0)
+    k = random_metric(dom, 2, seed=44, amplitude=0.25)
+    opts = bf.SolveOptions(tolerance=_implicit_floor(dom))
+    rep = bf.solve_harmonic(conn, k, opts)
+    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=False)[0]
+    assert rep.verdict == heat.verdict == "converged" and rep.step_kind == "explicit"
+    assert rep.steps == heat.steps and np.array_equal(rep.metric, heat.metric)
+    assert len(rep.notes) == 1 and rep.notes[0].startswith("explicit heat-flow step")
+
+
+def test_runaway_rule_latch_keeps_a_converging_run_converging():
+    # The same run with the threshold just above its sup|log h|: the gate is
+    # open from the start, dt doubles until the first rejection closes the
+    # latch, and the default schedule takes over. Doubling on every clean
+    # step inside the gate instead ends max_steps near residual 5e-6.
+    dom, conn = circle_diag(n=5, length=1.0)
+    k = random_metric(dom, 2, seed=44, amplitude=0.25)
+    opts = bf.SolveOptions(tolerance=_implicit_floor(dom), divergence_threshold=0.4,
+                           max_steps=3000)
+    rep = bf.solve_harmonic(conn, k, opts)
+    assert rep.verdict == "converged" and rep.residual_sup < opts.tolerance
+    assert any(note.startswith("dt doubled on ") for note in rep.notes)
 
 
 def test_solve_harmonic_jordan_floor_is_not_converged():
@@ -365,8 +426,8 @@ def test_strategy_switches_at_the_implicit_floor():
     floor = _implicit_floor(dom)
     for tol, implicit in ((floor * (1 - 1e-9), False), (floor, False),
                           (floor * (1 + 1e-9), True)):
-        measure, dt0, notes = _strategy(conn, bf.SolveOptions(tolerance=tol))
-        assert ("solve" in measure(k)) == implicit
+        measure, dt0, runaway, notes = _strategy(conn, bf.SolveOptions(tolerance=tol))
+        assert ("solve" in measure(k)) == implicit and runaway == (not implicit)
         assert dt0 == default_dt(dom, implicit=implicit)
         assert notes == ([] if implicit else [
             f"explicit heat-flow step: tolerance {tol:.3e} is at or below the implicit "
@@ -376,9 +437,10 @@ def test_strategy_switches_at_the_implicit_floor():
     rect = bf.build_domain("rectangle", (6, 6), (1.0, 1.0))
     rect_conn = bf.from_monodromy(rect, [], rank=2)
     for tol, boundary, implicit in ((0.5, "dirichlet", True), (2.0, "none", False)):
-        measure, dt0, notes = _strategy(rect_conn, bf.SolveOptions(
+        measure, dt0, runaway, notes = _strategy(rect_conn, bf.SolveOptions(
             tolerance=tol * _implicit_floor(rect), boundary=boundary))
         assert ("solve" in measure(identity_metric(rect.n_sites, 2))) == implicit and not notes
+        assert not runaway
         assert dt0 == default_dt(rect, implicit=implicit)
 
 
