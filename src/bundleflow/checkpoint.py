@@ -1,9 +1,14 @@
-"""Textual checkpoints for metric (and Higgs) fields, round-trip exact.
+"""Textual checkpoints: a flow state (and optional Higgs field) on disk, round-trip exact.
 
-Layout: a header line of comma-separated ``key value`` pairs
-(``rank``, ``sites``, ``time``, ``step``, ``dt``, ``streak``, ``grown``,
-``latch``), then one line per site with the row-major complex entries of H
-written as ``re im`` pairs.
+A checkpoint is a ``flow.FlowState`` without its history; ``Checkpoint.of``
+and ``Checkpoint.state`` are the one mapping between the two, so a run resumes
+from any checkpoint, periodic or final, exactly as the unsplit run goes on.
+
+Layout: a header line of comma-separated ``key value`` pairs: ``rank`` and
+``sites`` (the metric's shape), ``time``, ``step``, ``dt`` (the next step's),
+``streak``, ``grown``, ``latch`` (0 or 1) and, once measured, ``logh_prev``
+(absent loads as None). Then one line per site with the row-major complex
+entries of H written as ``re im`` pairs.
 An optional ``theta`` marker line introduces a second per-site block with the
 same layout. Floats are written with shortest round-trip precision, so a
 save/load cycle is bit-exact.
@@ -13,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .flow import FlowState
 
 Array = np.ndarray
 
@@ -29,6 +36,22 @@ class Checkpoint:
     theta: Array | None = None
     grown: int = 0
     latch: bool = True
+    logh_prev: float | None = None
+
+    @classmethod
+    def of(cls, state: FlowState, theta: Array | None = None) -> Checkpoint:
+        """The checkpoint of a flow state; rank and sites are the metric's shape."""
+        sites, rank = state.metric.shape[:2]
+        return cls(rank=rank, sites=sites, time=state.time, step=state.step, dt=state.dt,
+                   streak=state.divergence_streak, metric=state.metric, theta=theta,
+                   grown=state.accepted_since_growth, latch=state.latch_open,
+                   logh_prev=state.logh_prev)
+
+    def state(self) -> FlowState:
+        """The flow state this checkpoint holds, with an empty history."""
+        return FlowState(time=self.time, metric=self.metric, dt=self.dt, step=self.step,
+                         accepted_since_growth=self.grown, divergence_streak=self.streak,
+                         latch_open=self.latch, logh_prev=self.logh_prev)
 
 
 def _write_block(fh, field: Array) -> None:
@@ -66,10 +89,11 @@ def _block_error(block: list[str], start: int, sites: int, width: int) -> str:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    prev = "" if ckpt.logh_prev is None else f", logh_prev {float(ckpt.logh_prev)!r}"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"rank {ckpt.rank}, sites {ckpt.sites}, time {float(ckpt.time)!r}, "
                  f"step {ckpt.step}, dt {float(ckpt.dt)!r}, streak {ckpt.streak}, "
-                 f"grown {ckpt.grown}, latch {int(ckpt.latch)}\n")
+                 f"grown {ckpt.grown}, latch {int(ckpt.latch)}{prev}\n")
         _write_block(fh, ckpt.metric)
         if ckpt.theta is not None:
             fh.write("theta\n")
@@ -92,6 +116,7 @@ def load_checkpoint(path) -> Checkpoint:
         streak = int(header.get("streak", 0))
         grown = int(header.get("grown", 0))
         latch = bool(int(header.get("latch", 1)))
+        logh_prev = float(header["logh_prev"]) if "logh_prev" in header else None
     except (KeyError, ValueError) as exc:
         raise ValueError(f"checkpoint line 1: malformed header {lines[0]!r}") from exc
     if rank < 1 or sites < 1:
@@ -104,5 +129,5 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"checkpoint line {pos + 1}: unexpected line after the site blocks")
     return Checkpoint(
         rank=rank, sites=sites, time=time, step=step, dt=dt, streak=streak,
-        metric=metric, theta=theta, grown=grown, latch=latch,
+        metric=metric, theta=theta, grown=grown, latch=latch, logh_prev=logh_prev,
     )

@@ -3,8 +3,9 @@
 Exit status: 0 for converged/completed runs, 2 for a diverged verdict, 3 for
 a precision_floor verdict, 1 for input errors. Given a fixed BLAS thread count
 (set through the environment, e.g. ``OMP_NUM_THREADS``, before the process
-starts), identical configs reproduce identical CSV bytes; a run resumed from a
-checkpoint reproduces the unsplit run's final metric.
+starts), identical configs reproduce identical CSV bytes. A checkpoint is the
+flow state (``checkpoint.Checkpoint.of``): a run resumed from any checkpoint,
+periodic or ``final.ckpt``, continues bit-exactly as the unsplit run does.
 """
 from __future__ import annotations
 
@@ -114,7 +115,8 @@ def run_scenario(
     report_lines = [f"scenario: {cfg.scenario}"]
     notes: list[str] = []
 
-    init_state = None
+    # The run's one flow state: the flow advances it in place, and checkpoints are of it.
+    state = FlowState(time=0.0, metric=reference.copy(), dt=0.0)
     if resume_path is not None:
         try:
             ck = load_checkpoint(resume_path)
@@ -124,10 +126,7 @@ def run_scenario(
         if ck.rank != cfg.bundle.rank or ck.sites != domain.n_sites:
             print("error: checkpoint rank/sites do not match the config", file=sys.stderr)
             return 1
-        init_state = FlowState(
-            time=ck.time, metric=ck.metric, dt=ck.dt, step=ck.step,
-            accepted_since_growth=ck.grown, divergence_streak=ck.streak, latch_open=ck.latch,
-        )
+        state = ck.state()
         notes.append(f"resumed from step {ck.step} (dt policy: {cfg.solver.dt_policy})")
 
     ckpt_every = cfg.output.checkpoint_cadence
@@ -143,23 +142,14 @@ def run_scenario(
     def on_step(state, diag) -> None:
         io(csv.add, state.history[-1])
         if ckpt_every and state.step and state.step % ckpt_every == 0:
-            io(
-                save_checkpoint,
-                out / f"step{state.step:08d}.ckpt",
-                Checkpoint(
-                    rank=cfg.bundle.rank, sites=domain.n_sites, time=state.time,
-                    step=state.step, dt=state.dt, streak=state.divergence_streak,
-                    metric=state.metric, grown=state.accepted_since_growth,
-                    latch=state.latch_open,
-                ),
-            )
+            io(save_checkpoint, out / f"step{state.step:08d}.ckpt", Checkpoint.of(state))
 
     status = 0
     traced = []     # (label, RunReport) of each flow run, for the trace lines
     try:
         if cfg.scenario in ("solve_harmonic", "solve_poisson", "dirichlet"):
             solver = solve_poisson if cfg.scenario != "solve_harmonic" else solve_harmonic
-            report = solver(conn, reference, cfg.solver, init=init_state, callback=on_step)
+            report = solver(conn, reference, cfg.solver, init=state, callback=on_step)
             report_lines += [
                 f"verdict: {report.verdict}",
                 f"verdict reason: {report.verdict_reason}",
@@ -177,15 +167,7 @@ def run_scenario(
                     f"poisson function sup: {_fmt(float(np.abs(report.poisson_function).max()))}"
                 )
             notes.extend(report.notes)
-            io(
-                save_checkpoint,
-                out / "final.ckpt",
-                Checkpoint(
-                    rank=cfg.bundle.rank, sites=domain.n_sites, time=report.time,
-                    step=report.steps, dt=float(report.history[-1, 2]),
-                    streak=0, metric=report.metric,
-                ),
-            )
+            io(save_checkpoint, out / "final.ckpt", Checkpoint.of(state))
             status = _VERDICT_STATUS.get(report.verdict, 0)
         elif cfg.scenario == "exhaustion":
             reports, monitors = exhaustion_solve(
@@ -204,29 +186,17 @@ def run_scenario(
             traced += [(f"level {mon.level:g} trace", rep) for rep, mon in zip(reports, monitors)]
             status = max(_VERDICT_STATUS.get(r.verdict, 0) for r in reports)
             final = reports[-1]
-            io(
-                save_checkpoint,
-                out / "final.ckpt",
-                Checkpoint(
-                    rank=cfg.bundle.rank, sites=monitors[-1].n_sites, time=final.time,
-                    step=final.steps, dt=float(final.history[-1, 2]), streak=0,
-                    metric=final.metric,
-                ),
-            )
+            last = FlowState(time=final.time, metric=final.metric,
+                             dt=float(final.history[-1, 2]), step=final.steps)
+            io(save_checkpoint, out / "final.ckpt", Checkpoint.of(last))
         elif cfg.scenario == "stability":
             subs = invariant_subbundles(conn, reference)
             rep = analysis.stability_report(conn, reference, subs)
             report_lines.append(rep.to_text())
-            io(
-                save_checkpoint,
-                out / "final.ckpt",
-                Checkpoint(
-                    rank=cfg.bundle.rank, sites=domain.n_sites, time=0.0, step=0,
-                    dt=0.0, streak=0, metric=reference,
-                ),
-            )
+            io(save_checkpoint, out / "final.ckpt",
+               Checkpoint.of(FlowState(time=0.0, metric=reference, dt=0.0)))
         elif cfg.scenario == "higgs_roundtrip":
-            run = solve_poisson(conn, reference, cfg.solver, callback=on_step)
+            run = solve_poisson(conn, reference, cfg.solver, init=state, callback=on_step)
             report_lines.append(f"poisson verdict: {run.verdict}")
             report_lines.append(f"verdict reason: {run.verdict_reason}")
             traced.append(("poisson trace", run))
@@ -256,15 +226,7 @@ def run_scenario(
                         loop_holonomy(back, lp_back.axis, lp_back.base), lp.generator
                     )
                     report_lines.append(f"  axis {lp.axis}: {_fmt(drift)}")
-                io(
-                    save_checkpoint,
-                    out / "final.ckpt",
-                    Checkpoint(
-                        rank=cfg.bundle.rank, sites=domain.n_sites, time=run.time,
-                        step=run.steps, dt=float(run.history[-1, 2]), streak=0,
-                        metric=run.metric, theta=hd.theta,
-                    ),
-                )
+                io(save_checkpoint, out / "final.ckpt", Checkpoint.of(state, theta=hd.theta))
         else:  # pragma: no cover - guarded by config validation
             raise AssertionError(cfg.scenario)
     except ValueError as exc:

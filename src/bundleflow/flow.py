@@ -186,6 +186,9 @@ class FlowState:
     # The runaway growth rule's latch: open until the first rejection or the
     # first accepted step whose residual did not fall.
     latch_open: bool = True
+    # sup ||log h|| before the last accepted step, which ``settle`` compares
+    # against; None until ``_drive`` measures the start metric.
+    logh_prev: float | None = None
 
 
 @dataclass
@@ -330,7 +333,9 @@ def _drive(
     the history. ``tracefree`` flows are judged by the trace-free residual,
     and a converged metric is normalized to det(K^{-1}H) = 1. ``dt0`` is the
     strategy's starting step size when ``opts.dt`` is None (default: the heat
-    flow's ``default_dt``). ``runaway`` adds the runaway growth rule to the
+    flow's ``default_dt``). ``init`` is advanced in place, so a caller that
+    checkpoints it (``checkpoint.Checkpoint.of``) holds the run's state at
+    every step and at the end. ``runaway`` adds the runaway growth rule to the
     adaptive schedule (module docstring); the report's notes count the steps
     it doubled dt on. The report's ``phase_seconds`` holds the wall
     time of the ``diagnostics`` (``measure`` and the monitors), the implicit
@@ -368,6 +373,8 @@ def _drive(
             state.dt = dt0
 
     diag = diagnose(state.metric)
+    if state.logh_prev is None:
+        state.logh_prev = diag["logh_sup"]
     if not state.history:
         state.history.append(_row(state, state.dt, diag))
         if callback is not None:
@@ -377,11 +384,10 @@ def _drive(
     verdict, reason = "max_steps", ""
     notes: list[str] = []
     trials = rejected = rises = doubled = 0
-    logh_prev = diag["logh_sup"]
     gate_low = RUNAWAY_GATE * opts.divergence_threshold
     while state.step < opts.max_steps:
         settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
-                         diag["logh_sup"], logh_prev)
+                         diag["logh_sup"], state.logh_prev)
         if settled:
             verdict, reason = settled
             break
@@ -413,7 +419,7 @@ def _drive(
         state.metric = trial
         state.time += dt_used
         state.step += 1
-        logh_prev, residual_prev = diag["logh_sup"], diag[key]
+        state.logh_prev, residual_prev = diag["logh_sup"], diag[key]
         diag = diag_trial
         state.history.append(_row(state, dt_used, diag))
         if diag["logh_sup"] > opts.divergence_threshold and diag[key] > opts.tolerance:
@@ -423,7 +429,7 @@ def _drive(
         if opts.dt_policy == "adaptive":
             state.accepted_since_growth += 1
             state.latch_open = state.latch_open and diag[key] < residual_prev
-            if (runaway and state.latch_open and diag["logh_sup"] > logh_prev
+            if (runaway and state.latch_open and diag["logh_sup"] > state.logh_prev
                     and gate_low < diag["logh_sup"] < opts.divergence_threshold):
                 state.dt *= RUNAWAY_GROWTH
                 state.accepted_since_growth = 0
@@ -441,7 +447,7 @@ def _drive(
             break
     if verdict == "max_steps":
         settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
-                         diag["logh_sup"], logh_prev)
+                         diag["logh_sup"], state.logh_prev)
         if settled:
             verdict, reason = settled
         else:
@@ -451,7 +457,7 @@ def _drive(
                 reason += f"; {rises} of {trials - rejected} accepted steps raised the energy"
 
     if doubled:
-        notes.append(f"dt doubled on {doubled} accepted steps of a runaway")
+        notes.append(f"dt doubled on {doubled} accepted steps by the runaway growth rule")
 
     if tracefree and verdict == "converged" and opts.det_normalize:
         h_final = _det_normalize(reference, state.metric, ref_isqrt)
@@ -702,10 +708,7 @@ def exhaustion_solve(
         last = current if report.verdict == "converged" else ref
         previous, prev_idx = current, idx_map
 
-        h_rel = np.linalg.solve(sub_ref, report.metric)
-        logs = np.log(la.rel_eigvals(sub_ref, report.metric))
-        sup_log = float(np.sqrt((logs ** 2).sum(axis=1)).max())
-        dh = covariant_d(sub_conn, h_rel)
+        dh = covariant_d(sub_conn, np.linalg.solve(sub_ref, report.metric))
         dh_l2 = 0.0
         for a in range(sub.dim):
             dens = la.endo_norm2(dh[a], sub_ref)
@@ -714,7 +717,7 @@ def exhaustion_solve(
             ExhaustionMonitor(
                 level=level,
                 n_sites=sub.n_sites,
-                sup_log_h=sup_log,
+                sup_log_h=report.logh_sup,
                 dh_l2=float(np.sqrt(dh_l2)),
                 cauchy_sup=cauchy,
             )

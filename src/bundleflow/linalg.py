@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm as _expm, logm as _logm
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 Array = np.ndarray
 ScaledRoot = tuple[Array, Array, Array]   # (d, Ht^{1/2}, Ht^{-1/2}), see scaled_sqrt
@@ -404,9 +405,10 @@ def fractional_power(m: Array, t: float, log: Array | None = None) -> Array:
 
 
 def spectrum_distance(a: Array, b: Array) -> float:
-    """Optimal-matching distance between the eigenvalue multisets of a and b."""
-    la = np.linalg.eigvals(a)
-    lb = np.linalg.eigvals(b)
-    cost = np.abs(la[:, None] - lb[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    """Optimal-matching (bottleneck) distance between the eigenvalue multisets of a and b.
+
+    The least eigenvalue gap t at which the pairs within t match every eigenvalue.
+    """
+    gaps = np.abs(np.linalg.eigvals(a)[:, None] - np.linalg.eigvals(b)[None, :])
+    return float(next(t for t in np.unique(gaps)
+                      if (maximum_bipartite_matching(csr_array(gaps <= t)) >= 0).all()))

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bundleflow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from bundleflow.flow import FlowState
 
 
 def _random_field(seed, n=7, r=2):
@@ -22,6 +25,30 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert back.time == ck.time and back.dt == ck.dt
     assert (back.step, back.streak, back.grown, back.latch) == (123, 4, 11, False)
     assert back.theta is None
+
+
+def test_a_checkpoint_is_the_flow_state_without_its_history(tmp_path):
+    state = FlowState(time=0.1 + 1e-17, metric=_random_field(5, n=4, r=3), dt=1.0 / 3.0,
+                      step=123, accepted_since_growth=11, divergence_streak=4,
+                      history=[(0.0,) * 10], latch_open=False, logh_prev=48.49178479217008)
+    ck = Checkpoint.of(state)
+    assert (ck.rank, ck.sites) == (3, 4)
+    save_checkpoint(tmp_path / "state.ckpt", ck)
+    for back in (ck.state(), load_checkpoint(tmp_path / "state.ckpt").state()):
+        assert back.history == []
+        assert np.array_equal(back.metric, state.metric)
+        for f in dataclasses.fields(FlowState):
+            if f.name not in ("history", "metric"):
+                assert getattr(back, f.name) == getattr(state, f.name), f.name
+
+
+def test_a_header_without_logh_prev_keeps_its_bytes_and_loads_as_none(tmp_path):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, Checkpoint.of(FlowState(time=2.5, metric=_random_field(6), dt=0.1)))
+    header = path.read_text().splitlines()[0]
+    assert header == "rank 2, sites 7, time 2.5, step 0, dt 0.1, streak 0, grown 0, latch 1"
+    assert load_checkpoint(path).logh_prev is None
+    assert load_checkpoint(path).state().logh_prev is None
 
 
 def test_round_trip_with_theta_block(tmp_path):

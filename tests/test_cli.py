@@ -22,6 +22,7 @@ from bundleflow.config import (
 )
 
 GEN2 = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+JORDAN = [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
 
 
 def write_config(path, **overrides):
@@ -56,7 +57,7 @@ def test_harmonic_scenario_converges(tmp_path):
 def test_jordan_scenario_diverges(tmp_path):
     cfg = write_config(
         tmp_path / "run.yaml",
-        bundle={"rank": 2, "monodromy": [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        bundle={"rank": 2, "monodromy": JORDAN},
         solver={"tolerance": 1e-30, "divergence_threshold": 18.0, "max_steps": 20000},
     )
     out = tmp_path / "o"
@@ -71,7 +72,7 @@ def test_jordan_runaway_resumes_bit_exactly(tmp_path):
     cfg = write_config(
         tmp_path / "run.yaml",
         domain={"kind": "circle", "sites": [16], "lengths": [1.0]},
-        bundle={"rank": 2, "monodromy": [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        bundle={"rank": 2, "monodromy": JORDAN},
         solver={"tolerance": 1e-30, "divergence_threshold": 18.0, "dt_growth_every": 5},
         output={"directory": "out", "checkpoint_cadence": 25},
     )
@@ -111,16 +112,43 @@ def test_closed_latch_survives_a_resume(tmp_path):
 
 def test_jordan_floor_exits_3(tmp_path):
     # dt grown on every accepted step takes the runaway to its roundoff floor
-    # in a few hundred steps instead of thousands.
+    # in a few hundred steps instead of thousands. The checkpoint carries
+    # sup|log h| before the last accepted step, so a run resumed from the
+    # final.ckpt sees the metric still growing and keeps the verdict.
     cfg = write_config(
         tmp_path / "run.yaml",
         domain={"kind": "circle", "sites": [8], "lengths": [1.0]},
-        bundle={"rank": 2, "monodromy": [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        bundle={"rank": 2, "monodromy": JORDAN},
         solver={"tolerance": 1e-30, "dt_growth_every": 1},
     )
-    out = tmp_path / "o"
+    out, again = tmp_path / "o", tmp_path / "again"
     assert main(["--config", str(cfg), "--out", str(out)]) == 3
-    assert "verdict: precision_floor" in (out / "report.txt").read_text()
+    assert main(["--config", str(cfg), "--out", str(again),
+                 "--resume", str(out / "final.ckpt")]) == 3
+    for o in (out, again):
+        assert "verdict: precision_floor" in (o / "report.txt").read_text()
+
+
+def test_resume_from_a_max_steps_final_checkpoint_is_bit_exact(tmp_path):
+    # final.ckpt holds the run's state: the next step's dt, the growth count,
+    # the streak and the latch. A 300-step explicit Jordan run resumed from
+    # its final.ckpt with a 600-step limit ends on the unsplit 600-step run's
+    # bytes; a final.ckpt carrying the last step's dt took one step more.
+    def config(name, max_steps):
+        return write_config(
+            tmp_path / name,
+            domain={"kind": "circle", "sites": [16], "lengths": [1.0]},
+            bundle={"rank": 2, "monodromy": JORDAN},
+            solver={"tolerance": 1e-30, "dt_growth_every": 5, "max_steps": max_steps},
+        )
+    short, long = config("short.yaml", 300), config("long.yaml", 600)
+    first, full, part = tmp_path / "first", tmp_path / "full", tmp_path / "part"
+    run_scenario(short, out_dir=first)
+    assert "verdict: max_steps" in (first / "report.txt").read_text()
+    status = run_scenario(long, out_dir=full)
+    assert run_scenario(long, out_dir=part, resume_path=first / "final.ckpt") == status
+    assert load_checkpoint(full / "final.ckpt").step > 300
+    assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize("block, fields", [
@@ -364,6 +392,24 @@ def test_higgs_roundtrip_scenario(tmp_path):
     assert "eigenvalue drift" in report
     ck = load_checkpoint(out / "final.ckpt")
     assert ck.theta is not None
+
+
+def test_higgs_roundtrip_resumes_its_poisson_solve_bit_exactly(tmp_path):
+    gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        scenario="higgs_roundtrip",
+        domain={"kind": "torus", "sites": [8, 8], "lengths": [1.0, 1.0]},
+        bundle={"rank": 2, "monodromy": [GEN2, gen_b]},
+        reference_metric={"kind": "random_smooth", "amplitude": 0.3},
+        output={"directory": "out", "checkpoint_cadence": 2},
+    )
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert run_scenario(cfg, out_dir=full, seed=2) == 0
+    assert run_scenario(cfg, out_dir=part, seed=2, resume_path=full / "step00000002.ckpt") == 0
+    assert (part / "run.csv").read_text().splitlines()[2].startswith("2,")
+    assert load_checkpoint(full / "final.ckpt").theta is not None
+    assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
 
 
 def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch):

@@ -3,6 +3,11 @@
 Stacks of at least ``SMALL_BATCH`` 2 x 2 matrices take the closed forms,
 smaller ones numpy/LAPACK; every case runs on one batch of each kind.
 """
+import itertools
+import os
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -150,3 +155,31 @@ def test_flow_diagnostics_agree_across_the_gate(monkeypatch):
     monkeypatch.setattr(la, "SMALL_BATCH", 10 ** 9)
     for got, expected in zip(fast, quantities()):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _bottleneck_brute_force(a, b):
+    gaps = np.abs(np.linalg.eigvals(a)[:, None] - np.linalg.eigvals(b)[None, :])
+    rows = range(len(gaps))
+    return min(max(gaps[i, p[i]] for i in rows) for p in itertools.permutations(rows))
+
+
+def test_spectrum_distance_is_the_bottleneck_distance():
+    # The sum-optimal assignment pairs 0-0 and 3-3e^{i theta} (gap 3.1); the
+    # bottleneck matching pairs 0 with 3e^{i theta} and 3 with 0 (gap 3).
+    theta = np.arccos(1.0 - 3.1 ** 2 / 18.0)
+    assert la.spectrum_distance(np.diag([0.0, 3.0]),
+                                np.diag([0.0, 3.0 * np.exp(1j * theta)])) == 3.0
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        r = 1 + trial % 4
+        a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        b = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        assert la.spectrum_distance(a, b) == _bottleneck_brute_force(a, b)
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, bundleflow; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
