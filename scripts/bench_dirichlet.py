@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Step counts and wall time of the Dirichlet solves: heat flow against the implicit step.
 
-``implicit`` is ``solve_poisson`` with ``boundary="dirichlet"``, which takes
-the linearly implicit Euler step from ``flow.default_dt(domain,
-implicit=True)``. ``heat`` runs the same problem through the same driver with
+``implicit`` is ``solve_poisson``, which takes the linearly implicit Euler
+step from ``flow.default_dt(domain, implicit=True)`` on a domain with a
+boundary. ``heat`` runs the same problem through the same driver with
 the explicit heat direction, ``flow._drive`` with ``partial(_diagnostics,
 conn)`` from the heat flow's default dt. Both are Poisson solves to tolerance
 1e-8 and report accepted steps, trial steps, wall time (median over
@@ -55,12 +55,11 @@ TOLERANCE = 1e-8
 
 
 def implicit(conn, reference):
-    return bf.solve_poisson(conn, reference,
-                            bf.SolveOptions(tolerance=TOLERANCE, boundary="dirichlet"))
+    return bf.solve_poisson(conn, reference, bf.SolveOptions(tolerance=TOLERANCE))
 
 
 def heat(conn, reference):
-    opts = bf.SolveOptions(tolerance=TOLERANCE, boundary="dirichlet")
+    opts = bf.SolveOptions(tolerance=TOLERANCE)
     return _drive(conn.domain, reference, opts, partial(_diagnostics, conn), tracefree=True)[0]
 
 

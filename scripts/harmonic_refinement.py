@@ -31,9 +31,7 @@ def main() -> None:
         oracle = bf.rectangle_harmonic_exact(dom)
         start = np.broadcast_to(np.eye(2, dtype=complex), oracle.shape).copy()
         start[dom.boundary] = oracle[dom.boundary]
-        rep = bf.solve_harmonic(
-            conn, start, bf.SolveOptions(boundary="dirichlet", tolerance=args.tolerance)
-        )
+        rep = bf.solve_harmonic(conn, start, bf.SolveOptions(tolerance=args.tolerance))
         dev = float(np.abs(rep.metric - oracle).max() / np.abs(oracle).max())
         ratio = f"{previous / dev:>8.3f}" if previous else f"{'':>8}"
         print(f"{n:>6} {rep.steps:>8} {rep.residual_sup:>12.3e} {dev:>12.3e} {ratio}")

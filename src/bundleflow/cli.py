@@ -6,6 +6,8 @@ a precision_floor verdict, 1 for input errors. Given a fixed BLAS thread count
 starts), identical configs reproduce identical CSV bytes. A checkpoint is the
 flow state (``checkpoint.Checkpoint.of``): a run resumed from any checkpoint,
 periodic or ``final.ckpt``, continues bit-exactly as the unsplit run does.
+The ``stability`` and ``exhaustion`` scenarios run no resumable flow and
+refuse ``--resume``.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 _VERDICT_STATUS = {"diverged": 2, "precision_floor": 3}
+_RESUMABLE = ("solve_harmonic", "solve_poisson", "higgs_roundtrip")
 
 
 def _fmt(x: float) -> str:
@@ -108,16 +111,14 @@ def run_scenario(
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    csv = _CsvWriter(out / "run.csv", cfg.output.csv_cadence)
-    csv.header(HISTORY_COLUMNS)
-    report_lines = [f"scenario: {cfg.scenario}"]
     notes: list[str] = []
-
     # The run's one flow state: the flow advances it in place, and checkpoints are of it.
     state = FlowState(time=0.0, metric=reference.copy(), dt=0.0)
     if resume_path is not None:
+        if cfg.scenario not in _RESUMABLE:
+            print(f"error: --resume: the {cfg.scenario} scenario runs no flow to resume",
+                  file=sys.stderr)
+            return 1
         try:
             ck = load_checkpoint(resume_path)
         except (OSError, ValueError) as exc:
@@ -128,6 +129,12 @@ def run_scenario(
             return 1
         state = ck.state()
         notes.append(f"resumed from step {ck.step} (dt policy: {cfg.solver.dt_policy})")
+
+    out = Path(out_dir) if out_dir is not None else Path(cfg.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    csv = _CsvWriter(out / "run.csv", cfg.output.csv_cadence)
+    csv.header(HISTORY_COLUMNS)
+    report_lines = [f"scenario: {cfg.scenario}"]
 
     ckpt_every = cfg.output.checkpoint_cadence
     io_seconds = 0.0
@@ -147,8 +154,8 @@ def run_scenario(
     status = 0
     traced = []     # (label, RunReport) of each flow run, for the trace lines
     try:
-        if cfg.scenario in ("solve_harmonic", "solve_poisson", "dirichlet"):
-            solver = solve_poisson if cfg.scenario != "solve_harmonic" else solve_harmonic
+        if cfg.scenario in ("solve_harmonic", "solve_poisson"):
+            solver = solve_poisson if cfg.scenario == "solve_poisson" else solve_harmonic
             report = solver(conn, reference, cfg.solver, init=state, callback=on_step)
             report_lines += [
                 f"verdict: {report.verdict}",

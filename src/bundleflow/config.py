@@ -2,7 +2,9 @@
 
 Monodromy matrices are written as nested arrays of ``[re, im]`` pairs in
 row-major order. The reference-metric block selects identity, a smooth
-diagonal profile, a seeded smooth random metric, or a checkpoint file.
+diagonal profile, a seeded smooth random metric, or a checkpoint file. A key
+that no block reads is refused, so a misspelt or retired field cannot fall
+back to its default unnoticed.
 """
 from __future__ import annotations
 
@@ -20,11 +22,22 @@ from .mesh import LatticeDomain, build_domain
 SCENARIOS = (
     "solve_harmonic",
     "solve_poisson",
-    "dirichlet",
     "exhaustion",
     "stability",
     "higgs_roundtrip",
 )
+
+# The keys each block reads, and under "" the top-level blocks.
+_FIELDS = {
+    "": ("scenario", "domain", "bundle", "reference_metric", "solver", "output", "exhaustion"),
+    "domain": ("kind", "sites", "lengths", "complex"),
+    "bundle": ("rank", "monodromy"),
+    "reference_metric": ("kind", "amplitudes", "modes", "amplitude", "path"),
+    "solver": ("tolerance", "max_steps", "dt", "dt_policy", "dt_growth_every",
+               "divergence_threshold"),
+    "output": ("directory", "csv_cadence", "checkpoint_cadence"),
+    "exhaustion": ("levels",),
+}
 
 
 class ConfigError(ValueError):
@@ -83,6 +96,13 @@ def _need(block: dict, key: str, where: str):
     return block[key]
 
 
+def _known(block: dict, where: str) -> None:
+    """Refuse the first key of ``block`` that ``_FIELDS[where]`` does not list."""
+    for key in block:
+        if key not in _FIELDS[where]:
+            raise ConfigError(f"{where + '.' if where else ''}{key}: unknown field")
+
+
 def _block(raw: dict, key: str, default: dict | None = None) -> dict:
     """The mapping under ``key``, or ``default`` when an optional block is absent."""
     if key not in raw and default is not None:
@@ -90,6 +110,7 @@ def _block(raw: dict, key: str, default: dict | None = None) -> dict:
     block = _need(raw, key, "")
     if not isinstance(block, dict):
         raise ConfigError(f"{key}: expected a mapping, got {block!r}")
+    _known(block, key)
     return block
 
 
@@ -137,6 +158,7 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    _known(raw, "")
     scenario = _need(raw, "scenario", "")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}")
@@ -192,12 +214,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         dt_policy=_typed(sol_block.get("dt_policy", defaults.dt_policy), str, "solver.dt_policy"),
         dt_growth_every=sol_num(int, "dt_growth_every"),
         divergence_threshold=sol_num(float, "divergence_threshold"),
-        boundary=_typed(sol_block.get("boundary", defaults.boundary), str, "solver.boundary"),
-        det_normalize=_typed(sol_block.get("det_normalize", defaults.det_normalize), bool,
-                             "solver.det_normalize"),
     )
-    if scenario == "dirichlet":
-        solver.boundary = "dirichlet"
 
     out_block = _block(raw, "output", {})
     output = OutputConfig(

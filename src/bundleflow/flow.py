@@ -1,4 +1,4 @@
-"""Metric heat flow: one adaptive driver, and the free and Dirichlet harmonic/Poisson solves.
+"""Metric heat flow: one adaptive driver, and the harmonic/Poisson solves on it.
 
 The update is multiplicative, ``H <- H exp(2 dt Q)`` with Q the tension field,
 so Hermitian positivity survives any step size. Because Q is the exact
@@ -7,7 +7,9 @@ order by ``2 ||Q||^2 dt``; the adaptive controller rejects steps that raise
 the energy beyond roundoff slack and halves the step size instead. The same
 driver, ``_drive``, runs the Hermitian-Einstein flow of ``hodge`` with the
 contracted curvature as its direction; each run reports its trials,
-rejections, accepted energy rises and the wall time of its phases.
+rejections, accepted energy rises and the wall time of its phases. A domain
+with a boundary is a Dirichlet problem: its boundary sites hold the
+reference metric K, and the unknowns and the residual are the interior sites.
 
 ``solve_harmonic`` and ``solve_poisson`` take a linearly implicit (backward)
 Euler step of the same flow instead: each trial solves
@@ -16,17 +18,16 @@ domain), with ``L_V`` the covariant Laplacian along the metric transports
 (``bundle.covariant_laplacian``), and steps ``H <- H exp(2 dt S)``.
 ``M + dt L_V`` is positive definite, so S descends the energy at any dt, and
 from ``default_dt(domain, implicit=True)`` the step count no longer grows
-with the number of sites (the explicit step needs dt of order h^2). Two
-cases keep the explicit step, chosen once per run (``_strategy``): a domain
-with a boundary run without the Dirichlet condition, whose boundary sites
-move, and a closed domain asked for a residual at or below the implicit
-step's roundoff floor (``_implicit_floor``). There ``L_V`` has a kernel,
-and a flow with no harmonic metric to reach (a unipotent monodromy) runs
-away along it. The explicit step moves such a state along a site-constant
-direction that excites no other mode and reaches the ``diverged`` verdict
-with its residual resolved; the implicit step's residual sticks near the
-floor, and after even one implicit step the explicit one stalls too, so the
-choice cannot be deferred to the point where a run turns out to run away.
+with the number of sites (the explicit step needs dt of order h^2). One
+case keeps the explicit step, chosen once per run (``_strategy``): a closed
+domain asked for a residual at or below the implicit step's roundoff floor
+(``_implicit_floor``). There ``L_V`` has a kernel, and a flow with no
+harmonic metric to reach (a unipotent monodromy) runs away along it. The
+explicit step moves such a state along a site-constant direction that
+excites no other mode and reaches the ``diverged`` verdict with its residual
+resolved; the implicit step's residual sticks near the floor, and after even
+one implicit step the explicit one stalls too, so the choice cannot be
+deferred to the point where a run turns out to run away.
 
 In that runaway mode, and there only, ``_drive`` adds a growth rule to the
 adaptive schedule (``RUNAWAY_GROWTH``, ``RUNAWAY_GATE``). Along a runaway
@@ -42,7 +43,7 @@ energy slack. The latch closes for the rest of the run at its first
 rejection or first accepted step whose residual did not fall, which is where
 a converging run that passed the gate shows it: without the latch such a
 run ends ``max_steps`` with thousands of rejections. Past the threshold the
-patience window of ``divergence_patience`` accepted steps keeps the default
+patience window of ``DIVERGENCE_PATIENCE`` accepted steps keeps the default
 schedule, so the verdict lands a few units past the threshold. Growing dt
 (x1.2) on every clean step of that window too carried the ``circle-runaway``
 inputs to sup ||log h|| 63.8, where a 50-digit evaluation of the final
@@ -78,7 +79,7 @@ Verdicts, each with a one-line ``verdict_reason``:
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable
 
@@ -131,6 +132,10 @@ FLOOR_ULPS = 8.0
 RUNAWAY_GROWTH = 2.0
 RUNAWAY_GATE = 0.1
 
+# Accepted steps that sup ||log h|| must stay beyond the divergence threshold,
+# with the residual above tolerance, before the verdict is ``diverged``.
+DIVERGENCE_PATIENCE = 100
+
 HISTORY_COLUMNS = (
     "step",
     "time",
@@ -149,16 +154,13 @@ HISTORY_COLUMNS = (
 class SolveOptions:
     tolerance: float = 1e-8
     max_steps: int = 200_000
-    dt: float | None = None                 # None: default_dt for the run's direction
+    dt: float | None = None                 # None: default_dt for the run's step
     dt_policy: str = "adaptive"             # "adaptive" | "fixed"
     dt_growth: float = 1.2
     dt_growth_every: int = 20
     divergence_threshold: float = 50.0
-    divergence_patience: int = 100
-    boundary: str = "none"                  # "none" | "dirichlet"
-    det_normalize: bool = True              # trace-free runs: enforce det(K^{-1}H) = 1
 
-    def validate(self, domain: LatticeDomain) -> None:
+    def validate(self) -> None:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.divergence_threshold <= self.tolerance:
@@ -168,10 +170,6 @@ class SolveOptions:
         if self.dt_growth < 1.0 or self.dt_growth_every < 1:
             raise ValueError("dt growth needs a factor of at least 1, applied every "
                              "1 or more accepted steps")
-        if self.boundary not in ("none", "dirichlet"):
-            raise ValueError(f"unknown boundary condition {self.boundary!r}")
-        if self.boundary == "dirichlet" and not domain.boundary.any():
-            raise ValueError("dirichlet boundary condition needs a domain with boundary")
 
 
 @dataclass
@@ -246,7 +244,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array,
     site_norm = np.sqrt(np.maximum(np.einsum("nij,nji->n", t_field, t_field).real, 0.0))
     tf = la.tracefree(t_field)
     tf_norm = np.sqrt(np.maximum(np.einsum("nij,nji->n", tf, tf).real, 0.0))
-    active = dom.interior_mask() if dom.boundary.any() else np.ones(dom.n_sites, dtype=bool)
+    active = dom.interior_mask()
     res_sup = float(site_norm[active].max())
     res_l2 = float(np.sqrt(np.sum(dom.volume[active] * site_norm[active] ** 2)))
     tf_sup = float(tf_norm[active].max())
@@ -284,7 +282,7 @@ def _implicit_direction(get_pattern: Callable[[], LaplacianPattern],
     the split at H, M the site volumes and Q the tension; ``get_pattern()``
     returns their ``bundle.laplacian_pattern``. The unknowns are the interior
     sites (every site of a closed domain); S vanishes on the boundary, where
-    a Dirichlet run holds H fixed. The step ``H exp(2 dt S)`` is backward
+    the driver holds H at K. The step ``H exp(2 dt S)`` is backward
     Euler for the heat flow, with the tension at the new metric linearized to
     its principal part, ``Q - dt M^{-1} L_V S``; so S tends to Q as dt -> 0.
     ``M + dt L_V`` is symmetric positive definite, so ``<Q, S>_M > 0``: S
@@ -316,7 +314,6 @@ def _drive(
     tracefree: bool,
     init: FlowState | None = None,
     callback: Callable[[FlowState, dict], None] | None = None,
-    dt0: float | None = None,
     runaway: bool = False,
 ) -> tuple[RunReport, dict]:
     """The adaptive multiplicative flow that every solver runs, and its final diagnostics.
@@ -329,11 +326,12 @@ def _drive(
     certifies nothing. When it also returns ``solve``, a trial steps along
     ``solve(dt)`` instead of ``direction``. The driver adds the monitors
     against the reference (sup ||log h||, the logdet range, sigma) and owns
-    step control, the verdicts, the Dirichlet reset, det normalization and
-    the history. ``tracefree`` flows are judged by the trace-free residual,
-    and a converged metric is normalized to det(K^{-1}H) = 1. ``dt0`` is the
-    strategy's starting step size when ``opts.dt`` is None (default: the heat
-    flow's ``default_dt``). ``init`` is advanced in place, so a caller that
+    step control, the verdicts, the reset of boundary sites to K, det
+    normalization and the history. ``tracefree`` flows are judged by the
+    trace-free residual, and a converged metric is normalized to
+    det(K^{-1}H) = 1. Unless ``opts.dt`` is set, a run starts from the
+    ``default_dt`` of its step: implicit when ``measure`` returns ``solve``,
+    else explicit. ``init`` is advanced in place, so a caller that
     checkpoints it (``checkpoint.Checkpoint.of``) holds the run's state at
     every step and at the end. ``runaway`` adds the runaway growth rule to the
     adaptive schedule (module docstring); the report's notes count the steps
@@ -342,10 +340,9 @@ def _drive(
     ``solve`` and the ``update``.
     """
     t0 = _time.perf_counter()
-    opts.validate(domain)
+    opts.validate()
     la.check_metric(reference)
     ref_isqrt = la.sqrt_pair(reference)[1]
-    bc = reference if opts.boundary == "dirichlet" else None
     phases = dict.fromkeys(("diagnostics", "solve", "update"), 0.0)
 
     def diagnose(metric: Array) -> dict:
@@ -361,18 +358,14 @@ def _drive(
         phases["diagnostics"] += _time.perf_counter() - start
         return diag
 
-    if opts.dt is not None:
-        dt0 = opts.dt
-    elif dt0 is None:
-        dt0 = default_dt(domain)
     if init is None:
-        state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=dt0)
+        state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=0.0)
     else:
         state = init
-        if state.dt <= 0:
-            state.dt = dt0
-
     diag = diagnose(state.metric)
+    if state.dt <= 0:
+        state.dt = opts.dt if opts.dt is not None else default_dt(domain,
+                                                                  implicit="solve" in diag)
     if state.logh_prev is None:
         state.logh_prev = diag["logh_sup"]
     if not state.history:
@@ -399,8 +392,7 @@ def _drive(
         start = _time.perf_counter()
         trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt, diag["root"])
         trials += 1
-        if bc is not None:
-            trial[domain.boundary] = bc[domain.boundary]
+        trial[domain.boundary] = reference[domain.boundary]
         phases["update"] += _time.perf_counter() - start
         diag_trial = diagnose(trial)
         slack = ENERGY_RTOL * diag["energy"]
@@ -439,11 +431,11 @@ def _drive(
                 state.accepted_since_growth = 0
         if callback is not None:
             callback(state, diag)
-        if state.divergence_streak >= opts.divergence_patience:
+        if state.divergence_streak >= DIVERGENCE_PATIENCE:
             verdict = "diverged"
             reason = (f"sup|log h| {diag['logh_sup']:.3f} beyond threshold "
                       f"{opts.divergence_threshold:g} with the residual above tolerance for "
-                      f"{opts.divergence_patience} accepted steps")
+                      f"{DIVERGENCE_PATIENCE} accepted steps")
             break
     if verdict == "max_steps":
         settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
@@ -459,10 +451,9 @@ def _drive(
     if doubled:
         notes.append(f"dt doubled on {doubled} accepted steps by the runaway growth rule")
 
-    if tracefree and verdict == "converged" and opts.det_normalize:
+    if tracefree and verdict == "converged":
         h_final = _det_normalize(reference, state.metric, ref_isqrt)
-        if bc is not None:
-            h_final[domain.boundary] = bc[domain.boundary]
+        h_final[domain.boundary] = reference[domain.boundary]
         # Free the direction and root of the unnormalized metric before the
         # recompute, which is the memory peak of a solve that converges at once.
         del diag
@@ -530,7 +521,7 @@ def _det_normalize(reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
     """Conformal correction H -> H e^f with f = log det(H^{-1}K)/rank.
 
     Leaves the harmonic part untouched, pins det(K^{-1}H) = 1 at every site,
-    and on Dirichlet runs preserves the boundary values (f vanishes there).
+    and preserves boundary values H = K (f vanishes there).
     """
     eigs = la.rel_eigvals(reference, h_field, ref_isqrt)
     f = -np.log(eigs).sum(axis=1) / h_field.shape[-1]
@@ -555,42 +546,27 @@ def _implicit_floor(domain: LatticeDomain) -> float:
 
 
 def _strategy(conn: FlatConnection,
-              opts: SolveOptions) -> tuple[Callable, float, bool, list[str]]:
-    """``_drive``'s direction strategy, starting dt and runaway mode for one solve, and notes.
+              opts: SolveOptions) -> tuple[Callable, bool, list[str]]:
+    """``_drive``'s direction strategy and runaway mode for one solve, and notes.
 
-    Dirichlet runs take the linearly implicit step, and so do closed-domain
-    runs whose tolerance lies above ``_implicit_floor``. A closed-domain run
-    asked for a residual at or below that floor keeps the heat flow's
-    explicit step for the whole run, and says so in a note: the implicit step
-    cannot follow a runaway to ``diverged``, and the explicit one cannot
-    either once an implicit step has spread site-dependent roundoff over the
-    metric, so the choice is made once, up front. A domain with a boundary
-    run without the Dirichlet condition keeps the explicit step too: its
-    boundary sites move, and the implicit step's unknowns are the interior
-    sites only.
-
-    The third value is the runaway mode, true for the closed-domain runs
-    that keep the heat flow: ``_drive`` then doubles dt after each clean
-    accepted step while sup ||log h|| lies between a tenth of the divergence
-    threshold and the threshold, until the first rejection or non-falling
-    residual closes the run's latch. The gate keeps converging runs on the
-    default schedule, the latch stops a converging run that passed the gate,
-    and past the threshold the default schedule holds through the patience
-    window, so the verdict stays near the threshold, where a 50-digit check
-    still resolves the final energy (module docstring). Every other run, and
-    every direct ``_drive`` caller, keeps the default schedule.
+    Runs on a domain with a boundary (Dirichlet problems) take the linearly
+    implicit step, and so do closed-domain runs whose tolerance lies above
+    ``_implicit_floor``. A closed-domain run asked for a residual at or below
+    that floor keeps the heat flow's explicit step for the whole run, in the
+    runaway mode (the second value), and says so in a note. The module
+    docstring gives the reasons for both: the choice is made once, up front,
+    because after one implicit step the explicit one cannot follow a runaway
+    to ``diverged`` either.
     """
     dom = conn.domain
-    closed = not dom.boundary.any()
     floor = _implicit_floor(dom)
-    if opts.boundary == "dirichlet" or (closed and opts.tolerance > floor):
+    if dom.boundary.any() or opts.tolerance > floor:
         get_pattern = cache(partial(laplacian_pattern, conn,
                                     np.flatnonzero(dom.interior_mask())))
-        return (partial(_diagnostics, conn, get_pattern=get_pattern), default_dt(dom, True),
-                False, [])
-    notes = [f"explicit heat-flow step: tolerance {opts.tolerance:.3e} is at or below the "
-             f"implicit step's roundoff floor {floor:.3e}"] if closed else []
-    return partial(_diagnostics, conn), default_dt(dom), closed, notes
+        return partial(_diagnostics, conn, get_pattern=get_pattern), False, []
+    return partial(_diagnostics, conn), True, [
+        f"explicit heat-flow step: tolerance {opts.tolerance:.3e} is at or below the "
+        f"implicit step's roundoff floor {floor:.3e}"]
 
 
 def solve_harmonic(
@@ -602,19 +578,20 @@ def solve_harmonic(
 ) -> RunReport:
     """Flow from H(0) = K until the tension drops below tolerance.
 
-    Dirichlet runs take the linearly implicit step (``_implicit_direction``).
-    So does a run on a closed domain, unless its tolerance is at or below the
-    implicit step's roundoff floor (``_strategy``); then it takes the heat
-    flow's explicit step, and a note in the report gives the tolerance and
-    the floor. A domain with a boundary run without the Dirichlet condition
-    takes the explicit step. A ``diverged`` verdict on a domain with loops
-    and rank <= 3 names, in its reason, the invariant sub-bundle along which
-    the metric degenerates (``analysis.runaway_certificate``).
+    On a domain with a boundary the boundary sites hold K (the Dirichlet
+    problem), and the run takes the linearly implicit step
+    (``_implicit_direction``). So does a run on a closed domain, unless its
+    tolerance is at or below the implicit step's roundoff floor
+    (``_strategy``); then it takes the heat flow's explicit step, and a note
+    in the report gives the tolerance and the floor. A ``diverged`` verdict
+    on a domain with loops and rank <= 3 names, in its reason, the invariant
+    sub-bundle along which the metric degenerates
+    (``analysis.runaway_certificate``).
     """
     opts = opts or SolveOptions()
-    measure, dt0, runaway, notes = _strategy(conn, opts)
+    measure, runaway, notes = _strategy(conn, opts)
     report = _drive(conn.domain, reference, opts, measure, tracefree=False, init=init,
-                    callback=callback, dt0=dt0, runaway=runaway)[0]
+                    callback=callback, runaway=runaway)[0]
     report.notes[:0] = notes
     if report.verdict == "diverged" and conn.loops and conn.rank <= 3:
         report.verdict_reason += runaway_certificate(conn, reference, report.metric)
@@ -635,9 +612,9 @@ def solve_poisson(
     ``poisson_function``.
     """
     opts = opts or SolveOptions()
-    measure, dt0, runaway, notes = _strategy(conn, opts)
+    measure, runaway, notes = _strategy(conn, opts)
     report, diag = _drive(conn.domain, reference, opts, measure, tracefree=True, init=init,
-                          callback=callback, dt0=dt0, runaway=runaway)
+                          callback=callback, runaway=runaway)
     report.notes[:0] = notes
     report.poisson_function = (np.einsum("nii->n", diag["direction"]) / conn.rank).real
     return report
@@ -678,7 +655,7 @@ def exhaustion_solve(
     previous level's sites of the Donaldson distance between the two levels'
     metrics (NaN for the first level).
     """
-    base = opts or SolveOptions()
+    opts = opts or SolveOptions()
     reports: list[RunReport] = []
     monitors: list[ExhaustionMonitor] = []
     ref = np.asarray(reference, dtype=complex)
@@ -693,10 +670,9 @@ def exhaustion_solve(
         loops = tuple(lp for lp in conn.loops if sub.periodic[lp.axis])
         sub_conn = connection_from_transports(sub, sub_transport, loops)
         sub_ref = ref[idx_map]
-        sub_opts = replace(base, boundary="dirichlet")
         start = last[idx_map]
         start[sub.boundary] = sub_ref[sub.boundary]
-        report = solve_poisson(sub_conn, sub_ref, sub_opts,
+        report = solve_poisson(sub_conn, sub_ref, opts,
                                init=FlowState(time=0.0, metric=start, dt=0.0))
         reports.append(report)
 

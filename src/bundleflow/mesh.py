@@ -51,9 +51,6 @@ class LatticeDomain:
     def interior_mask(self) -> Array:
         return ~self.boundary
 
-    def has_forward_edge(self, axis: int) -> Array:
-        return self.neighbors[axis, 0] >= 0
-
 
 def build_domain(
     kind: str,

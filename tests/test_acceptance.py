@@ -95,9 +95,7 @@ def _rectangle_oracle_deviation(n: int) -> tuple[float, bf.RunReport]:
     oracle = bf.rectangle_harmonic_exact(dom)
     start = identity_metric(dom.n_sites, 2)
     start[dom.boundary] = oracle[dom.boundary]
-    rep = bf.solve_harmonic(
-        conn, start, bf.SolveOptions(boundary="dirichlet", tolerance=1e-10)
-    )
+    rep = bf.solve_harmonic(conn, start, bf.SolveOptions(tolerance=1e-10))
     dev = float(np.abs(rep.metric - oracle).max() / np.abs(oracle).max())
     return dev, rep
 
@@ -164,7 +162,7 @@ def test_criterion_4_energy_and_contraction():
     h0 = la.metric_exp_update(k, pert, 1.0)
     # Both runs take the same steps: the Dirichlet default dt, given explicitly.
     dt = default_dt(dom2, implicit=True)
-    opts = bf.SolveOptions(boundary="dirichlet", dt_policy="fixed", dt=dt)
+    opts = bf.SolveOptions(dt_policy="fixed", dt=dt)
     ma, mb = [], []
     rep_a = bf.solve_harmonic(conn2, k, opts, callback=lambda s, d: ma.append(s.metric.copy()))
     rep_b = bf.solve_harmonic(
@@ -236,7 +234,7 @@ def test_criterion_6_poisson_normalization():
     dom2 = bf.build_domain("rectangle", (12, 12), (1.0, 1.0))
     conn2 = bf.from_monodromy(dom2, [], rank=2)
     k2 = random_metric(dom2, 2, seed=61, amplitude=0.3)
-    runs.append((conn2, k2, bf.solve_poisson(conn2, k2, bf.SolveOptions(boundary="dirichlet"))))
+    runs.append((conn2, k2, bf.solve_poisson(conn2, k2)))
 
     dom3 = bf.build_domain("torus", (16, 16), (TWO_PI, TWO_PI))
     conn3 = bf.from_monodromy(dom3, [np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3.0])])

@@ -1,7 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleflow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from bundleflow.flow import FlowState
@@ -110,3 +113,37 @@ def test_lines_are_shortest_round_trip_pairs(tmp_path):
     back = load_checkpoint(tmp_path / "s.ckpt").metric
     # bit-exact, signed zeros and infinities included
     assert back.view(np.uint64).tobytes() == metric.view(np.uint64).tobytes()
+
+
+# Replacement tokens for the fuzz below: numbers out of range or of the wrong
+# kind, words and separators of the layout itself, and the empty token.
+FUZZ_TOKENS = ("", "0", "-1", "2", "99999", "1e400", "nan", "-inf", "0.5", "x", "theta",
+               "rank", ",", "latch", "1 2")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(with_prev=st.booleans(), with_theta=st.booleans(), data=st.data())
+def test_a_cut_or_edited_checkpoint_loads_or_names_its_fault(tmp_path_factory, with_prev,
+                                                             with_theta, data):
+    # A saved checkpoint cut at any character, or with one whitespace-separated
+    # token deleted, replaced or repeated, either loads or raises a ValueError
+    # whose message starts with "checkpoint".
+    state = FlowState(time=0.5, metric=_random_field(7, n=3), dt=0.25, step=4,
+                      logh_prev=1.5 if with_prev else None)
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    save_checkpoint(path, Checkpoint.of(state, theta=_random_field(8, n=3) if with_theta
+                                        else None))
+    text = path.read_text()
+    if data.draw(st.booleans(), label="cut"):
+        text = text[:data.draw(st.integers(0, len(text)), label="at")]
+    else:
+        tokens = list(re.finditer(r"\S+", text))
+        tok = tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")]
+        new = data.draw(st.one_of(st.sampled_from(FUZZ_TOKENS), st.just(f"{tok.group()} {tok.group()}")),
+                        label="replacement")
+        text = text[:tok.start()] + new + text[tok.end():]
+    path.write_text(text)
+    try:
+        load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith("checkpoint"), str(exc)

@@ -1,6 +1,7 @@
 import copy
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bundleflow.config import (
     make_domain,
     make_reference_metric,
 )
+from bundleflow.flow import SolveOptions
 
 GEN2 = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 JORDAN = [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
@@ -173,6 +175,8 @@ def test_resume_from_a_max_steps_final_checkpoint_is_bit_exact(tmp_path):
     ("solver", {"dt_policy": 3}),
     ("solver", {"boundary": ["dirichlet"]}),
     ("output", {"directory": 5}),
+    ("solver", {"tolerence": 1e-8}),
+    ("solvers", {"tolerance": 1e-8}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     cfg = write_config(tmp_path / "run.yaml", **{block: fields})
@@ -209,15 +213,14 @@ FIELDS = {
     "bundle": ("rank", "monodromy"),
     "reference_metric": ("kind", "amplitudes", "modes", "amplitude", "path"),
     "solver": ("tolerance", "max_steps", "dt", "dt_policy", "dt_growth_every",
-               "divergence_threshold", "boundary", "det_normalize"),
+               "divergence_threshold"),
     "output": ("directory", "csv_cadence", "checkpoint_cadence"),
     "exhaustion": ("levels",),
 }
 # Fields taken as they are, without conversion: a value of another type is refused.
 TYPED_FIELDS = {("domain", "kind"): str, ("domain", "complex"): (bool, type(None)),
                 ("reference_metric", "path"): (str, type(None)),
-                ("solver", "dt_policy"): str, ("solver", "boundary"): str,
-                ("solver", "det_normalize"): bool, ("output", "directory"): str}
+                ("solver", "dt_policy"): str, ("output", "directory"): str}
 # Small integers only: a junk site count must not allocate a huge lattice.
 SMALL_JUNK = st.one_of(st.integers(-2, 9), st.lists(st.integers(-2, 9), max_size=3),
                        st.text(max_size=4), st.floats(-3.0, 3.0), st.just(float("nan")),
@@ -291,6 +294,13 @@ def test_config_validation_names_fields(tmp_path):
     path = write_config(tmp_path / "r2.yaml", exhaustion={"levels": []}, scenario="exhaustion")
     with pytest.raises(ConfigError, match="levels"):
         load_config(path)
+    # A key no block reads is refused by name: a typo, a retired field, a block.
+    for overrides, message in (({"solver": {"tolerence": 1e-8}}, "solver.tolerence"),
+                               ({"solver": {"boundary": "none"}}, "solver.boundary"),
+                               ({"solvers": {"tolerance": 1e-8}}, "solvers")):
+        path = write_config(tmp_path / "r3.yaml", **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}: unknown field$"):
+            load_config(path)
 
 
 def test_identical_runs_identical_csv(tmp_path):
@@ -345,6 +355,36 @@ def test_resume_wrong_rank_rejected(tmp_path, capsys):
     assert run_scenario(rank1, out_dir=tmp_path / "x", resume_path=mid) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "rank" in err[0], err
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("stability", {}),
+    ("exhaustion", {"domain": {"kind": "annulus", "sites": [16, 9],
+                               "lengths": [6.283185307179586, 1.0]},
+                    "exhaustion": {"levels": [4, 6]}}),
+])
+def test_resume_is_refused_where_no_flow_resumes(tmp_path, capsys, scenario, overrides):
+    # These scenarios would load the checkpoint and then start afresh: refused
+    # with one error line before any output is written.
+    cfg = write_config(tmp_path / "run.yaml", scenario=scenario, **overrides)
+    sites = 24 if scenario == "stability" else 144
+    ckpt = _site_checkpoint(tmp_path / "any.ckpt", sites)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--resume", str(ckpt)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --resume: the {scenario} scenario runs no flow to resume"]
+    assert not out.exists()
+
+
+def test_readme_config_example_parses():
+    # The README's documented config goes through the parser as it stands.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = config_from_dict(yaml.safe_load(blocks[0]))
+    assert cfg.scenario == "solve_poisson" and cfg.exhaustion.levels == [9, 11, 13, 15]
+    assert cfg.solver == SolveOptions(tolerance=1e-8, max_steps=200000, dt_policy="adaptive",
+                                      dt_growth_every=20, divergence_threshold=50.0)
 
 
 def test_stability_scenario_writes_table(tmp_path):
@@ -474,11 +514,12 @@ def test_higgs_roundtrip_refuses_a_curved_composite(tmp_path, capsys, monkeypatc
 
 
 def test_dirichlet_runs_repeat_and_resume_bit_exactly(tmp_path):
-    # The implicit Dirichlet step: a repeated run writes the same CSV bytes,
-    # and a run resumed from its step-3 checkpoint ends on the same bytes.
+    # A domain with a boundary is a Dirichlet problem, solved by the implicit
+    # step: a repeated run writes the same CSV bytes, and a run resumed from
+    # its step-3 checkpoint ends on the same bytes.
     cfg = write_config(
         tmp_path / "run.yaml",
-        scenario="dirichlet",
+        scenario="solve_poisson",
         domain={"kind": "rectangle", "sites": [9, 9], "lengths": [1.0, 1.0]},
         bundle={"rank": 2, "monodromy": []},
         reference_metric={"kind": "random_smooth", "amplitude": 0.3},

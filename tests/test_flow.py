@@ -233,7 +233,7 @@ def test_solve_poisson_dirichlet_pins_boundary():
     dom = bf.build_domain("rectangle", (10, 10), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [], rank=2)
     k = random_metric(dom, 2, seed=3, amplitude=0.3)
-    rep = bf.solve_poisson(conn, k, bf.SolveOptions(boundary="dirichlet"))
+    rep = bf.solve_poisson(conn, k)
     assert rep.verdict == "converged"
     bnd = dom.boundary
     assert np.abs(rep.metric[bnd] - k[bnd]).max() == 0.0
@@ -251,7 +251,7 @@ def test_two_flow_contraction_dirichlet():
     )
     h0 = la.metric_exp_update(k, perturb, 1.0)
     dt = default_dt(dom, implicit=True)
-    opts = bf.SolveOptions(boundary="dirichlet", dt_policy="fixed", dt=dt)
+    opts = bf.SolveOptions(dt_policy="fixed", dt=dt)
     metrics_a, metrics_b = [], []
     rep_a = bf.solve_harmonic(conn, k, opts, callback=lambda s, d: metrics_a.append(s.metric.copy()))
     init = FlowState(time=0.0, metric=h0, dt=dt)
@@ -318,7 +318,7 @@ def test_implicit_dirichlet_matches_heat_flow(kind, sites, lengths):
     gens = [np.diag([2.0, 0.5]).astype(complex)] if kind == "annulus" else []
     conn = bf.from_monodromy(dom, gens, rank=2)
     k = random_metric(dom, 2, seed=8, amplitude=0.3)
-    opts = bf.SolveOptions(tolerance=1e-9, boundary="dirichlet")
+    opts = bf.SolveOptions(tolerance=1e-9)
     implicit = bf.solve_poisson(conn, k, opts)
     # the same problem through the explicit heat direction
     heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=True)[0]
@@ -353,7 +353,7 @@ def test_implicit_step_count_is_flat_in_n():
         dom = bf.build_domain("rectangle", (n, n), (1.0, 1.0))
         conn = bf.from_monodromy(dom, [], rank=2)
         k = smooth_random_metric(dom, 2, 1, 0.3)
-        rep = bf.solve_poisson(conn, k, bf.SolveOptions(tolerance=1e-8, boundary="dirichlet"))
+        rep = bf.solve_poisson(conn, k, bf.SolveOptions(tolerance=1e-8))
         assert rep.verdict == "converged"
         steps.append(rep.steps)
     assert max(steps) <= 1.5 * min(steps), steps
@@ -408,43 +408,37 @@ def test_closed_run_just_above_the_floor_converges_implicitly():
     assert rep.steps < 200 and not rep.notes
 
 
-def test_free_boundary_runs_keep_the_explicit_step():
-    # Without the Dirichlet condition the boundary sites move, which the
-    # implicit step (interior unknowns only) cannot do: the run is the heat
-    # flow's, bit for bit, and carries no floor note.
-    dom = bf.build_domain("rectangle", (6, 6), (1.0, 1.0))
-    conn = bf.from_monodromy(dom, [], rank=2)
-    k = smooth_random_metric(dom, 2, 3, 0.3)
-    opts = bf.SolveOptions(tolerance=1e-6)
-    rep = bf.solve_harmonic(conn, k, opts)
-    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=False)[0]
-    assert rep.verdict == "converged" and rep.step_kind == "explicit" and not rep.notes
-    assert rep.steps == heat.steps and np.array_equal(rep.metric, heat.metric)
-    assert np.abs(rep.metric - k)[dom.boundary].max() > 0.1
-
-
 def test_strategy_switches_at_the_implicit_floor():
+    # The driver starts from the default dt of the step the strategy takes;
+    # a run of no steps shows it in its one history row.
+    def start_dt(dom, measure, opts):
+        run = _drive(dom, identity_metric(dom.n_sites, 2), replace(opts, max_steps=0),
+                     measure, tracefree=False)[0]
+        return run.history[0][2]
+
     dom, conn = circle_diag(n=16, length=1.0)
     k = identity_metric(dom.n_sites, 2)
     floor = _implicit_floor(dom)
     for tol, implicit in ((floor * (1 - 1e-9), False), (floor, False),
                           (floor * (1 + 1e-9), True)):
-        measure, dt0, runaway, notes = _strategy(conn, bf.SolveOptions(tolerance=tol))
+        opts = bf.SolveOptions(tolerance=tol)
+        measure, runaway, notes = _strategy(conn, opts)
         assert ("solve" in measure(k)) == implicit and runaway == (not implicit)
-        assert dt0 == default_dt(dom, implicit=implicit)
+        assert start_dt(dom, measure, opts) == default_dt(dom, implicit=implicit)
         assert notes == ([] if implicit else [
             f"explicit heat-flow step: tolerance {tol:.3e} is at or below the implicit "
             f"step's roundoff floor {floor:.3e}"])
-    # Dirichlet runs take the implicit step below the floor too; free-boundary
-    # runs keep the explicit step above it, without a note.
+    # A domain with a boundary takes the implicit step on either side of the
+    # floor, without a note; opts.dt, when set, is the starting dt.
     rect = bf.build_domain("rectangle", (6, 6), (1.0, 1.0))
     rect_conn = bf.from_monodromy(rect, [], rank=2)
-    for tol, boundary, implicit in ((0.5, "dirichlet", True), (2.0, "none", False)):
-        measure, dt0, runaway, notes = _strategy(rect_conn, bf.SolveOptions(
-            tolerance=tol * _implicit_floor(rect), boundary=boundary))
-        assert ("solve" in measure(identity_metric(rect.n_sites, 2))) == implicit and not notes
-        assert not runaway
-        assert dt0 == default_dt(rect, implicit=implicit)
+    for factor in (0.5, 2.0):
+        opts = bf.SolveOptions(tolerance=factor * _implicit_floor(rect))
+        measure, runaway, notes = _strategy(rect_conn, opts)
+        assert "solve" in measure(identity_metric(rect.n_sites, 2))
+        assert not runaway and not notes
+        assert start_dt(rect, measure, opts) == default_dt(rect, implicit=True)
+        assert start_dt(rect, measure, replace(opts, dt=0.125)) == 0.125
 
 
 def test_exhaustion_unitary_is_trivial():
@@ -464,7 +458,7 @@ def test_exhaustion_largest_level_equals_single_dirichlet():
     phi = 0.2 * np.sin(np.pi * x[:, 1])
     k = diag_metric(np.stack([np.exp(phi), np.exp(-phi)], axis=1))
     reports, _ = bf.exhaustion_solve(conn, k, [8])
-    direct = bf.solve_poisson(conn, k, bf.SolveOptions(boundary="dirichlet"))
+    direct = bf.solve_poisson(conn, k)
     assert np.abs(reports[0].metric - direct.metric).max() < 1e-12
 
 
@@ -486,7 +480,7 @@ def test_exhaustion_warm_start_matches_cold_levels(kind, sites, lengths, levels)
     for level, rep, mon in zip(levels, reports, monitors):
         sub, idx = bf.sublevel_domain(dom, level)
         cold = bf.solve_poisson(bf.from_monodromy(sub, gens, rank=2), k[idx],
-                                bf.SolveOptions(tolerance=1e-8, boundary="dirichlet"))
+                                bf.SolveOptions(tolerance=1e-8))
         assert rep.verdict == cold.verdict == "converged"
         assert mon.n_sites == sub.n_sites
         assert np.abs(rep.metric - cold.metric).max() <= opts.tolerance, level
@@ -506,8 +500,7 @@ def test_exhaustion_unconverged_level_is_not_carried_on():
     reports, _ = bf.exhaustion_solve(conn, k, [4, 6], opts)
     assert reports[0].verdict == "max_steps"
     sub, idx = bf.sublevel_domain(dom, 6)
-    cold = bf.solve_poisson(bf.from_monodromy(sub, gens), k[idx],
-                            replace(opts, boundary="dirichlet"))
+    cold = bf.solve_poisson(bf.from_monodromy(sub, gens), k[idx], opts)
     assert reports[1].verdict == cold.verdict
     assert reports[1].steps == cold.steps
     assert np.array_equal(reports[1].metric, cold.metric)
@@ -556,13 +549,12 @@ def test_exhaustion_empty_interior_errors():
 
 
 def test_solver_option_validation():
-    dom = bf.build_domain("circle", 8, 1.0)
     with pytest.raises(ValueError):
-        bf.SolveOptions(tolerance=-1.0).validate(dom)
+        bf.SolveOptions(tolerance=-1.0).validate()
     with pytest.raises(ValueError):
-        bf.SolveOptions(boundary="dirichlet").validate(dom)
+        bf.SolveOptions(dt_policy="magic").validate()
     with pytest.raises(ValueError):
-        bf.SolveOptions(dt_policy="magic").validate(dom)
+        bf.SolveOptions(dt_growth=0.5).validate()
 
 
 # ------------------------------------------------- one factorization per trial
