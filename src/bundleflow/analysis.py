@@ -70,7 +70,7 @@ def degree(
     dpi = centered_components(conn, covariant_d(conn, pi))
     dens = np.einsum("nij,nji->n", pi, t_field).real
     for a in range(conn.domain.dim):
-        dens += 0.5 * la.endo_norm2(dpi[a], reference) * conn.domain.metric_weight[a]
+        dens += 0.5 * la.endo_norm2(dpi[a], reference)
     return -integrate(conn.domain, dens)
 
 
@@ -181,19 +181,12 @@ def _theta_scalar(x: Array, y: Array) -> Array:
     return np.where(small, series, quotient)
 
 
-def theta_apply(
-    s: Array,
-    chi: Array,
-    which: str = "theta",
-    metric: Array | None = None,
-    fn=None,
-) -> Array:
+def theta_apply(s: Array, chi: Array, metric: Array | None = None) -> Array:
     """Spectral two-variable calculus in the eigenbasis of a self-adjoint s.
 
-    ``theta`` scales the component of chi mapping the lambda_a eigenvector
-    into the lambda_b eigenvector by (e^{l_b - l_a} - 1)/(l_b - l_a); near-
+    Scales the component of chi mapping the lambda_a eigenvector into the
+    lambda_b eigenvector by (e^{l_b - l_a} - 1)/(l_b - l_a); near-
     coincident eigenvalues use the quadratic series to avoid cancellation.
-    ``rho`` applies the scalar function ``fn`` to the diagonal instead.
     s must be self-adjoint for ``metric`` (identity by default) to within
     1e-8.
     """
@@ -214,19 +207,8 @@ def theta_apply(
         raise ValueError("endomorphism is not self-adjoint for the reference metric")
     lam, frame, frame_inv = la.log_hsa(s, metric)
     comp = frame_inv @ chi @ frame
-    if which == "theta":
-        weights = _theta_scalar(lam[..., None, :], lam[..., :, None])
-        out_comp = weights * comp
-    elif which == "rho":
-        if fn is None:
-            raise ValueError("rho mode needs a scalar function")
-        diag = np.zeros_like(comp)
-        idx = np.arange(s.shape[-1])
-        diag[..., idx, idx] = fn(lam)
-        out_comp = diag
-    else:
-        raise ValueError(f"unknown mode {which!r}")
-    out = frame @ out_comp @ frame_inv
+    weights = _theta_scalar(lam[..., None, :], lam[..., :, None])
+    out = frame @ (weights * comp) @ frame_inv
     return out[0] if single else out
 
 
@@ -256,12 +238,7 @@ def theta_apply_pair(s_tail: Array, s_head: Array, chi: Array, metric: Array | N
     return out[0] if single else out
 
 
-def identity_residuals(
-    conn: FlatConnection,
-    h_field: Array,
-    k_field: Array,
-    s_boundary_zero: bool = False,
-) -> dict:
+def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> dict:
     """Defects of the two exact relations tying a metric pair together.
 
     ``pointwise_residual``: per-site defect of
@@ -272,7 +249,7 @@ def identity_residuals(
     ``integral_gap``: defect of
     int (T_H - T_K, s) = -0.5 int (Theta[s](D s), D s)
     with s = log(K^{-1}H); on bounded domains this requires s = 0 on the
-    boundary, asserted when ``s_boundary_zero`` is set and verified either way.
+    boundary, and a pair whose s does not vanish there raises.
     """
     dom = conn.domain
     h = np.asarray(h_field, dtype=complex)
@@ -298,7 +275,7 @@ def identity_residuals(
     inv_sqrt = (frame * (lam[..., None, :] ** -0.5)) @ frame_inv
     grad2 = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        grad2 += la.endo_norm2(inv_sqrt @ dk_c[a], k) * dom.metric_weight[a]
+        grad2 += la.endo_norm2(inv_sqrt @ dk_c[a], k)
     pointwise = lhs - 0.5 * lap + 0.5 * grad2
     pointwise[dom.boundary] = 0.0
 
@@ -310,14 +287,11 @@ def identity_residuals(
             raise ValueError(
                 "the integral identity needs log(K^{-1}H) to vanish on the boundary"
             )
-        if not s_boundary_zero:
-            raise ValueError("set s_boundary_zero=True to attest the boundary hypothesis")
     ds = centered_components(conn, covariant_d(conn, s_log))
     lhs_int = integrate(dom, np.einsum("nij,nji->n", diff, s_log).real)
     rhs_dens = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        theta_ds = theta_apply(s_log, ds[a], which="theta", metric=k)
-        rhs_dens += la.endo_inner(theta_ds, ds[a], k) * dom.metric_weight[a]
+        rhs_dens += la.endo_inner(theta_apply(s_log, ds[a], metric=k), ds[a], k)
     gap = lhs_int + 0.5 * integrate(dom, rhs_dens)
     return {"pointwise_residual": pointwise, "integral_gap": float(gap)}
 
@@ -496,7 +470,7 @@ def bochner_residual(
         psic = psi_centered(conn, hf)
         d = np.zeros(dom.n_sites)
         for a in range(dom.dim):
-            d += la.endo_norm2(psic[a], hf) * dom.metric_weight[a]
+            d += la.endo_norm2(psic[a], hf)
         return d, psic
 
     d_prev, _ = dens(h_prev)

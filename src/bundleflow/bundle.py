@@ -356,7 +356,7 @@ def energy(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -
     total = 0.0
     for a in range(dom.dim):
         dens = np.einsum("nij,nji->n", sm.psi[a], sm.psi[a]).real
-        total += float(np.sum(dom.edge_weight[a] * dom.metric_weight[a] * dens))
+        total += float(np.sum(dom.edge_weight[a] * dens))
     return total
 
 
@@ -390,9 +390,7 @@ def codifferential(
     turned = np.zeros_like(flux)
     for a in range(dom.dim):
         tails, heads = conn.edge_sites(a)
-        w = (dom.edge_weight[a, tails] * dom.metric_weight[a, tails] / dom.spacings[a])[
-            :, None, None
-        ]
+        w = (dom.edge_weight[a, tails] / dom.spacings[a])[:, None, None]
         om = omega[a, tails]
         x = sm.shift[a, tails]
         turned[heads] += w * la.mm(la.commutator(x, om), sm.connection.transport_inv[a, tails])
@@ -401,42 +399,14 @@ def codifferential(
     return (flux + turned) / dom.volume[:, None, None]
 
 
-def tension(
-    conn: FlatConnection,
-    metric: Array,
-    mode: str = "direct",
-    reference: Array | None = None,
-) -> Array:
+def tension(conn: FlatConnection, metric: Array) -> Array:
     """Gradient of the edge energy under the metric pairing (the flow's drive).
 
-    ``direct`` applies the codifferential to the splitting one-form; the
-    result is exactly the energy gradient and exactly H-self-adjoint.
-    ``via_reference`` rebuilds the same field from a reference metric K and
-    the relative endomorphism h = K^{-1}H; the two agree to second order in
-    the spacing on smooth data.
+    The codifferential of the splitting one-form: exactly the energy
+    gradient and exactly H-self-adjoint.
     """
-    if mode == "direct":
-        sm = split_metric(conn, metric)
-        return la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric)
-    if mode != "via_reference":
-        raise ValueError(f"unknown tension mode {mode!r}")
-    if reference is None:
-        raise ValueError("via_reference mode needs a reference metric")
-    k_field = np.asarray(reference, dtype=complex)
-    la.check_metric(k_field)
-    dom = conn.domain
-    sm_k = split_metric(conn, k_field)
-    t_k = la.selfadjoint_part(codifferential(conn, k_field, sm_k.psi, sm_k), k_field)
-    delta, h_mid = reference_difference(sm_k, np.linalg.solve(k_field, np.asarray(metric)))
-    omega = np.linalg.solve(h_mid, delta)
-    correction = codifferential(conn, k_field, omega, sm_k)
-    omega_c = centered_components(sm_k.connection, omega)
-    psi_c = centered_components(conn, sm_k.psi)
-    bracket = np.zeros_like(t_k)
-    for a in range(dom.dim):
-        bracket += la.commutator(omega_c[a], psi_c[a]) * dom.metric_weight[a][:, None, None]
-    t = t_k - 0.5 * correction - 0.5 * bracket
-    return la.selfadjoint_part(t, metric)
+    sm = split_metric(conn, metric)
+    return la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric)
 
 
 @dataclass(frozen=True)
@@ -475,7 +445,7 @@ def laplacian_pattern(conn: FlatConnection, sites: Array) -> LaplacianPattern:
     block = np.arange(r2)
     for a in range(dom.dim):
         tails, heads = conn.edge_sites(a)
-        c = dom.edge_weight[a, tails] * dom.metric_weight[a, tails] / dom.spacings[a] ** 2
+        c = dom.edge_weight[a, tails] / dom.spacings[a] ** 2
         st, sh = slot[tails], slot[heads]
         np.add.at(diag, st[st >= 0], c[st >= 0])
         np.add.at(diag, sh[sh >= 0], c[sh >= 0])

@@ -30,7 +30,7 @@ SCENARIOS = (
 # The keys each block reads, and under "" the top-level blocks.
 _FIELDS = {
     "": ("scenario", "domain", "bundle", "reference_metric", "solver", "output", "exhaustion"),
-    "domain": ("kind", "sites", "lengths", "complex"),
+    "domain": ("kind", "sites", "lengths"),
     "bundle": ("rank", "monodromy"),
     "reference_metric": ("kind", "amplitudes", "modes", "amplitude", "path"),
     "solver": ("tolerance", "max_steps", "dt", "dt_policy", "dt_growth_every",
@@ -49,7 +49,6 @@ class DomainConfig:
     kind: str
     sites: tuple[int, ...]
     lengths: tuple[float, ...]
-    complex_structure: bool | None = None
 
 
 @dataclass
@@ -92,7 +91,7 @@ class RunConfig:
 
 def _need(block: dict, key: str, where: str):
     if key not in block:
-        raise ConfigError(f"missing field {where}.{key}")
+        raise ConfigError(f"{where + '.' if where else ''}{key}: missing field")
     return block[key]
 
 
@@ -169,8 +168,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         kind=kind,
         sites=tuple(_numbers(int, _need(dom_block, "sites", "domain"), "domain.sites")),
         lengths=tuple(_numbers(float, _need(dom_block, "lengths", "domain"), "domain.lengths")),
-        complex_structure=_typed(dom_block.get("complex"), bool, "domain.complex",
-                                  optional=True),
     )
 
     bun_block = _block(raw, "bundle")
@@ -243,10 +240,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def make_domain(cfg: RunConfig) -> LatticeDomain:
     try:
-        return build_domain(
-            cfg.domain.kind, cfg.domain.sites, cfg.domain.lengths,
-            complex_structure=cfg.domain.complex_structure,
-        )
+        return build_domain(cfg.domain.kind, cfg.domain.sites, cfg.domain.lengths)
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from exc
 

@@ -31,7 +31,7 @@ deferred to the point where a run turns out to run away.
 
 In that runaway mode, and there only, ``_drive`` adds a growth rule to the
 adaptive schedule (``RUNAWAY_GROWTH``, ``RUNAWAY_GATE``). Along a runaway
-nothing but the dt schedule bounds the step count, and ``x dt_growth`` per
+nothing but the dt schedule bounds the step count, and ``x DT_GROWTH`` per
 ``dt_growth_every`` accepted steps took thousands of steps to ``diverged``.
 So after an accepted step that lowered the residual and raised
 sup ||log h||, dt doubles, provided sup ||log h|| lies above a tenth of the
@@ -132,6 +132,10 @@ FLOOR_ULPS = 8.0
 RUNAWAY_GROWTH = 2.0
 RUNAWAY_GATE = 0.1
 
+# The default adaptive schedule: dt is multiplied by DT_GROWTH after every
+# ``SolveOptions.dt_growth_every`` accepted steps.
+DT_GROWTH = 1.2
+
 # Accepted steps that sup ||log h|| must stay beyond the divergence threshold,
 # with the residual above tolerance, before the verdict is ``diverged``.
 DIVERGENCE_PATIENCE = 100
@@ -156,7 +160,6 @@ class SolveOptions:
     max_steps: int = 200_000
     dt: float | None = None                 # None: default_dt for the run's step
     dt_policy: str = "adaptive"             # "adaptive" | "fixed"
-    dt_growth: float = 1.2
     dt_growth_every: int = 20
     divergence_threshold: float = 50.0
 
@@ -167,9 +170,8 @@ class SolveOptions:
             raise ValueError("divergence threshold must exceed the tolerance scale")
         if self.dt_policy not in ("adaptive", "fixed"):
             raise ValueError(f"unknown dt policy {self.dt_policy!r}")
-        if self.dt_growth < 1.0 or self.dt_growth_every < 1:
-            raise ValueError("dt growth needs a factor of at least 1, applied every "
-                             "1 or more accepted steps")
+        if self.dt_growth_every < 1:
+            raise ValueError("dt growth needs 1 or more accepted steps between growths")
 
 
 @dataclass
@@ -252,10 +254,9 @@ def _diagnostics(conn: FlatConnection, h_field: Array,
     flux = np.zeros(dom.n_sites)
     for a in range(dom.dim):
         dens = np.einsum("nij,nji->n", sm.psi[a], sm.psi[a]).real
-        en += float(np.sum(dom.edge_weight[a] * dom.metric_weight[a] * dens))
+        en += float(np.sum(dom.edge_weight[a] * dens))
         tails, heads = conn.edge_sites(a)
-        size = (dom.edge_weight[a] * dom.metric_weight[a] / dom.spacings[a]
-                * np.sqrt(np.maximum(dens, 0.0)))[tails]
+        size = (dom.edge_weight[a] / dom.spacings[a] * np.sqrt(np.maximum(dens, 0.0)))[tails]
         flux[heads] += size
         flux[tails] += size
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
@@ -427,7 +428,7 @@ def _drive(
                 state.accepted_since_growth = 0
                 doubled += 1
             elif state.accepted_since_growth >= opts.dt_growth_every:
-                state.dt *= opts.dt_growth
+                state.dt *= DT_GROWTH
                 state.accepted_since_growth = 0
         if callback is not None:
             callback(state, diag)

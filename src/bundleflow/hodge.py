@@ -1,6 +1,6 @@
 """Higgs structures on complex-curve lattices and the flat round trip.
 
-On a two-dimensional domain with complex structure the axes play the roles of
+On a two-dimensional domain (a complex curve) the axes play the roles of
 the real and imaginary parts of a holomorphic coordinate. A Higgs datum here
 is a metric connection (edge transports with their inverses, carrying the dbar
 operator) together with a per-site Higgs field theta, the matrix coefficient
@@ -46,7 +46,7 @@ class HiggsData:
 
     def __post_init__(self):
         dom = self.connection.domain
-        if dom.dim != 2 or not dom.complex_structure:
+        if dom.dim != 2:
             raise ValueError("Higgs data needs a complex-curve domain")
 
     @cached_property
@@ -62,8 +62,8 @@ def complex_split(domain: LatticeDomain, components: Array) -> tuple[Array, Arra
     Returns the dz and dzbar coefficients; the original components are
     recovered as ``a_x = p10 + p01`` and ``a_y = i (p10 - p01)``.
     """
-    if not domain.complex_structure:
-        raise ValueError("domain carries no complex structure")
+    if domain.dim != 2:
+        raise ValueError("complex split needs a complex-curve domain")
     a_x, a_y = components[0], components[1]
     p10 = 0.5 * (a_x - 1j * a_y)
     p01 = 0.5 * (a_x + 1j * a_y)
@@ -93,7 +93,7 @@ def higgs_from_harmonic(
     identity at each site, which theta does not see.
     """
     dom = conn.domain
-    if dom.dim != 2 or not dom.complex_structure:
+    if dom.dim != 2:
         raise ValueError("Higgs extraction needs a complex-curve domain")
     sm = split_metric(conn, metric)
     tf = la.tracefree(la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric))
@@ -135,7 +135,7 @@ def composite_transports(higgs: HiggsData, metric: Array) -> FlatConnection:
     psi = _psi_from_theta(higgs.theta, metric)
     out = conn.transport.copy()
     for a in range(2):
-        tails = np.flatnonzero(dom.neighbors[a, 0] >= 0)
+        tails, _ = conn.edge_sites(a)
         step = la.exp_hsa(psi[a, tails], np.asarray(metric)[tails], -dom.spacings[a])
         out[a, tails] = la.mm(conn.transport[a, tails], step)
     return connection_from_transports(dom, out)

@@ -317,12 +317,6 @@ def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, 
     return build(lg), build(np.expm1(-0.5 * lg)), build(np.expm1(0.5 * lg))
 
 
-def metric_log_invsqrt(hx: Array, m: Array) -> tuple[Array, Array]:
-    """log(P) and P^{-1/2} for P = Hx^{-1} M, Hx and M Hermitian positive."""
-    logp, pmh, _ = comparison_functions(scaled_sqrt(hx), m - hx)
-    return logp, pmh + np.eye(hx.shape[-1])
-
-
 def rel_eigvals(k: Array, h: Array, k_isqrt: Array | None = None) -> Array:
     """Eigenvalues of the relative endomorphism K^{-1}H (real, positive).
 

@@ -1,6 +1,9 @@
 """Structured lattice domains: circle, interval, torus, rectangle, annulus.
 
-All base metrics are flat. Sites are indexed in C order over the axis grids
+All base metrics are flat; a warped one would put its factor into
+``edge_weight`` and ``volume``, which every edge sum reads. The
+two-dimensional domains are the complex curves of ``hodge``, with
+z = x_0 + i x_1. Sites are indexed in C order over the axis grids
 (``idx = i0 * n1 + i1`` in two dimensions). Each site carries a trapezoidal
 volume weight and, per axis, a forward edge to its ``+1`` neighbour where one
 exists; bounded axes drop the wrap-around edge and flag their end sites as
@@ -37,10 +40,8 @@ class LatticeDomain:
     neighbors: Array          # (dim, 2, n) int; [axis, {0:+,1:-}, site] -> site or -1
     volume: Array             # (n,) trapezoidal cell volumes
     edge_weight: Array        # (dim, n) quadrature weight of the forward edge, 0 if absent
-    metric_weight: Array      # (dim, n) inverse-metric factor per forward edge (flat: ones)
     boundary: Array           # (n,) bool
     exhaustion: Array         # (n,) float, >= 0
-    complex_structure: bool
 
     def coords(self) -> Array:
         """Site positions, shape (n, dim)."""
@@ -56,7 +57,6 @@ def build_domain(
     kind: str,
     sites: int | tuple[int, ...],
     lengths: float | tuple[float, ...],
-    complex_structure: bool | None = None,
 ) -> LatticeDomain:
     if kind not in _KINDS:
         raise ValueError(f"unknown domain kind {kind!r}")
@@ -107,7 +107,6 @@ def build_domain(
 
     cell = float(np.prod(spacings))
     edge_weight = np.zeros((dim, n))
-    metric_weight = np.ones((dim, n))
     for a in range(dim):
         edge_weight[a, neighbors[a, 0] >= 0] = cell
 
@@ -132,11 +131,6 @@ def build_domain(
         bands -= bands.min()
         exhaustion = bands.ravel()
 
-    if complex_structure is None:
-        complex_structure = dim == 2
-    if complex_structure and dim != 2:
-        raise ValueError("complex structure requires a two-dimensional domain")
-
     return LatticeDomain(
         kind=kind,
         dim=dim,
@@ -148,10 +142,8 @@ def build_domain(
         neighbors=neighbors,
         volume=volume,
         edge_weight=edge_weight,
-        metric_weight=metric_weight,
         boundary=boundary,
         exhaustion=exhaustion,
-        complex_structure=bool(complex_structure),
     )
 
 
@@ -202,18 +194,12 @@ def laplacian(domain: LatticeDomain, field: Array) -> Array:
     return out
 
 
-def integrate(domain: LatticeDomain, field: Array, mask: Array | None = None) -> float:
-    """Volume-weighted sum, rounded once (``math.fsum``), optionally over a sublevel mask."""
+def integrate(domain: LatticeDomain, field: Array) -> float:
+    """Volume-weighted sum, rounded once (``math.fsum``)."""
     f = np.asarray(field, dtype=float)
     if f.shape != (domain.n_sites,):
         raise ValueError("field size does not match domain")
-    w = domain.volume
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.shape != (domain.n_sites,) or mask.dtype != bool:
-            raise ValueError("mask does not match domain")
-        w = np.where(mask, w, 0.0)
-    return math.fsum((w * f).tolist())
+    return math.fsum((domain.volume * f).tolist())
 
 
 def sublevel_mask(domain: LatticeDomain, level: float) -> Array:
@@ -235,10 +221,7 @@ def sublevel_domain(domain: LatticeDomain, level: float) -> tuple[LatticeDomain,
             raise ValueError("sublevel exceeds the domain")
         n_theta = domain.sites_per_axis[0]
         h_r = domain.spacings[1]
-        sub = build_domain(
-            "annulus", (n_theta, s + 1), (domain.lengths[0], s * h_r),
-            complex_structure=domain.complex_structure,
-        )
+        sub = build_domain("annulus", (n_theta, s + 1), (domain.lengths[0], s * h_r))
         keep = sublevel_mask(domain, s)
         idx_map = np.flatnonzero(keep)
         return sub, idx_map
@@ -253,7 +236,6 @@ def sublevel_domain(domain: LatticeDomain, level: float) -> tuple[LatticeDomain,
             "rectangle",
             counts,
             tuple((counts[a] - 1) * domain.spacings[a] for a in range(2)),
-            complex_structure=domain.complex_structure,
         )
         grid = np.arange(domain.n_sites).reshape(domain.sites_per_axis)
         idx_map = grid[np.ix_(ax_keep[0], ax_keep[1])].ravel()

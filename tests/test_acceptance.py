@@ -208,9 +208,7 @@ def test_criterion_5_identity_residual_orders():
         s = bump[:, None, None] * a_dir + (bump ** 2)[:, None, None] * b_dir
         w, v = np.linalg.eigh(s)
         h = (v * np.exp(w)[..., None, :]) @ la.dagger(v)
-        out = bf.identity_residuals(
-            conn, h, identity_metric(dom.n_sites, 2), s_boundary_zero=True
-        )
+        out = bf.identity_residuals(conn, h, identity_metric(dom.n_sites, 2))
         gaps.append(abs(out["integral_gap"]))
     orders_gap = [np.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
     ok = all(1.7 <= o <= 2.3 for o in orders_pt + orders_gap)

@@ -160,14 +160,6 @@ def test_theta_apply_rejects_non_self_adjoint():
         bf.theta_apply(s, np.eye(2, dtype=complex))
 
 
-def test_theta_apply_rho_mode():
-    s = np.diag([1.0, 4.0]).astype(complex)
-    out = bf.theta_apply(s, np.zeros((2, 2)), which="rho", fn=np.sqrt)
-    assert np.allclose(out, np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        bf.theta_apply(s, np.zeros((2, 2)), which="rho")
-
-
 def test_theta_pair_reproduces_discrete_difference_identity():
     """(h(y) - h(x)) h(x)^{-1} = Theta[s(x), s(y)](s(y) - s(x)) exactly on a
     commuting family."""
@@ -218,16 +210,13 @@ def test_identity_residuals_boundary_hypothesis():
     s = bump[:, None, None] * np.array([[0.3, 0.1j], [-0.1j, -0.3]])
     w, v = np.linalg.eigh(s)
     h = (v * np.exp(w)[..., None, :]) @ la.dagger(v)
-    out = bf.identity_residuals(conn, h, k, s_boundary_zero=True)
+    out = bf.identity_residuals(conn, h, k)
     assert abs(out["integral_gap"]) < 1.0
-    # without the attestation flag the bounded-domain call is rejected
-    with pytest.raises(ValueError, match="boundary"):
-        bf.identity_residuals(conn, h, k, s_boundary_zero=False)
-    # and a non-vanishing boundary log is rejected outright
+    # a non-vanishing boundary log is rejected
     h_bad = h.copy()
     h_bad[dom.boundary] = np.diag([2.0, 0.5])
     with pytest.raises(ValueError, match="boundary"):
-        bf.identity_residuals(conn, h_bad, k, s_boundary_zero=True)
+        bf.identity_residuals(conn, h_bad, k)
 
 
 # ----------------------------------------------------------------- polystable

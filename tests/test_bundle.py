@@ -141,7 +141,8 @@ def test_one_form_transport_antisymmetry_of_psi():
         y = int(dom.neighbors[0, 1, x])  # left neighbour; edge (x -> y) is a reverse edge
         u = conn.transport[0, y]
         pulled = la.dagger(np.linalg.inv(u)) @ h[y] @ np.linalg.inv(u)
-        logp, _ = la.metric_log_invsqrt(h[x][None], pulled[None])
+        hx = h[x][None]
+        logp = la.comparison_functions(la.scaled_sqrt(hx), pulled[None] - hx)[0]
         psi_rev = -logp[0] / (2.0 * dom.spacings[0])
         assert np.abs(psi_rev - rev[0, x]).max() < 1e-10
 
@@ -271,7 +272,7 @@ def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank
     s = np.zeros_like(h)
     s[sites] = g_inv[sites] @ np.einsum("nk,kij->nij", x, basis) @ g[sites]
     d_s = bf.covariant_d(sm.connection, s)
-    form = sum(np.sum(dom.edge_weight[a] * dom.metric_weight[a] * la.endo_norm2(d_s[a], h))
+    form = sum(np.sum(dom.edge_weight[a] * la.endo_norm2(d_s[a], h))
                for a in range(dom.dim))
     assert x.ravel() @ lap @ x.ravel() == pytest.approx(form, rel=1e-12)
     cod = bf.codifferential(conn, h, d_s, sm)[sites]
@@ -344,19 +345,6 @@ def test_tension_is_exactly_self_adjoint():
     h = rough_random_metric(dom.n_sites, 2, seed=3)
     t = bf.tension(conn, h)
     assert np.abs(la.dagger(t) @ h - h @ t).max() < 1e-10 * np.abs(h).max()
-
-
-def test_tension_modes_agree_to_second_order():
-    gaps = []
-    for n in (16, 32):
-        dom = bf.build_domain("circle", n, TWO_PI)
-        conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
-        h = random_metric(dom, 2, seed=6, amplitude=0.3)
-        k = random_metric(dom, 2, seed=7, amplitude=0.3)
-        direct = bf.tension(conn, h)
-        via = bf.tension(conn, h, mode="via_reference", reference=k)
-        gaps.append(np.abs(direct - via).max())
-    assert np.log2(gaps[0] / gaps[1]) > 1.5
 
 
 def test_gauge_covariance_of_tension_and_diagnostics():

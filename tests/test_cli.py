@@ -177,6 +177,7 @@ def test_resume_from_a_max_steps_final_checkpoint_is_bit_exact(tmp_path):
     ("output", {"directory": 5}),
     ("solver", {"tolerence": 1e-8}),
     ("solvers", {"tolerance": 1e-8}),
+    ("domain", {"complex": True}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     cfg = write_config(tmp_path / "run.yaml", **{block: fields})
@@ -209,7 +210,7 @@ def test_config_blocks_of_any_type_give_a_config_or_a_config_error(junk):
 
 
 FIELDS = {
-    "domain": ("kind", "sites", "lengths", "complex"),
+    "domain": ("kind", "sites", "lengths"),
     "bundle": ("rank", "monodromy"),
     "reference_metric": ("kind", "amplitudes", "modes", "amplitude", "path"),
     "solver": ("tolerance", "max_steps", "dt", "dt_policy", "dt_growth_every",
@@ -218,8 +219,7 @@ FIELDS = {
     "exhaustion": ("levels",),
 }
 # Fields taken as they are, without conversion: a value of another type is refused.
-TYPED_FIELDS = {("domain", "kind"): str, ("domain", "complex"): (bool, type(None)),
-                ("reference_metric", "path"): (str, type(None)),
+TYPED_FIELDS = {("domain", "kind"): str, ("reference_metric", "path"): (str, type(None)),
                 ("solver", "dt_policy"): str, ("output", "directory"): str}
 # Small integers only: a junk site count must not allocate a huge lattice.
 SMALL_JUNK = st.one_of(st.integers(-2, 9), st.lists(st.integers(-2, 9), max_size=3),
@@ -297,10 +297,16 @@ def test_config_validation_names_fields(tmp_path):
     # A key no block reads is refused by name: a typo, a retired field, a block.
     for overrides, message in (({"solver": {"tolerence": 1e-8}}, "solver.tolerence"),
                                ({"solver": {"boundary": "none"}}, "solver.boundary"),
+                               ({"domain": {"complex": True}}, "domain.complex"),
                                ({"solvers": {"tolerance": 1e-8}}, "solvers")):
         path = write_config(tmp_path / "r3.yaml", **overrides)
         with pytest.raises(ConfigError, match=rf"^{re.escape(message)}: unknown field$"):
             load_config(path)
+    # A missing field is named the same way, top-level fields without a prefix.
+    with pytest.raises(ConfigError, match=r"^scenario: missing field$"):
+        config_from_dict({"domain": {}})
+    with pytest.raises(ConfigError, match=r"^domain\.kind: missing field$"):
+        config_from_dict({"scenario": "solve_harmonic", "domain": {}})
 
 
 def test_identical_runs_identical_csv(tmp_path):

@@ -191,8 +191,7 @@ def test_solve_harmonic_jordan_floor_is_not_converged():
     floor is reported as precision_floor, and its energy never rises."""
     dom = bf.build_domain("circle", 8, TWO_PI)
     conn = bf.from_monodromy(dom, [np.array([[1.0, 1.0], [0.0, 1.0]])])
-    opts = bf.SolveOptions(tolerance=1e-30, divergence_threshold=80.0,
-                           dt_growth_every=2, dt_growth=1.5)
+    opts = bf.SolveOptions(tolerance=1e-30, divergence_threshold=80.0, dt_growth_every=2)
     rep = bf.solve_harmonic(conn, identity_metric(dom.n_sites, 2), opts)
     assert rep.verdict == "precision_floor"
     assert "roundoff floor" in rep.verdict_reason
@@ -554,7 +553,7 @@ def test_solver_option_validation():
     with pytest.raises(ValueError):
         bf.SolveOptions(dt_policy="magic").validate()
     with pytest.raises(ValueError):
-        bf.SolveOptions(dt_growth=0.5).validate()
+        bf.SolveOptions(dt_growth_every=0).validate()
 
 
 # ------------------------------------------------- one factorization per trial

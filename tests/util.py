@@ -167,7 +167,7 @@ def covariant_laplacian_coo(metric_conn, frame, sites):
     block = np.arange(r * r)
     for a in range(dom.dim):
         tails, heads = metric_conn.edge_sites(a)
-        c = dom.edge_weight[a, tails] * dom.metric_weight[a, tails] / dom.spacings[a] ** 2
+        c = dom.edge_weight[a, tails] / dom.spacings[a] ** 2
         st, sh = slot[tails], slot[heads]
         np.add.at(diag, st[st >= 0], c[st >= 0])
         np.add.at(diag, sh[sh >= 0], c[sh >= 0])
