@@ -5,10 +5,11 @@ and ``Checkpoint.state`` are the one mapping between the two, so a run resumes
 from any checkpoint, periodic or final, exactly as the unsplit run goes on.
 
 Layout: a header line of comma-separated ``key value`` pairs: ``rank`` and
-``sites`` (the metric's shape), ``time``, ``step``, ``dt`` (the next step's),
-``streak``, ``grown``, ``latch`` (0 or 1) and, once measured, ``logh_prev``
-(absent loads as None). Then one line per site with the row-major complex
-entries of H written as ``re im`` pairs.
+``sites`` (the metric's shape), ``time``, ``step``, ``dt`` (the next step's;
+0 for the default of the run's step), ``streak``, ``grown``, ``latch`` (0 or
+1) and, once measured, ``logh_prev`` (absent loads as None); the floats are
+finite and dt is not negative. Then one line per site with the row-major
+complex entries of H written as ``re im`` pairs.
 An optional ``theta`` marker line introduces a second per-site block with the
 same layout. Floats are written with shortest round-trip precision, so a
 save/load cycle is bit-exact.
@@ -121,6 +122,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"checkpoint line 1: malformed header {lines[0]!r}") from exc
     if rank < 1 or sites < 1:
         raise ValueError(f"checkpoint line 1: rank and sites must be positive in {lines[0]!r}")
+    if not np.isfinite([time, dt, 0.0 if logh_prev is None else logh_prev]).all() or dt < 0:
+        raise ValueError("checkpoint line 1: time, dt and logh_prev must be finite and dt "
+                         f"not negative in {lines[0]!r}")
     metric, pos = _parse_block(lines, 1, sites, rank)
     theta = None
     if pos < len(lines) and lines[pos].strip() == "theta":

@@ -62,7 +62,7 @@ def _trace(report, blas_threads: str) -> str:
 class _CsvWriter:
     def __init__(self, path: Path, cadence: int):
         self.path = path
-        self.cadence = max(1, cadence)
+        self.cadence = cadence
         self.rows: list[str] = []
 
     def header(self, columns) -> None:
@@ -128,7 +128,7 @@ def run_scenario(
             print("error: checkpoint rank/sites do not match the config", file=sys.stderr)
             return 1
         state = ck.state()
-        notes.append(f"resumed from step {ck.step} (dt policy: {cfg.solver.dt_policy})")
+        notes.append(f"resumed from step {ck.step}")
 
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,8 +146,7 @@ def run_scenario(
         write(*args)
         io_seconds += time.perf_counter() - start
 
-    def on_step(state, diag) -> None:
-        io(csv.add, state.history[-1])
+    def on_step(state) -> None:
         if ckpt_every and state.step and state.step % ckpt_every == 0:
             io(save_checkpoint, out / f"step{state.step:08d}.ckpt", Checkpoint.of(state))
 
@@ -188,8 +187,6 @@ def run_scenario(
                     f"  {mon.level:g}, {mon.n_sites}, {rep.verdict}, "
                     f"{_fmt(mon.sup_log_h)}, {_fmt(mon.dh_l2)}, {_fmt(mon.cauchy_sup)}"
                 )
-                for row in rep.history:
-                    io(csv.add, row)
             traced += [(f"level {mon.level:g} trace", rep) for rep, mon in zip(reports, monitors)]
             status = max(_VERDICT_STATUS.get(r.verdict, 0) for r in reports)
             final = reports[-1]
@@ -240,6 +237,9 @@ def run_scenario(
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    for _, rep in traced:
+        for row in rep.history:
+            io(csv.add, row)
     io(csv.flush)
     if traced:
         # The CSV and checkpoint I/O is charged to the last flow run reported.

@@ -8,7 +8,8 @@ back to its default unnoticed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -26,19 +27,6 @@ SCENARIOS = (
     "stability",
     "higgs_roundtrip",
 )
-
-# The keys each block reads, and under "" the top-level blocks.
-_FIELDS = {
-    "": ("scenario", "domain", "bundle", "reference_metric", "solver", "output", "exhaustion"),
-    "domain": ("kind", "sites", "lengths"),
-    "bundle": ("rank", "monodromy"),
-    "reference_metric": ("kind", "amplitudes", "modes", "amplitude", "path"),
-    "solver": ("tolerance", "max_steps", "dt", "dt_policy", "dt_growth_every",
-               "divergence_threshold"),
-    "output": ("directory", "csv_cadence", "checkpoint_cadence"),
-    "exhaustion": ("levels",),
-}
-
 
 class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending field."""
@@ -89,6 +77,10 @@ class RunConfig:
     exhaustion: ExhaustionConfig
 
 
+# The dataclass each block fills, and under "" the top level's: a block accepts its fields.
+_BLOCKS = {"": RunConfig, **get_type_hints(RunConfig)}
+
+
 def _need(block: dict, key: str, where: str):
     if key not in block:
         raise ConfigError(f"{where + '.' if where else ''}{key}: missing field")
@@ -96,9 +88,10 @@ def _need(block: dict, key: str, where: str):
 
 
 def _known(block: dict, where: str) -> None:
-    """Refuse the first key of ``block`` that ``_FIELDS[where]`` does not list."""
+    """Refuse the first key of ``block`` that is no field of its dataclass, ``_BLOCKS[where]``."""
+    names = tuple(f.name for f in fields(_BLOCKS[where]))
     for key in block:
-        if key not in _FIELDS[where]:
+        if key not in names:
             raise ConfigError(f"{where + '.' if where else ''}{key}: unknown field")
 
 
@@ -207,8 +200,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     solver = SolveOptions(
         tolerance=sol_num(float, "tolerance"),
         max_steps=sol_num(int, "max_steps"),
-        dt=(sol_num(float, "dt") if "dt" in sol_block else None),
-        dt_policy=_typed(sol_block.get("dt_policy", defaults.dt_policy), str, "solver.dt_policy"),
         dt_growth_every=sol_num(int, "dt_growth_every"),
         divergence_threshold=sol_num(float, "divergence_threshold"),
     )
@@ -220,6 +211,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         checkpoint_cadence=_number(int, out_block.get("checkpoint_cadence", 0),
                                    "output.checkpoint_cadence"),
     )
+    for key, least in (("csv_cadence", 1), ("checkpoint_cadence", 0)):
+        if getattr(output, key) < least:
+            raise ConfigError(f"output.{key}: must be {least} or more, got {getattr(output, key)}")
 
     exh_block = _block(raw, "exhaustion", {})
     levels = _typed(exh_block.get("levels", []), list, "exhaustion.levels")

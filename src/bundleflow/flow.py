@@ -158,18 +158,18 @@ HISTORY_COLUMNS = (
 class SolveOptions:
     tolerance: float = 1e-8
     max_steps: int = 200_000
-    dt: float | None = None                 # None: default_dt for the run's step
-    dt_policy: str = "adaptive"             # "adaptive" | "fixed"
     dt_growth_every: int = 20
     divergence_threshold: float = 50.0
 
     def validate(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.divergence_threshold <= self.tolerance:
-            raise ValueError("divergence threshold must exceed the tolerance scale")
-        if self.dt_policy not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown dt policy {self.dt_policy!r}")
+        # Written so that a NaN, for which every comparison is false, fails too.
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance {self.tolerance!r} must be positive and finite")
+        if not self.tolerance < self.divergence_threshold < np.inf:
+            raise ValueError(f"divergence_threshold {self.divergence_threshold!r} must be "
+                             "finite and above the tolerance")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps {self.max_steps!r} must be 0 or more")
         if self.dt_growth_every < 1:
             raise ValueError("dt growth needs 1 or more accepted steps between growths")
 
@@ -314,7 +314,7 @@ def _drive(
     measure: Callable[[Array], dict],
     tracefree: bool,
     init: FlowState | None = None,
-    callback: Callable[[FlowState, dict], None] | None = None,
+    callback: Callable[[FlowState], None] | None = None,
     runaway: bool = False,
 ) -> tuple[RunReport, dict]:
     """The adaptive multiplicative flow that every solver runs, and its final diagnostics.
@@ -330,9 +330,10 @@ def _drive(
     step control, the verdicts, the reset of boundary sites to K, det
     normalization and the history. ``tracefree`` flows are judged by the
     trace-free residual, and a converged metric is normalized to
-    det(K^{-1}H) = 1. Unless ``opts.dt`` is set, a run starts from the
-    ``default_dt`` of its step: implicit when ``measure`` returns ``solve``,
-    else explicit. ``init`` is advanced in place, so a caller that
+    det(K^{-1}H) = 1. A run starts from the dt of its state; a dt <= 0
+    means the ``default_dt`` of its step: implicit when ``measure`` returns
+    ``solve``, else explicit. ``init`` is advanced in place, and
+    ``callback(state)`` sees it after each accepted step, so a caller that
     checkpoints it (``checkpoint.Checkpoint.of``) holds the run's state at
     every step and at the end. ``runaway`` adds the runaway growth rule to the
     adaptive schedule (module docstring); the report's notes count the steps
@@ -365,14 +366,13 @@ def _drive(
         state = init
     diag = diagnose(state.metric)
     if state.dt <= 0:
-        state.dt = opts.dt if opts.dt is not None else default_dt(domain,
-                                                                  implicit="solve" in diag)
+        state.dt = default_dt(domain, implicit="solve" in diag)
     if state.logh_prev is None:
         state.logh_prev = diag["logh_sup"]
     if not state.history:
         state.history.append(_row(state, state.dt, diag))
         if callback is not None:
-            callback(state, diag)
+            callback(state)
 
     key = "tracefree_sup" if tracefree else "residual_sup"
     verdict, reason = "max_steps", ""
@@ -397,7 +397,7 @@ def _drive(
         phases["update"] += _time.perf_counter() - start
         diag_trial = diagnose(trial)
         slack = ENERGY_RTOL * diag["energy"]
-        if opts.dt_policy == "adaptive" and diag_trial["energy"] > diag["energy"] + slack:
+        if diag_trial["energy"] > diag["energy"] + slack:
             rejected += 1
             state.dt *= 0.5
             state.accepted_since_growth = 0
@@ -419,19 +419,18 @@ def _drive(
             state.divergence_streak += 1
         else:
             state.divergence_streak = 0
-        if opts.dt_policy == "adaptive":
-            state.accepted_since_growth += 1
-            state.latch_open = state.latch_open and diag[key] < residual_prev
-            if (runaway and state.latch_open and diag["logh_sup"] > state.logh_prev
-                    and gate_low < diag["logh_sup"] < opts.divergence_threshold):
-                state.dt *= RUNAWAY_GROWTH
-                state.accepted_since_growth = 0
-                doubled += 1
-            elif state.accepted_since_growth >= opts.dt_growth_every:
-                state.dt *= DT_GROWTH
-                state.accepted_since_growth = 0
+        state.accepted_since_growth += 1
+        state.latch_open = state.latch_open and diag[key] < residual_prev
+        if (runaway and state.latch_open and diag["logh_sup"] > state.logh_prev
+                and gate_low < diag["logh_sup"] < opts.divergence_threshold):
+            state.dt *= RUNAWAY_GROWTH
+            state.accepted_since_growth = 0
+            doubled += 1
+        elif state.accepted_since_growth >= opts.dt_growth_every:
+            state.dt *= DT_GROWTH
+            state.accepted_since_growth = 0
         if callback is not None:
-            callback(state, diag)
+            callback(state)
         if state.divergence_streak >= DIVERGENCE_PATIENCE:
             verdict = "diverged"
             reason = (f"sup|log h| {diag['logh_sup']:.3f} beyond threshold "

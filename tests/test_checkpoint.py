@@ -92,6 +92,11 @@ def test_truncated_body_rejected(tmp_path):
     ("rank 1, sites 2, time 0.0\n1.0 0.0\n1.0 x\n", "line 3: could not convert"),
     ("rank 1, sites 1, time 0.0\n1.0 0.0\ntheta\n", "line 4: the file ends after 0 of 1"),
     ("rank 1, sites 1, time 0.0\n1.0 0.0\n2.0 0.0\n", "line 3: unexpected line"),
+    ("rank 1, sites 1, time nan\n1.0 0.0\n", "line 1: time, dt and logh_prev must be finite"),
+    ("rank 1, sites 1, time 0.0, dt inf\n1.0 0.0\n", "line 1: time, dt and logh_prev must"),
+    ("rank 1, sites 1, time 0.0, dt nan\n1.0 0.0\n", "line 1: time, dt and logh_prev must"),
+    ("rank 1, sites 1, time 0.0, dt -0.5\n1.0 0.0\n", "line 1: .* dt not negative"),
+    ("rank 1, sites 1, time 0.0, logh_prev -inf\n1.0 0.0\n", "line 1: time, dt and logh_prev"),
 ])
 def test_malformed_checkpoint_names_its_line(tmp_path, text, message):
     path = tmp_path / "bad.ckpt"

@@ -178,6 +178,16 @@ def test_resume_from_a_max_steps_final_checkpoint_is_bit_exact(tmp_path):
     ("solver", {"tolerence": 1e-8}),
     ("solvers", {"tolerance": 1e-8}),
     ("domain", {"complex": True}),
+    ("solver", {"dt": 0}),
+    ("solver", {"dt": -1.0}),
+    ("solver", {"dt": float("nan")}),
+    ("solver", {"tolerance": float("nan")}),
+    ("solver", {"tolerance": float("inf")}),
+    ("solver", {"divergence_threshold": float("nan")}),
+    ("solver", {"max_steps": -5}),
+    ("output", {"csv_cadence": -4}),
+    ("output", {"csv_cadence": 0}),
+    ("output", {"checkpoint_cadence": -1}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     cfg = write_config(tmp_path / "run.yaml", **{block: fields})
@@ -213,14 +223,13 @@ FIELDS = {
     "domain": ("kind", "sites", "lengths"),
     "bundle": ("rank", "monodromy"),
     "reference_metric": ("kind", "amplitudes", "modes", "amplitude", "path"),
-    "solver": ("tolerance", "max_steps", "dt", "dt_policy", "dt_growth_every",
-               "divergence_threshold"),
+    "solver": ("tolerance", "max_steps", "dt_growth_every", "divergence_threshold"),
     "output": ("directory", "csv_cadence", "checkpoint_cadence"),
     "exhaustion": ("levels",),
 }
 # Fields taken as they are, without conversion: a value of another type is refused.
 TYPED_FIELDS = {("domain", "kind"): str, ("reference_metric", "path"): (str, type(None)),
-                ("solver", "dt_policy"): str, ("output", "directory"): str}
+                ("output", "directory"): str}
 # Small integers only: a junk site count must not allocate a huge lattice.
 SMALL_JUNK = st.one_of(st.integers(-2, 9), st.lists(st.integers(-2, 9), max_size=3),
                        st.text(max_size=4), st.floats(-3.0, 3.0), st.just(float("nan")),
@@ -272,6 +281,18 @@ def test_malformed_resume_checkpoint_is_one_error_line(tmp_path, capsys, keep_li
     assert err == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("dt", ["nan", "inf", "-0.5"])
+def test_resume_checkpoint_with_a_bad_dt_is_one_error_line(tmp_path, capsys, dt):
+    cfg = write_config(tmp_path / "run.yaml")
+    ckpt = _site_checkpoint(tmp_path / "edited.ckpt", 24)
+    ckpt.write_text(ckpt.read_text().replace(", dt 0.01,", f", dt {dt},", 1))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--resume", str(ckpt)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: checkpoint line 1: time, dt and logh_prev must be finite"), err
+
+
 @pytest.mark.parametrize("text", ["garbage\n1 2 3\n", "", "rank 2, sites 24, time 0.0\n"])
 def test_malformed_reference_checkpoint_is_one_error_line(tmp_path, capsys, text):
     (tmp_path / "ref.ckpt").write_text(text)
@@ -297,6 +318,8 @@ def test_config_validation_names_fields(tmp_path):
     # A key no block reads is refused by name: a typo, a retired field, a block.
     for overrides, message in (({"solver": {"tolerence": 1e-8}}, "solver.tolerence"),
                                ({"solver": {"boundary": "none"}}, "solver.boundary"),
+                               ({"solver": {"dt": 0.01}}, "solver.dt"),
+                               ({"solver": {"dt_policy": "fixed"}}, "solver.dt_policy"),
                                ({"domain": {"complex": True}}, "domain.complex"),
                                ({"solvers": {"tolerance": 1e-8}}, "solvers")):
         path = write_config(tmp_path / "r3.yaml", **overrides)
@@ -389,8 +412,8 @@ def test_readme_config_example_parses():
     assert len(blocks) == 1
     cfg = config_from_dict(yaml.safe_load(blocks[0]))
     assert cfg.scenario == "solve_poisson" and cfg.exhaustion.levels == [9, 11, 13, 15]
-    assert cfg.solver == SolveOptions(tolerance=1e-8, max_steps=200000, dt_policy="adaptive",
-                                      dt_growth_every=20, divergence_threshold=50.0)
+    assert cfg.solver == SolveOptions(tolerance=1e-8, max_steps=200000, dt_growth_every=20,
+                                      divergence_threshold=50.0)
 
 
 def test_stability_scenario_writes_table(tmp_path):

@@ -36,7 +36,7 @@ def test_fixed_point_settles_with_one_history_row():
     dom = bf.build_domain("circle", 12, 1.0)
     conn = bf.from_monodromy(dom, [np.diag([np.exp(0.5j), 1.0])])
     h = 3.0 * identity_metric(dom.n_sites, 2)
-    rep = bf.solve_harmonic(conn, h, bf.SolveOptions(dt=0.5))
+    rep = bf.solve_harmonic(conn, h, init=FlowState(time=0.0, metric=h.copy(), dt=0.5))
     assert rep.verdict == "converged" and rep.steps == 0 and rep.trial_steps == 0
     assert len(rep.history) == 1 and rep.time == 0.0
     assert np.abs(rep.metric - h).max() == 0.0
@@ -63,15 +63,13 @@ def test_step_preserves_positivity_for_large_dt():
     dom = bf.build_domain("circle", 16, 1.0)
     conn = bf.from_monodromy(dom, [np.diag([3.0, 1 / 3.0]).astype(complex)])
     h = random_metric(dom, 2, seed=1, amplitude=0.5)
-    # one fixed step of ~250x the CFL-like default, explicit and implicit
-    opts = bf.SolveOptions(dt=0.2, dt_policy="fixed", max_steps=1)
+    # one step of ~250x the CFL-like default, explicit and implicit; the
+    # driver would reject it, so the update is applied to the diagnostics
     sites = np.arange(dom.n_sites)
-    for kind, get_pattern in (("explicit", None),
-                              ("implicit", lambda: laplacian_pattern(conn, sites))):
-        rep = _drive(dom, h, opts, partial(_diagnostics, conn, get_pattern=get_pattern),
-                     tracefree=False)[0]
-        assert rep.steps == 1 and rep.history[-1][2] == 0.2 and rep.step_kind == kind
-        assert np.linalg.eigvalsh(la.hermitize(rep.metric)).min() > 0.0
+    diag = _diagnostics(conn, h, get_pattern=lambda: laplacian_pattern(conn, sites))
+    for direction in (diag["direction"], diag["solve"](0.2)):
+        stepped = la.metric_exp_update(h, direction, 2.0 * 0.2, diag["root"])
+        assert np.linalg.eigvalsh(la.hermitize(stepped)).min() > 0.0
     # an additive Euler update of the same size would lose positivity
     additive = h + 2.0 * 0.2 * (h @ bf.tension(conn, h))
     assert np.linalg.eigvalsh(la.hermitize(additive)).min() < 0.0
@@ -249,14 +247,14 @@ def test_two_flow_contraction_dirichlet():
         0.4 * bump[:, None, None] * np.array([[1.0, 0.3j], [-0.3j, -1.0]]), k
     )
     h0 = la.metric_exp_update(k, perturb, 1.0)
+    # Both runs start from the same dt; with no rejection they take the same steps.
     dt = default_dt(dom, implicit=True)
-    opts = bf.SolveOptions(dt_policy="fixed", dt=dt)
     metrics_a, metrics_b = [], []
-    rep_a = bf.solve_harmonic(conn, k, opts, callback=lambda s, d: metrics_a.append(s.metric.copy()))
-    init = FlowState(time=0.0, metric=h0, dt=dt)
-    rep_b = bf.solve_harmonic(
-        conn, k, opts, init=init, callback=lambda s, d: metrics_b.append(s.metric.copy())
-    )
+    rep_a = bf.solve_harmonic(conn, k, init=FlowState(time=0.0, metric=k.copy(), dt=dt),
+                              callback=lambda s: metrics_a.append(s.metric.copy()))
+    rep_b = bf.solve_harmonic(conn, k, init=FlowState(time=0.0, metric=h0, dt=dt),
+                              callback=lambda s: metrics_b.append(s.metric.copy()))
+    assert rep_a.rejected_steps == rep_b.rejected_steps == 0
     steps = min(len(metrics_a), len(metrics_b))
     sigmas = np.array(
         [bf.donaldson_distance(metrics_a[i], metrics_b[i])[1] for i in range(steps)]
@@ -408,11 +406,13 @@ def test_closed_run_just_above_the_floor_converges_implicitly():
 
 
 def test_strategy_switches_at_the_implicit_floor():
-    # The driver starts from the default dt of the step the strategy takes;
-    # a run of no steps shows it in its one history row.
-    def start_dt(dom, measure, opts):
-        run = _drive(dom, identity_metric(dom.n_sites, 2), replace(opts, max_steps=0),
-                     measure, tracefree=False)[0]
+    # The driver starts from the state's dt, or from the default dt of the
+    # step the strategy takes when it is 0; a run of no steps shows it in its
+    # one history row.
+    def start_dt(dom, measure, opts, dt=0.0):
+        init = FlowState(time=0.0, metric=identity_metric(dom.n_sites, 2), dt=dt)
+        run = _drive(dom, init.metric.copy(), replace(opts, max_steps=0), measure,
+                     tracefree=False, init=init)[0]
         return run.history[0][2]
 
     dom, conn = circle_diag(n=16, length=1.0)
@@ -428,7 +428,7 @@ def test_strategy_switches_at_the_implicit_floor():
             f"explicit heat-flow step: tolerance {tol:.3e} is at or below the implicit "
             f"step's roundoff floor {floor:.3e}"])
     # A domain with a boundary takes the implicit step on either side of the
-    # floor, without a note; opts.dt, when set, is the starting dt.
+    # floor, without a note; a state's positive dt is the starting dt.
     rect = bf.build_domain("rectangle", (6, 6), (1.0, 1.0))
     rect_conn = bf.from_monodromy(rect, [], rank=2)
     for factor in (0.5, 2.0):
@@ -437,7 +437,7 @@ def test_strategy_switches_at_the_implicit_floor():
         assert "solve" in measure(identity_metric(rect.n_sites, 2))
         assert not runaway and not notes
         assert start_dt(rect, measure, opts) == default_dt(rect, implicit=True)
-        assert start_dt(rect, measure, replace(opts, dt=0.125)) == 0.125
+        assert start_dt(rect, measure, opts, dt=0.125) == 0.125
 
 
 def test_exhaustion_unitary_is_trivial():
@@ -551,9 +551,14 @@ def test_solver_option_validation():
     with pytest.raises(ValueError):
         bf.SolveOptions(tolerance=-1.0).validate()
     with pytest.raises(ValueError):
-        bf.SolveOptions(dt_policy="magic").validate()
-    with pytest.raises(ValueError):
         bf.SolveOptions(dt_growth_every=0).validate()
+    # NaN (every comparison with it is false) and infinity are refused by field name
+    for bad in ({"tolerance": float("nan")}, {"tolerance": float("inf")},
+                {"divergence_threshold": float("nan")},
+                {"divergence_threshold": float("inf")}, {"max_steps": -5}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            bf.SolveOptions(**bad).validate()
+    bf.SolveOptions(max_steps=0).validate()
 
 
 # ------------------------------------------------- one factorization per trial
@@ -588,9 +593,10 @@ def test_one_metric_factorization_per_trial(monkeypatch):
 
         def run(steps: int) -> Counter:
             counts.clear()
-            opts = bf.SolveOptions(tolerance=1e-14, max_steps=steps, dt_policy="fixed")
+            opts = bf.SolveOptions(tolerance=1e-14, max_steps=steps)
             rep = bf.solve_poisson(conn, k, opts)
             assert rep.verdict == "max_steps" and rep.steps == steps
+            assert rep.rejected_steps == 0
             return Counter(counts)
 
         short, long = run(3), run(8)
@@ -615,7 +621,7 @@ def test_sigma_from_relative_eigenvalues_matches_trace_formula():
     assert expected.min() > 1e-2
     assert np.abs(via_eigs - expected).max() <= 1e-12 * np.abs(expected).max()
     # the flow's reported sigma is the same quantity
-    opts = bf.SolveOptions(dt_policy="fixed", max_steps=1)
+    opts = bf.SolveOptions(max_steps=1)
     rep = bf.solve_harmonic(conn, k, opts, init=FlowState(time=0.0, metric=h, dt=1e-3))
     assert rep.steps == 1
     assert rep.history[-1][9] == pytest.approx(trace_formula(rep.metric).max(), rel=1e-12)
