@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import null_space
 
 from . import linalg as la
@@ -409,108 +409,48 @@ def tension(conn: FlatConnection, metric: Array) -> Array:
     return la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric)
 
 
-@dataclass(frozen=True)
-class LaplacianPattern:
-    """The part of ``covariant_laplacian`` fixed by a domain, a rank and the unknown sites.
-
-    Everything but the values of the edge blocks: the unknown ``sites``, the
-    ``basis`` (``linalg.unit_hermitian_basis``), the ``mass`` (the site
-    volumes, one per unknown), per axis the edges that couple two unknowns
-    with their weights ``c_e = w_e / h_a^2``, the stiffness diagonal, and the
-    CSC structure (``indices``, ``indptr``) with the position ``scatter`` of
-    every COO entry of the assembly and the positions ``diagonal_slots`` of each
-    unknown's diagonal entry. An implicit solve builds it once and fills in
-    the values on every trial.
-    """
-
-    sites: Array
-    basis: Array
-    mass: Array
-    edges: tuple[tuple[int, Array, Array, Array], ...]   # (axis, tails, heads, c_e)
-    stiffness_diagonal: Array
-    indices: Array
-    indptr: Array
-    scatter: Array
-    diagonal_slots: Array
-
-
-def laplacian_pattern(conn: FlatConnection, sites: Array) -> LaplacianPattern:
-    """The fixed part of ``covariant_laplacian`` for ``conn``'s domain and rank on ``sites``."""
-    dom = conn.domain
-    r2 = conn.rank ** 2
-    slot = np.full(dom.n_sites, -1)
-    slot[sites] = np.arange(len(sites))
-    diag = np.zeros(len(sites))
-    rows, cols, edges = [], [], []
-    block = np.arange(r2)
-    for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
-        c = dom.edge_weight[a, tails] / dom.spacings[a] ** 2
-        st, sh = slot[tails], slot[heads]
-        np.add.at(diag, st[st >= 0], c[st >= 0])
-        np.add.at(diag, sh[sh >= 0], c[sh >= 0])
-        both = (st >= 0) & (sh >= 0)
-        edges.append((a, tails[both], heads[both], c[both]))
-        ix = st[both][:, None, None] * r2 + block[None, :, None]
-        iy = sh[both][:, None, None] * r2 + block[None, None, :]
-        ix, iy = np.broadcast_arrays(ix, iy)
-        rows += [ix.ravel(), iy.ravel()]
-        cols += [iy.ravel(), ix.ravel()]
-    n = len(sites) * r2
-    unknowns = np.arange(n)
-    rows.append(unknowns)
-    cols.append(unknowns)
-    # CSC order: by column, then by row; duplicate entries share a position.
-    keys, scatter = np.unique(np.concatenate(cols) * n + np.concatenate(rows),
-                              return_inverse=True)
-    return LaplacianPattern(
-        sites=sites,
-        basis=la.unit_hermitian_basis(conn.rank),
-        mass=np.repeat(dom.volume[sites], r2),
-        edges=tuple(edges),
-        stiffness_diagonal=np.repeat(diag, r2),
-        indices=keys % n,
-        indptr=np.searchsorted(keys // n, np.arange(n + 1)),
-        scatter=scatter,
-        diagonal_slots=scatter[-n:],
-    )
-
-
 def covariant_laplacian(
-    metric_conn: FlatConnection, frame: tuple[Array, Array], pattern: LaplacianPattern
-) -> sparse.csc_array:
-    """Stiffness matrix of the covariant Laplacian on Hermitian endomorphism fields.
+    metric_conn: FlatConnection, frame: tuple[Array, Array]
+) -> Callable[[Array], Array]:
+    """The covariant Laplacian on Hermitian endomorphism fields, as its action ``s -> L s``.
 
     ``metric_conn`` holds the metric transports V of a split at H and
     ``frame`` is ``linalg.orthonormal_frame`` of H's scaled root, (g, g^{-1})
     with H = g^dag g. An H-self-adjoint field S is carried as the Hermitian
-    field g S g^{-1}, whose coordinates in ``linalg.unit_hermitian_basis`` are the
-    unknowns, site-major, at the sites of ``pattern`` (``laplacian_pattern``,
-    which a caller assembling on the same sites many times builds once);
-    every other site holds zero (a Dirichlet condition). The matrix is the
-    real symmetric form
-    ``sum_e c_e |W^dag s(y) W - s(x)|^2`` with ``c_e = w_e / h_a^2`` and the
-    unitary ``W = g(y) V g(x)^{-1}``, so ``M + dt L`` is positive definite
-    for the site volumes M and any dt > 0. ``M^{-1} L`` is the codifferential
-    of the V-covariant difference, the principal part of the tension's
-    linearization: ``tension(H exp(X)) = tension(H) - M^{-1} L X / 2`` up to
-    terms in psi. The structure is the pattern's, explicit zeros included.
+    field s = g S g^{-1}, of shape (n, r, r), that vanishes on the boundary
+    sites (a Dirichlet condition); the action is zeroed there. ``L`` is the
+    real symmetric form ``sum_e c_e |W^dag s(y) W - s(x)|^2`` under
+    ``Re tr(a b)``, with ``c_e = w_e / h_a^2`` and the unitary
+    ``W = g(y) V g(x)^{-1}``: each edge adds ``c_e (s(x) - W^dag s(y) W)`` at
+    its tail and ``c_e (s(y) - W s(x) W^dag)`` at its head. So ``M + dt L`` is
+    positive definite for the site volumes M and any dt > 0. ``M^{-1} L`` is
+    the codifferential of the V-covariant difference, the principal part of
+    the tension's linearization:
+    ``tension(H exp(X)) = tension(H) - M^{-1} L X / 2`` up to terms in psi.
+    The edge factors are held per site and neighbour (``domain.neighbors``),
+    so the action gathers and never scatters.
     """
+    dom = metric_conn.domain
     g, g_inv = frame
-    basis = pattern.basis
-    vals = []
-    for a, tails, heads, c in pattern.edges:
+    near = dom.neighbors.reshape(2 * dom.dim, -1)      # -1 where no edge, whose factor is 0
+    left = np.zeros((2 * dom.dim,) + g.shape, dtype=complex)
+    right = np.zeros_like(left)
+    stiffness = np.zeros((dom.n_sites, 1, 1))
+    for a in range(dom.dim):
+        tails, heads = metric_conn.edge_sites(a)
+        c = (dom.edge_weight[a, tails] / dom.spacings[a] ** 2)[:, None, None]
         w = la.mm(la.mm(g[heads], metric_conn.transport[a, tails]), g_inv[tails])
-        # B[e, k, l] = Re tr(E_k W^dag E_l W): the coordinates of W^dag s(y) W.
-        moved = la.mm(la.mm(la.dagger(w)[:, None], basis[None]), w[:, None])
-        b = np.einsum("kab,elba->ekl", basis, moved).real * -c[:, None, None]
-        vals += [b.ravel(), b.ravel()]
-    vals.append(pattern.stiffness_diagonal)
-    n = len(pattern.indptr) - 1
-    data = np.bincount(pattern.scatter, weights=np.concatenate(vals),
-                       minlength=len(pattern.indices))
-    # The matrix owns its structure: a caller may prune it without touching the pattern.
-    return sparse.csc_array((data, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n))
+        left[2 * a, tails], right[2 * a, tails] = c * la.dagger(w), w
+        left[2 * a + 1, heads], right[2 * a + 1, heads] = c * w, la.dagger(w)
+        stiffness[tails] += c
+        stiffness[heads] += c
+    left[:, dom.boundary] = 0.0
+    stiffness[dom.boundary] = 0.0
+
+    def apply(s: Array) -> Array:
+        return stiffness * s - la.mm(la.mm(left, s[near]), right).sum(axis=0)
+
+    return apply
 
 
 def reference_difference(sm_k: SplitMetric, h_rel: Array) -> tuple[Array, Array]:

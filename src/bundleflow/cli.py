@@ -50,12 +50,13 @@ def _blas_threads() -> str:
 
 
 def _trace(report, blas_threads: str) -> str:
-    """Trials and their step, rejections, energy rises, dt range, BLAS threads, phase times."""
+    """Trials, step, rejections, energy rises, CG iterations, dt range, BLAS threads, phases."""
     dts = report.history[1:, 2]
     dt_range = f"dt min {dts.min():.6e} max {dts.max():.6e}" if dts.size else "no steps"
     phases = ", ".join(f"{name} {sec:.3f}" for name, sec in report.phase_seconds.items())
     return (f"trial steps {report.trial_steps} ({report.step_kind} step), "
             f"rejected {report.rejected_steps}, energy rises {report.energy_rises}, "
+            f"CG iterations {report.cg_iterations} (max {report.cg_iterations_max} in a trial), "
             f"{dt_range}; BLAS threads {blas_threads}; seconds: {phases}")
 
 

@@ -203,6 +203,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         dt_growth_every=sol_num(int, "dt_growth_every"),
         divergence_threshold=sol_num(float, "divergence_threshold"),
     )
+    try:
+        solver.validate()
+    except ValueError as exc:   # each message starts with the name of its field
+        raise ConfigError(f"solver.{exc}") from exc
 
     out_block = _block(raw, "output", {})
     output = OutputConfig(

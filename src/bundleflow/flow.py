@@ -15,7 +15,8 @@ reference metric K, and the unknowns and the residual are the interior sites.
 Euler step of the same flow instead: each trial solves
 ``(M + dt L_V) S = M Q`` on the interior sites (every site of a closed
 domain), with ``L_V`` the covariant Laplacian along the metric transports
-(``bundle.covariant_laplacian``), and steps ``H <- H exp(2 dt S)``.
+(``bundle.covariant_laplacian``), by preconditioned conjugate gradients
+(``_implicit_direction``), and steps ``H <- H exp(2 dt S)``.
 ``M + dt L_V`` is positive definite, so S descends the energy at any dt, and
 from ``default_dt(domain, implicit=True)`` the step count no longer grows
 with the number of sites (the explicit step needs dt of order h^2). One
@@ -24,10 +25,10 @@ domain asked for a residual at or below the implicit step's roundoff floor
 (``_implicit_floor``). There ``L_V`` has a kernel, and a flow with no
 harmonic metric to reach (a unipotent monodromy) runs away along it. The
 explicit step moves such a state along a site-constant direction that
-excites no other mode and reaches the ``diverged`` verdict with its residual
-resolved; the implicit step's residual sticks near the floor, and after even
-one implicit step the explicit one stalls too, so the choice cannot be
-deferred to the point where a run turns out to run away.
+excites no other mode and, with the runaway growth rule below, reaches the
+``diverged`` verdict with its residual resolved in hundreds of steps; along
+the kernel the implicit step buys nothing (S = Q there) and keeps the
+default schedule, so it takes thousands of steps and more.
 
 In that runaway mode, and there only, ``_drive`` adds a growth rule to the
 adaptive schedule (``RUNAWAY_GROWTH``, ``RUNAWAY_GATE``). Along a runaway
@@ -80,25 +81,22 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import linalg as splinalg
 
 from . import linalg as la
 from .analysis import donaldson_distance, runaway_certificate
 from .bundle import (
     FlatConnection,
-    LaplacianPattern,
     codifferential,
     connection_from_transports,
     covariant_d,
     covariant_laplacian,
-    laplacian_pattern,
     split_metric,
 )
-from .mesh import LatticeDomain, sublevel_domain
+from .mesh import LatticeDomain, flat_preconditioner, sublevel_domain
 
 Array = np.ndarray
 
@@ -140,6 +138,11 @@ DT_GROWTH = 1.2
 # with the residual above tolerance, before the verdict is ``diverged``.
 DIVERGENCE_PATIENCE = 100
 
+# The implicit step's conjugate gradients stop at a residual of CG_RTOL times
+# the right-hand side, or after CG_MAX_ITERATIONS.
+CG_RTOL = 1e-13
+CG_MAX_ITERATIONS = 200
+
 HISTORY_COLUMNS = (
     "step",
     "time",
@@ -171,7 +174,7 @@ class SolveOptions:
         if self.max_steps < 0:
             raise ValueError(f"max_steps {self.max_steps!r} must be 0 or more")
         if self.dt_growth_every < 1:
-            raise ValueError("dt growth needs 1 or more accepted steps between growths")
+            raise ValueError(f"dt_growth_every {self.dt_growth_every!r} must be 1 or more")
 
 
 @dataclass
@@ -212,6 +215,8 @@ class RunReport:
     energy_rises: int = 0           # accepted steps whose energy rose within the slack
     phase_seconds: dict[str, float] = field(default_factory=dict)  # wall time per phase
     step_kind: str = "explicit"     # "implicit" | "explicit": the step the run took
+    cg_iterations: int = 0          # CG iterations of the implicit solves, over all trials
+    cg_iterations_max: int = 0      # the most CG iterations in one trial
 
 
 def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
@@ -226,18 +231,16 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
     return 0.2 * min(domain.spacings) ** 2
 
 
-def _diagnostics(conn: FlatConnection, h_field: Array,
-                 get_pattern: Callable[[], LaplacianPattern] | None = None) -> dict:
+def _diagnostics(conn: FlatConnection, h_field: Array, implicit: bool = False) -> dict:
     """Tension, energy and residuals of one metric, from one eigendecomposition of it.
 
     The direction strategy for ``_drive``: the tension is the heat flow's step
-    ``direction``. ``get_pattern``, which returns the
-    ``bundle.laplacian_pattern`` of the unknown sites, adds ``solve``: the
-    linearly implicit step direction for a given dt
-    (``_implicit_direction``), built from this metric's split only when a
-    trial calls it. Without it the run takes the explicit step. The scaled
-    square root of H (``linalg.scaled_sqrt``) serves the split and is
-    returned as ``root``, so that the step taken from this metric reuses it.
+    ``direction``. With ``implicit`` it adds ``solve``: the linearly implicit
+    step direction for a given dt (``_implicit_direction``), built from this
+    metric's split only when a trial calls it. Without it the run takes the
+    explicit step. The scaled square root of H (``linalg.scaled_sqrt``)
+    serves the split and is returned as ``root``, so that the step taken from
+    this metric reuses it.
     """
     root = la.scaled_sqrt(h_field)
     sm = split_metric(conn, h_field, root)
@@ -269,42 +272,50 @@ def _diagnostics(conn: FlatConnection, h_field: Array,
         "tracefree_sup": tf_sup,
         "residual_floor": floor,
     }
-    if get_pattern is not None:
-        diag["solve"] = partial(_implicit_direction, get_pattern, sm.connection, root, t_field)
+    if implicit:
+        diag["solve"] = partial(_implicit_direction, sm.connection, root, t_field)
     return diag
 
 
-def _implicit_direction(get_pattern: Callable[[], LaplacianPattern],
-                        metric_conn: FlatConnection, root: la.ScaledRoot, q: Array,
-                        dt: float) -> Array:
-    """The linearly implicit Euler direction: ``(M + dt L_V) S = M Q`` on the pattern's sites.
+def _implicit_direction(metric_conn: FlatConnection, root: la.ScaledRoot, q: Array,
+                        dt: float) -> tuple[Array, int]:
+    """The linearly implicit Euler direction, ``(M + dt L_V) S = M Q``, and its CG iterations.
 
     ``L_V`` is ``bundle.covariant_laplacian`` along the metric transports of
-    the split at H, M the site volumes and Q the tension; ``get_pattern()``
-    returns their ``bundle.laplacian_pattern``. The unknowns are the interior
-    sites (every site of a closed domain); S vanishes on the boundary, where
-    the driver holds H at K. The step ``H exp(2 dt S)`` is backward
-    Euler for the heat flow, with the tension at the new metric linearized to
-    its principal part, ``Q - dt M^{-1} L_V S``; so S tends to Q as dt -> 0.
-    ``M + dt L_V`` is symmetric positive definite, so ``<Q, S>_M > 0``: S
-    descends the energy at any dt.
+    the split at H, M the site volumes and Q the tension. The unknowns are
+    the interior sites (every site of a closed domain); S vanishes on the
+    boundary, where ``_drive`` holds H at K. The step ``H exp(2 dt S)`` is
+    backward Euler for the heat flow, with the tension at the new metric
+    linearized to its principal part, ``Q - dt M^{-1} L_V S``; so S tends to
+    Q as dt -> 0. In the H-orthonormal frame the system A x = b is real
+    symmetric positive definite under ``Re tr(a b)``; conjugate gradients
+    solve it matrix-free from zero, preconditioned by the flat
+    ``M + dt sum_a c_a L_a`` (``mesh.flat_preconditioner``). Every iterate
+    has ``<b, x_k> = x_k^T A x_k > 0``, that is ``<Q, S>_M > 0``, so even a
+    capped S descends the energy, and ``_drive``'s energy test judges it.
     """
-    pattern = get_pattern()
-    r2 = metric_conn.rank ** 2
+    dom = metric_conn.domain
     g, g_inv = la.orthonormal_frame(root)
-    sites, basis = pattern.sites, pattern.basis
-    q_frame = la.mm(la.mm(g[sites], q[sites]), g_inv[sites])
-    rhs = pattern.mass * np.einsum("kij,nji->nk", basis, q_frame).real.ravel()
-    system = covariant_laplacian(metric_conn, (g, g_inv), pattern)
-    system.data *= dt
-    system.data[pattern.diagonal_slots] += pattern.mass
-    system.eliminate_zeros()    # splu's column ordering follows the stored structure
-    x = splinalg.splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True}).solve(rhs)
-    s = np.zeros_like(q)
-    s_frame = np.einsum("nk,kij->nij", x.reshape(-1, r2), basis)
-    s[sites] = la.mm(la.mm(g_inv[sites], s_frame), g[sites])
-    return s
+    lap = covariant_laplacian(metric_conn, (g, g_inv))
+    precondition = flat_preconditioner(dom, dt)
+    mass = dom.volume[:, None, None]
+    b = mass * la.mm(la.mm(g, q), g_inv)
+    b[dom.boundary] = 0.0
+    x = np.zeros_like(b)
+    res = b
+    stop = CG_RTOL * np.linalg.norm(b)
+    iterations = 0
+    while np.linalg.norm(res) > stop and iterations < CG_MAX_ITERATIONS:
+        z = precondition(res)
+        rz_new = np.vdot(res, z).real
+        p = z if iterations == 0 else z + (rz_new / rz) * p
+        rz = rz_new
+        ap = mass * p + dt * lap(p)
+        alpha = rz / np.vdot(p, ap).real
+        x = x + alpha * p
+        res = res - alpha * ap
+        iterations += 1
+    return la.mm(la.mm(g_inv, x), g), iterations
 
 
 def _drive(
@@ -325,14 +336,16 @@ def _drive(
     control compares, the residuals ``residual_sup``, ``residual_l2`` and
     ``tracefree_sup`` and the ``residual_floor`` below which a residual
     certifies nothing. When it also returns ``solve``, a trial steps along
-    ``solve(dt)`` instead of ``direction``. The driver adds the monitors
+    ``solve(dt)``, a (direction, CG iterations) pair, instead of
+    ``direction``. ``_drive`` adds the monitors
     against the reference (sup ||log h||, the logdet range, sigma) and owns
     step control, the verdicts, the reset of boundary sites to K, det
     normalization and the history. ``tracefree`` flows are judged by the
     trace-free residual, and a converged metric is normalized to
     det(K^{-1}H) = 1. A run starts from the dt of its state; a dt <= 0
     means the ``default_dt`` of its step: implicit when ``measure`` returns
-    ``solve``, else explicit. ``init`` is advanced in place, and
+    ``solve``, else explicit; a dt that is not finite is refused. ``init`` is
+    advanced in place, and
     ``callback(state)`` sees it after each accepted step, so a caller that
     checkpoints it (``checkpoint.Checkpoint.of``) holds the run's state at
     every step and at the end. ``runaway`` adds the runaway growth rule to the
@@ -364,6 +377,8 @@ def _drive(
         state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=0.0)
     else:
         state = init
+    if not np.isfinite(state.dt):
+        raise ValueError(f"dt {state.dt!r} of the flow state must be finite")
     diag = diagnose(state.metric)
     if state.dt <= 0:
         state.dt = default_dt(domain, implicit="solve" in diag)
@@ -377,7 +392,7 @@ def _drive(
     key = "tracefree_sup" if tracefree else "residual_sup"
     verdict, reason = "max_steps", ""
     notes: list[str] = []
-    trials = rejected = rises = doubled = 0
+    trials = rejected = rises = doubled = cg_total = cg_max = 0
     gate_low = RUNAWAY_GATE * opts.divergence_threshold
     while state.step < opts.max_steps:
         settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
@@ -388,8 +403,10 @@ def _drive(
         direction = diag["direction"]
         if "solve" in diag:
             start = _time.perf_counter()
-            direction = diag["solve"](state.dt)
+            direction, iterations = diag["solve"](state.dt)
             phases["solve"] += _time.perf_counter() - start
+            cg_total += iterations
+            cg_max = max(cg_max, iterations)
         start = _time.perf_counter()
         trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt, diag["root"])
         trials += 1
@@ -479,6 +496,8 @@ def _drive(
         energy_rises=rises,
         phase_seconds=phases,
         step_kind="implicit" if "solve" in diag else "explicit",
+        cg_iterations=cg_total,
+        cg_iterations_max=cg_max,
     )
     return report, diag
 
@@ -531,16 +550,16 @@ def _det_normalize(reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
 def _implicit_floor(domain: LatticeDomain) -> float:
     """The roundoff floor of the implicit step's residual: FLOOR_ULPS eps 2 sum_a 1/h_a^2.
 
-    Every ``splu`` solve leaves roundoff in S that differs from site to site,
+    Every implicit solve leaves roundoff in S that differs from site to site,
     and the next tension sees it through the Laplacian, whose largest entry
-    is ``2 sum_a 1/h_a^2``. On a closed domain whose flow runs away along the
-    kernel of ``L_V`` (a unipotent monodromy) the implicit step's residual
-    sticks near this level, where the explicit step, moving every site alike,
-    keeps its digits and reaches ``diverged``. The margin is measured, not
-    derived: on the circle such a runaway's residual sticks at 1.5e-13 to
-    3e-13 against a floor of 9.1e-13 (16 sites), and converging rank-3 runs
-    on 12 sites asked for 1.5 times the floor end ``converged`` in 60 to 73
-    steps (four seeds), while at 1.01 times it one of them took 8,210.
+    is ``2 sum_a 1/h_a^2``. The margin is measured, not derived: converging
+    rank-3 runs on the 12-site unit circle (monodromy g diag(4, 1, 1/4) g^{-1},
+    g = I + 0.5 N for a seed-0 normal N; reference seeds 0 to 3) asked for 1.5
+    times the floor end ``converged`` in 67 to 81 steps, and at 1.01 times in
+    496 to 15,595. On the 16-site Jordan circle (floor 9.1e-13) the implicit
+    runaway's residual falls to 5e-15 in 3,000 steps, but sup ||log h|| only
+    to 23, where the explicit step on the ``circle-runaway`` inputs is
+    ``diverged`` at 54.6 in 478.
     """
     return FLOOR_ULPS * np.finfo(float).eps * 2.0 * sum(1.0 / h ** 2 for h in domain.spacings)
 
@@ -554,16 +573,12 @@ def _strategy(conn: FlatConnection,
     ``_implicit_floor``. A closed-domain run asked for a residual at or below
     that floor keeps the heat flow's explicit step for the whole run, in the
     runaway mode (the second value), and says so in a note. The module
-    docstring gives the reasons for both: the choice is made once, up front,
-    because after one implicit step the explicit one cannot follow a runaway
-    to ``diverged`` either.
+    docstring gives the reasons for both. The choice is made once, up front.
     """
     dom = conn.domain
     floor = _implicit_floor(dom)
     if dom.boundary.any() or opts.tolerance > floor:
-        get_pattern = cache(partial(laplacian_pattern, conn,
-                                    np.flatnonzero(dom.interior_mask())))
-        return partial(_diagnostics, conn, get_pattern=get_pattern), False, []
+        return partial(_diagnostics, conn, implicit=True), False, []
     return partial(_diagnostics, conn), True, [
         f"explicit heat-flow step: tolerance {opts.tolerance:.3e} is at or below the "
         f"implicit step's roundoff floor {floor:.3e}"]

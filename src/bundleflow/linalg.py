@@ -218,12 +218,6 @@ def hermitian_basis(r: int) -> list[Array]:
     return basis
 
 
-def unit_hermitian_basis(r: int) -> Array:
-    """``hermitian_basis(r)`` as an (r^2, r, r) stack of unit norm under Re tr(A B)."""
-    basis = np.array(hermitian_basis(r))
-    return basis / np.sqrt(np.einsum("kij,kji->k", basis, basis).real)[:, None, None]
-
-
 def check_hermitian(h: Array, tol: float = 1e-12) -> None:
     """Validate that a metric field is finite and Hermitian within ``tol`` (relative)."""
     if not np.all(np.isfinite(h)):

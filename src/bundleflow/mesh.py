@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -192,6 +193,49 @@ def laplacian(domain: LatticeDomain, field: Array) -> Array:
                 term[ax(n_a - 1)] = term[ax(0)]
         out += term.reshape(out.shape)
     return out
+
+
+def flat_preconditioner(domain: LatticeDomain, dt: float) -> Callable[[Array], Array]:
+    """``f -> P^{-1} f`` for ``P = M + dt sum_a c_a L_a`` on the interior sites.
+
+    The flat counterpart of ``bundle.covariant_laplacian``, which preconditions
+    the implicit step: ``L_a`` is the 1-D second difference along axis a, and
+    the volume M and ``c_a = w / h_a^2`` are read at the interior, where every
+    domain of ``build_domain`` has them uniform. ``P`` acts alike on each
+    entry of a field's trailing axes; boundary sites are read and returned as
+    0. An FFT diagonalizes ``L_a`` on a periodic axis, a DST-I (the FFT of the
+    odd extension) on a bounded one.
+    """
+    region, modes = [], []      # per axis: the interior, and dt c_a times L_a's eigenvalues
+    for a in range(domain.dim):
+        n_a = domain.sites_per_axis[a]
+        c = domain.edge_weight[a][domain.edge_weight[a] > 0].mean() / domain.spacings[a] ** 2
+        region.append(slice(None) if domain.periodic[a] else slice(1, -1))
+        half = (np.pi * np.arange(n_a) / n_a if domain.periodic[a]
+                else 0.5 * np.pi * np.arange(1, n_a - 1) / (n_a - 1))
+        modes.append(dt * c * 4.0 * np.sin(half) ** 2)
+    denom = domain.volume[domain.interior_mask()].mean() + sum(
+        np.meshgrid(*modes, indexing="ij", sparse=True))
+
+    def dst(x: Array, a: int) -> Array:
+        """DST-I along axis a: (i/2) times the FFT of (0, x, 0, -reversed x) at 1..m."""
+        zero = np.zeros_like(np.take(x, [0], axis=a))
+        odd = np.concatenate([zero, x, zero, -np.flip(x, axis=a)], axis=a)
+        return 0.5j * np.take(np.fft.fft(odd, axis=a), np.arange(1, x.shape[a] + 1), axis=a)
+
+    def apply(f: Array) -> Array:
+        grid = domain.sites_per_axis + f.shape[1:]
+        x = f.reshape(grid)[tuple(region)]
+        for a in range(domain.dim):
+            x = np.fft.fft(x, axis=a) if domain.periodic[a] else dst(x, a)
+        x = x / denom.reshape(denom.shape + (1,) * (f.ndim - 1))
+        for a in range(domain.dim):     # the DST-I is its own inverse up to 2 / (m + 1)
+            x = np.fft.ifft(x, axis=a) if domain.periodic[a] else dst(x, a) * (2 / (x.shape[a] + 1))
+        out = np.zeros(grid, dtype=x.dtype)
+        out[tuple(region)] = x
+        return out.reshape(f.shape)
+
+    return apply
 
 
 def integrate(domain: LatticeDomain, field: Array) -> float:

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.bundle import covariant_laplacian, laplacian_pattern, reverse_edge_values
+from bundleflow.bundle import covariant_laplacian, reverse_edge_values
 
 from util import (
     TWO_PI,
     circle_diag,
-    covariant_laplacian_coo,
     delta_operator,
-    diag_metric,
     identity_metric,
     random_connection,
     random_gauge,
@@ -253,64 +251,32 @@ def test_codifferential_scalar_derivative():
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank):
-    # In the H-orthonormal frame the matrix acts as M codifferential(D_V S)
-    # on fields S that vanish off the listed sites, and its quadratic form is
-    # the edge sum of |D_V S|_H^2.
+    # In the H-orthonormal frame the operator acts as M codifferential(D_V S)
+    # on fields S that vanish on the boundary, it is symmetric under
+    # Re tr(a b), and its quadratic form is the edge sum of |D_V S|_H^2.
     dom = bf.build_domain("annulus", (7, 5), (TWO_PI, 1.0))
     conn = random_connection(dom, rank, seed=3)
     h = random_metric(dom, rank, seed=4, amplitude=0.4)
     root = la.scaled_sqrt(h)
     sm = bf.split_metric(conn, h, root)
     g, g_inv = la.orthonormal_frame(root)
-    basis = la.unit_hermitian_basis(rank)
-    sites = np.flatnonzero(dom.interior_mask())
-    pattern = laplacian_pattern(conn, sites)
-    lap = covariant_laplacian(sm.connection, (g, g_inv), pattern).toarray()
-    assert np.array_equal(lap, lap.T)
+    lap = covariant_laplacian(sm.connection, (g, g_inv))
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(len(sites), rank * rank))
-    s = np.zeros_like(h)
-    s[sites] = g_inv[sites] @ np.einsum("nk,kij->nij", x, basis) @ g[sites]
+    x, y = (la.hermitize(rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+            for _ in range(2))
+    x[dom.boundary] = y[dom.boundary] = 0.0
+    lx = lap(x)
+    assert np.abs(lx[dom.boundary]).max() == 0.0
+    assert np.vdot(y, lx).real == pytest.approx(np.vdot(lap(y), x).real, rel=1e-12)
+    s = g_inv @ x @ g
     d_s = bf.covariant_d(sm.connection, s)
     form = sum(np.sum(dom.edge_weight[a] * la.endo_norm2(d_s[a], h))
                for a in range(dom.dim))
-    assert x.ravel() @ lap @ x.ravel() == pytest.approx(form, rel=1e-12)
-    cod = bf.codifferential(conn, h, d_s, sm)[sites]
-    want = dom.volume[sites][:, None] * np.einsum(
-        "kij,nji->nk", basis, g[sites] @ cod @ g_inv[sites]).real
-    assert np.abs(lap @ x.ravel() - want.ravel()).max() <= 1e-11 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("kind, sites, lengths, rank", [
-    ("circle", 7, 1.0, 2),
-    ("torus", (5, 4), (1.0, 1.0), 2),
-    ("annulus", (7, 5), (TWO_PI, 1.0), 3),
-])
-def test_covariant_laplacian_pattern_matches_the_coo_assembly(kind, sites, lengths, rank):
-    # One pattern serves every trial of a solve. Filled in on a diagonal
-    # metric (exact zeros in the edge blocks, which the implicit step prunes)
-    # and then on a random one, it gives the bits of a fresh COO assembly.
-    dom = bf.build_domain(kind, sites, lengths)
-    conn = random_connection(dom, rank, seed=3)
-    diagonal = bf.from_monodromy(dom, [np.diag(np.arange(1.0, rank + 1)).astype(complex)]
-                                 * sum(dom.periodic), rank=rank)
-    sites = np.flatnonzero(dom.interior_mask())
-    pattern = laplacian_pattern(conn, sites)
-    phi = np.sin(TWO_PI * dom.coords()[:, 0] / dom.lengths[0])
-    cases = [(diagonal, diag_metric(np.exp(np.outer(phi, np.arange(rank) - 1.0)))),
-             (conn, random_metric(dom, rank, seed=4, amplitude=0.4))]
-    pruned = []
-    for c, h in cases:
-        root = la.scaled_sqrt(h)
-        sm = bf.split_metric(c, h, root)
-        frame = la.orthonormal_frame(root)
-        got = covariant_laplacian(sm.connection, frame, pattern)
-        want = covariant_laplacian_coo(sm.connection, frame, sites)
-        assert np.array_equal(got.toarray(), want.toarray())
-        assert got.nnz == len(pattern.indices)
-        got.eliminate_zeros()
-        pruned.append(got.nnz)
-    assert pruned[0] < pruned[1] == len(pattern.indices)
+    assert np.vdot(x, lx).real == pytest.approx(form, rel=1e-12)
+    inner = dom.interior_mask()
+    cod = bf.codifferential(conn, h, d_s, sm)[inner]
+    want = dom.volume[inner][:, None, None] * (g[inner] @ cod @ g_inv[inner])
+    assert np.abs(lx[inner] - want).max() <= 1e-11 * np.abs(want).max()
 
 
 # ----------------------------------------------------------------- tension

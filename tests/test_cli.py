@@ -88,7 +88,8 @@ def test_jordan_runaway_resumes_bit_exactly(tmp_path):
         report = (out / "report.txt").read_text()
         assert "verdict: diverged" in report and "note: dt doubled on " in report
     trace = next(ln for ln in report.splitlines() if ln.startswith("trace: "))
-    assert re.search(r" \(explicit step\), .*; BLAS threads (\d+|unknown); seconds: ", trace)
+    assert re.search(r" \(explicit step\), .*, CG iterations 0 \(max 0 in a trial\), .*"
+                     r"; BLAS threads (\d+|unknown); seconds: ", trace)
 
 
 def test_closed_latch_survives_a_resume(tmp_path):
@@ -188,9 +189,11 @@ def test_resume_from_a_max_steps_final_checkpoint_is_bit_exact(tmp_path):
     ("output", {"csv_cadence": -4}),
     ("output", {"csv_cadence": 0}),
     ("output", {"checkpoint_cadence": -1}),
+    (None, {"scenario": "stability", "solver": {"tolerance": float("nan"), "max_steps": -5}}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
-    cfg = write_config(tmp_path / "run.yaml", **{block: fields})
+    # A case without a block gives its overrides of the whole config.
+    cfg = write_config(tmp_path / "run.yaml", **({block: fields} if block else fields))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -565,6 +568,7 @@ def test_dirichlet_runs_repeat_and_resume_bit_exactly(tmp_path):
     assert "verdict: converged" in report
     trace = next(ln for ln in report.splitlines() if ln.startswith("trace: "))
     assert "; seconds: diagnostics " in trace and ", solve " in trace and ", io " in trace
+    assert re.search(r", CG iterations [1-9]\d* \(max [1-9]\d* in a trial\), ", trace)
 
 
 def test_closed_runs_name_their_step_and_resume_bit_exactly(tmp_path):

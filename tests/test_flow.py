@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import bundleflow as bf
+from bundleflow import flow
 from bundleflow import linalg as la
 from bundleflow.analysis import runaway_certificate
-from bundleflow.bundle import laplacian_pattern
+from bundleflow.bundle import covariant_laplacian
 from bundleflow.config import smooth_random_metric
 from bundleflow.flow import (
     ENERGY_RTOL,
@@ -24,11 +25,15 @@ from bundleflow.flow import (
 from util import (
     TWO_PI,
     circle_diag,
+    covariant_laplacian_coo,
     determinant_flow_check,
     diag_metric,
     identity_metric,
+    random_connection,
     random_metric,
+    rough_random_metric,
     torus_diag,
+    unit_hermitian_basis,
 )
 
 
@@ -65,9 +70,8 @@ def test_step_preserves_positivity_for_large_dt():
     h = random_metric(dom, 2, seed=1, amplitude=0.5)
     # one step of ~250x the CFL-like default, explicit and implicit; the
     # driver would reject it, so the update is applied to the diagnostics
-    sites = np.arange(dom.n_sites)
-    diag = _diagnostics(conn, h, get_pattern=lambda: laplacian_pattern(conn, sites))
-    for direction in (diag["direction"], diag["solve"](0.2)):
+    diag = _diagnostics(conn, h, implicit=True)
+    for direction in (diag["direction"], diag["solve"](0.2)[0]):
         stepped = la.metric_exp_update(h, direction, 2.0 * 0.2, diag["root"])
         assert np.linalg.eigvalsh(la.hermitize(stepped)).min() > 0.0
     # an additive Euler update of the same size would lose positivity
@@ -330,18 +334,66 @@ def test_implicit_direction_tends_to_the_tension():
     # and S = 0 on the boundary.
     dom = bf.build_domain("rectangle", (8, 8), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [], rank=2)
-    sites = np.flatnonzero(dom.interior_mask())
-    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3),
-                        get_pattern=lambda: laplacian_pattern(conn, sites))
+    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3), implicit=True)
     q = diag["direction"]
     inner = dom.interior_mask()
     errors = []
     for dt in (1e-4, 1e-5):
-        s = diag["solve"](dt)
+        s = diag["solve"](dt)[0]
         assert np.abs(s[dom.boundary]).max() == 0.0
         errors.append(np.abs(s - q)[inner].max())
     assert errors[1] < 1e-2 * np.abs(q[inner]).max()
     assert errors[1] / errors[0] == pytest.approx(0.1, rel=0.05)
+
+
+@pytest.mark.parametrize("kind, sites, lengths, rank", [
+    ("annulus", (7, 5), (TWO_PI, 1.0), 2),
+    ("annulus", (7, 5), (TWO_PI, 1.0), 3),
+    ("torus", (5, 4), (1.0, 1.0), 2),
+    ("torus", (5, 4), (1.0, 1.0), 3),
+])
+def test_implicit_direction_solves_the_assembled_system(kind, sites, lengths, rank, monkeypatch):
+    # On rough inputs the matrix-free operator acts as the assembled COO
+    # stiffness matrix, the CG direction is the direct solution of
+    # (M + dt L) x = M q in its coordinates, and a direction capped at one CG
+    # iteration still pairs positively with the tension: it descends.
+    dom = bf.build_domain(kind, sites, lengths)
+    conn = random_connection(dom, rank, seed=3)
+    h = rough_random_metric(dom.n_sites, rank, seed=4)
+    diag = _diagnostics(conn, h, implicit=True)
+    frame = la.orthonormal_frame(diag["root"])
+    g, g_inv = frame
+    metric_conn = bf.split_metric(conn, h, diag["root"]).connection
+    sites = np.flatnonzero(dom.interior_mask())
+    basis = unit_hermitian_basis(rank)
+    mat = covariant_laplacian_coo(metric_conn, frame, sites).toarray()
+
+    def coords(field):
+        return np.einsum("kij,nji->nk", basis, field[sites]).real.ravel()
+
+    def from_coords(x):
+        field = np.zeros_like(h)
+        field[sites] = np.einsum("nk,kij->nij", x.reshape(len(sites), -1), basis)
+        return field
+
+    x = np.random.default_rng(5).normal(size=mat.shape[0])
+    action = covariant_laplacian(metric_conn, frame)(from_coords(x))
+    assert np.abs(action[dom.boundary]).max(initial=0.0) == 0.0
+    assert np.abs(coords(action) - mat @ x).max() <= 1e-13 * np.abs(mat @ x).max()
+
+    dt = default_dt(dom, implicit=True)
+    q = diag["direction"]
+    mass = np.repeat(dom.volume[sites], rank * rank)
+    direct = np.linalg.solve(np.diag(mass) + dt * mat, mass * coords(g @ q @ g_inv))
+    want = g_inv @ from_coords(direct) @ g
+    got, iterations = diag["solve"](dt)
+    assert iterations > 1
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    monkeypatch.setattr(flow, "CG_MAX_ITERATIONS", 1)
+    capped, iterations = diag["solve"](dt)
+    assert iterations == 1 and np.abs(capped - want).max() > 1e-3 * np.abs(want).max()
+    assert np.sum(dom.volume * np.einsum("nij,nji->n", q, capped).real) > 0.0
 
 
 def test_implicit_step_count_is_flat_in_n():
@@ -386,6 +438,10 @@ def test_torus_poisson_implicit_matches_heat_flow():
     assert max(implicit.tracefree_residual_sup, heat.tracefree_residual_sup) < opts.tolerance
     assert implicit.energy == pytest.approx(heat.energy, rel=1e-10)
     assert implicit.steps < heat.steps / 10
+    # every implicit trial runs CG; the explicit step runs none
+    assert implicit.cg_iterations >= implicit.trial_steps > 0
+    assert 0 < implicit.cg_iterations_max <= implicit.cg_iterations
+    assert heat.cg_iterations == heat.cg_iterations_max == 0
     for run in (implicit, heat):
         en = run.history[:, 3]
         assert np.all(np.diff(en) <= 1e-12 * (1.0 + en[:-1]))
@@ -547,16 +603,26 @@ def test_exhaustion_empty_interior_errors():
         bf.exhaustion_solve(conn, identity_metric(dom.n_sites, 2), [1])
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_non_finite_start_dt_is_refused(dt):
+    # A dt of 0 or less means the default one; a dt that is not finite is refused.
+    dom = bf.build_domain("circle", 12, 1.0)
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
+    k = random_metric(dom, 2, seed=3)
+    with pytest.raises(ValueError, match=r"^dt (nan|inf) of the flow state must be finite$"):
+        bf.solve_harmonic(conn, k, init=FlowState(time=0.0, metric=k.copy(), dt=dt))
+
+
 def test_solver_option_validation():
     with pytest.raises(ValueError):
         bf.SolveOptions(tolerance=-1.0).validate()
-    with pytest.raises(ValueError):
-        bf.SolveOptions(dt_growth_every=0).validate()
-    # NaN (every comparison with it is false) and infinity are refused by field name
+    # NaN (every comparison with it is false) and infinity are refused, and
+    # each message starts with its field's name, which a config error names
     for bad in ({"tolerance": float("nan")}, {"tolerance": float("inf")},
                 {"divergence_threshold": float("nan")},
-                {"divergence_threshold": float("inf")}, {"max_steps": -5}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+                {"divergence_threshold": float("inf")}, {"max_steps": -5},
+                {"dt_growth_every": 0}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             bf.SolveOptions(**bad).validate()
     bf.SolveOptions(max_steps=0).validate()
 

@@ -150,16 +150,23 @@ def determinant_flow_check(conn, reference, dt: float, steps: int = 5) -> float:
     return worst
 
 
-def covariant_laplacian_coo(metric_conn, frame, sites):
-    """``bundle.covariant_laplacian`` assembled anew as one COO matrix.
+def unit_hermitian_basis(r: int) -> np.ndarray:
+    """``linalg.hermitian_basis(r)`` as an (r^2, r, r) stack of unit norm under Re tr(A B)."""
+    basis = np.array(la.hermitian_basis(r))
+    return basis / np.sqrt(np.einsum("kij,kji->k", basis, basis).real)[:, None, None]
 
-    The reference for the pattern-filled matrix: the same edge blocks in the
-    same arithmetic, with every index array rebuilt on each call.
+
+def covariant_laplacian_coo(metric_conn, frame, sites):
+    """The stiffness matrix of ``bundle.covariant_laplacian``, assembled as one COO matrix.
+
+    The reference for the matrix-free action: the coordinates of a Hermitian
+    field in ``unit_hermitian_basis`` are the unknowns, site-major, at
+    ``sites``; every other site holds zero.
     """
     dom = metric_conn.domain
     g, g_inv = frame
     r = metric_conn.rank
-    basis = la.unit_hermitian_basis(r)
+    basis = unit_hermitian_basis(r)
     slot = np.full(dom.n_sites, -1)
     slot[sites] = np.arange(len(sites))
     diag = np.zeros(len(sites))
