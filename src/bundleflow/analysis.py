@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh as generalized_eigh
 
 from . import linalg as la
 from .bundle import (
@@ -363,7 +362,11 @@ def runaway_certificate(conn: FlatConnection, reference: Array, metric: Array) -
     """
     subs = invariant_subbundles(conn, reference)
     k0 = np.asarray(reference[0], dtype=complex)
-    lam, vecs = generalized_eigh(np.asarray(metric[0], dtype=complex), k0)
+    # H v = lam K v through K = C C^dag: the Hermitian C^-1 H C^-dag, then v = C^-dag w.
+    chol = np.linalg.cholesky(k0)
+    lam, w = np.linalg.eigh(la.hermitize(np.linalg.solve(
+        chol, la.dagger(np.linalg.solve(chol, np.asarray(metric[0], dtype=complex))))))
+    vecs = np.linalg.solve(la.dagger(chol), w)
     if not subs:
         return "; the enumeration finds no proper invariant sub-bundle to name"
     v = vecs[:, 0]

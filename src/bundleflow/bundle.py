@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import linalg as la
 from .mesh import LatticeDomain
@@ -490,6 +489,12 @@ def _orth(basis: Array) -> Array:
     return q
 
 
+def _null_space(a: Array, rcond: float) -> Array:
+    """Orthonormal null-space basis: singular values at most rcond times the largest count as zero."""
+    _, s, vh = np.linalg.svd(a)
+    return la.dagger(vh[int(np.sum(s > rcond * s.max(initial=0.0))):])
+
+
 def _joint_invariant_spaces(mats: list[Array], r: int, tol: float = 1e-8) -> list[Array]:
     """Joint eigen-type invariant subspaces of a commuting family (geometric parts)."""
     spaces = [np.eye(r, dtype=complex)]
@@ -510,12 +515,10 @@ def _joint_invariant_spaces(mats: list[Array], r: int, tol: float = 1e-8) -> lis
                     clusters.append([ev])
             for c in clusters:
                 mean = np.mean(c)
-                ns = null_space(
-                    restricted - mean * np.eye(b.shape[1]), rcond=max(tol, 1e-10)
-                )
+                ns = _null_space(restricted - mean * np.eye(b.shape[1]), max(tol, 1e-10))
                 if ns.shape[1] == 0:
                     # defective eigenvalue with geometric space resolved at looser scale
-                    ns = null_space(restricted - mean * np.eye(b.shape[1]), rcond=1e-6)
+                    ns = _null_space(restricted - mean * np.eye(b.shape[1]), 1e-6)
                 if ns.shape[1] > 0:
                     refined.append(_orth(b @ ns))
         spaces = refined if refined else spaces

@@ -19,6 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .bundle import loop_holonomy
+from .linalg import spectrum_distance
+
 _VERDICT_STATUS = {"diverged": 2, "precision_floor": 3}
 _RESUMABLE = ("solve_harmonic", "solve_poisson", "higgs_roundtrip")
 
@@ -223,9 +226,6 @@ def run_scenario(
                 back = hodge.flat_from_higgs(hd, run.metric, tol=cfg.solver.tolerance,
                                              composite=composite)
                 report_lines.append("loop, eigenvalue drift (matched multisets)")
-                from .bundle import loop_holonomy
-                from .linalg import spectrum_distance
-
                 for lp, lp_back in zip(conn.loops, back.loops):
                     drift = spectrum_distance(
                         loop_holonomy(back, lp_back.axis, lp_back.base), lp.generator

@@ -12,13 +12,16 @@ its operands are 2 x 2 matrices and the stack holds at least ``SMALL_BATCH``
 of them, and the numpy/LAPACK routine otherwise: numpy's per-call overhead
 is lower, its per-matrix cost higher (``scripts/kernel_crossover.py``
 measures both). Callers never branch on the rank.
+
+The monodromy transports take one matrix at a time: ``schur``,
+``principal_log`` and ``fractional_power`` are numpy only, and exact in the
+diagonal and first superdiagonal of triangular input.
 """
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
-from scipy.linalg import expm as _expm, logm as _logm
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 Array = np.ndarray
 ScaledRoot = tuple[Array, Array, Array]   # (d, Ht^{1/2}, Ht^{-1/2}), see scaled_sqrt
@@ -361,35 +364,176 @@ def log_hsa(s: Array, metric: Array) -> tuple[Array, Array, Array]:
     return e, frame, frame_inv
 
 
-def principal_log(m: Array, tol: float = 1e-12) -> Array:
-    """Principal matrix logarithm; rejects spectra touching the closed negative axis.
+def schur(m: Array) -> tuple[Array, Array]:
+    """Complex Schur form (Q, T) of a square m: m = Q T Q^dag, Q unitary, T upper triangular.
 
-    ``scipy.linalg.logm`` estimates norms with random probe vectors drawn from
-    numpy's global generator, which moves the last bits of its result from
-    call to call. The generator is seeded for the call and restored after it,
-    so the logarithm is a pure function of ``m`` and the caller's random
-    stream is left as it was.
+    Hessenberg reduction, then shifted QR sweeps (Wilkinson shift, an
+    exceptional one every tenth) until each bottom row deflates (Golub & Van
+    Loan, 7.4-7.5). A triangular m deflates at once: (I, m) exactly.
     """
-    lam = np.linalg.eigvals(m)
+    t = np.array(m, dtype=complex)
+    n = len(t)
+    q = np.eye(n, dtype=complex)
+    for k in range(n - 2):
+        x = t[k + 1:, k]
+        if np.any(x[1:]):
+            v = x.copy()
+            v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
+            v /= np.linalg.norm(v)
+            t[k + 1:] -= 2.0 * np.outer(v, v.conj() @ t[k + 1:])
+            t[:, k + 1:] -= 2.0 * np.outer(t[:, k + 1:] @ v, v.conj())
+            q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
+    hi, sweeps = n - 1, 0
+    while hi > 0:
+        a, b, c, d = t[hi - 1, hi - 1], t[hi - 1, hi], t[hi, hi - 1], t[hi, hi]
+        if np.abs(t[hi, :hi]).max() <= np.finfo(float).eps * (abs(a) + abs(d)):
+            t[hi, :hi] = 0.0
+            hi, sweeps = hi - 1, 0
+            continue
+        sweeps += 1
+        if sweeps > 30 * n:
+            raise np.linalg.LinAlgError("Schur iteration did not converge")
+        half = 0.5 * (a - d)
+        root = np.sqrt(half * half + b * c)
+        den = max(half + root, half - root, key=abs)
+        mu = d + abs(c) if sweeps % 10 == 0 else d - (b * c / den if den != 0 else 0.0)
+        g = np.linalg.qr(t[:hi + 1, :hi + 1] - mu * np.eye(hi + 1))[0]
+        t[:hi + 1] = dagger(g) @ t[:hi + 1]
+        t[:, :hi + 1] = t[:, :hi + 1] @ g
+        q[:, :hi + 1] = q[:, :hi + 1] @ g
+    return q, t
+
+
+# Bounds on alpha_2(T^(1/2^s) - I) for the degree-m Pade logarithm, m = 1..7,
+# to be exact to unit roundoff (Al-Mohy & Higham 2012, table 2.1).
+_LOG_THETA = (1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
+# [13/13] Pade coefficients of exp, and the 1-norm it takes unscaled (Higham 2005).
+_EXP_PADE = tuple(factorial(26 - k) * factorial(13) / (factorial(26) * factorial(k)
+                                                       * factorial(13 - k)) for k in range(14))
+_EXP_THETA = 5.371920351148152
+
+
+def _sqrt_triu(t: Array) -> Array:
+    """Principal square root of an upper-triangular t (Bjorck & Hammarling 1983)."""
+    u = np.diag(np.sqrt(np.diag(t)))
+    for j in range(1, len(t)):
+        for i in range(j - 1, -1, -1):
+            u[i, j] = (t[i, j] - u[i, i + 1:j] @ u[i + 1:j, j]) / (u[i, i] + u[j, j])
+    return u
+
+
+def _log_superdiag(l1: complex, l2: complex, t12: complex) -> complex:
+    """Entry (i, i+1) of log T from T's entries (Higham 2008, (11.28)), as scipy's logm."""
+    if l1 == l2:
+        return t12 / l1
+    if abs(l2 - l1) > abs(l1 + l2) / 2:
+        return t12 * (np.log(l2) - np.log(l1)) / (l2 - l1)
+    unwind = np.ceil(((np.log(l2) - np.log(l1)).imag - np.pi) / (2 * np.pi))
+    return t12 * 2 * (np.arctanh((l2 - l1) / (l2 + l1)) + np.pi * 1j * unwind) / (l2 - l1)
+
+
+def _log_triu(t: Array) -> Array:
+    """Principal log of an upper-triangular t: inverse scaling and squaring.
+
+    Al-Mohy & Higham 2012, Algorithm 4.1 with exact 1-norms: 2^s r_m(R),
+    R = T^(1/2^s) - I, as Gauss-Legendre partial fractions; then the
+    diagonal and first superdiagonal in closed form.
+    """
+    n = len(t)
+    root, s = t, 0
+    while True:
+        r = root - np.eye(n)
+        alpha = max(np.linalg.norm(r @ r, 1) ** 0.5, np.linalg.norm(r @ r @ r, 1) ** (1 / 3))
+        if alpha <= _LOG_THETA[-1]:
+            break
+        root, s = _sqrt_triu(root), s + 1
+    m = next(k for k, theta in enumerate(_LOG_THETA, 1) if alpha <= theta)
+    u = 2.0 ** s * sum(0.5 * w * np.linalg.solve(np.eye(n) + 0.5 * (1.0 + x) * r, r)
+                       for x, w in zip(*np.polynomial.legendre.leggauss(m)))
+    lam = np.diag(t)
+    u[np.diag_indices(n)] = np.log(lam)
+    for i in range(n - 1):
+        u[i, i + 1] = _log_superdiag(lam[i], lam[i + 1], t[i, i + 1])
+    return u
+
+
+def _expm(a: Array) -> Array:
+    """exp(a) by [13/13] Pade with scaling and squaring (Higham 2005).
+
+    For an upper-triangular a the diagonal and first superdiagonal are set
+    in closed form at every squaring (Al-Mohy & Higham 2009, Code Fragment
+    2.1): exp(a_ii), and a_i,i+1 times exp's divided difference.
+    """
+    n = len(a)
+    norm = np.linalg.norm(a, 1)
+    s = max(0, int(np.ceil(np.log2(norm / _EXP_THETA)))) if norm > 0.0 else 0
+    powers = [np.eye(n)]
+    for _ in _EXP_PADE[1:]:
+        powers.append(powers[-1] @ (a * 2.0 ** -s))
+    # r(x) = (even + odd) / (even - odd) = I + 2 odd / (even - odd): near the
+    # identity only the small part is rounded.
+    odd = sum(c * p for c, p in zip(_EXP_PADE[1::2], powers[1::2]))
+    even = sum(c * p for c, p in zip(_EXP_PADE[::2], powers[::2]))
+    f = np.eye(n) + 2.0 * np.linalg.solve(even - odd, odd)
+    triangular = not np.any(np.tril(a, -1))
+    for i in range(s, -1, -1):
+        f = f if i == s else f @ f
+        if triangular:
+            lam = np.diag(a) * 2.0 ** -i
+            half = 0.5 * (lam[1:] - lam[:-1])
+            sinch = np.where(half == 0, 1.0, np.sinh(half) / np.where(half == 0, 1.0, half))
+            f[np.diag_indices(n)] = np.exp(lam)
+            f[np.arange(n - 1), np.arange(1, n)] = (np.diag(a, 1) * 2.0 ** -i
+                                                    * np.exp(0.5 * (lam[1:] + lam[:-1])) * sinch)
+    return np.triu(f) if triangular else f
+
+
+def principal_log(m: Array, tol: float = 1e-12) -> Array:
+    """Principal matrix logarithm Q log(T) Q^dag; rejects spectra touching the closed negative axis.
+
+    A pure function of ``m``, on its Schur form (``schur``). For a triangular
+    m, Q = I and the diagonal and first superdiagonal are closed forms:
+    log [[1, 1], [0, 1]] is exactly [[0, 1], [0, 0]], and log diag(lambda)
+    exactly diag(log lambda).
+    """
+    q, t = schur(m)
+    lam = np.diag(t)
     if np.any(np.abs(lam) < tol):
         raise ValueError("matrix is singular; no logarithm")
-    bad = (lam.real <= 0.0) & (np.abs(lam.imag) <= tol * np.abs(lam))
-    if np.any(bad):
+    if np.any((lam.real <= 0.0) & (np.abs(lam.imag) <= tol * np.abs(lam))):
         raise ValueError(
             "eigenvalue on the nonpositive real axis; supply an explicit logarithm branch"
         )
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        out = _logm(np.asarray(m, dtype=complex))
-    finally:
-        np.random.set_state(saved)
-    return np.asarray(out, dtype=complex)
+    return q @ _log_triu(t) @ dagger(q)
 
 
 def fractional_power(m: Array, t: float, log: Array | None = None) -> Array:
+    """m^t = exp(t log m), with the principal log or the given branch ``log``.
+
+    For a triangular m the log is triangular, and the power's diagonal is
+    exp(t log lambda) in complex arithmetic and its first superdiagonal
+    t12 (lambda2^t - lambda1^t) / (lambda2 - lambda1), t12 t lambda^(t-1) for
+    equal eigenvalues: [[1, 1], [0, 1]]^(1/16) is [[1, 1/16], [0, 1]] to the
+    last bit.
+    """
     lg = principal_log(m) if log is None else np.asarray(log, dtype=complex)
-    return np.asarray(_expm(t * lg), dtype=complex)
+    return _expm(t * lg)
+
+
+def _perfect_matching(adjacent: Array) -> bool:
+    """Whether every row of ``adjacent[row, col]`` gets a column of its own (augmenting paths)."""
+    owner = [-1] * adjacent.shape[1]
+
+    def augment(row: int, seen: set[int]) -> bool:
+        for col in np.flatnonzero(adjacent[row]):
+            if col not in seen:
+                seen.add(col)
+                if owner[col] < 0 or augment(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
+
+    return all(augment(row, set()) for row in range(adjacent.shape[0]))
 
 
 def spectrum_distance(a: Array, b: Array) -> float:
@@ -398,5 +542,4 @@ def spectrum_distance(a: Array, b: Array) -> float:
     The least eigenvalue gap t at which the pairs within t match every eigenvalue.
     """
     gaps = np.abs(np.linalg.eigvals(a)[:, None] - np.linalg.eigvals(b)[None, :])
-    return float(next(t for t in np.unique(gaps)
-                      if (maximum_bipartite_matching(csr_array(gaps <= t)) >= 0).all()))
+    return float(next(t for t in np.unique(gaps) if _perfect_matching(gaps <= t)))

@@ -70,8 +70,8 @@ def build_domain(
         raise ValueError(f"kind {kind!r} needs {dim} axes, got {len(sites_t)} / {len(lengths_t)}")
     if any(s < 3 for s in sites_t):
         raise ValueError("need at least 3 sites per axis")
-    if any(l <= 0 for l in lengths_t):
-        raise ValueError("axis lengths must be positive")
+    if not all(0 < l < np.inf for l in lengths_t):
+        raise ValueError("axis lengths must be positive and finite")
 
     spacings = tuple(
         lengths_t[a] / sites_t[a] if periodic[a] else lengths_t[a] / (sites_t[a] - 1)

@@ -58,10 +58,9 @@ def test_from_monodromy_rejects_singular_and_negative_axis():
 
 
 def test_from_monodromy_transports_are_reproducible():
-    # scipy's logm estimates norms with random probes from numpy's global
-    # generator; the transports must not depend on that generator's state,
-    # and building them must leave the caller's random stream as it was. For
-    # this generator a bare logm differs in its last bits on most calls.
+    # The transports of a non-normal generator must be a pure function of it:
+    # the same bits on every call, whatever the state of numpy's global
+    # generator, which building them leaves as it was.
     rng = np.random.default_rng(62)
     s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     gen = s @ np.diag([4.0, 1.0, 0.25]) @ np.linalg.inv(s)

@@ -1,7 +1,9 @@
 """The batched kernels behind linalg's entry points, on both sides of SMALL_BATCH.
 
 Stacks of at least ``SMALL_BATCH`` 2 x 2 matrices take the closed forms,
-smaller ones numpy/LAPACK; every case runs on one batch of each kind.
+smaller ones numpy/LAPACK; every case runs on one batch of each kind. The
+one-matrix kernels that build the transports (``schur``, ``principal_log``,
+``fractional_power``) are checked against ``scipy.linalg`` and exact values.
 """
 import itertools
 import os
@@ -11,6 +13,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 import bundleflow as bf
 from bundleflow import linalg as la
@@ -177,11 +180,103 @@ def test_spectrum_distance_is_the_bottleneck_distance():
         assert la.spectrum_distance(a, b) == _bottleneck_brute_force(a, b)
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.fft costs 75-105 ms of import; the implicit step's transforms use numpy.fft.
-    code = ("import sys, bundleflow; "
-            "print('scipy.optimize' in sys.modules, 'scipy.fft' in sys.modules)")
+def _matrix(rng, r: int) -> np.ndarray:
+    """A seeded complex r x r matrix with condition number at most 10."""
+    while True:
+        m = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)) + 2.0 * np.eye(r)
+        if np.linalg.cond(m) < 10.0:
+            return m
+
+
+def _close(got, expected, rtol=1e-12):
+    return np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_schur_log_exp_and_power_match_scipy(r):
+    rng = np.random.default_rng(40 + r)
+    for _ in range(10):
+        m = _matrix(rng, r)
+        q, t = la.schur(m)
+        assert np.array_equal(t, np.triu(t))
+        assert _close(la.dagger(q) @ q, np.eye(r), 1e-14)
+        assert _close(q @ t @ la.dagger(q), m)
+        ref_t = scipy.linalg.schur(m, output="complex")[0]
+        assert _close(np.sort_complex(np.diag(t)), np.sort_complex(np.diag(ref_t)))
+        assert _close(la.principal_log(m), scipy.linalg.logm(m))
+        a = 0.5 * m
+        assert _close(la.fractional_power(m, 1.0, log=a), scipy.linalg.expm(a))
+        for p in (1.0 / 16, 0.3, -0.5):
+            assert _close(la.fractional_power(m, p), scipy.linalg.fractional_matrix_power(m, p))
+
+
+def test_transports_near_the_identity_are_rounded_once():
+    # A per-edge transport M^(1/n) lies near I, and a rounding of its O(1)
+    # diagonal counts with 1/h^2 in the residuals; the Pade step adds I to
+    # its small part once, so each entry is within 3/4 ulp of the 50-digit
+    # power (torus-higgs's generators: S diag(mu, 1/mu) S^-1, 128 sites).
+    rng = np.random.default_rng(7)
+    for mu in (2.0, 3.0, 1.5):
+        s = rng.normal(size=(2, 2))
+        m = s @ np.diag([mu, 1.0 / mu]) @ np.linalg.solve(s, np.eye(2))
+        got = la.fractional_power(m.astype(complex), 1.0 / 128)
+        with mpmath.workdps(50):
+            w, v = mpmath.eig(mpmath.matrix(m.tolist()))
+            exact = v * mpmath.diag([ev ** mpmath.mpf(1.0 / 128) for ev in w]) * mpmath.inverse(v)
+            exact = np.array(exact.tolist(), dtype=complex)
+        ulp = np.spacing(np.abs(exact).max())
+        assert np.abs(got - exact).max() <= 0.75 * ulp
+
+
+def test_schur_keeps_a_triangular_matrix_as_it_is():
+    m = np.triu(_matrix(np.random.default_rng(3), 3))
+    q, t = la.schur(m)
+    assert np.array_equal(q, np.eye(3)) and np.array_equal(t, m)
+
+
+@pytest.mark.parametrize("m", [np.diag([2.0, 0.5]), np.diag([4.0, 1.0, 0.25])])
+@pytest.mark.parametrize("t", [1.0 / 16, 1.0 / 48, 1.0 / 128])
+def test_diagonal_powers_are_exact(m, t):
+    expected = np.diag(np.exp(t * np.log(np.diag(m).astype(complex))))
+    got = la.fractional_power(m.astype(complex), t)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_jordan_power_is_exact():
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    assert la.principal_log(jordan).tobytes() == np.array([[0, 1], [0, 0]], dtype=complex).tobytes()
+    expected = np.array([[1.0, 0.0625], [0.0, 1.0]], dtype=complex)
+    assert la.fractional_power(jordan, 1.0 / 16).tobytes() == expected.tobytes()
+
+
+def test_log_refuses_singular_and_negative_axis_spectra():
+    with pytest.raises(ValueError, match="^matrix is singular; no logarithm$"):
+        la.principal_log(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(ValueError, match="nonpositive real axis"):
+        la.principal_log(np.diag([-2.0, 1.0]))
+    with pytest.raises(ValueError, match="nonpositive real axis"):
+        la.fractional_power(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+
+
+def test_bundleflow_runs_without_scipy():
+    # numpy carries every kernel; importing scipy would double the set-up time.
+    code = """
+import sys
+import numpy as np
+import bundleflow as bf
+from bundleflow import analysis, linalg as la
+circle = bf.build_domain("circle", 16, 1.0)
+jordan = bf.from_monodromy(circle, [np.array([[1.0, 1.0], [0.0, 1.0]])])
+torus = bf.build_domain("torus", (6, 6), (1.0, 1.0))
+s = np.array([[1.0, 0.5], [0.2, 1.0]])
+bf.from_monodromy(torus, [s @ np.diag([m, 1 / m]) @ np.linalg.solve(s, np.eye(2))
+                          for m in (2.0, 3.0)])
+metric = np.broadcast_to(np.diag([1.0, 1e-3]), (16, 2, 2)).astype(complex)
+analysis.runaway_certificate(jordan, np.broadcast_to(np.eye(2), (16, 2, 2)), metric)
+la.spectrum_distance(np.diag([1.0, 2.0]), np.diag([2.0, 1.0]))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"

@@ -41,8 +41,9 @@ def test_construction_errors():
         bf.build_domain("klein", 10, 1.0)
     with pytest.raises(ValueError):
         bf.build_domain("torus", (10,), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        bf.build_domain("circle", 10, -1.0)
+    for length in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^axis lengths must be positive and finite$"):
+            bf.build_domain("circle", 10, length)
     with pytest.raises(ValueError):
         bf.build_domain("circle", 2, 1.0)
 
