@@ -48,7 +48,6 @@ from .hodge import (
     HiggsData,
     complex_split,
     flat_from_higgs,
-    hermitian_einstein_solve,
     higgs_degree_stability,
     higgs_from_harmonic,
     higgs_from_parts,

@@ -100,6 +100,8 @@ def from_monodromy(
         r = gens[0].shape[0]
         if rank is not None and rank != r:
             raise ValueError("rank does not match the generators")
+    if r < 1:
+        raise ValueError(f"rank must be 1 or more, got {r}")
     for g in gens:
         if g.shape != (r, r):
             raise ValueError("generators must be square matrices of equal rank")

@@ -165,6 +165,8 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     bun_block = _block(raw, "bundle")
     rank = _number(int, _need(bun_block, "rank", "bundle"), "bundle.rank")
+    if rank < 1:
+        raise ConfigError(f"bundle.rank: must be 1 or more, got {rank}")
     mono_raw = _typed(bun_block.get("monodromy", []), list, "bundle.monodromy")
     dim_loops = {"circle": 1, "annulus": 1, "torus": 2, "interval": 0, "rectangle": 0}.get(kind, 0)
     if len(mono_raw) != dim_loops:

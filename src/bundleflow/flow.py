@@ -4,12 +4,11 @@ The update is multiplicative, ``H <- H exp(2 dt Q)`` with Q the tension field,
 so Hermitian positivity survives any step size. Because Q is the exact
 gradient of the edge energy, an accepted step decreases the energy to first
 order by ``2 ||Q||^2 dt``; the adaptive controller rejects steps that raise
-the energy beyond roundoff slack and halves the step size instead. The same
-driver, ``_drive``, runs the Hermitian-Einstein flow of ``hodge`` with the
-contracted curvature as its direction; each run reports its trials,
-rejections, accepted energy rises and the wall time of its phases. A domain
-with a boundary is a Dirichlet problem: its boundary sites hold the
-reference metric K, and the unknowns and the residual are the interior sites.
+the energy beyond roundoff slack and halves the step size instead. Each run
+reports its trials, rejections, accepted energy rises and the wall time of
+its phases. A domain with a boundary is a Dirichlet problem: its boundary
+sites hold the reference metric K, and the unknowns and the residual are the
+interior sites.
 
 ``solve_harmonic`` and ``solve_poisson`` take a linearly implicit (backward)
 Euler step of the same flow instead: each trial solves
@@ -30,7 +29,7 @@ excites no other mode and, with the runaway growth rule below, reaches the
 the kernel the implicit step buys nothing (S = Q there) and keeps the
 default schedule, so it takes thousands of steps and more.
 
-In that runaway mode, and there only, ``_drive`` adds a growth rule to the
+On the explicit step, and there only, ``_drive`` adds a growth rule to the
 adaptive schedule (``RUNAWAY_GROWTH``, ``RUNAWAY_GATE``). Along a runaway
 nothing but the dt schedule bounds the step count, and ``x DT_GROWTH`` per
 ``dt_growth_every`` accepted steps took thousands of steps to ``diverged``.
@@ -81,7 +80,6 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -110,7 +108,7 @@ ENERGY_RTOL = 1e-12
 # residual no longer certifies convergence.
 FLOOR_ULPS = 8.0
 
-# The runaway growth rule (``_drive`` with ``runaway``): dt is multiplied by
+# The runaway growth rule (``_drive``'s explicit step): dt is multiplied by
 # RUNAWAY_GROWTH, the inverse of a rejection's halving, after each accepted
 # step that lowered the residual and raised sup ||log h|| while sup ||log h||
 # lies above RUNAWAY_GATE times the divergence threshold and below the
@@ -231,16 +229,17 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
     return 0.2 * min(domain.spacings) ** 2
 
 
-def _diagnostics(conn: FlatConnection, h_field: Array, implicit: bool = False) -> dict:
+def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
     """Tension, energy and residuals of one metric, from one eigendecomposition of it.
 
-    The direction strategy for ``_drive``: the tension is the heat flow's step
-    ``direction``. With ``implicit`` it adds ``solve``: the linearly implicit
-    step direction for a given dt (``_implicit_direction``), built from this
-    metric's split only when a trial calls it. Without it the run takes the
-    explicit step. The scaled square root of H (``linalg.scaled_sqrt``)
-    serves the split and is returned as ``root``, so that the step taken from
-    this metric reuses it.
+    Returns the tension as the heat flow's step ``direction``, the ``energy``
+    that step control compares, the residuals ``residual_sup``,
+    ``residual_l2`` and ``tracefree_sup``, and the ``residual_floor`` below
+    which a residual certifies nothing. The scaled square root of H
+    (``linalg.scaled_sqrt``) serves the split and is returned as ``root``,
+    and the split's metric transports as ``metric_conn``, so that the step
+    taken from this metric, explicit or implicit (``_implicit_direction``),
+    reuses both.
     """
     root = la.scaled_sqrt(h_field)
     sm = split_metric(conn, h_field, root)
@@ -263,18 +262,16 @@ def _diagnostics(conn: FlatConnection, h_field: Array, implicit: bool = False) -
         flux[heads] += size
         flux[tails] += size
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
-    diag = {
+    return {
         "direction": t_field,
         "root": root,
+        "metric_conn": sm.connection,
         "energy": en,
         "residual_sup": res_sup,
         "residual_l2": res_l2,
         "tracefree_sup": tf_sup,
         "residual_floor": floor,
     }
-    if implicit:
-        diag["solve"] = partial(_implicit_direction, sm.connection, root, t_field)
-    return diag
 
 
 def _implicit_direction(metric_conn: FlatConnection, root: la.ScaledRoot, q: Array,
@@ -319,51 +316,45 @@ def _implicit_direction(metric_conn: FlatConnection, root: la.ScaledRoot, q: Arr
 
 
 def _drive(
-    domain: LatticeDomain,
+    conn: FlatConnection,
     reference: Array,
     opts: SolveOptions,
-    measure: Callable[[Array], dict],
     tracefree: bool,
+    implicit: bool,
     init: FlowState | None = None,
     callback: Callable[[FlowState], None] | None = None,
-    runaway: bool = False,
 ) -> tuple[RunReport, dict]:
     """The adaptive multiplicative flow that every solver runs, and its final diagnostics.
 
-    ``measure(metric)`` is the direction strategy. Like ``_diagnostics`` it
-    returns the step ``direction``, the scaled square root under ``root``
-    when it has factored the metric (else None), the ``energy`` that step
-    control compares, the residuals ``residual_sup``, ``residual_l2`` and
-    ``tracefree_sup`` and the ``residual_floor`` below which a residual
-    certifies nothing. When it also returns ``solve``, a trial steps along
-    ``solve(dt)``, a (direction, CG iterations) pair, instead of
-    ``direction``. ``_drive`` adds the monitors
-    against the reference (sup ||log h||, the logdet range, sigma) and owns
-    step control, the verdicts, the reset of boundary sites to K, det
-    normalization and the history. ``tracefree`` flows are judged by the
-    trace-free residual, and a converged metric is normalized to
-    det(K^{-1}H) = 1. A run starts from the dt of its state; a dt <= 0
-    means the ``default_dt`` of its step: implicit when ``measure`` returns
-    ``solve``, else explicit; a dt that is not finite is refused. ``init`` is
-    advanced in place, and
-    ``callback(state)`` sees it after each accepted step, so a caller that
-    checkpoints it (``checkpoint.Checkpoint.of``) holds the run's state at
-    every step and at the end. ``runaway`` adds the runaway growth rule to the
-    adaptive schedule (module docstring); the report's notes count the steps
-    it doubled dt on. The report's ``phase_seconds`` holds the wall
-    time of the ``diagnostics`` (``measure`` and the monitors), the implicit
+    Each trial steps from the accepted metric along its tension
+    (``_diagnostics``), or with ``implicit`` along the linearly implicit
+    direction for the current dt (``_implicit_direction``). ``_drive`` adds
+    the monitors against the reference (sup ||log h||, the logdet range,
+    sigma) and owns step control, the verdicts, the reset of boundary sites
+    to K, det normalization and the history. ``tracefree`` flows are judged
+    by the trace-free residual, and a converged metric is normalized to
+    det(K^{-1}H) = 1. A run starts from the dt of its state; a dt <= 0 means
+    the ``default_dt`` of its step, and a dt that is not finite is refused.
+    ``init`` is advanced in place, and ``callback(state)`` sees it after each
+    accepted step, so a caller that checkpoints it
+    (``checkpoint.Checkpoint.of``) holds the run's state at every step and at
+    the end. The explicit step adds the runaway growth rule to the adaptive
+    schedule (module docstring); the report's notes count the steps it
+    doubled dt on. The report's ``phase_seconds`` holds the wall time of the
+    ``diagnostics`` (``_diagnostics`` and the monitors), the implicit
     ``solve`` and the ``update``.
     """
     t0 = _time.perf_counter()
+    domain = conn.domain
     opts.validate()
     la.check_metric(reference)
     ref_isqrt = la.sqrt_pair(reference)[1]
     phases = dict.fromkeys(("diagnostics", "solve", "update"), 0.0)
 
     def diagnose(metric: Array) -> dict:
-        """``measure(metric)`` and the monitors against K, from the relative eigenvalues."""
+        """``_diagnostics`` and the monitors against K, from the relative eigenvalues."""
         start = _time.perf_counter()
-        diag = measure(metric)
+        diag = _diagnostics(conn, metric)
         eigs = la.rel_eigvals(reference, metric, ref_isqrt)
         logs = np.log(eigs)
         logdet = logs.sum(axis=1)
@@ -381,7 +372,7 @@ def _drive(
         raise ValueError(f"dt {state.dt!r} of the flow state must be finite")
     diag = diagnose(state.metric)
     if state.dt <= 0:
-        state.dt = default_dt(domain, implicit="solve" in diag)
+        state.dt = default_dt(domain, implicit)
     if state.logh_prev is None:
         state.logh_prev = diag["logh_sup"]
     if not state.history:
@@ -401,9 +392,10 @@ def _drive(
             verdict, reason = settled
             break
         direction = diag["direction"]
-        if "solve" in diag:
+        if implicit:
             start = _time.perf_counter()
-            direction, iterations = diag["solve"](state.dt)
+            direction, iterations = _implicit_direction(diag["metric_conn"], diag["root"],
+                                                        direction, state.dt)
             phases["solve"] += _time.perf_counter() - start
             cg_total += iterations
             cg_max = max(cg_max, iterations)
@@ -438,7 +430,7 @@ def _drive(
             state.divergence_streak = 0
         state.accepted_since_growth += 1
         state.latch_open = state.latch_open and diag[key] < residual_prev
-        if (runaway and state.latch_open and diag["logh_sup"] > state.logh_prev
+        if (not implicit and state.latch_open and diag["logh_sup"] > state.logh_prev
                 and gate_low < diag["logh_sup"] < opts.divergence_threshold):
             state.dt *= RUNAWAY_GROWTH
             state.accepted_since_growth = 0
@@ -471,7 +463,7 @@ def _drive(
     if tracefree and verdict == "converged":
         h_final = _det_normalize(reference, state.metric, ref_isqrt)
         h_final[domain.boundary] = reference[domain.boundary]
-        # Free the direction and root of the unnormalized metric before the
+        # Free the diagnostics of the unnormalized metric before the
         # recompute, which is the memory peak of a solve that converges at once.
         del diag
         diag = diagnose(h_final)
@@ -495,7 +487,7 @@ def _drive(
         rejected_steps=rejected,
         energy_rises=rises,
         phase_seconds=phases,
-        step_kind="implicit" if "solve" in diag else "explicit",
+        step_kind="implicit" if implicit else "explicit",
         cg_iterations=cg_total,
         cg_iterations_max=cg_max,
     )
@@ -564,22 +556,21 @@ def _implicit_floor(domain: LatticeDomain) -> float:
     return FLOOR_ULPS * np.finfo(float).eps * 2.0 * sum(1.0 / h ** 2 for h in domain.spacings)
 
 
-def _strategy(conn: FlatConnection,
-              opts: SolveOptions) -> tuple[Callable, bool, list[str]]:
-    """``_drive``'s direction strategy and runaway mode for one solve, and notes.
+def _strategy(conn: FlatConnection, opts: SolveOptions) -> tuple[bool, list[str]]:
+    """Whether one solve takes ``_drive``'s implicit step, and notes.
 
     Runs on a domain with a boundary (Dirichlet problems) take the linearly
     implicit step, and so do closed-domain runs whose tolerance lies above
     ``_implicit_floor``. A closed-domain run asked for a residual at or below
-    that floor keeps the heat flow's explicit step for the whole run, in the
-    runaway mode (the second value), and says so in a note. The module
-    docstring gives the reasons for both. The choice is made once, up front.
+    that floor keeps the heat flow's explicit step, with its runaway growth
+    rule, for the whole run, and says so in a note. The module docstring
+    gives the reasons for both. The choice is made once, up front.
     """
     dom = conn.domain
     floor = _implicit_floor(dom)
     if dom.boundary.any() or opts.tolerance > floor:
-        return partial(_diagnostics, conn, implicit=True), False, []
-    return partial(_diagnostics, conn), True, [
+        return True, []
+    return False, [
         f"explicit heat-flow step: tolerance {opts.tolerance:.3e} is at or below the "
         f"implicit step's roundoff floor {floor:.3e}"]
 
@@ -604,9 +595,9 @@ def solve_harmonic(
     (``analysis.runaway_certificate``).
     """
     opts = opts or SolveOptions()
-    measure, runaway, notes = _strategy(conn, opts)
-    report = _drive(conn.domain, reference, opts, measure, tracefree=False, init=init,
-                    callback=callback, runaway=runaway)[0]
+    implicit, notes = _strategy(conn, opts)
+    report = _drive(conn, reference, opts, tracefree=False, implicit=implicit, init=init,
+                    callback=callback)[0]
     report.notes[:0] = notes
     if report.verdict == "diverged" and conn.loops and conn.rank <= 3:
         report.verdict_reason += runaway_certificate(conn, reference, report.metric)
@@ -627,9 +618,9 @@ def solve_poisson(
     ``poisson_function``.
     """
     opts = opts or SolveOptions()
-    measure, runaway, notes = _strategy(conn, opts)
-    report, diag = _drive(conn.domain, reference, opts, measure, tracefree=True, init=init,
-                          callback=callback, runaway=runaway)
+    implicit, notes = _strategy(conn, opts)
+    report, diag = _drive(conn, reference, opts, tracefree=True, implicit=implicit, init=init,
+                          callback=callback)
     report.notes[:0] = notes
     report.poisson_function = (np.einsum("nii->n", diag["direction"]) / conn.rank).real
     return report

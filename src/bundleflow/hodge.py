@@ -7,7 +7,8 @@ operator) together with a per-site Higgs field theta, the matrix coefficient
 of dz. The composite connection adds a self-adjoint one-form Psi with
 components ``Psi_x = theta + theta*``, ``Psi_y = i (theta - theta*)`` to the
 metric transports; its plaquette holonomies measure the composite curvature,
-and its area-normalized contraction drives the Hermitian-Einstein flow.
+and their area-normalized contraction is the contracted curvature that
+``hitchin_residuals`` reports and ``higgs_degree_stability`` integrates.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .bundle import (
     psi_centered,
     split_metric,
 )
-from .flow import FLOOR_ULPS, RunReport, SolveOptions, _drive
 from .linalg import dagger
 from .mesh import LatticeDomain, integrate
 
@@ -223,44 +223,6 @@ def higgs_degree_stability(
             s.invariance_residual, theta_res), degree=d, slope=d / s.rank))
     return slope_verdict(total_deg, conn.rank, rows,
                          "scope: verdict relative to the supplied sub-bundle list.")
-
-
-def hermitian_einstein_solve(
-    higgs: HiggsData,
-    reference: Array,
-    opts: SolveOptions | None = None,
-) -> RunReport:
-    """Drive the contracted composite curvature to its trace average.
-
-    Multiplicative updates ``H <- H exp(-2 dt (Phi - tr Phi / r))`` run on the
-    flow module's driver with the trace-free curvature as the direction:
-    acceptance is controlled by the trace-free curvature energy, verdicts
-    follow the flow module's semantics, and the final metric is conformally
-    normalized to det(K^{-1}H) = 1. The residual's roundoff floor is that of
-    forming ``hol - I`` for unit-scale plaquette holonomies.
-    """
-    dom = higgs.connection.domain
-    floor = (FLOOR_ULPS * np.finfo(float).eps * np.sqrt(higgs.connection.rank)
-             / (dom.spacings[0] * dom.spacings[1]))
-
-    def measure(hf: Array) -> dict:
-        """Trace-free curvature as the direction, with its energy and sup."""
-        phi_perp = la.tracefree(lambda_contraction(higgs, hf))
-        dens = la.endo_norm2(phi_perp, hf)
-        res = float(np.max(np.sqrt(dens)))
-        en = float(np.sum(dom.volume * dens))
-        return {
-            "direction": -phi_perp,
-            "root": None,
-            "energy": en,
-            "residual_sup": res,
-            "residual_l2": float(np.sqrt(en)),
-            "tracefree_sup": res,
-            "residual_floor": floor,
-        }
-
-    return _drive(dom, np.asarray(reference, dtype=complex), opts or SolveOptions(), measure,
-                  tracefree=True)[0]
 
 
 def flat_from_higgs(higgs: HiggsData, metric: Array, residual_factor: float = 10.0,

@@ -81,6 +81,9 @@ def test_from_monodromy_needs_rank_on_bounded_domains():
     dom = bf.build_domain("rectangle", (5, 5), (1.0, 1.0))
     with pytest.raises(ValueError, match="rank"):
         bf.from_monodromy(dom, [])
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match=f"^rank must be 1 or more, got {rank}$"):
+            bf.from_monodromy(dom, [], rank=rank)
     conn = bf.from_monodromy(dom, [], rank=2)
     assert conn.rank == 2
 

@@ -154,6 +154,13 @@ def test_resume_from_a_max_steps_final_checkpoint_is_bit_exact(tmp_path):
     assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
 
 
+# A solve_poisson run on a 5x5 rectangle, whose bundle has no loops to give its rank.
+RANKLESS_RECTANGLE = {
+    "scenario": "solve_poisson",
+    "domain": {"kind": "rectangle", "sites": [5, 5], "lengths": [1.0, 1.0]},
+}
+
+
 @pytest.mark.parametrize("block, fields", [
     ("domain", {"sites": ["abc"]}),
     ("domain", {"lengths": [None]}),
@@ -190,6 +197,8 @@ def test_resume_from_a_max_steps_final_checkpoint_is_bit_exact(tmp_path):
     ("output", {"csv_cadence": 0}),
     ("output", {"checkpoint_cadence": -1}),
     (None, {"scenario": "stability", "solver": {"tolerance": float("nan"), "max_steps": -5}}),
+    (None, RANKLESS_RECTANGLE | {"bundle": {"rank": 0, "monodromy": []}}),
+    (None, RANKLESS_RECTANGLE | {"bundle": {"rank": -1, "monodromy": []}}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     # A case without a block gives its overrides of the whole config.
@@ -333,6 +342,14 @@ def test_config_validation_names_fields(tmp_path):
         config_from_dict({"domain": {}})
     with pytest.raises(ConfigError, match=r"^domain\.kind: missing field$"):
         config_from_dict({"scenario": "solve_harmonic", "domain": {}})
+    # A rank below one is named by its own field: rank 0 once ran to a
+    # converged verdict with a NaN Poisson function, and rank -1 failed in
+    # the monodromy parser.
+    for rank in (0, -1):
+        path = write_config(tmp_path / "r4.yaml", **RANKLESS_RECTANGLE,
+                            bundle={"rank": rank, "monodromy": []})
+        with pytest.raises(ConfigError, match=rf"^bundle\.rank: must be 1 or more, got {rank}$"):
+            load_config(path)
 
 
 def test_identical_runs_identical_csv(tmp_path):

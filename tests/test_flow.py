@@ -1,7 +1,6 @@
 import re
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from bundleflow.flow import (
     FlowState,
     _diagnostics,
     _drive,
+    _implicit_direction,
     _implicit_floor,
     _strategy,
     default_dt,
@@ -35,6 +35,11 @@ from util import (
     torus_diag,
     unit_hermitian_basis,
 )
+
+
+def implicit_step(diag: dict, dt: float) -> tuple[np.ndarray, int]:
+    """The implicit direction from a metric's diagnostics, as ``_drive`` takes it."""
+    return _implicit_direction(diag["metric_conn"], diag["root"], diag["direction"], dt)
 
 
 def test_fixed_point_settles_with_one_history_row():
@@ -70,8 +75,8 @@ def test_step_preserves_positivity_for_large_dt():
     h = random_metric(dom, 2, seed=1, amplitude=0.5)
     # one step of ~250x the CFL-like default, explicit and implicit; the
     # driver would reject it, so the update is applied to the diagnostics
-    diag = _diagnostics(conn, h, implicit=True)
-    for direction in (diag["direction"], diag["solve"](0.2)[0]):
+    diag = _diagnostics(conn, h)
+    for direction in (diag["direction"], implicit_step(diag, 0.2)[0]):
         stepped = la.metric_exp_update(h, direction, 2.0 * 0.2, diag["root"])
         assert np.linalg.eigvalsh(la.hermitize(stepped)).min() > 0.0
     # an additive Euler update of the same size would lose positivity
@@ -158,18 +163,19 @@ def test_runaway_certificate_finds_an_invariant_complement():
 
 
 def test_runaway_rule_leaves_runs_below_its_gate_unchanged():
-    # A closed run asked for its implicit floor keeps the heat flow, in the
-    # runaway mode. Its sup|log h| (0.31) stays below a tenth of the
-    # threshold, so dt keeps the default schedule: the run is the plain
-    # driver's, bit for bit.
+    # A closed run asked for its implicit floor keeps the heat flow and its
+    # runaway growth rule. Its sup|log h| (0.31) stays below a tenth of the
+    # threshold, so dt keeps the default schedule: the run is, bit for bit,
+    # the one at a threshold whose gate can never open.
     dom, conn = circle_diag(n=5, length=1.0)
     k = random_metric(dom, 2, seed=44, amplitude=0.25)
     opts = bf.SolveOptions(tolerance=_implicit_floor(dom))
     rep = bf.solve_harmonic(conn, k, opts)
-    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=False)[0]
-    assert rep.verdict == heat.verdict == "converged" and rep.step_kind == "explicit"
-    assert rep.steps == heat.steps and np.array_equal(rep.metric, heat.metric)
+    shut = bf.solve_harmonic(conn, k, replace(opts, divergence_threshold=1e300))
+    assert rep.verdict == shut.verdict == "converged" and rep.step_kind == "explicit"
+    assert rep.steps == shut.steps and np.array_equal(rep.metric, shut.metric)
     assert len(rep.notes) == 1 and rep.notes[0].startswith("explicit heat-flow step")
+    assert not any(note.startswith("dt doubled") for note in rep.notes + shut.notes)
 
 
 def test_runaway_rule_latch_keeps_a_converging_run_converging():
@@ -322,7 +328,7 @@ def test_implicit_dirichlet_matches_heat_flow(kind, sites, lengths):
     opts = bf.SolveOptions(tolerance=1e-9)
     implicit = bf.solve_poisson(conn, k, opts)
     # the same problem through the explicit heat direction
-    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=True)[0]
+    heat = _drive(conn, k, opts, tracefree=True, implicit=False)[0]
     assert implicit.verdict == heat.verdict == "converged"
     assert implicit.steps < heat.steps / 10
     assert implicit.phase_seconds["solve"] > 0.0 and heat.phase_seconds["solve"] == 0.0
@@ -334,12 +340,12 @@ def test_implicit_direction_tends_to_the_tension():
     # and S = 0 on the boundary.
     dom = bf.build_domain("rectangle", (8, 8), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [], rank=2)
-    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3), implicit=True)
+    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3))
     q = diag["direction"]
     inner = dom.interior_mask()
     errors = []
     for dt in (1e-4, 1e-5):
-        s = diag["solve"](dt)[0]
+        s = implicit_step(diag, dt)[0]
         assert np.abs(s[dom.boundary]).max() == 0.0
         errors.append(np.abs(s - q)[inner].max())
     assert errors[1] < 1e-2 * np.abs(q[inner]).max()
@@ -360,10 +366,10 @@ def test_implicit_direction_solves_the_assembled_system(kind, sites, lengths, ra
     dom = bf.build_domain(kind, sites, lengths)
     conn = random_connection(dom, rank, seed=3)
     h = rough_random_metric(dom.n_sites, rank, seed=4)
-    diag = _diagnostics(conn, h, implicit=True)
+    diag = _diagnostics(conn, h)
     frame = la.orthonormal_frame(diag["root"])
     g, g_inv = frame
-    metric_conn = bf.split_metric(conn, h, diag["root"]).connection
+    metric_conn = diag["metric_conn"]
     sites = np.flatnonzero(dom.interior_mask())
     basis = unit_hermitian_basis(rank)
     mat = covariant_laplacian_coo(metric_conn, frame, sites).toarray()
@@ -386,12 +392,12 @@ def test_implicit_direction_solves_the_assembled_system(kind, sites, lengths, ra
     mass = np.repeat(dom.volume[sites], rank * rank)
     direct = np.linalg.solve(np.diag(mass) + dt * mat, mass * coords(g @ q @ g_inv))
     want = g_inv @ from_coords(direct) @ g
-    got, iterations = diag["solve"](dt)
+    got, iterations = implicit_step(diag, dt)
     assert iterations > 1
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     monkeypatch.setattr(flow, "CG_MAX_ITERATIONS", 1)
-    capped, iterations = diag["solve"](dt)
+    capped, iterations = implicit_step(diag, dt)
     assert iterations == 1 and np.abs(capped - want).max() > 1e-3 * np.abs(want).max()
     assert np.sum(dom.volume * np.einsum("nij,nji->n", q, capped).real) > 0.0
 
@@ -432,7 +438,7 @@ def test_torus_poisson_implicit_matches_heat_flow():
     k = random_metric(dom, 2, seed=6, amplitude=0.3)
     opts = bf.SolveOptions(tolerance=1e-9)
     implicit = bf.solve_poisson(conn, k, opts)
-    heat = _drive(dom, k, opts, partial(_diagnostics, conn), tracefree=True)[0]
+    heat = _drive(conn, k, opts, tracefree=True, implicit=False)[0]
     assert implicit.verdict == heat.verdict == "converged"
     assert (implicit.step_kind, heat.step_kind) == ("implicit", "explicit")
     assert max(implicit.tracefree_residual_sup, heat.tracefree_residual_sup) < opts.tolerance
@@ -447,39 +453,58 @@ def test_torus_poisson_implicit_matches_heat_flow():
         assert np.all(np.diff(en) <= 1e-12 * (1.0 + en[:-1]))
 
 
-def test_closed_run_just_above_the_floor_converges_implicitly():
-    # A non-normal rank-3 monodromy on 12 sites, like the benchmark's
-    # circle-harmonic: asked for 1.5x the floor, the implicit step's residual
-    # gets there (the floor holds the solves' roundoff with room to spare).
+def _rank3_circle():
+    """A non-normal rank-3 monodromy on 12 sites, like the benchmark's circle-harmonic."""
     dom = bf.build_domain("circle", 12, 1.0)
     g = np.eye(3) + 0.5 * np.random.default_rng(0).normal(size=(3, 3))
     conn = bf.from_monodromy(dom, [(g @ np.diag([4.0, 1.0, 0.25]) @ np.linalg.inv(g))
                                    .astype(complex)])
-    k = random_metric(dom, 3, seed=0, amplitude=0.25)
+    return dom, conn, random_metric(dom, 3, seed=0, amplitude=0.25)
+
+
+def test_closed_run_just_above_the_floor_converges_implicitly():
+    # Asked for 1.5x the floor, the implicit step's residual gets there (the
+    # floor holds the solves' roundoff with room to spare).
+    dom, conn, k = _rank3_circle()
     rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1.5 * _implicit_floor(dom)))
     assert rep.verdict == "converged" and rep.step_kind == "implicit"
     assert rep.steps < 200 and not rep.notes
+
+
+def test_stalled_run_reports_its_energy_rises():
+    # Restarted from its own converged metric and asked for a residual no
+    # step can reach, the explicit flow sits at the energy's roundoff: some
+    # accepted steps raise it within the slack. The run trace counts them and
+    # the verdict reason names them.
+    dom, conn, k = _rank3_circle()
+    start = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1e-11))
+    assert start.verdict == "converged" and start.steps == 56
+    rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1e-300, max_steps=100),
+                            init=FlowState(time=0.0, metric=start.metric.copy(), dt=0.0))
+    assert rep.verdict == "max_steps" and rep.steps == 100 and rep.step_kind == "explicit"
+    assert rep.energy_rises == 44
+    assert rep.trial_steps == rep.steps + rep.rejected_steps
+    assert rep.verdict_reason.endswith("; 44 of 100 accepted steps raised the energy")
 
 
 def test_strategy_switches_at_the_implicit_floor():
     # The driver starts from the state's dt, or from the default dt of the
     # step the strategy takes when it is 0; a run of no steps shows it in its
     # one history row.
-    def start_dt(dom, measure, opts, dt=0.0):
-        init = FlowState(time=0.0, metric=identity_metric(dom.n_sites, 2), dt=dt)
-        run = _drive(dom, init.metric.copy(), replace(opts, max_steps=0), measure,
-                     tracefree=False, init=init)[0]
+    def start_dt(conn, implicit, opts, dt=0.0):
+        init = FlowState(time=0.0, metric=identity_metric(conn.domain.n_sites, 2), dt=dt)
+        run = _drive(conn, init.metric.copy(), replace(opts, max_steps=0), tracefree=False,
+                     implicit=implicit, init=init)[0]
         return run.history[0][2]
 
     dom, conn = circle_diag(n=16, length=1.0)
-    k = identity_metric(dom.n_sites, 2)
     floor = _implicit_floor(dom)
     for tol, implicit in ((floor * (1 - 1e-9), False), (floor, False),
                           (floor * (1 + 1e-9), True)):
         opts = bf.SolveOptions(tolerance=tol)
-        measure, runaway, notes = _strategy(conn, opts)
-        assert ("solve" in measure(k)) == implicit and runaway == (not implicit)
-        assert start_dt(dom, measure, opts) == default_dt(dom, implicit=implicit)
+        chosen, notes = _strategy(conn, opts)
+        assert chosen == implicit
+        assert start_dt(conn, chosen, opts) == default_dt(dom, implicit=implicit)
         assert notes == ([] if implicit else [
             f"explicit heat-flow step: tolerance {tol:.3e} is at or below the implicit "
             f"step's roundoff floor {floor:.3e}"])
@@ -489,11 +514,9 @@ def test_strategy_switches_at_the_implicit_floor():
     rect_conn = bf.from_monodromy(rect, [], rank=2)
     for factor in (0.5, 2.0):
         opts = bf.SolveOptions(tolerance=factor * _implicit_floor(rect))
-        measure, runaway, notes = _strategy(rect_conn, opts)
-        assert "solve" in measure(identity_metric(rect.n_sites, 2))
-        assert not runaway and not notes
-        assert start_dt(rect, measure, opts) == default_dt(rect, implicit=True)
-        assert start_dt(rect, measure, opts, dt=0.125) == 0.125
+        assert _strategy(rect_conn, opts) == (True, [])
+        assert start_dt(rect_conn, True, opts) == default_dt(rect, implicit=True)
+        assert start_dt(rect_conn, True, opts, dt=0.125) == 0.125
 
 
 def test_exhaustion_unitary_is_trivial():

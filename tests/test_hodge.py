@@ -3,7 +3,7 @@ import pytest
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.hodge import composite_transports, higgs_from_parts, lambda_contraction
+from bundleflow.hodge import composite_transports, higgs_from_parts
 
 from util import TWO_PI, identity_metric, random_metric
 
@@ -172,82 +172,7 @@ def test_higgs_degree_rejects_noninvariant_sub():
         bf.higgs_degree_stability(hd, k, bad)
 
 
-# --------------------------------------------------------------- the HE flow
-
-
-def test_hermitian_einstein_trivial_converges_immediately():
-    dom, conn = unitary_torus(n=8)
-    h = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, h)
-    rep = bf.hermitian_einstein_solve(hd, h)
-    assert rep.verdict == "converged"
-    assert rep.steps == 0
-
-
-def test_hermitian_einstein_self_consistency():
-    dom, conn = unimodular_torus(n=12)
-    run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
-    hd = bf.higgs_from_harmonic(conn, run.metric)
-    rep = bf.hermitian_einstein_solve(hd, run.metric)
-    assert rep.verdict == "converged"
-    assert rep.steps <= 2
-    assert bf.donaldson_distance(rep.metric, run.metric)[1] < 1e-8
-
-
-def test_hermitian_einstein_destabilized_diverges():
-    # two rank-1 pieces with unequal discrete degrees: curvature lumps on the
-    # first line cannot be absorbed, so the flow runs away
-    dom = bf.build_domain("torus", (12, 12), (TWO_PI, TWO_PI))
-    n = dom.n_sites
-    w = np.broadcast_to(np.eye(2, dtype=complex), (2, n, 2, 2)).copy()
-    ix = np.arange(n) // 12
-    w[1, :, 0, 0] = np.exp(1j * 0.05 * ix)
-    hd = higgs_from_parts(dom, w, np.zeros((n, 2, 2), dtype=complex))
-    k = identity_metric(n, 2)
-    lam = lambda_contraction(hd, k)
-    degs = np.einsum("nii->n", lam).real
-    assert abs(bf.integrate(dom, degs)) > 1e-3  # unequal slopes
-    opts = bf.SolveOptions(tolerance=1e-10, divergence_threshold=10.0, max_steps=5000)
-    rep = bf.hermitian_einstein_solve(hd, k, opts)
-    assert rep.verdict == "diverged"
-    assert rep.logh_sup > 10.0
-
-
 # ----------------------------------------------------------------- roundtrip
-
-
-def test_hermitian_einstein_sigma_matches_trace_formula():
-    # sigma is read off the relative eigenvalues of the returned metric; it
-    # must equal tr(K^{-1}H) + tr(H^{-1}K) - 2r computed by two solves.
-    dom = bf.build_domain("torus", (12, 12), (TWO_PI, TWO_PI))
-    n = dom.n_sites
-    w = np.broadcast_to(np.eye(2, dtype=complex), (2, n, 2, 2)).copy()
-    w[1, :, 0, 0] = np.exp(1j * 0.05 * (np.arange(n) // 12))
-    hd = higgs_from_parts(dom, w, np.zeros((n, 2, 2), dtype=complex))
-    k = 2.0 * identity_metric(n, 2)
-    rep = bf.hermitian_einstein_solve(hd, k, bf.SolveOptions(tolerance=1e-10, max_steps=20))
-    assert rep.verdict == "max_steps"
-    expected = float((np.einsum("nii->n", np.linalg.solve(k, rep.metric)).real
-                      + np.einsum("nii->n", np.linalg.solve(rep.metric, k)).real - 4.0).max())
-    assert expected > 1.0
-    assert abs(rep.sigma_sup - expected) <= 1e-12 * expected
-    # the history carries the same sigma, not a placeholder
-    assert rep.history[-1][9] == rep.sigma_sup
-
-
-def test_hermitian_einstein_stall_reports_its_energy_rises():
-    # Against a reference that is not the metric its Higgs data came from, dt
-    # collapses and every accepted step raises the energy within the slack:
-    # the run trace counts those rises and the verdict reason names them.
-    dom, conn = unimodular_torus(n=8)
-    run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
-    hd = bf.higgs_from_harmonic(conn, run.metric)
-    k = random_metric(dom, 2, seed=7, amplitude=0.2)
-    rep = bf.hermitian_einstein_solve(hd, k, bf.SolveOptions(max_steps=200))
-    assert rep.verdict == "max_steps" and rep.steps == 200
-    assert rep.energy_rises == rep.steps
-    assert rep.trial_steps == rep.steps + rep.rejected_steps
-    assert rep.verdict_reason.endswith("; 200 of 200 accepted steps raised the energy")
 
 
 def test_flat_from_higgs_reuses_the_passed_composite():
