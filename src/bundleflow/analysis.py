@@ -31,6 +31,16 @@ from .mesh import integrate, laplacian
 
 Array = np.ndarray
 
+# The largest invariance residual of a sub-bundle whose degree is taken
+# (``degree``, ``hodge.higgs_degree_stability``).
+INVARIANCE_TOL = 1e-6
+
+# ``polystable_split``: the relative endomorphism is parallel when its flat
+# covariant difference stays below PARALLEL_RTOL max(sup |h_rel|, 1), and its
+# eigenvalues within CLUSTER_TOL (1 + |lambda|) of each other share a factor.
+PARALLEL_RTOL = 1e-6
+CLUSTER_TOL = 1e-6
+
 
 def donaldson_distance(h_field: Array, k_field: Array) -> tuple[Array, float]:
     """Pointwise tr(K^-1 H) + tr(H^-1 K) - 2 rank, and its sup over sites.
@@ -50,7 +60,6 @@ def degree(
     conn: FlatConnection,
     reference: Array,
     sub: SubBundleSpec | None = None,
-    invariance_tol: float = 1e-6,
 ) -> float:
     """Analytic degree of the bundle, or of an invariant sub-bundle.
 
@@ -63,7 +72,7 @@ def degree(
     t_field = tension(conn, reference)
     if sub is None:
         return -integrate(conn.domain, np.einsum("nii->n", t_field).real)
-    if sub.invariance_residual > invariance_tol:
+    if sub.invariance_residual > INVARIANCE_TOL:
         raise ValueError("sub-bundle is not invariant within tolerance")
     pi = sub.projection
     dpi = centered_components(conn, covariant_d(conn, pi))
@@ -243,7 +252,7 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     ``pointwise_residual``: per-site defect of
     (T_H - T_K, h) = 0.5 lap tr h - 0.5 |h^{-1/2} delta_K h|^2
     under the K-pairing, with site-centered derivative components (zeroed on
-    boundary sites, where the Laplacian is one-sided).
+    boundary sites, where ``mesh.laplacian`` reads 0).
 
     ``integral_gap``: defect of
     int (T_H - T_K, s) = -0.5 int (Theta[s](D s), D s)
@@ -256,9 +265,8 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     la.check_metric(h)
     la.check_metric(k)
     h_rel = np.linalg.solve(k, h)
-    t_h = tension(conn, h)
-    t_k = tension(conn, k)
-    diff = t_h - t_k
+    sm_k = split_metric(conn, k)
+    diff = tension(conn, h) - tension(conn, k, sm_k)
 
     # left side and Laplacian term
     lhs = np.einsum("nij,nji->n", diff, h_rel).real
@@ -266,7 +274,6 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     lap = laplacian(dom, tr_h)
 
     # |h^{-1/2} delta_K h|^2 with centered components
-    sm_k = split_metric(conn, k)
     dk_c = centered_components(sm_k.connection, reference_difference(sm_k, h_rel)[0])
     lam, frame, frame_inv = la.log_hsa(h_rel, k)
     if np.any(lam <= 0):
@@ -299,15 +306,13 @@ def polystable_split(
     conn: FlatConnection,
     h_field: Array,
     h_other: Array,
-    parallel_tol: float | None = None,
-    cluster_tol: float = 1e-6,
 ) -> list[SubBundleSpec] | None:
     """Eigen-bundle decomposition induced by a parallel relative endomorphism.
 
     Forms the positive relative endomorphism between the two metrics, checks
-    that its flat covariant derivative vanishes, and if so returns the
-    orthogonal spectral projections (eigenvalues clustered within
-    ``cluster_tol``); otherwise None.
+    that its flat covariant derivative vanishes (``PARALLEL_RTOL``), and if
+    so returns the orthogonal spectral projections (eigenvalues clustered
+    within ``CLUSTER_TOL``); otherwise None.
     """
     h = np.asarray(h_field, dtype=complex)
     g = np.asarray(h_other, dtype=complex)
@@ -315,22 +320,21 @@ def polystable_split(
     la.check_metric(g)
     h_rel = np.linalg.solve(h, g)
     scale = float(np.max(la.frobenius(h_rel)))
-    tol = parallel_tol if parallel_tol is not None else 1e-6 * max(scale, 1.0)
     dh = covariant_d(conn, h_rel)
-    if float(np.max(la.frobenius(dh))) > tol:
+    if float(np.max(la.frobenius(dh))) > PARALLEL_RTOL * max(scale, 1.0):
         return None
     lam, frame, frame_inv = la.log_hsa(h_rel, h)
     values = np.sort(lam.ravel())
     clusters: list[list[float]] = [[values[0]]]
     for v in values[1:]:
-        if v - clusters[-1][-1] <= cluster_tol * (1.0 + abs(v)):
+        if v - clusters[-1][-1] <= CLUSTER_TOL * (1.0 + abs(v)):
             clusters[-1].append(v)
         else:
             clusters.append([v])
     specs: list[SubBundleSpec] = []
     for c in clusters:
         lo, hi = c[0], c[-1]
-        pick = (lam >= lo - cluster_tol) & (lam <= hi + cluster_tol)
+        pick = (lam >= lo - CLUSTER_TOL) & (lam <= hi + CLUSTER_TOL)
         weights = pick.astype(float)
         proj = (frame * weights[..., None, :]) @ frame_inv
         ranks = weights.sum(axis=1)
@@ -492,22 +496,8 @@ def bochner_residual(
         for a in range(dom.dim):
             rhs -= 2.0 * la.endo_norm2(grad_b[a], h_mid)
     defect = time_term - lap - rhs
-    interior = _deep_interior(dom)
-    return float(np.abs(defect[interior]).max())
-
-
-def _deep_interior(dom) -> Array:
-    mask = ~dom.boundary
-    shaped = mask.reshape(dom.sites_per_axis)
-    for a in range(dom.dim):
-        if not dom.periodic[a]:
-            shifted_f = np.roll(shaped, 1, axis=a)
-            shifted_b = np.roll(shaped, -1, axis=a)
-            sl0 = [slice(None)] * dom.dim
-            sl0[a] = 0
-            shifted_f[tuple(sl0)] = False
-            sl1 = [slice(None)] * dom.dim
-            sl1[a] = -1
-            shifted_b[tuple(sl1)] = False
-            shaped = shaped & shifted_f & shifted_b
-    return shaped.ravel()
+    # Interior sites whose neighbours are interior too. Only boundary sites
+    # lack a neighbour (-1), and ``inner`` drops them.
+    inner = dom.interior_mask()
+    deep = inner & inner[dom.neighbors].all(axis=(0, 1))
+    return float(np.abs(defect[deep]).max())

@@ -299,6 +299,7 @@ class SplitMetric:
     psi: Array                  # (dim, n, r, r) forward-edge values, exactly H-self-adjoint
     connection: FlatConnection  # D_H: V_e = U_e exp(+h psi), V_e^{-1} = P_e^{1/2} U_e^{-1}
     shift: Array                # (dim, n, r, r) V_e - I
+    root: la.ScaledRoot         # linalg.scaled_sqrt(H), the split's one eigendecomposition
 
 
 def split_metric(
@@ -312,7 +313,8 @@ def split_metric(
     that difference without losing the digits of P - I. The scaled square
     root of H is computed once over all sites (``root``, when the caller
     already holds ``linalg.scaled_sqrt(metric)``) and gathered at the tails
-    of each axis; computing it also checks that H is positive definite.
+    of each axis; computing it also checks that H is positive definite. The
+    split keeps it as ``root`` for the operators that solve against H.
     """
     dom = conn.domain
     h_field = np.asarray(metric, dtype=complex)
@@ -339,7 +341,7 @@ def split_metric(
         vt_inv[a, tails] = u_inv + la.mm(pph, u_inv)
         shift[a, tails] = n + u_pmh
     return SplitMetric(psi=psi, connection=FlatConnection(dom, conn.rank, vt, vt_inv),
-                       shift=shift)
+                       shift=shift, root=root)
 
 
 def psi_centered(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -> Array:
@@ -356,8 +358,7 @@ def energy(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -
     dom = conn.domain
     total = 0.0
     for a in range(dom.dim):
-        dens = np.einsum("nij,nji->n", sm.psi[a], sm.psi[a]).real
-        total += float(np.sum(dom.edge_weight[a] * dens))
+        total += float(np.sum(dom.edge_weight[a] * la.hsa_norm2(sm.psi[a])))
     return total
 
 
@@ -400,14 +401,18 @@ def codifferential(
     return (flux + turned) / dom.volume[:, None, None]
 
 
-def tension(conn: FlatConnection, metric: Array) -> Array:
+def tension(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -> Array:
     """Gradient of the edge energy under the metric pairing (the flow's drive).
 
-    The codifferential of the splitting one-form: exactly the energy
-    gradient and exactly H-self-adjoint.
+    The codifferential of the splitting one-form ``sm`` (split at ``metric``
+    when not given): exactly the energy gradient and exactly H-self-adjoint.
+    Its self-adjoint part is taken through the split's scaled root of H, with
+    no solve. The flow steps along this field, and the brute-force oracle
+    checks it.
     """
-    sm = split_metric(conn, metric)
-    return la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric)
+    if sm is None:
+        sm = split_metric(conn, metric)
+    return la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric, sm.root)
 
 
 def covariant_laplacian(

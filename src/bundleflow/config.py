@@ -119,6 +119,11 @@ def _numbers(kind, value, where: str) -> list:
     return [_number(kind, v, where) for v in (value if isinstance(value, list) else [value])]
 
 
+def _default(block: dict, defaults, key: str):
+    """``block[key]``, or the field's default in the dataclass instance ``defaults``."""
+    return block.get(key, getattr(defaults, key))
+
+
 def _typed(value, kind: type, where: str, optional: bool = False):
     """``value`` when it is a ``kind`` (or None, if ``optional``), else a ConfigError."""
     if isinstance(value, kind) or (optional and value is None):
@@ -167,19 +172,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     rank = _number(int, _need(bun_block, "rank", "bundle"), "bundle.rank")
     if rank < 1:
         raise ConfigError(f"bundle.rank: must be 1 or more, got {rank}")
+    # The generator count per domain kind is checked by ``make_connection``.
     mono_raw = _typed(bun_block.get("monodromy", []), list, "bundle.monodromy")
-    dim_loops = {"circle": 1, "annulus": 1, "torus": 2, "interval": 0, "rectangle": 0}.get(kind, 0)
-    if len(mono_raw) != dim_loops:
-        raise ConfigError(
-            f"bundle.monodromy: kind {kind!r} needs {dim_loops} generator(s), got {len(mono_raw)}"
-        )
     monodromy = [
         _parse_matrix(m, rank, f"bundle.monodromy[{i}]") for i, m in enumerate(mono_raw)
     ]
     bundle_cfg = BundleConfig(rank=rank, monodromy=monodromy)
 
-    met_block = _block(raw, "reference_metric", {"kind": "identity"})
-    met_kind = met_block.get("kind", "identity")
+    met_block = _block(raw, "reference_metric", {})
+    met_defaults = MetricConfig()
+    met_kind = _default(met_block, met_defaults, "kind")
     if met_kind not in ("identity", "diagonal", "random_smooth", "checkpoint"):
         raise ConfigError(f"reference_metric.kind: unknown kind {met_kind!r}")
     amps, modes = met_block.get("amplitudes"), met_block.get("modes")
@@ -187,8 +189,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         kind=met_kind,
         amplitudes=None if amps is None else _numbers(float, amps, "reference_metric.amplitudes"),
         modes=None if modes is None else _numbers(int, modes, "reference_metric.modes"),
-        amplitude=_number(float, met_block.get("amplitude", 0.3), "reference_metric.amplitude"),
-        path=_typed(met_block.get("path"), str, "reference_metric.path", optional=True),
+        amplitude=_number(float, _default(met_block, met_defaults, "amplitude"),
+                          "reference_metric.amplitude"),
+        path=_typed(_default(met_block, met_defaults, "path"), str, "reference_metric.path",
+                    optional=True),
     )
     if met_kind == "checkpoint" and not metric_cfg.path:
         raise ConfigError("reference_metric.path: required for checkpoint metrics")
@@ -197,7 +201,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     defaults = SolveOptions()
 
     def sol_num(kind, key):
-        return _number(kind, sol_block.get(key, getattr(defaults, key)), f"solver.{key}")
+        return _number(kind, _default(sol_block, defaults, key), f"solver.{key}")
 
     solver = SolveOptions(
         tolerance=sol_num(float, "tolerance"),
@@ -211,15 +215,14 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"solver.{exc}") from exc
 
     out_block = _block(raw, "output", {})
+    out_defaults = OutputConfig()
     output = OutputConfig(
-        directory=_typed(out_block.get("directory", "out"), str, "output.directory"),
-        csv_cadence=_number(int, out_block.get("csv_cadence", 1), "output.csv_cadence"),
-        checkpoint_cadence=_number(int, out_block.get("checkpoint_cadence", 0),
-                                   "output.checkpoint_cadence"),
-    )
+        directory=_typed(_default(out_block, out_defaults, "directory"), str, "output.directory"))
     for key, least in (("csv_cadence", 1), ("checkpoint_cadence", 0)):
-        if getattr(output, key) < least:
-            raise ConfigError(f"output.{key}: must be {least} or more, got {getattr(output, key)}")
+        value = _number(int, _default(out_block, out_defaults, key), f"output.{key}")
+        if value < least:
+            raise ConfigError(f"output.{key}: must be {least} or more, got {value}")
+        setattr(output, key, value)
 
     exh_block = _block(raw, "exhaustion", {})
     levels = _typed(exh_block.get("levels", []), list, "exhaustion.levels")

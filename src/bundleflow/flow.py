@@ -51,10 +51,11 @@ energy (3.3e-40) is off by 7.5e-11 relative, against 5e-16 at 80 digits:
 the verdict's energy outruns the precision of an independent check.
 
 Each trial takes one eigendecomposition of its metric. ``_diagnostics``
-computes the scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` of the trial
-metric (``linalg.scaled_sqrt``), splits the connection with it and keeps it
-with the diagnostics, and the next trial's ``metric_exp_update`` takes it from
-the accepted state instead of factoring H again. K^{-1/2} of the fixed
+splits the connection at the trial metric, which computes its scaled square
+root ``(d, Ht^{1/2}, Ht^{-1/2})`` (``linalg.scaled_sqrt``, kept as
+``SplitMetric.root``); ``bundle.tension`` reads it from the split, and the
+next trial's ``metric_exp_update`` takes it from the accepted state instead
+of factoring H again. K^{-1/2} of the fixed
 reference is computed once per solve, and sigma is read off the relative
 eigenvalues lambda that the log h monitors already need, as
 sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``).
@@ -88,11 +89,11 @@ from . import linalg as la
 from .analysis import donaldson_distance, runaway_certificate
 from .bundle import (
     FlatConnection,
-    codifferential,
-    connection_from_transports,
     covariant_d,
     covariant_laplacian,
+    energy,
     split_metric,
+    tension,
 )
 from .mesh import LatticeDomain, flat_preconditioner, sublevel_domain
 
@@ -230,43 +231,38 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
 
 
 def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
-    """Tension, energy and residuals of one metric, from one eigendecomposition of it.
+    """Tension, energy and residuals of one metric, from one split of it.
 
-    Returns the tension as the heat flow's step ``direction``, the ``energy``
-    that step control compares, the residuals ``residual_sup``,
-    ``residual_l2`` and ``tracefree_sup``, and the ``residual_floor`` below
-    which a residual certifies nothing. The scaled square root of H
-    (``linalg.scaled_sqrt``) serves the split and is returned as ``root``,
-    and the split's metric transports as ``metric_conn``, so that the step
-    taken from this metric, explicit or implicit (``_implicit_direction``),
-    reuses both.
+    Returns ``bundle.tension`` as the heat flow's step ``direction``, the
+    ``bundle.energy`` that step control compares, the residuals
+    ``residual_sup``, ``residual_l2`` and ``tracefree_sup``, and the
+    ``residual_floor`` below which a residual certifies nothing. Both
+    operators read the one split at H, and the split's scaled square root of
+    H (``linalg.scaled_sqrt``) is returned as ``root`` and its metric
+    transports as ``metric_conn``, so that the step taken from this metric,
+    explicit or implicit (``_implicit_direction``), reuses both.
     """
-    root = la.scaled_sqrt(h_field)
-    sm = split_metric(conn, h_field, root)
-    t_field = la.selfadjoint_part(codifferential(conn, h_field, sm.psi, sm), h_field, root)
+    sm = split_metric(conn, h_field)
+    t_field = tension(conn, h_field, sm)
     dom = conn.domain
-    site_norm = np.sqrt(np.maximum(np.einsum("nij,nji->n", t_field, t_field).real, 0.0))
-    tf = la.tracefree(t_field)
-    tf_norm = np.sqrt(np.maximum(np.einsum("nij,nji->n", tf, tf).real, 0.0))
+    site_norm = la.hsa_norm(t_field)
+    tf_norm = la.hsa_norm(la.tracefree(t_field))
     active = dom.interior_mask()
     res_sup = float(site_norm[active].max())
     res_l2 = float(np.sqrt(np.sum(dom.volume[active] * site_norm[active] ** 2)))
     tf_sup = float(tf_norm[active].max())
-    en = 0.0
     flux = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        dens = np.einsum("nij,nji->n", sm.psi[a], sm.psi[a]).real
-        en += float(np.sum(dom.edge_weight[a] * dens))
         tails, heads = conn.edge_sites(a)
-        size = (dom.edge_weight[a] / dom.spacings[a] * np.sqrt(np.maximum(dens, 0.0)))[tails]
+        size = (dom.edge_weight[a] / dom.spacings[a] * la.hsa_norm(sm.psi[a]))[tails]
         flux[heads] += size
         flux[tails] += size
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
     return {
         "direction": t_field,
-        "root": root,
+        "root": sm.root,
         "metric_conn": sm.connection,
-        "energy": en,
+        "energy": energy(conn, h_field, sm),
         "residual_sup": res_sup,
         "residual_l2": res_l2,
         "tracefree_sup": tf_sup,
@@ -669,12 +665,13 @@ def exhaustion_solve(
     previous = prev_idx = None
     for level in sorted(levels):
         sub, idx_map = sublevel_domain(conn.domain, level)
-        sub_transport = conn.transport[:, idx_map].copy()
-        eye = np.eye(conn.rank, dtype=complex)
-        for a in range(sub.dim):
-            sub_transport[a, sub.neighbors[a, 0] < 0] = eye
+        # The band keeps the parent's transports and their inverses; its ends
+        # along a bounded axis have no forward edge and hold the identity.
+        sub_t, sub_t_inv = conn.transport[:, idx_map], conn.transport_inv[:, idx_map]
+        ends = sub.neighbors[:, 0] < 0
+        sub_t[ends] = sub_t_inv[ends] = np.eye(conn.rank, dtype=complex)
         loops = tuple(lp for lp in conn.loops if sub.periodic[lp.axis])
-        sub_conn = connection_from_transports(sub, sub_transport, loops)
+        sub_conn = FlatConnection(sub, conn.rank, sub_t, sub_t_inv, loops)
         sub_ref = ref[idx_map]
         start = last[idx_map]
         start[sub.boundary] = sub_ref[sub.boundary]

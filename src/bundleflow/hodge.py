@@ -18,13 +18,12 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg as la
-from .analysis import StabilityReport, SubBundleRow, slope_verdict
+from .analysis import INVARIANCE_TOL, StabilityReport, SubBundleRow, slope_verdict
 from .bundle import (
     FlatConnection,
     LoopSpec,
     SubBundleSpec,
     centered_derivative,
-    codifferential,
     connection_from_transports,
     covariant_d,
     flatness_residual,
@@ -32,11 +31,20 @@ from .bundle import (
     plaquette_holonomies,
     psi_centered,
     split_metric,
+    tension,
 )
 from .linalg import dagger
 from .mesh import LatticeDomain, integrate
 
 Array = np.ndarray
+
+# ``flat_from_higgs`` refuses a composite curvature above CURVATURE_FACTOR
+# times its ``tol``.
+CURVATURE_FACTOR = 10.0
+
+# ``parallel_section_residual`` refuses a section whose derivative for the
+# source operator exceeds SOURCE_TOL sup |section| / min(spacing).
+SOURCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,7 @@ def higgs_from_harmonic(
     if dom.dim != 2:
         raise ValueError("Higgs extraction needs a complex-curve domain")
     sm = split_metric(conn, metric)
-    tf = la.tracefree(la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric))
-    t_sup = float(np.max(np.sqrt(np.maximum(np.einsum("nij,nji->n", tf, tf).real, 0.0))))
+    t_sup = float(np.max(la.hsa_norm(la.tracefree(tension(conn, metric, sm)))))
     if t_sup > 10.0 * tension_tol:
         raise ValueError(
             f"metric is not harmonic or Poisson enough (sup trace-free tension {t_sup:.3e} "
@@ -141,12 +148,10 @@ def composite_transports(higgs: HiggsData, metric: Array) -> FlatConnection:
     return connection_from_transports(dom, out)
 
 
-def lambda_contraction(higgs: HiggsData, metric: Array,
-                       composite: FlatConnection | None = None) -> Array:
+def lambda_contraction(higgs: HiggsData, metric: Array) -> Array:
     """Area-normalized, metric-symmetrized plaquette coefficient i (hol - 1)/area
-    of ``composite``, which is ``composite_transports(higgs, metric)`` when not given."""
-    if composite is None:
-        composite = composite_transports(higgs, metric)
+    of ``composite_transports(higgs, metric)``."""
+    composite = composite_transports(higgs, metric)
     return _contraction(composite, metric, *plaquette_holonomies(composite))
 
 
@@ -186,7 +191,6 @@ def higgs_degree_stability(
     higgs: HiggsData,
     reference: Array,
     subs: list[SubBundleSpec],
-    invariance_tol: float = 1e-6,
 ) -> StabilityReport:
     """Degrees and slope verdicts for Higgs-invariant sub-bundles.
 
@@ -213,7 +217,7 @@ def higgs_degree_stability(
     for s in subs:
         theta_res = float(np.max(la.frobenius(
             (np.eye(conn.rank) - s.projection) @ higgs.theta @ s.projection)))
-        if theta_res > invariance_tol or s.invariance_residual > invariance_tol:
+        if theta_res > INVARIANCE_TOL or s.invariance_residual > INVARIANCE_TOL:
             raise ValueError("sub-bundle is not Higgs-invariant within tolerance")
         dbar_pi = _dbar_site_field(conn, s.projection, theta=higgs.theta)
         dens = np.einsum("nij,nji->n", s.projection, lam).real
@@ -225,19 +229,19 @@ def higgs_degree_stability(
                          "scope: verdict relative to the supplied sub-bundle list.")
 
 
-def flat_from_higgs(higgs: HiggsData, metric: Array, residual_factor: float = 10.0,
-                    tol: float = 1e-5, composite: FlatConnection | None = None) -> FlatConnection:
+def flat_from_higgs(higgs: HiggsData, metric: Array, tol: float = 1e-5,
+                    composite: FlatConnection | None = None) -> FlatConnection:
     """The composite connection with its loops re-measured, as a flat connection.
 
     Refuses a composite curvature (the sup of ``|hol - I|``, which is the
-    flatness residual of the loop-free composite) above ``residual_factor *
+    flatness residual of the loop-free composite) above ``CURVATURE_FACTOR *
     tol``. ``composite`` is ``composite_transports(higgs, metric)`` when the
     caller already holds it.
     """
     if composite is None:
         composite = composite_transports(higgs, metric)
     curvature_sup = flatness_residual(composite)
-    if curvature_sup > residual_factor * tol:
+    if curvature_sup > CURVATURE_FACTOR * tol:
         raise ValueError(f"composite curvature {curvature_sup:.3e} too large to flatten")
     dom = composite.domain
     loops = tuple(LoopSpec(axis=a, base=0, generator=loop_holonomy(composite, a, 0))
@@ -251,7 +255,6 @@ def parallel_section_residual(
     section: Array,
     mode: str,
     higgs: HiggsData | None = None,
-    source_tol: float = 1e-6,
 ) -> float:
     """Transfer check: a source-parallel section is parallel for the target operator.
 
@@ -273,7 +276,7 @@ def parallel_section_residual(
     scale = float(np.max(np.abs(f))) + 1e-300
     if mode == "flat_to_higgs":
         src = covariant_d(conn, f)
-        if float(np.max(np.abs(src))) > source_tol * scale / min(dom.spacings):
+        if float(np.max(np.abs(src))) > SOURCE_TOL * scale / min(dom.spacings):
             raise ValueError("section is not parallel for the source connection")
         sm = split_metric(conn, h_field)
         grad = centered_derivative(sm.connection, f)
@@ -286,7 +289,7 @@ def parallel_section_residual(
             raise ValueError("higgs_to_flat mode needs the Higgs data")
         grad = centered_derivative(higgs.connection, f)
         src = 0.5 * (grad[0] + 1j * grad[1]) + act(higgs.theta, f)
-        if float(np.max(np.abs(src))) > source_tol * scale / min(dom.spacings):
+        if float(np.max(np.abs(src))) > SOURCE_TOL * scale / min(dom.spacings):
             raise ValueError("section is not parallel for the Higgs operator")
         psi = _psi_from_theta(higgs.theta, h_field)
         worst = 0.0

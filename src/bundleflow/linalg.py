@@ -193,6 +193,17 @@ def endo_norm2(a: Array, metric: Array) -> Array:
     return np.maximum(endo_inner(a, a, metric), 0.0)
 
 
+def hsa_norm2(a: Array) -> Array:
+    """Re tr(A A) per site of an (n, r, r) field: the squared H-norm when A is
+    H-self-adjoint (A* = A), with no solve. It may round below 0."""
+    return np.einsum("nij,nji->n", a, a).real
+
+
+def hsa_norm(a: Array) -> Array:
+    """The H-norm sqrt(max(Re tr(A A), 0)) per site of an H-self-adjoint field."""
+    return np.sqrt(np.maximum(hsa_norm2(a), 0.0))
+
+
 def tracefree(a: Array) -> Array:
     r = a.shape[-1]
     return a - (trace(a) / r)[..., None, None] * np.eye(r, dtype=complex)

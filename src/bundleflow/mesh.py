@@ -151,9 +151,8 @@ def build_domain(
 def laplacian(domain: LatticeDomain, field: Array) -> Array:
     """Second-order flat Laplacian, sign convention Δ cos(kx) = -k² cos(kx).
 
-    Boundary sites get a one-sided second-difference value along bounded axes;
-    those entries are usable only as extrapolations (the ``boundary`` mask
-    flags them) and Dirichlet solvers never read them.
+    The centered second difference along every axis, at the interior sites;
+    boundary sites, which lack a neighbour along a bounded axis, read 0.
     """
     f = np.asarray(field)
     if f.shape[0] != domain.n_sites:
@@ -161,37 +160,9 @@ def laplacian(domain: LatticeDomain, field: Array) -> Array:
     out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
     shaped = f.reshape(domain.sites_per_axis + f.shape[1:])
     for a in range(domain.dim):
-        h2 = domain.spacings[a] ** 2
-        if domain.periodic[a]:
-            term = (np.roll(shaped, -1, axis=a) + np.roll(shaped, 1, axis=a) - 2 * shaped) / h2
-        else:
-            term = np.zeros_like(shaped, dtype=out.dtype)
-            n_a = domain.sites_per_axis[a]
-            mid = [slice(None)] * domain.dim
-            mid[a] = slice(1, n_a - 1)
-
-            def ax(i):
-                s = [slice(None)] * domain.dim
-                s[a] = i
-                return tuple(s)
-
-            term[tuple(mid)] = (
-                shaped[ax(slice(2, n_a))] + shaped[ax(slice(0, n_a - 2))] - 2 * shaped[tuple(mid)]
-            ) / h2
-            if n_a >= 4:
-                term[ax(0)] = (
-                    2 * shaped[ax(0)] - 5 * shaped[ax(1)] + 4 * shaped[ax(2)] - shaped[ax(3)]
-                ) / h2
-                term[ax(n_a - 1)] = (
-                    2 * shaped[ax(n_a - 1)]
-                    - 5 * shaped[ax(n_a - 2)]
-                    + 4 * shaped[ax(n_a - 3)]
-                    - shaped[ax(n_a - 4)]
-                ) / h2
-            else:
-                term[ax(0)] = (shaped[ax(0)] - 2 * shaped[ax(1)] + shaped[ax(2)]) / h2
-                term[ax(n_a - 1)] = term[ax(0)]
-        out += term.reshape(out.shape)
+        term = np.roll(shaped, -1, axis=a) + np.roll(shaped, 1, axis=a) - 2 * shaped
+        out += (term / domain.spacings[a] ** 2).reshape(out.shape)
+    out[domain.boundary] = 0
     return out
 
 

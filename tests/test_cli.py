@@ -199,6 +199,9 @@ RANKLESS_RECTANGLE = {
     (None, {"scenario": "stability", "solver": {"tolerance": float("nan"), "max_steps": -5}}),
     (None, RANKLESS_RECTANGLE | {"bundle": {"rank": 0, "monodromy": []}}),
     (None, RANKLESS_RECTANGLE | {"bundle": {"rank": -1, "monodromy": []}}),
+    # One generator for the torus's two loops: the count is checked where the
+    # connection is built, from the domain kind's periodic axes.
+    (None, {"domain": {"kind": "torus", "sites": [6, 6], "lengths": [1.0, 1.0]}}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     # A case without a block gives its overrides of the whole config.

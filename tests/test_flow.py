@@ -69,6 +69,23 @@ def test_rank1_uniform_update_is_unchanged():
     assert np.abs(out - h).max() == 0.0
 
 
+@pytest.mark.parametrize("kind, sites, lengths, rank", [
+    ("torus", (9, 9), (1.0, 1.0), 2),      # 81 sites: the closed-form rank-2 kernels
+    ("circle", 12, 1.0, 3),
+    ("annulus", (12, 6), (TWO_PI, 1.0), 2),
+])
+def test_flow_steps_the_public_tension_and_energy(kind, sites, lengths, rank):
+    # The flow's direction and energy are bundle.tension and bundle.energy,
+    # the operators the brute-force oracle checks, to the last bit.
+    dom = bf.build_domain(kind, sites, lengths)
+    conn = random_connection(dom, rank, seed=1)
+    h = rough_random_metric(dom.n_sites, rank, seed=3)
+    h[dom.boundary] = identity_metric(dom.n_sites, rank)[dom.boundary]    # K = I there
+    diag = _diagnostics(conn, h)
+    assert np.array_equal(diag["direction"], bf.tension(conn, h))
+    assert diag["energy"] == bf.energy(conn, h)
+
+
 def test_step_preserves_positivity_for_large_dt():
     dom = bf.build_domain("circle", 16, 1.0)
     conn = bf.from_monodromy(dom, [np.diag([3.0, 1 / 3.0]).astype(complex)])

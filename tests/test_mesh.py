@@ -73,6 +73,7 @@ def test_laplacian_linear_interval():
     x = dom.coords()[:, 0]
     out = bf.laplacian(dom, x)
     assert np.abs(out[dom.interior_mask()]).max() < 1e-10
+    assert np.all(out[dom.boundary] == 0.0)
 
 
 @pytest.mark.parametrize("kind, sites, lengths", [
