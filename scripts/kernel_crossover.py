@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Per-call time of the rank-2 closed-form kernels in ``bundleflow.linalg`` against numpy.
 
-For stacks of 8 to 16384 random complex Hermitian 2 x 2 matrices (seeded), prints the
-microseconds per call of the batched product, the Hermitian eigendecomposition and the
-eigenvalues, each by its closed form and by the numpy/LAPACK routine that the entry points
-``linalg.mm``, ``linalg.eigh`` and ``linalg.eigvalsh`` fall back to. The BLAS and OpenMP
-thread pools are pinned to one thread before numpy loads. ``linalg.SMALL_BATCH`` is the
-smallest batch from which the closed forms win.
+For stacks of 8 to 16384 random complex 2 x 2 matrices (seeded), prints the microseconds
+per call of the batched product, the Hermitian eigendecomposition, the eigenvalues and the
+spectral norm, each by its closed form and by the numpy/LAPACK routine that the entry points
+``linalg.mm``, ``linalg.eigh``, ``linalg.eigvalsh`` and ``linalg.specnorm`` fall back to
+(``np.linalg.norm(ord=2)``, a batched SVD, for the spectral norm: ``specnorm``'s own
+fallback is ``@`` and ``np.linalg.eigvalsh``). The decompositions take Hermitian stacks,
+the product and the norm general ones. The BLAS and OpenMP thread pools are pinned to one
+thread before numpy loads. ``linalg.SMALL_BATCH`` is the smallest batch from which the
+closed forms win, for every entry point.
 
     PYTHONPATH=src python3 scripts/kernel_crossover.py [--repeats 7]
 """
@@ -44,6 +47,8 @@ def main() -> None:
         ("mm", lambda a, b: la._mm2(a, b), lambda a, b: a @ b),
         ("eigh", lambda a, b: la._eigh2(a), lambda a, b: np.linalg.eigh(a)),
         ("eigvalsh", lambda a, b: la._eigvalsh2(a), lambda a, b: np.linalg.eigvalsh(a)),
+        ("specnorm", lambda a, b: np.sqrt(la._eigvalsh2(la._mm2(la.dagger(b), b))[..., -1]),
+         lambda a, b: np.linalg.norm(b, ord=2, axis=(-2, -1))),
     )
     head = " | ".join(f"{name} closed | {name} numpy" for name, _, _ in kernels)
     print(f"SMALL_BATCH = {la.SMALL_BATCH}; microseconds per call, best of {args.repeats}")

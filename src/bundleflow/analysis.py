@@ -210,13 +210,13 @@ def theta_apply(s: Array, chi: Array, metric: Array | None = None) -> Array:
         metric = np.asarray(metric, dtype=complex)
         if metric.ndim == 2:
             metric = np.broadcast_to(metric, s.shape).copy()
-    dev = la.frobenius(s - np.linalg.solve(metric, la.dagger(s) @ metric))
+    dev = la.frobenius(s - np.linalg.solve(metric, la.mm(la.dagger(s), metric)))
     if np.any(dev > 1e-8 * (1.0 + la.frobenius(s))):
         raise ValueError("endomorphism is not self-adjoint for the reference metric")
     lam, frame, frame_inv = la.log_hsa(s, metric)
-    comp = frame_inv @ chi @ frame
+    comp = la.mm(la.mm(frame_inv, chi), frame)
     weights = _theta_scalar(lam[..., None, :], lam[..., :, None])
-    out = frame @ (weights * comp) @ frame_inv
+    out = la.mm(la.mm(frame, weights * comp), frame_inv)
     return out[0] if single else out
 
 
@@ -237,12 +237,10 @@ def theta_apply_pair(s_tail: Array, s_head: Array, chi: Array, metric: Array | N
     if metric is None:
         metric = np.broadcast_to(np.eye(s_tail.shape[-1], dtype=complex), s_tail.shape).copy()
     lam_t, frame, frame_inv = la.log_hsa(s_tail, metric)
-    lam_h = np.einsum(
-        "nii->ni", frame_inv @ s_head @ frame
-    ).real
-    comp = frame_inv @ chi @ frame
+    lam_h = np.einsum("nii->ni", la.mm(la.mm(frame_inv, s_head), frame)).real
+    comp = la.mm(la.mm(frame_inv, chi), frame)
     weights = _theta_scalar(lam_t[..., None, :], lam_h[..., :, None])
-    out = frame @ (weights * comp) @ frame_inv
+    out = la.mm(la.mm(frame, weights * comp), frame_inv)
     return out[0] if single else out
 
 
@@ -278,15 +276,15 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     lam, frame, frame_inv = la.log_hsa(h_rel, k)
     if np.any(lam <= 0):
         raise ValueError("relative endomorphism is not positive")
-    inv_sqrt = (frame * (lam[..., None, :] ** -0.5)) @ frame_inv
+    inv_sqrt = la.mm(frame * (lam[..., None, :] ** -0.5), frame_inv)
     grad2 = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        grad2 += la.endo_norm2(inv_sqrt @ dk_c[a], k)
+        grad2 += la.endo_norm2(la.mm(inv_sqrt, dk_c[a]), k)
     pointwise = lhs - 0.5 * lap + 0.5 * grad2
     pointwise[dom.boundary] = 0.0
 
     # integral identity
-    s_log = (frame * np.log(lam)[..., None, :]) @ frame_inv
+    s_log = la.mm(frame * np.log(lam)[..., None, :], frame_inv)
     if dom.boundary.any():
         s_edge = float(np.max(la.frobenius(s_log[dom.boundary]), initial=0.0))
         if s_edge > 1e-8 * (1.0 + float(np.max(la.frobenius(s_log)))):
@@ -336,7 +334,7 @@ def polystable_split(
         lo, hi = c[0], c[-1]
         pick = (lam >= lo - CLUSTER_TOL) & (lam <= hi + CLUSTER_TOL)
         weights = pick.astype(float)
-        proj = (frame * weights[..., None, :]) @ frame_inv
+        proj = la.mm(frame * weights[..., None, :], frame_inv)
         ranks = weights.sum(axis=1)
         k_rank = int(round(ranks[0]))
         res = _invariance_residual(conn, proj)

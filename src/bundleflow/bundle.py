@@ -151,7 +151,7 @@ def plaquette_holonomies(conn: FlatConnection) -> tuple[Array, Array]:
     base = np.flatnonzero((nx >= 0) & (ny >= 0))
     base = base[(ny[nx[base]] >= 0) & (nx[ny[base]] >= 0)]
     t, t_inv = conn.transport, conn.transport_inv
-    hol = t_inv[1, base] @ t_inv[0, ny[base]] @ t[1, nx[base]] @ t[0, base]
+    hol = la.mm(la.mm(la.mm(t_inv[1, base], t_inv[0, ny[base]]), t[1, nx[base]]), t[0, base])
     return base, hol
 
 
@@ -180,13 +180,13 @@ def gauge_transform(conn: FlatConnection, gauge: Array) -> FlatConnection:
     new = conn.transport.copy()
     for a in range(conn.domain.dim):
         tails, heads = conn.edge_sites(a)
-        new[a, tails] = np.linalg.solve(g[heads], conn.transport[a, tails] @ g[tails])
+        new[a, tails] = np.linalg.solve(g[heads], la.mm(conn.transport[a, tails], g[tails]))
     return connection_from_transports(conn.domain, new, conn.loops)
 
 
 def gauge_transform_metric(metric: Array, gauge: Array) -> Array:
     g = np.asarray(gauge, dtype=complex)
-    return la.dagger(g) @ metric @ g
+    return la.mm(la.mm(la.dagger(g), np.asarray(metric)), g)
 
 
 def covariant_d(conn: FlatConnection, field_values: Array) -> Array:
@@ -204,7 +204,7 @@ def covariant_d(conn: FlatConnection, field_values: Array) -> Array:
         u = conn.transport[a, tails]
         uinv = conn.transport_inv[a, tails]
         if endo:
-            out[a, tails] = (uinv @ f[heads] @ u - f[tails]) / dom.spacings[a]
+            out[a, tails] = (la.mm(la.mm(uinv, f[heads]), u) - f[tails]) / dom.spacings[a]
         else:
             out[a, tails] = (
                 np.einsum("eij,ej->ei", uinv, f[heads]) - f[tails]
@@ -231,8 +231,8 @@ def centered_derivative(conn: FlatConnection, values: Array) -> Array:
         left = minus[sites]
         t, t_inv = conn.transport[a], conn.transport_inv[a]
         if endo:
-            fwd = t_inv[sites] @ f[plus[sites]] @ t[sites]
-            bwd = t[left] @ f[left] @ t_inv[left]
+            fwd = la.mm(la.mm(t_inv[sites], f[plus[sites]]), t[sites])
+            bwd = la.mm(la.mm(t[left], f[left]), t_inv[left])
         else:
             fwd = np.einsum("eij,ej->ei", t_inv[sites], f[plus[sites]])
             bwd = np.einsum("eij,ej->ei", t[left], f[left])
@@ -259,7 +259,7 @@ def reverse_edge_values(conn: FlatConnection, omega: Array) -> Array:
         src = lefts[sites]
         u = conn.transport[a, src]
         if endo:
-            out[a, sites] = -(u @ omega[a, src] @ conn.transport_inv[a, src])
+            out[a, sites] = -la.mm(la.mm(u, omega[a, src]), conn.transport_inv[a, src])
         else:
             out[a, sites] = -np.einsum("eij,ej->ei", u, omega[a, src])
     return out
@@ -472,7 +472,7 @@ def reference_difference(sm_k: SplitMetric, h_rel: Array) -> tuple[Array, Array]
     h_mid = la.eye_like(sm_k.psi)
     for a in range(conn.domain.dim):
         tails, heads = conn.edge_sites(a)
-        pulled = conn.transport_inv[a, tails] @ h_rel[heads] @ conn.transport[a, tails]
+        pulled = la.mm(la.mm(conn.transport_inv[a, tails], h_rel[heads]), conn.transport[a, tails])
         h_mid[a, tails] = 0.5 * (pulled + h_rel[tails])
         delta[a, tails] = ((pulled - h_rel[tails]) / conn.domain.spacings[a]
                            - la.commutator(sm_k.psi[a, tails], h_mid[a, tails]))
@@ -633,8 +633,8 @@ def _transport_frames(conn: FlatConnection, base_basis: Array, order) -> Array:
 
 
 def _metric_projection(frames: Array, k_field: Array) -> Array:
-    gram = la.dagger(frames) @ k_field @ frames
-    return frames @ np.linalg.solve(gram, la.dagger(frames) @ k_field)
+    gram = la.mm(la.mm(la.dagger(frames), k_field), frames)
+    return la.mm(frames, np.linalg.solve(gram, la.mm(la.dagger(frames), k_field)))
 
 
 def _invariance_residual(conn: FlatConnection, proj: Array) -> float:
@@ -649,7 +649,7 @@ def _invariance_residual(conn: FlatConnection, proj: Array) -> float:
     eye = np.eye(r, dtype=complex)
     for a in range(conn.domain.dim):
         tails, heads = conn.edge_sites(a)
-        moved = conn.transport_inv[a, tails] @ proj[heads] @ conn.transport[a, tails]
-        leak = (eye - proj[tails]) @ moved @ proj[tails]
+        moved = la.mm(la.mm(conn.transport_inv[a, tails], proj[heads]), conn.transport[a, tails])
+        leak = la.mm(la.mm(eye - proj[tails], moved), proj[tails])
         worst = max(worst, float(np.max(la.specnorm(leak), initial=0.0)))
     return worst

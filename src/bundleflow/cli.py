@@ -212,9 +212,8 @@ def run_scenario(
                 status = _VERDICT_STATUS.get(run.verdict, 0)
                 report_lines.append("round trip aborted: no Poisson metric")
             else:
-                hd = hodge.higgs_from_harmonic(
-                    conn, run.metric, tension_tol=10 * cfg.solver.tolerance
-                )
+                hd = hodge.higgs_from_harmonic(conn, run.metric, tension_tol=cfg.solver.tolerance,
+                                               sm=run.split)
                 composite = hodge.composite_transports(hd, run.metric)
                 res = hodge.hitchin_residuals(hd, run.metric, composite)
                 report_lines += [

@@ -264,7 +264,7 @@ def make_reference_metric(
     if mc.kind == "identity":
         return np.broadcast_to(np.eye(r, dtype=complex), (n, r, r)).copy()
     if mc.kind == "diagonal":
-        amps = mc.amplitudes if mc.amplitudes is not None else [0.3] * r
+        amps = mc.amplitudes if mc.amplitudes is not None else [mc.amplitude] * r
         modes = mc.modes if mc.modes is not None else [1] * r
         if len(amps) != r or len(modes) != r:
             raise ConfigError("reference_metric: need one amplitude and mode per diagonal entry")

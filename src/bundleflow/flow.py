@@ -89,6 +89,7 @@ from . import linalg as la
 from .analysis import donaldson_distance, runaway_certificate
 from .bundle import (
     FlatConnection,
+    SplitMetric,
     covariant_d,
     covariant_laplacian,
     energy,
@@ -216,6 +217,7 @@ class RunReport:
     step_kind: str = "explicit"     # "implicit" | "explicit": the step the run took
     cg_iterations: int = 0          # CG iterations of the implicit solves, over all trials
     cg_iterations_max: int = 0      # the most CG iterations in one trial
+    split: SplitMetric | None = None  # bundle.split_metric at ``metric``
 
 
 def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
@@ -237,10 +239,11 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
     ``bundle.energy`` that step control compares, the residuals
     ``residual_sup``, ``residual_l2`` and ``tracefree_sup``, and the
     ``residual_floor`` below which a residual certifies nothing. Both
-    operators read the one split at H, and the split's scaled square root of
-    H (``linalg.scaled_sqrt``) is returned as ``root`` and its metric
-    transports as ``metric_conn``, so that the step taken from this metric,
-    explicit or implicit (``_implicit_direction``), reuses both.
+    operators read the one split at H, which is returned as ``split``: the
+    step taken from this metric, explicit or implicit
+    (``_implicit_direction``), reuses its scaled square root of H
+    (``linalg.scaled_sqrt``) and its metric transports, and the run's report
+    hands the final one on (``RunReport.split``).
     """
     sm = split_metric(conn, h_field)
     t_field = tension(conn, h_field, sm)
@@ -260,8 +263,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
     return {
         "direction": t_field,
-        "root": sm.root,
-        "metric_conn": sm.connection,
+        "split": sm,
         "energy": energy(conn, h_field, sm),
         "residual_sup": res_sup,
         "residual_l2": res_l2,
@@ -390,13 +392,13 @@ def _drive(
         direction = diag["direction"]
         if implicit:
             start = _time.perf_counter()
-            direction, iterations = _implicit_direction(diag["metric_conn"], diag["root"],
-                                                        direction, state.dt)
+            direction, iterations = _implicit_direction(diag["split"].connection,
+                                                        diag["split"].root, direction, state.dt)
             phases["solve"] += _time.perf_counter() - start
             cg_total += iterations
             cg_max = max(cg_max, iterations)
         start = _time.perf_counter()
-        trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt, diag["root"])
+        trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt, diag["split"].root)
         trials += 1
         trial[domain.boundary] = reference[domain.boundary]
         phases["update"] += _time.perf_counter() - start
@@ -486,6 +488,7 @@ def _drive(
         step_kind="implicit" if implicit else "explicit",
         cg_iterations=cg_total,
         cg_iterations_max=cg_max,
+        split=diag["split"],
     )
     return report, diag
 

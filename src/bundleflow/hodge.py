@@ -22,6 +22,7 @@ from .analysis import INVARIANCE_TOL, StabilityReport, SubBundleRow, slope_verdi
 from .bundle import (
     FlatConnection,
     LoopSpec,
+    SplitMetric,
     SubBundleSpec,
     centered_derivative,
     connection_from_transports,
@@ -91,6 +92,7 @@ def higgs_from_harmonic(
     conn: FlatConnection,
     metric: Array,
     tension_tol: float = 1e-7,
+    sm: SplitMetric | None = None,
 ) -> HiggsData:
     """Higgs structure carried by a harmonic (or Poisson) metric on a curve.
 
@@ -98,12 +100,15 @@ def higgs_from_harmonic(
     components; the metric transports carry the dbar operator. The metric is
     accepted when the trace-free part of its tension is below ``10 *
     tension_tol``: a Poisson metric's tension is a scalar multiple of the
-    identity at each site, which theta does not see.
+    identity at each site, which theta does not see. ``sm`` is the split at
+    ``metric`` when the caller already holds it (a solve's
+    ``RunReport.split``); otherwise the connection is split here.
     """
     dom = conn.domain
     if dom.dim != 2:
         raise ValueError("Higgs extraction needs a complex-curve domain")
-    sm = split_metric(conn, metric)
+    if sm is None:
+        sm = split_metric(conn, metric)
     t_sup = float(np.max(la.hsa_norm(la.tracefree(tension(conn, metric, sm)))))
     if t_sup > 10.0 * tension_tol:
         raise ValueError(
@@ -129,7 +134,7 @@ def higgs_from_parts(
 
 def _psi_from_theta(theta: Array, metric: Array) -> Array:
     """Self-adjoint one-form components of theta dz + theta* dzbar."""
-    theta_star = np.linalg.solve(metric, dagger(theta) @ metric)
+    theta_star = np.linalg.solve(metric, la.mm(dagger(theta), metric))
     psi_x = theta + theta_star
     psi_y = 1j * (theta - theta_star)
     return np.stack([psi_x, psi_y])
@@ -207,7 +212,7 @@ def higgs_degree_stability(
     for a in range(2):
         tails, heads = conn.edge_sites(a)
         w = conn.transport[a, tails]
-        defect = la.frobenius(dagger(w) @ k_field[heads] @ w - k_field[tails])
+        defect = la.frobenius(la.mm(la.mm(dagger(w), k_field[heads]), w) - k_field[tails])
         if float(defect.max()) > 1e-6 * (1.0 + float(la.frobenius(k_field).max())):
             raise ValueError("reference metric is incompatible with the stored transports")
     lam = lambda_contraction(higgs, k_field)
@@ -215,8 +220,8 @@ def higgs_degree_stability(
     total_deg = integrate(dom, total_dens)
     rows = []
     for s in subs:
-        theta_res = float(np.max(la.frobenius(
-            (np.eye(conn.rank) - s.projection) @ higgs.theta @ s.projection)))
+        leak = la.mm(la.mm(np.eye(conn.rank) - s.projection, higgs.theta), s.projection)
+        theta_res = float(np.max(la.frobenius(leak)))
         if theta_res > INVARIANCE_TOL or s.invariance_residual > INVARIANCE_TOL:
             raise ValueError("sub-bundle is not Higgs-invariant within tolerance")
         dbar_pi = _dbar_site_field(conn, s.projection, theta=higgs.theta)

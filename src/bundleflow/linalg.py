@@ -6,12 +6,14 @@ Metric-adapted operations take a Hermitian positive-definite ``H`` and work
 with H-self-adjoint operators (``A* = H^{-1} A^dag H``), which stay
 diagonalizable with real spectra even when not Hermitian as raw matrices.
 
-Products, Hermitian eigendecompositions and eigenvalues go through one entry
-point each: ``mm``, ``eigh`` and ``eigvalsh``. Each runs a closed form when
-its operands are 2 x 2 matrices and the stack holds at least ``SMALL_BATCH``
-of them, and the numpy/LAPACK routine otherwise: numpy's per-call overhead
-is lower, its per-matrix cost higher (``scripts/kernel_crossover.py``
-measures both). Callers never branch on the rank.
+Products, Hermitian eigendecompositions, eigenvalues and spectral norms go
+through one entry point each: ``mm``, ``eigh``, ``eigvalsh`` and
+``specnorm``. Each runs a closed form when its operands are 2 x 2 matrices
+and the stack holds at least ``SMALL_BATCH`` of them, and the numpy/LAPACK
+routine otherwise: numpy's per-call overhead is lower, its per-matrix cost
+higher (``scripts/kernel_crossover.py`` measures both). ``bundle``,
+``flow``, ``hodge`` and ``analysis`` multiply stacks of site and edge
+matrices only through these, and never branch on the rank.
 
 The monodromy transports take one matrix at a time: ``schur``,
 ``principal_log`` and ``fractional_power`` are numpy only, and exact in the
@@ -45,8 +47,15 @@ def frobenius(a: Array) -> Array:
 
 
 def specnorm(a: Array) -> Array:
-    """Spectral norm (largest singular value) over the last two axes."""
-    return np.linalg.norm(a, ord=2, axis=(-2, -1))
+    """Spectral norm (largest singular value) over the last two axes.
+
+    The square root of the largest eigenvalue of A^dag A, through ``mm`` and
+    ``eigvalsh``, so 2 x 2 stacks take the closed forms. It keeps full
+    relative precision while the entries of A^dag A neither overflow nor
+    underflow (|A| between about 1e-154 and 1e154). A single matrix gives a
+    0-d result.
+    """
+    return np.sqrt(eigvalsh(mm(dagger(a), a))[..., -1])
 
 
 def eye_like(a: Array) -> Array:
@@ -186,7 +195,7 @@ def selfadjoint_part(a: Array, metric: Array, root: ScaledRoot | None = None) ->
 
 def endo_inner(a: Array, b: Array, metric: Array) -> Array:
     """Real inner product Re tr(A B*) on endomorphisms, B* the metric adjoint."""
-    return np.einsum("...ij,...ji->...", a, np.linalg.solve(metric, dagger(b) @ metric)).real
+    return np.einsum("...ij,...ji->...", a, np.linalg.solve(metric, mm(dagger(b), metric))).real
 
 
 def endo_norm2(a: Array, metric: Array) -> Array:

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.bundle import covariant_laplacian, reverse_edge_values
+from bundleflow.bundle import centered_derivative, covariant_laplacian, reverse_edge_values
 
 from util import (
     TWO_PI,
     circle_diag,
     delta_operator,
+    edge_products_matmul,
     identity_metric,
     random_connection,
     random_gauge,
@@ -145,6 +146,24 @@ def test_one_form_transport_antisymmetry_of_psi():
         logp = la.comparison_functions(la.scaled_sqrt(hx), pulled[None] - hx)[0]
         psi_rev = -logp[0] / (2.0 * dom.spacings[0])
         assert np.abs(psi_rev - rev[0, x]).max() < 1e-10
+
+
+def test_edge_products_match_matmul_above_the_gate():
+    # 81 sites per axis: every edge stack takes linalg's closed-form products.
+    dom = bf.build_domain("torus", (9, 9), (1.0, 1.0))
+    assert dom.n_sites >= la.SMALL_BATCH
+    conn = random_connection(dom, 2, seed=12)
+    f = rough_random_metric(dom.n_sites, 2, seed=13) + 0.5j * rough_random_metric(
+        dom.n_sites, 2, seed=14)
+    omega = np.stack([rough_random_metric(dom.n_sites, 2, seed=s) for s in (15, 16)])
+    d, centered, reverse, hol = edge_products_matmul(conn, f, omega)
+    base, got_hol = bf.plaquette_holonomies(conn)
+    assert np.array_equal(base, np.arange(dom.n_sites))
+    for got, expected in ((bf.covariant_d(conn, f), d),
+                          (centered_derivative(conn, f), centered),
+                          (reverse_edge_values(conn, omega), reverse),
+                          (got_hol, hol)):
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 # ----------------------------------------------------------------- splitting

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import bundle, hodge
+from bundleflow import bundle, flow, hodge
 from bundleflow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from bundleflow.cli import main, run_scenario
 from bundleflow.config import (
@@ -323,6 +323,27 @@ def test_missing_monodromy_is_input_error(tmp_path):
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 1
 
 
+def test_diagonal_reference_reads_its_amplitude(tmp_path):
+    # Without per-entry amplitudes, every diagonal entry is exp(A cos cos)
+    # with the block's one amplitude A (0.3 when absent).
+    domain = {"kind": "torus", "sites": [6, 6], "lengths": [1.0, 1.0]}
+    angle = 2.0 * np.pi * np.arange(6) / 6
+    cos_cos = np.outer(np.cos(angle), np.cos(angle)).ravel()
+    metrics = {}
+    for amplitude in (0.9, None):
+        block = {"kind": "diagonal"} if amplitude is None else {"kind": "diagonal",
+                                                               "amplitude": amplitude}
+        cfg = load_config(write_config(tmp_path / "run.yaml", domain=domain,
+                                       bundle={"rank": 2, "monodromy": [GEN2, GEN2]},
+                                       reference_metric=block))
+        metrics[amplitude] = make_reference_metric(cfg, make_domain(cfg))
+    for amplitude, a in ((0.9, 0.9), (None, 0.3)):
+        expected = np.exp(a * cos_cos)
+        for j in range(2):
+            assert np.abs(metrics[amplitude][:, j, j] - expected).max() <= 1e-15 * expected.max()
+    assert np.abs(metrics[0.9] - metrics[None]).max() > 0.1
+
+
 def test_config_validation_names_fields(tmp_path):
     path = write_config(tmp_path / "run.yaml", scenario="warp")
     with pytest.raises(ConfigError, match="scenario"):
@@ -510,8 +531,10 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     # the flat transports and the composite ones, both in
     # connection_from_transports. dbar theta is taken once, when the Higgs data
     # is built; the plaquette holonomies once for the residuals and once for
-    # flat_from_higgs's curvature check.
-    inverted, counts = [], {"dbar": 0, "plaquettes": 0}
+    # flat_from_higgs's curvature check. The flow splits the connection at the
+    # reference and at the det-normalized metric, and the Higgs extraction
+    # reuses the second split: two splits in all.
+    inverted, counts = [], {"dbar": 0, "plaquettes": 0, "split": 0}
     real_inv = np.linalg.inv
 
     def inv(a):
@@ -529,6 +552,9 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     plaquettes = counting("plaquettes", bundle.plaquette_holonomies)
     monkeypatch.setattr(hodge, "plaquette_holonomies", plaquettes)
     monkeypatch.setattr(bundle, "plaquette_holonomies", plaquettes)
+    split = counting("split", bundle.split_metric)
+    for module in (bundle, flow, hodge):
+        monkeypatch.setattr(module, "split_metric", split)
     gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
     cfg = write_config(
         tmp_path / "run.yaml",
@@ -538,7 +564,35 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     )
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
     assert inverted == ["connection_from_transports"] * 2
-    assert counts == {"dbar": 1, "plaquettes": 2}
+    assert counts == {"dbar": 1, "plaquettes": 2, "split": 2}
+
+
+def test_higgs_roundtrip_refuses_above_ten_times_the_tolerance(tmp_path, monkeypatch):
+    # The extraction refuses a trace-free tension above 10 tension_tol and
+    # flat_from_higgs a curvature above 10 tol: both receive the solver
+    # tolerance itself, so both refuse above 10x it.
+    received = {}
+
+    def recording(key, fn, name):
+        def wrapped(*args, **kwargs):
+            received[key] = kwargs[name]
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(hodge, "higgs_from_harmonic", recording(
+        "extraction", hodge.higgs_from_harmonic, "tension_tol"))
+    monkeypatch.setattr(hodge, "flat_from_higgs", recording(
+        "flatten", hodge.flat_from_higgs, "tol"))
+    gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        scenario="higgs_roundtrip",
+        domain={"kind": "torus", "sites": [8, 8], "lengths": [1.0, 1.0]},
+        bundle={"rank": 2, "monodromy": [GEN2, gen_b]},
+        solver={"tolerance": 3e-9},
+    )
+    assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
+    assert received == {"extraction": 3e-9, "flatten": 3e-9}
 
 
 def test_higgs_roundtrip_refuses_a_curved_composite(tmp_path, capsys, monkeypatch):

@@ -39,7 +39,8 @@ from util import (
 
 def implicit_step(diag: dict, dt: float) -> tuple[np.ndarray, int]:
     """The implicit direction from a metric's diagnostics, as ``_drive`` takes it."""
-    return _implicit_direction(diag["metric_conn"], diag["root"], diag["direction"], dt)
+    sm = diag["split"]
+    return _implicit_direction(sm.connection, sm.root, diag["direction"], dt)
 
 
 def test_fixed_point_settles_with_one_history_row():
@@ -52,7 +53,7 @@ def test_fixed_point_settles_with_one_history_row():
     assert np.abs(rep.metric - h).max() == 0.0
     # a step of the same size from the fixed point stays there
     diag = _diagnostics(conn, h)
-    step = la.metric_exp_update(h, diag["direction"], 2.0 * 0.5, diag["root"])
+    step = la.metric_exp_update(h, diag["direction"], 2.0 * 0.5, diag["split"].root)
     assert np.abs(step - h).max() < 1e-13
 
 
@@ -65,7 +66,7 @@ def test_rank1_uniform_update_is_unchanged():
     conn = bf.from_monodromy(dom, [np.array([[2.0]], dtype=complex)])
     h = identity_metric(dom.n_sites, 1)
     diag = _diagnostics(conn, h)
-    out = la.metric_exp_update(h, diag["direction"], 2.0 * 0.05, diag["root"])
+    out = la.metric_exp_update(h, diag["direction"], 2.0 * 0.05, diag["split"].root)
     assert np.abs(out - h).max() == 0.0
 
 
@@ -94,7 +95,7 @@ def test_step_preserves_positivity_for_large_dt():
     # driver would reject it, so the update is applied to the diagnostics
     diag = _diagnostics(conn, h)
     for direction in (diag["direction"], implicit_step(diag, 0.2)[0]):
-        stepped = la.metric_exp_update(h, direction, 2.0 * 0.2, diag["root"])
+        stepped = la.metric_exp_update(h, direction, 2.0 * 0.2, diag["split"].root)
         assert np.linalg.eigvalsh(la.hermitize(stepped)).min() > 0.0
     # an additive Euler update of the same size would lose positivity
     additive = h + 2.0 * 0.2 * (h @ bf.tension(conn, h))
@@ -384,9 +385,9 @@ def test_implicit_direction_solves_the_assembled_system(kind, sites, lengths, ra
     conn = random_connection(dom, rank, seed=3)
     h = rough_random_metric(dom.n_sites, rank, seed=4)
     diag = _diagnostics(conn, h)
-    frame = la.orthonormal_frame(diag["root"])
+    frame = la.orthonormal_frame(diag["split"].root)
     g, g_inv = frame
-    metric_conn = diag["metric_conn"]
+    metric_conn = diag["split"].connection
     sites = np.flatnonzero(dom.interior_mask())
     basis = unit_hermitian_basis(rank)
     mat = covariant_laplacian_coo(metric_conn, frame, sites).toarray()

@@ -141,6 +141,39 @@ def test_selfadjoint_part_from_the_shared_root(n):
     assert np.abs(hs - la.dagger(hs)).max() <= 1e-13 * np.abs(hs).max()
 
 
+def specnorm_cases(n: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    q = np.linalg.qr(z)[0]
+    return {
+        "random": z,
+        "graded": z * np.array([1e8, 1e-8]),             # columns of norm 1e8 and 1e-8
+        "near_unitary": q + 1e-9 * z,
+        "scaled": 1e-150 * z,
+        "zero": np.zeros_like(z),
+        "rank3": rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)),
+    }
+
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("case", ["random", "graded", "near_unitary", "scaled", "zero", "rank3"])
+def test_specnorm_matches_lapack(n, case):
+    a = specnorm_cases(n, 10)[case]
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        got = la.specnorm(a)
+    expected = np.linalg.norm(a, ord=2, axis=(-2, -1))
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - expected) <= 8 * np.finfo(float).eps * expected)
+
+
+def test_specnorm_of_one_matrix_is_0d():
+    a = specnorm_cases(1, 11)["random"][0]
+    got = la.specnorm(a)
+    expected = np.linalg.norm(a, ord=2)
+    assert np.ndim(got) == 0
+    assert abs(got - expected) <= 8 * np.finfo(float).eps * expected
+
+
 def test_flow_diagnostics_agree_across_the_gate(monkeypatch):
     # A torus whose edge batches take the closed forms, against the same
     # computation with every batch sent to numpy/LAPACK.

@@ -196,3 +196,29 @@ def covariant_laplacian_coo(metric_conn, frame, sites):
     vals.append(np.repeat(diag, r * r))
     return sparse.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(n, n))
+
+
+def edge_products_matmul(conn, f, omega):
+    """The edge products of ``bundle`` on a torus, written with numpy's ``@``.
+
+    Returns ``covariant_d`` and ``centered_derivative`` of the endomorphism
+    field f, ``reverse_edge_values`` of the one-form omega, and the
+    ``plaquette_holonomies`` (every torus site is a plaquette base): the
+    reference for the products that ``bundle`` takes through ``linalg.mm``.
+    """
+    dom = conn.domain
+    t, t_inv = conn.transport, conn.transport_inv
+    d = np.zeros((dom.dim,) + f.shape, dtype=complex)
+    centered = np.zeros_like(d)
+    reverse = np.zeros_like(omega)
+    for a in range(dom.dim):
+        tails, heads = conn.edge_sites(a)
+        d[a, tails] = (t_inv[a, tails] @ f[heads] @ t[a, tails] - f[tails]) / dom.spacings[a]
+        plus, minus = dom.neighbors[a]
+        fwd = t_inv[a] @ f[plus] @ t[a]
+        bwd = t[a, minus] @ f[minus] @ t_inv[a, minus]
+        centered[a] = (fwd - bwd) / (2.0 * dom.spacings[a])
+        reverse[a] = -(t[a, minus] @ omega[a, minus] @ t_inv[a, minus])
+    nx, ny = dom.neighbors[0, 0], dom.neighbors[1, 0]
+    hol = t_inv[1] @ t_inv[0, ny] @ t[1, nx] @ t[0]
+    return d, centered, reverse, hol
