@@ -30,19 +30,16 @@ one thread before numpy loads.
     PYTHONPATH=src python3 scripts/bench_closed.py [--seed 44] [--repeats 5] \
         [--out BENCH_closed.json]
 """
-import os
 import sys
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402
+
+benchkit.pin_threads()
 
 import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
 import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -56,9 +53,7 @@ from bundleflow.config import (  # noqa: E402
 )
 from bundleflow.flow import _drive  # noqa: E402
 
-sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import CircleHarmonic  # noqa: E402
+CircleHarmonic = benchkit.workload("CircleHarmonic")
 
 SIZES = (16, 32, 64, 128, 256)
 HEAT_LAST = 64     # the heat flow runs --heat-repeats times at 64 sites, not above
@@ -91,27 +86,20 @@ def problems(seed: int, work: Path) -> dict:
 
 
 def measure(conn, reference, tolerance, repeats: int, heat_repeats: int) -> dict:
-    """Per side: wall times and the last run's report, alternating which side runs first."""
-    times = {"implicit": [], "heat": []}
-    reports = {}
-    for i in range(repeats):
-        for side in (("implicit", "heat") if i % 2 == 0 else ("heat", "implicit")):
-            if side == "heat" and i >= heat_repeats:
-                continue
-            solver = implicit if side == "implicit" else heat
-            t0 = time.perf_counter()
-            reports[side] = solver(conn, reference, tolerance)
-            times[side].append(time.perf_counter() - t0)
+    """Per side that ran: wall times and the last report, alternating which side runs first."""
+    times, reports = benchkit.alternate(
+        {"implicit": lambda: implicit(conn, reference, tolerance),
+         "heat": lambda: heat(conn, reference, tolerance)}, repeats, {"heat": heat_repeats})
+    last = {side: runs[-1] for side, runs in reports.items()}
     return {side: {
-        "wall_s_median": statistics.median(times[side]),
-        "wall_s": times[side],
-        "accepted_steps": reports[side].steps,
-        "trial_steps": reports[side].trial_steps,
-        "step_kind": reports[side].step_kind,
-        "verdict": reports[side].verdict,
-        "residual_sup": reports[side].residual_sup,
-        "energy": reports[side].energy,
-    } for side in reports}
+        **times[side],
+        "accepted_steps": last[side].steps,
+        "trial_steps": last[side].trial_steps,
+        "step_kind": last[side].step_kind,
+        "verdict": last[side].verdict,
+        "residual_sup": last[side].residual_sup,
+        "energy": last[side].energy,
+    } for side in last}
 
 
 def main() -> None:
@@ -127,8 +115,7 @@ def main() -> None:
         "seed": args.seed,
         "tolerance": TOLERANCE,
         "repeats": args.repeats,
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "numpy": np.__version__, "cpus": os.cpu_count(), "blas_threads": 1},
+        "host": benchkit.host(),
         "inputs": {},
     }
     with tempfile.TemporaryDirectory() as work:
@@ -149,11 +136,8 @@ def main() -> None:
         print(line, flush=True)
     steps = [result["inputs"][f"circle-{n}"]["implicit"]["accepted_steps"] for n in SIZES]
     result["implicit_step_ratio"] = max(steps) / min(steps)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
     print(f"implicit steps over n = {SIZES}: {steps}, max/min {result['implicit_step_ratio']:.3f}")
-    print(f"wrote {args.out}")
+    benchkit.write(args.out, result)
 
 
 if __name__ == "__main__":

@@ -27,18 +27,15 @@ The BLAS and OpenMP thread pools are pinned to one thread before numpy loads.
     PYTHONPATH=src python3 scripts/bench_dirichlet.py [--seed 1] [--repeats 5] \
         [--out BENCH_dirichlet.json]
 """
-import os
 import sys
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402
+
+benchkit.pin_threads()
 
 import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -46,9 +43,7 @@ import bundleflow as bf  # noqa: E402
 from bundleflow.config import smooth_random_metric  # noqa: E402
 from bundleflow.flow import _drive  # noqa: E402
 
-sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import AnnulusExhaustion  # noqa: E402
+AnnulusExhaustion = benchkit.workload("AnnulusExhaustion")
 
 SIZES = (9, 17, 33, 65)
 TOLERANCE = 1e-8
@@ -83,23 +78,15 @@ def problems(seed: int) -> dict:
 
 def measure(runs, repeats: int, heat_repeats: int) -> dict:
     """Per side: wall times and the last run's reports, alternating which side runs first."""
-    times = {"implicit": [], "heat": []}
-    reports = {}
-    for i in range(repeats):
-        for side in (("implicit", "heat") if i % 2 == 0 else ("heat", "implicit")):
-            if side == "heat" and i >= heat_repeats:
-                continue
-            solver = implicit if side == "implicit" else heat
-            t0 = time.perf_counter()
-            reports[side] = [solver(conn, ref) for conn, ref in runs]
-            times[side].append(time.perf_counter() - t0)
+    times, reports = benchkit.alternate(
+        {"implicit": lambda: [implicit(conn, ref) for conn, ref in runs],
+         "heat": lambda: [heat(conn, ref) for conn, ref in runs]}, repeats, {"heat": heat_repeats})
     return {side: {
-        "wall_s_median": statistics.median(times[side]),
-        "wall_s": times[side],
-        "accepted_steps": [rep.steps for rep in reports[side]],
-        "trial_steps": [rep.trial_steps for rep in reports[side]],
-        "verdicts": [rep.verdict for rep in reports[side]],
-        "metrics": [rep.metric for rep in reports[side]],
+        **times[side],
+        "accepted_steps": [rep.steps for rep in reports[side][-1]],
+        "trial_steps": [rep.trial_steps for rep in reports[side][-1]],
+        "verdicts": [rep.verdict for rep in reports[side][-1]],
+        "metrics": [rep.metric for rep in reports[side][-1]],
     } for side in times}
 
 
@@ -117,8 +104,7 @@ def main() -> None:
         "seed": args.seed,
         "tolerance": TOLERANCE,
         "repeats": args.repeats,
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "numpy": np.__version__, "cpus": os.cpu_count(), "blas_threads": 1},
+        "host": benchkit.host(),
         "inputs": {},
     }
     for name, runs in problems(args.seed).items():
@@ -131,10 +117,7 @@ def main() -> None:
               f"({sides['implicit']['wall_s_median']:.3f} s), heat steps "
               f"{sides['heat']['accepted_steps']} ({sides['heat']['wall_s_median']:.3f} s), "
               f"max |H_implicit - H_heat| = {diff:.2e}", flush=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    benchkit.write(args.out, result)
 
 
 if __name__ == "__main__":

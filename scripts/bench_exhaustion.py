@@ -18,27 +18,21 @@ and OpenMP thread pools are pinned to one thread before numpy loads.
     PYTHONPATH=src python3 scripts/bench_exhaustion.py [--seed 1] [--repeats 5] \
         [--out BENCH_exhaustion.json]
 """
-import os
 import sys
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402
+
+benchkit.pin_threads()
 
 import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 import bundleflow as bf  # noqa: E402
 
-sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import AnnulusExhaustion  # noqa: E402
-
+AnnulusExhaustion = benchkit.workload("AnnulusExhaustion")
 LEVELS = AnnulusExhaustion.levels
 
 
@@ -65,14 +59,8 @@ def main() -> None:
 
     conn, reference, opts = inputs(args.seed)
     warm(conn, reference, opts)  # imports and first-call set-up, untimed
-    times = {"warm": [], "cold": []}
-    runs = {}
-    for i in range(args.repeats):
-        order = ("warm", "cold") if i % 2 == 0 else ("cold", "warm")
-        for side in order:
-            t0 = time.perf_counter()
-            runs[side] = (warm if side == "warm" else cold)(conn, reference, opts)
-            times[side].append(time.perf_counter() - t0)
+    times, runs = benchkit.alternate({"warm": lambda: warm(conn, reference, opts),
+                                      "cold": lambda: cold(conn, reference, opts)}, args.repeats)
 
     result = {
         "workload": "annulus-exhaustion",
@@ -80,26 +68,23 @@ def main() -> None:
         "levels": LEVELS,
         "tolerance": opts.tolerance,
         "repeats": args.repeats,
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "numpy": np.__version__, "cpus": os.cpu_count(), "blas_threads": 1},
+        "host": benchkit.host(),
     }
     for side in ("warm", "cold"):
         result[side] = {
-            "wall_s_median": statistics.median(times[side]),
-            "wall_s": times[side],
-            "accepted_steps": [rep.steps for rep in runs[side]],
-            "verdicts": [rep.verdict for rep in runs[side]],
+            **times[side],
+            "accepted_steps": [rep.steps for rep in runs[side][-1]],
+            "verdicts": [rep.verdict for rep in runs[side][-1]],
         }
     result["max_metric_difference"] = max(
-        float(np.abs(w.metric - c.metric).max()) for w, c in zip(runs["warm"], runs["cold"])
+        float(np.abs(w.metric - c.metric).max())
+        for w, c in zip(runs["warm"][-1], runs["cold"][-1])
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
     for side in ("warm", "cold"):
         print(f"{side}: median {result[side]['wall_s_median']:.3f} s over {args.repeats}, "
               f"accepted steps {result[side]['accepted_steps']}")
-    print(f"max |H_warm - H_cold| = {result['max_metric_difference']:.2e}; wrote {args.out}")
+    print(f"max |H_warm - H_cold| = {result['max_metric_difference']:.2e}")
+    benchkit.write(args.out, result)
 
 
 if __name__ == "__main__":

@@ -28,18 +28,16 @@ The records of this checkout are under ``current``, the others under
 """
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402
+
 TOLERANCE = 1e-8
-PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def problem(name: str, seed: int):
@@ -82,14 +80,6 @@ def worker(name: str, seed: int, metric_out: str) -> None:
     }))
 
 
-def run(src: Path, name: str, seed: int, metric_out: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in PINNED})
-    out = subprocess.run([sys.executable, __file__, "--worker", name, "--seed", str(seed),
-                          "--metric-out", str(metric_out)],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sizes", type=int, nargs="+", default=[65, 129, 257],
@@ -108,26 +98,23 @@ def main() -> None:
         worker(args.worker, args.seed, args.metric_out)
         return
 
+    trees = benchkit.trees(args.baseline_src)
     import numpy as np
 
-    sides = {"current": SRC}
-    if args.baseline_src is not None:
-        sides["baseline"] = args.baseline_src
     names = [f"rectangle-{n}" for n in args.sizes] + ["annulus-{}x{}".format(*args.annulus)]
     result = {
         "seed": args.seed,
         "tolerance": TOLERANCE,
         "repeats": args.repeats,
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "numpy": np.__version__, "cpus": os.cpu_count(), "blas_threads": 1},
+        "host": benchkit.host(),
         "inputs": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            runs = {side: [] for side in sides}
-            for i in range(args.repeats):
-                for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-                    runs[side].append(run(sides[side], name, args.seed, Path(tmp) / f"{side}.npy"))
+            _, runs = benchkit.alternate({side: lambda side=side: benchkit.run_worker(
+                __file__, trees[side], ["--worker", name, "--seed", str(args.seed),
+                                        "--metric-out", str(Path(tmp) / f"{side}.npy")])
+                for side in trees}, args.repeats)
             entry = {}
             for side, records in runs.items():
                 entry[side] = {**records[-1],
@@ -151,10 +138,7 @@ def main() -> None:
                          f"{entry['metric_relative_difference']:.1e}")
             result["inputs"][name] = entry
             print(line, flush=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    benchkit.write(args.out, result)
 
 
 if __name__ == "__main__":

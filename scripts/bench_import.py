@@ -25,16 +25,13 @@ commit, alternating which side goes first; the baseline's records are under
 """
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402
 
 
 def worker(seed: int) -> None:
@@ -68,13 +65,6 @@ def worker(seed: int) -> None:
     }))
 
 
-def run(src: Path, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in PINNED})
-    out = subprocess.run([sys.executable, __file__, "--worker", "--seed", str(seed)],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
 def summary(records: list[dict]) -> dict:
     return {
         "import_s": statistics.median(r["import_s"] for r in records),
@@ -98,30 +88,21 @@ def main() -> None:
         worker(args.seed)
         return
 
-    import numpy as np
-
-    sides = {"current": SRC}
-    if args.baseline_src is not None:
-        sides["baseline"] = args.baseline_src
-    runs = {side: [] for side in sides}
-    for i in range(args.runs):
-        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-            runs[side].append(run(sides[side], args.seed))
+    trees = benchkit.trees(args.baseline_src)
+    _, runs = benchkit.alternate({side: lambda side=side: benchkit.run_worker(
+        __file__, trees[side], ["--worker", "--seed", str(args.seed)]) for side in trees},
+        args.runs)
     result = {
         "seed": args.seed,
         "runs": args.runs,
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "numpy": np.__version__, "cpus": os.cpu_count(), "blas_threads": 1},
+        "host": benchkit.host(),
         **{side: summary(records) for side, records in runs.items()},
     }
-    for side in sides:
+    for side in trees:
         rec = result[side]
         print(f"{side}: import {rec['import_s']:.3f} s, import + transports "
               f"{rec['setup_s']:.3f} s, {rec['scipy_modules']} scipy modules loaded")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    benchkit.write(args.out, result)
 
 
 if __name__ == "__main__":

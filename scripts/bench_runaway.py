@@ -35,29 +35,24 @@ rule reports 0 doubled steps.
 
     PYTHONPATH=src python3 scripts/bench_runaway.py [--repeats 3] [--out BENCH_runaway.json]
 """
-import os
 import sys
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402
+
+benchkit.pin_threads()
 
 import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
 import re  # noqa: E402
-import statistics  # noqa: E402
 import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 import bundleflow as bf  # noqa: E402
 from bundleflow.config import smooth_random_metric  # noqa: E402
 
-sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import CircleRunaway  # noqa: E402
+CircleRunaway = benchkit.workload("CircleRunaway")
 
 JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
 GATE_THRESHOLDS = (50.0, 1.0)
@@ -109,21 +104,17 @@ def main() -> None:
 
     result = {
         "repeats": args.repeats,
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "numpy": np.__version__, "cpus": os.cpu_count(), "blas_threads": 1},
+        "host": benchkit.host(),
         "runaways": {},
         "gate": {},
     }
     for name, (conn, reference, opts) in runaways().items():
-        times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            report = bf.solve_harmonic(conn, reference, opts)
-            times.append(time.perf_counter() - t0)
+        times, reports = benchkit.alternate(
+            {name: lambda: bf.solve_harmonic(conn, reference, opts)}, args.repeats)
+        report = reports[name][-1]
         result["runaways"][name] = {
             **counts(report),
-            "wall_s_median": statistics.median(times),
-            "wall_s": times,
+            **times[name],
             "logh_sup": report.logh_sup,
             "residual_final": report.residual_sup,
             "residual_min": float(report.history[:, 4].min()),
@@ -147,10 +138,7 @@ def main() -> None:
         print(f"gate, threshold {threshold:g}: {report.verdict} after {report.steps} steps "
               f"({doubled_steps(report)} doubled, {report.rejected_steps} rejected)", flush=True)
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    benchkit.write(args.out, result)
 
 
 if __name__ == "__main__":

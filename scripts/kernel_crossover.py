@@ -13,10 +13,13 @@ closed forms win, for every entry point.
 
     PYTHONPATH=src python3 scripts/kernel_crossover.py [--repeats 7]
 """
-import os
+import sys
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402
+
+benchkit.pin_threads()
 
 import argparse  # noqa: E402
 import timeit  # noqa: E402

@@ -1,9 +1,19 @@
+import importlib.util
+import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+spec = importlib.util.spec_from_file_location("benchkit", SCRIPTS / "benchkit.py")
+benchkit = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchkit)
+PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+          "VECLIB_MAXIMUM_THREADS")
 
 
 def test_bench_scripts_heat_flows_converge():
@@ -32,3 +42,64 @@ print(rep.verdict, rep.step_kind)
                           str(SCRIPTS / "bench_dirichlet.py")],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split("\n") == ["converged explicit", "converged explicit", ""]
+
+
+def test_alternate_flips_the_first_side_on_every_repeat():
+    calls = []
+    sides = {name: lambda name=name: calls.append(name) or len(calls) for name in "abc"}
+    times, results = benchkit.alternate(sides, 4, {"c": 1})
+    assert calls == ["a", "b", "c", "b", "a", "a", "b", "b", "a"]
+    assert results == {"a": [1, 5, 6, 9], "b": [2, 4, 7, 8], "c": [3]}
+    assert [len(times[side]["wall_s"]) for side in "abc"] == [4, 4, 1]
+    assert times["a"]["wall_s_median"] == statistics.median(times["a"]["wall_s"])
+    times, results = benchkit.alternate(sides, 2, {"c": 0})
+    assert list(times) == list(results) == ["a", "b"]
+
+
+def test_run_worker_pins_threads_and_imports_from_the_given_tree(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    script = tmp_path / "worker.py"
+    script.write_text("import json, os, sys\n"
+                      "print('a line before the record')\n"
+                      "print(json.dumps({**os.environ, 'argv': sys.argv[1:]}))\n")
+    record = benchkit.run_worker(script, tmp_path / "tree", ["--worker", "x"])
+    assert {var: record[var] for var in PINNED} == dict.fromkeys(PINNED, "1")
+    assert record["PYTHONPATH"] == str(tmp_path / "tree")
+    assert record["argv"] == ["--worker", "x"]
+
+
+def test_failed_worker_raises_with_its_stderr(tmp_path):
+    script = tmp_path / "worker.py"
+    script.write_text("import no_such_module_anywhere\n")
+    with pytest.raises(RuntimeError, match="ModuleNotFoundError: No module named"):
+        benchkit.run_worker(script, tmp_path, [])
+    # End to end: a baseline tree whose bundleflow cannot be imported.
+    (tmp_path / "bundleflow").mkdir()
+    (tmp_path / "bundleflow" / "__init__.py").write_text("import no_such_module_anywhere\n")
+    out = subprocess.run([sys.executable, str(SCRIPTS / "bench_import.py"), "--runs", "1",
+                          "--baseline-src", str(tmp_path), "--out", str(tmp_path / "out.json")],
+                         capture_output=True, text=True)
+    assert out.returncode != 0
+    assert "ModuleNotFoundError: No module named 'no_such_module_anywhere'" in out.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("script, flags", [
+    ("bench_implicit.py", ["--sizes", "5", "--annulus", "8", "3"]),
+    ("bench_import.py", ["--runs", "1"]),
+])
+def test_baseline_without_bundleflow_is_refused_before_any_run(tmp_path, script, flags):
+    out = subprocess.run([sys.executable, str(SCRIPTS / script), *flags, "--baseline-src",
+                          str(tmp_path), "--out", str(tmp_path / "out.json")],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: no bundleflow sources under {tmp_path}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("bench", sorted(p.name for p in SCRIPTS.parent.glob("BENCH_*.json")))
+def test_write_keeps_the_layout_of_the_bench_files(tmp_path, bench):
+    path = SCRIPTS.parent / bench
+    benchkit.write(tmp_path / bench, json.loads(path.read_text(encoding="utf-8")))
+    assert (tmp_path / bench).read_bytes() == path.read_bytes()
