@@ -66,7 +66,7 @@ def implicit(conn, reference, tolerance):
 
 def heat(conn, reference, tolerance):
     opts = bf.SolveOptions(tolerance=tolerance)
-    return _drive(conn, reference, opts, tracefree=False, implicit=False)[0]
+    return _drive(conn, reference, opts, tracefree=False, implicit=False)
 
 
 def problems(seed: int, work: Path) -> dict:

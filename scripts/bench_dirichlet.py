@@ -55,7 +55,7 @@ def implicit(conn, reference):
 
 def heat(conn, reference):
     opts = bf.SolveOptions(tolerance=TOLERANCE)
-    return _drive(conn, reference, opts, tracefree=True, implicit=False)[0]
+    return _drive(conn, reference, opts, tracefree=True, implicit=False)
 
 
 def problems(seed: int) -> dict:

@@ -13,6 +13,11 @@ complex entries of H written as ``re im`` pairs.
 An optional ``theta`` marker line introduces a second per-site block with the
 same layout. Floats are written with shortest round-trip precision, so a
 save/load cycle is bit-exact.
+
+Equal consecutive site rows are formatted and parsed once: the writer repeats
+the line of a row whose float64 bits equal the row before it, and the reader
+parses the first line of each run of equal lines. The bytes on disk are those
+of one line formatted per site.
 """
 from __future__ import annotations
 
@@ -56,22 +61,34 @@ class Checkpoint:
 
 
 def _write_block(fh, field: Array) -> None:
-    """One line per site: its row-major entries as ``re im`` pairs."""
+    """One line per site: its row-major entries as ``re im`` pairs. A row whose bits
+    equal the row before it (so 0.0 and -0.0 differ) repeats that row's line."""
     values = np.ascontiguousarray(field, dtype=complex).view(float)
-    for row in values.reshape(len(values), -1):
-        fh.write(" ".join(map(repr, row.tolist())) + "\n")
+    rows = values.reshape(len(values), -1)
+    bits = rows.view(np.uint64)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    line = ""
+    for row, new in zip(rows, first.tolist()):
+        if new:
+            line = " ".join(map(repr, row.tolist())) + "\n"
+        fh.write(line)
 
 
 def _parse_block(lines: list[str], start: int, sites: int, rank: int) -> tuple[Array, int]:
-    """The per-site block starting at ``lines[start]``, and the index after it."""
+    """The per-site block starting at ``lines[start]``, and the index after it. Only the
+    first line of each run of equal lines is parsed."""
     width = 2 * rank * rank
     block = lines[start:start + sites]
+    starts = [0] + [i for i in range(1, len(block)) if block[i] != block[i - 1]]
     try:
-        values = np.loadtxt(block, dtype=float, ndmin=2, comments=None) if block else None
+        values = (np.loadtxt([block[i] for i in starts], dtype=float, ndmin=2, comments=None)
+                  if block else None)
     except ValueError:
         values = None
-    if values is None or values.shape != (sites, width):
+    if values is None or values.shape != (len(starts), width) or len(block) != sites:
         raise ValueError(_block_error(block, start, sites, width))
+    values = np.repeat(values, np.diff(starts + [sites]), axis=0)
     return values.view(complex).reshape(sites, rank, rank), start + sites
 
 

@@ -213,7 +213,7 @@ def run_scenario(
                 report_lines.append("round trip aborted: no Poisson metric")
             else:
                 hd = hodge.higgs_from_harmonic(conn, run.metric, tension_tol=cfg.solver.tolerance,
-                                               sm=run.split)
+                                               sm=run.split, tension_field=run.tension)
                 composite = hodge.composite_transports(hd, run.metric)
                 res = hodge.hitchin_residuals(hd, run.metric, composite)
                 report_lines += [

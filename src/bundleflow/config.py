@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
-import yaml
 
 from . import linalg as la
 from .bundle import FlatConnection, from_monodromy
@@ -144,6 +143,8 @@ def _parse_matrix(entry, rank: int, where: str) -> np.ndarray:
 
 
 def load_config(path) -> RunConfig:
+    import yaml  # only a config file needs it: ``import bundleflow`` stays without it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

@@ -218,6 +218,7 @@ class RunReport:
     cg_iterations: int = 0          # CG iterations of the implicit solves, over all trials
     cg_iterations_max: int = 0      # the most CG iterations in one trial
     split: SplitMetric | None = None  # bundle.split_metric at ``metric``
+    tension: Array | None = None      # bundle.tension at ``metric``, from ``split``
 
 
 def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
@@ -243,7 +244,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
     step taken from this metric, explicit or implicit
     (``_implicit_direction``), reuses its scaled square root of H
     (``linalg.scaled_sqrt``) and its metric transports, and the run's report
-    hands the final one on (``RunReport.split``).
+    hands the final split and tension on (``RunReport.split``, ``RunReport.tension``).
     """
     sm = split_metric(conn, h_field)
     t_field = tension(conn, h_field, sm)
@@ -321,8 +322,8 @@ def _drive(
     implicit: bool,
     init: FlowState | None = None,
     callback: Callable[[FlowState], None] | None = None,
-) -> tuple[RunReport, dict]:
-    """The adaptive multiplicative flow that every solver runs, and its final diagnostics.
+) -> RunReport:
+    """The adaptive multiplicative flow that every solver runs.
 
     Each trial steps from the accepted metric along its tension
     (``_diagnostics``), or with ``implicit`` along the linearly implicit
@@ -489,8 +490,9 @@ def _drive(
         cg_iterations=cg_total,
         cg_iterations_max=cg_max,
         split=diag["split"],
+        tension=diag["direction"],
     )
-    return report, diag
+    return report
 
 
 def settle(
@@ -596,7 +598,7 @@ def solve_harmonic(
     opts = opts or SolveOptions()
     implicit, notes = _strategy(conn, opts)
     report = _drive(conn, reference, opts, tracefree=False, implicit=implicit, init=init,
-                    callback=callback)[0]
+                    callback=callback)
     report.notes[:0] = notes
     if report.verdict == "diverged" and conn.loops and conn.rank <= 3:
         report.verdict_reason += runaway_certificate(conn, reference, report.metric)
@@ -618,10 +620,10 @@ def solve_poisson(
     """
     opts = opts or SolveOptions()
     implicit, notes = _strategy(conn, opts)
-    report, diag = _drive(conn, reference, opts, tracefree=True, implicit=implicit, init=init,
-                          callback=callback)
+    report = _drive(conn, reference, opts, tracefree=True, implicit=implicit, init=init,
+                    callback=callback)
     report.notes[:0] = notes
-    report.poisson_function = (np.einsum("nii->n", diag["direction"]) / conn.rank).real
+    report.poisson_function = (np.einsum("nii->n", report.tension) / conn.rank).real
     return report
 
 

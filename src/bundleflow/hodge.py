@@ -93,6 +93,7 @@ def higgs_from_harmonic(
     metric: Array,
     tension_tol: float = 1e-7,
     sm: SplitMetric | None = None,
+    tension_field: Array | None = None,
 ) -> HiggsData:
     """Higgs structure carried by a harmonic (or Poisson) metric on a curve.
 
@@ -101,15 +102,18 @@ def higgs_from_harmonic(
     accepted when the trace-free part of its tension is below ``10 *
     tension_tol``: a Poisson metric's tension is a scalar multiple of the
     identity at each site, which theta does not see. ``sm`` is the split at
-    ``metric`` when the caller already holds it (a solve's
-    ``RunReport.split``); otherwise the connection is split here.
+    ``metric`` and ``tension_field`` its tension when the caller already holds
+    them (a solve's ``RunReport.split`` and ``RunReport.tension``); otherwise
+    they are computed here.
     """
     dom = conn.domain
     if dom.dim != 2:
         raise ValueError("Higgs extraction needs a complex-curve domain")
     if sm is None:
         sm = split_metric(conn, metric)
-    t_sup = float(np.max(la.hsa_norm(la.tracefree(tension(conn, metric, sm)))))
+    if tension_field is None:
+        tension_field = tension(conn, metric, sm)
+    t_sup = float(np.max(la.hsa_norm(la.tracefree(tension_field))))
     if t_sup > 10.0 * tension_tol:
         raise ValueError(
             f"metric is not harmonic or Poisson enough (sup trace-free tension {t_sup:.3e} "

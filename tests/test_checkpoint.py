@@ -120,6 +120,52 @@ def test_lines_are_shortest_round_trip_pairs(tmp_path):
     assert back.view(np.uint64).tobytes() == metric.view(np.uint64).tobytes()
 
 
+def _run_fields():
+    """(name, field) pairs of 9-site rank-2 fields with and without runs of equal rows."""
+    one = _random_field(10, n=1)[0]
+    distinct = _random_field(11, n=9)
+    runs = np.stack([one] * 3 + [distinct[3]] + [one] * 4 + [distinct[8]])
+    zeros = np.zeros((9, 2, 2), dtype=complex)
+    zeros[1::2, 0, 1] = complex(-0.0, 0.0)           # 0.0 and -0.0 alternate
+    ulp = np.repeat(one[None], 9, axis=0)
+    ulp[4, 1, 0] = complex(np.nextafter(one[1, 0].real, np.inf), one[1, 0].imag)
+    infs = np.repeat(one[None], 9, axis=0)
+    infs[:5, 0, 0] = complex(np.inf, -np.inf)
+    return [("site-constant", np.repeat(one[None], 9, axis=0)), ("all-distinct", distinct),
+            ("runs", runs), ("signed-zeros", zeros), ("one-ulp", ulp), ("infinities", infs)]
+
+
+@pytest.mark.parametrize("name, field", _run_fields(), ids=[name for name, _ in _run_fields()])
+def test_equal_rows_keep_the_bytes_and_the_bits(tmp_path, name, field):
+    # A run of equal site rows is formatted and parsed once: the bytes are those
+    # of one repr line per site, and the reload is bit-exact, row by row.
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, Checkpoint(rank=2, sites=9, time=0.0, step=0, dt=0.0, streak=0,
+                                     metric=field, theta=field[::-1].copy()))
+    rows = ["".join(f"{v.real!r} {v.imag!r} " for v in site.ravel().tolist())[:-1]
+            for site in field]
+    expected = ["rank 2, sites 9, time 0.0, step 0, dt 0.0, streak 0, grown 0, latch 1",
+                *rows, "theta", *rows[::-1]]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    back = load_checkpoint(path)
+    assert back.metric.view(np.uint64).tobytes() == field.view(np.uint64).tobytes()
+    assert back.theta.view(np.uint64).tobytes() == field[::-1].view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1.0 0.0 0.0 0.0 0.0 0.0 1.0", "line 5: expected 8 values, got 7"),
+    ("1.0 0.0 0.0 0.0 0.0 0.0 1.0 y", "line 5: could not convert"),
+    ("", "line 5: expected 8 values, got 0"),
+])
+def test_a_bad_line_inside_a_run_of_equal_lines_names_itself(tmp_path, bad, message):
+    line = "1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0"
+    path = tmp_path / "bad.ckpt"
+    path.write_text("\n".join(["rank 2, sites 6, time 0.0", *[line] * 3, bad, *[line] * 2])
+                    + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
 # Replacement tokens for the fuzz below: numbers out of range or of the wrong
 # kind, words and separators of the layout itself, and the empty token.
 FUZZ_TOKENS = ("", "0", "-1", "2", "99999", "1e400", "nan", "-inf", "0.5", "x", "theta",
@@ -127,17 +173,21 @@ FUZZ_TOKENS = ("", "0", "-1", "2", "99999", "1e400", "nan", "-inf", "0.5", "x", 
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
-@given(with_prev=st.booleans(), with_theta=st.booleans(), data=st.data())
+@given(with_prev=st.booleans(), with_theta=st.booleans(), with_runs=st.booleans(),
+       data=st.data())
 def test_a_cut_or_edited_checkpoint_loads_or_names_its_fault(tmp_path_factory, with_prev,
-                                                             with_theta, data):
+                                                             with_theta, with_runs, data):
     # A saved checkpoint cut at any character, or with one whitespace-separated
     # token deleted, replaced or repeated, either loads or raises a ValueError
-    # whose message starts with "checkpoint".
-    state = FlowState(time=0.5, metric=_random_field(7, n=3), dt=0.25, step=4,
+    # whose message starts with "checkpoint". ``with_runs`` saves blocks whose
+    # site rows come in runs of equal rows.
+    metric, theta = _random_field(7, n=3), _random_field(8, n=3)
+    if with_runs:
+        metric, theta = metric[[0, 0, 1, 1, 1, 2]], theta[[0, 0, 0, 1, 2, 2]]
+    state = FlowState(time=0.5, metric=metric, dt=0.25, step=4,
                       logh_prev=1.5 if with_prev else None)
     path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
-    save_checkpoint(path, Checkpoint.of(state, theta=_random_field(8, n=3) if with_theta
-                                        else None))
+    save_checkpoint(path, Checkpoint.of(state, theta=theta if with_theta else None))
     text = path.read_text()
     if data.draw(st.booleans(), label="cut"):
         text = text[:data.draw(st.integers(0, len(text)), label="at")]

@@ -1,5 +1,7 @@
 import copy
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -376,6 +378,22 @@ def test_config_validation_names_fields(tmp_path):
             load_config(path)
 
 
+def test_only_load_config_imports_yaml(tmp_path):
+    # ``import bundleflow`` does not load the YAML parser; reading a config does.
+    code = """
+import sys
+import bundleflow
+from bundleflow.config import load_config
+print("yaml" in sys.modules)
+load_config(sys.argv[1])
+print("yaml" in sys.modules)
+"""
+    path = write_config(tmp_path / "run.yaml")
+    out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_identical_runs_identical_csv(tmp_path):
     cfg = write_config(
         tmp_path / "run.yaml",
@@ -532,9 +550,10 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     # connection_from_transports. dbar theta is taken once, when the Higgs data
     # is built; the plaquette holonomies once for the residuals and once for
     # flat_from_higgs's curvature check. The flow splits the connection at the
-    # reference and at the det-normalized metric, and the Higgs extraction
-    # reuses the second split: two splits in all.
-    inverted, counts = [], {"dbar": 0, "plaquettes": 0, "split": 0}
+    # reference and at the det-normalized metric, and takes the tension at
+    # each; the Higgs extraction reuses the second split and its tension: two
+    # splits and two tensions in all.
+    inverted, counts = [], {"dbar": 0, "plaquettes": 0, "split": 0, "tension": 0}
     real_inv = np.linalg.inv
 
     def inv(a):
@@ -553,8 +572,10 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     monkeypatch.setattr(hodge, "plaquette_holonomies", plaquettes)
     monkeypatch.setattr(bundle, "plaquette_holonomies", plaquettes)
     split = counting("split", bundle.split_metric)
+    tension = counting("tension", bundle.tension)
     for module in (bundle, flow, hodge):
         monkeypatch.setattr(module, "split_metric", split)
+        monkeypatch.setattr(module, "tension", tension)
     gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
     cfg = write_config(
         tmp_path / "run.yaml",
@@ -564,7 +585,7 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     )
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
     assert inverted == ["connection_from_transports"] * 2
-    assert counts == {"dbar": 1, "plaquettes": 2, "split": 2}
+    assert counts == {"dbar": 1, "plaquettes": 2, "split": 2, "tension": 2}
 
 
 def test_higgs_roundtrip_refuses_above_ten_times_the_tolerance(tmp_path, monkeypatch):

@@ -346,7 +346,7 @@ def test_implicit_dirichlet_matches_heat_flow(kind, sites, lengths):
     opts = bf.SolveOptions(tolerance=1e-9)
     implicit = bf.solve_poisson(conn, k, opts)
     # the same problem through the explicit heat direction
-    heat = _drive(conn, k, opts, tracefree=True, implicit=False)[0]
+    heat = _drive(conn, k, opts, tracefree=True, implicit=False)
     assert implicit.verdict == heat.verdict == "converged"
     assert implicit.steps < heat.steps / 10
     assert implicit.phase_seconds["solve"] > 0.0 and heat.phase_seconds["solve"] == 0.0
@@ -456,7 +456,7 @@ def test_torus_poisson_implicit_matches_heat_flow():
     k = random_metric(dom, 2, seed=6, amplitude=0.3)
     opts = bf.SolveOptions(tolerance=1e-9)
     implicit = bf.solve_poisson(conn, k, opts)
-    heat = _drive(conn, k, opts, tracefree=True, implicit=False)[0]
+    heat = _drive(conn, k, opts, tracefree=True, implicit=False)
     assert implicit.verdict == heat.verdict == "converged"
     assert (implicit.step_kind, heat.step_kind) == ("implicit", "explicit")
     assert max(implicit.tracefree_residual_sup, heat.tracefree_residual_sup) < opts.tolerance
@@ -512,7 +512,7 @@ def test_strategy_switches_at_the_implicit_floor():
     def start_dt(conn, implicit, opts, dt=0.0):
         init = FlowState(time=0.0, metric=identity_metric(conn.domain.n_sites, 2), dt=dt)
         run = _drive(conn, init.metric.copy(), replace(opts, max_steps=0), tracefree=False,
-                     implicit=implicit, init=init)[0]
+                     implicit=implicit, init=init)
         return run.history[0][2]
 
     dom, conn = circle_diag(n=16, length=1.0)

@@ -88,6 +88,7 @@ def test_failed_worker_raises_with_its_stderr(tmp_path):
 @pytest.mark.parametrize("script, flags", [
     ("bench_implicit.py", ["--sizes", "5", "--annulus", "8", "3"]),
     ("bench_import.py", ["--runs", "1"]),
+    ("bench_checkpoint.py", ["--repeats", "1"]),
 ])
 def test_baseline_without_bundleflow_is_refused_before_any_run(tmp_path, script, flags):
     out = subprocess.run([sys.executable, str(SCRIPTS / script), *flags, "--baseline-src",
@@ -103,3 +104,22 @@ def test_write_keeps_the_layout_of_the_bench_files(tmp_path, bench):
     path = SCRIPTS.parent / bench
     benchkit.write(tmp_path / bench, json.loads(path.read_text(encoding="utf-8")))
     assert (tmp_path / bench).read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_bench_refuses_trees_that_write_different_bytes(tmp_path):
+    # A baseline whose writer puts two spaces between values still loads
+    # bit-exactly, but its files differ: nothing is timed and nothing written.
+    src = SCRIPTS.parent / "src" / "bundleflow"
+    (tmp_path / "bundleflow").mkdir()
+    for path in src.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "checkpoint.py":
+            assert text.count('" ".join') == 1
+            text = text.replace('" ".join', '"  ".join')
+        (tmp_path / "bundleflow" / path.name).write_text(text, encoding="utf-8")
+    out = subprocess.run([sys.executable, str(SCRIPTS / "bench_checkpoint.py"), "--repeats", "1",
+                          "--baseline-src", str(tmp_path), "--out", str(tmp_path / "out.json")],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: site-constant: the two trees write different checkpoint bytes\n"
+    assert not (tmp_path / "out.json").exists()
