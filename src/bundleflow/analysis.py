@@ -439,16 +439,14 @@ def alpha1_period(conn: FlatConnection, metric: Array, loop: list[int]) -> float
     return total
 
 
-def axis_loop(conn: FlatConnection, axis: int, base: int = 0) -> list[int]:
-    """The fundamental cycle along a periodic axis, as an ordered site list."""
+def axis_loop(conn: FlatConnection, axis: int) -> list[int]:
+    """The fundamental cycle along a periodic axis from site 0, as an ordered site list."""
     dom = conn.domain
     if not dom.periodic[axis]:
         raise ValueError("axis is not periodic")
-    sites = [base]
-    cur = base
+    sites = [0]
     for _ in range(dom.sites_per_axis[axis]):
-        cur = int(dom.neighbors[axis, 0, cur])
-        sites.append(cur)
+        sites.append(int(dom.neighbors[axis, 0, sites[-1]]))
     return sites
 
 

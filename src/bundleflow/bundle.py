@@ -41,10 +41,9 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """A designated fundamental loop: one full cycle along a periodic axis."""
+    """A designated fundamental loop: one full cycle along a periodic axis from site 0."""
 
     axis: int
-    base: int
     generator: Array
 
 
@@ -105,6 +104,8 @@ def from_monodromy(
     for g in gens:
         if g.shape != (r, r):
             raise ValueError("generators must be square matrices of equal rank")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("generator has a non-finite entry")
         if abs(np.linalg.det(g)) < 1e-14:
             raise ValueError("generator is singular")
     if len(gens) == 2:
@@ -124,19 +125,19 @@ def from_monodromy(
         if la.specnorm(closure - gens[k]) > 1e-10 * max(float(la.specnorm(gens[k])), 1.0):
             raise ValueError("per-edge transport does not close up to the generator")
         transports[axis] = frac
-        loops.append(LoopSpec(axis=axis, base=0, generator=gens[k]))
+        loops.append(LoopSpec(axis=axis, generator=gens[k]))
     return connection_from_transports(domain, transports, tuple(loops))
 
 
-def loop_holonomy(conn: FlatConnection, axis: int, base: int) -> Array:
-    """Holonomy of the full axis cycle through ``base`` (path-ordered product)."""
+def loop_holonomy(conn: FlatConnection, axis: int) -> Array:
+    """Holonomy of the full axis cycle through site 0 (path-ordered product)."""
     dom = conn.domain
     hol = np.eye(conn.rank, dtype=complex)
-    site = base
+    site = 0
     for _ in range(dom.sites_per_axis[axis]):
         hol = conn.transport[axis, site] @ hol
         site = int(dom.neighbors[axis, 0, site])
-    if site != base:
+    if site != 0:
         raise ValueError("axis is not periodic; no loop")
     return hol
 
@@ -163,13 +164,10 @@ def flatness_residual(conn: FlatConnection) -> float:
     eigenvalue-multiset distance, which is insensitive to the base point and
     to gauge.
     """
-    worst = 0.0
     _, hol = plaquette_holonomies(conn)
-    if hol.size:
-        eye = np.eye(conn.rank, dtype=complex)
-        worst = float(np.max(la.specnorm(hol - eye)))
+    worst = float(np.max(la.specnorm(hol - np.eye(conn.rank, dtype=complex)), initial=0.0))
     for loop in conn.loops:
-        h = loop_holonomy(conn, loop.axis, loop.base)
+        h = loop_holonomy(conn, loop.axis)
         worst = max(worst, la.spectrum_distance(h, loop.generator))
     return worst
 
@@ -482,6 +480,10 @@ def reference_difference(sm_k: SplitMetric, h_rel: Array) -> tuple[Array, Array]
 # ---------------------------------------------------------------------------
 # invariant sub-bundles
 
+# ``invariant_subbundles``' search: eigenvalues within SUBSPACE_TOL (relative) share
+# a joint eigenspace, and subspaces whose projections differ by less are one.
+SUBSPACE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SubBundleSpec:
@@ -502,7 +504,7 @@ def _null_space(a: Array, rcond: float) -> Array:
     return la.dagger(vh[int(np.sum(s > rcond * s.max(initial=0.0))):])
 
 
-def _joint_invariant_spaces(mats: list[Array], r: int, tol: float = 1e-8) -> list[Array]:
+def _joint_invariant_spaces(mats: list[Array], r: int) -> list[Array]:
     """Joint eigen-type invariant subspaces of a commuting family (geometric parts)."""
     spaces = [np.eye(r, dtype=complex)]
     for m in mats:
@@ -515,14 +517,14 @@ def _joint_invariant_spaces(mats: list[Array], r: int, tol: float = 1e-8) -> lis
             clusters: list[list[complex]] = []
             for ev in lam:
                 for c in clusters:
-                    if abs(ev - c[0]) <= tol * (1.0 + abs(ev)):
+                    if abs(ev - c[0]) <= SUBSPACE_TOL * (1.0 + abs(ev)):
                         c.append(ev)
                         break
                 else:
                     clusters.append([ev])
             for c in clusters:
                 mean = np.mean(c)
-                ns = _null_space(restricted - mean * np.eye(b.shape[1]), max(tol, 1e-10))
+                ns = _null_space(restricted - mean * np.eye(b.shape[1]), SUBSPACE_TOL)
                 if ns.shape[1] == 0:
                     # defective eigenvalue with geometric space resolved at looser scale
                     ns = _null_space(restricted - mean * np.eye(b.shape[1]), 1e-6)
@@ -532,13 +534,12 @@ def _joint_invariant_spaces(mats: list[Array], r: int, tol: float = 1e-8) -> lis
     return spaces
 
 
-def _dedupe(bases: list[Array], tol: float = 1e-8) -> list[Array]:
+def _dedupe(bases: list[Array]) -> list[Array]:
     kept: list[Array] = []
     for b in bases:
         p = b @ la.dagger(b)
-        if not any(
-            b.shape[1] == k.shape[1] and la.frobenius(p - k @ la.dagger(k)) < tol for k in kept
-        ):
+        if not any(b.shape[1] == k.shape[1]
+                   and la.frobenius(p - k @ la.dagger(k)) < SUBSPACE_TOL for k in kept):
             kept.append(b)
     return kept
 
@@ -547,7 +548,6 @@ def invariant_subbundles(
     conn: FlatConnection,
     reference: Array,
     candidates: list[Array] | None = None,
-    tol: float = 1e-8,
 ) -> list[SubBundleSpec]:
     """Enumerate invariant sub-bundles as reference-orthogonal projection fields.
 
@@ -564,10 +564,10 @@ def invariant_subbundles(
     if candidates is None:
         if r > 3:
             raise ValueError("exhaustive search is limited to rank <= 3; supply candidates")
-        gens = [loop_holonomy(conn, lp.axis, lp.base) for lp in conn.loops]
+        gens = [loop_holonomy(conn, lp.axis) for lp in conn.loops]
         if not gens:
             gens = [np.eye(r, dtype=complex)]
-        atoms = _dedupe(_joint_invariant_spaces(gens, r, tol))
+        atoms = _dedupe(_joint_invariant_spaces(gens, r))
         bases: list[Array] = []
         for size in range(1, len(atoms) + 1):
             for combo in itertools.combinations(atoms, size):

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import loop_holonomy
 from .linalg import spectrum_distance
 
 _VERDICT_STATUS = {"diverged": 2, "precision_floor": 3}
@@ -214,21 +213,17 @@ def run_scenario(
             else:
                 hd = hodge.higgs_from_harmonic(conn, run.metric, tension_tol=cfg.solver.tolerance,
                                                sm=run.split, tension_field=run.tension)
-                composite = hodge.composite_transports(hd, run.metric)
-                res = hodge.hitchin_residuals(hd, run.metric, composite)
+                res = hodge.hitchin_residuals(hd)
                 report_lines += [
                     f"holomorphy residual: {_fmt(res['holomorphy'])}",
                     f"composite curvature sup: {_fmt(res['hs_curvature_sup'])}",
                     f"contracted curvature sup: {_fmt(res['lambda_F_sup'])}",
                 ]
                 # Refused above 10x the solver tolerance, as the Higgs extraction.
-                back = hodge.flat_from_higgs(hd, run.metric, tol=cfg.solver.tolerance,
-                                             composite=composite)
+                back = hodge.flat_from_higgs(hd, tol=cfg.solver.tolerance)
                 report_lines.append("loop, eigenvalue drift (matched multisets)")
                 for lp, lp_back in zip(conn.loops, back.loops):
-                    drift = spectrum_distance(
-                        loop_holonomy(back, lp_back.axis, lp_back.base), lp.generator
-                    )
+                    drift = spectrum_distance(lp_back.generator, lp.generator)
                     report_lines.append(f"  axis {lp.axis}: {_fmt(drift)}")
                 io(save_checkpoint, out / "final.ckpt", Checkpoint.of(state, theta=hd.theta))
         else:  # pragma: no cover - guarded by config validation

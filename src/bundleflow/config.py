@@ -27,6 +27,10 @@ SCENARIOS = (
     "higgs_roundtrip",
 )
 
+# ``smooth_random_metric`` draws Fourier modes 0..SMOOTH_MODES along each axis.
+SMOOTH_MODES = 2
+
+
 class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending field."""
 
@@ -291,9 +295,9 @@ def make_reference_metric(
 
 
 def smooth_random_metric(
-    domain: LatticeDomain, rank: int, seed: int, amplitude: float = 0.3, modes: int = 2
+    domain: LatticeDomain, rank: int, seed: int, amplitude: float = 0.3
 ) -> np.ndarray:
-    """exp of a seeded low-frequency Hermitian field; resolution-consistent.
+    """exp of a seeded Hermitian field of Fourier modes 0..SMOOTH_MODES; resolution-consistent.
 
     Coefficients are drawn once from the seed, independent of the grid size,
     so the same seed samples the same smooth field at every resolution. On
@@ -305,7 +309,7 @@ def smooth_random_metric(
     n = domain.n_sites
     a_field = np.zeros((n, rank, rank), dtype=complex)
     for b in la.hermitian_basis(rank):
-        for kx in range(modes + 1):
+        for kx in range(SMOOTH_MODES + 1):
             wave = np.ones(n)
             for a in range(domain.dim):
                 t = x[:, a] / domain.lengths[a]

@@ -208,7 +208,6 @@ class RunReport:
     history: Array                  # rows aligned with accepted steps, HISTORY_COLUMNS
     poisson_function: Array | None = None
     notes: list[str] = field(default_factory=list)
-    wall_seconds: float = 0.0
     verdict_reason: str = ""
     trial_steps: int = 0            # steps tried in this call, accepted or rejected
     rejected_steps: int = 0
@@ -343,7 +342,6 @@ def _drive(
     ``diagnostics`` (``_diagnostics`` and the monitors), the implicit
     ``solve`` and the ``update``.
     """
-    t0 = _time.perf_counter()
     domain = conn.domain
     opts.validate()
     la.check_metric(reference)
@@ -480,7 +478,6 @@ def _drive(
         logh_sup=diag["logh_sup"],
         history=np.array(state.history, dtype=float),
         notes=notes,
-        wall_seconds=_time.perf_counter() - t0,
         verdict_reason=reason,
         trial_steps=trials,
         rejected_steps=rejected,

@@ -3,8 +3,8 @@
 On a two-dimensional domain (a complex curve) the axes play the roles of
 the real and imaginary parts of a holomorphic coordinate. A Higgs datum here
 is a metric connection (edge transports with their inverses, carrying the dbar
-operator) together with a per-site Higgs field theta, the matrix coefficient
-of dz. The composite connection adds a self-adjoint one-form Psi with
+operator), a per-site Higgs field theta (the matrix coefficient of dz) and the
+metric h. The composite connection adds a self-adjoint one-form Psi with
 components ``Psi_x = theta + theta*``, ``Psi_y = i (theta - theta*)`` to the
 metric transports; its plaquette holonomies measure the composite curvature,
 and their area-normalized contraction is the contracted curvature that
@@ -27,7 +27,6 @@ from .bundle import (
     centered_derivative,
     connection_from_transports,
     covariant_d,
-    flatness_residual,
     loop_holonomy,
     plaquette_holonomies,
     psi_centered,
@@ -50,19 +49,37 @@ SOURCE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class HiggsData:
+    """Simpson's harmonic bundle (dbar, theta, h) on a complex-curve lattice."""
+
     connection: FlatConnection  # metric transports, their inverses, and the loops
     theta: Array                # (n, r, r) dz-coefficient; theta ^ theta = 0 on curves
+    metric: Array               # (n, r, r) the harmonic metric h the data belongs to
 
     def __post_init__(self):
         dom = self.connection.domain
         if dom.dim != 2:
             raise ValueError("Higgs data needs a complex-curve domain")
+        if np.shape(self.metric) != np.shape(self.theta):
+            raise ValueError("metric shape does not match the Higgs field")
+        la.check_metric(self.metric)
 
     @cached_property
     def holomorphicity_residual(self) -> float:
         """Sup of dbar theta, taken once. It vanishes in the continuum for exact
         solutions and here decays with the spacing and the solver tolerance."""
         return float(np.max(la.frobenius(_dbar_site_field(self.connection, self.theta))))
+
+    @cached_property
+    def composite(self) -> FlatConnection:
+        """``composite_transports(self)``, built once."""
+        return composite_transports(self)
+
+    @cached_property
+    def composite_curvature(self) -> tuple[Array, Array, float]:
+        """(sites, holonomies) of the composite plaquettes and their sup ``|hol - I|``."""
+        base, hol = plaquette_holonomies(self.composite)
+        eye = np.eye(self.connection.rank, dtype=complex)
+        return base, hol, float(np.max(la.specnorm(hol - eye), initial=0.0))
 
 
 def complex_split(domain: LatticeDomain, components: Array) -> tuple[Array, Array]:
@@ -122,18 +139,19 @@ def higgs_from_harmonic(
     psic = psi_centered(conn, metric, sm)
     perp = np.stack([la.tracefree(psic[a]) for a in range(2)])
     theta, _ = complex_split(dom, perp)
-    return HiggsData(replace(sm.connection, loops=conn.loops), theta)
+    return HiggsData(replace(sm.connection, loops=conn.loops), theta, metric)
 
 
 def higgs_from_parts(
     domain: LatticeDomain,
     transports: Array,
     theta: Array,
+    metric: Array,
     loops: tuple[LoopSpec, ...] = (),
 ) -> HiggsData:
-    """Assemble Higgs data directly from metric transports and a Higgs field."""
+    """Assemble Higgs data directly from metric transports, a Higgs field and its metric."""
     return HiggsData(connection_from_transports(domain, transports, loops),
-                     np.asarray(theta, dtype=complex))
+                     np.asarray(theta, dtype=complex), np.asarray(metric, dtype=complex))
 
 
 def _psi_from_theta(theta: Array, metric: Array) -> Array:
@@ -144,82 +162,61 @@ def _psi_from_theta(theta: Array, metric: Array) -> Array:
     return np.stack([psi_x, psi_y])
 
 
-def composite_transports(higgs: HiggsData, metric: Array) -> FlatConnection:
+def composite_transports(higgs: HiggsData) -> FlatConnection:
     """The composite (metric + Higgs) connection, without loops."""
     conn = higgs.connection
     dom = conn.domain
+    metric = np.asarray(higgs.metric)
     psi = _psi_from_theta(higgs.theta, metric)
     out = conn.transport.copy()
     for a in range(2):
         tails, _ = conn.edge_sites(a)
-        step = la.exp_hsa(psi[a, tails], np.asarray(metric)[tails], -dom.spacings[a])
+        step = la.exp_hsa(psi[a, tails], metric[tails], -dom.spacings[a])
         out[a, tails] = la.mm(conn.transport[a, tails], step)
     return connection_from_transports(dom, out)
 
 
-def lambda_contraction(higgs: HiggsData, metric: Array) -> Array:
+def lambda_contraction(higgs: HiggsData) -> Array:
     """Area-normalized, metric-symmetrized plaquette coefficient i (hol - 1)/area
-    of ``composite_transports(higgs, metric)``."""
-    composite = composite_transports(higgs, metric)
-    return _contraction(composite, metric, *plaquette_holonomies(composite))
-
-
-def _contraction(composite: FlatConnection, metric: Array, base: Array, hol: Array) -> Array:
-    """``lambda_contraction`` from the plaquette holonomies ``(base, hol)`` of ``composite``."""
-    dom = composite.domain
+    of the composite connection."""
+    dom, r = higgs.connection.domain, higgs.connection.rank
+    base, hol, _ = higgs.composite_curvature
     area = dom.spacings[0] * dom.spacings[1]
-    out = np.zeros((dom.n_sites, composite.rank, composite.rank), dtype=complex)
-    out[base] = 1j * (hol - np.eye(composite.rank, dtype=complex)) / area
-    out[base] = la.selfadjoint_part(out[base], np.asarray(metric)[base])
+    out = np.zeros((dom.n_sites, r, r), dtype=complex)
+    out[base] = 1j * (hol - np.eye(r, dtype=complex)) / area
+    out[base] = la.selfadjoint_part(out[base], np.asarray(higgs.metric)[base])
     return out
 
 
-def hitchin_residuals(higgs: HiggsData, metric: Array,
-                      composite: FlatConnection | None = None) -> dict:
-    """Holomorphy, composite-curvature, and contracted-curvature sup norms.
-
-    The holomorphy is the ``holomorphicity_residual`` the Higgs data carries.
-    ``composite`` is ``composite_transports(higgs, metric)`` when the caller
-    already holds it.
-    """
-    la.check_metric(metric)
-    if composite is None:
-        composite = composite_transports(higgs, metric)
-    base, hol = plaquette_holonomies(composite)
-    hs_curv = float(np.max(la.specnorm(hol - np.eye(composite.rank, dtype=complex)),
-                           initial=0.0))
-    lam = _contraction(composite, metric, base, hol)
+def hitchin_residuals(higgs: HiggsData) -> dict:
+    """Holomorphy, composite-curvature, and contracted-curvature sup norms."""
+    lam = lambda_contraction(higgs)
     return {
         "holomorphy": higgs.holomorphicity_residual,
-        "hs_curvature_sup": hs_curv,
+        "hs_curvature_sup": higgs.composite_curvature[2],
         "lambda_F_sup": float(np.max(la.frobenius(lam), initial=0.0)),
     }
 
 
-def higgs_degree_stability(
-    higgs: HiggsData,
-    reference: Array,
-    subs: list[SubBundleSpec],
-) -> StabilityReport:
+def higgs_degree_stability(higgs: HiggsData, subs: list[SubBundleSpec]) -> StabilityReport:
     """Degrees and slope verdicts for Higgs-invariant sub-bundles.
 
     The total degree integrates i tr(Lambda F); a sub-bundle subtracts the
     squared dbar-derivative of its projection (with the dzbar frame weight 2
     from |dzbar|^2 = 2 in the flat base metric). Requires the stored
-    transports to be near-isometries of the reference metric, which holds for
-    data extracted at the metric that will be audited.
+    transports to be near-isometries of the data's metric, which holds for
+    data extracted at that metric.
     """
     conn = higgs.connection
     dom = conn.domain
-    k_field = np.asarray(reference, dtype=complex)
-    la.check_metric(k_field)
+    k_field = np.asarray(higgs.metric, dtype=complex)
     for a in range(2):
         tails, heads = conn.edge_sites(a)
         w = conn.transport[a, tails]
         defect = la.frobenius(la.mm(la.mm(dagger(w), k_field[heads]), w) - k_field[tails])
         if float(defect.max()) > 1e-6 * (1.0 + float(la.frobenius(k_field).max())):
-            raise ValueError("reference metric is incompatible with the stored transports")
-    lam = lambda_contraction(higgs, k_field)
+            raise ValueError("metric is incompatible with the stored transports")
+    lam = lambda_contraction(higgs)
     total_dens = np.einsum("nii->n", lam).real
     total_deg = integrate(dom, total_dens)
     rows = []
@@ -238,23 +235,18 @@ def higgs_degree_stability(
                          "scope: verdict relative to the supplied sub-bundle list.")
 
 
-def flat_from_higgs(higgs: HiggsData, metric: Array, tol: float = 1e-5,
-                    composite: FlatConnection | None = None) -> FlatConnection:
+def flat_from_higgs(higgs: HiggsData, tol: float = 1e-5) -> FlatConnection:
     """The composite connection with its loops re-measured, as a flat connection.
 
-    Refuses a composite curvature (the sup of ``|hol - I|``, which is the
-    flatness residual of the loop-free composite) above ``CURVATURE_FACTOR *
-    tol``. ``composite`` is ``composite_transports(higgs, metric)`` when the
-    caller already holds it.
+    Refuses a composite curvature (the sup of ``|hol - I|`` the Higgs data
+    carries) above ``CURVATURE_FACTOR * tol``.
     """
-    if composite is None:
-        composite = composite_transports(higgs, metric)
-    curvature_sup = flatness_residual(composite)
+    curvature_sup = higgs.composite_curvature[2]
     if curvature_sup > CURVATURE_FACTOR * tol:
         raise ValueError(f"composite curvature {curvature_sup:.3e} too large to flatten")
-    dom = composite.domain
-    loops = tuple(LoopSpec(axis=a, base=0, generator=loop_holonomy(composite, a, 0))
-                  for a in range(2) if dom.periodic[a])
+    composite = higgs.composite
+    loops = tuple(LoopSpec(axis=a, generator=loop_holonomy(composite, a))
+                  for a in range(2) if composite.domain.periodic[a])
     return replace(composite, loops=loops)
 
 

@@ -32,6 +32,14 @@ ScaledRoot = tuple[Array, Array, Array]   # (d, Ht^{1/2}, Ht^{-1/2}), see scaled
 # it numpy's lower per-call overhead wins (crossover between 32 and 64).
 SMALL_BATCH = 64
 
+# ``check_hermitian`` refuses a site whose anti-Hermitian part exceeds
+# HERMITIAN_RTOL times its norm.
+HERMITIAN_RTOL = 1e-12
+
+# ``principal_log`` counts an eigenvalue below LOG_TOL as zero, and one within
+# LOG_TOL (relative) of the nonpositive real axis as on it.
+LOG_TOL = 1e-12
+
 
 def dagger(a: Array) -> Array:
     return np.conj(np.swapaxes(a, -1, -2))
@@ -241,19 +249,19 @@ def hermitian_basis(r: int) -> list[Array]:
     return basis
 
 
-def check_hermitian(h: Array, tol: float = 1e-12) -> None:
-    """Validate that a metric field is finite and Hermitian within ``tol`` (relative)."""
+def check_hermitian(h: Array) -> None:
+    """Validate that a metric field is finite and Hermitian within ``HERMITIAN_RTOL``."""
     if not np.all(np.isfinite(h)):
         raise ValueError("metric field is not finite")
     dev = frobenius(h - dagger(h))
     scale = frobenius(h)
-    if np.any(dev > tol * np.maximum(scale, 1e-300)):
+    if np.any(dev > HERMITIAN_RTOL * np.maximum(scale, 1e-300)):
         raise ValueError("metric field is not Hermitian within tolerance")
 
 
-def check_metric(h: Array, tol: float = 1e-12) -> None:
+def check_metric(h: Array) -> None:
     """Validate Hermiticity and positive-definiteness of a metric field."""
-    check_hermitian(h, tol)
+    check_hermitian(h)
     w = eigvalsh(hermitize(h))
     if np.any(w <= 0.0):
         raise ValueError("metric field is not positive definite")
@@ -508,7 +516,7 @@ def _expm(a: Array) -> Array:
     return np.triu(f) if triangular else f
 
 
-def principal_log(m: Array, tol: float = 1e-12) -> Array:
+def principal_log(m: Array) -> Array:
     """Principal matrix logarithm Q log(T) Q^dag; rejects spectra touching the closed negative axis.
 
     A pure function of ``m``, on its Schur form (``schur``). For a triangular
@@ -516,11 +524,13 @@ def principal_log(m: Array, tol: float = 1e-12) -> Array:
     log [[1, 1], [0, 1]] is exactly [[0, 1], [0, 0]], and log diag(lambda)
     exactly diag(log lambda).
     """
+    if not np.all(np.isfinite(m)):  # its scaling and squaring would not end
+        raise ValueError("matrix is not finite; no logarithm")
     q, t = schur(m)
     lam = np.diag(t)
-    if np.any(np.abs(lam) < tol):
+    if np.any(np.abs(lam) < LOG_TOL):
         raise ValueError("matrix is singular; no logarithm")
-    if np.any((lam.real <= 0.0) & (np.abs(lam.imag) <= tol * np.abs(lam))):
+    if np.any((lam.real <= 0.0) & (np.abs(lam.imag) <= LOG_TOL * np.abs(lam))):
         raise ValueError(
             "eigenvalue on the nonpositive real axis; supply an explicit logarithm branch"
         )

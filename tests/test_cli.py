@@ -204,6 +204,14 @@ RANKLESS_RECTANGLE = {
     # One generator for the torus's two loops: the count is checked where the
     # connection is built, from the domain kind's periodic axes.
     (None, {"domain": {"kind": "torus", "sites": [6, 6], "lengths": [1.0, 1.0]}}),
+    # A non-finite generator entry is refused where the connection is built,
+    # before its logarithm is taken.
+    (None, {"domain": {"kind": "circle", "sites": [8], "lengths": [1.0]},
+            "bundle": {"rank": 2, "monodromy": [
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("inf"), 0.0]]]]}}),
+    (None, {"domain": {"kind": "circle", "sites": [8], "lengths": [1.0]},
+            "bundle": {"rank": 2, "monodromy": [
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]]]}}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     # A case without a block gives its overrides of the whole config.
@@ -547,13 +555,15 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     # The metric connection takes V^{-1} from the split and the composite
     # connection carries its own inverse, so the round trip inverts two stacks:
     # the flat transports and the composite ones, both in
-    # connection_from_transports. dbar theta is taken once, when the Higgs data
-    # is built; the plaquette holonomies once for the residuals and once for
-    # flat_from_higgs's curvature check. The flow splits the connection at the
+    # connection_from_transports. The Higgs data takes dbar theta, and builds
+    # the composite connection and its plaquette holonomies, once each: the
+    # residuals and flat_from_higgs's curvature check share them. The flow
+    # splits the connection at the
     # reference and at the det-normalized metric, and takes the tension at
     # each; the Higgs extraction reuses the second split and its tension: two
     # splits and two tensions in all.
-    inverted, counts = [], {"dbar": 0, "plaquettes": 0, "split": 0, "tension": 0}
+    inverted = []
+    counts = {"dbar": 0, "composite": 0, "plaquettes": 0, "split": 0, "tension": 0}
     real_inv = np.linalg.inv
 
     def inv(a):
@@ -568,6 +578,8 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
 
     monkeypatch.setattr(np.linalg, "inv", inv)
     monkeypatch.setattr(hodge, "_dbar_site_field", counting("dbar", hodge._dbar_site_field))
+    monkeypatch.setattr(hodge, "composite_transports",
+                        counting("composite", hodge.composite_transports))
     plaquettes = counting("plaquettes", bundle.plaquette_holonomies)
     monkeypatch.setattr(hodge, "plaquette_holonomies", plaquettes)
     monkeypatch.setattr(bundle, "plaquette_holonomies", plaquettes)
@@ -585,7 +597,7 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     )
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
     assert inverted == ["connection_from_transports"] * 2
-    assert counts == {"dbar": 1, "plaquettes": 2, "split": 2, "tension": 2}
+    assert counts == {"dbar": 1, "composite": 1, "plaquettes": 1, "split": 2, "tension": 2}
 
 
 def test_higgs_roundtrip_refuses_above_ten_times_the_tolerance(tmp_path, monkeypatch):
@@ -621,8 +633,8 @@ def test_higgs_roundtrip_refuses_a_curved_composite(tmp_path, capsys, monkeypatc
     # the solver tolerance; the round trip refuses to flatten it.
     real = hodge.composite_transports
 
-    def bent(hd, metric):
-        composite = real(hd, metric)
+    def bent(hd):
+        composite = real(hd)
         transport = composite.transport.copy()
         transport[0, 5] = transport[0, 5] @ np.diag([1.001, 1.0])
         return bundle.connection_from_transports(composite.domain, transport)

@@ -3,7 +3,8 @@ import pytest
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.hodge import composite_transports, higgs_from_parts
+from bundleflow import hodge
+from bundleflow.hodge import higgs_from_parts
 
 from util import TWO_PI, identity_metric, random_metric
 
@@ -116,7 +117,7 @@ def test_hitchin_residuals_unitary_flat():
     dom, conn = unitary_torus()
     h = identity_metric(dom.n_sites, 2)
     hd = bf.higgs_from_harmonic(conn, h)
-    res = bf.hitchin_residuals(hd, h)
+    res = bf.hitchin_residuals(hd)
     assert res["hs_curvature_sup"] < 1e-10
     assert res["lambda_F_sup"] < 1e-8
     assert res["holomorphy"] < 1e-10
@@ -130,9 +131,9 @@ def test_hitchin_residuals_detect_nonholomorphic_perturbation():
     eps = 1e-3
     wave = np.exp(1j * x[:, 0])  # dz-coefficient varying anti-holomorphically
     theta2 = hd.theta + eps * wave[:, None, None] * np.diag([1.0, -1.0])
-    hd2 = higgs_from_parts(dom, hd.connection.transport, theta2, loops=hd.connection.loops)
-    base = bf.hitchin_residuals(hd, h)["holomorphy"]
-    got = bf.hitchin_residuals(hd2, h)["holomorphy"] - base
+    hd2 = higgs_from_parts(dom, hd.connection.transport, theta2, h, loops=hd.connection.loops)
+    base = bf.hitchin_residuals(hd)["holomorphy"]
+    got = bf.hitchin_residuals(hd2)["holomorphy"] - base
     assert got == pytest.approx(eps * 0.5 * np.sqrt(2.0), rel=0.2)
 
 
@@ -144,7 +145,7 @@ def test_higgs_degree_trivial_zero():
     h = identity_metric(dom.n_sites, 2)
     hd = bf.higgs_from_harmonic(conn, h)
     subs = bf.invariant_subbundles(conn, h)
-    rep = bf.higgs_degree_stability(hd, h, subs)
+    rep = bf.higgs_degree_stability(hd, subs)
     assert abs(rep.total_degree) < 1e-10
 
 
@@ -154,7 +155,7 @@ def test_higgs_sub_degrees_match_flat_side():
     hd = bf.higgs_from_harmonic(conn, k)
     subs = bf.invariant_subbundles(conn, k)
     flat_degs = sorted(bf.degree(conn, k, sub=s) for s in subs)
-    rep = bf.higgs_degree_stability(hd, k, subs)
+    rep = bf.higgs_degree_stability(hd, subs)
     higgs_degs = sorted(r.degree for r in rep.rows)
     h2 = max(dom.spacings) ** 2
     for a, b in zip(flat_degs, higgs_degs):
@@ -169,45 +170,70 @@ def test_higgs_degree_rejects_noninvariant_sub():
         conn, k, candidates=[np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)]
     )
     with pytest.raises(ValueError, match="invariant"):
-        bf.higgs_degree_stability(hd, k, bad)
+        bf.higgs_degree_stability(hd, bad)
 
 
 # ----------------------------------------------------------------- roundtrip
 
 
-def test_flat_from_higgs_reuses_the_passed_composite():
+def test_higgs_data_builds_its_composite_once(monkeypatch):
     dom, conn = unimodular_torus(n=12)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
+    built = []
+    real = hodge.composite_transports
+
+    def counted(higgs):
+        built.append(higgs)
+        return real(higgs)
+
+    monkeypatch.setattr(hodge, "composite_transports", counted)
     hd = bf.higgs_from_harmonic(conn, run.metric)
-    composite = composite_transports(hd, run.metric)
+    res = bf.hitchin_residuals(hd)
+    back = bf.flat_from_higgs(hd)
+    assert len(built) == 1 and built[0] is hd
+    composite = hd.composite
     assert composite.loops == ()
     assert np.abs(composite.transport_inv @ composite.transport - np.eye(2)).max() < 1e-12
-    res = bf.hitchin_residuals(hd, run.metric, composite)
-    assert res == bf.hitchin_residuals(hd, run.metric)
     assert res["holomorphy"] == hd.holomorphicity_residual
     assert res["hs_curvature_sup"] == bf.flatness_residual(composite)
-    plain = bf.flat_from_higgs(hd, run.metric)
-    passed = bf.flat_from_higgs(hd, run.metric, composite=composite)
-    assert passed.transport is composite.transport
-    assert np.array_equal(passed.transport, plain.transport)
-    assert np.array_equal(passed.transport_inv, plain.transport_inv)
-    assert len(passed.loops) == len(plain.loops) == 2
-    for a, b in zip(passed.loops, plain.loops):
-        assert (a.axis, a.base) == (b.axis, b.base)
-        assert np.array_equal(a.generator, b.generator)
-    # the curvature check reads the passed composite: one bent edge is refused
-    bent = composite.transport.copy()
-    bent[0, 5] = bent[0, 5] @ np.diag([1.001, 1.0])
+    assert back.transport is composite.transport
+    assert [lp.axis for lp in back.loops] == [0, 1]
+    for lp in back.loops:
+        assert np.array_equal(lp.generator, bf.loop_holonomy(composite, lp.axis))
+    # new data at the same metric builds its own composite, once
+    hd2 = bf.higgs_from_harmonic(conn, run.metric)
+    bf.flat_from_higgs(hd2)
+    bf.hitchin_residuals(hd2)
+    assert len(built) == 2 and built[1] is hd2
+
+    # the curvature check reads the composite the data builds: one bent edge is refused
+    def bent(higgs):
+        transport = real(higgs).transport.copy()
+        transport[0, 5] = transport[0, 5] @ np.diag([1.001, 1.0])
+        return bf.connection_from_transports(dom, transport)
+
+    monkeypatch.setattr(hodge, "composite_transports", bent)
     with pytest.raises(ValueError, match="curvature"):
-        bf.flat_from_higgs(hd, run.metric, tol=1e-6,
-                           composite=bf.connection_from_transports(dom, bent))
+        bf.flat_from_higgs(bf.higgs_from_harmonic(conn, run.metric), tol=1e-6)
+
+
+def test_higgs_data_refuses_a_metric_that_is_not_one():
+    dom, conn = unitary_torus(n=6)
+    h = identity_metric(dom.n_sites, 2)
+    theta = np.zeros((dom.n_sites, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="shape"):
+        higgs_from_parts(dom, conn.transport, theta, h[:-1])
+    negative = h.copy()
+    negative[3] = -negative[3]
+    with pytest.raises(ValueError, match="positive definite"):
+        higgs_from_parts(dom, conn.transport, theta, negative)
 
 
 def test_flat_from_higgs_unitary_returns_original():
     dom, conn = unitary_torus(n=8)
     h = identity_metric(dom.n_sites, 2)
     hd = bf.higgs_from_harmonic(conn, h)
-    back = bf.flat_from_higgs(hd, h)
+    back = bf.flat_from_higgs(hd)
     assert np.abs(back.transport - conn.transport).max() < 1e-12
 
 
@@ -215,9 +241,9 @@ def test_round_trip_preserves_holonomy_spectra():
     dom, conn = unimodular_torus(n=16)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
     hd = bf.higgs_from_harmonic(conn, run.metric)
-    back = bf.flat_from_higgs(hd, run.metric)
+    back = bf.flat_from_higgs(hd)
     for lp, gen in zip(back.loops, [np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3.0])]):
-        hol = bf.loop_holonomy(back, lp.axis, 0)
+        hol = bf.loop_holonomy(back, lp.axis)
         assert la.spectrum_distance(hol, gen) < 1e-4
 
 
@@ -229,8 +255,8 @@ def test_round_trip_rank1_unitarizes_the_monodromy():
     conn = bf.from_monodromy(dom, [np.array([[2.0]]), np.array([[1.0]])])
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 1))
     hd = bf.higgs_from_harmonic(conn, run.metric)
-    back = bf.flat_from_higgs(hd, run.metric)
-    hol = bf.loop_holonomy(back, 0, 0)
+    back = bf.flat_from_higgs(hd)
+    hol = bf.loop_holonomy(back, 0)
     assert abs(hol[0, 0] - 1.0) < 1e-8
 
 
@@ -240,9 +266,9 @@ def test_flat_from_higgs_rejects_curved_data():
     w = np.broadcast_to(np.eye(1, dtype=complex), (2, n, 1, 1)).copy()
     ix = np.arange(n) // 10
     w[1, :, 0, 0] = np.exp(1j * 0.5 * ix)
-    hd = higgs_from_parts(dom, w, np.zeros((n, 1, 1), dtype=complex))
+    hd = higgs_from_parts(dom, w, np.zeros((n, 1, 1), dtype=complex), identity_metric(n, 1))
     with pytest.raises(ValueError, match="curvature"):
-        bf.flat_from_higgs(hd, identity_metric(n, 1), tol=1e-6)
+        bf.flat_from_higgs(hd, tol=1e-6)
 
 
 # -------------------------------------------------------------- parallelism

@@ -289,6 +289,10 @@ def test_log_refuses_singular_and_negative_axis_spectra():
         la.principal_log(np.diag([-2.0, 1.0]))
     with pytest.raises(ValueError, match="nonpositive real axis"):
         la.fractional_power(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+    # A non-finite entry is refused before the scaling and squaring, which would not end.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^matrix is not finite; no logarithm$"):
+            la.principal_log(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_bundleflow_runs_without_scipy():

@@ -79,7 +79,7 @@ def seam_gauge_circle(n: int, length: float, mu: float):
     dom = bf.build_domain("circle", n, length)
     transports = np.broadcast_to(np.eye(1, dtype=complex), (1, n, 1, 1)).copy()
     transports[0, n - 1, 0, 0] = mu
-    loops = (bf.LoopSpec(axis=0, base=0, generator=np.array([[mu]], dtype=complex)),)
+    loops = (bf.LoopSpec(axis=0, generator=np.array([[mu]], dtype=complex)),)
     return dom, bf.connection_from_transports(dom, transports, loops)
 
 
