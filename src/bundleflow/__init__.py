@@ -10,7 +10,6 @@ from .bundle import (
     codifferential,
     connection_from_transports,
     covariant_d,
-    energy,
     flatness_residual,
     from_monodromy,
     gauge_transform,
@@ -18,7 +17,6 @@ from .bundle import (
     invariant_subbundles,
     loop_holonomy,
     plaquette_holonomies,
-    psi_centered,
     split_metric,
     tension,
 )

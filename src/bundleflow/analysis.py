@@ -16,13 +16,13 @@ import numpy as np
 from . import linalg as la
 from .bundle import (
     FlatConnection,
+    SplitMetric,
     SubBundleSpec,
     _invariance_residual,
     centered_components,
     centered_derivative,
     covariant_d,
     invariant_subbundles,
-    psi_centered,
     reference_difference,
     split_metric,
     tension,
@@ -264,7 +264,7 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     la.check_metric(k)
     h_rel = np.linalg.solve(k, h)
     sm_k = split_metric(conn, k)
-    diff = tension(conn, h) - tension(conn, k, sm_k)
+    diff = tension(conn, h) - sm_k.tension
 
     # left side and Laplacian term
     lhs = np.einsum("nij,nji->n", diff, h_rel).real
@@ -469,16 +469,17 @@ def bochner_residual(
         raise ValueError("snapshots are misaligned")
     dom = conn.domain
 
-    def dens(hf: Array) -> tuple[Array, Array]:
-        psic = psi_centered(conn, hf)
+    def dens(hf: Array) -> tuple[Array, Array, SplitMetric]:
+        sm = split_metric(conn, hf)
+        psic = centered_components(conn, sm.psi)
         d = np.zeros(dom.n_sites)
         for a in range(dom.dim):
             d += la.endo_norm2(psic[a], hf)
-        return d, psic
+        return d, psic, sm
 
-    d_prev, _ = dens(h_prev)
-    d_mid, psic = dens(h_mid)
-    d_next, _ = dens(h_next)
+    d_prev = dens(h_prev)[0]
+    d_mid, psic, sm = dens(h_mid)
+    d_next = dens(h_next)[0]
     time_term = (d_next - d_prev) / (2.0 * dt)
     lap = laplacian(dom, d_mid)
 
@@ -486,7 +487,6 @@ def bochner_residual(
     if dom.dim == 2:
         comm = la.commutator(psic[0], psic[1])
         rhs -= 4.0 * la.endo_norm2(comm, h_mid)
-    sm = split_metric(conn, h_mid)
     for b in range(dom.dim):
         grad_b = centered_derivative(sm.connection, psic[b])
         for a in range(dom.dim):

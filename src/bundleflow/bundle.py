@@ -24,11 +24,18 @@ so the tension field below is the exact gradient of the edge energy
 ``E(H) = sum_e w_e |psi_H(e)|^2`` under the metric pairing
 ``<v, Q> = sum_x vol_x Re tr(v Q)``; the heat flow defined on top of it is a
 genuine discrete gradient flow.
+
+``split_metric`` returns a ``SplitMetric`` that holds the connection it split
+and the metric it split at, so everything derived from the split reads that
+one object: the codifferential takes the split, and the tension and the
+energy are its cached properties. An operator therefore cannot pair a split
+with a metric other than its own.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -286,39 +293,60 @@ def centered_components(conn: FlatConnection, omega: Array) -> Array:
 
 @dataclass(frozen=True)
 class SplitMetric:
-    """Metric splitting of a flat connection: one-form psi and metric connection.
+    """The flat connection split at one metric, and what is derived from the split.
 
+    ``flat`` is the connection D that was split and ``metric`` the H it was
+    split at; ``psi`` and ``connection`` are the two parts of ``D = D_H + psi_H``.
     ``shift`` holds ``V_e - I`` computed as a small quantity rather than by
     subtracting the identity from V, so that transporting a one-form,
     ``V omega V^{-1} - omega = [V - I, omega] V^{-1}``, keeps its relative
-    precision when V is the identity to roundoff.
+    precision when V is the identity to roundoff. ``tension`` and ``energy``
+    are taken from the split when first read and kept with it.
     """
 
+    flat: FlatConnection        # D, the connection that was split
+    metric: Array               # (n, r, r) H, the metric it was split at
     psi: Array                  # (dim, n, r, r) forward-edge values, exactly H-self-adjoint
     connection: FlatConnection  # D_H: V_e = U_e exp(+h psi), V_e^{-1} = P_e^{1/2} U_e^{-1}
     shift: Array                # (dim, n, r, r) V_e - I
     root: la.ScaledRoot         # linalg.scaled_sqrt(H), the split's one eigendecomposition
 
+    @cached_property
+    def energy(self) -> float:
+        """Edge energy sum_e w_e |psi_H(e)|^2, the flow's Lyapunov functional."""
+        dom = self.flat.domain
+        total = 0.0
+        for a in range(dom.dim):
+            total += float(np.sum(dom.edge_weight[a] * la.hsa_norm2(self.psi[a])))
+        return total
 
-def split_metric(
-    conn: FlatConnection, metric: Array, root: la.ScaledRoot | None = None
-) -> SplitMetric:
+    @cached_property
+    def tension(self) -> Array:
+        """Gradient of the edge energy under the metric pairing (the flow's drive).
+
+        The codifferential of psi: exactly the energy gradient and exactly
+        H-self-adjoint. Its self-adjoint part is taken through the split's
+        scaled root of H, with no solve. The flow steps along this field, and
+        the brute-force oracle checks it.
+        """
+        return la.selfadjoint_part(codifferential(self, self.psi), self.metric, self.root)
+
+
+def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
     """Split the connection at ``metric``, edge by edge, without forming P.
 
     With ``N = U - I`` the edge difference ``U^dag H(y) U - H(x)`` is
     assembled as ``(H(y) - H(x)) + N^dag H(y) + H(y) N + N^dag H(y) N`` and
     handed to ``linalg.comparison_functions``; psi, V and V - I follow from
     that difference without losing the digits of P - I. The scaled square
-    root of H is computed once over all sites (``root``, when the caller
-    already holds ``linalg.scaled_sqrt(metric)``) and gathered at the tails
-    of each axis; computing it also checks that H is positive definite. The
+    root of H is computed once over all sites and gathered at the tails of
+    each axis; computing it also checks that H is positive definite. The
     split keeps it as ``root`` for the operators that solve against H.
     """
     dom = conn.domain
     h_field = np.asarray(metric, dtype=complex)
     la.check_hermitian(h_field)
-    if root is None:
-        root = la.scaled_sqrt(h_field)
+    root = la.scaled_sqrt(h_field)
     eye = np.eye(conn.rank, dtype=complex)
     psi = np.zeros_like(conn.transport)
     vt = conn.transport.copy()
@@ -338,41 +366,19 @@ def split_metric(
         vt[a, tails] = u + u_pmh
         vt_inv[a, tails] = u_inv + la.mm(pph, u_inv)
         shift[a, tails] = n + u_pmh
-    return SplitMetric(psi=psi, connection=FlatConnection(dom, conn.rank, vt, vt_inv),
+    return SplitMetric(flat=conn, metric=h_field, psi=psi,
+                       connection=FlatConnection(dom, conn.rank, vt, vt_inv),
                        shift=shift, root=root)
 
 
-def psi_centered(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -> Array:
-    """Site-centered components of the splitting one-form."""
-    if sm is None:
-        sm = split_metric(conn, metric)
-    return centered_components(conn, sm.psi)
-
-
-def energy(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -> float:
-    """Edge energy sum_e w_e |psi_H(e)|^2, the flow's Lyapunov functional."""
-    if sm is None:
-        sm = split_metric(conn, metric)
-    dom = conn.domain
-    total = 0.0
-    for a in range(dom.dim):
-        total += float(np.sum(dom.edge_weight[a] * la.hsa_norm2(sm.psi[a])))
-    return total
-
-
-def codifferential(
-    conn: FlatConnection,
-    metric: Array,
-    omega: Array,
-    sm: SplitMetric | None = None,
-) -> Array:
+def codifferential(sm: SplitMetric, omega: Array) -> Array:
     """Exact adjoint of the metric covariant difference on one-forms.
 
     Defined so that ``<D_H sigma, omega> = <sigma, codifferential(omega)>``
     holds identically under the weighted pairings (on closed domains for all
     sigma; on bounded domains for sigma supported away from the boundary),
-    with ``D_H`` the covariant difference along the metric transports of
-    ``sm`` (split at ``metric`` when not given).
+    with ``D_H`` the covariant difference along the metric transports of the
+    split ``sm``.
 
     Each edge contributes ``w V omega V^{-1}`` at its head and ``-w omega`` at
     its tail. The head term is summed as ``w omega`` plus the transport
@@ -383,10 +389,9 @@ def codifferential(
     axis the heads are distinct, and so are the tails, so each scatter adds
     every site's term once.
     """
+    conn = sm.flat
     dom = conn.domain
-    if sm is None:
-        sm = split_metric(conn, metric)
-    flux = np.zeros_like(np.asarray(metric, dtype=complex))
+    flux = np.zeros_like(sm.metric)
     turned = np.zeros_like(flux)
     for a in range(dom.dim):
         tails, heads = conn.edge_sites(a)
@@ -399,18 +404,9 @@ def codifferential(
     return (flux + turned) / dom.volume[:, None, None]
 
 
-def tension(conn: FlatConnection, metric: Array, sm: SplitMetric | None = None) -> Array:
-    """Gradient of the edge energy under the metric pairing (the flow's drive).
-
-    The codifferential of the splitting one-form ``sm`` (split at ``metric``
-    when not given): exactly the energy gradient and exactly H-self-adjoint.
-    Its self-adjoint part is taken through the split's scaled root of H, with
-    no solve. The flow steps along this field, and the brute-force oracle
-    checks it.
-    """
-    if sm is None:
-        sm = split_metric(conn, metric)
-    return la.selfadjoint_part(codifferential(conn, metric, sm.psi, sm), metric, sm.root)
+def tension(conn: FlatConnection, metric: Array) -> Array:
+    """``split_metric(conn, metric).tension``: the tension of a metric with no split at hand."""
+    return split_metric(conn, metric).tension
 
 
 def covariant_laplacian(

@@ -8,8 +8,9 @@ Layout: a header line of comma-separated ``key value`` pairs: ``rank`` and
 ``sites`` (the metric's shape), ``time``, ``step``, ``dt`` (the next step's;
 0 for the default of the run's step), ``streak``, ``grown``, ``latch`` (0 or
 1) and, once measured, ``logh_prev`` (absent loads as None); the floats are
-finite and dt is not negative. Then one line per site with the row-major
-complex entries of H written as ``re im`` pairs.
+finite, and dt, ``step``, ``streak`` and ``grown`` are not negative. Then one
+line per site with the row-major complex entries of H written as ``re im``
+pairs.
 An optional ``theta`` marker line introduces a second per-site block with the
 same layout. Floats are written with shortest round-trip precision, so a
 save/load cycle is bit-exact.
@@ -133,12 +134,15 @@ def load_checkpoint(path) -> Checkpoint:
         dt = float(header.get("dt", 0.0))
         streak = int(header.get("streak", 0))
         grown = int(header.get("grown", 0))
-        latch = bool(int(header.get("latch", 1)))
+        latch = int(header.get("latch", 1))
         logh_prev = float(header["logh_prev"]) if "logh_prev" in header else None
     except (KeyError, ValueError) as exc:
         raise ValueError(f"checkpoint line 1: malformed header {lines[0]!r}") from exc
     if rank < 1 or sites < 1:
         raise ValueError(f"checkpoint line 1: rank and sites must be positive in {lines[0]!r}")
+    if min(step, streak, grown) < 0 or latch not in (0, 1):
+        raise ValueError("checkpoint line 1: step, streak and grown must not be negative and "
+                         f"latch must be 0 or 1 in {lines[0]!r}")
     if not np.isfinite([time, dt, 0.0 if logh_prev is None else logh_prev]).all() or dt < 0:
         raise ValueError("checkpoint line 1: time, dt and logh_prev must be finite and dt "
                          f"not negative in {lines[0]!r}")
@@ -150,5 +154,5 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"checkpoint line {pos + 1}: unexpected line after the site blocks")
     return Checkpoint(
         rank=rank, sites=sites, time=time, step=step, dt=dt, streak=streak,
-        metric=metric, theta=theta, grown=grown, latch=latch, logh_prev=logh_prev,
+        metric=metric, theta=theta, grown=grown, latch=bool(latch), logh_prev=logh_prev,
     )

@@ -211,8 +211,7 @@ def run_scenario(
                 status = _VERDICT_STATUS.get(run.verdict, 0)
                 report_lines.append("round trip aborted: no Poisson metric")
             else:
-                hd = hodge.higgs_from_harmonic(conn, run.metric, tension_tol=cfg.solver.tolerance,
-                                               sm=run.split, tension_field=run.tension)
+                hd = hodge.higgs_from_harmonic(run.split, tension_tol=cfg.solver.tolerance)
                 res = hodge.hitchin_residuals(hd)
                 report_lines += [
                     f"holomorphy residual: {_fmt(res['holomorphy'])}",

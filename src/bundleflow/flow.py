@@ -53,7 +53,7 @@ the verdict's energy outruns the precision of an independent check.
 Each trial takes one eigendecomposition of its metric. ``_diagnostics``
 splits the connection at the trial metric, which computes its scaled square
 root ``(d, Ht^{1/2}, Ht^{-1/2})`` (``linalg.scaled_sqrt``, kept as
-``SplitMetric.root``); ``bundle.tension`` reads it from the split, and the
+``SplitMetric.root``); the split's ``tension`` reads it, and the
 next trial's ``metric_exp_update`` takes it from the accepted state instead
 of factoring H again. K^{-1/2} of the fixed
 reference is computed once per solve, and sigma is read off the relative
@@ -92,9 +92,7 @@ from .bundle import (
     SplitMetric,
     covariant_d,
     covariant_laplacian,
-    energy,
     split_metric,
-    tension,
 )
 from .mesh import LatticeDomain, flat_preconditioner, sublevel_domain
 
@@ -206,6 +204,7 @@ class RunReport:
     sigma_sup: float
     logh_sup: float
     history: Array                  # rows aligned with accepted steps, HISTORY_COLUMNS
+    split: SplitMetric              # bundle.split_metric at ``metric``: its tension, psi, root
     poisson_function: Array | None = None
     notes: list[str] = field(default_factory=list)
     verdict_reason: str = ""
@@ -216,8 +215,6 @@ class RunReport:
     step_kind: str = "explicit"     # "implicit" | "explicit": the step the run took
     cg_iterations: int = 0          # CG iterations of the implicit solves, over all trials
     cg_iterations_max: int = 0      # the most CG iterations in one trial
-    split: SplitMetric | None = None  # bundle.split_metric at ``metric``
-    tension: Array | None = None      # bundle.tension at ``metric``, from ``split``
 
 
 def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
@@ -233,23 +230,21 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
 
 
 def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
-    """Tension, energy and residuals of one metric, from one split of it.
+    """The split of one metric and the residuals of its tension.
 
-    Returns ``bundle.tension`` as the heat flow's step ``direction``, the
-    ``bundle.energy`` that step control compares, the residuals
-    ``residual_sup``, ``residual_l2`` and ``tracefree_sup``, and the
-    ``residual_floor`` below which a residual certifies nothing. Both
-    operators read the one split at H, which is returned as ``split``: the
-    step taken from this metric, explicit or implicit
-    (``_implicit_direction``), reuses its scaled square root of H
-    (``linalg.scaled_sqrt``) and its metric transports, and the run's report
-    hands the final split and tension on (``RunReport.split``, ``RunReport.tension``).
+    Returns the ``split`` at H, whose ``tension`` is the heat flow's step
+    direction and whose ``energy`` step control compares, with the residuals
+    ``residual_sup``, ``residual_l2`` and ``tracefree_sup`` and the
+    ``residual_floor`` below which a residual certifies nothing. The step
+    taken from this metric, explicit or implicit (``_implicit_direction``),
+    reads the split's tension, scaled square root of H
+    (``linalg.scaled_sqrt``) and metric transports, and the run's report
+    hands the final split on (``RunReport.split``).
     """
     sm = split_metric(conn, h_field)
-    t_field = tension(conn, h_field, sm)
     dom = conn.domain
-    site_norm = la.hsa_norm(t_field)
-    tf_norm = la.hsa_norm(la.tracefree(t_field))
+    site_norm = la.hsa_norm(sm.tension)
+    tf_norm = la.hsa_norm(la.tracefree(sm.tension))
     active = dom.interior_mask()
     res_sup = float(site_norm[active].max())
     res_l2 = float(np.sqrt(np.sum(dom.volume[active] * site_norm[active] ** 2)))
@@ -262,9 +257,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
         flux[tails] += size
     floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
     return {
-        "direction": t_field,
         "split": sm,
-        "energy": energy(conn, h_field, sm),
         "residual_sup": res_sup,
         "residual_l2": res_l2,
         "tracefree_sup": tf_sup,
@@ -272,12 +265,11 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
     }
 
 
-def _implicit_direction(metric_conn: FlatConnection, root: la.ScaledRoot, q: Array,
-                        dt: float) -> tuple[Array, int]:
+def _implicit_direction(sm: SplitMetric, dt: float) -> tuple[Array, int]:
     """The linearly implicit Euler direction, ``(M + dt L_V) S = M Q``, and its CG iterations.
 
     ``L_V`` is ``bundle.covariant_laplacian`` along the metric transports of
-    the split at H, M the site volumes and Q the tension. The unknowns are
+    the split ``sm`` at H, M the site volumes and Q the split's tension. The unknowns are
     the interior sites (every site of a closed domain); S vanishes on the
     boundary, where ``_drive`` holds H at K. The step ``H exp(2 dt S)`` is
     backward Euler for the heat flow, with the tension at the new metric
@@ -289,12 +281,12 @@ def _implicit_direction(metric_conn: FlatConnection, root: la.ScaledRoot, q: Arr
     has ``<b, x_k> = x_k^T A x_k > 0``, that is ``<Q, S>_M > 0``, so even a
     capped S descends the energy, and ``_drive``'s energy test judges it.
     """
-    dom = metric_conn.domain
-    g, g_inv = la.orthonormal_frame(root)
-    lap = covariant_laplacian(metric_conn, (g, g_inv))
+    dom = sm.flat.domain
+    g, g_inv = la.orthonormal_frame(sm.root)
+    lap = covariant_laplacian(sm.connection, (g, g_inv))
     precondition = flat_preconditioner(dom, dt)
     mass = dom.volume[:, None, None]
-    b = mass * la.mm(la.mm(g, q), g_inv)
+    b = mass * la.mm(la.mm(g, sm.tension), g_inv)
     b[dom.boundary] = 0.0
     x = np.zeros_like(b)
     res = b
@@ -324,8 +316,8 @@ def _drive(
 ) -> RunReport:
     """The adaptive multiplicative flow that every solver runs.
 
-    Each trial steps from the accepted metric along its tension
-    (``_diagnostics``), or with ``implicit`` along the linearly implicit
+    Each trial steps from the accepted metric along the tension of its
+    split (``_diagnostics``), or with ``implicit`` along the linearly implicit
     direction for the current dt (``_implicit_direction``). ``_drive`` adds
     the monitors against the reference (sup ||log h||, the logdet range,
     sigma) and owns step control, the verdicts, the reset of boundary sites
@@ -340,7 +332,8 @@ def _drive(
     schedule (module docstring); the report's notes count the steps it
     doubled dt on. The report's ``phase_seconds`` holds the wall time of the
     ``diagnostics`` (``_diagnostics`` and the monitors), the implicit
-    ``solve`` and the ``update``.
+    ``solve`` and the ``update``. Its ``split`` is the split of its final
+    ``metric``, whose own array the split holds, with the tension read.
     """
     domain = conn.domain
     opts.validate()
@@ -388,11 +381,10 @@ def _drive(
         if settled:
             verdict, reason = settled
             break
-        direction = diag["direction"]
+        direction = diag["split"].tension
         if implicit:
             start = _time.perf_counter()
-            direction, iterations = _implicit_direction(diag["split"].connection,
-                                                        diag["split"].root, direction, state.dt)
+            direction, iterations = _implicit_direction(diag["split"], state.dt)
             phases["solve"] += _time.perf_counter() - start
             cg_total += iterations
             cg_max = max(cg_max, iterations)
@@ -402,8 +394,8 @@ def _drive(
         trial[domain.boundary] = reference[domain.boundary]
         phases["update"] += _time.perf_counter() - start
         diag_trial = diagnose(trial)
-        slack = ENERGY_RTOL * diag["energy"]
-        if diag_trial["energy"] > diag["energy"] + slack:
+        energy, energy_trial = diag["split"].energy, diag_trial["split"].energy
+        if energy_trial > energy + ENERGY_RTOL * energy:
             rejected += 1
             state.dt *= 0.5
             state.accepted_since_growth = 0
@@ -413,7 +405,7 @@ def _drive(
                 reason = "step size collapsed below 1e-300"
                 break
             continue
-        rises += diag_trial["energy"] > diag["energy"]
+        rises += energy_trial > energy
         dt_used = state.dt
         state.metric = trial
         state.time += dt_used
@@ -460,8 +452,9 @@ def _drive(
     if tracefree and verdict == "converged":
         h_final = _det_normalize(reference, state.metric, ref_isqrt)
         h_final[domain.boundary] = reference[domain.boundary]
-        # Free the diagnostics of the unnormalized metric before the
-        # recompute, which is the memory peak of a solve that converges at once.
+        # Free the diagnostics of the unnormalized metric, its split and tension
+        # included, before the recompute, which is the memory peak of a solve
+        # that converges at once.
         del diag
         diag = diagnose(h_final)
         state.metric = h_final
@@ -470,10 +463,10 @@ def _drive(
         verdict=verdict,
         steps=state.step,
         time=state.time,
-        metric=state.metric,
+        metric=diag["split"].metric,
         residual_sup=diag["residual_sup"],
         tracefree_residual_sup=diag["tracefree_sup"],
-        energy=diag["energy"],
+        energy=diag["split"].energy,
         sigma_sup=diag["sigma_sup"],
         logh_sup=diag["logh_sup"],
         history=np.array(state.history, dtype=float),
@@ -487,7 +480,6 @@ def _drive(
         cg_iterations=cg_total,
         cg_iterations_max=cg_max,
         split=diag["split"],
-        tension=diag["direction"],
     )
     return report
 
@@ -516,7 +508,7 @@ def _row(state: FlowState, dt: float, diag: dict) -> tuple:
         state.step,
         state.time,
         dt,
-        diag["energy"],
+        diag["split"].energy,
         diag["residual_sup"],
         diag["residual_l2"],
         diag["tracefree_sup"],
@@ -620,7 +612,7 @@ def solve_poisson(
     report = _drive(conn, reference, opts, tracefree=True, implicit=implicit, init=init,
                     callback=callback)
     report.notes[:0] = notes
-    report.poisson_function = (np.einsum("nii->n", report.tension) / conn.rank).real
+    report.poisson_function = (np.einsum("nii->n", report.split.tension) / conn.rank).real
     return report
 
 

@@ -24,14 +24,12 @@ from .bundle import (
     LoopSpec,
     SplitMetric,
     SubBundleSpec,
+    centered_components,
     centered_derivative,
     connection_from_transports,
     covariant_d,
     loop_holonomy,
     plaquette_holonomies,
-    psi_centered,
-    split_metric,
-    tension,
 )
 from .linalg import dagger
 from .mesh import LatticeDomain, integrate
@@ -105,41 +103,31 @@ def _dbar_site_field(conn: FlatConnection, field: Array, theta: Array | None = N
     return out
 
 
-def higgs_from_harmonic(
-    conn: FlatConnection,
-    metric: Array,
-    tension_tol: float = 1e-7,
-    sm: SplitMetric | None = None,
-    tension_field: Array | None = None,
-) -> HiggsData:
+def higgs_from_harmonic(sm: SplitMetric, tension_tol: float = 1e-7) -> HiggsData:
     """Higgs structure carried by a harmonic (or Poisson) metric on a curve.
 
-    theta is the dz-part of the trace-free splitting one-form in site-centered
-    components; the metric transports carry the dbar operator. The metric is
-    accepted when the trace-free part of its tension is below ``10 *
-    tension_tol``: a Poisson metric's tension is a scalar multiple of the
-    identity at each site, which theta does not see. ``sm`` is the split at
-    ``metric`` and ``tension_field`` its tension when the caller already holds
-    them (a solve's ``RunReport.split`` and ``RunReport.tension``); otherwise
-    they are computed here.
+    ``sm`` is the flat connection split at the metric (``bundle.split_metric``,
+    or a solve's ``RunReport.split``). theta is the dz-part of the trace-free
+    splitting one-form in site-centered components; the metric transports
+    carry the dbar operator. The metric is accepted when the trace-free part
+    of the split's tension is below ``10 * tension_tol``: a Poisson metric's
+    tension is a scalar multiple of the identity at each site, which theta
+    does not see.
     """
+    conn = sm.flat
     dom = conn.domain
     if dom.dim != 2:
         raise ValueError("Higgs extraction needs a complex-curve domain")
-    if sm is None:
-        sm = split_metric(conn, metric)
-    if tension_field is None:
-        tension_field = tension(conn, metric, sm)
-    t_sup = float(np.max(la.hsa_norm(la.tracefree(tension_field))))
+    t_sup = float(np.max(la.hsa_norm(la.tracefree(sm.tension))))
     if t_sup > 10.0 * tension_tol:
         raise ValueError(
             f"metric is not harmonic or Poisson enough (sup trace-free tension {t_sup:.3e} "
             f"> {10 * tension_tol:.1e})"
         )
-    psic = psi_centered(conn, metric, sm)
+    psic = centered_components(conn, sm.psi)
     perp = np.stack([la.tracefree(psic[a]) for a in range(2)])
     theta, _ = complex_split(dom, perp)
-    return HiggsData(replace(sm.connection, loops=conn.loops), theta, metric)
+    return HiggsData(replace(sm.connection, loops=conn.loops), theta, sm.metric)
 
 
 def higgs_from_parts(
@@ -250,52 +238,39 @@ def flat_from_higgs(higgs: HiggsData, tol: float = 1e-5) -> FlatConnection:
     return replace(composite, loops=loops)
 
 
-def parallel_section_residual(
-    conn: FlatConnection,
-    metric: Array,
-    section: Array,
-    mode: str,
-    higgs: HiggsData | None = None,
-) -> float:
+def parallel_section_residual(source: SplitMetric | HiggsData, section: Array) -> float:
     """Transfer check: a source-parallel section is parallel for the target operator.
 
-    ``flat_to_higgs``: source is the flat connection, target the mixed
-    operator (dbar part of the metric connection plus the dz-part of psi);
-    needs a harmonic metric. ``higgs_to_flat``: source is the Higgs dbar
-    operator, target the composite connection; needs the Higgs data. Sections
-    may be vectors (n, r) or endomorphisms (n, r, r); endomorphisms transform
-    by the adjoint action.
+    From a ``SplitMetric`` (flat to Higgs) the source is the flat connection
+    it split and the target the mixed operator: the dbar part of the metric
+    connection plus the dz-part of psi, which needs a harmonic metric. From
+    ``HiggsData`` (Higgs to flat) the source is the Higgs dbar operator and
+    the target the composite connection at the data's metric. Sections may be
+    vectors (n, r) or endomorphisms (n, r, r); endomorphisms transform by the
+    adjoint action.
     """
-    dom = conn.domain
+    dom = source.connection.domain
     f = np.asarray(section, dtype=complex)
     endo = f.ndim == 3
-    h_field = np.asarray(metric, dtype=complex)
 
     def act(coeff: Array, g: Array) -> Array:
         return la.commutator(coeff, g) if endo else np.einsum("nij,nj->ni", coeff, g)
 
-    scale = float(np.max(np.abs(f))) + 1e-300
-    if mode == "flat_to_higgs":
-        src = covariant_d(conn, f)
-        if float(np.max(np.abs(src))) > SOURCE_TOL * scale / min(dom.spacings):
+    limit = SOURCE_TOL * (float(np.max(np.abs(f))) + 1e-300) / min(dom.spacings)
+    grad = centered_derivative(source.connection, f)
+    if isinstance(source, SplitMetric):
+        src = covariant_d(source.flat, f)
+        if float(np.max(np.abs(src))) > limit:
             raise ValueError("section is not parallel for the source connection")
-        sm = split_metric(conn, h_field)
-        grad = centered_derivative(sm.connection, f)
-        psic = psi_centered(conn, h_field, sm)
-        p10, _ = complex_split(dom, psic)
+        p10, _ = complex_split(dom, centered_components(source.flat, source.psi))
         target = 0.5 * (grad[0] + 1j * grad[1]) + act(p10, f)
         return float(np.max(np.abs(target)))
-    if mode == "higgs_to_flat":
-        if higgs is None:
-            raise ValueError("higgs_to_flat mode needs the Higgs data")
-        grad = centered_derivative(higgs.connection, f)
-        src = 0.5 * (grad[0] + 1j * grad[1]) + act(higgs.theta, f)
-        if float(np.max(np.abs(src))) > SOURCE_TOL * scale / min(dom.spacings):
-            raise ValueError("section is not parallel for the Higgs operator")
-        psi = _psi_from_theta(higgs.theta, h_field)
-        worst = 0.0
-        for a in range(dom.dim):
-            comp = grad[a] + act(psi[a], f)
-            worst = max(worst, float(np.max(np.abs(comp))))
-        return worst
-    raise ValueError(f"unknown mode {mode!r}")
+    src = 0.5 * (grad[0] + 1j * grad[1]) + act(source.theta, f)
+    if float(np.max(np.abs(src))) > limit:
+        raise ValueError("section is not parallel for the Higgs operator")
+    psi = _psi_from_theta(source.theta, source.metric)
+    worst = 0.0
+    for a in range(dom.dim):
+        comp = grad[a] + act(psi[a], f)
+        worst = max(worst, float(np.max(np.abs(comp))))
+    return worst

@@ -313,7 +313,7 @@ def test_criterion_9_higgs_round_trip():
     conn = bf.from_monodromy(dom, gens)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
     assert run.verdict == "converged"
-    hd = bf.higgs_from_harmonic(conn, run.metric)
+    hd = bf.higgs_from_harmonic(run.split)
     res = bf.hitchin_residuals(hd)
     back = bf.flat_from_higgs(hd)
     drift = max(

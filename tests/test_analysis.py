@@ -325,6 +325,23 @@ def test_bochner_residual_rank1_scalar_reduction():
     assert vals[0] < 0.2
 
 
+def test_bochner_residual_splits_each_snapshot_once(monkeypatch):
+    # The split at H(t) gives |psi|^2 and, with its metric transports, grad psi.
+    dom, conn = circle_diag(n=12)
+    snaps = tuple(random_metric(dom, 2, seed=s, amplitude=0.3) for s in (1, 2, 3))
+    split_at = []
+    real = bf.analysis.split_metric
+
+    def counted(c, metric):
+        split_at.append(metric)
+        return real(c, metric)
+
+    monkeypatch.setattr(bf.analysis, "split_metric", counted)
+    bf.bochner_residual(conn, snaps, dt=1e-3)
+    assert len(split_at) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(split_at, snaps))
+
+
 def test_bochner_rejects_misaligned_snapshots():
     dom, conn = circle_diag(n=8)
     h = identity_metric(8, 2)

@@ -233,7 +233,7 @@ def test_codifferential_of_zero():
     dom, conn = circle_diag(n=10)
     h = identity_metric(dom.n_sites, 2)
     omega = np.zeros((1, dom.n_sites, 2, 2), dtype=complex)
-    assert np.abs(bf.codifferential(conn, h, omega)).max() == 0.0
+    assert np.abs(bf.codifferential(bf.split_metric(conn, h), omega)).max() == 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -250,7 +250,7 @@ def test_codifferential_exact_adjointness(seed):
     lhs = 0.0
     for a in range(2):
         lhs += np.sum(dom.edge_weight[a] * la.endo_inner(d_sigma[a], omega[a], h))
-    cod = bf.codifferential(conn, h, omega)
+    cod = bf.codifferential(bf.split_metric(conn, h), omega)
     rhs = np.sum(dom.volume * la.endo_inner(sigma, cod, h))
     assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
@@ -265,7 +265,7 @@ def test_codifferential_scalar_derivative():
         mid = x + dom.spacings[0] / 2.0
         omega = np.zeros((1, dom.n_sites, 2, 2), dtype=complex)
         omega[0] = np.sin(mid)[:, None, None] * np.eye(2)
-        out = bf.codifferential(conn, h, omega)
+        out = bf.codifferential(bf.split_metric(conn, h), omega)
         errs.append(np.abs(out + np.cos(x)[:, None, None] * np.eye(2)).max())
     assert np.log2(errs[0] / errs[1]) > 1.7
 
@@ -278,9 +278,8 @@ def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank
     dom = bf.build_domain("annulus", (7, 5), (TWO_PI, 1.0))
     conn = random_connection(dom, rank, seed=3)
     h = random_metric(dom, rank, seed=4, amplitude=0.4)
-    root = la.scaled_sqrt(h)
-    sm = bf.split_metric(conn, h, root)
-    g, g_inv = la.orthonormal_frame(root)
+    sm = bf.split_metric(conn, h)
+    g, g_inv = la.orthonormal_frame(sm.root)
     lap = covariant_laplacian(sm.connection, (g, g_inv))
     rng = np.random.default_rng(5)
     x, y = (la.hermitize(rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
@@ -295,7 +294,7 @@ def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank
                for a in range(dom.dim))
     assert np.vdot(x, lx).real == pytest.approx(form, rel=1e-12)
     inner = dom.interior_mask()
-    cod = bf.codifferential(conn, h, d_s, sm)[inner]
+    cod = bf.codifferential(sm, d_s)[inner]
     want = dom.volume[inner][:, None, None] * (g[inner] @ cod @ g_inv[inner])
     assert np.abs(lx[inner] - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -334,6 +333,25 @@ def test_tension_is_exactly_self_adjoint():
     assert np.abs(la.dagger(t) @ h - h @ t).max() < 1e-10 * np.abs(h).max()
 
 
+def test_split_takes_its_tension_once(monkeypatch):
+    dom, conn = circle_diag(n=12)
+    h = rough_random_metric(dom.n_sites, 2, seed=6)
+    calls = []
+    real = bf.bundle.codifferential
+
+    def counted(sm, omega):
+        calls.append(sm)
+        return real(sm, omega)
+
+    monkeypatch.setattr(bf.bundle, "codifferential", counted)
+    sm = bf.split_metric(conn, h)
+    assert sm.flat is conn and np.array_equal(sm.metric, h)
+    first = sm.tension
+    assert sm.tension is first and calls == [sm]
+    # a second split at the same metric is a new object, with its own tension
+    assert np.array_equal(bf.tension(conn, h), first) and len(calls) == 2
+
+
 def test_gauge_covariance_of_tension_and_diagnostics():
     dom, conn = circle_diag(n=20)
     h = random_metric(dom, 2, seed=5, amplitude=0.4)
@@ -345,7 +363,8 @@ def test_gauge_covariance_of_tension_and_diagnostics():
     conjugated = np.linalg.solve(g, t @ g)
     assert np.abs(t_g - conjugated).max() < 1e-9
     # scalar diagnostics are gauge invariant
-    assert abs(bf.energy(conn, h) - bf.energy(conn_g, h_g)) < 1e-10 * (1 + bf.energy(conn, h))
+    energy, energy_g = bf.split_metric(conn, h).energy, bf.split_metric(conn_g, h_g).energy
+    assert abs(energy - energy_g) < 1e-10 * (1 + energy)
     norm = np.sqrt(la.endo_norm2(t, h))
     norm_g = np.sqrt(la.endo_norm2(t_g, h_g))
     assert np.abs(norm - norm_g).max() < 1e-9
@@ -365,9 +384,9 @@ def test_delta_operator_conjugation_identity():
 
         sm_h = bf.split_metric(conn, h)
         sm_k = bf.split_metric(conn, k)
-        lhs = bf.centered_components(sm_h.connection, delta_operator(conn, h, sec, sm_h))
+        lhs = bf.centered_components(sm_h.connection, delta_operator(sm_h, sec))
         hs = np.einsum("nij,nj->ni", h_rel, sec)
-        rhs_raw = bf.centered_components(sm_k.connection, delta_operator(conn, k, hs, sm_k))
+        rhs_raw = bf.centered_components(sm_k.connection, delta_operator(sm_k, hs))
         # conjugate back through h at the site
         h_inv = np.linalg.inv(h_rel)
         rhs = np.einsum("nij,anj->ani", h_inv, rhs_raw)
@@ -389,11 +408,13 @@ def test_psi_time_derivative_formula():
         dt = 1e-5
         h_plus = la.metric_exp_update(h, direction, dt)
         h_minus = la.metric_exp_update(h, direction, -dt)
-        dpsi = (bf.psi_centered(conn, h_plus) - bf.psi_centered(conn, h_minus)) / (2 * dt)
+        psi_plus, psi_minus = (bf.centered_components(conn, bf.split_metric(conn, m).psi)
+                               for m in (h_plus, h_minus))
+        dpsi = (psi_plus - psi_minus) / (2 * dt)
         sm = bf.split_metric(conn, h)
         dv = section_derivative(conn, h, direction)
         dv_c = bf.centered_components(sm.connection, dv)
-        psic = bf.psi_centered(conn, h, sm)
+        psic = bf.centered_components(conn, sm.psi)
         expected = np.zeros_like(dpsi)
         for a in range(dom.dim):
             expected[a] = -0.5 * dv_c[a] + 0.5 * la.commutator(psic[a], direction)

@@ -97,6 +97,11 @@ def test_truncated_body_rejected(tmp_path):
     ("rank 1, sites 1, time 0.0, dt nan\n1.0 0.0\n", "line 1: time, dt and logh_prev must"),
     ("rank 1, sites 1, time 0.0, dt -0.5\n1.0 0.0\n", "line 1: .* dt not negative"),
     ("rank 1, sites 1, time 0.0, logh_prev -inf\n1.0 0.0\n", "line 1: time, dt and logh_prev"),
+    ("rank 1, sites 1, time 0.0, step -3\n1.0 0.0\n", "line 1: step, streak and grown must"),
+    ("rank 1, sites 1, time 0.0, streak -7\n1.0 0.0\n", "line 1: step, streak and grown must"),
+    ("rank 1, sites 1, time 0.0, grown -2\n1.0 0.0\n", "line 1: step, streak and grown must"),
+    ("rank 1, sites 1, time 0.0, latch 5\n1.0 0.0\n", "line 1: .* latch must be 0 or 1"),
+    ("rank 1, sites 1, time 0.0, latch -1\n1.0 0.0\n", "line 1: .* latch must be 0 or 1"),
 ])
 def test_malformed_checkpoint_names_its_line(tmp_path, text, message):
     path = tmp_path / "bad.ckpt"

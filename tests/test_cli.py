@@ -558,12 +558,12 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     # connection_from_transports. The Higgs data takes dbar theta, and builds
     # the composite connection and its plaquette holonomies, once each: the
     # residuals and flat_from_higgs's curvature check share them. The flow
-    # splits the connection at the
-    # reference and at the det-normalized metric, and takes the tension at
-    # each; the Higgs extraction reuses the second split and its tension: two
+    # splits the connection at the reference and at the det-normalized
+    # metric, and each split takes its tension (one codifferential) once; the
+    # Higgs extraction reads the second split and its cached tension: two
     # splits and two tensions in all.
     inverted = []
-    counts = {"dbar": 0, "composite": 0, "plaquettes": 0, "split": 0, "tension": 0}
+    counts = {"dbar": 0, "composite": 0, "plaquettes": 0, "split": 0, "codifferential": 0}
     real_inv = np.linalg.inv
 
     def inv(a):
@@ -584,10 +584,10 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     monkeypatch.setattr(hodge, "plaquette_holonomies", plaquettes)
     monkeypatch.setattr(bundle, "plaquette_holonomies", plaquettes)
     split = counting("split", bundle.split_metric)
-    tension = counting("tension", bundle.tension)
-    for module in (bundle, flow, hodge):
+    for module in (bundle, flow):
         monkeypatch.setattr(module, "split_metric", split)
-        monkeypatch.setattr(module, "tension", tension)
+    monkeypatch.setattr(bundle, "codifferential",
+                        counting("codifferential", bundle.codifferential))
     gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
     cfg = write_config(
         tmp_path / "run.yaml",
@@ -597,7 +597,8 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     )
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
     assert inverted == ["connection_from_transports"] * 2
-    assert counts == {"dbar": 1, "composite": 1, "plaquettes": 1, "split": 2, "tension": 2}
+    assert counts == {"dbar": 1, "composite": 1, "plaquettes": 1, "split": 2,
+                      "codifferential": 2}
 
 
 def test_higgs_roundtrip_refuses_above_ten_times_the_tolerance(tmp_path, monkeypatch):

@@ -39,8 +39,7 @@ from util import (
 
 def implicit_step(diag: dict, dt: float) -> tuple[np.ndarray, int]:
     """The implicit direction from a metric's diagnostics, as ``_drive`` takes it."""
-    sm = diag["split"]
-    return _implicit_direction(sm.connection, sm.root, diag["direction"], dt)
+    return _implicit_direction(diag["split"], dt)
 
 
 def test_fixed_point_settles_with_one_history_row():
@@ -52,8 +51,8 @@ def test_fixed_point_settles_with_one_history_row():
     assert len(rep.history) == 1 and rep.time == 0.0
     assert np.abs(rep.metric - h).max() == 0.0
     # a step of the same size from the fixed point stays there
-    diag = _diagnostics(conn, h)
-    step = la.metric_exp_update(h, diag["direction"], 2.0 * 0.5, diag["split"].root)
+    sm = bf.split_metric(conn, h)
+    step = la.metric_exp_update(h, sm.tension, 2.0 * 0.5, sm.root)
     assert np.abs(step - h).max() < 1e-13
 
 
@@ -65,8 +64,8 @@ def test_rank1_uniform_update_is_unchanged():
     dom = bf.build_domain("circle", 20, TWO_PI)
     conn = bf.from_monodromy(dom, [np.array([[2.0]], dtype=complex)])
     h = identity_metric(dom.n_sites, 1)
-    diag = _diagnostics(conn, h)
-    out = la.metric_exp_update(h, diag["direction"], 2.0 * 0.05, diag["split"].root)
+    sm = bf.split_metric(conn, h)
+    out = la.metric_exp_update(h, sm.tension, 2.0 * 0.05, sm.root)
     assert np.abs(out - h).max() == 0.0
 
 
@@ -76,15 +75,15 @@ def test_rank1_uniform_update_is_unchanged():
     ("annulus", (12, 6), (TWO_PI, 1.0), 2),
 ])
 def test_flow_steps_the_public_tension_and_energy(kind, sites, lengths, rank):
-    # The flow's direction and energy are bundle.tension and bundle.energy,
+    # The flow's direction and energy are the split's tension and energy,
     # the operators the brute-force oracle checks, to the last bit.
     dom = bf.build_domain(kind, sites, lengths)
     conn = random_connection(dom, rank, seed=1)
     h = rough_random_metric(dom.n_sites, rank, seed=3)
     h[dom.boundary] = identity_metric(dom.n_sites, rank)[dom.boundary]    # K = I there
     diag = _diagnostics(conn, h)
-    assert np.array_equal(diag["direction"], bf.tension(conn, h))
-    assert diag["energy"] == bf.energy(conn, h)
+    assert np.array_equal(diag["split"].tension, bf.tension(conn, h))
+    assert diag["split"].energy == bf.split_metric(conn, h).energy
 
 
 def test_step_preserves_positivity_for_large_dt():
@@ -94,7 +93,7 @@ def test_step_preserves_positivity_for_large_dt():
     # one step of ~250x the CFL-like default, explicit and implicit; the
     # driver would reject it, so the update is applied to the diagnostics
     diag = _diagnostics(conn, h)
-    for direction in (diag["direction"], implicit_step(diag, 0.2)[0]):
+    for direction in (diag["split"].tension, implicit_step(diag, 0.2)[0]):
         stepped = la.metric_exp_update(h, direction, 2.0 * 0.2, diag["split"].root)
         assert np.linalg.eigvalsh(la.hermitize(stepped)).min() > 0.0
     # an additive Euler update of the same size would lose positivity
@@ -232,9 +231,9 @@ def test_energy_decrement_matches_gradient_norm():
     h = random_metric(dom, 2, seed=9, amplitude=0.3)
     t = bf.tension(conn, h)
     dt = 1e-6
-    e0 = bf.energy(conn, h)
+    e0 = bf.split_metric(conn, h).energy
     h1 = la.metric_exp_update(h, t, 2.0 * dt)
-    e1 = bf.energy(conn, h1)
+    e1 = bf.split_metric(conn, h1).energy
     grad2 = float(np.sum(dom.volume * la.endo_norm2(t, h)))
     assert (e1 - e0) / dt == pytest.approx(-2.0 * grad2, rel=1e-3)
 
@@ -359,7 +358,7 @@ def test_implicit_direction_tends_to_the_tension():
     dom = bf.build_domain("rectangle", (8, 8), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [], rank=2)
     diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3))
-    q = diag["direction"]
+    q = diag["split"].tension
     inner = dom.interior_mask()
     errors = []
     for dt in (1e-4, 1e-5):
@@ -406,7 +405,7 @@ def test_implicit_direction_solves_the_assembled_system(kind, sites, lengths, ra
     assert np.abs(coords(action) - mat @ x).max() <= 1e-13 * np.abs(mat @ x).max()
 
     dt = default_dt(dom, implicit=True)
-    q = diag["direction"]
+    q = diag["split"].tension
     mass = np.repeat(dom.volume[sites], rank * rank)
     direct = np.linalg.solve(np.diag(mass) + dt * mat, mass * coords(g @ q @ g_inv))
     want = g_inv @ from_coords(direct) @ g
@@ -535,6 +534,47 @@ def test_strategy_switches_at_the_implicit_floor():
         assert _strategy(rect_conn, opts) == (True, [])
         assert start_dt(rect_conn, True, opts) == default_dt(rect, implicit=True)
         assert start_dt(rect_conn, True, opts, dt=0.125) == 0.125
+
+
+def test_report_carries_the_split_of_its_own_metric():
+    # The report's split is taken at the very array it reports, whatever the
+    # verdict: det-normalized Poisson, max_steps, diverged, every exhaustion level.
+    def check(rep, conn):
+        assert rep.split.metric is rep.metric and rep.split.flat is conn
+        assert np.array_equal(rep.split.tension, bf.tension(conn, rep.metric))
+        assert rep.energy == rep.split.energy
+
+    dom = bf.build_domain("torus", (6, 6), (1.0, 1.0))
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3.0])])
+    rep = bf.solve_poisson(conn, random_metric(dom, 2, seed=4, amplitude=0.3))
+    assert rep.verdict == "converged"
+    check(rep, conn)
+    trace = np.einsum("nii->n", rep.split.tension).real / 2
+    assert np.array_equal(rep.poisson_function, trace)
+
+    dom, conn = circle_diag(n=12)
+    rep = bf.solve_harmonic(conn, random_metric(dom, 2, seed=5, amplitude=0.3),
+                            bf.SolveOptions(max_steps=3))
+    assert rep.verdict == "max_steps"
+    check(rep, conn)
+
+    dom = bf.build_domain("circle", 16, 1.0)
+    conn = bf.from_monodromy(dom, [np.array([[1.0, 1.0], [0.0, 1.0]])])
+    rep = bf.solve_harmonic(conn, identity_metric(dom.n_sites, 2),
+                            bf.SolveOptions(tolerance=1e-45, dt_growth_every=5))
+    assert rep.verdict == "diverged"
+    check(rep, conn)
+
+    dom = bf.build_domain("annulus", (12, 9), (TWO_PI, 1.0))
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
+    k = random_metric(dom, 2, seed=21, amplitude=0.3)
+    reports, _ = bf.exhaustion_solve(conn, k, [4, 6], bf.SolveOptions(max_steps=5))
+    assert [r.verdict for r in reports] == ["max_steps", "max_steps"]
+    reports += bf.exhaustion_solve(conn, k, [4, 6])[0]
+    assert [r.verdict for r in reports[2:]] == ["converged", "converged"]
+    for rep in reports:
+        assert rep.split.metric is rep.metric
+        check(rep, rep.split.flat)
 
 
 def test_exhaustion_unitary_is_trivial():

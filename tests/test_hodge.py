@@ -63,7 +63,7 @@ def test_complex_split_requires_complex_structure():
 def test_higgs_from_harmonic_unitary_trivial():
     dom, conn = unitary_torus()
     h = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, h)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, h))
     assert np.abs(hd.theta).max() < 1e-12
     assert hd.holomorphicity_residual < 1e-12
 
@@ -71,7 +71,7 @@ def test_higgs_from_harmonic_unitary_trivial():
 def test_higgs_from_harmonic_block_value():
     dom, conn = unimodular_torus(n=16)
     h = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, h)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, h))
     expect = np.diag([-1.0, 1.0]) * (np.log(2.0) - 1j * np.log(3.0)) / (2.0 * TWO_PI)
     assert np.abs(hd.theta - expect).max() < 1e-10 * np.abs(expect).max() + 1e-12
     assert hd.holomorphicity_residual < 1e-10
@@ -80,7 +80,7 @@ def test_higgs_from_harmonic_block_value():
 def test_higgs_from_harmonic_rank1_is_zero():
     dom = bf.build_domain("torus", (8, 8), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [np.array([[2.0]]), np.array([[1.0]])])
-    hd = bf.higgs_from_harmonic(conn, identity_metric(dom.n_sites, 1))
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, identity_metric(dom.n_sites, 1)))
     assert np.abs(hd.theta).max() < 1e-14
 
 
@@ -88,7 +88,7 @@ def test_higgs_from_harmonic_rejects_rough_metric():
     dom, conn = unimodular_torus(n=8)
     h = random_metric(dom, 2, seed=3, amplitude=0.4)
     with pytest.raises(ValueError, match="harmonic"):
-        bf.higgs_from_harmonic(conn, h)
+        bf.higgs_from_harmonic(bf.split_metric(conn, h))
 
 
 def test_higgs_from_harmonic_accepts_poisson_metric():
@@ -105,8 +105,8 @@ def test_higgs_from_harmonic_accepts_poisson_metric():
     f = 0.1 * np.sin(2.0 * np.pi * dom.coords()[:, 0])
     poisson = harmonic * np.exp(f)[:, None, None]
     assert la.frobenius(bf.tension(conn, poisson)).max() > 1.0
-    hd = bf.higgs_from_harmonic(conn, poisson)
-    hd_harmonic = bf.higgs_from_harmonic(conn, harmonic)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, poisson))
+    hd_harmonic = bf.higgs_from_harmonic(bf.split_metric(conn, harmonic))
     assert np.abs(hd.theta - hd_harmonic.theta).max() < 1e-12
 
 
@@ -116,7 +116,7 @@ def test_higgs_from_harmonic_accepts_poisson_metric():
 def test_hitchin_residuals_unitary_flat():
     dom, conn = unitary_torus()
     h = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, h)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, h))
     res = bf.hitchin_residuals(hd)
     assert res["hs_curvature_sup"] < 1e-10
     assert res["lambda_F_sup"] < 1e-8
@@ -126,7 +126,7 @@ def test_hitchin_residuals_unitary_flat():
 def test_hitchin_residuals_detect_nonholomorphic_perturbation():
     dom, conn = unimodular_torus(n=12)
     h = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, h)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, h))
     x = dom.coords()
     eps = 1e-3
     wave = np.exp(1j * x[:, 0])  # dz-coefficient varying anti-holomorphically
@@ -143,7 +143,7 @@ def test_hitchin_residuals_detect_nonholomorphic_perturbation():
 def test_higgs_degree_trivial_zero():
     dom, conn = unitary_torus()
     h = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, h)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, h))
     subs = bf.invariant_subbundles(conn, h)
     rep = bf.higgs_degree_stability(hd, subs)
     assert abs(rep.total_degree) < 1e-10
@@ -152,7 +152,7 @@ def test_higgs_degree_trivial_zero():
 def test_higgs_sub_degrees_match_flat_side():
     dom, conn = unimodular_torus(n=16)
     k = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, k)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, k))
     subs = bf.invariant_subbundles(conn, k)
     flat_degs = sorted(bf.degree(conn, k, sub=s) for s in subs)
     rep = bf.higgs_degree_stability(hd, subs)
@@ -165,7 +165,7 @@ def test_higgs_sub_degrees_match_flat_side():
 def test_higgs_degree_rejects_noninvariant_sub():
     dom, conn = unimodular_torus(n=8)
     k = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, k)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, k))
     bad = bf.invariant_subbundles(
         conn, k, candidates=[np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)]
     )
@@ -187,7 +187,7 @@ def test_higgs_data_builds_its_composite_once(monkeypatch):
         return real(higgs)
 
     monkeypatch.setattr(hodge, "composite_transports", counted)
-    hd = bf.higgs_from_harmonic(conn, run.metric)
+    hd = bf.higgs_from_harmonic(run.split)
     res = bf.hitchin_residuals(hd)
     back = bf.flat_from_higgs(hd)
     assert len(built) == 1 and built[0] is hd
@@ -201,7 +201,7 @@ def test_higgs_data_builds_its_composite_once(monkeypatch):
     for lp in back.loops:
         assert np.array_equal(lp.generator, bf.loop_holonomy(composite, lp.axis))
     # new data at the same metric builds its own composite, once
-    hd2 = bf.higgs_from_harmonic(conn, run.metric)
+    hd2 = bf.higgs_from_harmonic(run.split)
     bf.flat_from_higgs(hd2)
     bf.hitchin_residuals(hd2)
     assert len(built) == 2 and built[1] is hd2
@@ -214,7 +214,7 @@ def test_higgs_data_builds_its_composite_once(monkeypatch):
 
     monkeypatch.setattr(hodge, "composite_transports", bent)
     with pytest.raises(ValueError, match="curvature"):
-        bf.flat_from_higgs(bf.higgs_from_harmonic(conn, run.metric), tol=1e-6)
+        bf.flat_from_higgs(bf.higgs_from_harmonic(run.split), tol=1e-6)
 
 
 def test_higgs_data_refuses_a_metric_that_is_not_one():
@@ -232,7 +232,7 @@ def test_higgs_data_refuses_a_metric_that_is_not_one():
 def test_flat_from_higgs_unitary_returns_original():
     dom, conn = unitary_torus(n=8)
     h = identity_metric(dom.n_sites, 2)
-    hd = bf.higgs_from_harmonic(conn, h)
+    hd = bf.higgs_from_harmonic(bf.split_metric(conn, h))
     back = bf.flat_from_higgs(hd)
     assert np.abs(back.transport - conn.transport).max() < 1e-12
 
@@ -240,7 +240,7 @@ def test_flat_from_higgs_unitary_returns_original():
 def test_round_trip_preserves_holonomy_spectra():
     dom, conn = unimodular_torus(n=16)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
-    hd = bf.higgs_from_harmonic(conn, run.metric)
+    hd = bf.higgs_from_harmonic(run.split)
     back = bf.flat_from_higgs(hd)
     for lp, gen in zip(back.loops, [np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3.0])]):
         hol = bf.loop_holonomy(back, lp.axis)
@@ -254,7 +254,7 @@ def test_round_trip_rank1_unitarizes_the_monodromy():
     dom = bf.build_domain("torus", (12, 12), (TWO_PI, TWO_PI))
     conn = bf.from_monodromy(dom, [np.array([[2.0]]), np.array([[1.0]])])
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 1))
-    hd = bf.higgs_from_harmonic(conn, run.metric)
+    hd = bf.higgs_from_harmonic(run.split)
     back = bf.flat_from_higgs(hd)
     hol = bf.loop_holonomy(back, 0)
     assert abs(hol[0, 0] - 1.0) < 1e-8
@@ -278,7 +278,7 @@ def test_parallel_identity_section():
     dom, conn = unimodular_torus(n=12)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
     f = identity_metric(dom.n_sites, 2)
-    res = bf.parallel_section_residual(conn, run.metric, f, "flat_to_higgs")
+    res = bf.parallel_section_residual(run.split, f)
     assert res < 1e-10
 
 
@@ -286,19 +286,16 @@ def test_parallel_projection_of_invariant_line():
     dom, conn = unimodular_torus(n=12)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
     pi = np.broadcast_to(np.diag([1.0, 0.0]), (dom.n_sites, 2, 2)).astype(complex).copy()
-    res = bf.parallel_section_residual(conn, run.metric, pi, "flat_to_higgs")
+    res = bf.parallel_section_residual(run.split, pi)
     assert res < 1e-8
 
 
 def test_parallel_section_higgs_mode():
     dom, conn = unimodular_torus(n=12)
     run = bf.solve_poisson(conn, identity_metric(dom.n_sites, 2))
-    hd = bf.higgs_from_harmonic(conn, run.metric)
+    hd = bf.higgs_from_harmonic(run.split)
     f = identity_metric(dom.n_sites, 2)
-    res = bf.parallel_section_residual(
-        conn, run.metric, f, "higgs_to_flat", higgs=hd
-    )
-    assert res < 1e-10
+    assert bf.parallel_section_residual(hd, f) < 1e-10
 
 
 def test_parallel_section_rejects_nonparallel_input():
@@ -307,4 +304,6 @@ def test_parallel_section_rejects_nonparallel_input():
     rng = np.random.default_rng(1)
     f = rng.normal(size=(dom.n_sites, 2, 2)) + 1j * rng.normal(size=(dom.n_sites, 2, 2))
     with pytest.raises(ValueError, match="parallel"):
-        bf.parallel_section_residual(conn, run.metric, f, "flat_to_higgs")
+        bf.parallel_section_residual(run.split, f)
+    with pytest.raises(ValueError, match="parallel"):
+        bf.parallel_section_residual(bf.higgs_from_harmonic(run.split), f)

@@ -83,22 +83,20 @@ def seam_gauge_circle(n: int, length: float, mu: float):
     return dom, bf.connection_from_transports(dom, transports, loops)
 
 
-def delta_operator(conn, metric, values, sm=None) -> np.ndarray:
-    """Difference operator (metric covariant derivative minus psi action).
+def delta_operator(sm, values) -> np.ndarray:
+    """Difference operator of the split ``sm`` (metric covariant derivative minus psi action).
 
     Edge values are second-order midpoint samples: the psi action is applied
     to the mean of the tail value and the pulled-back head value. Section
     fields (n, r) see the plain action, endomorphism fields (n, r, r) the
     commutator.
     """
-    dom = conn.domain
-    if sm is None:
-        sm = bf.split_metric(conn, metric)
+    dom = sm.flat.domain
     f = np.asarray(values, dtype=complex)
     endo = f.ndim == 3
     out = np.zeros((dom.dim,) + f.shape, dtype=complex)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = sm.flat.edge_sites(a)
         v = sm.connection.transport[a, tails]
         vinv = np.linalg.inv(v)
         if endo:
