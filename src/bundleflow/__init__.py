@@ -10,10 +10,7 @@ from .bundle import (
     codifferential,
     connection_from_transports,
     covariant_d,
-    flatness_residual,
     from_monodromy,
-    gauge_transform,
-    gauge_transform_metric,
     invariant_subbundles,
     loop_holonomy,
     plaquette_holonomies,
@@ -33,14 +30,11 @@ from .analysis import (
     StabilityReport,
     alpha1_period,
     axis_loop,
-    bochner_residual,
     degree,
     donaldson_distance,
     identity_residuals,
-    polystable_split,
     stability_report,
     theta_apply,
-    theta_apply_pair,
 )
 from .hodge import (
     HiggsData,
@@ -48,15 +42,12 @@ from .hodge import (
     flat_from_higgs,
     higgs_degree_stability,
     higgs_from_harmonic,
-    higgs_from_parts,
     hitchin_residuals,
     parallel_section_residual,
 )
 from .oracle import (
-    CircleRankOneSolution,
     brute_force_tension,
     circle_harmonic_exact,
-    circle_rank1_degree,
     rectangle_harmonic_exact,
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint

@@ -16,11 +16,8 @@ import numpy as np
 from . import linalg as la
 from .bundle import (
     FlatConnection,
-    SplitMetric,
     SubBundleSpec,
-    _invariance_residual,
     centered_components,
-    centered_derivative,
     covariant_d,
     invariant_subbundles,
     reference_difference,
@@ -34,12 +31,6 @@ Array = np.ndarray
 # The largest invariance residual of a sub-bundle whose degree is taken
 # (``degree``, ``hodge.higgs_degree_stability``).
 INVARIANCE_TOL = 1e-6
-
-# ``polystable_split``: the relative endomorphism is parallel when its flat
-# covariant difference stays below PARALLEL_RTOL max(sup |h_rel|, 1), and its
-# eigenvalues within CLUSTER_TOL (1 + |lambda|) of each other share a factor.
-PARALLEL_RTOL = 1e-6
-CLUSTER_TOL = 1e-6
 
 
 def donaldson_distance(h_field: Array, k_field: Array) -> tuple[Array, float]:
@@ -220,30 +211,6 @@ def theta_apply(s: Array, chi: Array, metric: Array | None = None) -> Array:
     return out[0] if single else out
 
 
-def theta_apply_pair(s_tail: Array, s_head: Array, chi: Array, metric: Array | None = None) -> Array:
-    """Two-point variant: weights (e^{l_head_b - l_tail_a} - 1)/(l_head_b - l_tail_a).
-
-    On commuting data this reproduces the finite-difference relation
-    ``(h(y) - h(x)) h(x)^{-1} = Theta . (s(y) - s(x))`` exactly, which is the
-    discrete backbone of the integral identity checked in
-    ``identity_residuals``.
-    """
-    s_tail = np.asarray(s_tail, dtype=complex)
-    s_head = np.asarray(s_head, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    single = s_tail.ndim == 2
-    if single:
-        s_tail, s_head, chi = s_tail[None], s_head[None], chi[None]
-    if metric is None:
-        metric = np.broadcast_to(np.eye(s_tail.shape[-1], dtype=complex), s_tail.shape).copy()
-    lam_t, frame, frame_inv = la.log_hsa(s_tail, metric)
-    lam_h = np.einsum("nii->ni", la.mm(la.mm(frame_inv, s_head), frame)).real
-    comp = la.mm(la.mm(frame_inv, chi), frame)
-    weights = _theta_scalar(lam_t[..., None, :], lam_h[..., :, None])
-    out = la.mm(la.mm(frame, weights * comp), frame_inv)
-    return out[0] if single else out
-
-
 def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> dict:
     """Defects of the two exact relations tying a metric pair together.
 
@@ -298,56 +265,6 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
         rhs_dens += la.endo_inner(theta_apply(s_log, ds[a], metric=k), ds[a], k)
     gap = lhs_int + 0.5 * integrate(dom, rhs_dens)
     return {"pointwise_residual": pointwise, "integral_gap": float(gap)}
-
-
-def polystable_split(
-    conn: FlatConnection,
-    h_field: Array,
-    h_other: Array,
-) -> list[SubBundleSpec] | None:
-    """Eigen-bundle decomposition induced by a parallel relative endomorphism.
-
-    Forms the positive relative endomorphism between the two metrics, checks
-    that its flat covariant derivative vanishes (``PARALLEL_RTOL``), and if
-    so returns the orthogonal spectral projections (eigenvalues clustered
-    within ``CLUSTER_TOL``); otherwise None.
-    """
-    h = np.asarray(h_field, dtype=complex)
-    g = np.asarray(h_other, dtype=complex)
-    la.check_metric(h)
-    la.check_metric(g)
-    h_rel = np.linalg.solve(h, g)
-    scale = float(np.max(la.frobenius(h_rel)))
-    dh = covariant_d(conn, h_rel)
-    if float(np.max(la.frobenius(dh))) > PARALLEL_RTOL * max(scale, 1.0):
-        return None
-    lam, frame, frame_inv = la.log_hsa(h_rel, h)
-    values = np.sort(lam.ravel())
-    clusters: list[list[float]] = [[values[0]]]
-    for v in values[1:]:
-        if v - clusters[-1][-1] <= CLUSTER_TOL * (1.0 + abs(v)):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    specs: list[SubBundleSpec] = []
-    for c in clusters:
-        lo, hi = c[0], c[-1]
-        pick = (lam >= lo - CLUSTER_TOL) & (lam <= hi + CLUSTER_TOL)
-        weights = pick.astype(float)
-        proj = la.mm(frame * weights[..., None, :], frame_inv)
-        ranks = weights.sum(axis=1)
-        k_rank = int(round(ranks[0]))
-        res = _invariance_residual(conn, proj)
-        base = frame[0][:, pick[0]]
-        specs.append(
-            SubBundleSpec(
-                projection=proj,
-                rank=k_rank,
-                invariance_residual=res,
-                base_basis=base,
-            )
-        )
-    return specs
 
 
 def runaway_certificate(conn: FlatConnection, reference: Array, metric: Array) -> str:
@@ -449,51 +366,3 @@ def axis_loop(conn: FlatConnection, axis: int) -> list[int]:
         sites.append(int(dom.neighbors[axis, 0, sites[-1]]))
     return sites
 
-
-def bochner_residual(
-    conn: FlatConnection,
-    snapshots: tuple[Array, Array, Array],
-    dt: float,
-) -> float:
-    """Defect of the parabolic identity for |psi|^2 on flat model domains.
-
-    Expects three consecutive flow snapshots H(t - dt), H(t), H(t + dt); the
-    centered time derivative of |psi|^2 minus its Laplacian is compared with
-    -|[psi, psi]|^2 - 2 |grad psi|^2 (the base curvature term vanishes on flat
-    domains). First order in dt and in the spacing on smooth data.
-    """
-    if len(snapshots) != 3:
-        raise ValueError("need exactly three consecutive snapshots")
-    h_prev, h_mid, h_next = (np.asarray(s, dtype=complex) for s in snapshots)
-    if not (h_prev.shape == h_mid.shape == h_next.shape):
-        raise ValueError("snapshots are misaligned")
-    dom = conn.domain
-
-    def dens(hf: Array) -> tuple[Array, Array, SplitMetric]:
-        sm = split_metric(conn, hf)
-        psic = centered_components(conn, sm.psi)
-        d = np.zeros(dom.n_sites)
-        for a in range(dom.dim):
-            d += la.endo_norm2(psic[a], hf)
-        return d, psic, sm
-
-    d_prev = dens(h_prev)[0]
-    d_mid, psic, sm = dens(h_mid)
-    d_next = dens(h_next)[0]
-    time_term = (d_next - d_prev) / (2.0 * dt)
-    lap = laplacian(dom, d_mid)
-
-    rhs = np.zeros(dom.n_sites)
-    if dom.dim == 2:
-        comm = la.commutator(psic[0], psic[1])
-        rhs -= 4.0 * la.endo_norm2(comm, h_mid)
-    for b in range(dom.dim):
-        grad_b = centered_derivative(sm.connection, psic[b])
-        for a in range(dom.dim):
-            rhs -= 2.0 * la.endo_norm2(grad_b[a], h_mid)
-    defect = time_term - lap - rhs
-    # Interior sites whose neighbours are interior too. Only boundary sites
-    # lack a neighbour (-1), and ``inner`` drops them.
-    inner = dom.interior_mask()
-    deep = inner & inner[dom.neighbors].all(axis=(0, 1))
-    return float(np.abs(defect[deep]).max())

@@ -163,37 +163,6 @@ def plaquette_holonomies(conn: FlatConnection) -> tuple[Array, Array]:
     return base, hol
 
 
-def flatness_residual(conn: FlatConnection) -> float:
-    """Deviation of the connection from flatness with the prescribed monodromies.
-
-    Plaquette holonomies are compared to the identity in spectral norm; the
-    designated axis loops are compared to their generators through the
-    eigenvalue-multiset distance, which is insensitive to the base point and
-    to gauge.
-    """
-    _, hol = plaquette_holonomies(conn)
-    worst = float(np.max(la.specnorm(hol - np.eye(conn.rank, dtype=complex)), initial=0.0))
-    for loop in conn.loops:
-        h = loop_holonomy(conn, loop.axis)
-        worst = max(worst, la.spectrum_distance(h, loop.generator))
-    return worst
-
-
-def gauge_transform(conn: FlatConnection, gauge: Array) -> FlatConnection:
-    """New connection in the frame ``v' = g^{-1} v``; transports g(y)^{-1} U g(x)."""
-    g = np.asarray(gauge, dtype=complex)
-    new = conn.transport.copy()
-    for a in range(conn.domain.dim):
-        tails, heads = conn.edge_sites(a)
-        new[a, tails] = np.linalg.solve(g[heads], la.mm(conn.transport[a, tails], g[tails]))
-    return connection_from_transports(conn.domain, new, conn.loops)
-
-
-def gauge_transform_metric(metric: Array, gauge: Array) -> Array:
-    g = np.asarray(gauge, dtype=complex)
-    return la.mm(la.mm(la.dagger(g), np.asarray(metric)), g)
-
-
 def covariant_d(conn: FlatConnection, field_values: Array) -> Array:
     """First-order covariant difference of a site field, one value per forward edge.
 

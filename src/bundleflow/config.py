@@ -263,6 +263,19 @@ def make_connection(cfg: RunConfig, domain: LatticeDomain) -> FlatConnection:
 def make_reference_metric(
     cfg: RunConfig, domain: LatticeDomain, seed: int | None = None
 ) -> np.ndarray:
+    """The configured reference metric; a field that is not finite is a config error.
+
+    A large amplitude overflows ``exp``. That is refused here, without numpy's
+    overflow warnings, so the run stops before it makes its output directory.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = _reference_metric(cfg, domain, seed)
+    if not np.all(np.isfinite(metric)):
+        raise ConfigError("reference_metric: the metric field is not finite")
+    return metric
+
+
+def _reference_metric(cfg: RunConfig, domain: LatticeDomain, seed: int | None) -> np.ndarray:
     r = cfg.bundle.rank
     mc = cfg.reference_metric
     n = domain.n_sites

@@ -130,18 +130,6 @@ def higgs_from_harmonic(sm: SplitMetric, tension_tol: float = 1e-7) -> HiggsData
     return HiggsData(replace(sm.connection, loops=conn.loops), theta, sm.metric)
 
 
-def higgs_from_parts(
-    domain: LatticeDomain,
-    transports: Array,
-    theta: Array,
-    metric: Array,
-    loops: tuple[LoopSpec, ...] = (),
-) -> HiggsData:
-    """Assemble Higgs data directly from metric transports, a Higgs field and its metric."""
-    return HiggsData(connection_from_transports(domain, transports, loops),
-                     np.asarray(theta, dtype=complex), np.asarray(metric, dtype=complex))
-
-
 def _psi_from_theta(theta: Array, metric: Array) -> Array:
     """Self-adjoint one-form components of theta dz + theta* dzbar."""
     theta_star = np.linalg.solve(metric, la.mm(dagger(theta), metric))

@@ -8,8 +8,6 @@ must be the descent direction of the energy).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg as la
@@ -17,32 +15,6 @@ from .bundle import FlatConnection, split_metric
 from .mesh import LatticeDomain
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class CircleRankOneSolution:
-    """Rank-one harmonic data on a circle of length L with monodromy modulus m.
-
-    In the flat gauge (trivial transports with the monodromy on one seam edge)
-    the harmonic metric is the equivariant exponential profile
-    ``H(x) = exp(2 log(m) x / L)``; its logarithmic derivative is constant, so
-    ``psi = -log(m)/L`` on every edge and the fundamental-loop period of
-    ``tr psi`` equals ``-log(m)``.
-    """
-
-    modulus: float
-    length: float
-
-    @property
-    def psi_coefficient(self) -> float:
-        return -np.log(self.modulus) / self.length
-
-    @property
-    def alpha1_period(self) -> float:
-        return -np.log(self.modulus)
-
-    def profile(self, x: Array) -> Array:
-        return np.exp(2.0 * np.log(self.modulus) * np.asarray(x) / self.length)
 
 
 def circle_harmonic_exact(monodromy: Array, length: float, n_sites: int) -> Array:
@@ -100,17 +72,6 @@ def rectangle_harmonic_exact(domain: LatticeDomain) -> Array:
     out[:, 0, 0] = np.exp(u)
     out[:, 1, 1] = np.exp(-u)
     return out
-
-
-def circle_rank1_degree(modulus: float, length: float) -> float:
-    """Analytic degree of a rank-one circle bundle: zero.
-
-    The degree integrand is a pure divergence of ``tr psi`` and the circle is
-    closed, so the integral vanishes for every metric and every monodromy
-    modulus; the value is returned as an explicit oracle constant.
-    """
-    del modulus, length
-    return 0.0
 
 
 def brute_force_tension(conn: FlatConnection, metric: Array, step: float = 1e-5) -> Array:

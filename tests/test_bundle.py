@@ -12,6 +12,9 @@ from util import (
     circle_diag,
     delta_operator,
     edge_products_matmul,
+    flatness_residual,
+    gauge_transform,
+    gauge_transform_metric,
     identity_metric,
     random_connection,
     random_gauge,
@@ -35,7 +38,7 @@ def test_from_monodromy_splits_diagonal_evenly():
 def test_from_monodromy_commuting_torus_is_flat():
     dom = bf.build_domain("torus", (6, 6), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [np.diag([2.0, 1.0]), np.diag([1.0, 3.0])])
-    assert bf.flatness_residual(conn) < 1e-12
+    assert flatness_residual(conn) < 1e-12
 
 
 def test_from_monodromy_rejects_noncommuting():
@@ -55,7 +58,7 @@ def test_from_monodromy_rejects_singular_and_negative_axis():
     # explicit branch makes it work
     log = np.diag([np.log(2.0) + 1j * np.pi, 0.0])
     conn = bf.from_monodromy(dom, [np.diag([-2.0, 1.0])], logs=[log])
-    assert bf.flatness_residual(conn) < 1e-10
+    assert flatness_residual(conn) < 1e-10
 
 
 def test_from_monodromy_transports_are_reproducible():
@@ -98,15 +101,15 @@ def test_flatness_residual_detects_edge_perturbation():
     t = conn.transport.copy()
     t[0, 11] = t[0, 11] @ np.diag([1.0 + eps, 1.0])
     perturbed = bf.connection_from_transports(dom, t, conn.loops)
-    res = bf.flatness_residual(perturbed)
+    res = flatness_residual(perturbed)
     assert res == pytest.approx(eps, rel=0.2)
 
 
 def test_flatness_residual_gauge_invariant():
     dom, conn = torus_diag(n=6)
     g = random_gauge(dom.n_sites, 2, seed=1, scale=0.25)
-    moved = bf.gauge_transform(conn, g)
-    assert abs(bf.flatness_residual(moved) - bf.flatness_residual(conn)) < 1e-10
+    moved = gauge_transform(conn, g)
+    assert abs(flatness_residual(moved) - flatness_residual(conn)) < 1e-10
 
 
 # ----------------------------------------------------------------- covariant d
@@ -356,8 +359,8 @@ def test_gauge_covariance_of_tension_and_diagnostics():
     dom, conn = circle_diag(n=20)
     h = random_metric(dom, 2, seed=5, amplitude=0.4)
     g = random_gauge(dom.n_sites, 2, seed=11, scale=0.3)
-    conn_g = bf.gauge_transform(conn, g)
-    h_g = bf.gauge_transform_metric(h, g)
+    conn_g = gauge_transform(conn, g)
+    h_g = gauge_transform_metric(h, g)
     t = bf.tension(conn, h)
     t_g = bf.tension(conn_g, h_g)
     conjugated = np.linalg.solve(g, t @ g)

@@ -212,6 +212,10 @@ RANKLESS_RECTANGLE = {
     (None, {"domain": {"kind": "circle", "sites": [8], "lengths": [1.0]},
             "bundle": {"rank": 2, "monodromy": [
                 [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]]]}}),
+    # A reference metric that overflows exp, or is NaN, is refused at set-up.
+    ("reference_metric", {"kind": "diagonal", "amplitude": 800}),
+    ("reference_metric", {"kind": "random_smooth", "amplitude": 1e300}),
+    ("reference_metric", {"kind": "diagonal", "amplitude": float("nan")}),
 ])
 def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     # A case without a block gives its overrides of the whole config.
@@ -219,6 +223,7 @@ def test_malformed_value_is_one_error_line(tmp_path, capsys, block, fields):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "o").exists()
 
 
 VALID_BLOCKS = {

@@ -4,9 +4,8 @@ import pytest
 import bundleflow as bf
 from bundleflow import linalg as la
 from bundleflow import hodge
-from bundleflow.hodge import higgs_from_parts
 
-from util import TWO_PI, identity_metric, random_metric
+from util import TWO_PI, flatness_residual, identity_metric, random_metric
 
 
 def unitary_torus(n=10, phases=(0.3, -0.2)):
@@ -131,7 +130,7 @@ def test_hitchin_residuals_detect_nonholomorphic_perturbation():
     eps = 1e-3
     wave = np.exp(1j * x[:, 0])  # dz-coefficient varying anti-holomorphically
     theta2 = hd.theta + eps * wave[:, None, None] * np.diag([1.0, -1.0])
-    hd2 = higgs_from_parts(dom, hd.connection.transport, theta2, h, loops=hd.connection.loops)
+    hd2 = bf.HiggsData(hd.connection, theta2, h)
     base = bf.hitchin_residuals(hd)["holomorphy"]
     got = bf.hitchin_residuals(hd2)["holomorphy"] - base
     assert got == pytest.approx(eps * 0.5 * np.sqrt(2.0), rel=0.2)
@@ -195,7 +194,7 @@ def test_higgs_data_builds_its_composite_once(monkeypatch):
     assert composite.loops == ()
     assert np.abs(composite.transport_inv @ composite.transport - np.eye(2)).max() < 1e-12
     assert res["holomorphy"] == hd.holomorphicity_residual
-    assert res["hs_curvature_sup"] == bf.flatness_residual(composite)
+    assert res["hs_curvature_sup"] == flatness_residual(composite)
     assert back.transport is composite.transport
     assert [lp.axis for lp in back.loops] == [0, 1]
     for lp in back.loops:
@@ -222,11 +221,11 @@ def test_higgs_data_refuses_a_metric_that_is_not_one():
     h = identity_metric(dom.n_sites, 2)
     theta = np.zeros((dom.n_sites, 2, 2), dtype=complex)
     with pytest.raises(ValueError, match="shape"):
-        higgs_from_parts(dom, conn.transport, theta, h[:-1])
+        bf.HiggsData(conn, theta, h[:-1])
     negative = h.copy()
     negative[3] = -negative[3]
     with pytest.raises(ValueError, match="positive definite"):
-        higgs_from_parts(dom, conn.transport, theta, negative)
+        bf.HiggsData(conn, theta, negative)
 
 
 def test_flat_from_higgs_unitary_returns_original():
@@ -266,7 +265,8 @@ def test_flat_from_higgs_rejects_curved_data():
     w = np.broadcast_to(np.eye(1, dtype=complex), (2, n, 1, 1)).copy()
     ix = np.arange(n) // 10
     w[1, :, 0, 0] = np.exp(1j * 0.5 * ix)
-    hd = higgs_from_parts(dom, w, np.zeros((n, 1, 1), dtype=complex), identity_metric(n, 1))
+    hd = bf.HiggsData(bf.connection_from_transports(dom, w), np.zeros((n, 1, 1), dtype=complex),
+                      identity_metric(n, 1))
     with pytest.raises(ValueError, match="curvature"):
         bf.flat_from_higgs(hd, tol=1e-6)
 

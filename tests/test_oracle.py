@@ -2,20 +2,8 @@ import numpy as np
 import pytest
 
 import bundleflow as bf
-from bundleflow.oracle import CircleRankOneSolution, circle_rank1_degree
 
 from util import TWO_PI, circle_diag, identity_metric, random_connection, rough_random_metric
-
-
-def test_rank_one_solution_invariants():
-    sol = CircleRankOneSolution(modulus=2.0, length=TWO_PI)
-    x = np.linspace(0.0, TWO_PI, 50)
-    prof = sol.profile(x)
-    # equivariance across one period and constant logarithmic derivative
-    assert sol.profile(x + TWO_PI) == pytest.approx(prof * 4.0, rel=1e-12)
-    logd = np.diff(np.log(prof)) / np.diff(x)
-    assert np.allclose(logd, -2.0 * sol.psi_coefficient, atol=1e-9)
-    assert sol.alpha1_period == pytest.approx(-np.log(2.0))
 
 
 def test_circle_harmonic_exact_diagonal():
@@ -45,10 +33,6 @@ def test_circle_harmonic_exact_nonnormal_is_stationary():
 def test_circle_harmonic_exact_rejects_jordan():
     with pytest.raises(ValueError, match="diagonalizable|harmonic"):
         bf.circle_harmonic_exact(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, 10)
-
-
-def test_rank1_degree_constant():
-    assert circle_rank1_degree(2.0, TWO_PI) == 0.0
 
 
 def test_brute_force_matches_closed_form_tension():

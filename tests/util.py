@@ -83,6 +83,38 @@ def seam_gauge_circle(n: int, length: float, mu: float):
     return dom, bf.connection_from_transports(dom, transports, loops)
 
 
+def gauge_transform(conn, gauge):
+    """New connection in the frame ``v' = g^{-1} v``; transports g(y)^{-1} U g(x)."""
+    g = np.asarray(gauge, dtype=complex)
+    new = conn.transport.copy()
+    for a in range(conn.domain.dim):
+        tails, heads = conn.edge_sites(a)
+        new[a, tails] = np.linalg.solve(g[heads], la.mm(conn.transport[a, tails], g[tails]))
+    return bf.connection_from_transports(conn.domain, new, conn.loops)
+
+
+def gauge_transform_metric(metric, gauge) -> np.ndarray:
+    """The metric in the frame ``v' = g^{-1} v``: g^dag H g."""
+    g = np.asarray(gauge, dtype=complex)
+    return la.mm(la.mm(la.dagger(g), np.asarray(metric)), g)
+
+
+def flatness_residual(conn) -> float:
+    """Deviation of the connection from flatness with the prescribed monodromies.
+
+    Plaquette holonomies are compared to the identity in spectral norm; the
+    designated axis loops are compared to their generators through the
+    eigenvalue-multiset distance, which is insensitive to the base point and
+    to gauge.
+    """
+    _, hol = bf.plaquette_holonomies(conn)
+    worst = float(np.max(la.specnorm(hol - np.eye(conn.rank, dtype=complex)), initial=0.0))
+    for loop in conn.loops:
+        h = bf.loop_holonomy(conn, loop.axis)
+        worst = max(worst, la.spectrum_distance(h, loop.generator))
+    return worst
+
+
 def delta_operator(sm, values) -> np.ndarray:
     """Difference operator of the split ``sm`` (metric covariant derivative minus psi action).
 
