@@ -29,7 +29,10 @@ genuine discrete gradient flow.
 and the metric it split at, so everything derived from the split reads that
 one object: the codifferential takes the split, and the tension and the
 energy are its cached properties. An operator therefore cannot pair a split
-with a metric other than its own.
+with a metric other than its own. ``conformal_split`` carries a split at H to
+the metric H e^f of a site scalar f by the exact conformal law
+``P_e(H e^f) = e^{f(y) - f(x)} P_e(H)``, with no eigendecomposition and no
+codifferential: a flow's det normalization splits no metric twice.
 """
 from __future__ import annotations
 
@@ -90,7 +93,9 @@ def from_monodromy(
     domains: 0, where ``rank`` must be given explicitly). Torus generators
     must commute, otherwise no flat connection has those monodromies.
     Generators whose spectrum meets the nonpositive real axis need an
-    explicit logarithm branch through ``logs``.
+    explicit logarithm branch through ``logs``. Each axis carries one
+    transport and its inverse at every site, so one r x r matrix is inverted
+    per periodic axis.
     """
     periodic_axes = [a for a in range(domain.dim) if domain.periodic[a]]
     gens = [np.asarray(g, dtype=complex) for g in generators]
@@ -124,6 +129,7 @@ def from_monodromy(
     transports = np.broadcast_to(
         np.eye(r, dtype=complex), (domain.dim, domain.n_sites, r, r)
     ).copy()
+    transports_inv = transports.copy()
     loops: list[LoopSpec] = []
     for k, axis in enumerate(periodic_axes):
         lg = None if logs is None else logs[k]
@@ -132,8 +138,9 @@ def from_monodromy(
         if la.specnorm(closure - gens[k]) > 1e-10 * max(float(la.specnorm(gens[k])), 1.0):
             raise ValueError("per-edge transport does not close up to the generator")
         transports[axis] = frac
+        transports_inv[axis] = np.linalg.inv(frac)
         loops.append(LoopSpec(axis=axis, generator=gens[k]))
-    return connection_from_transports(domain, transports, tuple(loops))
+    return FlatConnection(domain, r, transports, transports_inv, tuple(loops))
 
 
 def loop_holonomy(conn: FlatConnection, axis: int) -> Array:
@@ -338,6 +345,50 @@ def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
     return SplitMetric(flat=conn, metric=h_field, psi=psi,
                        connection=FlatConnection(dom, conn.rank, vt, vt_inv),
                        shift=shift, root=root)
+
+
+def conformal_split(sm: SplitMetric, f: Array) -> SplitMetric:
+    """The split at ``H e^f`` for a real site scalar f, carried from the split ``sm`` at H.
+
+    A scalar moves every edge comparison by ``P_e(H e^f) = e^{df} P_e(H)``
+    exactly, with ``df = f(head) - f(tail)`` on the forward edge. So
+    ``psi' = psi - df / (2h) I``, ``V' = V e^{-df/2}``,
+    ``V'^{-1} = V^{-1} e^{df/2}``, and
+    ``V' - I = (V - I) e^{-df/2} + expm1(-df/2) I`` stays a small quantity.
+    The scaled root is ``(d e^{f/2}, Ht^{1/2}, Ht^{-1/2})``: the
+    unit-diagonal Ht does not change. The codifferential's transport
+    correction ``[V' - I, psi'] V'^{-1} = [V - I, psi] V^{-1}`` does not
+    change either, so only the fluxes of the scalar one-form ``df / (2h)``
+    move the tension: ``T' = T - div I``, with ``div`` adding
+    ``w df / (2h^2)`` at each head and subtracting it at each tail, over the
+    site volume. That is ``T + Delta f / 2 I`` on interior sites, and exact
+    on boundary sites too. The new split holds its tension already, so
+    neither an eigendecomposition nor a codifferential is taken; its energy
+    is read from psi'. The metric is ``H * e^f``, site by site.
+    """
+    conn = sm.flat
+    dom = conn.domain
+    df = np.zeros((dom.dim, dom.n_sites))     # 0 where no forward edge: those rows keep their bits
+    div = np.zeros(dom.n_sites)
+    for a in range(dom.dim):
+        tails, heads = conn.edge_sites(a)
+        df[a, tails] = f[heads] - f[tails]
+        flux = dom.edge_weight[a, tails] * df[a, tails] / (2.0 * dom.spacings[a] ** 2)
+        div[heads] += flux
+        div[tails] -= flux
+    eye = np.eye(conn.rank)
+    half = np.exp(-0.5 * df)[..., None, None]
+    step = (df / (2.0 * np.reshape(dom.spacings, (-1, 1))))[..., None, None]
+    d, ht_sqrt, ht_isqrt = sm.root
+    out = SplitMetric(
+        flat=conn, metric=sm.metric * np.exp(f)[:, None, None], psi=sm.psi - step * eye,
+        connection=FlatConnection(dom, conn.rank, sm.connection.transport * half,
+                                  sm.connection.transport_inv * np.exp(0.5 * df)[..., None, None]),
+        shift=sm.shift * half + np.expm1(-0.5 * df)[..., None, None] * eye,
+        root=(d * np.exp(0.5 * f)[:, None], ht_sqrt, ht_isqrt))
+    # Seed the cached property, so reading the tension takes no codifferential.
+    out.__dict__["tension"] = sm.tension - (div / dom.volume)[:, None, None] * eye
+    return out
 
 
 def codifferential(sm: SplitMetric, omega: Array) -> Array:

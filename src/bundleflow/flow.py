@@ -58,7 +58,9 @@ next trial's ``metric_exp_update`` takes it from the accepted state instead
 of factoring H again. K^{-1/2} of the fixed
 reference is computed once per solve, and sigma is read off the relative
 eigenvalues lambda that the log h monitors already need, as
-sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``).
+sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``). A converged
+Poisson run takes no further one: det normalization carries the final split
+to the normalized metric by its conformal law (``bundle.conformal_split``).
 
 Verdicts, each with a one-line ``verdict_reason``:
 
@@ -90,6 +92,7 @@ from .analysis import donaldson_distance, runaway_certificate
 from .bundle import (
     FlatConnection,
     SplitMetric,
+    conformal_split,
     covariant_d,
     covariant_laplacian,
     split_metric,
@@ -230,19 +233,26 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
 
 
 def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
-    """The split of one metric and the residuals of its tension.
+    """The split of one metric and the residuals of its tension (``_residuals``).
 
-    Returns the ``split`` at H, whose ``tension`` is the heat flow's step
-    direction and whose ``energy`` step control compares, with the residuals
-    ``residual_sup``, ``residual_l2`` and ``tracefree_sup`` and the
-    ``residual_floor`` below which a residual certifies nothing. The step
-    taken from this metric, explicit or implicit (``_implicit_direction``),
-    reads the split's tension, scaled square root of H
-    (``linalg.scaled_sqrt``) and metric transports, and the run's report
+    The step taken from this metric, explicit or implicit
+    (``_implicit_direction``), reads the split's tension, scaled square root
+    of H (``linalg.scaled_sqrt``) and metric transports, and the run's report
     hands the final split on (``RunReport.split``).
     """
-    sm = split_metric(conn, h_field)
-    dom = conn.domain
+    return _residuals(split_metric(conn, h_field))
+
+
+def _residuals(sm: SplitMetric) -> dict:
+    """The residuals of a split's tension, and the floor below which they certify nothing.
+
+    Returns the ``split``, whose ``tension`` is the heat flow's step
+    direction and whose ``energy`` step control compares, with the residuals
+    ``residual_sup``, ``residual_l2`` and ``tracefree_sup`` over the interior
+    sites and the roundoff ``residual_floor`` of the fluxes summed into the
+    tension.
+    """
+    dom = sm.flat.domain
     site_norm = la.hsa_norm(sm.tension)
     tf_norm = la.hsa_norm(la.tracefree(sm.tension))
     active = dom.interior_mask()
@@ -251,7 +261,7 @@ def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
     tf_sup = float(tf_norm[active].max())
     flux = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = sm.flat.edge_sites(a)
         size = (dom.edge_weight[a] / dom.spacings[a] * la.hsa_norm(sm.psi[a]))[tails]
         flux[heads] += size
         flux[tails] += size
@@ -320,10 +330,14 @@ def _drive(
     split (``_diagnostics``), or with ``implicit`` along the linearly implicit
     direction for the current dt (``_implicit_direction``). ``_drive`` adds
     the monitors against the reference (sup ||log h||, the logdet range,
-    sigma) and owns step control, the verdicts, the reset of boundary sites
-    to K, det normalization and the history. ``tracefree`` flows are judged
-    by the trace-free residual, and a converged metric is normalized to
-    det(K^{-1}H) = 1. A run starts from the dt of its state; a dt <= 0 means
+    sigma, from the relative eigenvalues of K^{-1}H) and owns step control,
+    the verdicts, the boundary sites, which hold K from the start on, det
+    normalization and the history. ``tracefree`` flows are judged by the
+    trace-free residual, and a converged one is normalized to
+    det(K^{-1}H) = 1 as H e^f, f = -log det(K^{-1}H) / r and 0 on boundary
+    sites: ``bundle.conformal_split`` carries the final split to H e^f, and
+    the monitors take the final relative eigenvalues times e^f, so no metric
+    is split twice. A run starts from the dt of its state; a dt <= 0 means
     the ``default_dt`` of its step, and a dt that is not finite is refused.
     ``init`` is advanced in place, and ``callback(state)`` sees it after each
     accepted step, so a caller that checkpoints it
@@ -331,9 +345,9 @@ def _drive(
     the end. The explicit step adds the runaway growth rule to the adaptive
     schedule (module docstring); the report's notes count the steps it
     doubled dt on. The report's ``phase_seconds`` holds the wall time of the
-    ``diagnostics`` (``_diagnostics`` and the monitors), the implicit
-    ``solve`` and the ``update``. Its ``split`` is the split of its final
-    ``metric``, whose own array the split holds, with the tension read.
+    ``diagnostics`` (splits, residuals, monitors and the normalization), the
+    implicit ``solve`` and the ``update``. Its ``split`` is the split of its
+    final ``metric``, whose own array the split holds, with the tension read.
     """
     domain = conn.domain
     opts.validate()
@@ -341,18 +355,21 @@ def _drive(
     ref_isqrt = la.sqrt_pair(reference)[1]
     phases = dict.fromkeys(("diagnostics", "solve", "update"), 0.0)
 
-    def diagnose(metric: Array) -> dict:
-        """``_diagnostics`` and the monitors against K, from the relative eigenvalues."""
-        start = _time.perf_counter()
-        diag = _diagnostics(conn, metric)
-        eigs = la.rel_eigvals(reference, metric, ref_isqrt)
+    def monitored(diag: dict, eigs: Array, start: float) -> dict:
+        """``diag`` with the monitors against K from the relative eigenvalues ``eigs``."""
         logs = np.log(eigs)
         logdet = logs.sum(axis=1)
-        diag.update(logdet_min=float(logdet.min()), logdet_max=float(logdet.max()),
+        diag.update(eigs=eigs, logdet_min=float(logdet.min()), logdet_max=float(logdet.max()),
                     logh_sup=float(np.sqrt((logs ** 2).sum(axis=1)).max()),
                     sigma_sup=float(la.donaldson_sigma(eigs).max()))
         phases["diagnostics"] += _time.perf_counter() - start
         return diag
+
+    def diagnose(metric: Array) -> dict:
+        """``_diagnostics`` of a metric and its monitors."""
+        start = _time.perf_counter()
+        return monitored(_diagnostics(conn, metric),
+                         la.rel_eigvals(reference, metric, ref_isqrt), start)
 
     if init is None:
         state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=0.0)
@@ -360,6 +377,8 @@ def _drive(
         state = init
     if not np.isfinite(state.dt):
         raise ValueError(f"dt {state.dt!r} of the flow state must be finite")
+    if domain.boundary.any():    # the Dirichlet data, which every trial and f = 0 keep
+        state.metric = np.where(domain.boundary[:, None, None], reference, state.metric)
     diag = diagnose(state.metric)
     if state.dt <= 0:
         state.dt = default_dt(domain, implicit)
@@ -450,14 +469,14 @@ def _drive(
         notes.append(f"dt doubled on {doubled} accepted steps by the runaway growth rule")
 
     if tracefree and verdict == "converged":
-        h_final = _det_normalize(reference, state.metric, ref_isqrt)
-        h_final[domain.boundary] = reference[domain.boundary]
-        # Free the diagnostics of the unnormalized metric, its split and tension
-        # included, before the recompute, which is the memory peak of a solve
-        # that converges at once.
-        del diag
-        diag = diagnose(h_final)
-        state.metric = h_final
+        # Det normalization H e^f, f = -log det(K^{-1}H) / r, from the relative
+        # eigenvalues the monitors took; f = 0 on the boundary keeps H = K there.
+        start = _time.perf_counter()
+        f = -np.log(diag["eigs"]).sum(axis=1) / conn.rank
+        f[domain.boundary] = 0.0
+        diag = monitored(_residuals(conformal_split(diag["split"], f)),
+                         diag["eigs"] * np.exp(f)[:, None], start)
+        state.metric = diag["split"].metric
 
     report = RunReport(
         verdict=verdict,
@@ -516,17 +535,6 @@ def _row(state: FlowState, dt: float, diag: dict) -> tuple:
         diag["logdet_max"],
         diag["sigma_sup"],
     )
-
-
-def _det_normalize(reference: Array, h_field: Array, ref_isqrt: Array) -> Array:
-    """Conformal correction H -> H e^f with f = log det(H^{-1}K)/rank.
-
-    Leaves the harmonic part untouched, pins det(K^{-1}H) = 1 at every site,
-    and preserves boundary values H = K (f vanishes there).
-    """
-    eigs = la.rel_eigvals(reference, h_field, ref_isqrt)
-    f = -np.log(eigs).sum(axis=1) / h_field.shape[-1]
-    return h_field * np.exp(f)[:, None, None]
 
 
 def _implicit_floor(domain: LatticeDomain) -> float:

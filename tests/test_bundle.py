@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 import bundleflow as bf
 from bundleflow import linalg as la
-from bundleflow.bundle import centered_derivative, covariant_laplacian, reverse_edge_values
+from bundleflow.bundle import (
+    centered_derivative,
+    conformal_split,
+    covariant_laplacian,
+    reverse_edge_values,
+)
 
 from util import (
     TWO_PI,
@@ -334,6 +339,47 @@ def test_tension_is_exactly_self_adjoint():
     h = rough_random_metric(dom.n_sites, 2, seed=3)
     t = bf.tension(conn, h)
     assert np.abs(la.dagger(t) @ h - h @ t).max() < 1e-10 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("kind, sites, lengths", [
+    ("torus", (9, 7), (1.0, 1.3)),
+    ("rectangle", (9, 8), (1.0, 1.5)),
+    ("annulus", (48, 11), (TWO_PI, 1.0)),
+])
+def test_conformal_split_is_the_split_at_the_rescaled_metric(kind, sites, lengths):
+    # The conformal law against a fresh split of H e^f on every site, boundary
+    # included: a torus with non-normal commuting generators, and a rectangle
+    # and an annulus (non-uniform edge weights and volumes) in a random gauge,
+    # at a rough random metric and a random f that vanishes on the boundary.
+    dom = bf.build_domain(kind, sites, lengths)
+    conn = random_connection(dom, 2, seed=3)
+    if not dom.periodic[1]:
+        conn = gauge_transform(conn, random_gauge(dom.n_sites, 2, seed=7))
+    h = rough_random_metric(dom.n_sites, 2, seed=4)
+    f = 0.5 * np.random.default_rng(5).normal(size=dom.n_sites)
+    f[dom.boundary] = 0.0
+    sm = bf.split_metric(conn, h)
+    law = conformal_split(sm, f)
+    fresh = bf.split_metric(conn, h * np.exp(f)[:, None, None])
+
+    def gap(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert np.array_equal(law.metric, fresh.metric) and law.flat is conn
+    pairs = [(law.psi, fresh.psi), (law.shift, fresh.shift),
+             (law.connection.transport, fresh.connection.transport),
+             (law.connection.transport_inv, fresh.connection.transport_inv),
+             (np.array(law.energy), np.array(fresh.energy)),
+             *zip(law.root, fresh.root)]
+    for got, want in pairs:
+        assert gap(got, want) <= 1e-13
+    # The law's tension is cached, and the codifferential agrees with it.
+    assert "tension" in vars(law)
+    assert gap(law.tension, fresh.tension) <= 1e-13
+    recomputed = la.selfadjoint_part(bf.codifferential(law, law.psi), law.metric, law.root)
+    assert gap(recomputed, fresh.tension) <= 1e-13
+    # The scalar term with the opposite sign is far off: the sign is pinned.
+    assert gap(2.0 * sm.tension - law.tension, fresh.tension) > 0.1
 
 
 def test_split_takes_its_tension_once(monkeypatch):

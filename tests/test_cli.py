@@ -558,15 +558,16 @@ def test_higgs_roundtrip_resumes_its_poisson_solve_bit_exactly(tmp_path):
 
 def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch):
     # The metric connection takes V^{-1} from the split and the composite
-    # connection carries its own inverse, so the round trip inverts two stacks:
-    # the flat transports and the composite ones, both in
-    # connection_from_transports. The Higgs data takes dbar theta, and builds
-    # the composite connection and its plaquette holonomies, once each: the
-    # residuals and flat_from_higgs's curvature check share them. The flow
-    # splits the connection at the reference and at the det-normalized
-    # metric, and each split takes its tension (one codifferential) once; the
-    # Higgs extraction reads the second split and its cached tension: two
-    # splits and two tensions in all.
+    # connection carries its own inverse, so the round trip inverts one
+    # stack, the composite transports, in connection_from_transports;
+    # from_monodromy inverts one generator fraction per torus axis. The Higgs
+    # data takes dbar theta, and builds the composite connection and its
+    # plaquette holonomies, once each: the residuals and flat_from_higgs's
+    # curvature check share them. The flow splits the connection at the
+    # reference and takes its tension (one codifferential); det normalization
+    # carries that split to the normalized metric by the conformal law, which
+    # takes neither, and the Higgs extraction reads the carried split and its
+    # tension: one split and one codifferential in all.
     inverted = []
     counts = {"dbar": 0, "composite": 0, "plaquettes": 0, "split": 0, "codifferential": 0}
     real_inv = np.linalg.inv
@@ -601,9 +602,9 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
         bundle={"rank": 2, "monodromy": [GEN2, gen_b]},
     )
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
-    assert inverted == ["connection_from_transports"] * 2
-    assert counts == {"dbar": 1, "composite": 1, "plaquettes": 1, "split": 2,
-                      "codifferential": 2}
+    assert inverted == ["from_monodromy"] * 2 + ["connection_from_transports"]
+    assert counts == {"dbar": 1, "composite": 1, "plaquettes": 1, "split": 1,
+                      "codifferential": 1}
 
 
 def test_higgs_roundtrip_refuses_above_ten_times_the_tolerance(tmp_path, monkeypatch):

@@ -265,6 +265,20 @@ def test_solve_poisson_dirichlet_pins_boundary():
     assert np.abs(dets - 1.0).max() < 1e-12
 
 
+def test_dirichlet_run_starts_from_the_boundary_data():
+    # A start metric that is off K on boundary sites is reset to K there before
+    # the first split. This conformal start converges at step 0, and det
+    # normalization, whose f vanishes on the boundary, keeps K there bit for bit.
+    dom = bf.build_domain("rectangle", (9, 9), (1.0, 1.0))
+    conn = bf.from_monodromy(dom, [], rank=2)
+    k = identity_metric(dom.n_sites, 2)
+    start = k * np.exp(np.linspace(0.0, 0.5, dom.n_sites))[:, None, None]
+    rep = bf.solve_poisson(conn, k, init=FlowState(time=0.0, metric=start, dt=0.0))
+    assert rep.verdict == "converged" and rep.steps == 0
+    assert np.array_equal(rep.metric[dom.boundary], k[dom.boundary])
+    assert np.abs(rep.metric - k).max() < 1e-14
+
+
 def test_two_flow_contraction_dirichlet():
     dom = bf.build_domain("rectangle", (12, 12), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [], rank=2)
@@ -539,9 +553,16 @@ def test_strategy_switches_at_the_implicit_floor():
 def test_report_carries_the_split_of_its_own_metric():
     # The report's split is taken at the very array it reports, whatever the
     # verdict: det-normalized Poisson, max_steps, diverged, every exhaustion level.
+    # A det-normalized run carries its final split by the conformal law
+    # (bundle.conformal_split), whose tension agrees with a fresh split's to
+    # roundoff; every other run reports the fresh split's tension bit for bit.
     def check(rep, conn):
         assert rep.split.metric is rep.metric and rep.split.flat is conn
-        assert np.array_equal(rep.split.tension, bf.tension(conn, rep.metric))
+        fresh = bf.tension(conn, rep.metric)
+        if rep.verdict == "converged" and rep.poisson_function is not None:
+            assert np.abs(rep.split.tension - fresh).max() <= 1e-13 * np.abs(fresh).max()
+        else:
+            assert np.array_equal(rep.split.tension, fresh)
         assert rep.energy == rep.split.energy
 
     dom = bf.build_domain("torus", (6, 6), (1.0, 1.0))
