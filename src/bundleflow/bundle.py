@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -317,34 +317,40 @@ def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
     that difference without losing the digits of P - I. The scaled square
     root of H is computed once over all sites and gathered at the tails of
     each axis; computing it also checks that H is positive definite. The
-    split keeps it as ``root`` for the operators that solve against H.
+    split keeps it as ``root`` for the operators that solve against H. The
+    edges of an axis run in tiles (``linalg.tiled``), each written straight
+    into the split's fields.
     """
     dom = conn.domain
     h_field = np.asarray(metric, dtype=complex)
     la.check_hermitian(h_field)
     root = la.scaled_sqrt(h_field)
-    eye = np.eye(conn.rank, dtype=complex)
     psi = np.zeros_like(conn.transport)
     vt = conn.transport.copy()
     vt_inv = conn.transport_inv.copy()
     shift = np.zeros_like(conn.transport)
     for a in range(dom.dim):
         tails, heads = conn.edge_sites(a)
-        u = conn.transport[a, tails]
-        u_inv = conn.transport_inv[a, tails]
-        n = u - eye
-        hy = h_field[heads]
-        g = la.mm(hy, n)
-        delta = (hy - h_field[tails]) + g + la.dagger(g) + la.mm(la.dagger(n), g)
-        logp, pmh, pph = la.comparison_functions(tuple(f[tails] for f in root), delta)
-        psi[a, tails] = -logp / (2.0 * dom.spacings[a])
-        u_pmh = la.mm(u, pmh)
-        vt[a, tails] = u + u_pmh
-        vt_inv[a, tails] = u_inv + la.mm(pph, u_inv)
-        shift[a, tails] = n + u_pmh
+        la.tiled(partial(_split_edges, conn, h_field, root, a), tails, heads,
+                 out=(psi[a], vt[a], vt_inv[a], shift[a]), at=tails)
     return SplitMetric(flat=conn, metric=h_field, psi=psi,
                        connection=FlatConnection(dom, conn.rank, vt, vt_inv),
                        shift=shift, root=root)
+
+
+def _split_edges(conn: FlatConnection, h_field: Array, root: la.ScaledRoot, a: int,
+                 tails: Array, heads: Array) -> tuple[Array, Array, Array, Array]:
+    """psi, V, V^{-1} and V - I on the forward edges ``tails -> heads`` along axis a."""
+    u = conn.transport[a, tails]
+    u_inv = conn.transport_inv[a, tails]
+    n = u - np.eye(conn.rank, dtype=complex)
+    hy = h_field[heads]
+    g = la.mm(hy, n)
+    delta = (hy - h_field[tails]) + g + la.dagger(g) + la.mm(la.dagger(n), g)
+    logp, pmh, pph = la.comparison_functions(tuple(f[tails] for f in root), delta)
+    u_pmh = la.mm(u, pmh)
+    return (-logp / (2.0 * conn.domain.spacings[a]), u + u_pmh,
+            u_inv + la.mm(pph, u_inv), n + u_pmh)
 
 
 def conformal_split(sm: SplitMetric, f: Array) -> SplitMetric:
@@ -407,7 +413,8 @@ def codifferential(sm: SplitMetric, omega: Array) -> Array:
     fluxes cancel exactly and the corrections keep their own relative
     precision (and vanish exactly when V - I commutes with omega). Along one
     axis the heads are distinct, and so are the tails, so each scatter adds
-    every site's term once.
+    every site's term once. The corrections are formed in tiles
+    (``linalg.tiled``) and scattered on the whole arrays.
     """
     conn = sm.flat
     dom = conn.domain
@@ -416,12 +423,17 @@ def codifferential(sm: SplitMetric, omega: Array) -> Array:
     for a in range(dom.dim):
         tails, heads = conn.edge_sites(a)
         w = (dom.edge_weight[a, tails] / dom.spacings[a])[:, None, None]
-        om = omega[a, tails]
-        x = sm.shift[a, tails]
-        turned[heads] += w * la.mm(la.commutator(x, om), sm.connection.transport_inv[a, tails])
-        flux[heads] += w * om
-        flux[tails] -= w * om
-    return (flux + turned) / dom.volume[:, None, None]
+
+        def correction(edges: Array, weights: Array) -> Array:
+            return weights * la.mm(la.commutator(sm.shift[a, edges], omega[a, edges]),
+                                   sm.connection.transport_inv[a, edges])
+
+        turned[heads] += la.tiled(correction, tails, w)
+        flux[heads] += w * omega[a, tails]
+        flux[tails] -= w * omega[a, tails]
+    flux += turned
+    flux /= dom.volume[:, None, None]
+    return flux
 
 
 def tension(conn: FlatConnection, metric: Array) -> Array:

@@ -15,6 +15,17 @@ higher (``scripts/kernel_crossover.py`` measures both). ``bundle``,
 ``flow``, ``hodge`` and ``analysis`` multiply stacks of site and edge
 matrices only through these, and never branch on the rank.
 
+The site-wise kernels (``sqrt_pair``, ``selfadjoint_part``, ``rel_eigvals``,
+``exp_hsa``, ``metric_exp_update``) and ``bundle``'s split and
+codifferential run in tiles (``tiled``): a stack of n > ``TILE`` sites is
+cut into ceil(n / TILE) balanced tiles, so the temporaries are a tile's,
+which stay in cache, not the whole stack's. Every output row depends only
+on its own sites, and a balanced tile holds at least TILE / 2 sites, never
+fewer than ``SMALL_BATCH``, so the kernel each row takes and every result
+bit are those of one call on the whole stack; a stack of at most ``TILE``
+sites is that one call. The tiled routines take row-aligned stacks (one row
+per site in each operand).
+
 The monodromy transports take one matrix at a time: ``schur``,
 ``principal_log`` and ``fractional_power`` are numpy only, and exact in the
 diagonal and first superdiagonal of triangular input.
@@ -22,6 +33,7 @@ diagonal and first superdiagonal of triangular input.
 from __future__ import annotations
 
 from math import factorial
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +44,14 @@ ScaledRoot = tuple[Array, Array, Array]   # (d, Ht^{1/2}, Ht^{-1/2}), see scaled
 # it numpy's lower per-call overhead wins (crossover between 32 and 64).
 SMALL_BATCH = 64
 
+# Sites per tile of ``tiled``. In the sweep of scripts/bench_tiles.py the
+# split with its tension ran 1.40-1.51 times faster than in one tile at 2048
+# and 1.51-1.54 at 4096, against 1.08-1.12 at 512 and 1.00-1.27 at 16384.
+# 2048 holds half the temporaries of 4096, which keeps the traced peak of a
+# split with its tension below half of one tile's. Keep it at least
+# 2 SMALL_BATCH, so that a balanced tile takes the closed forms.
+TILE = 2048
+
 # ``check_hermitian`` refuses a site whose anti-Hermitian part exceeds
 # HERMITIAN_RTOL times its norm.
 HERMITIAN_RTOL = 1e-12
@@ -39,6 +59,46 @@ HERMITIAN_RTOL = 1e-12
 # ``principal_log`` counts an eigenvalue below LOG_TOL as zero, and one within
 # LOG_TOL (relative) of the nonpositive real axis as on it.
 LOG_TOL = 1e-12
+
+
+def _rows(arg, piece: slice):
+    if isinstance(arg, tuple):
+        return tuple(a[piece] for a in arg)
+    return arg[piece] if np.ndim(arg) else arg
+
+
+def tiled(fn: Callable, *stacks, out: tuple[Array, ...] | None = None,
+          at: Array | None = None):
+    """``fn(*stacks)``, computed over balanced tiles of at most ``TILE`` sites.
+
+    Each stack is an array whose first axis runs over the sites or a tuple
+    of such arrays (a ``ScaledRoot``); the first is an array. Arguments of
+    no dimension (None, a scale) go to every tile as they are. ``fn``
+    returns an array or a tuple of arrays with one row per site, and row i
+    of each may depend only on row i of the stacks. n sites take
+    c = ceil(n / TILE) tiles, tile i the sites from i n // c to
+    (i + 1) n // c, so the sizes differ by at most one site. The rows of
+    each tile go into ``out``, at rows ``at[tile]`` when ``at`` is given, or
+    into arrays shaped from the first tile's results. Without ``out``, a
+    stack of at most TILE sites is one call of ``fn`` on the stacks
+    themselves.
+    """
+    n = len(stacks[0])
+    count = -(-n // TILE)
+    if count <= 1 and out is None:
+        return fn(*stacks)
+    single = False
+    for i in range(count):
+        piece = slice(i * n // count, (i + 1) * n // count)
+        res = fn(*(_rows(s, piece) for s in stacks))
+        single = not isinstance(res, tuple)
+        res = (res,) if single else res
+        if out is None:
+            out = tuple(np.empty((n,) + r.shape[1:], dtype=r.dtype) for r in res)
+        rows = piece if at is None else at[piece]
+        for o, r in zip(out, res):
+            o[rows] = r
+    return out[0] if single else out
 
 
 def dagger(a: Array) -> Array:
@@ -190,6 +250,8 @@ def selfadjoint_part(a: Array, metric: Array, root: ScaledRoot | None = None) ->
     ``root`` is ``scaled_sqrt(metric)`` when the caller already holds it; then
     Ht^{-1} Y is formed as Ht^{-1/2} (Ht^{-1/2} Y) instead of by a solve.
     """
+    if len(a) > TILE:
+        return tiled(selfadjoint_part, a, metric, root)
     d, ht = diagonal_scaling(metric)
     ratio = d[..., :, None] / d[..., None, :]
     at = a * ratio
@@ -274,6 +336,8 @@ def _eigh_build(w: Array, v: Array, f: Array) -> Array:
 
 def sqrt_pair(h: Array) -> tuple[Array, Array]:
     """(H^{1/2}, H^{-1/2}) for a Hermitian positive field."""
+    if len(h) > TILE:
+        return tiled(sqrt_pair, h)
     w, v = eigh(h)
     if np.any(w <= 0.0):
         raise ValueError("field is not positive definite")
@@ -348,6 +412,8 @@ def rel_eigvals(k: Array, h: Array, k_isqrt: Array | None = None) -> Array:
     ``k_isqrt`` is K^{-1/2} when the caller already holds it: a flow keeps
     its reference fixed and factors it once per solve.
     """
+    if len(k) > TILE:
+        return tiled(rel_eigvals, k, h, k_isqrt)
     ki = sqrt_pair(k)[1] if k_isqrt is None else k_isqrt
     return eigvalsh(hermitize(mm(mm(ki, h), ki)))
 
@@ -360,6 +426,8 @@ def donaldson_sigma(lam: Array) -> Array:
 
 def exp_hsa(q: Array, metric: Array, scale: float | Array = 1.0) -> Array:
     """exp(scale * Q) for an H-self-adjoint Q, via the Hermitian similarity."""
+    if len(q) > TILE:
+        return tiled(exp_hsa, q, metric, scale)
     a, ai = sqrt_pair(metric)
     e, v = eigh(hermitize(mm(mm(a, q), ai)))
     return mm(mm(ai, _eigh_build(e, v, np.exp(scale * e))), a)
@@ -373,6 +441,8 @@ def metric_exp_update(h: Array, q: Array, scale: float, root: ScaledRoot | None 
     manifestly positive for any step size and accurate for graded H.
     ``root`` is ``scaled_sqrt(h)`` when the caller already holds it.
     """
+    if len(h) > TILE:
+        return tiled(metric_exp_update, h, q, scale, root)
     d, a, ai = scaled_sqrt(h) if root is None else root
     s = hermitize(mm(mm(a, q * (d[..., :, None] / d[..., None, :])), ai))
     e, v = eigh(s)

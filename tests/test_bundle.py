@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from util import (
     random_gauge,
     random_metric,
     rough_random_metric,
+    same_bits,
     seam_gauge_circle,
     section_derivative,
     torus_diag,
@@ -380,6 +383,65 @@ def test_conformal_split_is_the_split_at_the_rescaled_metric(kind, sites, length
     assert gap(recomputed, fresh.tension) <= 1e-13
     # The scalar term with the opposite sign is far off: the sign is pinned.
     assert gap(2.0 * sm.tension - law.tension, fresh.tension) > 0.1
+
+
+@pytest.mark.parametrize("kind, sites, lengths", [
+    ("torus", (24, 24), (1.0, 1.0)),
+    ("rectangle", (17, 19), (1.0, 1.5)),
+    ("annulus", (48, 11), (TWO_PI, 1.0)),
+])
+def test_split_in_tiles_is_the_split_in_one_tile(monkeypatch, kind, sites, lengths):
+    # With tiles of 96 sites every axis's edges and every site stack run in 4
+    # to 6 tiles; each field of the split, its tension and the conformal
+    # split carried from it keep every bit of the one-tile results.
+    dom = bf.build_domain(kind, sites, lengths)
+    conn = random_connection(dom, 2, seed=3)
+    if not dom.periodic[1]:
+        conn = gauge_transform(conn, random_gauge(dom.n_sites, 2, seed=7))
+    h = rough_random_metric(dom.n_sites, 2, seed=4)
+    f = 0.5 * np.random.default_rng(5).normal(size=dom.n_sites)
+    f[dom.boundary] = 0.0
+    calls = []
+    real = la.comparison_functions
+    monkeypatch.setattr(la, "comparison_functions", lambda *args: calls.append(1) or real(*args))
+
+    def fields() -> list:
+        sm = bf.split_metric(conn, h)
+        law = conformal_split(sm, f)
+        return [sm.psi, sm.shift, sm.connection.transport, sm.connection.transport_inv,
+                *sm.root, sm.tension, np.array(sm.energy), law.metric, law.psi, law.shift,
+                law.connection.transport, law.connection.transport_inv, *law.root, law.tension]
+
+    monkeypatch.setattr(la, "TILE", 10 ** 9)
+    whole = fields()
+    assert len(calls) == dom.dim
+    calls.clear()
+    monkeypatch.setattr(la, "TILE", 96)
+    tiles = fields()
+    assert len(calls) >= 4 * dom.dim
+    for got, want in zip(tiles, whole, strict=True):
+        assert same_bits(got, want)
+
+
+def test_split_and_tension_hold_few_temporaries():
+    # The split's edge chain and the tension's correction products run in
+    # tiles, so a 64 x 64 torus (two tiles of linalg.TILE sites) holds its
+    # outputs plus about 10 metric-sized temporaries at the peak (measured
+    # 2.7 MB of 0.26 MB fields). Built whole, it held about 21 (5.5 MB).
+    dom, conn = torus_diag(n=64, length=1.0)
+    h = random_metric(dom, 2, seed=8, amplitude=0.5)
+    bf.split_metric(conn, h).tension
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sm = bf.split_metric(conn, h)
+        tension = sm.tension
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (sm.psi, sm.shift, sm.connection.transport,
+                                     sm.connection.transport_inv, *sm.root, tension))
+    assert peak <= outputs + 13 * h.nbytes
 
 
 def test_split_takes_its_tension_once(monkeypatch):

@@ -18,7 +18,7 @@ import scipy.linalg
 import bundleflow as bf
 from bundleflow import linalg as la
 
-from util import random_metric, torus_diag
+from util import random_metric, same_bits, torus_diag
 
 BATCHES = (la.SMALL_BATCH // 4, 4 * la.SMALL_BATCH)
 
@@ -191,6 +191,58 @@ def test_flow_diagnostics_agree_across_the_gate(monkeypatch):
     monkeypatch.setattr(la, "SMALL_BATCH", 10 ** 9)
     for got, expected in zip(fast, quantities()):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [24 * 24, 17 * 19, 48 * 11, 2 * 96 + 5])
+def test_site_kernels_in_tiles_keep_every_bit(monkeypatch, n):
+    # Tiles of 96 sites against one tile, on the site counts of the tiled
+    # split tests and on 2 TILE + 5 sites: balanced, that is three tiles of
+    # 65 or 66 sites; cut as 96 + 96 + 5, the last tile would fall below
+    # SMALL_BATCH, leave the closed forms and change bits.
+    dom = bf.build_domain("circle", n, 1.0)
+    k = random_metric(dom, 2, seed=8, amplitude=0.5)
+    h = random_metric(dom, 2, seed=9, amplitude=0.8)
+    q = la.selfadjoint_part(hermitian_batch(n, 6) + 0.7j * hermitian_batch(n, 7), h)
+
+    def results() -> list:
+        root = la.scaled_sqrt(h)
+        return [*root, *la.sqrt_pair(h), la.selfadjoint_part(q, h, root),
+                la.selfadjoint_part(q, h), la.metric_exp_update(h, q, 0.3, root),
+                la.metric_exp_update(h, q, 0.3), la.rel_eigvals(k, h),
+                la.rel_eigvals(k, h, la.sqrt_pair(k)[1]), la.exp_hsa(q, h, -0.2)]
+
+    monkeypatch.setattr(la, "TILE", 10 ** 9)
+    whole = results()
+    monkeypatch.setattr(la, "TILE", 96)
+    for got, want in zip(results(), whole, strict=True):
+        assert same_bits(got, want)
+
+
+def test_tiles_are_balanced_and_write_into_the_given_rows(monkeypatch):
+    monkeypatch.setattr(la, "TILE", 96)
+    sizes = []
+
+    def rows(x):
+        sizes.append(len(x))
+        return 2.0 * x, -x
+
+    x = np.arange(197.0)
+    double, minus = la.tiled(rows, x)
+    assert sizes == [65, 66, 66]
+    assert np.array_equal(double, 2.0 * x) and np.array_equal(minus, -x)
+    # Up to TILE sites and no ``out``: one call on the stack itself.
+    small = x[:96]
+    assert la.tiled(lambda y: y, small) is small
+    # Into the rows ``at`` of given arrays; None passes through.
+    out = np.zeros(300)
+    at = np.arange(197) + 50
+
+    def thrice(y, none):
+        assert none is None and len(y) in (65, 66)
+        return (3.0 * y,)
+
+    got = la.tiled(thrice, x, None, out=(out,), at=at)
+    assert got[0] is out and np.array_equal(out[at], 3.0 * x) and not out[:50].any()
 
 
 def _bottleneck_brute_force(a, b):

@@ -12,6 +12,12 @@ from bundleflow.config import smooth_random_metric
 TWO_PI = 2.0 * np.pi
 
 
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shapes, dtypes and bytes: ``np.array_equal`` that also tells 0.0 from -0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def identity_metric(n: int, r: int) -> np.ndarray:
     return np.broadcast_to(np.eye(r, dtype=complex), (n, r, r)).copy()
 
