@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Splits and wall time of ``solve_poisson`` runs that converge at step 0 and normalize.
+"""Splits, wall time and traced memory of step-0 Poisson runs and of the Higgs round trip after one.
 
 A Poisson run that converges normalizes its metric to det(K^{-1}H) = 1. Both
 inputs converge at step 0, so the normalization and the diagnostics around
@@ -21,13 +21,21 @@ numpy loads. In it, each input is solved ``--calls`` times at tolerance 1e-8;
 the run records the median wall time of ``solve_poisson``, the median of the
 report's ``diagnostics`` phase, the calls to ``split_metric`` that one solve
 makes, the verdict, the steps and the SHA-256 of the final metric's bytes.
-The JSON holds, per input, the medians over ``--repeats`` runs and every run.
+On ``torus-higgs`` it then runs the CLI's round trip once more under
+tracemalloc and records the transient peak (the traced peak minus what is
+held before the call, in MB) of ``solve_poisson``, ``higgs_from_harmonic``
+on the run's split, ``hitchin_residuals`` and ``flat_from_higgs`` (at
+tolerance 1e-8), with the SHA-256 of theta's bytes, the three residuals and
+the SHA-256 of the loop generators' bytes. The JSON holds, per input, the
+medians over ``--repeats`` runs and every run.
 
 With ``--baseline-src`` every run is paired with one on the bundleflow under
 that directory, for example an export of an earlier commit, alternating which
 side goes first; the baseline's records are under ``baseline``, next to the
-speed-ups. The script refuses to write (an ``error:`` line, exit status 1)
-unless every run of both trees ends at the same final-metric bytes.
+speed-ups and the ratios of the traced peaks. The script refuses to write
+(an ``error:`` line, exit status 1) unless every run of both trees ends at
+the same final-metric bytes, and on ``torus-higgs`` at the same theta bytes,
+the same three residuals and the same loop-generator bytes.
 
     python3 scripts/bench_normalize.py [--repeats 10] [--calls 3] [--seed 1] \
         [--baseline-src DIR] [--out BENCH_normalize.json]
@@ -44,6 +52,7 @@ import benchkit  # noqa: E402
 
 INPUTS = ("torus-higgs", "rectangle-conformal")
 TOLERANCE = 1e-8
+ROUND_TRIP = ("solve_poisson", "higgs_from_harmonic", "hitchin_residuals", "flat_from_higgs")
 RECTANGLE_SITES = 129
 
 
@@ -112,7 +121,43 @@ def worker(seed: int, calls: int) -> None:
             "steps": rep.steps,
             "sha256": sorted(digests),
         }
+        if name == "torus-higgs":
+            records[name]["round_trip"] = round_trip(conn, reference, start_metric)
     print(json.dumps(records))
+
+
+def traced_peak(fn):
+    """(``fn()``, the MB it allocates at its peak beyond what is held before the call)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def round_trip(conn, reference, start_metric) -> dict:
+    """The CLI's Higgs round trip under tracemalloc: each call's transient peak, and
+    the digests of theta and the loop generators with the three residuals."""
+    import hashlib
+
+    import bundleflow as bf
+
+    state = bf.FlowState(time=0.0, metric=start_metric.copy(), dt=0.0)
+    peaks = {}
+    rep, peaks["solve_poisson"] = traced_peak(lambda: bf.solve_poisson(
+        conn, reference, bf.SolveOptions(tolerance=TOLERANCE), init=state))
+    hd, peaks["higgs_from_harmonic"] = traced_peak(
+        lambda: bf.higgs_from_harmonic(rep.split, tension_tol=TOLERANCE))
+    residuals, peaks["hitchin_residuals"] = traced_peak(lambda: bf.hitchin_residuals(hd))
+    back, peaks["flat_from_higgs"] = traced_peak(lambda: bf.flat_from_higgs(hd, tol=TOLERANCE))
+    loops = hashlib.sha256(b"".join(lp.generator.tobytes() for lp in back.loops))
+    return {"peak_mb": peaks, "theta_sha256": hashlib.sha256(hd.theta.tobytes()).hexdigest(),
+            "residuals": {key: float(value) for key, value in residuals.items()},
+            "loops_sha256": loops.hexdigest()}
 
 
 def main() -> None:
@@ -141,6 +186,12 @@ def main() -> None:
         if len(digests) > 1:
             print(f"error: {name}: the runs end at different final metrics", file=sys.stderr)
             raise SystemExit(1)
+    trips = [r["torus-higgs"]["round_trip"] for records in runs.values() for r in records]
+    for key, what in (("theta_sha256", "theta"), ("residuals", "Hitchin residuals"),
+                      ("loops_sha256", "loop generators")):
+        if len({json.dumps(t[key], sort_keys=True) for t in trips}) > 1:
+            print(f"error: torus-higgs: the round trips end at different {what}", file=sys.stderr)
+            raise SystemExit(1)
 
     result = {
         "tolerance": TOLERANCE,
@@ -161,6 +212,16 @@ def main() -> None:
                            "wall_s": statistics.median(wall),
                            "diagnostics_s": statistics.median(diagnostics),
                            "wall_s_runs": wall, "diagnostics_s_runs": diagnostics}
+        if name == "torus-higgs":
+            first_trip = first["round_trip"]
+            entry.update(theta_sha256=first_trip["theta_sha256"],
+                         residuals=first_trip["residuals"],
+                         loops_sha256=first_trip["loops_sha256"])
+            for side, records in runs.items():
+                peaks = {call: [r[name]["round_trip"]["peak_mb"][call] for r in records]
+                         for call in ROUND_TRIP}
+                entry[side]["peak_mb"] = {call: statistics.median(v) for call, v in peaks.items()}
+                entry[side]["peak_mb_runs"] = peaks
         cur = entry["current"]
         line = (f"{name}: {entry['verdict']} in {entry['steps']} steps, "
                 f"{cur['split_metric_calls']} splits, wall {1e3 * cur['wall_s']:.1f} ms, "
@@ -173,8 +234,16 @@ def main() -> None:
                      f"wall {1e3 * base['wall_s']:.1f} ms (x{entry['wall_speedup']:.2f}), "
                      f"diagnostics {1e3 * base['diagnostics_s']:.1f} ms "
                      f"(x{entry['diagnostics_speedup']:.2f})")
+            if "peak_mb" in cur:
+                entry["peak_ratio"] = {call: cur["peak_mb"][call] / base["peak_mb"][call]
+                                       for call in ROUND_TRIP if base["peak_mb"][call] > 0}
         result["inputs"][name] = entry
         print(line, flush=True)
+        if "peak_mb" in cur:
+            print("  traced peak MB: " + ", ".join(
+                f"{call} {cur['peak_mb'][call]:.1f}"
+                + (f" (baseline {entry['baseline']['peak_mb'][call]:.1f})" if "baseline" in entry
+                   else "") for call in ROUND_TRIP), flush=True)
     benchkit.write(args.out, result)
 
 

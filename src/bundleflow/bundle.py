@@ -32,7 +32,9 @@ energy are its cached properties. An operator therefore cannot pair a split
 with a metric other than its own. ``conformal_split`` carries a split at H to
 the metric H e^f of a site scalar f by the exact conformal law
 ``P_e(H e^f) = e^{f(y) - f(x)} P_e(H)``, with no eigendecomposition and no
-codifferential: a flow's det normalization splits no metric twice.
+codifferential: a flow's det normalization splits no metric twice. It takes
+over the arrays of the split it carries and moves them in place, so the
+normalization holds one split, not two.
 """
 from __future__ import annotations
 
@@ -156,15 +158,28 @@ def loop_holonomy(conn: FlatConnection, axis: int) -> Array:
     return hol
 
 
-def plaquette_holonomies(conn: FlatConnection) -> tuple[Array, Array]:
-    """(sites, holonomies) for every plaquette with base at its lower-left site."""
+def plaquette_bases(domain: LatticeDomain) -> Array:
+    """Lower-left sites of the plaquettes of a 2-D domain; none in other dimensions."""
+    if domain.dim != 2:
+        return np.zeros(0, dtype=int)
+    nx = domain.neighbors[0, 0]
+    ny = domain.neighbors[1, 0]
+    base = np.flatnonzero((nx >= 0) & (ny >= 0))
+    return base[(ny[nx[base]] >= 0) & (nx[ny[base]] >= 0)]
+
+
+def plaquette_holonomies(conn: FlatConnection, base: Array | None = None) -> tuple[Array, Array]:
+    """(sites, holonomies) for every plaquette with base at its lower-left site.
+
+    ``base`` picks some of those plaquettes (a part of ``plaquette_bases``);
+    their holonomies come in its order.
+    """
     dom = conn.domain
+    base = plaquette_bases(dom) if base is None else base
     if dom.dim != 2:
-        return np.zeros(0, dtype=int), np.zeros((0, conn.rank, conn.rank))
+        return base, np.zeros((0, conn.rank, conn.rank))
     nx = dom.neighbors[0, 0]
     ny = dom.neighbors[1, 0]
-    base = np.flatnonzero((nx >= 0) & (ny >= 0))
-    base = base[(ny[nx[base]] >= 0) & (nx[ny[base]] >= 0)]
     t, t_inv = conn.transport, conn.transport_inv
     hol = la.mm(la.mm(la.mm(t_inv[1, base], t_inv[0, ny[base]]), t[1, nx[base]]), t[0, base])
     return base, hol
@@ -193,35 +208,40 @@ def covariant_d(conn: FlatConnection, field_values: Array) -> Array:
     return out
 
 
-def centered_derivative(conn: FlatConnection, values: Array) -> Array:
+def centered_derivative(conn: FlatConnection, values: Array, sites: Array | None = None) -> Array:
     """Centered covariant derivative of a site field along ``conn``, per axis.
 
     At a site x with neighbours on both sides along axis a the value is
     ``(U_x^{-1} f(x + e_a) - U_{x - e_a} f(x - e_a)) / (2 h_a)`` for section
     fields (n, r); endomorphism fields (n, r, r) transform by the adjoint
     action, ``U_x^{-1} f U_x`` and ``U f U^{-1}``. Sites next to a boundary
-    hold zeros.
+    hold zeros. ``sites`` takes the derivative at those sites only (one row
+    each, in their order); every site by default. The products run over all
+    the rows, a site without both neighbours standing in for them, so the
+    kernel each row takes is set by the number of rows, as ``linalg.tiled``
+    needs.
     """
     dom = conn.domain
     f = np.asarray(values, dtype=complex)
     endo = f.ndim == 3
-    out = np.zeros((dom.dim,) + f.shape, dtype=complex)
+    sites = np.arange(dom.n_sites) if sites is None else sites
+    out = np.zeros((dom.dim, len(sites)) + f.shape[1:], dtype=complex)
     for a in range(dom.dim):
-        plus, minus = dom.neighbors[a]
-        sites = np.flatnonzero((plus >= 0) & (minus >= 0))
-        left = minus[sites]
+        plus, minus = dom.neighbors[a][:, sites]
+        inner = (plus >= 0) & (minus >= 0)
+        right, left = np.where(inner, plus, sites), np.where(inner, minus, sites)
         t, t_inv = conn.transport[a], conn.transport_inv[a]
         if endo:
-            fwd = la.mm(la.mm(t_inv[sites], f[plus[sites]]), t[sites])
+            fwd = la.mm(la.mm(t_inv[sites], f[right]), t[sites])
             bwd = la.mm(la.mm(t[left], f[left]), t_inv[left])
         else:
-            fwd = np.einsum("eij,ej->ei", t_inv[sites], f[plus[sites]])
+            fwd = np.einsum("eij,ej->ei", t_inv[sites], f[right])
             bwd = np.einsum("eij,ej->ei", t[left], f[left])
-        out[a, sites] = (fwd - bwd) / (2.0 * dom.spacings[a])
+        out[a, inner] = ((fwd - bwd) / (2.0 * dom.spacings[a]))[inner]
     return out
 
 
-def reverse_edge_values(conn: FlatConnection, omega: Array) -> Array:
+def reverse_edge_values(conn: FlatConnection, omega: Array, sites: Array | None = None) -> Array:
     """Values of a one-form on the reverse edges, by transport antisymmetry.
 
     Entry ``[a, x]`` is the value on the directed edge ``x -> x - e_a``
@@ -229,39 +249,47 @@ def reverse_edge_values(conn: FlatConnection, omega: Array) -> Array:
     the left neighbour; zero where that edge does not exist. One-forms whose
     natural parallelism is the metric connection (covariant derivatives of
     site fields taken along the metric transports) pass the split's
-    ``connection`` instead of the flat one.
+    ``connection`` instead of the flat one. ``sites`` takes the values at
+    those sites only (one row each, in their order); every site by default.
+    As in ``centered_derivative``, the products run over all the rows.
     """
     dom = conn.domain
     endo = omega.ndim == 4
-    out = np.zeros_like(omega)
+    sites = np.arange(dom.n_sites) if sites is None else sites
+    out = np.zeros((dom.dim, len(sites)) + omega.shape[2:], dtype=omega.dtype)
     for a in range(dom.dim):
-        lefts = dom.neighbors[a, 1]
-        sites = np.flatnonzero(lefts >= 0)
-        src = lefts[sites]
+        lefts = dom.neighbors[a, 1, sites]
+        has = lefts >= 0
+        src = np.where(has, lefts, sites)
         u = conn.transport[a, src]
         if endo:
-            out[a, sites] = -la.mm(la.mm(u, omega[a, src]), conn.transport_inv[a, src])
+            moved = -la.mm(la.mm(u, omega[a, src]), conn.transport_inv[a, src])
         else:
-            out[a, sites] = -np.einsum("eij,ej->ei", u, omega[a, src])
+            moved = -np.einsum("eij,ej->ei", u, omega[a, src])
+        out[a, has] = moved[has]
     return out
 
 
-def centered_components(conn: FlatConnection, omega: Array) -> Array:
+def centered_components(conn: FlatConnection, omega: Array, sites: Array | None = None) -> Array:
     """Site-centered axis components of a one-form, second-order accurate.
 
     Averages the forward-edge value with the pulled-back left-edge value;
-    falls back to the single available side next to a boundary.
+    falls back to the single available side next to a boundary. ``sites``
+    takes the components at those sites only (one row each, in their order);
+    every site by default.
     """
     dom = conn.domain
-    rev = reverse_edge_values(conn, omega)
-    out = np.zeros_like(omega)
+    sites = np.arange(dom.n_sites) if sites is None else sites
+    rev = reverse_edge_values(conn, omega, sites)
+    out = np.zeros_like(rev)
     for a in range(dom.dim):
-        has_fwd = dom.neighbors[a, 0] >= 0
-        has_bwd = dom.neighbors[a, 1] >= 0
+        fwd = omega[a, sites]
+        has_fwd = dom.neighbors[a, 0, sites] >= 0
+        has_bwd = dom.neighbors[a, 1, sites] >= 0
         both = has_fwd & has_bwd
-        out[a, both] = 0.5 * (omega[a, both] - rev[a, both])
+        out[a, both] = 0.5 * (fwd[both] - rev[a, both])
         only_f = has_fwd & ~has_bwd
-        out[a, only_f] = omega[a, only_f]
+        out[a, only_f] = fwd[only_f]
         only_b = ~has_fwd & has_bwd
         out[a, only_b] = -rev[a, only_b]
     return out
@@ -370,7 +398,14 @@ def conformal_split(sm: SplitMetric, f: Array) -> SplitMetric:
     site volume. That is ``T + Delta f / 2 I`` on interior sites, and exact
     on boundary sites too. The new split holds its tension already, so
     neither an eigendecomposition nor a codifferential is taken; its energy
-    is read from psi'. The metric is ``H * e^f``, site by site.
+    is read from psi'.
+
+    The new split takes over the arrays of ``sm``: psi, V, V^{-1}, V - I and
+    the tension (read first), updated in place, so ``sm`` must not be read
+    again. V and V^{-1} are scaled whole; the scalar terms enter entry by
+    entry, the off-diagonal zeros of I included, so every entry, signed
+    zeros too, rounds as in the sums above. The metric ``H * e^f`` and the
+    root's d are new arrays: the metric ``sm`` was split at is not written.
     """
     conn = sm.flat
     dom = conn.domain
@@ -382,18 +417,26 @@ def conformal_split(sm: SplitMetric, f: Array) -> SplitMetric:
         flux = dom.edge_weight[a, tails] * df[a, tails] / (2.0 * dom.spacings[a] ** 2)
         div[heads] += flux
         div[tails] -= flux
-    eye = np.eye(conn.rank)
+    psi, shift, tension = sm.psi, sm.shift, sm.tension
+    v, v_inv = sm.connection.transport, sm.connection.transport_inv
     half = np.exp(-0.5 * df)[..., None, None]
-    step = (df / (2.0 * np.reshape(dom.spacings, (-1, 1))))[..., None, None]
+    v *= half
+    v_inv *= np.exp(0.5 * df)[..., None, None]
+    shift *= half
+    step = df / (2.0 * np.reshape(dom.spacings, (-1, 1)))
+    grow = np.expm1(-0.5 * df)
+    dens = div / dom.volume
+    eye = np.eye(conn.rank)
+    for i, j in np.ndindex(eye.shape):
+        psi[..., i, j] -= step * eye[i, j]
+        shift[..., i, j] += grow * eye[i, j]
+        tension[..., i, j] -= dens * eye[i, j]
     d, ht_sqrt, ht_isqrt = sm.root
-    out = SplitMetric(
-        flat=conn, metric=sm.metric * np.exp(f)[:, None, None], psi=sm.psi - step * eye,
-        connection=FlatConnection(dom, conn.rank, sm.connection.transport * half,
-                                  sm.connection.transport_inv * np.exp(0.5 * df)[..., None, None]),
-        shift=sm.shift * half + np.expm1(-0.5 * df)[..., None, None] * eye,
-        root=(d * np.exp(0.5 * f)[:, None], ht_sqrt, ht_isqrt))
+    out = SplitMetric(flat=conn, metric=sm.metric * np.exp(f)[:, None, None], psi=psi,
+                      connection=sm.connection, shift=shift,
+                      root=(d * np.exp(0.5 * f)[:, None], ht_sqrt, ht_isqrt))
     # Seed the cached property, so reading the tension takes no codifferential.
-    out.__dict__["tension"] = sm.tension - (div / dom.volume)[:, None, None] * eye
+    out.__dict__["tension"] = tension
     return out
 
 

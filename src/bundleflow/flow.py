@@ -60,7 +60,8 @@ reference is computed once per solve, and sigma is read off the relative
 eigenvalues lambda that the log h monitors already need, as
 sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``). A converged
 Poisson run takes no further one: det normalization carries the final split
-to the normalized metric by its conformal law (``bundle.conformal_split``).
+to the normalized metric by its conformal law, in place
+(``bundle.conformal_split``).
 
 Verdicts, each with a one-line ``verdict_reason``:
 
@@ -254,7 +255,7 @@ def _residuals(sm: SplitMetric) -> dict:
     """
     dom = sm.flat.domain
     site_norm = la.hsa_norm(sm.tension)
-    tf_norm = la.hsa_norm(la.tracefree(sm.tension))
+    tf_norm = la.tracefree_norm(sm.tension)
     active = dom.interior_mask()
     res_sup = float(site_norm[active].max())
     res_l2 = float(np.sqrt(np.sum(dom.volume[active] * site_norm[active] ** 2)))
@@ -335,10 +336,11 @@ def _drive(
     normalization and the history. ``tracefree`` flows are judged by the
     trace-free residual, and a converged one is normalized to
     det(K^{-1}H) = 1 as H e^f, f = -log det(K^{-1}H) / r and 0 on boundary
-    sites: ``bundle.conformal_split`` carries the final split to H e^f, and
-    the monitors take the final relative eigenvalues times e^f, so no metric
-    is split twice. A run starts from the dt of its state; a dt <= 0 means
-    the ``default_dt`` of its step, and a dt that is not finite is refused.
+    sites: ``bundle.conformal_split`` carries the final split to H e^f in
+    place, and the monitors take the final relative eigenvalues times e^f,
+    so no metric is split twice and one split is held. A run starts from the
+    dt of its state; a dt <= 0 means the ``default_dt`` of its step, and a
+    dt that is not finite is refused.
     ``init`` is advanced in place, and ``callback(state)`` sees it after each
     accepted step, so a caller that checkpoints it
     (``checkpoint.Checkpoint.of``) holds the run's state at every step and at

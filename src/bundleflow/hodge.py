@@ -9,11 +9,13 @@ components ``Psi_x = theta + theta*``, ``Psi_y = i (theta - theta*)`` to the
 metric transports; its plaquette holonomies measure the composite curvature,
 and their area-normalized contraction is the contracted curvature that
 ``hitchin_residuals`` reports and ``higgs_degree_stability`` integrates.
+theta, the composite transports and the residuals are taken over tiles of
+sites or edges (``linalg.tiled``), so each holds one tile's temporaries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .bundle import (
     connection_from_transports,
     covariant_d,
     loop_holonomy,
+    plaquette_bases,
     plaquette_holonomies,
 )
 from .linalg import dagger
@@ -47,7 +50,12 @@ SOURCE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class HiggsData:
-    """Simpson's harmonic bundle (dbar, theta, h) on a complex-curve lattice."""
+    """Simpson's harmonic bundle (dbar, theta, h) on a complex-curve lattice.
+
+    The composite connection and the residuals are taken once, when first
+    read, and kept with the data. The residuals are sups reduced over tiles
+    of sites (``linalg.tiled``), so no site field of them is held whole.
+    """
 
     connection: FlatConnection  # metric transports, their inverses, and the loops
     theta: Array                # (n, r, r) dz-coefficient; theta ^ theta = 0 on curves
@@ -63,9 +71,12 @@ class HiggsData:
 
     @cached_property
     def holomorphicity_residual(self) -> float:
-        """Sup of dbar theta, taken once. It vanishes in the continuum for exact
-        solutions and here decays with the spacing and the solver tolerance."""
-        return float(np.max(la.frobenius(_dbar_site_field(self.connection, self.theta))))
+        """Sup of dbar theta. It vanishes in the continuum for exact solutions
+        and here decays with the spacing and the solver tolerance."""
+        def norms(sites: Array) -> Array:
+            return la.frobenius(_dbar_site_field(self.connection, self.theta, sites))
+
+        return float(np.max(la.tiled(norms, np.arange(self.connection.domain.n_sites))))
 
     @cached_property
     def composite(self) -> FlatConnection:
@@ -73,11 +84,14 @@ class HiggsData:
         return composite_transports(self)
 
     @cached_property
-    def composite_curvature(self) -> tuple[Array, Array, float]:
-        """(sites, holonomies) of the composite plaquettes and their sup ``|hol - I|``."""
-        base, hol = plaquette_holonomies(self.composite)
-        eye = np.eye(self.connection.rank, dtype=complex)
-        return base, hol, float(np.max(la.specnorm(hol - eye), initial=0.0))
+    def curvature_sups(self) -> tuple[float, float]:
+        """Sups of ``|hol - I|`` and of the contracted curvature over the composite plaquettes."""
+        def norms(base: Array) -> tuple[Array, Array]:
+            deviation, contracted = _plaquette_curvature(self, base)
+            return la.specnorm(deviation), la.frobenius(contracted)
+
+        hol, lam = la.tiled(norms, plaquette_bases(self.connection.domain))
+        return float(np.max(hol, initial=0.0)), float(np.max(lam, initial=0.0))
 
 
 def complex_split(domain: LatticeDomain, components: Array) -> tuple[Array, Array]:
@@ -94,12 +108,15 @@ def complex_split(domain: LatticeDomain, components: Array) -> tuple[Array, Arra
     return p10, p01
 
 
-def _dbar_site_field(conn: FlatConnection, field: Array, theta: Array | None = None) -> Array:
-    """dbar operator on an endomorphism site field: 0.5 (grad_x + i grad_y) + [theta, .]."""
-    grad = centered_derivative(conn, field)
+def _dbar_site_field(conn: FlatConnection, field: Array, sites: Array | None = None,
+                     theta: Array | None = None) -> Array:
+    """dbar operator on an endomorphism site field: 0.5 (grad_x + i grad_y) + [theta, .],
+    at ``sites`` (every site by default)."""
+    sites = np.arange(conn.domain.n_sites) if sites is None else sites
+    grad = centered_derivative(conn, field, sites)
     out = 0.5 * (grad[0] + 1j * grad[1])
     if theta is not None:
-        out += la.commutator(theta, field)
+        out += la.commutator(theta[sites], field[sites])
     return out
 
 
@@ -112,65 +129,87 @@ def higgs_from_harmonic(sm: SplitMetric, tension_tol: float = 1e-7) -> HiggsData
     carry the dbar operator. The metric is accepted when the trace-free part
     of the split's tension is below ``10 * tension_tol``: a Poisson metric's
     tension is a scalar multiple of the identity at each site, which theta
-    does not see.
+    does not see. The check and theta run over tiles of sites
+    (``linalg.tiled``).
     """
     conn = sm.flat
     dom = conn.domain
     if dom.dim != 2:
         raise ValueError("Higgs extraction needs a complex-curve domain")
-    t_sup = float(np.max(la.hsa_norm(la.tracefree(sm.tension))))
+    t_sup = float(np.max(la.tracefree_norm(sm.tension)))
     if t_sup > 10.0 * tension_tol:
         raise ValueError(
             f"metric is not harmonic or Poisson enough (sup trace-free tension {t_sup:.3e} "
             f"> {10 * tension_tol:.1e})"
         )
-    psic = centered_components(conn, sm.psi)
-    perp = np.stack([la.tracefree(psic[a]) for a in range(2)])
-    theta, _ = complex_split(dom, perp)
+
+    def theta_at(sites: Array) -> Array:
+        return complex_split(dom, la.tracefree(centered_components(conn, sm.psi, sites)))[0]
+
+    theta = la.tiled(theta_at, np.arange(dom.n_sites))
     return HiggsData(replace(sm.connection, loops=conn.loops), theta, sm.metric)
 
 
-def _psi_from_theta(theta: Array, metric: Array) -> Array:
-    """Self-adjoint one-form components of theta dz + theta* dzbar."""
+def _psi_from_theta(theta: Array, metric: Array, axes: tuple[int, ...] = (0, 1)) -> Array:
+    """Self-adjoint one-form components of theta dz + theta* dzbar along ``axes``:
+    ``theta + theta*`` along x and ``i (theta - theta*)`` along y."""
     theta_star = np.linalg.solve(metric, la.mm(dagger(theta), metric))
-    psi_x = theta + theta_star
-    psi_y = 1j * (theta - theta_star)
-    return np.stack([psi_x, psi_y])
+    return np.stack([theta + theta_star if a == 0 else 1j * (theta - theta_star) for a in axes])
 
 
 def composite_transports(higgs: HiggsData) -> FlatConnection:
-    """The composite (metric + Higgs) connection, without loops."""
+    """The composite (metric + Higgs) connection, without loops.
+
+    The transports ``V exp(-h Psi)`` of the forward edges are taken over tiles
+    of edges (``linalg.tiled``) and written into the output stack.
+    """
     conn = higgs.connection
     dom = conn.domain
     metric = np.asarray(higgs.metric)
-    psi = _psi_from_theta(higgs.theta, metric)
+
+    def edges(a: int, tails: Array) -> Array:
+        psi = _psi_from_theta(higgs.theta[tails], metric[tails], (a,))[0]
+        step = la.exp_hsa(psi, metric[tails], -dom.spacings[a])
+        return la.mm(conn.transport[a, tails], step)
+
     out = conn.transport.copy()
     for a in range(2):
         tails, _ = conn.edge_sites(a)
-        step = la.exp_hsa(psi[a, tails], metric[tails], -dom.spacings[a])
-        out[a, tails] = la.mm(conn.transport[a, tails], step)
+        la.tiled(partial(edges, a), tails, out=(out[a],), at=tails)
     return connection_from_transports(dom, out)
 
 
-def lambda_contraction(higgs: HiggsData) -> Array:
-    """Area-normalized, metric-symmetrized plaquette coefficient i (hol - 1)/area
-    of the composite connection."""
-    dom, r = higgs.connection.domain, higgs.connection.rank
-    base, hol, _ = higgs.composite_curvature
+def _plaquette_curvature(higgs: HiggsData, base: Array) -> tuple[Array, Array]:
+    """``hol - I`` and the contracted curvature at the composite plaquettes based at ``base``.
+
+    The contracted curvature is the area-normalized, metric-symmetrized
+    coefficient ``i (hol - I) / area``.
+    """
+    dom = higgs.connection.domain
+    _, hol = plaquette_holonomies(higgs.composite, base)
+    deviation = hol - np.eye(higgs.connection.rank, dtype=complex)
     area = dom.spacings[0] * dom.spacings[1]
+    contracted = la.selfadjoint_part(1j * deviation / area, np.asarray(higgs.metric)[base])
+    return deviation, contracted
+
+
+def lambda_contraction(higgs: HiggsData) -> Array:
+    """The contracted curvature of the composite connection as a site field,
+    at the base site of each plaquette and zero elsewhere."""
+    dom, r = higgs.connection.domain, higgs.connection.rank
     out = np.zeros((dom.n_sites, r, r), dtype=complex)
-    out[base] = 1j * (hol - np.eye(r, dtype=complex)) / area
-    out[base] = la.selfadjoint_part(out[base], np.asarray(higgs.metric)[base])
+    base = plaquette_bases(dom)
+    la.tiled(lambda b: _plaquette_curvature(higgs, b)[1], base, out=(out,), at=base)
     return out
 
 
 def hitchin_residuals(higgs: HiggsData) -> dict:
     """Holomorphy, composite-curvature, and contracted-curvature sup norms."""
-    lam = lambda_contraction(higgs)
+    curvature, contracted = higgs.curvature_sups
     return {
         "holomorphy": higgs.holomorphicity_residual,
-        "hs_curvature_sup": higgs.composite_curvature[2],
-        "lambda_F_sup": float(np.max(la.frobenius(lam), initial=0.0)),
+        "hs_curvature_sup": curvature,
+        "lambda_F_sup": contracted,
     }
 
 
@@ -217,7 +256,7 @@ def flat_from_higgs(higgs: HiggsData, tol: float = 1e-5) -> FlatConnection:
     Refuses a composite curvature (the sup of ``|hol - I|`` the Higgs data
     carries) above ``CURVATURE_FACTOR * tol``.
     """
-    curvature_sup = higgs.composite_curvature[2]
+    curvature_sup = higgs.curvature_sups[0]
     if curvature_sup > CURVATURE_FACTOR * tol:
         raise ValueError(f"composite curvature {curvature_sup:.3e} too large to flatten")
     composite = higgs.composite

@@ -288,6 +288,11 @@ def tracefree(a: Array) -> Array:
     return a - (trace(a) / r)[..., None, None] * np.eye(r, dtype=complex)
 
 
+def tracefree_norm(a: Array) -> Array:
+    """``hsa_norm(tracefree(a))`` per site of an H-self-adjoint field, over ``tiled`` sites."""
+    return tiled(lambda t: hsa_norm(tracefree(t)), a)
+
+
 def hermitian_basis(r: int) -> list[Array]:
     """A real basis of the r x r Hermitian matrices.
 
@@ -311,21 +316,23 @@ def hermitian_basis(r: int) -> list[Array]:
     return basis
 
 
+def _not_hermitian(h: Array) -> Array:
+    return frobenius(h - dagger(h)) > HERMITIAN_RTOL * np.maximum(frobenius(h), 1e-300)
+
+
 def check_hermitian(h: Array) -> None:
-    """Validate that a metric field is finite and Hermitian within ``HERMITIAN_RTOL``."""
+    """Validate that a metric field is finite and Hermitian within ``HERMITIAN_RTOL``,
+    over ``tiled`` sites."""
     if not np.all(np.isfinite(h)):
         raise ValueError("metric field is not finite")
-    dev = frobenius(h - dagger(h))
-    scale = frobenius(h)
-    if np.any(dev > HERMITIAN_RTOL * np.maximum(scale, 1e-300)):
+    if np.any(tiled(_not_hermitian, h)):
         raise ValueError("metric field is not Hermitian within tolerance")
 
 
 def check_metric(h: Array) -> None:
-    """Validate Hermiticity and positive-definiteness of a metric field."""
+    """Validate Hermiticity and positive-definiteness of a metric field, over ``tiled`` sites."""
     check_hermitian(h)
-    w = eigvalsh(hermitize(h))
-    if np.any(w <= 0.0):
+    if np.any(tiled(lambda t: eigvalsh(hermitize(t))[..., 0] <= 0.0, h)):
         raise ValueError("metric field is not positive definite")
 
 

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from bundleflow.bundle import (
 from util import (
     TWO_PI,
     circle_diag,
+    conformal_split_out_of_place,
     delta_operator,
     edge_products_matmul,
     flatness_residual,
@@ -362,6 +364,7 @@ def test_conformal_split_is_the_split_at_the_rescaled_metric(kind, sites, length
     f = 0.5 * np.random.default_rng(5).normal(size=dom.n_sites)
     f[dom.boundary] = 0.0
     sm = bf.split_metric(conn, h)
+    tension = sm.tension.copy()    # the law takes over sm's arrays and moves them in place
     law = conformal_split(sm, f)
     fresh = bf.split_metric(conn, h * np.exp(f)[:, None, None])
 
@@ -382,7 +385,46 @@ def test_conformal_split_is_the_split_at_the_rescaled_metric(kind, sites, length
     recomputed = la.selfadjoint_part(bf.codifferential(law, law.psi), law.metric, law.root)
     assert gap(recomputed, fresh.tension) <= 1e-13
     # The scalar term with the opposite sign is far off: the sign is pinned.
-    assert gap(2.0 * sm.tension - law.tension, fresh.tension) > 0.1
+    assert gap(2.0 * tension - law.tension, fresh.tension) > 0.1
+
+
+@pytest.mark.parametrize("kind, sites, lengths", [
+    ("torus", (9, 7), (1.0, 1.3)),
+    ("rectangle", (9, 8), (1.0, 1.5)),
+    ("annulus", (48, 11), (TWO_PI, 1.0)),
+])
+def test_conformal_split_in_place_is_the_law_out_of_place(kind, sites, lengths):
+    # The law takes over the split's arrays and moves them in place; every
+    # field keeps the bits, signed zeros included, of the same sums formed
+    # into new arrays from a deep copy of the split. The identity metric of
+    # a diagonal bundle gives psi, V - I and the tension exact off-diagonal
+    # zeros, and f takes both signs and -0.0 (-log 1, a site with det 1).
+    dom = bf.build_domain(kind, sites, lengths)
+    gens = [np.diag([2.0, 0.5]).astype(complex), np.diag([3.0, 1 / 3.0]).astype(complex)]
+    rng = np.random.default_rng(5)
+    f = 0.5 * rng.normal(size=dom.n_sites)
+    f[::7] = -0.0
+    f[dom.boundary] = 0.0
+    cases = [(random_connection(dom, 2, seed=3), rough_random_metric(dom.n_sites, 2, seed=4)),
+             (bf.from_monodromy(dom, gens[:sum(dom.periodic)], rank=2),
+              identity_metric(dom.n_sites, 2))]
+    for conn, h in cases:
+        sm = bf.split_metric(conn, h)
+        sm.tension
+        want = conformal_split_out_of_place(copy.deepcopy(sm), f)
+        arrays = (sm.psi, sm.shift, sm.connection.transport, sm.connection.transport_inv,
+                  sm.tension)
+        law = conformal_split(sm, f)
+        got = (law.psi, law.shift, law.connection.transport, law.connection.transport_inv,
+               law.tension)
+        assert all(g is a for g, a in zip(got, arrays))
+        assert law.metric is not sm.metric and np.array_equal(sm.metric, h)
+        for g, w in zip((*got, law.metric, *law.root),
+                        (want.psi, want.shift, want.connection.transport,
+                         want.connection.transport_inv, want.tension, want.metric, *want.root),
+                        strict=True):
+            assert same_bits(g, w)
+        assert law.energy == want.energy
 
 
 @pytest.mark.parametrize("kind, sites, lengths", [
@@ -407,9 +449,11 @@ def test_split_in_tiles_is_the_split_in_one_tile(monkeypatch, kind, sites, lengt
 
     def fields() -> list:
         sm = bf.split_metric(conn, h)
-        law = conformal_split(sm, f)
-        return [sm.psi, sm.shift, sm.connection.transport, sm.connection.transport_inv,
-                *sm.root, sm.tension, np.array(sm.energy), law.metric, law.psi, law.shift,
+        split = [a.copy() for a in (sm.psi, sm.shift, sm.connection.transport,
+                                    sm.connection.transport_inv, *sm.root, sm.tension,
+                                    np.array(sm.energy))]
+        law = conformal_split(sm, f)    # moves sm's arrays in place
+        return [*split, law.metric, law.psi, law.shift,
                 law.connection.transport, law.connection.transport_inv, *law.root, law.tension]
 
     monkeypatch.setattr(la, "TILE", 10 ** 9)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleflow import bundle, flow, hodge
+from bundleflow import linalg as la
 from bundleflow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from bundleflow.cli import main, run_scenario
 from bundleflow.config import (
@@ -561,15 +562,17 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     # connection carries its own inverse, so the round trip inverts one
     # stack, the composite transports, in connection_from_transports;
     # from_monodromy inverts one generator fraction per torus axis. The Higgs
-    # data takes dbar theta, and builds the composite connection and its
-    # plaquette holonomies, once each: the residuals and flat_from_higgs's
+    # data builds its composite connection once, and takes dbar theta at
+    # every site and the holonomy of every composite plaquette once, in site
+    # tiles (two, with tiles of 32 sites): the residuals and flat_from_higgs's
     # curvature check share them. The flow splits the connection at the
     # reference and takes its tension (one codifferential); det normalization
     # carries that split to the normalized metric by the conformal law, which
     # takes neither, and the Higgs extraction reads the carried split and its
     # tension: one split and one codifferential in all.
     inverted = []
-    counts = {"dbar": 0, "composite": 0, "plaquettes": 0, "split": 0, "codifferential": 0}
+    counts = {"composite": 0, "split": 0, "codifferential": 0}
+    tiles = {"dbar": [], "plaquettes": []}
     real_inv = np.linalg.inv
 
     def inv(a):
@@ -582,13 +585,19 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
             return fn(*args, **kwargs)
         return wrapped
 
+    def recording(key, fn):
+        def wrapped(conn, *args):
+            tiles[key].append(args[-1])
+            return fn(conn, *args)
+        return wrapped
+
     monkeypatch.setattr(np.linalg, "inv", inv)
-    monkeypatch.setattr(hodge, "_dbar_site_field", counting("dbar", hodge._dbar_site_field))
+    monkeypatch.setattr(la, "TILE", 32)
+    monkeypatch.setattr(hodge, "_dbar_site_field", recording("dbar", hodge._dbar_site_field))
     monkeypatch.setattr(hodge, "composite_transports",
                         counting("composite", hodge.composite_transports))
-    plaquettes = counting("plaquettes", bundle.plaquette_holonomies)
-    monkeypatch.setattr(hodge, "plaquette_holonomies", plaquettes)
-    monkeypatch.setattr(bundle, "plaquette_holonomies", plaquettes)
+    monkeypatch.setattr(hodge, "plaquette_holonomies",
+                        recording("plaquettes", bundle.plaquette_holonomies))
     split = counting("split", bundle.split_metric)
     for module in (bundle, flow):
         monkeypatch.setattr(module, "split_metric", split)
@@ -603,8 +612,10 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     )
     assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
     assert inverted == ["from_monodromy"] * 2 + ["connection_from_transports"]
-    assert counts == {"dbar": 1, "composite": 1, "plaquettes": 1, "split": 1,
-                      "codifferential": 1}
+    assert counts == {"composite": 1, "split": 1, "codifferential": 1}
+    for key in tiles:
+        assert len(tiles[key]) == 2
+        assert np.array_equal(np.sort(np.concatenate(tiles[key])), np.arange(64))
 
 
 def test_higgs_roundtrip_refuses_above_ten_times_the_tolerance(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,17 @@ import bundleflow as bf
 from bundleflow import linalg as la
 from bundleflow import hodge
 
-from util import TWO_PI, flatness_residual, identity_metric, random_metric
+from util import (
+    TWO_PI,
+    flatness_residual,
+    gauge_transform,
+    identity_metric,
+    random_connection,
+    random_gauge,
+    random_metric,
+    rough_random_metric,
+    same_bits,
+)
 
 
 def unitary_torus(n=10, phases=(0.3, -0.2)):
@@ -214,6 +226,92 @@ def test_higgs_data_builds_its_composite_once(monkeypatch):
     monkeypatch.setattr(hodge, "composite_transports", bent)
     with pytest.raises(ValueError, match="curvature"):
         bf.flat_from_higgs(bf.higgs_from_harmonic(run.split), tol=1e-6)
+
+
+@pytest.mark.parametrize("kind, sites", [("torus", (24, 24)), ("rectangle", (17, 19))])
+def test_higgs_round_trip_in_tiles_is_the_round_trip_in_one_tile(monkeypatch, kind, sites):
+    # With tiles of 96 sites, theta, the composite edges and the plaquette
+    # residuals run in 3 to 6 tiles of at least SMALL_BATCH rows; every field
+    # and every residual keeps the bits of one tile.
+    dom = bf.build_domain(kind, sites, (1.0, 1.5))
+    conn = random_connection(dom, 2, seed=3)
+    if not dom.periodic[1]:
+        conn = gauge_transform(conn, random_gauge(dom.n_sites, 2, seed=7))
+    h = rough_random_metric(dom.n_sites, 2, seed=4, amplitude=0.2)
+    calls = {"theta": 0, "plaquettes": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(hodge, "centered_components",
+                        counting("theta", hodge.centered_components))
+    monkeypatch.setattr(hodge, "plaquette_holonomies",
+                        counting("plaquettes", hodge.plaquette_holonomies))
+
+    def fields() -> list:
+        hd = bf.higgs_from_harmonic(bf.split_metric(conn, h), tension_tol=np.inf)
+        res = bf.hitchin_residuals(hd)
+        back = bf.flat_from_higgs(hd, tol=np.inf)
+        return [hd.theta, *(np.array(res[k]) for k in sorted(res)),
+                hodge.lambda_contraction(hd), hd.composite.transport,
+                hd.composite.transport_inv, *(lp.generator for lp in back.loops)]
+
+    monkeypatch.setattr(la, "TILE", 10 ** 9)
+    whole = fields()
+    assert calls == {"theta": 1, "plaquettes": 2}
+    monkeypatch.setattr(la, "TILE", 96)
+    tiles = fields()
+    assert calls["theta"] >= 1 + 4 and calls["plaquettes"] >= 2 + 2 * 3
+    assert len(whole) == 7 + len(conn.loops)
+    for got, want in zip(tiles, whole, strict=True):
+        assert same_bits(got, want)
+
+
+def test_higgs_round_trip_holds_few_temporaries():
+    # A converged Poisson run on a 64 x 64 torus (two tiles of linalg.TILE
+    # sites) that normalizes a conformal factor, then the Higgs data and its
+    # residuals. The normalization moves the final split in place, so the run
+    # holds its split plus about 11 metric-sized temporaries at the peak (the
+    # first split's; 14 while the law built a second split whole); theta, the
+    # composite connection and the residuals hold their outputs plus about 5
+    # (9 with the site fields whole).
+    dom = bf.build_domain("torus", (64, 64), (1.0, 1.0))
+    s = np.array([[1.0, 0.6], [0.2, 1.3]], dtype=complex)
+    conn = bf.from_monodromy(dom, [s @ np.diag([m, 1.0 / m]) @ np.linalg.inv(s)
+                                   for m in (2.0, 3.0)])
+    harmonic = np.broadcast_to(np.linalg.inv(s @ la.dagger(s)), (dom.n_sites, 2, 2))
+    x, y = dom.coords().T
+    start = harmonic * np.exp(0.2 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))[:, None, None]
+
+    def solve():
+        return bf.solve_poisson(conn, harmonic, bf.SolveOptions(tolerance=1e-8),
+                                init=bf.FlowState(time=0.0, metric=start.copy(), dt=0.0))
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    solve()
+    run, peak = traced_peak(solve)
+    assert run.verdict == "converged" and run.steps == 0
+    sm = run.split
+    split = sum(a.nbytes for a in (sm.metric, sm.psi, sm.shift, sm.connection.transport,
+                                   sm.connection.transport_inv, *sm.root, sm.tension))
+    assert peak <= split + 12 * start.nbytes
+    hd, peak = traced_peak(lambda: bf.higgs_from_harmonic(run.split, tension_tol=1e-8))
+    res, peak_res = traced_peak(lambda: bf.hitchin_residuals(hd))
+    assert max(res.values()) < 1e-10
+    outputs = sum(a.nbytes for a in (hd.theta, hd.composite.transport,
+                                     hd.composite.transport_inv))
+    assert max(peak, peak_res) <= outputs + 8 * start.nbytes
 
 
 def test_higgs_data_refuses_a_metric_that_is_not_one():

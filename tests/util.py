@@ -18,6 +18,38 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def conformal_split_out_of_place(sm, f) -> "bf.SplitMetric":
+    """``bundle.conformal_split`` as whole-array sums into new arrays, leaving ``sm`` as it is.
+
+    The reference for the in-place law: ``psi - df / (2h) I``, ``V e^{-df/2}``,
+    ``V^{-1} e^{df/2}``, ``(V - I) e^{-df/2} + expm1(-df/2) I`` and
+    ``T - div / volume I``, with I a real identity broadcast over the stacks.
+    """
+    conn = sm.flat
+    dom = conn.domain
+    df = np.zeros((dom.dim, dom.n_sites))
+    div = np.zeros(dom.n_sites)
+    for a in range(dom.dim):
+        tails, heads = conn.edge_sites(a)
+        df[a, tails] = f[heads] - f[tails]
+        flux = dom.edge_weight[a, tails] * df[a, tails] / (2.0 * dom.spacings[a] ** 2)
+        div[heads] += flux
+        div[tails] -= flux
+    eye = np.eye(conn.rank)
+    half = np.exp(-0.5 * df)[..., None, None]
+    step = (df / (2.0 * np.reshape(dom.spacings, (-1, 1))))[..., None, None]
+    d, ht_sqrt, ht_isqrt = sm.root
+    out = bf.SplitMetric(
+        flat=conn, metric=sm.metric * np.exp(f)[:, None, None], psi=sm.psi - step * eye,
+        connection=bf.FlatConnection(dom, conn.rank, sm.connection.transport * half,
+                                     sm.connection.transport_inv
+                                     * np.exp(0.5 * df)[..., None, None]),
+        shift=sm.shift * half + np.expm1(-0.5 * df)[..., None, None] * eye,
+        root=(d * np.exp(0.5 * f)[:, None], ht_sqrt, ht_isqrt))
+    out.__dict__["tension"] = sm.tension - (div / dom.volume)[:, None, None] * eye
+    return out
+
+
 def identity_metric(n: int, r: int) -> np.ndarray:
     return np.broadcast_to(np.eye(r, dtype=complex), (n, r, r)).copy()
 
