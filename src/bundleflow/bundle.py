@@ -484,48 +484,74 @@ def tension(conn: FlatConnection, metric: Array) -> Array:
     return split_metric(conn, metric).tension
 
 
-def covariant_laplacian(
-    metric_conn: FlatConnection, frame: tuple[Array, Array]
-) -> Callable[[Array], Array]:
-    """The covariant Laplacian on Hermitian endomorphism fields, as its action ``s -> L s``.
+def energy_hessian(sm: SplitMetric, frame: tuple[Array, Array]) -> Callable[[Array], Array]:
+    """The Hessian of the edge energy along ``H -> H exp(X)``, as its action ``s -> Hess s``.
 
-    ``metric_conn`` holds the metric transports V of a split at H and
-    ``frame`` is ``linalg.orthonormal_frame`` of H's scaled root, (g, g^{-1})
-    with H = g^dag g. An H-self-adjoint field S is carried as the Hermitian
-    field s = g S g^{-1}, of shape (n, r, r), that vanishes on the boundary
-    sites (a Dirichlet condition); the action is zeroed there. ``L`` is the
-    real symmetric form ``sum_e c_e |W^dag s(y) W - s(x)|^2`` under
-    ``Re tr(a b)``, with ``c_e = w_e / h_a^2`` and the unitary
-    ``W = g(y) V g(x)^{-1}``: each edge adds ``c_e (s(x) - W^dag s(y) W)`` at
-    its tail and ``c_e (s(y) - W s(x) W^dag)`` at its head. So ``M + dt L`` is
-    positive definite for the site volumes M and any dt > 0. ``M^{-1} L`` is
-    the codifferential of the V-covariant difference, the principal part of
-    the tension's linearization:
-    ``tension(H exp(X)) = tension(H) - M^{-1} L X / 2`` up to terms in psi.
-    The edge factors are held per site and neighbour (``domain.neighbors``),
-    so the action gathers and never scatters.
+    ``sm`` is the split at H and ``frame`` is ``linalg.orthonormal_frame`` of
+    its scaled root, (g, g^{-1}) with H = g^dag g. An H-self-adjoint field X
+    is carried as the Hermitian field s = g X g^{-1}, of shape (n, r, r),
+    that vanishes on the boundary sites (a Dirichlet condition); the action
+    is zeroed there. ``Hess`` is real symmetric under ``Re tr(a b)``, and the
+    energy along ``H exp(tX)`` has second derivative ``<s, Hess s> / 2``.
+
+    H exp(tX) is a geodesic of GL(r)/U(r), so each edge's Hessian is closed
+    form in its Jacobi fields. On the edge e = (x -> y) along axis a, let
+    ``c_e = w_e / h_a^2``, ``W = g(y) V g(x)^{-1}`` (unitary) and
+    ``Q diag(l) Q^dag`` the eigendecomposition of log P_e in x's frame,
+    ``g(x) (-2 h_a psi_e) g(x)^{-1}``. With ``a = Q^dag s(x) Q`` and
+    ``b = Q^dag W^dag s(y) W Q`` the edge adds ``c_e Q (F a - G b) Q^dag`` at
+    its tail and ``c_e W Q (F b - G a) Q^dag W^dag`` at its head, entry-wise
+    products with ``F_ij = alpha coth alpha``, ``G_ij = alpha / sinh alpha``
+    and ``alpha = (l_i - l_j) / 2`` (``_jacobi_weights``). At psi = 0,
+    F = G = 1 and Hess is the covariant Laplacian
+    ``sum_e c_e |W^dag s(y) W - s(x)|^2``, M^{-1} times the codifferential
+    of the V-covariant difference. Since F >= 1 >= G >= 0 and F + G >= 2,
+    Hess is positive semidefinite and its form is at least the Laplacian's,
+    so ``M + dt Hess`` is positive definite for the site volumes M and any
+    dt > 0. The per-edge factors take one ``linalg.eigh`` per axis and are
+    built when the action is, not kept with the split.
     """
-    dom = metric_conn.domain
+    dom = sm.flat.domain
     g, g_inv = frame
-    near = dom.neighbors.reshape(2 * dom.dim, -1)      # -1 where no edge, whose factor is 0
-    left = np.zeros((2 * dom.dim,) + g.shape, dtype=complex)
-    right = np.zeros_like(left)
-    stiffness = np.zeros((dom.n_sites, 1, 1))
+    edges = []
     for a in range(dom.dim):
-        tails, heads = metric_conn.edge_sites(a)
+        tails, heads = sm.flat.edge_sites(a)
+        psi_x = la.mm(la.mm(g[tails], sm.psi[a, tails]), g_inv[tails])
+        l, q = la.eigh(la.hermitize(-2.0 * dom.spacings[a] * psi_x))
+        w = la.mm(la.mm(g[heads], sm.connection.transport[a, tails]), g_inv[tails])
+        wq = la.mm(w, q)
         c = (dom.edge_weight[a, tails] / dom.spacings[a] ** 2)[:, None, None]
-        w = la.mm(la.mm(g[heads], metric_conn.transport[a, tails]), g_inv[tails])
-        left[2 * a, tails], right[2 * a, tails] = c * la.dagger(w), w
-        left[2 * a + 1, heads], right[2 * a + 1, heads] = c * w, la.dagger(w)
-        stiffness[tails] += c
-        stiffness[heads] += c
-    left[:, dom.boundary] = 0.0
-    stiffness[dom.boundary] = 0.0
+        f, gj = _jacobi_weights(0.5 * (l[:, :, None] - l[:, None, :]))
+        edges.append((tails, heads, q, la.dagger(q), wq, la.dagger(wq), c * f, c * gj))
 
     def apply(s: Array) -> Array:
-        return stiffness * s - la.mm(la.mm(left, s[near]), right).sum(axis=0)
+        out = np.zeros_like(s)
+        for tails, heads, q, q_dag, wq, wq_dag, f, gj in edges:
+            at_tail = la.mm(la.mm(q_dag, s[tails]), q)
+            at_head = la.mm(la.mm(wq_dag, s[heads]), wq)
+            out[tails] += la.mm(la.mm(q, f * at_tail - gj * at_head), q_dag)
+            out[heads] += la.mm(la.mm(wq, f * at_head - gj * at_tail), wq_dag)
+        out[dom.boundary] = 0.0
+        return out
 
     return apply
+
+
+def _jacobi_weights(alpha: Array) -> tuple[Array, Array]:
+    """(alpha coth alpha, alpha / sinh alpha), even in alpha and 1 at 0.
+
+    Below ``|alpha|`` 1e-4 the series 1 + alpha^2/3 and 1 - alpha^2/6 hold
+    to roundoff; above it both are written in ``exp(-|alpha|)`` and
+    ``expm1``, which neither overflow nor divide by zero.
+    """
+    t = np.abs(alpha)
+    small = t < 1e-4
+    t2 = np.where(small, t, 0.0) ** 2
+    t = np.where(small, 1.0, t)
+    decay = np.exp(-t)
+    scale = t / -np.expm1(-2.0 * t)
+    return (np.where(small, 1.0 + t2 / 3.0, scale * (1.0 + decay * decay)),
+            np.where(small, 1.0 - t2 / 6.0, 2.0 * scale * decay))
 
 
 def reference_difference(sm_k: SplitMetric, h_rel: Array) -> tuple[Array, Array]:

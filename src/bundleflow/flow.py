@@ -10,24 +10,34 @@ its phases. A domain with a boundary is a Dirichlet problem: its boundary
 sites hold the reference metric K, and the unknowns and the residual are the
 interior sites.
 
-``solve_harmonic`` and ``solve_poisson`` take a linearly implicit (backward)
-Euler step of the same flow instead: each trial solves
-``(M + dt L_V) S = M Q`` on the interior sites (every site of a closed
-domain), with ``L_V`` the covariant Laplacian along the metric transports
-(``bundle.covariant_laplacian``), by preconditioned conjugate gradients
+``solve_harmonic`` and ``solve_poisson`` take an implicit (backward) Euler
+step of the same flow instead: each trial solves ``(M + dt Hess) S = M Q``
+on the interior sites (every site of a closed domain), with ``Hess`` the
+exact Hessian of the edge energy along ``H -> H exp(X)``
+(``bundle.energy_hessian``), by preconditioned conjugate gradients
 (``_implicit_direction``), and steps ``H <- H exp(2 dt S)``.
-``M + dt L_V`` is positive definite, so S descends the energy at any dt, and
-from ``default_dt(domain, implicit=True)`` the step count no longer grows
-with the number of sites (the explicit step needs dt of order h^2). One
-case keeps the explicit step, chosen once per run (``_strategy``): a closed
-domain asked for a residual at or below the implicit step's roundoff floor
-(``_implicit_floor``). There ``L_V`` has a kernel, and a flow with no
+``M + dt Hess`` is positive definite, so S descends the energy at any dt,
+and as dt grows the step becomes Newton's step for the energy. On the
+implicit step ``_drive`` also grows dt by the ratio by which an accepted
+step lowered the residual (``RATIO_GROWTH_MAX``, ``IMPLICIT_DT_CAP``), a
+pseudo-transient continuation: from ``default_dt(domain, implicit=True)`` a
+converging run takes 4 or 5 steps whatever the number of sites (the explicit
+step needs dt of order h^2). The ratio growth is capped, and the
+``DT_GROWTH`` schedule runs alongside it. On a reducible monodromy the harmonic
+metrics form a family, along which ``S = Q`` at any dt, so the step
+``2 dt S`` drifts with dt: uncapped, a rank-3 12-site circle asked for 1.01
+times ``_implicit_floor`` ended ``diverged`` after 1,653 steps instead of
+converging in 344. With the ratio rule in place of the schedule, the implicit
+runaway of the 16-site Jordan circle at tolerance 1e-8 ended ``max_steps``
+at 20,000 steps; with both it converges in 645. One case keeps the explicit
+step, chosen once per run (``_strategy``): a closed domain asked for a
+residual at or below the implicit step's roundoff floor
+(``_implicit_floor``). There the Hessian has a kernel, and a flow with no
 harmonic metric to reach (a unipotent monodromy) runs away along it. The
 explicit step moves such a state along a site-constant direction that
 excites no other mode and, with the runaway growth rule below, reaches the
 ``diverged`` verdict with its residual resolved in hundreds of steps; along
-the kernel the implicit step buys nothing (S = Q there) and keeps the
-default schedule, so it takes thousands of steps and more.
+the kernel the implicit step buys nothing (S = Q there).
 
 On the explicit step, and there only, ``_drive`` adds a growth rule to the
 adaptive schedule (``RUNAWAY_GROWTH``, ``RUNAWAY_GATE``). Along a runaway
@@ -95,7 +105,7 @@ from .bundle import (
     SplitMetric,
     conformal_split,
     covariant_d,
-    covariant_laplacian,
+    energy_hessian,
     split_metric,
 )
 from .mesh import LatticeDomain, flat_preconditioner, sublevel_domain
@@ -135,6 +145,17 @@ RUNAWAY_GATE = 0.1
 # The default adaptive schedule: dt is multiplied by DT_GROWTH after every
 # ``SolveOptions.dt_growth_every`` accepted steps.
 DT_GROWTH = 1.2
+
+# The implicit step's residual-ratio growth (pseudo-transient continuation):
+# after each accepted implicit step dt is multiplied by the ratio of the
+# residual before the step to the one after it, clipped to
+# [1, RATIO_GROWTH_MAX], but not past IMPLICIT_DT_CAP times
+# ``default_dt(domain, implicit=True)``; the DT_GROWTH schedule runs too.
+# With the exact Hessian in the implicit step the diag(2, 1/2) circle
+# (tolerance 1e-7) converges in 4 steps at 16 to 256 sites instead of 27,
+# and the circle-harmonic inputs in 5 instead of 30 (BENCH_closed.json).
+RATIO_GROWTH_MAX = 10.0
+IMPLICIT_DT_CAP = 1e3
 
 # Accepted steps that sup ||log h|| must stay beyond the divergence threshold,
 # with the residual above tolerance, before the verdict is ``diverged``.
@@ -277,24 +298,25 @@ def _residuals(sm: SplitMetric) -> dict:
 
 
 def _implicit_direction(sm: SplitMetric, dt: float) -> tuple[Array, int]:
-    """The linearly implicit Euler direction, ``(M + dt L_V) S = M Q``, and its CG iterations.
+    """The implicit Euler direction, ``(M + dt Hess) S = M Q``, and its CG iterations.
 
-    ``L_V`` is ``bundle.covariant_laplacian`` along the metric transports of
-    the split ``sm`` at H, M the site volumes and Q the split's tension. The unknowns are
-    the interior sites (every site of a closed domain); S vanishes on the
-    boundary, where ``_drive`` holds H at K. The step ``H exp(2 dt S)`` is
-    backward Euler for the heat flow, with the tension at the new metric
-    linearized to its principal part, ``Q - dt M^{-1} L_V S``; so S tends to
-    Q as dt -> 0. In the H-orthonormal frame the system A x = b is real
-    symmetric positive definite under ``Re tr(a b)``; conjugate gradients
-    solve it matrix-free from zero, preconditioned by the flat
-    ``M + dt sum_a c_a L_a`` (``mesh.flat_preconditioner``). Every iterate
-    has ``<b, x_k> = x_k^T A x_k > 0``, that is ``<Q, S>_M > 0``, so even a
+    ``Hess`` is ``bundle.energy_hessian`` at the split ``sm`` at H, M the
+    site volumes and Q the split's tension. The unknowns are the interior
+    sites (every site of a closed domain); S vanishes on the boundary, where
+    ``_drive`` holds H at K. The step ``H exp(2 dt S)`` is backward Euler for
+    the heat flow with the tension at the new metric linearized exactly,
+    ``Q - dt M^{-1} Hess S``: S tends to Q as dt -> 0, and ``2 dt S`` to
+    Newton's step for the energy as dt grows. In the H-orthonormal frame the
+    system A x = b is real symmetric positive definite under
+    ``Re tr(a b)``; conjugate gradients solve it matrix-free from zero,
+    preconditioned by the flat ``M + dt sum_a c_a L_a``
+    (``mesh.flat_preconditioner``). Every iterate has
+    ``<b, x_k> = x_k^T A x_k > 0``, that is ``<Q, S>_M > 0``, so even a
     capped S descends the energy, and ``_drive``'s energy test judges it.
     """
     dom = sm.flat.domain
     g, g_inv = la.orthonormal_frame(sm.root)
-    lap = covariant_laplacian(sm.connection, (g, g_inv))
+    hess = energy_hessian(sm, (g, g_inv))
     precondition = flat_preconditioner(dom, dt)
     mass = dom.volume[:, None, None]
     b = mass * la.mm(la.mm(g, sm.tension), g_inv)
@@ -308,7 +330,7 @@ def _implicit_direction(sm: SplitMetric, dt: float) -> tuple[Array, int]:
         rz_new = np.vdot(res, z).real
         p = z if iterations == 0 else z + (rz_new / rz) * p
         rz = rz_new
-        ap = mass * p + dt * lap(p)
+        ap = mass * p + dt * hess(p)
         alpha = rz / np.vdot(p, ap).real
         x = x + alpha * p
         res = res - alpha * ap
@@ -346,7 +368,12 @@ def _drive(
     (``checkpoint.Checkpoint.of``) holds the run's state at every step and at
     the end. The explicit step adds the runaway growth rule to the adaptive
     schedule (module docstring); the report's notes count the steps it
-    doubled dt on. The report's ``phase_seconds`` holds the wall time of the
+    doubled dt on. The implicit step adds the residual-ratio growth after
+    the schedule: ``dt <- max(dt, min(dt clip(r_prev / r, 1,
+    RATIO_GROWTH_MAX), IMPLICIT_DT_CAP default_dt))`` for the residuals
+    before and after the accepted step. Both rules run before the callback,
+    so a checkpoint holds the grown dt and a resume is bit-exact. The
+    report's ``phase_seconds`` holds the wall time of the
     ``diagnostics`` (splits, residuals, monitors and the normalization), the
     implicit ``solve`` and the ``update``. Its ``split`` is the split of its
     final ``metric``, whose own array the split holds, with the tension read.
@@ -396,6 +423,7 @@ def _drive(
     notes: list[str] = []
     trials = rejected = rises = doubled = cg_total = cg_max = 0
     gate_low = RUNAWAY_GATE * opts.divergence_threshold
+    dt_cap = IMPLICIT_DT_CAP * default_dt(domain, implicit=True)
     while state.step < opts.max_steps:
         settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
                          diag["logh_sup"], state.logh_prev)
@@ -448,6 +476,10 @@ def _drive(
         elif state.accepted_since_growth >= opts.dt_growth_every:
             state.dt *= DT_GROWTH
             state.accepted_since_growth = 0
+        if implicit:
+            ratio = residual_prev / diag[key] if diag[key] > 0 else RATIO_GROWTH_MAX
+            state.dt = max(state.dt, min(state.dt * min(max(ratio, 1.0), RATIO_GROWTH_MAX),
+                                         dt_cap))
         if callback is not None:
             callback(state)
         if state.divergence_streak >= DIVERGENCE_PATIENCE:
@@ -547,11 +579,11 @@ def _implicit_floor(domain: LatticeDomain) -> float:
     is ``2 sum_a 1/h_a^2``. The margin is measured, not derived: converging
     rank-3 runs on the 12-site unit circle (monodromy g diag(4, 1, 1/4) g^{-1},
     g = I + 0.5 N for a seed-0 normal N; reference seeds 0 to 3) asked for 1.5
-    times the floor end ``converged`` in 67 to 81 steps, and at 1.01 times in
-    496 to 15,595. On the 16-site Jordan circle (floor 9.1e-13) the implicit
-    runaway's residual falls to 5e-15 in 3,000 steps, but sup ||log h|| only
-    to 23, where the explicit step on the ``circle-runaway`` inputs is
-    ``diverged`` at 54.6 in 478.
+    times the floor end ``converged`` in 9 to 26 steps, and at 1.01 times in
+    344 to 2,072. On the 16-site Jordan circle (floor 9.1e-13) the implicit
+    runaway's residual falls to 4.7e-18 in 3,000 steps, but sup ||log h|| only
+    to 28, and it ends ``diverged`` after 6,584 steps, where the explicit
+    step on the ``circle-runaway`` inputs is ``diverged`` at 54.6 in 478.
     """
     return FLOOR_ULPS * np.finfo(float).eps * 2.0 * sum(1.0 / h ** 2 for h in domain.spacings)
 

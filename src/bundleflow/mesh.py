@@ -169,8 +169,9 @@ def laplacian(domain: LatticeDomain, field: Array) -> Array:
 def flat_preconditioner(domain: LatticeDomain, dt: float) -> Callable[[Array], Array]:
     """``f -> P^{-1} f`` for ``P = M + dt sum_a c_a L_a`` on the interior sites.
 
-    The flat counterpart of ``bundle.covariant_laplacian``, which preconditions
-    the implicit step: ``L_a`` is the 1-D second difference along axis a, and
+    The flat counterpart of the covariant Laplacian, the part of
+    ``bundle.energy_hessian`` at psi = 0, which preconditions the implicit
+    step: ``L_a`` is the 1-D second difference along axis a, and
     the volume M and ``c_a = w / h_a^2`` are read at the interior, where every
     domain of ``build_domain`` has them uniform. ``P`` acts alike on each
     entry of a field's trailing axes; boundary sites are read and returned as

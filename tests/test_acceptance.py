@@ -359,7 +359,7 @@ def test_criterion_11_determinism(tmp_path):
                    "monodromy": [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]},
         "reference_metric": {"kind": "random_smooth", "amplitude": 0.3},
         "solver": {"tolerance": 1e-6},
-        "output": {"directory": "out", "checkpoint_cadence": 5},
+        "output": {"directory": "out", "checkpoint_cadence": 2},
     }
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -367,7 +367,7 @@ def test_criterion_11_determinism(tmp_path):
     assert run_scenario(path, out_dir=full, seed=4) == 0
     assert run_scenario(path, out_dir=rerun, seed=4) == 0
     csv_identical = (full / "run.csv").read_bytes() == (rerun / "run.csv").read_bytes()
-    mid = full / "step00000005.ckpt"
+    mid = full / "step00000002.ckpt"
     assert mid.exists()
     assert run_scenario(path, out_dir=part, seed=4, resume_path=mid) == 0
     a = load_checkpoint(full / "final.ckpt")
@@ -376,6 +376,6 @@ def test_criterion_11_determinism(tmp_path):
     ok = csv_identical and resume_dev <= 1e-12
     assert report(
         11, ok, f"identical configs give byte-identical CSVs ({csv_identical}); "
-        f"split-at-5 resume reproduces the unsplit final metric to "
+        f"split-at-2 resume reproduces the unsplit final metric to "
         f"{resume_dev:.1e} <= 1e-12"
     )

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import bundleflow as bf
 from bundleflow import linalg as la
 from bundleflow.bundle import (
     centered_derivative,
+    _jacobi_weights,
     conformal_split,
-    covariant_laplacian,
+    energy_hessian,
     reverse_edge_values,
 )
 
@@ -283,33 +285,102 @@ def test_codifferential_scalar_derivative():
     assert np.log2(errs[0] / errs[1]) > 1.7
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank):
-    # In the H-orthonormal frame the operator acts as M codifferential(D_V S)
-    # on fields S that vanish on the boundary, it is symmetric under
-    # Re tr(a b), and its quadratic form is the edge sum of |D_V S|_H^2.
-    dom = bf.build_domain("annulus", (7, 5), (TWO_PI, 1.0))
-    conn = random_connection(dom, rank, seed=3)
-    h = random_metric(dom, rank, seed=4, amplitude=0.4)
-    sm = bf.split_metric(conn, h)
+def _edge_form(sm, x):
+    """sum_e w_e |D_V S|_H^2 for S = g^{-1} x g: the covariant Laplacian's form at x."""
+    dom = sm.flat.domain
     g, g_inv = la.orthonormal_frame(sm.root)
-    lap = covariant_laplacian(sm.connection, (g, g_inv))
-    rng = np.random.default_rng(5)
-    x, y = (la.hermitize(rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+    d_s = bf.covariant_d(sm.connection, g_inv @ x @ g)
+    return sum(np.sum(dom.edge_weight[a] * la.endo_norm2(d_s[a], sm.metric))
+               for a in range(dom.dim)), d_s
+
+
+def _hermitian_pair(dom, rank, seed):
+    """Two random Hermitian fields that vanish on the boundary sites."""
+    rng = np.random.default_rng(seed)
+    shape = (dom.n_sites, rank, rank)
+    x, y = (la.hermitize(rng.normal(size=shape) + 1j * rng.normal(size=shape))
             for _ in range(2))
     x[dom.boundary] = y[dom.boundary] = 0.0
-    lx = lap(x)
+    return x, y
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_covariant_laplacian_is_the_codifferential_of_the_metric_difference(rank):
+    # At a split with psi = 0 (a unitary monodromy seen in a random gauge,
+    # with the metric carried along) every edge has alpha = 0, and the energy
+    # Hessian is the covariant Laplacian: in the H-orthonormal frame it acts
+    # as M codifferential(D_V S) on fields S that vanish on the boundary, it
+    # is symmetric under Re tr(a b), and its form is the edge sum of |D_V S|_H^2.
+    dom = bf.build_domain("annulus", (7, 5), (TWO_PI, 1.0))
+    z = np.random.default_rng(3).normal(size=(2, rank, rank))
+    unitary = expm(0.6j * la.hermitize(z[0] + 1j * z[1]))
+    gauge = random_gauge(dom.n_sites, rank, seed=4)
+    conn = gauge_transform(bf.from_monodromy(dom, [unitary]), gauge)
+    h = gauge_transform_metric(identity_metric(dom.n_sites, rank), gauge)
+    sm = bf.split_metric(conn, h)
+    assert np.abs(sm.psi).max() < 1e-14
+    g, g_inv = la.orthonormal_frame(sm.root)
+    hess = energy_hessian(sm, (g, g_inv))
+    x, y = _hermitian_pair(dom, rank, seed=5)
+    lx = hess(x)
     assert np.abs(lx[dom.boundary]).max() == 0.0
-    assert np.vdot(y, lx).real == pytest.approx(np.vdot(lap(y), x).real, rel=1e-12)
-    s = g_inv @ x @ g
-    d_s = bf.covariant_d(sm.connection, s)
-    form = sum(np.sum(dom.edge_weight[a] * la.endo_norm2(d_s[a], h))
-               for a in range(dom.dim))
+    assert np.vdot(y, lx).real == pytest.approx(np.vdot(hess(y), x).real, rel=1e-12)
+    form, d_s = _edge_form(sm, x)
     assert np.vdot(x, lx).real == pytest.approx(form, rel=1e-12)
     inner = dom.interior_mask()
     cod = bf.codifferential(sm, d_s)[inner]
     want = dom.volume[inner][:, None, None] * (g[inner] @ cod @ g_inv[inner])
     assert np.abs(lx[inner] - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("kind, sites, lengths", [
+    ("circle", 12, 1.0),
+    ("torus", (6, 5), (1.0, 1.0)),
+    ("rectangle", (7, 6), (1.0, 1.0)),
+    ("annulus", (7, 5), (TWO_PI, 1.0)),
+])
+def test_energy_hessian_is_the_second_variation_of_the_energy(kind, sites, lengths, rank):
+    # Along the geodesic H exp(tX) the second difference of the edge energy,
+    # (E(t) - 2 E(0) + E(-t)) / t^2, tends to <s, Hess s> / 2 for s = g X g^{-1}
+    # at O(t^2). The operator is symmetric, its form is at least the covariant
+    # Laplacian's, and its boundary rows are zero.
+    dom = bf.build_domain(kind, sites, lengths)
+    conn = random_connection(dom, rank, seed=3)
+    h = random_metric(dom, rank, seed=4, amplitude=0.4)
+    sm = bf.split_metric(conn, h)
+    g, g_inv = la.orthonormal_frame(sm.root)
+    hess = energy_hessian(sm, (g, g_inv))
+    x, y = _hermitian_pair(dom, rank, seed=5)
+    hx = hess(x)
+    want = 0.5 * np.vdot(x, hx).real
+    gaps = []
+    for t in (1e-2, 3e-3, 1e-3):
+        e_plus, e_minus = (bf.split_metric(conn, la.metric_exp_update(h, g_inv @ x @ g, step))
+                           .energy for step in (t, -t))
+        gaps.append(abs((e_plus - 2.0 * sm.energy + e_minus) / t ** 2 - want) / want)
+    assert gaps[0] < 1e-4
+    assert gaps[1] / gaps[0] == pytest.approx(0.09, rel=0.05)
+    assert gaps[2] / gaps[1] == pytest.approx(1 / 9, rel=0.05)
+    assert np.vdot(y, hx).real == pytest.approx(np.vdot(hess(y), x).real, rel=1e-12)
+    assert np.vdot(x, hx).real > _edge_form(sm, x)[0]
+    assert np.abs(hx[dom.boundary]).max(initial=0.0) == 0.0
+
+
+def test_jacobi_weights_hold_their_limits():
+    # F = alpha coth alpha and G = alpha / sinh alpha, 1 at alpha = 0, and
+    # evaluated without a warning at both ends of the range.
+    alpha = np.array([0.0, 1e-9, -5e-5, 2e-4, 0.7, -3.0, 40.0, 800.0, -1e300])
+    f, g = _jacobi_weights(alpha)
+    t = np.abs(alpha[3:6])
+    assert np.allclose(f[3:6], t / np.tanh(t), rtol=1e-14, atol=0)
+    assert np.allclose(g[3:6], t / np.sinh(t), rtol=1e-14, atol=0)
+    assert f[0] == g[0] == 1.0
+    assert f[1] == 1.0 and g[1] == 1.0
+    assert f[2] == pytest.approx(1.0 + 2.5e-9 / 3, rel=1e-16)
+    assert f[6] == pytest.approx(40.0, rel=1e-15) and g[6] == pytest.approx(80.0 * np.exp(-40.0))
+    assert f[7] == 800.0 and g[7] == 0.0 and f[8] == 1e300 and g[8] == 0.0
+    assert np.all((f >= 1.0) & (g <= 1.0) & (g >= 0.0) & (f + g >= 2.0))
 
 
 # ----------------------------------------------------------------- tension

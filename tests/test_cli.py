@@ -427,24 +427,24 @@ def test_resume_reproduces_unsplit_run(tmp_path):
         domain={"kind": "circle", "sites": [24], "lengths": [1.0]},
         reference_metric={"kind": "random_smooth", "amplitude": 0.3},
         solver={"tolerance": 1e-6},
-        output={"directory": "out", "checkpoint_cadence": 5},
+        output={"directory": "out", "checkpoint_cadence": 2},
     )
     full, part = tmp_path / "full", tmp_path / "part"
     assert run_scenario(cfg, out_dir=full, seed=4) == 0
-    mid = full / "step00000005.ckpt"
+    mid = full / "step00000002.ckpt"
     assert mid.exists()
     assert run_scenario(cfg, out_dir=part, seed=4, resume_path=mid) == 0
     a = load_checkpoint(full / "final.ckpt")
     b = load_checkpoint(part / "final.ckpt")
-    assert a.step == b.step
+    assert a.step == b.step > 2
     assert np.abs(a.metric - b.metric).max() <= 1e-12
-    assert "resumed from step 5" in (part / "report.txt").read_text()
+    assert "resumed from step 2" in (part / "report.txt").read_text()
 
 
 def test_resume_wrong_rank_rejected(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "run.yaml",
-        output={"directory": "out", "checkpoint_cadence": 5},
+        output={"directory": "out", "checkpoint_cadence": 2},
         reference_metric={"kind": "random_smooth", "amplitude": 0.3},
         solver={"tolerance": 1e-6},
     )
@@ -454,7 +454,7 @@ def test_resume_wrong_rank_rejected(tmp_path, capsys):
         tmp_path / "r1.yaml",
         bundle={"rank": 1, "monodromy": [[[[2.0, 0.0]]]]},
     )
-    mid = full / "step00000005.ckpt"
+    mid = full / "step00000002.ckpt"
     assert mid.exists()
     capsys.readouterr()
     assert run_scenario(rank1, out_dir=tmp_path / "x", resume_path=mid) == 1
@@ -698,18 +698,18 @@ def test_dirichlet_runs_repeat_and_resume_bit_exactly(tmp_path):
 
 def test_closed_runs_name_their_step_and_resume_bit_exactly(tmp_path):
     # Above the implicit step's roundoff floor a closed circle takes that step:
-    # a run resumed from its step-5 checkpoint ends on the same bytes. At or
+    # a run resumed from its step-2 checkpoint ends on the same bytes. At or
     # below the floor it keeps the heat flow and a note says why.
     cfg = write_config(
         tmp_path / "run.yaml",
         reference_metric={"kind": "random_smooth", "amplitude": 0.3},
         solver={"tolerance": 1e-7},
-        output={"directory": "out", "checkpoint_cadence": 5},
+        output={"directory": "out", "checkpoint_cadence": 2},
     )
     full, part = tmp_path / "full", tmp_path / "part"
     assert run_scenario(cfg, out_dir=full, seed=6) == 0
-    mid = full / "step00000005.ckpt"
-    assert mid.exists() and load_checkpoint(full / "final.ckpt").step > 5
+    mid = full / "step00000002.ckpt"
+    assert mid.exists() and load_checkpoint(full / "final.ckpt").step > 2
     assert run_scenario(cfg, out_dir=part, seed=6, resume_path=mid) == 0
     assert (full / "final.ckpt").read_bytes() == (part / "final.ckpt").read_bytes()
     report = (full / "report.txt").read_text()

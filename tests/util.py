@@ -224,44 +224,55 @@ def unit_hermitian_basis(r: int) -> np.ndarray:
     return basis / np.sqrt(np.einsum("kij,kji->k", basis, basis).real)[:, None, None]
 
 
-def covariant_laplacian_coo(metric_conn, frame, sites):
-    """The stiffness matrix of ``bundle.covariant_laplacian``, assembled as one COO matrix.
+def energy_hessian_coo(sm, frame, sites):
+    """The matrix of ``bundle.energy_hessian``, assembled as one COO matrix.
 
     The reference for the matrix-free action: the coordinates of a Hermitian
     field in ``unit_hermitian_basis`` are the unknowns, site-major, at
-    ``sites``; every other site holds zero.
+    ``sites``; every other site holds zero. Each edge's Jacobi factors are
+    taken here from the flat transport U, not from psi and V: log P_e and
+    the unitary W come from B = g(y) U g(x)^{-1} as log(B^dag B) and
+    B (B^dag B)^{-1/2}, and F, G from ``np.tanh`` and ``np.sinh``.
     """
-    dom = metric_conn.domain
+    conn = sm.flat
+    dom = conn.domain
     g, g_inv = frame
-    r = metric_conn.rank
+    r = conn.rank
     basis = unit_hermitian_basis(r)
     slot = np.full(dom.n_sites, -1)
     slot[sites] = np.arange(len(sites))
-    diag = np.zeros(len(sites))
     rows, cols, vals = [], [], []
     block = np.arange(r * r)
     for a in range(dom.dim):
-        tails, heads = metric_conn.edge_sites(a)
+        tails, heads = conn.edge_sites(a)
         c = dom.edge_weight[a, tails] / dom.spacings[a] ** 2
-        st, sh = slot[tails], slot[heads]
-        np.add.at(diag, st[st >= 0], c[st >= 0])
-        np.add.at(diag, sh[sh >= 0], c[sh >= 0])
-        both = (st >= 0) & (sh >= 0)
-        w = la.mm(la.mm(g[heads[both]], metric_conn.transport[a, tails[both]]),
-                  g_inv[tails[both]])
-        moved = la.mm(la.mm(la.dagger(w)[:, None], basis[None]), w[:, None])
-        b = np.einsum("kab,elba->ekl", basis, moved).real * -c[both][:, None, None]
-        ix = st[both][:, None, None] * r * r + block[None, :, None]
-        iy = sh[both][:, None, None] * r * r + block[None, None, :]
-        ix, iy = np.broadcast_arrays(ix, iy)
-        rows += [ix.ravel(), iy.ravel()]
-        cols += [iy.ravel(), ix.ravel()]
-        vals += [b.ravel(), b.ravel()]
+        b = g[heads] @ conn.transport[a, tails] @ g_inv[tails]
+        mu, q = np.linalg.eigh(la.hermitize(la.dagger(b) @ b))
+        wq = b @ q / np.sqrt(mu)[:, None, :]
+        alpha = 0.5 * np.abs(np.log(mu)[:, :, None] - np.log(mu)[:, None, :])
+        safe = np.where(alpha > 0.0, alpha, 1.0)
+        jacobi = {"F": np.where(alpha > 0.0, safe / np.tanh(safe), 1.0),
+                  "G": np.where(alpha > 0.0, safe / np.sinh(safe), 1.0)}
+        # basis k in each end's eigenframe: a_k = Q^dag E_k Q and b_k = (WQ)^dag E_k WQ
+        frames = {"tail": la.dagger(q)[:, None] @ basis[None] @ q[:, None],
+                  "head": la.dagger(wq)[:, None] @ basis[None] @ wq[:, None]}
+        ends = {"tail": slot[tails], "head": slot[heads]}
+        for row_end, col_end, kind, sign in (("tail", "tail", "F", 1.0),
+                                             ("head", "head", "F", 1.0),
+                                             ("tail", "head", "G", -1.0),
+                                             ("head", "tail", "G", -1.0)):
+            live = (ends[row_end] >= 0) & (ends[col_end] >= 0)
+            # Re tr(a_l (F o a_k)) = Re sum_ij (a_l)_ji F_ij (a_k)_ij
+            m = np.einsum("elji,eij,ekij->elk", frames[row_end][live], jacobi[kind][live],
+                          frames[col_end][live]).real
+            m *= sign * c[live][:, None, None]
+            ix = ends[row_end][live][:, None, None] * r * r + block[None, :, None]
+            iy = ends[col_end][live][:, None, None] * r * r + block[None, None, :]
+            ix, iy = np.broadcast_arrays(ix, iy)
+            rows.append(ix.ravel())
+            cols.append(iy.ravel())
+            vals.append(m.ravel())
     n = len(sites) * r * r
-    unknowns = np.arange(n)
-    rows.append(unknowns)
-    cols.append(unknowns)
-    vals.append(np.repeat(diag, r * r))
     return sparse.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(n, n))
 
