@@ -80,7 +80,7 @@ def problem(name: str):
         k = smooth_random_metric(dom, 2, 4, 0.3)
     rng = np.random.default_rng(2)
     z = rng.normal(size=(dom.n_sites, 2, 2)) + 1j * rng.normal(size=(dom.n_sites, 2, 2))
-    return conn, k, h, la.selfadjoint_part(z, h)
+    return conn, k, h, la.selfadjoint_part(z, h, la.scaled_sqrt(h))
 
 
 def timed(fn, calls: int) -> float:

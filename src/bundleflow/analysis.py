@@ -60,7 +60,8 @@ def degree(
     components under the reference pairing. Intended for closed domains,
     where the total integrand is an exact divergence.
     """
-    t_field = tension(conn, reference)
+    sm = split_metric(conn, reference)
+    t_field, frame = sm.tension, la.orthonormal_frame(sm.root)
     if sub is None:
         return -integrate(conn.domain, np.einsum("nii->n", t_field).real)
     if sub.invariance_residual > INVARIANCE_TOL:
@@ -69,7 +70,7 @@ def degree(
     dpi = centered_components(conn, covariant_d(conn, pi))
     dens = np.einsum("nij,nji->n", pi, t_field).real
     for a in range(conn.domain.dim):
-        dens += 0.5 * la.endo_norm2(dpi[a], reference)
+        dens += 0.5 * la.endo_norm2(dpi[a], frame)
     return -integrate(conn.domain, dens)
 
 
@@ -171,44 +172,28 @@ def slope_verdict(
 
 
 def _theta_scalar(x: Array, y: Array) -> Array:
-    """(e^{y-x} - 1) / (y - x), series-continued through the diagonal."""
+    """(e^{y-x} - 1) / (y - x), by ``expm1`` to full relative precision, and 1 at y = x."""
     d = y - x
-    small = np.abs(d) < 1e-7
-    safe = np.where(small, 1.0, d)
-    quotient = (np.exp(safe) - 1.0) / safe
-    series = 1.0 + d / 2.0 + d * d / 6.0
-    return np.where(small, series, quotient)
+    safe = np.where(d == 0.0, 1.0, d)
+    return np.where(d == 0.0, 1.0, np.expm1(safe) / safe)
 
 
-def theta_apply(s: Array, chi: Array, metric: Array | None = None) -> Array:
+def theta_apply(s: Array, chi: Array, frame: la.Frame) -> Array:
     """Spectral two-variable calculus in the eigenbasis of a self-adjoint s.
 
     Scales the component of chi mapping the lambda_a eigenvector into the
-    lambda_b eigenvector by (e^{l_b - l_a} - 1)/(l_b - l_a); near-
-    coincident eigenvalues use the quadratic series to avoid cancellation.
-    s must be self-adjoint for ``metric`` (identity by default) to within
-    1e-8.
+    lambda_b eigenvector by (e^{l_b - l_a} - 1)/(l_b - l_a), which ``expm1``
+    keeps free of cancellation for near-coincident eigenvalues.
+    s must be self-adjoint to within 1e-8 for the metric whose orthonormal
+    ``frame`` (g, g^{-1}) is given: g s g^{-1} Hermitian.
     """
-    s = np.asarray(s, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    single = s.ndim == 2
-    if single:
-        s = s[None]
-        chi = chi[None]
-    if metric is None:
-        metric = np.broadcast_to(np.eye(s.shape[-1], dtype=complex), s.shape).copy()
-    else:
-        metric = np.asarray(metric, dtype=complex)
-        if metric.ndim == 2:
-            metric = np.broadcast_to(metric, s.shape).copy()
-    dev = la.frobenius(s - np.linalg.solve(metric, la.mm(la.dagger(s), metric)))
-    if np.any(dev > 1e-8 * (1.0 + la.frobenius(s))):
+    x = la.to_frame(s, frame)
+    if np.any(la.frobenius(x - la.dagger(x)) > 1e-8 * (1.0 + la.frobenius(x))):
         raise ValueError("endomorphism is not self-adjoint for the reference metric")
-    lam, frame, frame_inv = la.log_hsa(s, metric)
-    comp = la.mm(la.mm(frame_inv, chi), frame)
+    lam, v = la.eigh(la.hermitize(x))
+    comp = la.mm(la.mm(la.dagger(v), la.to_frame(chi, frame)), v)
     weights = _theta_scalar(lam[..., None, :], lam[..., :, None])
-    out = la.mm(la.mm(frame, weights * comp), frame_inv)
-    return out[0] if single else out
+    return la.from_frame(la.mm(la.mm(v, weights * comp), la.dagger(v)), frame)
 
 
 def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> dict:
@@ -227,11 +212,18 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     dom = conn.domain
     h = np.asarray(h_field, dtype=complex)
     k = np.asarray(k_field, dtype=complex)
-    la.check_metric(h)
-    la.check_metric(k)
-    h_rel = np.linalg.solve(k, h)
-    sm_k = split_metric(conn, k)
+    sm_k = split_metric(conn, k)      # the splits check both metrics
     diff = tension(conn, h) - sm_k.tension
+    frame = la.orthonormal_frame(sm_k.root)
+    # Functions of K^-1 H from the eigenpairs of H in K's frame.
+    lam, v = la.eigh(la.metric_in_frame(h, frame))
+    if np.any(lam <= 0):
+        raise ValueError("relative endomorphism is not positive")
+
+    def relative(f: Array) -> Array:
+        return la.from_frame(la.mm(v * f[..., None, :], la.dagger(v)), frame)
+
+    h_rel = relative(lam)
 
     # left side and Laplacian term
     lhs = np.einsum("nij,nji->n", diff, h_rel).real
@@ -239,19 +231,16 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     lap = laplacian(dom, tr_h)
 
     # |h^{-1/2} delta_K h|^2 with centered components
-    dk_c = centered_components(sm_k.connection, reference_difference(sm_k, h_rel)[0])
-    lam, frame, frame_inv = la.log_hsa(h_rel, k)
-    if np.any(lam <= 0):
-        raise ValueError("relative endomorphism is not positive")
-    inv_sqrt = la.mm(frame * (lam[..., None, :] ** -0.5), frame_inv)
+    dk_c = centered_components(sm_k.connection, reference_difference(sm_k, h_rel))
+    inv_sqrt = relative(lam ** -0.5)
     grad2 = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        grad2 += la.endo_norm2(la.mm(inv_sqrt, dk_c[a]), k)
+        grad2 += la.endo_norm2(la.mm(inv_sqrt, dk_c[a]), frame)
     pointwise = lhs - 0.5 * lap + 0.5 * grad2
     pointwise[dom.boundary] = 0.0
 
     # integral identity
-    s_log = la.mm(frame * np.log(lam)[..., None, :], frame_inv)
+    s_log = relative(np.log(lam))
     if dom.boundary.any():
         s_edge = float(np.max(la.frobenius(s_log[dom.boundary]), initial=0.0))
         if s_edge > 1e-8 * (1.0 + float(np.max(la.frobenius(s_log)))):
@@ -262,7 +251,7 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     lhs_int = integrate(dom, np.einsum("nij,nji->n", diff, s_log).real)
     rhs_dens = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        rhs_dens += la.endo_inner(theta_apply(s_log, ds[a], metric=k), ds[a], k)
+        rhs_dens += la.endo_inner(theta_apply(s_log, ds[a], frame), ds[a], frame)
     gap = lhs_int + 0.5 * integrate(dom, rhs_dens)
     return {"pointwise_residual": pointwise, "integral_gap": float(gap)}
 
@@ -280,22 +269,17 @@ def runaway_certificate(conn: FlatConnection, reference: Array, metric: Array) -
     enumeration.
     """
     subs = invariant_subbundles(conn, reference)
-    k0 = np.asarray(reference[0], dtype=complex)
-    # H v = lam K v through K = C C^dag: the Hermitian C^-1 H C^-dag, then v = C^-dag w.
-    chol = np.linalg.cholesky(k0)
-    lam, w = np.linalg.eigh(la.hermitize(np.linalg.solve(
-        chol, la.dagger(np.linalg.solve(chol, np.asarray(metric[0], dtype=complex))))))
-    vecs = np.linalg.solve(la.dagger(chol), w)
+    # H v = lam K v through K = g^dag g: the Hermitian g^-dag H g^-1 w = lam w, with
+    # v = g^-1 w. In that frame the K-norm is the Euclidean norm.
+    frame = la.orthonormal_frame(la.scaled_sqrt(np.asarray(reference[:1], dtype=complex)))
+    lam, w = la.eigh(la.metric_in_frame(np.asarray(metric[:1], dtype=complex), frame))
     if not subs:
         return "; the enumeration finds no proper invariant sub-bundle to name"
-    v = vecs[:, 0]
-
-    def k_norm(w: Array) -> float:
-        return float(np.sqrt(max(np.vdot(w, k0 @ w).real, 0.0)))
+    w0 = w[0, :, 0]
 
     def angle(spec: SubBundleSpec) -> float:
-        inside = spec.projection[0] @ v
-        return float(np.arctan2(k_norm(v - inside), k_norm(inside)))
+        inside = la.to_frame(spec.projection[:1], frame)[0] @ w0
+        return float(np.arctan2(np.linalg.norm(w0 - inside), np.linalg.norm(inside)))
 
     angles = [angle(spec) for spec in subs]
     best = min(range(len(subs)), key=lambda i: (round(angles[i], 6), subs[i].rank))
@@ -309,7 +293,7 @@ def runaway_certificate(conn: FlatConnection, reference: Array, metric: Array) -
     clause = (f"; the metric degenerates along the invariant rank-{spec.rank} sub-bundle "
               f"spanned at site 0 by {basis} (invariance residual "
               f"{spec.invariance_residual:.1e}), at angle {angles[best]:.1e} rad from the "
-              f"shrinking eigendirection of K^-1 H there (eigenvalue {lam[0]:.3e}); ")
+              f"shrinking eigendirection of K^-1 H there (eigenvalue {lam[0, 0]:.3e}); ")
     if complement:
         return clause + "it has an invariant complement"
     return clause + ("it has no invariant complement, so the monodromy is not semisimple "

@@ -345,7 +345,7 @@ def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
     that difference without losing the digits of P - I. The scaled square
     root of H is computed once over all sites and gathered at the tails of
     each axis; computing it also checks that H is positive definite. The
-    split keeps it as ``root`` for the operators that solve against H. The
+    split keeps it as ``root`` for the operators relative to H. The
     edges of an axis run in tiles (``linalg.tiled``), each written straight
     into the split's fields.
     """
@@ -554,24 +554,23 @@ def _jacobi_weights(alpha: Array) -> tuple[Array, Array]:
             np.where(small, 1.0 - t2 / 6.0, 2.0 * scale * decay))
 
 
-def reference_difference(sm_k: SplitMetric, h_rel: Array) -> tuple[Array, Array]:
-    """(delta_K h, h_mid) on the forward edges, for h = K^{-1}H and the split ``sm_k`` at K.
+def reference_difference(sm_k: SplitMetric, h_rel: Array) -> Array:
+    """delta_K h on the forward edges, for h = K^{-1}H and the split ``sm_k`` at K.
 
     delta_K h is the covariant difference of h along the metric transports
     minus [psi_K, h_mid], with h_mid the mean of the tail value and the
     pulled-back head value: second-order edge-midpoint samples. Entries
-    without a forward edge hold 0 and I.
+    without a forward edge hold 0.
     """
     conn = sm_k.connection
     delta = np.zeros_like(sm_k.psi)
-    h_mid = la.eye_like(sm_k.psi)
     for a in range(conn.domain.dim):
         tails, heads = conn.edge_sites(a)
         pulled = la.mm(la.mm(conn.transport_inv[a, tails], h_rel[heads]), conn.transport[a, tails])
-        h_mid[a, tails] = 0.5 * (pulled + h_rel[tails])
+        h_mid = 0.5 * (pulled + h_rel[tails])
         delta[a, tails] = ((pulled - h_rel[tails]) / conn.domain.spacings[a]
-                           - la.commutator(sm_k.psi[a, tails], h_mid[a, tails]))
-    return delta, h_mid
+                           - la.commutator(sm_k.psi[a, tails], h_mid))
+    return delta
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,7 @@ def run_scenario(
                 report_lines.append("round trip aborted: no Poisson metric")
             else:
                 hd = hodge.higgs_from_harmonic(run.split, tension_tol=cfg.solver.tolerance)
+                run.split = None    # the Higgs data holds the transports and root it needs
                 res = hodge.hitchin_residuals(hd)
                 report_lines += [
                     f"holomorphy residual: {_fmt(res['holomorphy'])}",

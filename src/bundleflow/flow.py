@@ -229,7 +229,7 @@ class RunReport:
     sigma_sup: float
     logh_sup: float
     history: Array                  # rows aligned with accepted steps, HISTORY_COLUMNS
-    split: SplitMetric              # bundle.split_metric at ``metric``: its tension, psi, root
+    split: SplitMetric | None       # bundle.split_metric at ``metric``; None once let go
     poisson_function: Array | None = None
     notes: list[str] = field(default_factory=list)
     verdict_reason: str = ""
@@ -723,10 +723,11 @@ def exhaustion_solve(
         last = current if report.verdict == "converged" else ref
         previous, prev_idx = current, idx_map
 
-        dh = covariant_d(sub_conn, np.linalg.solve(sub_ref, report.metric))
+        frame = la.orthonormal_frame(la.scaled_sqrt(sub_ref))
+        dh = covariant_d(sub_conn, la.from_frame(la.metric_in_frame(report.metric, frame), frame))
         dh_l2 = 0.0
         for a in range(sub.dim):
-            dens = la.endo_norm2(dh[a], sub_ref)
+            dens = la.endo_norm2(dh[a], frame)
             dh_l2 += float(np.sum(sub.edge_weight[a] * dens))
         monitors.append(
             ExhaustionMonitor(

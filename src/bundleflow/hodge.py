@@ -11,6 +11,8 @@ and their area-normalized contraction is the contracted curvature that
 ``hitchin_residuals`` reports and ``higgs_degree_stability`` integrates.
 theta, the composite transports and the residuals are taken over tiles of
 sites or edges (``linalg.tiled``), so each holds one tile's temporaries.
+The composite transports, the contracted curvature, the degrees and the section
+check take each adjoint, exp and norm relative to h from ``HiggsData.root``.
 """
 from __future__ import annotations
 
@@ -52,9 +54,9 @@ SOURCE_TOL = 1e-6
 class HiggsData:
     """Simpson's harmonic bundle (dbar, theta, h) on a complex-curve lattice.
 
-    The composite connection and the residuals are taken once, when first
-    read, and kept with the data. The residuals are sups reduced over tiles
-    of sites (``linalg.tiled``), so no site field of them is held whole.
+    The metric's root, the composite connection and the residuals are taken
+    once, when first read, and kept with the data. The residuals are sups
+    reduced over tiles of sites (``linalg.tiled``): no site field is held whole.
     """
 
     connection: FlatConnection  # metric transports, their inverses, and the loops
@@ -68,6 +70,11 @@ class HiggsData:
         if np.shape(self.metric) != np.shape(self.theta):
             raise ValueError("metric shape does not match the Higgs field")
         la.check_metric(self.metric)
+
+    @cached_property
+    def root(self) -> la.ScaledRoot:
+        """``linalg.scaled_sqrt(metric)``; ``higgs_from_harmonic`` seeds it from its split."""
+        return la.scaled_sqrt(self.metric)
 
     @cached_property
     def holomorphicity_residual(self) -> float:
@@ -130,7 +137,7 @@ def higgs_from_harmonic(sm: SplitMetric, tension_tol: float = 1e-7) -> HiggsData
     of the split's tension is below ``10 * tension_tol``: a Poisson metric's
     tension is a scalar multiple of the identity at each site, which theta
     does not see. The check and theta run over tiles of sites
-    (``linalg.tiled``).
+    (``linalg.tiled``). The data holds the split's root of the metric.
     """
     conn = sm.flat
     dom = conn.domain
@@ -147,13 +154,15 @@ def higgs_from_harmonic(sm: SplitMetric, tension_tol: float = 1e-7) -> HiggsData
         return complex_split(dom, la.tracefree(centered_components(conn, sm.psi, sites)))[0]
 
     theta = la.tiled(theta_at, np.arange(dom.n_sites))
-    return HiggsData(replace(sm.connection, loops=conn.loops), theta, sm.metric)
+    higgs = HiggsData(replace(sm.connection, loops=conn.loops), theta, sm.metric)
+    higgs.__dict__["root"] = sm.root    # seed the cached property: no second root of h
+    return higgs
 
 
-def _psi_from_theta(theta: Array, metric: Array, axes: tuple[int, ...] = (0, 1)) -> Array:
+def _psi_from_theta(theta: Array, frame: la.Frame, axes: tuple[int, ...] = (0, 1)) -> Array:
     """Self-adjoint one-form components of theta dz + theta* dzbar along ``axes``:
-    ``theta + theta*`` along x and ``i (theta - theta*)`` along y."""
-    theta_star = np.linalg.solve(metric, la.mm(dagger(theta), metric))
+    ``theta + theta*`` along x and ``i (theta - theta*)`` along y, in the metric's ``frame``."""
+    theta_star = la.adjoint(theta, frame)
     return np.stack([theta + theta_star if a == 0 else 1j * (theta - theta_star) for a in axes])
 
 
@@ -165,11 +174,11 @@ def composite_transports(higgs: HiggsData) -> FlatConnection:
     """
     conn = higgs.connection
     dom = conn.domain
-    metric = np.asarray(higgs.metric)
 
     def edges(a: int, tails: Array) -> Array:
-        psi = _psi_from_theta(higgs.theta[tails], metric[tails], (a,))[0]
-        step = la.exp_hsa(psi, metric[tails], -dom.spacings[a])
+        frame = la.orthonormal_frame(tuple(f[tails] for f in higgs.root))
+        psi = _psi_from_theta(higgs.theta[tails], frame, (a,))[0]
+        step = la.exp_hsa(psi, frame, -dom.spacings[a])
         return la.mm(conn.transport[a, tails], step)
 
     out = conn.transport.copy()
@@ -189,7 +198,8 @@ def _plaquette_curvature(higgs: HiggsData, base: Array) -> tuple[Array, Array]:
     _, hol = plaquette_holonomies(higgs.composite, base)
     deviation = hol - np.eye(higgs.connection.rank, dtype=complex)
     area = dom.spacings[0] * dom.spacings[1]
-    contracted = la.selfadjoint_part(1j * deviation / area, np.asarray(higgs.metric)[base])
+    contracted = la.selfadjoint_part(1j * deviation / area, np.asarray(higgs.metric)[base],
+                                     tuple(f[base] for f in higgs.root))
     return deviation, contracted
 
 
@@ -232,6 +242,7 @@ def higgs_degree_stability(higgs: HiggsData, subs: list[SubBundleSpec]) -> Stabi
         if float(defect.max()) > 1e-6 * (1.0 + float(la.frobenius(k_field).max())):
             raise ValueError("metric is incompatible with the stored transports")
     lam = lambda_contraction(higgs)
+    frame = la.orthonormal_frame(higgs.root)
     total_dens = np.einsum("nii->n", lam).real
     total_deg = integrate(dom, total_dens)
     rows = []
@@ -242,7 +253,7 @@ def higgs_degree_stability(higgs: HiggsData, subs: list[SubBundleSpec]) -> Stabi
             raise ValueError("sub-bundle is not Higgs-invariant within tolerance")
         dbar_pi = _dbar_site_field(conn, s.projection, theta=higgs.theta)
         dens = np.einsum("nij,nji->n", s.projection, lam).real
-        dens -= 2.0 * la.endo_norm2(dbar_pi, k_field)
+        dens -= 2.0 * la.endo_norm2(dbar_pi, frame)
         d = integrate(dom, dens)
         rows.append(SubBundleRow(rank=s.rank, invariance_residual=max(
             s.invariance_residual, theta_res), degree=d, slope=d / s.rank))
@@ -295,7 +306,7 @@ def parallel_section_residual(source: SplitMetric | HiggsData, section: Array) -
     src = 0.5 * (grad[0] + 1j * grad[1]) + act(source.theta, f)
     if float(np.max(np.abs(src))) > limit:
         raise ValueError("section is not parallel for the Higgs operator")
-    psi = _psi_from_theta(source.theta, source.metric)
+    psi = _psi_from_theta(source.theta, la.orthonormal_frame(source.root))
     worst = 0.0
     for a in range(dom.dim):
         comp = grad[a] + act(psi[a], f)

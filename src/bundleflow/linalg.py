@@ -2,9 +2,13 @@
 
 Every routine broadcasts over leading axes, so a whole lattice of r x r
 matrices (shape ``(n, r, r)`` or ``(d, n, r, r)``) is processed in one call.
-Metric-adapted operations take a Hermitian positive-definite ``H`` and work
-with H-self-adjoint operators (``A* = H^{-1} A^dag H``), which stay
-diagonalizable with real spectra even when not Hermitian as raw matrices.
+Metric-adapted operations work with H-self-adjoint operators
+(``A* = H^{-1} A^dag H``), which stay diagonalizable with real spectra even
+when not Hermitian as raw matrices. None solves against H: each reads its
+scaled root (``scaled_sqrt``) or the root's orthonormal frame (g, g^{-1}),
+H = g^dag g (``orthonormal_frame``), where A* = g^{-1} (g A g^{-1})^dag g.
+``selfadjoint_part``, ``comparison_functions`` and ``metric_exp_update`` take
+the root; ``adjoint``, ``endo_inner``, ``endo_norm2`` and ``exp_hsa`` the frame.
 
 Products, Hermitian eigendecompositions, eigenvalues and spectral norms go
 through one entry point each: ``mm``, ``eigh``, ``eigvalsh`` and
@@ -39,6 +43,7 @@ import numpy as np
 
 Array = np.ndarray
 ScaledRoot = tuple[Array, Array, Array]   # (d, Ht^{1/2}, Ht^{-1/2}), see scaled_sqrt
+Frame = tuple[Array, Array]               # (g, g^{-1}), H = g^dag g, see orthonormal_frame
 
 # Smallest stack of 2 x 2 matrices that takes the closed-form kernels; below
 # it numpy's lower per-call overhead wins (crossover between 32 and 64).
@@ -72,8 +77,8 @@ def tiled(fn: Callable, *stacks, out: tuple[Array, ...] | None = None,
     """``fn(*stacks)``, computed over balanced tiles of at most ``TILE`` sites.
 
     Each stack is an array whose first axis runs over the sites or a tuple
-    of such arrays (a ``ScaledRoot``); the first is an array. Arguments of
-    no dimension (None, a scale) go to every tile as they are. ``fn``
+    of such arrays (a ``ScaledRoot``, a ``Frame``); the first is an array. Arguments
+    of no dimension (None, a scale) go to every tile as they are. ``fn``
     returns an array or a tuple of arrays with one row per site, and row i
     of each may depend only on row i of the stacks. n sites take
     c = ceil(n / TILE) tiles, tile i the sites from i n // c to
@@ -124,11 +129,6 @@ def specnorm(a: Array) -> Array:
     0-d result.
     """
     return np.sqrt(eigvalsh(mm(dagger(a), a))[..., -1])
-
-
-def eye_like(a: Array) -> Array:
-    r = a.shape[-1]
-    return np.broadcast_to(np.eye(r, dtype=complex), a.shape).copy()
 
 
 def trace(a: Array) -> Array:
@@ -244,11 +244,11 @@ def diagonal_scaling(h: Array) -> tuple[Array, Array]:
     return d, h / (d[..., :, None] * d[..., None, :])
 
 
-def selfadjoint_part(a: Array, metric: Array, root: ScaledRoot | None = None) -> Array:
-    """H-self-adjoint part 0.5 (A + H^{-1} A^dag H), solved in the scaled frame.
+def selfadjoint_part(a: Array, metric: Array, root: ScaledRoot) -> Array:
+    """H-self-adjoint part 0.5 (A + H^{-1} A^dag H), in the scaled frame.
 
-    ``root`` is ``scaled_sqrt(metric)`` when the caller already holds it; then
-    Ht^{-1} Y is formed as Ht^{-1/2} (Ht^{-1/2} Y) instead of by a solve.
+    ``root`` is ``scaled_sqrt(metric)``: Ht^{-1} Y is formed as
+    Ht^{-1/2} (Ht^{-1/2} Y), with no solve.
     """
     if len(a) > TILE:
         return tiled(selfadjoint_part, a, metric, root)
@@ -256,20 +256,16 @@ def selfadjoint_part(a: Array, metric: Array, root: ScaledRoot | None = None) ->
     ratio = d[..., :, None] / d[..., None, :]
     at = a * ratio
     y = mm(dagger(at), ht)
-    if root is None:
-        ht_inv_y = np.linalg.solve(ht, y)
-    else:
-        ht_inv_y = mm(root[2], mm(root[2], y))
-    return 0.5 * (at + ht_inv_y) / ratio
+    return 0.5 * (at + mm(root[2], mm(root[2], y))) / ratio
 
 
-def endo_inner(a: Array, b: Array, metric: Array) -> Array:
-    """Real inner product Re tr(A B*) on endomorphisms, B* the metric adjoint."""
-    return np.einsum("...ij,...ji->...", a, np.linalg.solve(metric, mm(dagger(b), metric))).real
+def endo_inner(a: Array, b: Array, frame: Frame) -> Array:
+    """Re tr(A B*), B* the metric adjoint: Re tr(X Y^dag) for X, Y = ``to_frame`` of A, B."""
+    return np.einsum("...ij,...ij->...", to_frame(a, frame), np.conj(to_frame(b, frame))).real
 
 
-def endo_norm2(a: Array, metric: Array) -> Array:
-    return np.maximum(endo_inner(a, a, metric), 0.0)
+def endo_norm2(a: Array, frame: Frame) -> Array:
+    return endo_inner(a, a, frame)    # a sum of squares, never below 0
 
 
 def hsa_norm2(a: Array) -> Array:
@@ -376,7 +372,7 @@ def scaled_sqrt(h: Array) -> ScaledRoot:
     return d, a, ai
 
 
-def orthonormal_frame(root: ScaledRoot) -> tuple[Array, Array]:
+def orthonormal_frame(root: ScaledRoot) -> Frame:
     """(g, g^{-1}) with g = Ht^{1/2} D, so H = g^dag g, from ``scaled_sqrt(H)``.
 
     An H-self-adjoint A corresponds to the Hermitian g A g^{-1}, and an
@@ -384,6 +380,26 @@ def orthonormal_frame(root: ScaledRoot) -> tuple[Array, Array]:
     """
     d, a, ai = root
     return a * d[..., None, :], ai / d[..., :, None]
+
+
+def to_frame(a: Array, frame: Frame) -> Array:
+    """g A g^{-1} in the ``frame`` (g, g^{-1}) of H: Hermitian for an H-self-adjoint A."""
+    return mm(mm(frame[0], a), frame[1])
+
+
+def from_frame(x: Array, frame: Frame) -> Array:
+    """g^{-1} X g, the inverse of ``to_frame``."""
+    return mm(mm(frame[1], x), frame[0])
+
+
+def adjoint(a: Array, frame: Frame) -> Array:
+    """The metric adjoint A* = H^{-1} A^dag H = g^{-1} (g A g^{-1})^dag g."""
+    return from_frame(dagger(to_frame(a, frame)), frame)
+
+
+def metric_in_frame(h: Array, frame: Frame) -> Array:
+    """g^{-dag} H g^{-1} in the frame of K: Hermitian, and ``from_frame`` of it is K^{-1} H."""
+    return hermitize(mm(mm(dagger(frame[1]), h), frame[1]))
 
 
 def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, Array]:
@@ -431,13 +447,12 @@ def donaldson_sigma(lam: Array) -> Array:
     return ((lam - 1.0) ** 2 / lam).sum(axis=-1)
 
 
-def exp_hsa(q: Array, metric: Array, scale: float | Array = 1.0) -> Array:
-    """exp(scale * Q) for an H-self-adjoint Q, via the Hermitian similarity."""
+def exp_hsa(q: Array, frame: Frame, scale: float) -> Array:
+    """exp(scale * Q) for an H-self-adjoint Q, through the Hermitian g Q g^{-1}."""
     if len(q) > TILE:
-        return tiled(exp_hsa, q, metric, scale)
-    a, ai = sqrt_pair(metric)
-    e, v = eigh(hermitize(mm(mm(a, q), ai)))
-    return mm(mm(ai, _eigh_build(e, v, np.exp(scale * e))), a)
+        return tiled(exp_hsa, q, frame, scale)
+    e, v = eigh(hermitize(to_frame(q, frame)))
+    return from_frame(_eigh_build(e, v, np.exp(scale * e)), frame)
 
 
 def metric_exp_update(h: Array, q: Array, scale: float, root: ScaledRoot | None = None) -> Array:
@@ -455,18 +470,6 @@ def metric_exp_update(h: Array, q: Array, scale: float, root: ScaledRoot | None 
     e, v = eigh(s)
     inner = hermitize(mm(mm(a, _eigh_build(e, v, np.exp(scale * e))), a))
     return inner * (d[..., :, None] * d[..., None, :])
-
-
-def log_hsa(s: Array, metric: Array) -> tuple[Array, Array, Array]:
-    """Eigen data (eigvals, frame, frame_inv) of a metric-self-adjoint field.
-
-    The frame columns are orthonormal for the metric; s = frame diag frame_inv.
-    """
-    a, ai = sqrt_pair(metric)
-    e, v = eigh(hermitize(mm(mm(a, s), ai)))
-    frame = mm(ai, v)
-    frame_inv = mm(dagger(v), a)
-    return e, frame, frame_inv
 
 
 def schur(m: Array) -> tuple[Array, Array]:

@@ -106,5 +106,5 @@ def brute_force_tension(conn: FlatConnection, metric: Array, step: float = 1e-5)
         )
         coeff = np.linalg.solve(gram, -derivs / dom.volume[x])
         q = sum(c * v for c, v in zip(coeff, v_dirs))
-        out[x] = la.selfadjoint_part(q[None], h_field[x][None])[0]
+        out[x] = la.selfadjoint_part(q[None], h_field[x:x + 1], la.scaled_sqrt(h_field[x:x + 1]))[0]
     return out

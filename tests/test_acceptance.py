@@ -157,7 +157,7 @@ def test_criterion_4_energy_and_contraction():
     k = random_metric(dom2, 2, seed=41, amplitude=0.3)
     bump = np.sin(np.pi * dom2.coords()).prod(axis=1)
     pert = la.selfadjoint_part(
-        0.5 * bump[:, None, None] * np.array([[1.0, 0.4j], [-0.4j, -1.0]]), k
+        0.5 * bump[:, None, None] * np.array([[1.0, 0.4j], [-0.4j, -1.0]]), k, la.scaled_sqrt(k)
     )
     h0 = la.metric_exp_update(k, pert, 1.0)
     # Both runs start from the Dirichlet default dt; with no rejection on

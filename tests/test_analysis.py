@@ -129,10 +129,15 @@ def test_slope_bound_for_poisson_reference():
 # ----------------------------------------------------------------- theta
 
 
+def unit_frame(r: int):
+    """The orthonormal frame (g, g^-1) of the identity metric."""
+    return np.eye(r), np.eye(r)
+
+
 def test_theta_apply_identity_at_zero():
     rng = np.random.default_rng(0)
     chi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    out = bf.theta_apply(np.zeros((3, 3)), chi)
+    out = bf.theta_apply(np.zeros((3, 3)), chi, unit_frame(3))
     assert np.abs(out - chi).max() < 1e-12
 
 
@@ -140,10 +145,10 @@ def test_theta_apply_worked_entries():
     s = np.diag([0.0, np.log(2.0)]).astype(complex)
     chi = np.zeros((2, 2), dtype=complex)
     chi[1, 0] = 1.0  # component mapping the 0-eigenvector into the log2-eigenvector
-    assert bf.theta_apply(s, chi)[1, 0] == pytest.approx(1.0 / np.log(2.0))
+    assert bf.theta_apply(s, chi, unit_frame(2))[1, 0] == pytest.approx(1.0 / np.log(2.0))
     chi2 = np.zeros((2, 2), dtype=complex)
     chi2[0, 1] = 1.0
-    assert bf.theta_apply(s, chi2)[0, 1] == pytest.approx(1.0 / (2.0 * np.log(2.0)))
+    assert bf.theta_apply(s, chi2, unit_frame(2))[0, 1] == pytest.approx(1.0 / (2.0 * np.log(2.0)))
 
 
 def test_theta_series_matches_quotient_near_diagonal():
@@ -151,7 +156,7 @@ def test_theta_series_matches_quotient_near_diagonal():
         s = np.diag([0.0, gap]).astype(complex)
         chi = np.zeros((2, 2), dtype=complex)
         chi[1, 0] = 1.0
-        got = bf.theta_apply(s, chi)[1, 0].real
+        got = bf.theta_apply(s, chi, unit_frame(2))[1, 0].real
         exact = np.expm1(gap) / gap
         assert abs(got - exact) < 1e-6 * exact
 
@@ -159,7 +164,7 @@ def test_theta_series_matches_quotient_near_diagonal():
 def test_theta_apply_rejects_non_self_adjoint():
     s = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="self-adjoint"):
-        bf.theta_apply(s, np.eye(2, dtype=complex))
+        bf.theta_apply(s, np.eye(2, dtype=complex), unit_frame(2))
 
 
 # ------------------------------------------------------------ identity checks

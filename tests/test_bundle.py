@@ -220,7 +220,8 @@ def test_metric_transport_is_exact_isometry_and_recomposes():
     pulled = la.dagger(v) @ h[heads] @ v
     assert np.abs(pulled - h[tails]).max() < 1e-11
     # U = V exp(-h psi) exactly
-    recomposed = v @ la.exp_hsa(sm.psi[0, tails], h[tails], -dom.spacings[0])
+    frame = la.orthonormal_frame(la.scaled_sqrt(h[tails]))
+    recomposed = v @ la.exp_hsa(sm.psi[0, tails], frame, -dom.spacings[0])
     assert np.abs(recomposed - conn.transport[0, tails]).max() < 1e-11
 
 
@@ -262,11 +263,12 @@ def test_codifferential_exact_adjointness(seed):
         size=(2, dom.n_sites, 2, 2)
     )
     d_sigma = section_derivative(conn, h, sigma)
+    frame = la.orthonormal_frame(la.scaled_sqrt(h))
     lhs = 0.0
     for a in range(2):
-        lhs += np.sum(dom.edge_weight[a] * la.endo_inner(d_sigma[a], omega[a], h))
+        lhs += np.sum(dom.edge_weight[a] * la.endo_inner(d_sigma[a], omega[a], frame))
     cod = bf.codifferential(bf.split_metric(conn, h), omega)
-    rhs = np.sum(dom.volume * la.endo_inner(sigma, cod, h))
+    rhs = np.sum(dom.volume * la.endo_inner(sigma, cod, frame))
     assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
 
@@ -290,7 +292,7 @@ def _edge_form(sm, x):
     dom = sm.flat.domain
     g, g_inv = la.orthonormal_frame(sm.root)
     d_s = bf.covariant_d(sm.connection, g_inv @ x @ g)
-    return sum(np.sum(dom.edge_weight[a] * la.endo_norm2(d_s[a], sm.metric))
+    return sum(np.sum(dom.edge_weight[a] * la.endo_norm2(d_s[a], (g, g_inv)))
                for a in range(dom.dim)), d_s
 
 
@@ -591,8 +593,8 @@ def test_gauge_covariance_of_tension_and_diagnostics():
     # scalar diagnostics are gauge invariant
     energy, energy_g = bf.split_metric(conn, h).energy, bf.split_metric(conn_g, h_g).energy
     assert abs(energy - energy_g) < 1e-10 * (1 + energy)
-    norm = np.sqrt(la.endo_norm2(t, h))
-    norm_g = np.sqrt(la.endo_norm2(t_g, h_g))
+    norm = np.sqrt(la.endo_norm2(t, la.orthonormal_frame(la.scaled_sqrt(h))))
+    norm_g = np.sqrt(la.endo_norm2(t_g, la.orthonormal_frame(la.scaled_sqrt(h_g))))
     assert np.abs(norm - norm_g).max() < 1e-9
 
 
@@ -630,7 +632,7 @@ def test_psi_time_derivative_formula():
         v = random_metric(dom, 2, seed=22, amplitude=0.2)  # Hermitian-positive; use its log
         w = np.linalg.eigvalsh(v)
         direction = np.linalg.solve(h, 0.5 * (v + la.dagger(v)) - np.eye(2) * np.mean(w))
-        direction = la.selfadjoint_part(direction, h)
+        direction = la.selfadjoint_part(direction, h, la.scaled_sqrt(h))
         dt = 1e-5
         h_plus = la.metric_exp_update(h, direction, dt)
         h_minus = la.metric_exp_update(h, direction, -dt)

@@ -1,8 +1,10 @@
 import copy
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -616,6 +618,35 @@ def test_higgs_roundtrip_inverts_each_transport_stack_once(tmp_path, monkeypatch
     for key in tiles:
         assert len(tiles[key]) == 2
         assert np.array_equal(np.sort(np.concatenate(tiles[key])), np.arange(64))
+
+
+def test_higgs_roundtrip_lets_the_poisson_split_go(tmp_path, monkeypatch):
+    # The Higgs data holds what it needs of the Poisson run's split (the
+    # metric transports and the scaled root), so the split itself, with its
+    # psi, shift and tension, is freed before the residuals are taken.
+    refs, alive = [], []
+    extract, residuals = hodge.higgs_from_harmonic, hodge.hitchin_residuals
+
+    def extracting(sm, **kwargs):
+        refs.append(weakref.ref(sm))
+        return extract(sm, **kwargs)
+
+    def collecting(hd):
+        gc.collect()
+        alive.extend(ref() is not None for ref in refs)
+        return residuals(hd)
+
+    monkeypatch.setattr(hodge, "higgs_from_harmonic", extracting)
+    monkeypatch.setattr(hodge, "hitchin_residuals", collecting)
+    gen_b = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / 3.0, 0.0]]]
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        scenario="higgs_roundtrip",
+        domain={"kind": "torus", "sites": [16, 16], "lengths": [1.0, 1.0]},
+        bundle={"rank": 2, "monodromy": [GEN2, gen_b]},
+    )
+    assert run_scenario(cfg, out_dir=tmp_path / "o") == 0
+    assert len(refs) == 1 and alive == [False]
 
 
 def test_higgs_roundtrip_refuses_above_ten_times_the_tolerance(tmp_path, monkeypatch):

@@ -45,3 +45,18 @@ def test_every_export_has_a_caller_beyond_its_own_unit_test():
                if inspect.isfunction(obj) or inspect.isclass(obj)}
     assert exports
     assert sorted(name for name, obj in exports.items() if not reached(name, obj)) == []
+
+
+def test_no_metric_is_solved_against_or_inverted_in_the_flow_or_higgs_stages():
+    # Every H-relative operation in flow, hodge and analysis reads the
+    # metric's scaled root or its frame (linalg.orthonormal_frame), so none
+    # calls a LAPACK solve, inverse or Cholesky factorization; transport
+    # stacks are inverted in bundle.connection_from_transports only.
+    banned = {"solve", "inv", "cholesky"}
+    found = []
+    for name in ("flow.py", "hodge.py", "analysis.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        found += [f"{name}:{node.lineno} {node.func.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in banned]
+    assert found == []

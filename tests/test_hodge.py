@@ -228,6 +228,29 @@ def test_higgs_data_builds_its_composite_once(monkeypatch):
         bf.flat_from_higgs(bf.higgs_from_harmonic(run.split), tol=1e-6)
 
 
+def test_the_higgs_stage_reads_the_root_its_split_took(monkeypatch):
+    # The data holds the split's scaled root, and the adjoint, the composite
+    # transports, the residuals and the degrees read it: no root of the
+    # metric is taken again and nothing is solved against it.
+    dom = bf.build_domain("rectangle", (9, 11), (1.0, 1.5))
+    conn = gauge_transform(random_connection(dom, 2, seed=3), random_gauge(dom.n_sites, 2, seed=7))
+    h = rough_random_metric(dom.n_sites, 2, seed=4, amplitude=0.2)
+    sm = bf.split_metric(conn, h)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the Higgs stage took a root of the metric or solved against it")
+
+    for name in ("scaled_sqrt", "sqrt_pair"):
+        monkeypatch.setattr(la, name, refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    hd = bf.higgs_from_harmonic(sm, tension_tol=np.inf)
+    assert hd.root is sm.root
+    bf.hitchin_residuals(hd)
+    bf.flat_from_higgs(hd, tol=np.inf)
+    bf.higgs_degree_stability(hd, [])
+    bf.parallel_section_residual(hd, np.zeros((dom.n_sites, 2), dtype=complex))
+
+
 @pytest.mark.parametrize("kind, sites", [("torus", (24, 24)), ("rectangle", (17, 19))])
 def test_higgs_round_trip_in_tiles_is_the_round_trip_in_one_tile(monkeypatch, kind, sites):
     # With tiles of 96 sites, theta, the composite edges and the plaquette

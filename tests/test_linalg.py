@@ -133,12 +133,82 @@ def test_malformed_input_keeps_its_messages(n):
 def test_selfadjoint_part_from_the_shared_root(n):
     h = random_metric(bf.build_domain("circle", n, 1.0), 2, seed=5, amplitude=0.8)
     a = hermitian_batch(n, 6) + 0.7j * hermitian_batch(n, 7)
-    expected = la.selfadjoint_part(a, h)
+    expected = 0.5 * (a + np.linalg.solve(h, la.dagger(a) @ h))    # the solve-based reference
     got = la.selfadjoint_part(a, h, la.scaled_sqrt(h))
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
     # H-self-adjoint: H S = (H S)^dag
     hs = h @ got
     assert np.abs(hs - la.dagger(hs)).max() <= 1e-13 * np.abs(hs).max()
+
+
+def graded_case(rank: int, t: float, n: int = 80):
+    """A metric H = D Ht D, D = diag(e^t, (1,) e^-t), Ht random, and D's diagonal.
+
+    80 sites: rank-2 stacks take the closed forms, rank-3 ones LAPACK.
+    """
+    rng = np.random.default_rng(rank + int(t))
+    z = rng.normal(size=(n, rank, rank)) + 1j * rng.normal(size=(n, rank, rank))
+    ht = z @ la.dagger(z) / rank + 0.5 * np.eye(rank)
+    d = np.exp(t * np.linspace(1.0, -1.0, rank))
+    return ht * (d[:, None] * d[None, :]), d, rng
+
+
+def graded_field(rng, d, n):
+    """D^{-1} B D for a random B: a field whose entries follow the grading of H."""
+    r = len(d)
+    b = rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
+    return b * (d[None, :] / d[:, None])
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("t", [0.0, 6.0, 12.0])
+def test_frame_operations_match_solve_and_eigh_references(rank, t):
+    # Every H-relative operation reads the scaled root or its frame (g, g^-1),
+    # H = g^dag g. The references solve against the unit-diagonal part of H
+    # and take eigh in a Cholesky frame, so they too hold at cond H = e^{4t}.
+    h, d, rng = graded_case(rank, t)
+    n = len(h)
+    root = la.scaled_sqrt(h)
+    frame = la.orthonormal_frame(root)
+    s_h = np.sqrt(np.einsum("nii->ni", h).real)
+    ht = h / (s_h[:, :, None] * s_h[:, None, :])
+
+    def h_solve(y):      # H^-1 Y = S^-1 Ht^-1 S^-1 Y with S = diag(H)^1/2
+        return np.linalg.solve(ht, y / s_h[:, :, None]) / s_h[:, :, None]
+
+    lt = la.dagger(np.linalg.cholesky(ht))           # H = c^dag c with c = lt S
+    eye = np.broadcast_to(np.eye(rank), h.shape)
+    c = lt * s_h[:, None, :]
+    c_inv = np.linalg.solve(lt, eye) / s_h[:, :, None]
+
+    def scaled(x):       # D X D^-1: every entry of a graded field is O(1) there
+        return x * (d[:, None] / d[None, :])
+
+    def close(got, want):
+        return np.abs(scaled(got - want)).max() <= 1e-13 * np.abs(scaled(want)).max()
+
+    a, b, chi = (graded_field(rng, d, n) for _ in range(3))
+    a_star, b_star = (h_solve(la.dagger(x) @ h) for x in (a, b))
+    assert close(la.adjoint(a, frame), a_star)
+    assert close(la.selfadjoint_part(a, h, root), 0.5 * (a + a_star))
+    inner = np.einsum("nij,nji->n", a, b_star).real
+    norms = np.sqrt(np.einsum("nij,nji->n", a, a_star).real
+                    * np.einsum("nij,nji->n", b, b_star).real)
+    assert np.all(np.abs(la.endo_inner(a, b, frame) - inner) <= 1e-13 * norms)
+    assert np.allclose(la.endo_norm2(a, frame), np.einsum("nij,nji->n", a, a_star).real,
+                       rtol=1e-13, atol=0.0)
+
+    # An H-self-adjoint Q = H^-1 S for a Hermitian S = D (B + B^dag) D.
+    sym = graded_field(rng, d, n) * d[:, None] ** 2
+    q = h_solve(sym + la.dagger(sym))
+    lam, v = np.linalg.eigh(la.hermitize(c @ q @ c_inv))
+    p, p_inv = c_inv @ v, la.dagger(v) @ c
+    expected = (p * np.exp(-0.3 * lam)[:, None, :]) @ p_inv
+    assert close(la.exp_hsa(q, frame, -0.3), expected)
+    dl = lam[:, :, None] - lam[:, None, :]
+    weights = np.divide(np.expm1(dl), dl, out=np.ones_like(dl), where=dl != 0.0)
+    expected = p @ (weights * (p_inv @ chi @ p)) @ p_inv
+    assert close(bf.theta_apply(q, chi, frame), expected)
 
 
 def specnorm_cases(n: int, seed: int) -> dict:
@@ -185,7 +255,8 @@ def test_flow_diagnostics_agree_across_the_gate(monkeypatch):
     def quantities():
         t = bf.tension(conn, h)
         step = la.metric_exp_update(h, t, 1e-2)
-        return t, step, la.rel_eigvals(k, h), la.exp_hsa(t, h, 0.3)
+        frame = la.orthonormal_frame(la.scaled_sqrt(h))
+        return t, step, la.rel_eigvals(k, h), la.exp_hsa(t, frame, 0.3)
 
     fast = quantities()
     monkeypatch.setattr(la, "SMALL_BATCH", 10 ** 9)
@@ -202,14 +273,15 @@ def test_site_kernels_in_tiles_keep_every_bit(monkeypatch, n):
     dom = bf.build_domain("circle", n, 1.0)
     k = random_metric(dom, 2, seed=8, amplitude=0.5)
     h = random_metric(dom, 2, seed=9, amplitude=0.8)
-    q = la.selfadjoint_part(hermitian_batch(n, 6) + 0.7j * hermitian_batch(n, 7), h)
+    q = la.selfadjoint_part(hermitian_batch(n, 6) + 0.7j * hermitian_batch(n, 7), h,
+                            la.scaled_sqrt(h))
 
     def results() -> list:
         root = la.scaled_sqrt(h)
         return [*root, *la.sqrt_pair(h), la.selfadjoint_part(q, h, root),
-                la.selfadjoint_part(q, h), la.metric_exp_update(h, q, 0.3, root),
-                la.metric_exp_update(h, q, 0.3), la.rel_eigvals(k, h),
-                la.rel_eigvals(k, h, la.sqrt_pair(k)[1]), la.exp_hsa(q, h, -0.2)]
+                la.metric_exp_update(h, q, 0.3, root), la.metric_exp_update(h, q, 0.3),
+                la.rel_eigvals(k, h), la.rel_eigvals(k, h, la.sqrt_pair(k)[1]),
+                la.exp_hsa(q, la.orthonormal_frame(root), -0.2)]
 
     monkeypatch.setattr(la, "TILE", 10 ** 9)
     whole = results()
