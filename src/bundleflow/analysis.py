@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg as la
 from .bundle import (
     FlatConnection,
+    SplitMetric,
     SubBundleSpec,
     centered_components,
     covariant_d,
@@ -47,20 +48,18 @@ def donaldson_distance(h_field: Array, k_field: Array) -> tuple[Array, float]:
     return field, float(field.max())
 
 
-def degree(
-    conn: FlatConnection,
-    reference: Array,
-    sub: SubBundleSpec | None = None,
-) -> float:
+def degree(sm: SplitMetric, sub: SubBundleSpec | None = None) -> float:
     """Analytic degree of the bundle, or of an invariant sub-bundle.
 
-    Total degree: minus the integral of the tension trace. Sub-bundle degree:
-    minus the integral of tr(pi T) + 0.5 |D pi|^2 with pi the reference-
-    orthogonal projection; its derivative enters through site-centered
-    components under the reference pairing. Intended for closed domains,
-    where the total integrand is an exact divergence.
+    ``sm`` is the flat connection split at the reference metric
+    (``bundle.split_metric``), which one caller shares between the total and
+    every sub-bundle degree. Total degree: minus the integral of the tension
+    trace. Sub-bundle degree: minus the integral of tr(pi T) + 0.5 |D pi|^2
+    with pi the reference-orthogonal projection; its derivative enters through
+    site-centered components under the reference pairing. Intended for closed
+    domains, where the total integrand is an exact divergence.
     """
-    sm = split_metric(conn, reference)
+    conn = sm.flat
     t_field, frame = sm.tension, la.orthonormal_frame(sm.root)
     if sub is None:
         return -integrate(conn.domain, np.einsum("nii->n", t_field).real)
@@ -114,10 +113,11 @@ def stability_report(
 ) -> StabilityReport:
     if not subs:
         raise ValueError("stability needs at least one candidate sub-bundle")
-    total_deg = degree(conn, reference)
+    sm = split_metric(conn, reference)
+    total_deg = degree(sm)
     rows = []
     for s in subs:
-        d = degree(conn, reference, sub=s)
+        d = degree(sm, sub=s)
         rows.append(
             SubBundleRow(
                 rank=s.rank,

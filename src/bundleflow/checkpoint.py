@@ -7,10 +7,11 @@ from any checkpoint, periodic or final, exactly as the unsplit run goes on.
 Layout: a header line of comma-separated ``key value`` pairs: ``rank`` and
 ``sites`` (the metric's shape), ``time``, ``step``, ``dt`` (the next step's;
 0 for the default of the run's step), ``streak``, ``grown``, ``latch`` (0 or
-1) and, once measured, ``logh_prev`` (absent loads as None); the floats are
-finite, and dt, ``step``, ``streak`` and ``grown`` are not negative. Then one
-line per site with the row-major complex entries of H written as ``re im``
-pairs.
+1), once measured ``logh_prev`` and, once a step is accepted,
+``residual_prev``, the residual before it (either absent loads as None); the
+floats are finite, and dt, ``residual_prev``, ``step``, ``streak`` and
+``grown`` are not negative. Then one line per site with the row-major complex
+entries of H written as ``re im`` pairs.
 An optional ``theta`` marker line introduces a second per-site block with the
 same layout. Floats are written with shortest round-trip precision, so a
 save/load cycle is bit-exact.
@@ -44,6 +45,7 @@ class Checkpoint:
     grown: int = 0
     latch: bool = True
     logh_prev: float | None = None
+    residual_prev: float | None = None
 
     @classmethod
     def of(cls, state: FlowState, theta: Array | None = None) -> Checkpoint:
@@ -52,13 +54,14 @@ class Checkpoint:
         return cls(rank=rank, sites=sites, time=state.time, step=state.step, dt=state.dt,
                    streak=state.divergence_streak, metric=state.metric, theta=theta,
                    grown=state.accepted_since_growth, latch=state.latch_open,
-                   logh_prev=state.logh_prev)
+                   logh_prev=state.logh_prev, residual_prev=state.residual_prev)
 
     def state(self) -> FlowState:
         """The flow state this checkpoint holds, with an empty history."""
         return FlowState(time=self.time, metric=self.metric, dt=self.dt, step=self.step,
                          accepted_since_growth=self.grown, divergence_streak=self.streak,
-                         latch_open=self.latch, logh_prev=self.logh_prev)
+                         latch_open=self.latch, logh_prev=self.logh_prev,
+                         residual_prev=self.residual_prev)
 
 
 def _write_block(fh, field: Array) -> None:
@@ -108,7 +111,9 @@ def _block_error(block: list[str], start: int, sites: int, width: int) -> str:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    prev = "" if ckpt.logh_prev is None else f", logh_prev {float(ckpt.logh_prev)!r}"
+    prev = "".join(f", {name} {float(value)!r}" for name, value in
+                   (("logh_prev", ckpt.logh_prev), ("residual_prev", ckpt.residual_prev))
+                   if value is not None)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"rank {ckpt.rank}, sites {ckpt.sites}, time {float(ckpt.time)!r}, "
                  f"step {ckpt.step}, dt {float(ckpt.dt)!r}, streak {ckpt.streak}, "
@@ -135,7 +140,8 @@ def load_checkpoint(path) -> Checkpoint:
         streak = int(header.get("streak", 0))
         grown = int(header.get("grown", 0))
         latch = int(header.get("latch", 1))
-        logh_prev = float(header["logh_prev"]) if "logh_prev" in header else None
+        logh_prev, residual_prev = (float(header[name]) if name in header else None
+                                    for name in ("logh_prev", "residual_prev"))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"checkpoint line 1: malformed header {lines[0]!r}") from exc
     if rank < 1 or sites < 1:
@@ -146,6 +152,9 @@ def load_checkpoint(path) -> Checkpoint:
     if not np.isfinite([time, dt, 0.0 if logh_prev is None else logh_prev]).all() or dt < 0:
         raise ValueError("checkpoint line 1: time, dt and logh_prev must be finite and dt "
                          f"not negative in {lines[0]!r}")
+    if residual_prev is not None and not 0 <= residual_prev < np.inf:
+        raise ValueError("checkpoint line 1: residual_prev must be finite and not negative in "
+                         f"{lines[0]!r}")
     metric, pos = _parse_block(lines, 1, sites, rank)
     theta = None
     if pos < len(lines) and lines[pos].strip() == "theta":
@@ -155,4 +164,5 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         rank=rank, sites=sites, time=time, step=step, dt=dt, streak=streak,
         metric=metric, theta=theta, grown=grown, latch=bool(latch), logh_prev=logh_prev,
+        residual_prev=residual_prev,
     )

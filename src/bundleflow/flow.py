@@ -4,11 +4,11 @@ The update is multiplicative, ``H <- H exp(2 dt Q)`` with Q the tension field,
 so Hermitian positivity survives any step size. Because Q is the exact
 gradient of the edge energy, an accepted step decreases the energy to first
 order by ``2 ||Q||^2 dt``; the adaptive controller rejects steps that raise
-the energy beyond roundoff slack and halves the step size instead. Each run
-reports its trials, rejections, accepted energy rises and the wall time of
-its phases. A domain with a boundary is a Dirichlet problem: its boundary
-sites hold the reference metric K, and the unknowns and the residual are the
-interior sites.
+the energy beyond roundoff slack, or whose metric overflows, and halves the
+step size instead. Each run reports its trials, rejections, accepted energy
+rises and the wall time of its phases. A domain with a boundary is a
+Dirichlet problem: its boundary sites hold the reference metric K, and the
+unknowns and the residual are the interior sites.
 
 ``solve_harmonic`` and ``solve_poisson`` take an implicit (backward) Euler
 step of the same flow instead: each trial solves ``(M + dt Hess) S = M Q``
@@ -38,6 +38,20 @@ explicit step moves such a state along a site-constant direction that
 excites no other mode and, with the runaway growth rule below, reaches the
 ``diverged`` verdict with its residual resolved in hundreds of steps; along
 the kernel the implicit step buys nothing (S = Q there).
+
+The implicit solve is an inexact Newton step (Eisenstat & Walker 1996): CG
+stops at ``max(CG_RTOL, eta)`` times the right-hand side, with the forcing
+term eta of ``_forcing_term``, ``ETA_MAX`` until a run's first accepted step
+and then ``min(ETA_MAX, ETA_GAMMA (r / r_prev)^2)`` for the residual r of
+the current metric and r_prev the one before the last accepted step
+(``FlowState.residual_prev``). A trial is judged only by its energy and its
+new residual, so solving it to 1e-13 buys nothing the next trial does not
+redo: the ``circle-harmonic`` inputs (seeds 1 to 8) take the same 5 steps
+with 28 to 34 CG iterations instead of 102 to 125, and the rectangles of
+``scripts/bench_implicit.py`` the same 4 steps with 8 instead of 16. A run
+whose tolerance is at most ``EXACT_SOLVE_MARGIN`` times ``_implicit_floor``
+keeps eta = 0: near the floor the solves' roundoff decides how the run
+crawls to its tolerance.
 
 On the explicit step, and there only, ``_drive`` adds a growth rule to the
 adaptive schedule (``RUNAWAY_GROWTH``, ``RUNAWAY_GATE``). Along a runaway
@@ -161,10 +175,20 @@ IMPLICIT_DT_CAP = 1e3
 # with the residual above tolerance, before the verdict is ``diverged``.
 DIVERGENCE_PATIENCE = 100
 
-# The implicit step's conjugate gradients stop at a residual of CG_RTOL times
-# the right-hand side, or after CG_MAX_ITERATIONS.
+# The implicit step's conjugate gradients stop at a residual of
+# max(CG_RTOL, eta) times the right-hand side, or after CG_MAX_ITERATIONS.
+# eta is the inexact Newton forcing term of ``_forcing_term`` (ETA_MAX,
+# ETA_GAMMA), and 0 in a run whose tolerance is at most EXACT_SOLVE_MARGIN
+# times ``_implicit_floor``: near the floor the solves' roundoff decides the
+# crawl. Without that gate the 1.01x-floor runs of the rank-3 12-site circles
+# of ``_implicit_floor`` (reference seeds 0 to 3) took 287, 1,426, 4,254 and
+# 3,824 steps instead of 344, 480, 435 and 2,072; from 10.01x up they take 8
+# steps either way.
 CG_RTOL = 1e-13
 CG_MAX_ITERATIONS = 200
+ETA_MAX = 0.1
+ETA_GAMMA = 0.9
+EXACT_SOLVE_MARGIN = 10.0
 
 HISTORY_COLUMNS = (
     "step",
@@ -215,6 +239,9 @@ class FlowState:
     # sup ||log h|| before the last accepted step, which ``settle`` compares
     # against; None until ``_drive`` measures the start metric.
     logh_prev: float | None = None
+    # The residual the run is judged by before the last accepted step, which
+    # the latch, the ratio growth and the forcing term read; None until then.
+    residual_prev: float | None = None
 
 
 @dataclass
@@ -297,7 +324,7 @@ def _residuals(sm: SplitMetric) -> dict:
     }
 
 
-def _implicit_direction(sm: SplitMetric, dt: float) -> tuple[Array, int]:
+def _implicit_direction(sm: SplitMetric, dt: float, eta: float) -> tuple[Array, int]:
     """The implicit Euler direction, ``(M + dt Hess) S = M Q``, and its CG iterations.
 
     ``Hess`` is ``bundle.energy_hessian`` at the split ``sm`` at H, M the
@@ -310,9 +337,11 @@ def _implicit_direction(sm: SplitMetric, dt: float) -> tuple[Array, int]:
     system A x = b is real symmetric positive definite under
     ``Re tr(a b)``; conjugate gradients solve it matrix-free from zero,
     preconditioned by the flat ``M + dt sum_a c_a L_a``
-    (``mesh.flat_preconditioner``). Every iterate has
-    ``<b, x_k> = x_k^T A x_k > 0``, that is ``<Q, S>_M > 0``, so even a
-    capped S descends the energy, and ``_drive``'s energy test judges it.
+    (``mesh.flat_preconditioner``), until ``||b - A x|| <= max(CG_RTOL, eta)
+    ||b||``: ``eta`` is ``_drive``'s inexact Newton forcing term, 0 for a
+    solve to CG_RTOL. Every iterate has ``<b, x_k> = x_k^T A x_k > 0``, that
+    is ``<Q, S>_M > 0``, so even an inexact or capped S descends the energy,
+    and ``_drive``'s energy test judges it.
     """
     dom = sm.flat.domain
     g, g_inv = la.orthonormal_frame(sm.root)
@@ -323,7 +352,7 @@ def _implicit_direction(sm: SplitMetric, dt: float) -> tuple[Array, int]:
     b[dom.boundary] = 0.0
     x = np.zeros_like(b)
     res = b
-    stop = CG_RTOL * np.linalg.norm(b)
+    stop = max(CG_RTOL, eta) * np.linalg.norm(b)
     iterations = 0
     while np.linalg.norm(res) > stop and iterations < CG_MAX_ITERATIONS:
         z = precondition(res)
@@ -371,12 +400,17 @@ def _drive(
     doubled dt on. The implicit step adds the residual-ratio growth after
     the schedule: ``dt <- max(dt, min(dt clip(r_prev / r, 1,
     RATIO_GROWTH_MAX), IMPLICIT_DT_CAP default_dt))`` for the residuals
-    before and after the accepted step. Both rules run before the callback,
-    so a checkpoint holds the grown dt and a resume is bit-exact. The
-    report's ``phase_seconds`` holds the wall time of the
-    ``diagnostics`` (splits, residuals, monitors and the normalization), the
-    implicit ``solve`` and the ``update``. Its ``split`` is the split of its
-    final ``metric``, whose own array the split holds, with the tension read.
+    before and after the accepted step, and solves each trial to the forcing
+    term of ``_forcing_term`` (module docstring). Both rules run before the
+    callback, and the state holds r_prev (``FlowState.residual_prev``), so a
+    checkpoint holds the grown dt and the forcing term's residuals and a
+    resume is bit-exact. A trial whose update overflows, or whose metric the
+    split refuses as not finite or not positive definite, is rejected, as a
+    trial that raises the energy is: dt halves. The report's
+    ``phase_seconds`` holds the wall time of the ``diagnostics`` (splits,
+    residuals, monitors and the normalization), the implicit ``solve`` and
+    the ``update``. Its ``split`` is the split of its final ``metric``, whose
+    own array the split holds, with the tension read.
     """
     domain = conn.domain
     opts.validate()
@@ -424,6 +458,7 @@ def _drive(
     trials = rejected = rises = doubled = cg_total = cg_max = 0
     gate_low = RUNAWAY_GATE * opts.divergence_threshold
     dt_cap = IMPLICIT_DT_CAP * default_dt(domain, implicit=True)
+    exact_solves = opts.tolerance <= EXACT_SOLVE_MARGIN * _implicit_floor(domain)
     while state.step < opts.max_steps:
         settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
                          diag["logh_sup"], state.logh_prev)
@@ -433,18 +468,27 @@ def _drive(
         direction = diag["split"].tension
         if implicit:
             start = _time.perf_counter()
-            direction, iterations = _implicit_direction(diag["split"], state.dt)
+            eta = 0.0 if exact_solves else _forcing_term(diag[key], state.residual_prev)
+            direction, iterations = _implicit_direction(diag["split"], state.dt, eta)
             phases["solve"] += _time.perf_counter() - start
             cg_total += iterations
             cg_max = max(cg_max, iterations)
         start = _time.perf_counter()
-        trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt, diag["split"].root)
         trials += 1
-        trial[domain.boundary] = reference[domain.boundary]
-        phases["update"] += _time.perf_counter() - start
-        diag_trial = diagnose(trial)
-        energy, energy_trial = diag["split"].energy, diag_trial["split"].energy
-        if energy_trial > energy + ENERGY_RTOL * energy:
+        try:
+            # A trial that overflows, or whose metric the split refuses as not
+            # finite or not positive definite, is rejected like one that
+            # raises the energy.
+            with np.errstate(over="raise", invalid="raise"):
+                trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt,
+                                             diag["split"].root)
+                trial[domain.boundary] = reference[domain.boundary]
+                phases["update"] += _time.perf_counter() - start
+                diag_trial = diagnose(trial)
+        except (FloatingPointError, ValueError):
+            diag_trial = None
+        energy = diag["split"].energy
+        if diag_trial is None or diag_trial["split"].energy > energy + ENERGY_RTOL * energy:
             rejected += 1
             state.dt *= 0.5
             state.accepted_since_growth = 0
@@ -454,12 +498,12 @@ def _drive(
                 reason = "step size collapsed below 1e-300"
                 break
             continue
-        rises += energy_trial > energy
+        rises += diag_trial["split"].energy > energy
         dt_used = state.dt
         state.metric = trial
         state.time += dt_used
         state.step += 1
-        state.logh_prev, residual_prev = diag["logh_sup"], diag[key]
+        state.logh_prev, state.residual_prev = diag["logh_sup"], diag[key]
         diag = diag_trial
         state.history.append(_row(state, dt_used, diag))
         if diag["logh_sup"] > opts.divergence_threshold and diag[key] > opts.tolerance:
@@ -467,7 +511,7 @@ def _drive(
         else:
             state.divergence_streak = 0
         state.accepted_since_growth += 1
-        state.latch_open = state.latch_open and diag[key] < residual_prev
+        state.latch_open = state.latch_open and diag[key] < state.residual_prev
         if (not implicit and state.latch_open and diag["logh_sup"] > state.logh_prev
                 and gate_low < diag["logh_sup"] < opts.divergence_threshold):
             state.dt *= RUNAWAY_GROWTH
@@ -477,7 +521,7 @@ def _drive(
             state.dt *= DT_GROWTH
             state.accepted_since_growth = 0
         if implicit:
-            ratio = residual_prev / diag[key] if diag[key] > 0 else RATIO_GROWTH_MAX
+            ratio = state.residual_prev / diag[key] if diag[key] > 0 else RATIO_GROWTH_MAX
             state.dt = max(state.dt, min(state.dt * min(max(ratio, 1.0), RATIO_GROWTH_MAX),
                                          dt_cap))
         if callback is not None:
@@ -535,6 +579,20 @@ def _drive(
         split=diag["split"],
     )
     return report
+
+
+def _forcing_term(residual: float, residual_prev: float | None) -> float:
+    """The inexact Newton forcing term ``eta`` of the next implicit solve.
+
+    Eisenstat and Walker's choice 2, ``min(ETA_MAX, ETA_GAMMA (r / r_prev)^2)``
+    for the residual r of the current metric and r_prev the one before the
+    last accepted step; ETA_MAX before a run's first accepted step. A solve
+    to eta leaves the step as exact as the outer progress can use: the
+    faster the residual falls, the tighter the next solve.
+    """
+    if not residual_prev:
+        return ETA_MAX
+    return min(ETA_MAX, ETA_GAMMA * (residual / residual_prev) ** 2)
 
 
 def settle(

@@ -284,8 +284,9 @@ def test_criterion_8_degree_stability():
         conn = bf.from_monodromy(dom, [np.diag([4.0, 0.25]).astype(complex)])
         k = identity_metric(dom.n_sites, 2)
         subs = bf.invariant_subbundles(conn, k)
-        total = bf.degree(conn, k)
-        degs = [bf.degree(conn, k, sub=s) for s in subs]
+        sm = bf.split_metric(conn, k)
+        total = bf.degree(sm)
+        degs = [bf.degree(sm, sub=s) for s in subs]
         additivity = abs(degs[0] + degs[1] - total)
         assert additivity <= 1e-8
         # Each line bundle's degree is 0: on the closed circle the degree

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bundleflow as bf
+from bundleflow import analysis
 from bundleflow import linalg as la
 from bundleflow.analysis import axis_loop
 
@@ -55,17 +56,18 @@ def test_donaldson_distance_symmetric_nonnegative(seed):
 def test_degree_unitary_is_zero():
     dom = bf.build_domain("circle", 16, 1.0)
     conn = bf.from_monodromy(dom, [np.diag([np.exp(0.4j), np.exp(-0.2j)])])
-    assert abs(bf.degree(conn, identity_metric(dom.n_sites, 2))) < 1e-10
+    assert abs(bf.degree(bf.split_metric(conn, identity_metric(dom.n_sites, 2)))) < 1e-10
 
 
 def test_degree_total_and_lines_balance():
     dom = bf.build_domain("circle", 64, TWO_PI)
     conn = bf.from_monodromy(dom, [np.diag([4.0, 0.25]).astype(complex)])
     k = identity_metric(dom.n_sites, 2)
-    total = bf.degree(conn, k)
+    sm = bf.split_metric(conn, k)
+    total = bf.degree(sm)
     assert abs(total) < 1e-8
     subs = bf.invariant_subbundles(conn, k)
-    degs = [bf.degree(conn, k, sub=s) for s in subs]
+    degs = [bf.degree(sm, sub=s) for s in subs]
     # equal magnitude, opposite sign, additive to the total
     assert abs(degs[0] + degs[1] - total) < 1e-8
     # Each line bundle's degree is 0: on the closed circle the degree
@@ -83,7 +85,7 @@ def test_degree_rejects_noninvariant_sub():
     )[0]
     assert bad.invariance_residual > 1e-3
     with pytest.raises(ValueError, match="invariant"):
-        bf.degree(conn, k, sub=bad)
+        bf.degree(bf.split_metric(conn, k), sub=bad)
 
 
 def test_stability_diagonal_is_strictly_semistable():
@@ -93,6 +95,22 @@ def test_stability_diagonal_is_strictly_semistable():
     rep = bf.stability_report(conn, k, subs)
     assert rep.verdict == "strictly_semistable"
     assert "verdict" in rep.to_text()
+
+
+def test_stability_report_splits_the_reference_once(monkeypatch):
+    # The total and both line degrees read one split of the reference, and
+    # come out bit for bit as from a fresh split each.
+    dom, conn = circle_diag(n=16, mu=4.0)
+    k = random_metric(dom, 2, seed=7, amplitude=0.3)
+    subs = bf.invariant_subbundles(conn, k)
+    assert len(subs) == 2
+    fresh = [bf.degree(bf.split_metric(conn, k), sub=s) for s in (None, *subs)]
+    splits = []
+    real = analysis.split_metric
+    monkeypatch.setattr(analysis, "split_metric", lambda *args: splits.append(args) or real(*args))
+    rep = bf.stability_report(conn, k, subs)
+    assert len(splits) == 1
+    assert [rep.total_degree, *(row.degree for row in rep.rows)] == fresh
 
 
 def test_stability_jordan_single_witness():

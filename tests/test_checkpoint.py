@@ -33,10 +33,13 @@ def test_round_trip_is_bit_exact(tmp_path):
 def test_a_checkpoint_is_the_flow_state_without_its_history(tmp_path):
     state = FlowState(time=0.1 + 1e-17, metric=_random_field(5, n=4, r=3), dt=1.0 / 3.0,
                       step=123, accepted_since_growth=11, divergence_streak=4,
-                      history=[(0.0,) * 10], latch_open=False, logh_prev=48.49178479217008)
+                      history=[(0.0,) * 10], latch_open=False, logh_prev=48.49178479217008,
+                      residual_prev=1.0 / 3.0e9)
     ck = Checkpoint.of(state)
     assert (ck.rank, ck.sites) == (3, 4)
     save_checkpoint(tmp_path / "state.ckpt", ck)
+    assert (tmp_path / "state.ckpt").read_text().splitlines()[0].endswith(
+        f"latch 0, logh_prev 48.49178479217008, residual_prev {state.residual_prev!r}")
     for back in (ck.state(), load_checkpoint(tmp_path / "state.ckpt").state()):
         assert back.history == []
         assert np.array_equal(back.metric, state.metric)
@@ -50,8 +53,8 @@ def test_a_header_without_logh_prev_keeps_its_bytes_and_loads_as_none(tmp_path):
     save_checkpoint(path, Checkpoint.of(FlowState(time=2.5, metric=_random_field(6), dt=0.1)))
     header = path.read_text().splitlines()[0]
     assert header == "rank 2, sites 7, time 2.5, step 0, dt 0.1, streak 0, grown 0, latch 1"
-    assert load_checkpoint(path).logh_prev is None
-    assert load_checkpoint(path).state().logh_prev is None
+    for back in (load_checkpoint(path), load_checkpoint(path).state()):
+        assert back.logh_prev is None and back.residual_prev is None
 
 
 def test_round_trip_with_theta_block(tmp_path):
@@ -97,6 +100,11 @@ def test_truncated_body_rejected(tmp_path):
     ("rank 1, sites 1, time 0.0, dt nan\n1.0 0.0\n", "line 1: time, dt and logh_prev must"),
     ("rank 1, sites 1, time 0.0, dt -0.5\n1.0 0.0\n", "line 1: .* dt not negative"),
     ("rank 1, sites 1, time 0.0, logh_prev -inf\n1.0 0.0\n", "line 1: time, dt and logh_prev"),
+    ("rank 1, sites 1, time 0.0, residual_prev nan\n1.0 0.0\n",
+     "line 1: residual_prev must be finite and not negative"),
+    ("rank 1, sites 1, time 0.0, residual_prev inf\n1.0 0.0\n", "line 1: residual_prev must"),
+    ("rank 1, sites 1, time 0.0, residual_prev -1e-9\n1.0 0.0\n", "line 1: residual_prev must"),
+    ("rank 1, sites 1, time 0.0, residual_prev x\n1.0 0.0\n", "line 1: malformed header"),
     ("rank 1, sites 1, time 0.0, step -3\n1.0 0.0\n", "line 1: step, streak and grown must"),
     ("rank 1, sites 1, time 0.0, streak -7\n1.0 0.0\n", "line 1: step, streak and grown must"),
     ("rank 1, sites 1, time 0.0, grown -2\n1.0 0.0\n", "line 1: step, streak and grown must"),
@@ -190,7 +198,8 @@ def test_a_cut_or_edited_checkpoint_loads_or_names_its_fault(tmp_path_factory, w
     if with_runs:
         metric, theta = metric[[0, 0, 1, 1, 1, 2]], theta[[0, 0, 0, 1, 2, 2]]
     state = FlowState(time=0.5, metric=metric, dt=0.25, step=4,
-                      logh_prev=1.5 if with_prev else None)
+                      logh_prev=1.5 if with_prev else None,
+                      residual_prev=2.5e-3 if with_prev else None)
     path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
     save_checkpoint(path, Checkpoint.of(state, theta=theta if with_theta else None))
     text = path.read_text()

@@ -38,8 +38,8 @@ from util import (
 
 
 def implicit_step(diag: dict, dt: float) -> tuple[np.ndarray, int]:
-    """The implicit direction from a metric's diagnostics, as ``_drive`` takes it."""
-    return _implicit_direction(diag["split"], dt)
+    """The implicit direction from a metric's diagnostics, solved to CG_RTOL (eta = 0)."""
+    return _implicit_direction(diag["split"], dt, eta=0.0)
 
 
 def test_fixed_point_settles_with_one_history_row():
@@ -532,16 +532,68 @@ def test_stalled_run_reports_its_energy_rises():
     # Restarted from its own converged metric and asked for a residual no
     # step can reach, the explicit flow sits at the energy's roundoff: some
     # accepted steps raise it within the slack. The run trace counts them and
-    # the verdict reason names them.
+    # the verdict reason names them. The start run (20x the floor) solves
+    # inexactly, and the count depends on its last bits.
     dom, conn, k = _rank3_circle()
     start = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1e-11))
     assert start.verdict == "converged" and start.steps == 8
     rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1e-300, max_steps=100),
                             init=FlowState(time=0.0, metric=start.metric.copy(), dt=0.0))
     assert rep.verdict == "max_steps" and rep.steps == 100 and rep.step_kind == "explicit"
-    assert rep.energy_rises == 51
+    assert rep.energy_rises == 56
     assert rep.trial_steps == rep.steps + rep.rejected_steps
-    assert rep.verdict_reason.endswith("; 51 of 100 accepted steps raised the energy")
+    assert rep.verdict_reason.endswith("; 56 of 100 accepted steps raised the energy")
+
+
+def test_inexact_solves_halve_the_cg_iterations():
+    # Solved to CG_RTOL, the rank-3 circle at tolerance 1e-7 took 7 steps and
+    # 229 CG iterations; stopped at the forcing term, the same 7 steps take 42.
+    dom, conn, k = _rank3_circle()
+    rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1e-7))
+    assert rep.verdict == "converged" and rep.step_kind == "implicit"
+    assert rep.steps == rep.trial_steps == 7
+    assert rep.cg_iterations <= 229 // 2
+
+
+@pytest.mark.parametrize("factor, exact", [(1.5, True), (10.0, True), (10.5, False),
+                                           (1e6, False)])
+def test_forcing_term_follows_the_residuals_unless_near_the_floor(factor, exact, monkeypatch):
+    # Eisenstat-Walker choice 2: ETA_MAX on the first trial, then
+    # min(ETA_MAX, 0.9 (r / r_prev)^2) from the run's residuals; a run asked
+    # for at most 10x the floor solves every trial to CG_RTOL (eta = 0).
+    etas = []
+
+    def recorded(sm, dt, eta):
+        etas.append(eta)
+        return _implicit_direction(sm, dt, eta)
+
+    monkeypatch.setattr(flow, "_implicit_direction", recorded)
+    dom, conn, k = _rank3_circle()
+    rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=factor * _implicit_floor(dom)))
+    assert rep.verdict == "converged" and rep.rejected_steps == 0
+    residuals = rep.history[:, 4]
+    assert len(etas) == rep.steps == len(residuals) - 1
+    if exact:
+        assert etas == [0.0] * rep.steps
+    else:
+        assert etas == [flow.ETA_MAX] + [min(flow.ETA_MAX, 0.9 * (r / r_prev) ** 2)
+                                         for r_prev, r in zip(residuals, residuals[1:-1])]
+        assert 0.0 < min(etas) < flow.ETA_MAX
+
+
+@pytest.mark.parametrize("tolerance, dt, kind", [(1e-14, 1e3, "explicit"),
+                                                 (1e-7, 1e20, "implicit")])
+def test_an_overflowing_trial_is_a_rejected_trial(tolerance, dt, kind):
+    # From a dt far too large, the trial metric H exp(2 dt S) overflows: the
+    # trial is rejected and dt halved, as for a trial that raises the energy.
+    dom, conn, k = _rank3_circle()
+    rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=tolerance, max_steps=5),
+                            init=FlowState(time=0.0, metric=k.copy(), dt=dt))
+    assert rep.step_kind == kind and rep.verdict == "max_steps" and rep.steps == 5
+    assert rep.rejected_steps > 0 and rep.trial_steps == rep.steps + rep.rejected_steps
+    assert np.isfinite(rep.metric).all() and np.isfinite(rep.history).all()
+    halvings = np.log2(dt / rep.history[1, 2])
+    assert halvings == int(halvings) >= 1
 
 
 def test_strategy_switches_at_the_implicit_floor():
