@@ -19,8 +19,8 @@ numpy loads. In it, after one untimed call of each, these are timed over
 
 - ``split_tension``: ``split_metric(conn, H).tension``;
 - ``metric_exp_update``: ``H exp(0.2 Q)`` for a seeded H-self-adjoint Q, from
-  the split's scaled root;
-- ``rel_eigvals``: the eigenvalues of K^{-1} H, from K^{-1/2}.
+  the scaled root of H (``linalg.check_metric``);
+- ``rel_eigvals``: the eigenvalues of K^{-1} H, from g^{-1} of K's frame.
 
 Then tracemalloc takes the transient peak (peak minus the memory held before
 the call) of one ``split_metric`` and of one split with its tension. The run
@@ -34,8 +34,10 @@ and records each setting's median and digest.
 With ``--baseline-src`` every run is paired with one on the bundleflow under
 that directory, for example an export of an earlier commit, alternating which
 side goes first; the baseline's records are under ``baseline``, next to the
-speed-ups and the ratio of the traced peaks. This tree runs the sweep; a
-tree without ``linalg.TILE`` (before tiling) skips it. The script refuses to
+speed-ups and the ratio of the traced peaks. The baseline must take this
+tree's ``metric_exp_update(q, scale, root)`` and ``rel_eigvals(h, g_inv)``.
+This tree runs the sweep; a tree without ``linalg.TILE`` (before tiling)
+skips it. The script refuses to
 write (an ``error:`` line, exit status 1) unless every run of both trees, and
 every tile size of the sweep, gives the same digest.
 
@@ -116,8 +118,8 @@ def digest(conn, k, h, q) -> str:
 
     sm = bf.split_metric(conn, h)
     fields = (sm.psi, sm.shift, sm.connection.transport, sm.connection.transport_inv, *sm.root,
-              sm.tension, la.metric_exp_update(h, q, 0.2, sm.root),
-              la.rel_eigvals(k, h, la.sqrt_pair(k)[1]))
+              sm.tension, la.metric_exp_update(q, 0.2, sm.root),
+              la.rel_eigvals(h, la.orthonormal_frame(la.check_metric(k))[1]))
     sha = hashlib.sha256()
     for f in fields:
         sha.update(f.tobytes())
@@ -132,11 +134,11 @@ def worker(calls: int, sweep: bool) -> None:
     records = {}
     for name in INPUTS:
         conn, k, h, q = problem(name)
-        root = la.scaled_sqrt(h)
-        k_isqrt = la.sqrt_pair(k)[1]
+        root = la.check_metric(h)
+        g_inv = la.orthonormal_frame(la.check_metric(k))[1]
         ops = {"split_tension": lambda: bf.split_metric(conn, h).tension,
-               "metric_exp_update": lambda: la.metric_exp_update(h, q, 0.2, root),
-               "rel_eigvals": lambda: la.rel_eigvals(k, h, k_isqrt)}
+               "metric_exp_update": lambda: la.metric_exp_update(q, 0.2, root),
+               "rel_eigvals": lambda: la.rel_eigvals(h, g_inv)}
         record = {"sites": conn.domain.n_sites, "sha256": digest(conn, k, h, q),
                   "ms": {op: timed(fn, calls) for op, fn in ops.items()},
                   "split_peak_mb": traced_peak(lambda: bf.split_metric(conn, h)),

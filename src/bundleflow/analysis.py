@@ -37,14 +37,14 @@ INVARIANCE_TOL = 1e-6
 def donaldson_distance(h_field: Array, k_field: Array) -> tuple[Array, float]:
     """Pointwise tr(K^-1 H) + tr(H^-1 K) - 2 rank, and its sup over sites.
 
-    Read off the relative eigenvalues of K^-1 H by ``linalg.donaldson_sigma``,
-    which resolves distances far below the roundoff of 2 rank.
+    Read off the relative eigenvalues of K^-1 H (``linalg.rel_eigvals``) by
+    ``linalg.donaldson_sigma``, which resolves distances far below 2 rank's roundoff.
     """
     h = np.asarray(h_field, dtype=complex)
     k = np.asarray(k_field, dtype=complex)
     if h.shape != k.shape:
         raise ValueError("metric fields must share rank and site count")
-    field = la.donaldson_sigma(la.rel_eigvals(k, h))
+    field = la.donaldson_sigma(la.rel_eigvals(h, la.orthonormal_frame(la.check_metric(k))[1]))
     return field, float(field.max())
 
 
@@ -216,7 +216,7 @@ def identity_residuals(conn: FlatConnection, h_field: Array, k_field: Array) -> 
     diff = tension(conn, h) - sm_k.tension
     frame = la.orthonormal_frame(sm_k.root)
     # Functions of K^-1 H from the eigenpairs of H in K's frame.
-    lam, v = la.eigh(la.metric_in_frame(h, frame))
+    lam, v = la.eigh(la.metric_in_frame(h, frame[1]))
     if np.any(lam <= 0):
         raise ValueError("relative endomorphism is not positive")
 
@@ -271,8 +271,8 @@ def runaway_certificate(conn: FlatConnection, reference: Array, metric: Array) -
     subs = invariant_subbundles(conn, reference)
     # H v = lam K v through K = g^dag g: the Hermitian g^-dag H g^-1 w = lam w, with
     # v = g^-1 w. In that frame the K-norm is the Euclidean norm.
-    frame = la.orthonormal_frame(la.scaled_sqrt(np.asarray(reference[:1], dtype=complex)))
-    lam, w = la.eigh(la.metric_in_frame(np.asarray(metric[:1], dtype=complex), frame))
+    frame = la.orthonormal_frame(la.check_metric(np.asarray(reference[:1], dtype=complex)))
+    lam, w = la.eigh(la.metric_in_frame(np.asarray(metric[:1], dtype=complex), frame[1]))
     if not subs:
         return "; the enumeration finds no proper invariant sub-bundle to name"
     w0 = w[0, :, 0]

@@ -313,7 +313,7 @@ class SplitMetric:
     psi: Array                  # (dim, n, r, r) forward-edge values, exactly H-self-adjoint
     connection: FlatConnection  # D_H: V_e = U_e exp(+h psi), V_e^{-1} = P_e^{1/2} U_e^{-1}
     shift: Array                # (dim, n, r, r) V_e - I
-    root: la.ScaledRoot         # linalg.scaled_sqrt(H), the split's one eigendecomposition
+    root: la.ScaledRoot         # linalg.check_metric(H), the split's one eigendecomposition
 
     @cached_property
     def energy(self) -> float:
@@ -343,16 +343,15 @@ def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
     assembled as ``(H(y) - H(x)) + N^dag H(y) + H(y) N + N^dag H(y) N`` and
     handed to ``linalg.comparison_functions``; psi, V and V - I follow from
     that difference without losing the digits of P - I. The scaled square
-    root of H is computed once over all sites and gathered at the tails of
-    each axis; computing it also checks that H is positive definite. The
-    split keeps it as ``root`` for the operators relative to H. The
+    root of H is computed once over all sites, by ``linalg.check_metric``,
+    which checks H as it factors it, and gathered at the tails of each axis.
+    The split keeps it as ``root`` for the operators relative to H. The
     edges of an axis run in tiles (``linalg.tiled``), each written straight
     into the split's fields.
     """
     dom = conn.domain
     h_field = np.asarray(metric, dtype=complex)
-    la.check_hermitian(h_field)
-    root = la.scaled_sqrt(h_field)
+    root = la.check_metric(h_field)
     psi = np.zeros_like(conn.transport)
     vt = conn.transport.copy()
     vt_inv = conn.transport_inv.copy()

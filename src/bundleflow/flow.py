@@ -74,14 +74,14 @@ inputs to sup ||log h|| 63.8, where a 50-digit evaluation of the final
 energy (3.3e-40) is off by 7.5e-11 relative, against 5e-16 at 80 digits:
 the verdict's energy outruns the precision of an independent check.
 
-Each trial takes one eigendecomposition of its metric. ``_diagnostics``
-splits the connection at the trial metric, which computes its scaled square
-root ``(d, Ht^{1/2}, Ht^{-1/2})`` (``linalg.scaled_sqrt``, kept as
-``SplitMetric.root``); the split's ``tension`` reads it, and the
-next trial's ``metric_exp_update`` takes it from the accepted state instead
-of factoring H again. K^{-1/2} of the fixed
-reference is computed once per solve, and sigma is read off the relative
-eigenvalues lambda that the log h monitors already need, as
+Each trial takes one eigendecomposition of its metric: its split checks it
+and computes its scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` in one act
+(``linalg.check_metric``, kept as ``SplitMetric.root``); the split's
+``tension`` reads it, and the next trial's ``metric_exp_update`` takes it
+from the accepted state. The fixed reference K is checked and factored once
+per solve, and ``_drive`` keeps g^{-1} of its frame for the relative
+eigenvalues lambda of K^{-1}H (``linalg.rel_eigvals``); sigma is read off
+the lambda that the log h monitors already need, as
 sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``). A converged
 Poisson run takes no further one: det normalization carries the final split
 to the normalized metric by its conformal law, in place
@@ -168,6 +168,8 @@ DT_GROWTH = 1.2
 # With the exact Hessian in the implicit step the diag(2, 1/2) circle
 # (tolerance 1e-7) converges in 4 steps at 16 to 256 sites instead of 27,
 # and the circle-harmonic inputs in 5 instead of 30 (BENCH_closed.json).
+# An implicit trial rejected above the cap restarts at it, where halving
+# from dt = 1e100 took a rank-3 circle 276 rejections.
 RATIO_GROWTH_MAX = 10.0
 IMPLICIT_DT_CAP = 1e3
 
@@ -281,17 +283,6 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
     return 0.2 * min(domain.spacings) ** 2
 
 
-def _diagnostics(conn: FlatConnection, h_field: Array) -> dict:
-    """The split of one metric and the residuals of its tension (``_residuals``).
-
-    The step taken from this metric, explicit or implicit
-    (``_implicit_direction``), reads the split's tension, scaled square root
-    of H (``linalg.scaled_sqrt``) and metric transports, and the run's report
-    hands the final split on (``RunReport.split``).
-    """
-    return _residuals(split_metric(conn, h_field))
-
-
 def _residuals(sm: SplitMetric) -> dict:
     """The residuals of a split's tension, and the floor below which they certify nothing.
 
@@ -379,7 +370,7 @@ def _drive(
     """The adaptive multiplicative flow that every solver runs.
 
     Each trial steps from the accepted metric along the tension of its
-    split (``_diagnostics``), or with ``implicit`` along the linearly implicit
+    split (``_residuals``), or with ``implicit`` along the linearly implicit
     direction for the current dt (``_implicit_direction``). ``_drive`` adds
     the monitors against the reference (sup ||log h||, the logdet range,
     sigma, from the relative eigenvalues of K^{-1}H) and owns step control,
@@ -406,7 +397,8 @@ def _drive(
     checkpoint holds the grown dt and the forcing term's residuals and a
     resume is bit-exact. A trial whose update overflows, or whose metric the
     split refuses as not finite or not positive definite, is rejected, as a
-    trial that raises the energy is: dt halves. The report's
+    trial that raises the energy is: dt halves, on the implicit step to at
+    most ``IMPLICIT_DT_CAP default_dt``. The report's
     ``phase_seconds`` holds the wall time of the ``diagnostics`` (splits,
     residuals, monitors and the normalization), the implicit ``solve`` and
     the ``update``. Its ``split`` is the split of its final ``metric``, whose
@@ -414,8 +406,7 @@ def _drive(
     """
     domain = conn.domain
     opts.validate()
-    la.check_metric(reference)
-    ref_isqrt = la.sqrt_pair(reference)[1]
+    ref_g_inv = la.orthonormal_frame(la.check_metric(reference))[1]
     phases = dict.fromkeys(("diagnostics", "solve", "update"), 0.0)
 
     def monitored(diag: dict, eigs: Array, start: float) -> dict:
@@ -429,10 +420,10 @@ def _drive(
         return diag
 
     def diagnose(metric: Array) -> dict:
-        """``_diagnostics`` of a metric and its monitors."""
+        """The residuals of a metric's split, and its monitors."""
         start = _time.perf_counter()
-        return monitored(_diagnostics(conn, metric),
-                         la.rel_eigvals(reference, metric, ref_isqrt), start)
+        return monitored(_residuals(split_metric(conn, metric)),
+                         la.rel_eigvals(metric, ref_g_inv), start)
 
     if init is None:
         state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=0.0)
@@ -480,8 +471,7 @@ def _drive(
             # finite or not positive definite, is rejected like one that
             # raises the energy.
             with np.errstate(over="raise", invalid="raise"):
-                trial = la.metric_exp_update(state.metric, direction, 2.0 * state.dt,
-                                             diag["split"].root)
+                trial = la.metric_exp_update(direction, 2.0 * state.dt, diag["split"].root)
                 trial[domain.boundary] = reference[domain.boundary]
                 phases["update"] += _time.perf_counter() - start
                 diag_trial = diagnose(trial)
@@ -490,7 +480,7 @@ def _drive(
         energy = diag["split"].energy
         if diag_trial is None or diag_trial["split"].energy > energy + ENERGY_RTOL * energy:
             rejected += 1
-            state.dt *= 0.5
+            state.dt = min(0.5 * state.dt, dt_cap) if implicit else 0.5 * state.dt
             state.accepted_since_growth = 0
             state.latch_open = False
             if state.dt < 1e-300:
@@ -781,8 +771,9 @@ def exhaustion_solve(
         last = current if report.verdict == "converged" else ref
         previous, prev_idx = current, idx_map
 
-        frame = la.orthonormal_frame(la.scaled_sqrt(sub_ref))
-        dh = covariant_d(sub_conn, la.from_frame(la.metric_in_frame(report.metric, frame), frame))
+        frame = la.orthonormal_frame(la.check_metric(sub_ref))
+        dh = covariant_d(sub_conn, la.from_frame(la.metric_in_frame(report.metric, frame[1]),
+                                                 frame))
         dh_l2 = 0.0
         for a in range(sub.dim):
             dens = la.endo_norm2(dh[a], frame)

@@ -12,7 +12,8 @@ and their area-normalized contraction is the contracted curvature that
 theta, the composite transports and the residuals are taken over tiles of
 sites or edges (``linalg.tiled``), so each holds one tile's temporaries.
 The composite transports, the contracted curvature, the degrees and the section
-check take each adjoint, exp and norm relative to h from ``HiggsData.root``.
+check take each adjoint, exp and norm relative to h from ``HiggsData.root``,
+the split's root of h or, for data built bare, ``linalg.check_metric``'s.
 """
 from __future__ import annotations
 
@@ -54,14 +55,16 @@ SOURCE_TOL = 1e-6
 class HiggsData:
     """Simpson's harmonic bundle (dbar, theta, h) on a complex-curve lattice.
 
-    The metric's root, the composite connection and the residuals are taken
-    once, when first read, and kept with the data. The residuals are sups
-    reduced over tiles of sites (``linalg.tiled``): no site field is held whole.
+    A ``root`` left out is taken by ``linalg.check_metric``, which checks the metric.
+    The composite connection and the residuals are taken once, when first
+    read, and kept with the data. The residuals are sups reduced over tiles
+    of sites (``linalg.tiled``): no site field is held whole.
     """
 
     connection: FlatConnection  # metric transports, their inverses, and the loops
     theta: Array                # (n, r, r) dz-coefficient; theta ^ theta = 0 on curves
     metric: Array               # (n, r, r) the harmonic metric h the data belongs to
+    root: la.ScaledRoot | None = None   # the metric's scaled root (linalg.check_metric)
 
     def __post_init__(self):
         dom = self.connection.domain
@@ -69,12 +72,8 @@ class HiggsData:
             raise ValueError("Higgs data needs a complex-curve domain")
         if np.shape(self.metric) != np.shape(self.theta):
             raise ValueError("metric shape does not match the Higgs field")
-        la.check_metric(self.metric)
-
-    @cached_property
-    def root(self) -> la.ScaledRoot:
-        """``linalg.scaled_sqrt(metric)``; ``higgs_from_harmonic`` seeds it from its split."""
-        return la.scaled_sqrt(self.metric)
+        if self.root is None:
+            object.__setattr__(self, "root", la.check_metric(self.metric))
 
     @cached_property
     def holomorphicity_residual(self) -> float:
@@ -154,9 +153,7 @@ def higgs_from_harmonic(sm: SplitMetric, tension_tol: float = 1e-7) -> HiggsData
         return complex_split(dom, la.tracefree(centered_components(conn, sm.psi, sites)))[0]
 
     theta = la.tiled(theta_at, np.arange(dom.n_sites))
-    higgs = HiggsData(replace(sm.connection, loops=conn.loops), theta, sm.metric)
-    higgs.__dict__["root"] = sm.root    # seed the cached property: no second root of h
-    return higgs
+    return HiggsData(replace(sm.connection, loops=conn.loops), theta, sm.metric, sm.root)
 
 
 def _psi_from_theta(theta: Array, frame: la.Frame, axes: tuple[int, ...] = (0, 1)) -> Array:

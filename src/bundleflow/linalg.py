@@ -8,7 +8,9 @@ when not Hermitian as raw matrices. None solves against H: each reads its
 scaled root (``scaled_sqrt``) or the root's orthonormal frame (g, g^{-1}),
 H = g^dag g (``orthonormal_frame``), where A* = g^{-1} (g A g^{-1})^dag g.
 ``selfadjoint_part``, ``comparison_functions`` and ``metric_exp_update`` take
-the root; ``adjoint``, ``endo_inner``, ``endo_norm2`` and ``exp_hsa`` the frame.
+the root; ``adjoint``, ``endo_inner``, ``endo_norm2`` and ``exp_hsa`` the frame;
+``metric_in_frame`` and ``rel_eigvals`` a reference K's g^{-1}. ``check_metric``
+validates a metric and returns its root: a metric is factored where it is checked.
 
 Products, Hermitian eigendecompositions, eigenvalues and spectral norms go
 through one entry point each: ``mm``, ``eigh``, ``eigvalsh`` and
@@ -325,11 +327,11 @@ def check_hermitian(h: Array) -> None:
         raise ValueError("metric field is not Hermitian within tolerance")
 
 
-def check_metric(h: Array) -> None:
-    """Validate Hermiticity and positive-definiteness of a metric field, over ``tiled`` sites."""
+def check_metric(h: Array) -> ScaledRoot:
+    """Validate a metric field and return ``scaled_sqrt(h)``, whose eigendecomposition
+    is the positivity check: everything measured against the metric reads this root."""
     check_hermitian(h)
-    if np.any(tiled(lambda t: eigvalsh(hermitize(t))[..., 0] <= 0.0, h)):
-        raise ValueError("metric field is not positive definite")
+    return scaled_sqrt(h)
 
 
 def _eigh_build(w: Array, v: Array, f: Array) -> Array:
@@ -351,12 +353,11 @@ def sqrt_pair(h: Array) -> tuple[Array, Array]:
 def scaled_sqrt(h: Array) -> ScaledRoot:
     """(d, Ht^{1/2}, Ht^{-1/2}) with H = D Ht D, the scaled-frame square root of H.
 
-    ``d = sqrt(diag H)`` as in ``diagonal_scaling``. This is the one
-    eigendecomposition a flow trial takes of its metric: ``split_metric``
-    gathers it at the edge tails for ``comparison_functions``, and the flow
-    hands the accepted metric's root on to ``metric_exp_update`` for the next
-    step. It is a pure function of H, so sharing it changes no bit of the
-    results.
+    ``d = sqrt(diag H)`` as in ``diagonal_scaling``. Through ``check_metric``
+    this is the one eigendecomposition a flow trial takes of its metric:
+    ``split_metric`` gathers it at the edge tails for ``comparison_functions``,
+    and the flow hands it on to ``metric_exp_update`` for the next step. It is
+    a pure function of H, so sharing it changes no bit of the results.
     Raises the ``check_metric`` positivity error unless H is finite with a
     positive diagonal and Ht is positive definite, so no NaN enters the frame.
     """
@@ -397,9 +398,9 @@ def adjoint(a: Array, frame: Frame) -> Array:
     return from_frame(dagger(to_frame(a, frame)), frame)
 
 
-def metric_in_frame(h: Array, frame: Frame) -> Array:
-    """g^{-dag} H g^{-1} in the frame of K: Hermitian, and ``from_frame`` of it is K^{-1} H."""
-    return hermitize(mm(mm(dagger(frame[1]), h), frame[1]))
+def metric_in_frame(h: Array, g_inv: Array) -> Array:
+    """g^{-dag} H g^{-1} for g^{-1} of K's frame: Hermitian, and its ``from_frame`` is K^{-1} H."""
+    return hermitize(mm(mm(dagger(g_inv), h), g_inv))
 
 
 def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, Array]:
@@ -429,16 +430,14 @@ def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, 
     return build(lg), build(np.expm1(-0.5 * lg)), build(np.expm1(0.5 * lg))
 
 
-def rel_eigvals(k: Array, h: Array, k_isqrt: Array | None = None) -> Array:
+def rel_eigvals(h: Array, g_inv: Array) -> Array:
     """Eigenvalues of the relative endomorphism K^{-1}H (real, positive).
 
-    ``k_isqrt`` is K^{-1/2} when the caller already holds it: a flow keeps
-    its reference fixed and factors it once per solve.
+    Those of ``metric_in_frame(h, g_inv)`` for ``g_inv``, g^{-1} of K's frame.
     """
-    if len(k) > TILE:
-        return tiled(rel_eigvals, k, h, k_isqrt)
-    ki = sqrt_pair(k)[1] if k_isqrt is None else k_isqrt
-    return eigvalsh(hermitize(mm(mm(ki, h), ki)))
+    if len(h) > TILE:
+        return tiled(rel_eigvals, h, g_inv)
+    return eigvalsh(metric_in_frame(h, g_inv))
 
 
 def donaldson_sigma(lam: Array) -> Array:
@@ -455,17 +454,17 @@ def exp_hsa(q: Array, frame: Frame, scale: float) -> Array:
     return from_frame(_eigh_build(e, v, np.exp(scale * e)), frame)
 
 
-def metric_exp_update(h: Array, q: Array, scale: float, root: ScaledRoot | None = None) -> Array:
+def metric_exp_update(q: Array, scale: float, root: ScaledRoot) -> Array:
     """H exp(scale * Q) for H-self-adjoint Q; Hermitian positive by construction.
 
-    In the scaled frame (H = D Ht D, Qt = D Q D^{-1}) the product equals
-    D A exp(scale S) A D with A = Ht^{1/2} and S = A Qt A^{-1} Hermitian,
-    manifestly positive for any step size and accurate for graded H.
-    ``root`` is ``scaled_sqrt(h)`` when the caller already holds it.
+    ``root`` is ``scaled_sqrt(H)``, all of H that the update reads: in the
+    scaled frame (H = D Ht D, Qt = D Q D^{-1}) the product equals D A exp(scale S) A D
+    with A = Ht^{1/2} and S = A Qt A^{-1} Hermitian, manifestly positive for
+    any step size and accurate for graded H.
     """
-    if len(h) > TILE:
-        return tiled(metric_exp_update, h, q, scale, root)
-    d, a, ai = scaled_sqrt(h) if root is None else root
+    if len(q) > TILE:
+        return tiled(metric_exp_update, q, scale, root)
+    d, a, ai = root
     s = hermitize(mm(mm(a, q * (d[..., :, None] / d[..., None, :])), ai))
     e, v = eigh(s)
     inner = hermitize(mm(mm(a, _eigh_build(e, v, np.exp(scale * e))), a))

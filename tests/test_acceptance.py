@@ -159,7 +159,7 @@ def test_criterion_4_energy_and_contraction():
     pert = la.selfadjoint_part(
         0.5 * bump[:, None, None] * np.array([[1.0, 0.4j], [-0.4j, -1.0]]), k, la.scaled_sqrt(k)
     )
-    h0 = la.metric_exp_update(k, pert, 1.0)
+    h0 = la.metric_exp_update(pert, 1.0, la.check_metric(k))
     # Both runs start from the Dirichlet default dt; with no rejection on
     # either, they take the same steps.
     dt = default_dt(dom2, implicit=True)

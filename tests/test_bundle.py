@@ -358,7 +358,8 @@ def test_energy_hessian_is_the_second_variation_of_the_energy(kind, sites, lengt
     want = 0.5 * np.vdot(x, hx).real
     gaps = []
     for t in (1e-2, 3e-3, 1e-3):
-        e_plus, e_minus = (bf.split_metric(conn, la.metric_exp_update(h, g_inv @ x @ g, step))
+        e_plus, e_minus = (bf.split_metric(conn, la.metric_exp_update(g_inv @ x @ g, step,
+                                                                      sm.root))
                            .energy for step in (t, -t))
         gaps.append(abs((e_plus - 2.0 * sm.energy + e_minus) / t ** 2 - want) / want)
     assert gaps[0] < 1e-4
@@ -632,10 +633,11 @@ def test_psi_time_derivative_formula():
         v = random_metric(dom, 2, seed=22, amplitude=0.2)  # Hermitian-positive; use its log
         w = np.linalg.eigvalsh(v)
         direction = np.linalg.solve(h, 0.5 * (v + la.dagger(v)) - np.eye(2) * np.mean(w))
-        direction = la.selfadjoint_part(direction, h, la.scaled_sqrt(h))
+        root = la.scaled_sqrt(h)
+        direction = la.selfadjoint_part(direction, h, root)
         dt = 1e-5
-        h_plus = la.metric_exp_update(h, direction, dt)
-        h_minus = la.metric_exp_update(h, direction, -dt)
+        h_plus = la.metric_exp_update(direction, dt, root)
+        h_minus = la.metric_exp_update(direction, -dt, root)
         psi_plus, psi_minus = (bf.centered_components(conn, bf.split_metric(conn, m).psi)
                                for m in (h_plus, h_minus))
         dpsi = (psi_plus - psi_minus) / (2 * dt)

@@ -47,16 +47,31 @@ def test_every_export_has_a_caller_beyond_its_own_unit_test():
     assert sorted(name for name, obj in exports.items() if not reached(name, obj)) == []
 
 
+def _calls(names: tuple[str, ...], banned: set[str]) -> list[str]:
+    """Every call of a ``banned`` name, bare or as an attribute, in the named package files."""
+    found = []
+    for name in names:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in banned:
+                    found.append(f"{name}:{node.lineno} {called}")
+    return found
+
+
 def test_no_metric_is_solved_against_or_inverted_in_the_flow_or_higgs_stages():
     # Every H-relative operation in flow, hodge and analysis reads the
     # metric's scaled root or its frame (linalg.orthonormal_frame), so none
     # calls a LAPACK solve, inverse or Cholesky factorization; transport
     # stacks are inverted in bundle.connection_from_transports only.
-    banned = {"solve", "inv", "cholesky"}
-    found = []
-    for name in ("flow.py", "hodge.py", "analysis.py"):
-        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
-        found += [f"{name}:{node.lineno} {node.func.attr}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in banned]
-    assert found == []
+    assert _calls(("flow.py", "hodge.py", "analysis.py"), {"solve", "inv", "cholesky"}) == []
+
+
+def test_metrics_are_factored_only_where_they_are_checked():
+    # flow, hodge, analysis and bundle take a metric's scaled root only from
+    # linalg.check_metric, which validates the metric as it factors it; none
+    # calls the factorization itself.
+    assert _calls(("flow.py", "hodge.py", "analysis.py", "bundle.py"),
+                  {"sqrt_pair", "scaled_sqrt"}) == []

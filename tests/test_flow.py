@@ -14,10 +14,10 @@ from bundleflow.config import smooth_random_metric
 from bundleflow.flow import (
     ENERGY_RTOL,
     FlowState,
-    _diagnostics,
     _drive,
     _implicit_direction,
     _implicit_floor,
+    _residuals,
     _strategy,
     default_dt,
 )
@@ -52,7 +52,7 @@ def test_fixed_point_settles_with_one_history_row():
     assert np.abs(rep.metric - h).max() == 0.0
     # a step of the same size from the fixed point stays there
     sm = bf.split_metric(conn, h)
-    step = la.metric_exp_update(h, sm.tension, 2.0 * 0.5, sm.root)
+    step = la.metric_exp_update(sm.tension, 2.0 * 0.5, sm.root)
     assert np.abs(step - h).max() < 1e-13
 
 
@@ -65,7 +65,7 @@ def test_rank1_uniform_update_is_unchanged():
     conn = bf.from_monodromy(dom, [np.array([[2.0]], dtype=complex)])
     h = identity_metric(dom.n_sites, 1)
     sm = bf.split_metric(conn, h)
-    out = la.metric_exp_update(h, sm.tension, 2.0 * 0.05, sm.root)
+    out = la.metric_exp_update(sm.tension, 2.0 * 0.05, sm.root)
     assert np.abs(out - h).max() == 0.0
 
 
@@ -81,7 +81,7 @@ def test_flow_steps_the_public_tension_and_energy(kind, sites, lengths, rank):
     conn = random_connection(dom, rank, seed=1)
     h = rough_random_metric(dom.n_sites, rank, seed=3)
     h[dom.boundary] = identity_metric(dom.n_sites, rank)[dom.boundary]    # K = I there
-    diag = _diagnostics(conn, h)
+    diag = _residuals(bf.split_metric(conn, h))
     assert np.array_equal(diag["split"].tension, bf.tension(conn, h))
     assert diag["split"].energy == bf.split_metric(conn, h).energy
 
@@ -92,9 +92,9 @@ def test_step_preserves_positivity_for_large_dt():
     h = random_metric(dom, 2, seed=1, amplitude=0.5)
     # one step of ~250x the CFL-like default, explicit and implicit; the
     # driver would reject it, so the update is applied to the diagnostics
-    diag = _diagnostics(conn, h)
+    diag = _residuals(bf.split_metric(conn, h))
     for direction in (diag["split"].tension, implicit_step(diag, 0.2)[0]):
-        stepped = la.metric_exp_update(h, direction, 2.0 * 0.2, diag["split"].root)
+        stepped = la.metric_exp_update(direction, 2.0 * 0.2, diag["split"].root)
         assert np.linalg.eigvalsh(la.hermitize(stepped)).min() > 0.0
     # an additive Euler update of the same size would lose positivity
     additive = h + 2.0 * 0.2 * (h @ bf.tension(conn, h))
@@ -232,7 +232,7 @@ def test_energy_decrement_matches_gradient_norm():
     t = bf.tension(conn, h)
     dt = 1e-6
     e0 = bf.split_metric(conn, h).energy
-    h1 = la.metric_exp_update(h, t, 2.0 * dt)
+    h1 = la.metric_exp_update(t, 2.0 * dt, la.check_metric(h))
     e1 = bf.split_metric(conn, h1).energy
     grad2 = float(np.sum(dom.volume * la.endo_norm2(t, la.orthonormal_frame(la.scaled_sqrt(h)))))
     assert (e1 - e0) / dt == pytest.approx(-2.0 * grad2, rel=1e-3)
@@ -287,7 +287,7 @@ def test_two_flow_contraction_dirichlet():
     perturb = la.selfadjoint_part(
         0.4 * bump[:, None, None] * np.array([[1.0, 0.3j], [-0.3j, -1.0]]), k, la.scaled_sqrt(k)
     )
-    h0 = la.metric_exp_update(k, perturb, 1.0)
+    h0 = la.metric_exp_update(perturb, 1.0, la.check_metric(k))
     # Both runs start from the same dt; with no rejection they take the same steps.
     dt = default_dt(dom, implicit=True)
     metrics_a, metrics_b = [], []
@@ -371,7 +371,7 @@ def test_implicit_direction_tends_to_the_tension():
     # and S = 0 on the boundary.
     dom = bf.build_domain("rectangle", (8, 8), (1.0, 1.0))
     conn = bf.from_monodromy(dom, [], rank=2)
-    diag = _diagnostics(conn, random_metric(dom, 2, seed=2, amplitude=0.3))
+    diag = _residuals(bf.split_metric(conn, random_metric(dom, 2, seed=2, amplitude=0.3)))
     q = diag["split"].tension
     inner = dom.interior_mask()
     errors = []
@@ -397,7 +397,7 @@ def test_implicit_direction_solves_the_assembled_system(kind, sites, lengths, ra
     dom = bf.build_domain(kind, sites, lengths)
     conn = random_connection(dom, rank, seed=3)
     h = rough_random_metric(dom.n_sites, rank, seed=4)
-    diag = _diagnostics(conn, h)
+    diag = _residuals(bf.split_metric(conn, h))
     frame = la.orthonormal_frame(diag["split"].root)
     g, g_inv = frame
     sites = np.flatnonzero(dom.interior_mask())
@@ -585,15 +585,32 @@ def test_forcing_term_follows_the_residuals_unless_near_the_floor(factor, exact,
                                                  (1e-7, 1e20, "implicit")])
 def test_an_overflowing_trial_is_a_rejected_trial(tolerance, dt, kind):
     # From a dt far too large, the trial metric H exp(2 dt S) overflows: the
-    # trial is rejected and dt halved, as for a trial that raises the energy.
+    # trial is rejected, as a trial that raises the energy is. The explicit
+    # step halves dt; the implicit step restarts at IMPLICIT_DT_CAP default_dt.
     dom, conn, k = _rank3_circle()
     rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=tolerance, max_steps=5),
                             init=FlowState(time=0.0, metric=k.copy(), dt=dt))
     assert rep.step_kind == kind and rep.verdict == "max_steps" and rep.steps == 5
     assert rep.rejected_steps > 0 and rep.trial_steps == rep.steps + rep.rejected_steps
     assert np.isfinite(rep.metric).all() and np.isfinite(rep.history).all()
-    halvings = np.log2(dt / rep.history[1, 2])
-    assert halvings == int(halvings) >= 1
+    if kind == "explicit":
+        halvings = np.log2(dt / rep.history[1, 2])
+        assert halvings == int(halvings) >= 1
+    else:
+        assert rep.history[1, 2] == flow.IMPLICIT_DT_CAP * default_dt(dom, implicit=True)
+
+
+def test_an_implicit_trial_rejected_above_the_cap_restarts_at_it():
+    # From dt = 1e100 the first implicit trial overflows. Halving from there
+    # took 276 rejections and 50,053 CG iterations to reach a dt that steps;
+    # restarting at the cap takes one rejection, and the run its usual 7 steps.
+    dom, conn, k = _rank3_circle()
+    rep = bf.solve_harmonic(conn, k, bf.SolveOptions(tolerance=1e-7),
+                            init=FlowState(time=0.0, metric=k.copy(), dt=1e100))
+    assert rep.verdict == "converged" and rep.step_kind == "implicit"
+    assert rep.steps == 7 and rep.rejected_steps == 1
+    assert rep.history[1, 2] == flow.IMPLICIT_DT_CAP * default_dt(dom, implicit=True)
+    assert rep.cg_iterations < 500
 
 
 def test_strategy_switches_at_the_implicit_floor():
@@ -811,11 +828,13 @@ def test_solver_option_validation():
 
 
 def test_one_metric_factorization_per_trial(monkeypatch):
-    # A trial factors its metric once (linalg.scaled_sqrt), and the step from
+    # A trial factors its metric once (linalg.check_metric), and the step from
     # an accepted metric reuses that root: per trial one sqrt_pair, whose eigh
     # is joined by one eigh per axis for the edge comparisons and one for the
-    # exponential update, and one eigvalsh for the relative spectrum. The
-    # counts are taken at the linalg entry points, on a torus whose edge
+    # exponential update, and one eigvalsh for the relative spectrum. Per
+    # solve, on top of the start metric's split and monitors, K is factored
+    # once, by the check that validates it, and nothing takes its eigvalsh.
+    # The counts are taken at the linalg entry points, on a torus whose edge
     # batches are below SMALL_BATCH (numpy/LAPACK) and on one above it (the
     # closed forms), and read off two solves that differ only in length.
     counts: Counter = Counter()
@@ -849,6 +868,9 @@ def test_one_metric_factorization_per_trial(monkeypatch):
         per_trial = {name: (long[name] - short[name]) / 5 for name in long}
         assert per_trial == {"sqrt_pair": 1, "metric_exp_update": 1,
                              "eigh": dom.dim + 2, "eigvalsh": 1}, n
+        per_solve = {name: short[name] - 3 * per_trial[name] for name in short}
+        assert per_solve == {"sqrt_pair": 1 + 1, "metric_exp_update": 0,
+                             "eigh": dom.dim + 1 + 1, "eigvalsh": 1}, n
 
 
 def test_sigma_from_relative_eigenvalues_matches_trace_formula():
@@ -861,7 +883,7 @@ def test_sigma_from_relative_eigenvalues_matches_trace_formula():
         return (np.einsum("nii->n", np.linalg.solve(k, metric)).real
                 + np.einsum("nii->n", np.linalg.solve(metric, k)).real - 4.0)
 
-    eigs = la.rel_eigvals(k, h, la.sqrt_pair(k)[1])
+    eigs = la.rel_eigvals(h, la.orthonormal_frame(la.check_metric(k))[1])
     via_eigs = la.donaldson_sigma(eigs)
     expected = trace_formula(h)
     assert expected.min() > 1e-2

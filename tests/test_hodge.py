@@ -231,8 +231,8 @@ def test_higgs_data_builds_its_composite_once(monkeypatch):
 
 def test_the_higgs_stage_reads_the_root_its_split_took(monkeypatch):
     # The data holds the split's scaled root, and the adjoint, the composite
-    # transports, the residuals and the degrees read it: no root of the
-    # metric is taken again and nothing is solved against it.
+    # transports, the residuals and the degrees read it: the metric is neither
+    # checked nor factored again, and nothing is solved against it.
     dom = bf.build_domain("rectangle", (9, 11), (1.0, 1.5))
     conn = gauge_transform(random_connection(dom, 2, seed=3), random_gauge(dom.n_sites, 2, seed=7))
     h = rough_random_metric(dom.n_sites, 2, seed=4, amplitude=0.2)
@@ -241,7 +241,7 @@ def test_the_higgs_stage_reads_the_root_its_split_took(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the Higgs stage took a root of the metric or solved against it")
 
-    for name in ("scaled_sqrt", "sqrt_pair"):
+    for name in ("check_metric", "scaled_sqrt", "sqrt_pair"):
         monkeypatch.setattr(la, name, refused)
     monkeypatch.setattr(np.linalg, "solve", refused)
     hd = bf.higgs_from_harmonic(sm, tension_tol=np.inf)

@@ -127,6 +127,9 @@ def test_malformed_input_keeps_its_messages(n):
             la.sqrt_pair(bad)
     with pytest.raises(ValueError, match="^pulled-back metric is not positive definite$"):
         la.comparison_functions(la.scaled_sqrt(good), -2.0 * good)
+    # the check of a good metric is its factorization
+    for got, want in zip(la.check_metric(good), la.scaled_sqrt(good), strict=True):
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("n", BATCHES)
@@ -254,9 +257,10 @@ def test_flow_diagnostics_agree_across_the_gate(monkeypatch):
 
     def quantities():
         t = bf.tension(conn, h)
-        step = la.metric_exp_update(h, t, 1e-2)
-        frame = la.orthonormal_frame(la.scaled_sqrt(h))
-        return t, step, la.rel_eigvals(k, h), la.exp_hsa(t, frame, 0.3)
+        root = la.check_metric(h)
+        step = la.metric_exp_update(t, 1e-2, root)
+        eigs = la.rel_eigvals(h, la.orthonormal_frame(la.check_metric(k))[1])
+        return t, step, eigs, la.exp_hsa(t, la.orthonormal_frame(root), 0.3)
 
     fast = quantities()
     monkeypatch.setattr(la, "SMALL_BATCH", 10 ** 9)
@@ -277,10 +281,10 @@ def test_site_kernels_in_tiles_keep_every_bit(monkeypatch, n):
                             la.scaled_sqrt(h))
 
     def results() -> list:
-        root = la.scaled_sqrt(h)
+        root = la.check_metric(h)
+        g_inv = la.orthonormal_frame(la.check_metric(k))[1]
         return [*root, *la.sqrt_pair(h), la.selfadjoint_part(q, h, root),
-                la.metric_exp_update(h, q, 0.3, root), la.metric_exp_update(h, q, 0.3),
-                la.rel_eigvals(k, h), la.rel_eigvals(k, h, la.sqrt_pair(k)[1]),
+                la.metric_exp_update(q, 0.3, root), g_inv, la.rel_eigvals(h, g_inv),
                 la.exp_hsa(q, la.orthonormal_frame(root), -0.2)]
 
     monkeypatch.setattr(la, "TILE", 10 ** 9)

@@ -207,12 +207,13 @@ def section_derivative(conn, metric, values, use_metric_connection: bool = True)
 def determinant_flow_check(conn, reference, dt: float, steps: int = 5) -> float:
     """Max defect of d/dt log det h = 2 tr(tension) over a few flow steps."""
     h_field = np.asarray(reference, dtype=complex).copy()
+    g_inv = la.orthonormal_frame(la.check_metric(h_field))[1]
     worst = 0.0
     for _ in range(steps):
         t_field = bf.tension(conn, h_field)
-        before = np.log(la.rel_eigvals(reference, h_field)).sum(axis=1)
-        h_field = la.metric_exp_update(h_field, t_field, 2.0 * dt)
-        after = np.log(la.rel_eigvals(reference, h_field)).sum(axis=1)
+        before = np.log(la.rel_eigvals(h_field, g_inv)).sum(axis=1)
+        h_field = la.metric_exp_update(t_field, 2.0 * dt, la.check_metric(h_field))
+        after = np.log(la.rel_eigvals(h_field, g_inv)).sum(axis=1)
         rate = (after - before) / dt
         worst = max(worst, float(np.abs(rate - 2.0 * np.einsum("nii->n", t_field).real).max()))
     return worst
