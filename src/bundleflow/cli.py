@@ -8,11 +8,18 @@ flow state (``checkpoint.Checkpoint.of``): a run resumed from any checkpoint,
 periodic or ``final.ckpt``, continues bit-exactly as the unsplit run does.
 The ``stability`` and ``exhaustion`` scenarios run no resumable flow and
 refuse ``--resume``.
+
+A run's fixed costs are paid once where they can be: the config parses in
+libyaml where PyYAML has it (``config.load_config``), the OpenBLAS thread
+getter that ``report.txt`` reads is found once per process and called on
+every report, and a fresh run factors the reference metric once
+(``flow._drive``).
 """
 from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import sys
 import time
 from pathlib import Path
@@ -29,26 +36,33 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _blas_threads() -> str:
-    """The thread count of numpy's bundled OpenBLAS, read through ctypes, else ``unknown``.
+@functools.cache
+def _openblas_getter():
+    """numpy's bundled OpenBLAS ``scipy_openblas_get_num_threads64_``, else None.
 
-    The library is found among the process's mapped files; a BLAS without the
-    ``scipy_openblas_get_num_threads64_`` symbol, or a system without
-    ``/proc/self/maps``, reads ``unknown``.
+    The library is found among the process's mapped files, once per process:
+    the mapped library does not change while the process runs. A BLAS without
+    the symbol, or a system without ``/proc/self/maps``, gives None.
     """
     try:
         with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        return "unknown"
+        return None
     for path in paths:
         try:
             get_threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):
             continue
         get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        return str(get_threads())
-    return "unknown"
+        return get_threads
+    return None
+
+
+def _blas_threads() -> str:
+    """The thread count of numpy's bundled OpenBLAS, read at each call, else ``unknown``."""
+    get_threads = _openblas_getter()
+    return "unknown" if get_threads is None else str(get_threads())
 
 
 def _trace(report, blas_threads: str) -> str:

@@ -5,6 +5,11 @@ row-major order. The reference-metric block selects identity, a smooth
 diagonal profile, a seeded smooth random metric, or a checkpoint file. A key
 that no block reads is refused, so a misspelt or retired field cannot fall
 back to its default unnoticed.
+
+``load_config`` parses with PyYAML's libyaml loader (``yaml.CSafeLoader``)
+where PyYAML has it, else with the pure-Python ``yaml.SafeLoader``; both read
+the YAML 1.1 safe schema to the same dict. PyYAML is imported there, on the
+first config read, so ``import bundleflow`` does not load it.
 """
 from __future__ import annotations
 
@@ -149,9 +154,10 @@ def _parse_matrix(entry, rank: int, where: str) -> np.ndarray:
 def load_config(path) -> RunConfig:
     import yaml  # only a config file needs it: ``import bundleflow`` stays without it
 
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)   # libyaml, where PyYAML has it
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config does not parse as YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -79,10 +79,13 @@ and computes its scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` in one act
 (``linalg.check_metric``, kept as ``SplitMetric.root``); the split's
 ``tension`` reads it, and the next trial's ``metric_exp_update`` takes it
 from the accepted state. The fixed reference K is checked and factored once
-per solve, and ``_drive`` keeps g^{-1} of its frame for the relative
-eigenvalues lambda of K^{-1}H (``linalg.rel_eigvals``); sigma is read off
-the lambda that the log h monitors already need, as
-sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``). A converged
+per solve: a run whose start metric holds K's bits (every fresh run, and the
+first exhaustion level) takes K's root from its start split, and any other
+run checks and factors K before its start metric. ``_drive`` keeps g^{-1}
+of K's frame for the relative eigenvalues lambda of K^{-1}H
+(``linalg.rel_eigvals``); sigma is read off the lambda that the log h
+monitors already need, as sum((lambda - 1)^2 / lambda)
+(``linalg.donaldson_sigma``). A converged
 Poisson run takes no further one: det normalization carries the final split
 to the normalized metric by its conformal law, in place
 (``bundle.conformal_split``).
@@ -358,6 +361,15 @@ def _implicit_direction(sm: SplitMetric, dt: float, eta: float) -> tuple[Array, 
     return la.mm(la.mm(g_inv, x), g), iterations
 
 
+def _same_bits(metric, reference) -> bool:
+    """Whether ``metric`` holds the float64 bits of ``reference`` as a complex field
+    (so 0.0 and -0.0 differ)."""
+    a, b = np.asarray(metric), np.asarray(reference, dtype=complex)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                               np.ascontiguousarray(b).view(np.uint64)))
+
+
 def _drive(
     conn: FlatConnection,
     reference: Array,
@@ -386,7 +398,10 @@ def _drive(
     ``init`` is advanced in place, and ``callback(state)`` sees it after each
     accepted step, so a caller that checkpoints it
     (``checkpoint.Checkpoint.of``) holds the run's state at every step and at
-    the end. The explicit step adds the runaway growth rule to the adaptive
+    the end. K is factored once: from the start split when the start metric
+    holds K's float64 bits, else by ``linalg.check_metric(K)`` before the
+    start metric is split, so a resumed or warm-started run checks K first.
+    The explicit step adds the runaway growth rule to the adaptive
     schedule (module docstring); the report's notes count the steps it
     doubled dt on. The implicit step adds the residual-ratio growth after
     the schedule: ``dt <- max(dt, min(dt clip(r_prev / r, 1,
@@ -406,7 +421,13 @@ def _drive(
     """
     domain = conn.domain
     opts.validate()
-    ref_g_inv = la.orthonormal_frame(la.check_metric(reference))[1]
+    if init is None:
+        state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=0.0)
+    else:
+        state = init
+    # K's root is a function of its bits: a run that starts at K reads it off the start split.
+    at_k = _same_bits(state.metric, reference)
+    ref_g_inv = None if at_k else la.orthonormal_frame(la.check_metric(reference))[1]
     phases = dict.fromkeys(("diagnostics", "solve", "update"), 0.0)
 
     def monitored(diag: dict, eigs: Array, start: float) -> dict:
@@ -421,14 +442,13 @@ def _drive(
 
     def diagnose(metric: Array) -> dict:
         """The residuals of a metric's split, and its monitors."""
+        nonlocal ref_g_inv
         start = _time.perf_counter()
-        return monitored(_residuals(split_metric(conn, metric)),
-                         la.rel_eigvals(metric, ref_g_inv), start)
+        sm = split_metric(conn, metric)
+        if ref_g_inv is None:    # the start split, at K
+            ref_g_inv = la.orthonormal_frame(sm.root)[1]
+        return monitored(_residuals(sm), la.rel_eigvals(metric, ref_g_inv), start)
 
-    if init is None:
-        state = FlowState(time=0.0, metric=np.asarray(reference, dtype=complex).copy(), dt=0.0)
-    else:
-        state = init
     if not np.isfinite(state.dt):
         raise ValueError(f"dt {state.dt!r} of the flow state must be finite")
     if domain.boundary.any():    # the Dirichlet data, which every trial and f = 0 keep

@@ -38,6 +38,7 @@ diagonal and first superdiagonal of triangular input.
 """
 from __future__ import annotations
 
+import functools
 from math import factorial
 from typing import Callable
 
@@ -539,6 +540,14 @@ def _log_superdiag(l1: complex, l2: complex, t12: complex) -> complex:
     return t12 * 2 * (np.arctanh((l2 - l1) / (l2 + l1)) + np.pi * 1j * unwind) / (l2 - l1)
 
 
+@functools.cache
+def _legendre(m: int) -> tuple[Array, Array]:
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], computed once per m."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _log_triu(t: Array) -> Array:
     """Principal log of an upper-triangular t: inverse scaling and squaring.
 
@@ -556,7 +565,7 @@ def _log_triu(t: Array) -> Array:
         root, s = _sqrt_triu(root), s + 1
     m = next(k for k, theta in enumerate(_LOG_THETA, 1) if alpha <= theta)
     u = 2.0 ** s * sum(0.5 * w * np.linalg.solve(np.eye(n) + 0.5 * (1.0 + x) * r, r)
-                       for x, w in zip(*np.polynomial.legendre.leggauss(m)))
+                       for x, w in zip(*_legendre(m)))
     lam = np.diag(t)
     u[np.diag_indices(n)] = np.log(lam)
     for i in range(n - 1):

@@ -10,7 +10,6 @@ harmonic metric, is reported as diverged at threshold 50 with a residual
 that stays resolved (above 1e-45) all the way.
 """
 import numpy as np
-import yaml
 
 import bundleflow as bf
 from bundleflow import linalg as la
@@ -26,6 +25,7 @@ from util import (
     random_connection,
     random_metric,
     rough_random_metric,
+    write_yaml,
 )
 
 
@@ -362,8 +362,7 @@ def test_criterion_11_determinism(tmp_path):
         "solver": {"tolerance": 1e-6},
         "output": {"directory": "out", "checkpoint_cadence": 2},
     }
-    path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump(cfg))
+    path = write_yaml(tmp_path / "run.yaml", cfg)
     full, part, rerun = tmp_path / "full", tmp_path / "part", tmp_path / "rerun"
     assert run_scenario(path, out_dir=full, seed=4) == 0
     assert run_scenario(path, out_dir=rerun, seed=4) == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundleflow import checkpoint
 from bundleflow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from bundleflow.flow import FlowState
 
@@ -149,17 +150,22 @@ def _run_fields():
 
 
 @pytest.mark.parametrize("name, field", _run_fields(), ids=[name for name, _ in _run_fields()])
-def test_equal_rows_keep_the_bytes_and_the_bits(tmp_path, name, field):
+def test_equal_rows_keep_the_bytes_and_the_bits(tmp_path, monkeypatch, name, field):
     # A run of equal site rows is formatted and parsed once: the bytes are those
-    # of one repr line per site, and the reload is bit-exact, row by row.
+    # of one repr line per site, and the reload is bit-exact, row by row. A run
+    # is written in pieces of at most WRITE_BYTES, counted at the longest line
+    # of its rank (200 bytes at rank 2): 400 bytes cut a run into pieces of 2
+    # lines and a remainder, and 1 writes a line at a time.
     path = tmp_path / "s.ckpt"
-    save_checkpoint(path, Checkpoint(rank=2, sites=9, time=0.0, step=0, dt=0.0, streak=0,
-                                     metric=field, theta=field[::-1].copy()))
     rows = ["".join(f"{v.real!r} {v.imag!r} " for v in site.ravel().tolist())[:-1]
             for site in field]
     expected = ["rank 2, sites 9, time 0.0, step 0, dt 0.0, streak 0, grown 0, latch 1",
                 *rows, "theta", *rows[::-1]]
-    assert path.read_text() == "\n".join(expected) + "\n"
+    for write_bytes in (checkpoint.WRITE_BYTES, 400, 1):
+        monkeypatch.setattr(checkpoint, "WRITE_BYTES", write_bytes)
+        save_checkpoint(path, Checkpoint(rank=2, sites=9, time=0.0, step=0, dt=0.0, streak=0,
+                                         metric=field, theta=field[::-1].copy()))
+        assert path.read_text() == "\n".join(expected) + "\n", write_bytes
     back = load_checkpoint(path)
     assert back.metric.view(np.uint64).tobytes() == field.view(np.uint64).tobytes()
     assert back.theta.view(np.uint64).tobytes() == field[::-1].view(np.uint64).tobytes()

@@ -1,9 +1,12 @@
 import copy
 import gc
+import io
 import os
 import re
 import subprocess
 import sys
+import textwrap
+import types
 import weakref
 from pathlib import Path
 
@@ -13,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import bundle, flow, hodge
+from bundleflow import bundle, cli, flow, hodge
 from bundleflow import linalg as la
 from bundleflow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from bundleflow.cli import main, run_scenario
@@ -27,6 +30,8 @@ from bundleflow.config import (
     make_reference_metric,
 )
 from bundleflow.flow import SolveOptions
+
+from util import loaders_agree, write_yaml
 
 GEN2 = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 JORDAN = [[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
@@ -46,8 +51,7 @@ def write_config(path, **overrides):
             cfg.setdefault(key, {}).update(val)
         else:
             cfg[key] = val
-    path.write_text(yaml.safe_dump(cfg))
-    return path
+    return write_yaml(path, cfg)
 
 
 def test_harmonic_scenario_converges(tmp_path):
@@ -408,6 +412,133 @@ print("yaml" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _ci_configs() -> list[str]:
+    """The YAML configs that the CI workflow writes with ``cat > NAME.yaml <<'YAML'``."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    return [textwrap.dedent(body) for body in
+            re.findall(r"cat > \S+\.yaml <<'YAML'\n(.*?)\n *YAML\n", workflow, flags=re.S)]
+
+
+def _benchmark_configs(tmp_path, monkeypatch) -> list[str]:
+    """The configs that the benchmark's CLI workloads write at set-up."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    import bundleflow as bf
+
+    texts = []
+    for name in ("circle-harmonic", "torus-higgs"):
+        work = tmp_path / name
+        work.mkdir()
+        wl = workloads.WORKLOADS[name]()
+        wl.setup(bf, np.random.default_rng(1), work)
+        texts.append(wl.config.read_text())
+    return texts
+
+
+def test_configs_parse_alike_under_both_loaders(tmp_path, monkeypatch):
+    # ``load_config`` parses with libyaml where PyYAML has it. Every config
+    # that the tests write goes through ``write_yaml``, which checks the two
+    # loaders agree on it; here the CI's, the README's and the benchmark's
+    # do, with YAML 1.1 scalars that the two scanners must read alike.
+    ci = _ci_configs()
+    assert len(ci) == 4 and all("scenario:" in text for text in ci)
+    readme = re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    scalars = ["a: [1e-8, 1.0e-8, .5, -.inf, .NaN, 0x1F, 0o17, 017, 1_000, yes, No, ~, "
+               "'quoted', 2001-12-14, 1:30]\n"]
+    texts = ci + readme + _benchmark_configs(tmp_path, monkeypatch) + scalars
+    for text in texts:
+        assert loaders_agree(text), text
+    if hasattr(yaml, "CSafeLoader"):
+        path = tmp_path / "ci.yaml"
+        path.write_text(ci[0])
+        c_config = load_config(path)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert repr(load_config(path)) == repr(c_config)
+
+
+@pytest.mark.parametrize("pure_python", [False, True])
+@pytest.mark.parametrize("text", [
+    "scenario: [a, b\ndomain: {kind: x\n",
+    "scenario: solve_harmonic\ndomain: kind: circle\n",
+    "\tscenario: solve_harmonic\n",
+    "scenario: 'solve_harmonic\n",
+])
+def test_malformed_yaml_is_one_error_line(tmp_path, capsys, monkeypatch, text, pure_python):
+    # Either loader refuses the file with one ``error:`` line, whose message
+    # (the parser's, with its line marks) may span lines, and status 1.
+    if pure_python:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config does not parse as YAML: ")
+    assert [ln for ln in err.splitlines() if ln.startswith("error")] == err.splitlines()[:1]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def fresh_blas_probe():
+    """An empty cache of ``cli._openblas_getter`` before and after the test."""
+    cli._openblas_getter.cache_clear()
+    yield
+    cli._openblas_getter.cache_clear()
+
+
+def test_blas_getter_is_found_once_and_read_on_every_report(tmp_path, monkeypatch,
+                                                            fresh_blas_probe):
+    # The maps file is read and the library loaded once per process; the
+    # getter is called on each report, so it reads the count in effect.
+    real_open, maps_reads, loaded = open, [], []
+
+    def fake_open(path, *args, **kwargs):
+        if path == "/proc/self/maps":
+            maps_reads.append(path)
+            return io.StringIO("7f00-7f01 r-xp 0 0:0 0  /lib/libscipy_openblas64_-a1.so\n")
+        return real_open(path, *args, **kwargs)
+
+    class Getter:
+        calls = 0
+
+        def __call__(self):
+            self.calls += 1
+            return self.calls
+
+    getter = Getter()
+
+    def fake_cdll(path):
+        loaded.append(path)
+        return types.SimpleNamespace(scipy_openblas_get_num_threads64_=getter)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    cfg = write_config(tmp_path / "run.yaml", domain={"kind": "circle", "sites": [8],
+                                                      "lengths": [1.0]})
+    threads = []
+    for out in ("a", "b", "c"):
+        assert run_scenario(cfg, out_dir=tmp_path / out) == 0
+        trace = (tmp_path / out / "report.txt").read_text()
+        threads += re.findall(r"; BLAS threads (\d+); ", trace)
+    assert threads == ["1", "2", "3"]
+    assert maps_reads == ["/proc/self/maps"]
+    assert loaded == ["/lib/libscipy_openblas64_-a1.so"] and getter.calls == 3
+
+
+def test_blas_threads_read_unknown_without_a_getter(monkeypatch, fresh_blas_probe):
+    def no_maps(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli, "open", no_maps, raising=False)
+    assert cli._blas_threads() == "unknown"
+    monkeypatch.undo()
+    assert cli._blas_threads() == "unknown"    # cached: the maps are not read again
 
 
 def test_identical_runs_identical_csv(tmp_path):

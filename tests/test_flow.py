@@ -833,10 +833,11 @@ def test_one_metric_factorization_per_trial(monkeypatch):
     # is joined by one eigh per axis for the edge comparisons and one for the
     # exponential update, and one eigvalsh for the relative spectrum. Per
     # solve, on top of the start metric's split and monitors, K is factored
-    # once, by the check that validates it, and nothing takes its eigvalsh.
-    # The counts are taken at the linalg entry points, on a torus whose edge
-    # batches are below SMALL_BATCH (numpy/LAPACK) and on one above it (the
-    # closed forms), and read off two solves that differ only in length.
+    # once and nothing takes its eigvalsh: a run started at K takes K's root
+    # from the start split, a run started elsewhere from the check that
+    # validates K. The counts are taken at the linalg entry points, on a torus
+    # whose edge batches are below SMALL_BATCH (numpy/LAPACK) and on one above
+    # it (the closed forms), and read off two solves that differ only in length.
     counts: Counter = Counter()
 
     def counted(name):
@@ -855,22 +856,26 @@ def test_one_metric_factorization_per_trial(monkeypatch):
         dom, conn = torus_diag(n=n, length=1.0)
         assert (dom.n_sites < la.SMALL_BATCH) == (n == 6)
         k = random_metric(dom, 2, seed=7, amplitude=0.3)
+        elsewhere = random_metric(dom, 2, seed=8, amplitude=0.3)
+        for start, k_factorizations in ((None, 0), (elsewhere, 1)):
 
-        def run(steps: int) -> Counter:
-            counts.clear()
-            opts = bf.SolveOptions(tolerance=1e-14, max_steps=steps)
-            rep = bf.solve_poisson(conn, k, opts)
-            assert rep.verdict == "max_steps" and rep.steps == steps
-            assert rep.rejected_steps == 0
-            return Counter(counts)
+            def run(steps: int) -> Counter:
+                counts.clear()
+                opts = bf.SolveOptions(tolerance=1e-14, max_steps=steps)
+                init = None if start is None else FlowState(time=0.0, metric=start.copy(),
+                                                            dt=0.0)
+                rep = bf.solve_poisson(conn, k, opts, init=init)
+                assert rep.verdict == "max_steps" and rep.steps == steps
+                assert rep.rejected_steps == 0
+                return Counter(counts)
 
-        short, long = run(3), run(8)
-        per_trial = {name: (long[name] - short[name]) / 5 for name in long}
-        assert per_trial == {"sqrt_pair": 1, "metric_exp_update": 1,
-                             "eigh": dom.dim + 2, "eigvalsh": 1}, n
-        per_solve = {name: short[name] - 3 * per_trial[name] for name in short}
-        assert per_solve == {"sqrt_pair": 1 + 1, "metric_exp_update": 0,
-                             "eigh": dom.dim + 1 + 1, "eigvalsh": 1}, n
+            short, long = run(3), run(8)
+            per_trial = {name: (long[name] - short[name]) / 5 for name in long}
+            assert per_trial == {"sqrt_pair": 1, "metric_exp_update": 1,
+                                 "eigh": dom.dim + 2, "eigvalsh": 1}, n
+            per_solve = {name: short[name] - 3 * per_trial[name] for name in short}
+            assert per_solve == {"sqrt_pair": 1 + k_factorizations, "metric_exp_update": 0,
+                                 "eigh": dom.dim + 1 + k_factorizations, "eigvalsh": 1}, n
 
 
 def test_sigma_from_relative_eigenvalues_matches_trace_formula():
@@ -936,8 +941,11 @@ def test_malformed_metric_is_a_clean_error(kind, message):
     with np.errstate(invalid="raise"):
         with pytest.raises(ValueError, match=message):
             bf.split_metric(conn, h)
-        with pytest.raises(ValueError, match=message):
-            bf.solve_harmonic(conn, h)
+        # K is refused with the same message whether the run starts at K,
+        # whose start split checks it, or elsewhere, where K is checked first.
+        for init in (None, FlowState(time=0.0, metric=identity_metric(dom.n_sites, 2), dt=0.0)):
+            with pytest.raises(ValueError, match=f"^metric field is {message}"):
+                bf.solve_harmonic(conn, h, init=init)
         if kind != "non_hermitian":
             with pytest.raises(ValueError, match=message):
                 la.scaled_sqrt(h)

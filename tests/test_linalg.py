@@ -389,6 +389,27 @@ def test_transports_near_the_identity_are_rounded_once():
         assert np.abs(got - exact).max() <= 0.75 * ulp
 
 
+def test_log_reads_the_same_bits_from_its_cached_nodes(monkeypatch):
+    # The Gauss-Legendre nodes are computed once per order; the log is the
+    # same to the bit as with nodes computed afresh on each call. On the
+    # transport generators above: the seeded matrices, torus-higgs's and the
+    # Jordan block.
+    rng, seeded = np.random.default_rng(7), []
+    for mu in (2.0, 3.0, 1.5):
+        s = rng.normal(size=(2, 2))
+        seeded.append(s @ np.diag([mu, 1.0 / mu]) @ np.linalg.solve(s, np.eye(2)))
+    for r in (2, 3, 4):
+        rng = np.random.default_rng(40 + r)
+        seeded += [_matrix(rng, r) for _ in range(10)]
+    gens = [m.astype(complex) for m in seeded + [np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                                   np.diag([4.0, 1.0, 0.25])]]
+    cached = [la.principal_log(m).tobytes() for m in gens]
+    assert [la.principal_log(m).tobytes() for m in gens] == cached
+    assert la._legendre.cache_info().currsize >= 2
+    monkeypatch.setattr(la, "_legendre", np.polynomial.legendre.leggauss)
+    assert [la.principal_log(m).tobytes() for m in gens] == cached
+
+
 def test_schur_keeps_a_triangular_matrix_as_it_is():
     m = np.triu(_matrix(np.random.default_rng(3), 3))
     q, t = la.schur(m)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import yaml
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -16,6 +17,22 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     """Equal shapes, dtypes and bytes: ``np.array_equal`` that also tells 0.0 from -0.0."""
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def loaders_agree(text: str) -> bool:
+    """Whether PyYAML's libyaml loader, where it has one, reads ``text`` to the data its
+    pure-Python safe loader reads (compared by ``repr``, so NaN equals NaN)."""
+    c_loader = getattr(yaml, "CSafeLoader", None)
+    return c_loader is None or (repr(yaml.load(text, Loader=c_loader))
+                                == repr(yaml.load(text, Loader=yaml.SafeLoader)))
+
+
+def write_yaml(path, cfg: dict):
+    """Write ``cfg`` as a YAML config at ``path``, which both PyYAML loaders read alike."""
+    text = yaml.safe_dump(cfg)
+    assert loaders_agree(text), text
+    path.write_text(text)
+    return path
 
 
 def conformal_split_out_of_place(sm, f) -> "bf.SplitMetric":
