@@ -67,11 +67,6 @@ class FlatConnection:
     transport_inv: Array
     loops: tuple[LoopSpec, ...] = field(default_factory=tuple)
 
-    def edge_sites(self, axis: int) -> tuple[Array, Array]:
-        """(tails, heads) of the forward edges along one axis."""
-        tails = np.flatnonzero(self.domain.neighbors[axis, 0] >= 0)
-        return tails, self.domain.neighbors[axis, 0][tails]
-
 
 def connection_from_transports(
     domain: LatticeDomain, transports: Array, loops: tuple[LoopSpec, ...] = ()
@@ -196,7 +191,7 @@ def covariant_d(conn: FlatConnection, field_values: Array) -> Array:
     endo = f.ndim == 3
     out = np.zeros((dom.dim,) + f.shape, dtype=complex)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = dom.edge_sites(a)
         u = conn.transport[a, tails]
         uinv = conn.transport_inv[a, tails]
         if endo:
@@ -321,7 +316,7 @@ class SplitMetric:
         dom = self.flat.domain
         total = 0.0
         for a in range(dom.dim):
-            total += float(np.sum(dom.edge_weight[a] * la.hsa_norm2(self.psi[a])))
+            total += float((dom.edge_weight[a] * la.hsa_norm2(self.psi[a])).sum())
         return total
 
     @cached_property
@@ -357,7 +352,7 @@ def split_metric(conn: FlatConnection, metric: Array) -> SplitMetric:
     vt_inv = conn.transport_inv.copy()
     shift = np.zeros_like(conn.transport)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = dom.edge_sites(a)
         la.tiled(partial(_split_edges, conn, h_field, root, a), tails, heads,
                  out=(psi[a], vt[a], vt_inv[a], shift[a]), at=tails)
     return SplitMetric(flat=conn, metric=h_field, psi=psi,
@@ -371,13 +366,19 @@ def _split_edges(conn: FlatConnection, h_field: Array, root: la.ScaledRoot, a: i
     u = conn.transport[a, tails]
     u_inv = conn.transport_inv[a, tails]
     n = u - np.eye(conn.rank, dtype=complex)
-    hy = h_field[heads]
-    g = la.mm(hy, n)
-    delta = (hy - h_field[tails]) + g + la.dagger(g) + la.mm(la.dagger(n), g)
-    logp, pmh, pph = la.comparison_functions(tuple(f[tails] for f in root), delta)
+    logp, pmh, pph = la.comparison_functions(tuple(f[tails] for f in root),
+                                             _edge_difference(h_field, n, tails, heads))
     u_pmh = la.mm(u, pmh)
     return (-logp / (2.0 * conn.domain.spacings[a]), u + u_pmh,
             u_inv + la.mm(pph, u_inv), n + u_pmh)
+
+
+def _edge_difference(h_field: Array, n: Array, tails: Array, heads: Array) -> Array:
+    """``U^dag H(y) U - H(x)`` as ``(H(y) - H(x)) + N^dag H(y) + H(y) N + N^dag H(y) N``
+    for ``N = U - I``; its temporaries end with the call, before the comparison's start."""
+    hy = h_field[heads]
+    g = la.mm(hy, n)
+    return (hy - h_field[tails]) + g + la.dagger(g) + la.mm(la.dagger(n), g)
 
 
 def conformal_split(sm: SplitMetric, f: Array) -> SplitMetric:
@@ -411,7 +412,7 @@ def conformal_split(sm: SplitMetric, f: Array) -> SplitMetric:
     df = np.zeros((dom.dim, dom.n_sites))     # 0 where no forward edge: those rows keep their bits
     div = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = dom.edge_sites(a)
         df[a, tails] = f[heads] - f[tails]
         flux = dom.edge_weight[a, tails] * df[a, tails] / (2.0 * dom.spacings[a] ** 2)
         div[heads] += flux
@@ -463,16 +464,18 @@ def codifferential(sm: SplitMetric, omega: Array) -> Array:
     flux = np.zeros_like(sm.metric)
     turned = np.zeros_like(flux)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
-        w = (dom.edge_weight[a, tails] / dom.spacings[a])[:, None, None]
+        tails, heads = dom.edge_sites(a)
+        w = dom.edge_flux_weights(a)[:, None, None]
 
         def correction(edges: Array, weights: Array) -> Array:
             return weights * la.mm(la.commutator(sm.shift[a, edges], omega[a, edges]),
                                    sm.connection.transport_inv[a, edges])
 
         turned[heads] += la.tiled(correction, tails, w)
-        flux[heads] += w * omega[a, tails]
-        flux[tails] -= w * omega[a, tails]
+        term = w * omega[a, tails]
+        flux[heads] += term
+        flux[tails] -= term
+        del term    # not held through the next axis' corrections
     flux += turned
     flux /= dom.volume[:, None, None]
     return flux
@@ -514,7 +517,7 @@ def energy_hessian(sm: SplitMetric, frame: tuple[Array, Array]) -> Callable[[Arr
     g, g_inv = frame
     edges = []
     for a in range(dom.dim):
-        tails, heads = sm.flat.edge_sites(a)
+        tails, heads = dom.edge_sites(a)
         psi_x = la.mm(la.mm(g[tails], sm.psi[a, tails]), g_inv[tails])
         l, q = la.eigh(la.hermitize(-2.0 * dom.spacings[a] * psi_x))
         w = la.mm(la.mm(g[heads], sm.connection.transport[a, tails]), g_inv[tails])
@@ -562,12 +565,13 @@ def reference_difference(sm_k: SplitMetric, h_rel: Array) -> Array:
     without a forward edge hold 0.
     """
     conn = sm_k.connection
+    dom = conn.domain
     delta = np.zeros_like(sm_k.psi)
-    for a in range(conn.domain.dim):
-        tails, heads = conn.edge_sites(a)
+    for a in range(dom.dim):
+        tails, heads = dom.edge_sites(a)
         pulled = la.mm(la.mm(conn.transport_inv[a, tails], h_rel[heads]), conn.transport[a, tails])
         h_mid = 0.5 * (pulled + h_rel[tails])
-        delta[a, tails] = ((pulled - h_rel[tails]) / conn.domain.spacings[a]
+        delta[a, tails] = ((pulled - h_rel[tails]) / dom.spacings[a]
                            - la.commutator(sm_k.psi[a, tails], h_mid))
     return delta
 
@@ -742,8 +746,9 @@ def _invariance_residual(conn: FlatConnection, proj: Array) -> float:
     worst = 0.0
     r = proj.shape[-1]
     eye = np.eye(r, dtype=complex)
-    for a in range(conn.domain.dim):
-        tails, heads = conn.edge_sites(a)
+    dom = conn.domain
+    for a in range(dom.dim):
+        tails, heads = dom.edge_sites(a)
         moved = la.mm(la.mm(conn.transport_inv[a, tails], proj[heads]), conn.transport[a, tails])
         leak = la.mm(la.mm(eye - proj[tails], moved), proj[tails])
         worst = max(worst, float(np.max(la.specnorm(leak), initial=0.0)))

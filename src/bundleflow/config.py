@@ -159,7 +159,9 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=loader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config does not parse as YAML: {exc}") from exc
+        # The parser's message spans lines (its marks); the CLI's error is one line.
+        message = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        raise ConfigError(f"config does not parse as YAML: {message}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     return config_from_dict(raw)

@@ -81,11 +81,15 @@ and computes its scaled square root ``(d, Ht^{1/2}, Ht^{-1/2})`` in one act
 from the accepted state. The fixed reference K is checked and factored once
 per solve: a run whose start metric holds K's bits (every fresh run, and the
 first exhaustion level) takes K's root from its start split, and any other
-run checks and factors K before its start metric. ``_drive`` keeps g^{-1}
-of K's frame for the relative eigenvalues lambda of K^{-1}H
-(``linalg.rel_eigvals``); sigma is read off the lambda that the log h
-monitors already need, as sum((lambda - 1)^2 / lambda)
-(``linalg.donaldson_sigma``). A converged
+run checks and factors K before its start metric. ``_drive`` keeps K's
+root, takes g^{-1} of its frame for the relative eigenvalues lambda of
+K^{-1}H (``linalg.rel_eigvals``), and hands the root on in its report
+(``RunReport.reference_root``), whose frame ``exhaustion_solve``'s dh_l2
+monitor reads; sigma is read off the lambda that the log h monitors already need, as
+sum((lambda - 1)^2 / lambda) (``linalg.donaldson_sigma``). The roundoff
+floor of the residual (``_residual_floor``) is taken only where a verdict
+reads it (``settle``): a runaway, whose residual stays above tolerance,
+never takes it. A converged
 Poisson run takes no further one: det normalization carries the final split
 to the normalized metric by its conformal law, in place
 (``bundle.conformal_split``).
@@ -262,6 +266,7 @@ class RunReport:
     logh_sup: float
     history: Array                  # rows aligned with accepted steps, HISTORY_COLUMNS
     split: SplitMetric | None       # bundle.split_metric at ``metric``; None once let go
+    reference_root: la.ScaledRoot | None = None   # the run's one factor of K, check_metric(K)
     poisson_function: Array | None = None
     notes: list[str] = field(default_factory=list)
     verdict_reason: str = ""
@@ -287,35 +292,47 @@ def default_dt(domain: LatticeDomain, implicit: bool = False) -> float:
 
 
 def _residuals(sm: SplitMetric) -> dict:
-    """The residuals of a split's tension, and the floor below which they certify nothing.
+    """The residuals of a split's tension.
 
     Returns the ``split``, whose ``tension`` is the heat flow's step
     direction and whose ``energy`` step control compares, with the residuals
     ``residual_sup``, ``residual_l2`` and ``tracefree_sup`` over the interior
-    sites and the roundoff ``residual_floor`` of the fluxes summed into the
-    tension.
+    sites. The floor below which they certify nothing is not among them:
+    only a verdict reads it, so ``settle`` takes it (``_residual_floor``)
+    when it does.
     """
     dom = sm.flat.domain
     site_norm = la.hsa_norm(sm.tension)
     tf_norm = la.tracefree_norm(sm.tension)
     active = dom.interior_mask()
     res_sup = float(site_norm[active].max())
-    res_l2 = float(np.sqrt(np.sum(dom.volume[active] * site_norm[active] ** 2)))
+    res_l2 = float(np.sqrt((dom.volume[active] * site_norm[active] ** 2).sum()))
     tf_sup = float(tf_norm[active].max())
-    flux = np.zeros(dom.n_sites)
-    for a in range(dom.dim):
-        tails, heads = sm.flat.edge_sites(a)
-        size = (dom.edge_weight[a] / dom.spacings[a] * la.hsa_norm(sm.psi[a]))[tails]
-        flux[heads] += size
-        flux[tails] += size
-    floor = FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[active].max())
     return {
         "split": sm,
         "residual_sup": res_sup,
         "residual_l2": res_l2,
         "tracefree_sup": tf_sup,
-        "residual_floor": floor,
     }
+
+
+def _residual_floor(sm: SplitMetric) -> float:
+    """The roundoff floor of a split's residuals: FLOOR_ULPS eps times the largest
+    sum of the flux sizes ``w / h |psi|`` into an interior site, over its volume.
+
+    A worst-case bound on the rounding of the fluxes summed into the tension:
+    the explicit run of the 8-site Jordan circle of length 2 pi at tolerance
+    1e-30 ends ``precision_floor`` at residual 9.1e-31 against a floor of
+    3.6e-30. It is taken only where ``settle`` reads it.
+    """
+    dom = sm.flat.domain
+    flux = np.zeros(dom.n_sites)
+    for a in range(dom.dim):
+        tails, heads = dom.edge_sites(a)
+        size = dom.edge_flux_weights(a) * la.hsa_norm(sm.psi[a, tails])
+        flux[heads] += size
+        flux[tails] += size
+    return FLOOR_ULPS * np.finfo(float).eps * float((flux / dom.volume)[dom.interior_mask()].max())
 
 
 def _implicit_direction(sm: SplitMetric, dt: float, eta: float) -> tuple[Array, int]:
@@ -401,6 +418,10 @@ def _drive(
     the end. K is factored once: from the start split when the start metric
     holds K's float64 bits, else by ``linalg.check_metric(K)`` before the
     start metric is split, so a resumed or warm-started run checks K first.
+    The report hands that root on as ``reference_root``; the run holds it,
+    not K's frame, and takes g^{-1} of the frame from it for each metric's
+    relative eigenvalues, so a run started at K holds no array of K's beyond
+    its start split's root.
     The explicit step adds the runaway growth rule to the adaptive
     schedule (module docstring); the report's notes count the steps it
     doubled dt on. The implicit step adds the residual-ratio growth after
@@ -427,7 +448,7 @@ def _drive(
         state = init
     # K's root is a function of its bits: a run that starts at K reads it off the start split.
     at_k = _same_bits(state.metric, reference)
-    ref_g_inv = None if at_k else la.orthonormal_frame(la.check_metric(reference))[1]
+    ref_root = None if at_k else la.check_metric(reference)
     phases = dict.fromkeys(("diagnostics", "solve", "update"), 0.0)
 
     def monitored(diag: dict, eigs: Array, start: float) -> dict:
@@ -442,16 +463,18 @@ def _drive(
 
     def diagnose(metric: Array) -> dict:
         """The residuals of a metric's split, and its monitors."""
-        nonlocal ref_g_inv
+        nonlocal ref_root
         start = _time.perf_counter()
         sm = split_metric(conn, metric)
-        if ref_g_inv is None:    # the start split, at K
-            ref_g_inv = la.orthonormal_frame(sm.root)[1]
-        return monitored(_residuals(sm), la.rel_eigvals(metric, ref_g_inv), start)
+        if ref_root is None:    # the start split, at K
+            ref_root = sm.root
+        g_inv = la.orthonormal_frame(ref_root)[1]
+        return monitored(_residuals(sm), la.rel_eigvals(metric, g_inv), start)
 
     if not np.isfinite(state.dt):
         raise ValueError(f"dt {state.dt!r} of the flow state must be finite")
-    if domain.boundary.any():    # the Dirichlet data, which every trial and f = 0 keep
+    dirichlet = bool(domain.boundary.any())
+    if dirichlet:    # the Dirichlet data, which every trial and f = 0 keep
         state.metric = np.where(domain.boundary[:, None, None], reference, state.metric)
     diag = diagnose(state.metric)
     if state.dt <= 0:
@@ -471,8 +494,8 @@ def _drive(
     dt_cap = IMPLICIT_DT_CAP * default_dt(domain, implicit=True)
     exact_solves = opts.tolerance <= EXACT_SOLVE_MARGIN * _implicit_floor(domain)
     while state.step < opts.max_steps:
-        settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
-                         diag["logh_sup"], state.logh_prev)
+        settled = settle(diag[key], opts.tolerance, diag["split"], diag["logh_sup"],
+                         state.logh_prev)
         if settled:
             verdict, reason = settled
             break
@@ -492,7 +515,8 @@ def _drive(
             # raises the energy.
             with np.errstate(over="raise", invalid="raise"):
                 trial = la.metric_exp_update(direction, 2.0 * state.dt, diag["split"].root)
-                trial[domain.boundary] = reference[domain.boundary]
+                if dirichlet:
+                    trial[domain.boundary] = reference[domain.boundary]
                 phases["update"] += _time.perf_counter() - start
                 diag_trial = diagnose(trial)
         except (FloatingPointError, ValueError):
@@ -543,8 +567,8 @@ def _drive(
                       f"{DIVERGENCE_PATIENCE} accepted steps")
             break
     if verdict == "max_steps":
-        settled = settle(diag[key], opts.tolerance, diag["residual_floor"],
-                         diag["logh_sup"], state.logh_prev)
+        settled = settle(diag[key], opts.tolerance, diag["split"], diag["logh_sup"],
+                         state.logh_prev)
         if settled:
             verdict, reason = settled
         else:
@@ -587,6 +611,7 @@ def _drive(
         cg_iterations=cg_total,
         cg_iterations_max=cg_max,
         split=diag["split"],
+        reference_root=ref_root,
     )
     return report
 
@@ -606,21 +631,27 @@ def _forcing_term(residual: float, residual_prev: float | None) -> float:
 
 
 def settle(
-    residual: float, tolerance: float, floor: float, logh: float, logh_prev: float
+    residual: float, tolerance: float, sm: SplitMetric, logh: float, logh_prev: float
 ) -> tuple[str, str] | None:
-    """(verdict, reason) once the residual reads below tolerance, else None.
+    """(verdict, reason) once the residual of the split ``sm`` reads below tolerance,
+    else None.
 
-    A residual at or below its roundoff ``floor`` certifies nothing when the
-    last accepted step grew sup ||log h|| from ``logh_prev`` to ``logh``: the
-    metric is still running away and only the residual's digits have run out.
+    A residual at or below its roundoff floor (``_residual_floor(sm)``)
+    certifies nothing when the last accepted step grew sup ||log h|| from
+    ``logh_prev`` to ``logh``: the metric is still running away and only the
+    residual's digits have run out. The floor is taken only in that case, a
+    residual below tolerance with sup ||log h|| grown, so a run whose
+    residual stays above tolerance, as a runaway's does, never takes it.
     """
     if residual >= tolerance:
         return None
-    if residual <= floor and logh > logh_prev:
-        return "precision_floor", (
-            f"residual {residual:.3e} < tolerance {tolerance:.1e} is at or below its "
-            f"roundoff floor {floor:.3e} while sup|log h| grew to {logh:.3f}"
-        )
+    if logh > logh_prev:
+        floor = _residual_floor(sm)
+        if residual <= floor:
+            return "precision_floor", (
+                f"residual {residual:.3e} < tolerance {tolerance:.1e} is at or below its "
+                f"roundoff floor {floor:.3e} while sup|log h| grew to {logh:.3f}"
+            )
     return "converged", f"residual {residual:.3e} < tolerance {tolerance:.1e}"
 
 
@@ -759,7 +790,9 @@ def exhaustion_solve(
     Reported per level: sup ||log h_s||, the L2 norm of the flat covariant
     derivative of h_s over the sublevel, and ``cauchy_sup``, the sup over the
     previous level's sites of the Donaldson distance between the two levels'
-    metrics (NaN for the first level).
+    metrics (NaN for the first level). The L2 norm is taken in the frame of
+    the root of the level's K that its solve hands on
+    (``RunReport.reference_root``), so each level's K is factored once.
     """
     opts = opts or SolveOptions()
     reports: list[RunReport] = []
@@ -791,7 +824,7 @@ def exhaustion_solve(
         last = current if report.verdict == "converged" else ref
         previous, prev_idx = current, idx_map
 
-        frame = la.orthonormal_frame(la.check_metric(sub_ref))
+        frame = la.orthonormal_frame(report.reference_root)    # the solve's one factor of K
         dh = covariant_d(sub_conn, la.from_frame(la.metric_in_frame(report.metric, frame[1]),
                                                  frame))
         dh_l2 = 0.0

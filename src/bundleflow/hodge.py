@@ -180,7 +180,7 @@ def composite_transports(higgs: HiggsData) -> FlatConnection:
 
     out = conn.transport.copy()
     for a in range(2):
-        tails, _ = conn.edge_sites(a)
+        tails, _ = dom.edge_sites(a)
         la.tiled(partial(edges, a), tails, out=(out[a],), at=tails)
     return connection_from_transports(dom, out)
 
@@ -233,7 +233,7 @@ def higgs_degree_stability(higgs: HiggsData, subs: list[SubBundleSpec]) -> Stabi
     dom = conn.domain
     k_field = np.asarray(higgs.metric, dtype=complex)
     for a in range(2):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = dom.edge_sites(a)
         w = conn.transport[a, tails]
         defect = la.frobenius(la.mm(la.mm(dagger(w), k_field[heads]), w) - k_field[tails])
         if float(defect.max()) > 1e-6 * (1.0 + float(la.frobenius(k_field).max())):

@@ -60,7 +60,7 @@ SMALL_BATCH = 64
 # 2 SMALL_BATCH, so that a balanced tile takes the closed forms.
 TILE = 2048
 
-# ``check_hermitian`` refuses a site whose anti-Hermitian part exceeds
+# ``check_metric`` refuses a site whose anti-Hermitian part exceeds
 # HERMITIAN_RTOL times its norm.
 HERMITIAN_RTOL = 1e-12
 
@@ -110,7 +110,8 @@ def tiled(fn: Callable, *stacks, out: tuple[Array, ...] | None = None,
 
 
 def dagger(a: Array) -> Array:
-    return np.conj(np.swapaxes(a, -1, -2))
+    """The conjugate transpose over the last two axes of an array (of a real one, a view)."""
+    return a.swapaxes(-1, -2).conj()
 
 
 def hermitize(a: Array) -> Array:
@@ -119,7 +120,7 @@ def hermitize(a: Array) -> Array:
 
 def frobenius(a: Array) -> Array:
     """Frobenius norm over the last two axes."""
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
+    return np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
 
 
 def specnorm(a: Array) -> Array:
@@ -251,7 +252,10 @@ def selfadjoint_part(a: Array, metric: Array, root: ScaledRoot) -> Array:
     """H-self-adjoint part 0.5 (A + H^{-1} A^dag H), in the scaled frame.
 
     ``root`` is ``scaled_sqrt(metric)``: Ht^{-1} Y is formed as
-    Ht^{-1/2} (Ht^{-1/2} Y), with no solve.
+    Ht^{-1/2} (Ht^{-1/2} Y), with no solve. The scaled frame's d is taken
+    from ``metric``, not from the root: a conformal split's root carries
+    d e^{f/2} (``bundle.conformal_split``), which can differ from
+    sqrt(diag(H e^f)) in the last bit.
     """
     if len(a) > TILE:
         return tiled(selfadjoint_part, a, metric, root)
@@ -289,7 +293,9 @@ def tracefree(a: Array) -> Array:
 
 def tracefree_norm(a: Array) -> Array:
     """``hsa_norm(tracefree(a))`` per site of an H-self-adjoint field, over ``tiled`` sites."""
-    return tiled(lambda t: hsa_norm(tracefree(t)), a)
+    if len(a) > TILE:
+        return tiled(tracefree_norm, a)
+    return hsa_norm(tracefree(a))
 
 
 def hermitian_basis(r: int) -> list[Array]:
@@ -319,20 +325,19 @@ def _not_hermitian(h: Array) -> Array:
     return frobenius(h - dagger(h)) > HERMITIAN_RTOL * np.maximum(frobenius(h), 1e-300)
 
 
-def check_hermitian(h: Array) -> None:
-    """Validate that a metric field is finite and Hermitian within ``HERMITIAN_RTOL``,
-    over ``tiled`` sites."""
-    if not np.all(np.isfinite(h)):
-        raise ValueError("metric field is not finite")
-    if np.any(tiled(_not_hermitian, h)):
-        raise ValueError("metric field is not Hermitian within tolerance")
-
-
 def check_metric(h: Array) -> ScaledRoot:
     """Validate a metric field and return ``scaled_sqrt(h)``, whose eigendecomposition
-    is the positivity check: everything measured against the metric reads this root."""
-    check_hermitian(h)
-    return scaled_sqrt(h)
+    is the positivity check: everything measured against the metric reads this root.
+
+    The field must be finite, Hermitian within ``HERMITIAN_RTOL`` (over ``tiled``
+    sites) and positive definite; it is read for finiteness once.
+    """
+    h = np.asarray(h)
+    if not np.isfinite(h).all():
+        raise ValueError("metric field is not finite")
+    if tiled(_not_hermitian, h).any():
+        raise ValueError("metric field is not Hermitian within tolerance")
+    return _scaled_root(h)
 
 
 def _eigh_build(w: Array, v: Array, f: Array) -> Array:
@@ -345,7 +350,7 @@ def sqrt_pair(h: Array) -> tuple[Array, Array]:
     if len(h) > TILE:
         return tiled(sqrt_pair, h)
     w, v = eigh(h)
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValueError("field is not positive definite")
     s = np.sqrt(w)
     return _eigh_build(w, v, s), _eigh_build(w, v, 1.0 / s)
@@ -362,9 +367,14 @@ def scaled_sqrt(h: Array) -> ScaledRoot:
     Raises the ``check_metric`` positivity error unless H is finite with a
     positive diagonal and Ht is positive definite, so no NaN enters the frame.
     """
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("metric field is not finite")
-    if np.any(np.einsum("...ii->...i", h).real <= 0.0):
+    return _scaled_root(h)
+
+
+def _scaled_root(h: Array) -> ScaledRoot:
+    """``scaled_sqrt`` of a finite field h, whose diagonal and Ht it checks for positivity."""
+    if (np.einsum("...ii->...i", h).real <= 0.0).any():
         raise ValueError("metric field is not positive definite")
     d, ht = diagonal_scaling(h)
     try:
@@ -419,7 +429,7 @@ def comparison_functions(root: ScaledRoot, delta: Array) -> tuple[Array, Array, 
     d, a, ai = root
     scaled = delta / (d[..., :, None] * d[..., None, :])
     mu, v = eigh(hermitize(mm(mm(ai, scaled), ai)))
-    if np.any(mu <= -1.0):
+    if (mu <= -1.0).any():
         raise ValueError("pulled-back metric is not positive definite")
     left = mm(ai, v) / d[..., :, None]
     right = mm(dagger(v), a) * d[..., None, :]

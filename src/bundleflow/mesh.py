@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,6 +53,36 @@ class LatticeDomain:
 
     def interior_mask(self) -> Array:
         return ~self.boundary
+
+    def edge_sites(self, axis: int) -> tuple[Array, Array]:
+        """(tails, heads) of the forward edges along one axis, as read-only arrays.
+
+        Derived from ``neighbors`` once per domain and axis (``_edges``) and
+        shared by every caller: index with them, never write into them.
+        """
+        return self._edges[axis][:2]
+
+    def edge_flux_weights(self, axis: int) -> Array:
+        """``edge_weight / spacing`` at the tails of ``edge_sites(axis)``, read-only:
+        the weight of an edge's flux in the codifferential."""
+        return self._edges[axis][2]
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[Array, Array, Array], ...]:
+        """Per axis, (tails, heads, edge_weight / spacing at the tails), read-only.
+
+        A domain fixes them, and a flow trial reads them several times, so they
+        are derived once (cached on the frozen instance, outside its fields).
+        """
+        edges = []
+        for a in range(self.dim):
+            tails = np.flatnonzero(self.neighbors[a, 0] >= 0)
+            arrays = (tails, self.neighbors[a, 0][tails],
+                      self.edge_weight[a, tails] / self.spacings[a])
+            for arr in arrays:
+                arr.flags.writeable = False
+            edges.append(arrays)
+        return tuple(edges)
 
 
 def build_domain(

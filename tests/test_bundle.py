@@ -214,7 +214,7 @@ def test_metric_transport_is_exact_isometry_and_recomposes():
     dom, conn = circle_diag(n=24)
     h = rough_random_metric(dom.n_sites, 2, seed=2)
     sm = bf.split_metric(conn, h)
-    tails, heads = conn.edge_sites(0)
+    tails, heads = conn.domain.edge_sites(0)
     v = sm.connection.transport[0, tails]
     assert np.abs(sm.connection.transport_inv[0, tails] @ v - np.eye(2)).max() < 1e-12
     pulled = la.dagger(v) @ h[heads] @ v

@@ -225,6 +225,60 @@ def test_solve_harmonic_jordan_floor_is_not_converged():
     assert np.all(np.diff(energy) <= ENERGY_RTOL * energy[:-1])
 
 
+def test_jordan_floor_verdict_reads_the_floor_it_names():
+    # The explicit 8-site Jordan circle at 1e-30 passes below tolerance at its
+    # roundoff floor, a worst-case bound that lies above the residual reached.
+    # The floor is taken from the final split only when the verdict reads it,
+    # and it is the value the reason prints.
+    dom = bf.build_domain("circle", 8, TWO_PI)
+    conn = bf.from_monodromy(dom, [np.array([[1.0, 1.0], [0.0, 1.0]])])
+    rep = bf.solve_harmonic(conn, identity_metric(dom.n_sites, 2),
+                            bf.SolveOptions(tolerance=1e-30))
+    assert rep.verdict == "precision_floor" and rep.steps == 916
+    assert rep.verdict_reason == (
+        "residual 9.098e-31 < tolerance 1.0e-30 is at or below its roundoff floor "
+        "3.628e-30 while sup|log h| grew to 46.068")
+    assert flow._residual_floor(rep.split) == 3.628129946855743e-30
+
+
+def test_residual_floor_is_taken_only_where_a_verdict_reads_it(monkeypatch):
+    # settle takes the floor only for a residual below tolerance after a step
+    # that grew sup ||log h||: a runaway, whose residual stays above its
+    # tolerance, never takes it, and a converging run takes it at its verdict
+    # if its last step grew sup ||log h|| (reference seed 1), else not at all
+    # (seed 2).
+    floors, reads = [], []
+    floor, settle = flow._residual_floor, flow.settle
+
+    def counted_floor(sm):
+        floors.append(sm)
+        return floor(sm)
+
+    def counted_settle(residual, tolerance, sm, logh, logh_prev):
+        reads.append(residual < tolerance and logh > logh_prev)
+        return settle(residual, tolerance, sm, logh, logh_prev)
+
+    monkeypatch.setattr(flow, "_residual_floor", counted_floor)
+    monkeypatch.setattr(flow, "settle", counted_settle)
+    dom = bf.build_domain("circle", 16, 1.0)
+    conn = bf.from_monodromy(dom, [np.array([[1.0, 1.0], [0.0, 1.0]])])
+    rep = bf.solve_harmonic(conn, identity_metric(dom.n_sites, 2),
+                            bf.SolveOptions(tolerance=1e-45, dt_growth_every=5, max_steps=200))
+    assert rep.step_kind == "explicit" and rep.verdict == "max_steps"
+    assert len(reads) == rep.steps + 1 and not any(reads)
+    assert floors == []
+
+    dom, conn = circle_diag(n=16, length=1.0)
+    for seed, taken in ((1, 1), (2, 0)):
+        reads.clear()
+        floors.clear()
+        rep = bf.solve_harmonic(conn, random_metric(dom, 2, seed=seed, amplitude=0.25),
+                                bf.SolveOptions(tolerance=1e-8))
+        assert rep.verdict == "converged"
+        assert sum(reads) == len(floors) == taken
+        assert all(sm is rep.split for sm in floors)
+
+
 def test_energy_decrement_matches_gradient_norm():
     dom = bf.build_domain("circle", 24, 1.0)
     conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
@@ -876,6 +930,36 @@ def test_one_metric_factorization_per_trial(monkeypatch):
             per_solve = {name: short[name] - 3 * per_trial[name] for name in short}
             assert per_solve == {"sqrt_pair": 1 + k_factorizations, "metric_exp_update": 0,
                                  "eigh": dom.dim + 1 + k_factorizations, "eigvalsh": 1}, n
+
+
+def test_exhaustion_factors_each_level_reference_once(monkeypatch):
+    # A level's solve factors its K once, from the start split at K or by the
+    # check that precedes a warm start, and hands K's root on
+    # (RunReport.reference_root); the dh_l2 monitor reads that root's frame
+    # and factors nothing. So a round takes one check_metric per trial and per
+    # start split, one more per warm-started level (here level 6 starts from
+    # level 4's solution), and one per level after the first for the Cauchy
+    # monitor's Donaldson distance.
+    dom = bf.build_domain("annulus", (12, 9), (TWO_PI, 1.0))
+    conn = bf.from_monodromy(dom, [np.diag([2.0, 0.5]).astype(complex)])
+    k = random_metric(dom, 2, seed=21, amplitude=0.3)
+    levels = [4, 6]
+    calls = []
+    check = la.check_metric
+
+    def counted(h):
+        calls.append(h)
+        return check(h)
+
+    monkeypatch.setattr(la, "check_metric", counted)
+    reports, _ = bf.exhaustion_solve(conn, k, levels, bf.SolveOptions(tolerance=1e-8))
+    monkeypatch.undo()
+    assert [r.verdict for r in reports] == ["converged", "converged"]
+    assert len(calls) == sum(r.trial_steps + 1 for r in reports) + 1 + 1
+    for level, rep in zip(levels, reports):
+        _, idx = bf.sublevel_domain(dom, level)
+        fresh = la.check_metric(k[idx])
+        assert all(np.array_equal(a, b) for a, b in zip(rep.reference_root, fresh))
 
 
 def test_sigma_from_relative_eigenvalues_matches_trace_formula():

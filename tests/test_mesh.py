@@ -17,6 +17,26 @@ def test_circle_construction():
     assert np.allclose(dom.volume, TWO_PI / 100)
 
 
+@pytest.mark.parametrize("kind, sites, lengths", [
+    ("circle", 7, 1.0), ("interval", 6, 2.0), ("torus", (4, 5), (1.0, 2.0)),
+    ("rectangle", (5, 4), (1.0, 1.5)), ("annulus", (6, 4), (TWO_PI, 1.0)),
+])
+def test_edge_arrays_are_cached_read_only_and_match_neighbors(kind, sites, lengths):
+    dom = bf.build_domain(kind, sites, lengths)
+    for a in range(dom.dim):
+        tails, heads = dom.edge_sites(a)
+        forward = dom.neighbors[a, 0]
+        assert np.array_equal(tails, np.flatnonzero(forward >= 0))
+        assert np.array_equal(heads, forward[forward >= 0])
+        weights = dom.edge_flux_weights(a)
+        assert np.array_equal(weights, dom.edge_weight[a, tails] / dom.spacings[a])
+        assert dom.edge_sites(a)[0] is tails and dom.edge_flux_weights(a) is weights
+        for arr in (tails, heads, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+
 def test_rectangle_boundary_count():
     dom = bf.build_domain("rectangle", (16, 16), (1.0, 1.0))
     assert dom.boundary.sum() == 4 * 16 - 4

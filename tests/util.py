@@ -47,7 +47,7 @@ def conformal_split_out_of_place(sm, f) -> "bf.SplitMetric":
     df = np.zeros((dom.dim, dom.n_sites))
     div = np.zeros(dom.n_sites)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = conn.domain.edge_sites(a)
         df[a, tails] = f[heads] - f[tails]
         flux = dom.edge_weight[a, tails] * df[a, tails] / (2.0 * dom.spacings[a] ** 2)
         div[heads] += flux
@@ -143,7 +143,7 @@ def gauge_transform(conn, gauge):
     g = np.asarray(gauge, dtype=complex)
     new = conn.transport.copy()
     for a in range(conn.domain.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = conn.domain.edge_sites(a)
         new[a, tails] = np.linalg.solve(g[heads], la.mm(conn.transport[a, tails], g[tails]))
     return bf.connection_from_transports(conn.domain, new, conn.loops)
 
@@ -183,7 +183,7 @@ def delta_operator(sm, values) -> np.ndarray:
     endo = f.ndim == 3
     out = np.zeros((dom.dim,) + f.shape, dtype=complex)
     for a in range(dom.dim):
-        tails, heads = sm.flat.edge_sites(a)
+        tails, heads = sm.flat.domain.edge_sites(a)
         v = sm.connection.transport[a, tails]
         vinv = np.linalg.inv(v)
         if endo:
@@ -211,7 +211,7 @@ def section_derivative(conn, metric, values, use_metric_connection: bool = True)
     endo = f.ndim == 3
     out = np.zeros((dom.dim,) + f.shape, dtype=complex)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = conn.domain.edge_sites(a)
         v = sm.connection.transport[a, tails]
         vinv = np.linalg.inv(v)
         if endo:
@@ -262,7 +262,7 @@ def energy_hessian_coo(sm, frame, sites):
     rows, cols, vals = [], [], []
     block = np.arange(r * r)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = conn.domain.edge_sites(a)
         c = dom.edge_weight[a, tails] / dom.spacings[a] ** 2
         b = g[heads] @ conn.transport[a, tails] @ g_inv[tails]
         mu, q = np.linalg.eigh(la.hermitize(la.dagger(b) @ b))
@@ -309,7 +309,7 @@ def edge_products_matmul(conn, f, omega):
     centered = np.zeros_like(d)
     reverse = np.zeros_like(omega)
     for a in range(dom.dim):
-        tails, heads = conn.edge_sites(a)
+        tails, heads = conn.domain.edge_sites(a)
         d[a, tails] = (t_inv[a, tails] @ f[heads] @ t[a, tails] - f[tails]) / dom.spacings[a]
         plus, minus = dom.neighbors[a]
         fwd = t_inv[a] @ f[plus] @ t[a]
